@@ -15,11 +15,8 @@ from .browkin import (
 from .digits import PAdicDigits, digit_period, fractional_part, padic_digits
 from .exactarith import (
     QuadraticElement,
-    Rational,
     is_odd_prime,
     mod_inverse,
-    qf_pow,
-    qf_sign,
     symmetric_residue,
     vp,
 )
@@ -45,7 +42,6 @@ __all__ = [
     "HeadReport",
     "PAdicDigits",
     "QuadraticElement",
-    "Rational",
     "SchneiderExpansion",
     "SchneiderMatrix",
     "SchneiderStep",
@@ -60,8 +56,6 @@ __all__ = [
     "is_odd_prime",
     "mod_inverse",
     "padic_digits",
-    "qf_pow",
-    "qf_sign",
     "schneider_convergents",
     "schneider_evaluate",
     "schneider_expand",

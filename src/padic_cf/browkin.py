@@ -27,7 +27,6 @@ from .exactarith import (
     QuadraticElement,
     int_vp,
     mod_inverse,
-    qf_sign,
     require_odd_prime,
     symmetric_residue,
     vp,
@@ -66,6 +65,11 @@ class BrowkinExpansion:
     @property
     def beta_trace(self) -> list[int]:
         return [s.beta for s in self.steps]
+
+    @property
+    def beta1_abs(self) -> int:
+        """|beta_1|, or 0 for a one-step expansion: the length bound's input."""
+        return abs(self.steps[1].beta) if len(self.steps) > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,7 @@ def browkin_expand(
         k_next = int_vp(shifted, p)
         b_prev, b_cur, k = b_cur, shifted // p**k_next, k_next
         if cap is None and len(steps) == 2:
-            report = browkin_bound(beta, abs(steps[1].beta), p)
-            cap = 4 * (report.n_bound + 2)
+            cap = 4 * (browkin_bound(beta, abs(steps[1].beta), p).n_bound + 2)
 
 
 def cf_evaluate(quotients) -> Fraction:
@@ -150,23 +153,19 @@ def cf_evaluate(quotients) -> Fraction:
     return acc
 
 
-def browkin_convergents(expansion) -> list[Convergent]:
-    """Convergents p_n/q_n of an expansion (or bare quotient sequence).
+def browkin_convergents(quotients) -> list[Convergent]:
+    """Convergents p_n/q_n of the quotient sequence a_0, a_1, ...
 
     Recurrence u_{n+2} = a_{n+2} u_{n+1} + u_n seeded with p_{-1}=1, p_0=a_0,
     q_{-1}=0, q_0=1; successive pairs satisfy p_n q_{n-1} - p_{n-1} q_n =
     (-1)**(n+1).
     """
-    if isinstance(expansion, BrowkinExpansion):
-        qs = expansion.quotients
-    else:
-        qs = [Fraction(a) for a in expansion]
+    qs = [Fraction(a) for a in quotients]
     if not qs:
-        raise ValueError("empty expansion")
-    out = []
+        raise ValueError("empty quotient sequence")
     p_prev, q_prev = Fraction(1), Fraction(0)
     p_cur, q_cur = qs[0], Fraction(1)
-    out.append(Convergent(p_cur, q_cur, p_cur / q_cur))
+    out = [Convergent(p_cur, q_cur, p_cur / q_cur)]
     for a in qs[1:]:
         p_cur, p_prev = a * p_cur + p_prev, p_cur
         q_cur, q_prev = a * q_cur + q_prev, q_cur
@@ -212,8 +211,8 @@ def browkin_bound(beta0_abs: int, beta1_abs: int, p: int) -> BoundReport:
     n_float = math.floor(-math.log(cf) / math.log(lf1)) if cf > 1.0 else 0
 
     n = max(0, n_float)
-    while qf_sign(lam1**n * capacity - 1) < 0:
+    while (lam1**n * capacity - 1).sign() < 0:
         n -= 1  # capacity >= 1, so n = 0 always satisfies the first test
-    while qf_sign(lam1 ** (n + 1) * capacity - 1) >= 0:
+    while (lam1 ** (n + 1) * capacity - 1).sign() >= 0:
         n += 1
     return BoundReport(lam1, lam2, lf1, lf2, capacity, n, n == n_float)

@@ -3,8 +3,8 @@
 Subcommands: expand-browkin, expand-schneider, digits, bound, head, verify,
 sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --).  Exit codes: 0 success, 1 verification failure,
-2 usage error.  Every computed expansion is re-verified against the exact
-reconstruction oracle before anything is printed.
+2 usage error, 3 internal error (such as a float overflow).  Every computed
+expansion is certified by padic_cf.oracle before anything is printed.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .browkin import browkin_bound, browkin_convergents, browkin_expand, cf_evaluate, theta_sequence
-from .digits import digit_period, fractional_part, padic_digits
-from .exactarith import is_odd_prime, vp
-from .schneider import head_analysis, schneider_convergents, schneider_evaluate, schneider_expand
+from . import oracle
+from .browkin import browkin_bound, browkin_expand
+from .digits import digit_period, padic_digits
+from .exactarith import is_odd_prime
+from .schneider import head_analysis, schneider_expand
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/(\d+))?$")
 
@@ -58,30 +59,19 @@ def _f6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
 def _fail(message: str) -> int:
     print(f"FAIL: {message}", file=sys.stderr)
     return 1
 
 
-def _expansion_betas(expansion) -> tuple[int, int]:
-    beta1 = abs(expansion.steps[1].beta) if len(expansion.steps) > 1 else 0
-    return expansion.beta0, beta1
-
-
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     r = args.rational
     expansion = browkin_expand(r, args.prime, args.max_steps)
-    reconstructed = cf_evaluate(expansion.quotients) == r
-    if not reconstructed:
-        return _fail(f"browkin reconstruction mismatch for {_rat_str(r)}")
-    beta0, beta1 = _expansion_betas(expansion)
-    report = browkin_bound(beta0, beta1, args.prime)
+    report = browkin_bound(expansion.beta0, expansion.beta1_abs, args.prime)
+    recon = oracle.browkin_reconstruction(r, expansion)
+    oracle.require(args.prime, r, recon, oracle.browkin_length_bound(expansion, report))
     if args.json:
-        _emit_json(
+        print(json.dumps(
             {
                 "p": args.prime,
                 "input": _rat_str(r),
@@ -92,9 +82,9 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
                 "k": expansion.k_trace,
                 "beta": expansion.beta_trace,
                 "bound_N": report.n_bound,
-                "reconstructed": reconstructed,
+                "reconstructed": True,
             }
-        )
+        ))
     else:
         print(f"input: {_rat_str(r)} (p={args.prime})")
         print("quotients: " + ", ".join(_rat_str(a) for a in expansion.quotients))
@@ -106,24 +96,22 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
-    a, b = args.rational.numerator, args.rational.denominator
-    expansion = schneider_expand(a, b, args.prime, args.max_steps)
-    value = schneider_evaluate(expansion.head, expansion.tail_value, args.prime)
-    if value != args.rational:
-        return _fail(f"schneider reconstruction mismatch for {_rat_str(args.rational)}")
+    r = args.rational
+    expansion = schneider_expand(r.numerator, r.denominator, args.prime, args.max_steps)
+    oracle.require(args.prime, r, oracle.schneider_reconstruction(r, expansion))
     if args.json:
-        _emit_json(
+        print(json.dumps(
             {
                 "p": args.prime,
-                "a": a,
-                "b": b,
+                "a": r.numerator,
+                "b": r.denominator,
                 "head": [{"b": d, "alpha": e} for d, e in expansion.head],
                 "stationary_from": expansion.stationary_from,
                 "finite_end": expansion.finite_end,
             }
-        )
+        ))
     else:
-        print(f"input: {_rat_str(args.rational)} (p={args.prime})")
+        print(f"input: {_rat_str(r)} (p={args.prime})")
         print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.head))
         print("y trace: " + ", ".join(str(y) for y in expansion.y_trace))
         if expansion.stationary_from is not None:
@@ -160,14 +148,10 @@ def _digit_terms(p: int, start: int, digits) -> str:
 def _cmd_digits(args: argparse.Namespace) -> int:
     r = args.rational
     window = padic_digits(r, args.prime, args.count)
-    prefix = window.prefix_value()
-    if r != prefix:  # equality means the window captured r exactly
-        drift = vp(r - prefix, args.prime)
-        if drift < window.start_exponent + window.count:
-            return _fail(f"digit truncation identity violated for {_rat_str(r)}")
+    oracle.require(args.prime, r, oracle.digit_truncation_identity(r, window, (window.count,)))
     if args.json:
         start, preperiod, period = digit_period(r, args.prime)
-        _emit_json(
+        print(json.dumps(
             {
                 "p": args.prime,
                 "input": _rat_str(r),
@@ -177,7 +161,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
                 "preperiod_len": len(preperiod),
                 "period": list(period),
             }
-        )
+        ))
     else:
         print(_digit_terms(args.prime, window.start_exponent, window.digits))
     return 0
@@ -186,12 +170,12 @@ def _cmd_digits(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.rational is not None:
         expansion = browkin_expand(args.rational, args.prime)
-        beta0, beta1 = _expansion_betas(expansion)
+        beta0, beta1 = expansion.beta0, expansion.beta1_abs
     else:
         beta0, beta1 = args.beta0, args.beta1
     report = browkin_bound(beta0, beta1, args.prime)
     if args.json:
-        _emit_json(
+        print(json.dumps(
             {
                 "p": args.prime,
                 "beta0_abs": beta0,
@@ -201,7 +185,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                 "n_bound": report.n_bound,
                 "exact_certificate": report.exact_certificate,
             }
-        )
+        ))
     else:
         print(f"beta magnitudes: {beta0}, {beta1} (p={args.prime})")
         print(f"lambda1 = {report.lambda1} (~{_f6(report.lambda1_float)})")
@@ -223,7 +207,7 @@ def _cmd_head(args: argparse.Namespace) -> int:
         exponent = first.alpha if exponent is None else exponent
     report = head_analysis(a, b, digit, exponent, args.prime)
     if args.json:
-        _emit_json(
+        print(json.dumps(
             {
                 "T1_float": _f6(report.t1_float),
                 "T2_float": _f6(report.t2_float),
@@ -232,7 +216,7 @@ def _cmd_head(args: argparse.Namespace) -> int:
                 "head_len": report.head_len,
                 "exact_identity": report.exact_identity,
             }
-        )
+        ))
     else:
         print(f"head pair: ({digit},{exponent}) (p={args.prime})")
         print(f"T1 ~ {_f6(report.t1_float)}, T2 ~ {_f6(report.t2_float)}")
@@ -244,56 +228,11 @@ def _cmd_head(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_checks(r: Fraction, p: int):
-    """Yield (name, ok) pairs for the full oracle battery on one input."""
-    expansion = browkin_expand(r, p)
-    yield "browkin reconstruction", cf_evaluate(expansion.quotients) == r
-    beta0, beta1 = _expansion_betas(expansion)
-    report = browkin_bound(beta0, beta1, p)
-    yield "browkin length bound", len(expansion.steps) <= report.n_bound + 1
-    thetas = theta_sequence(beta0, beta1, p, max(2, len(expansion.steps)))
-    yield "majorant", all(
-        abs(s.beta) <= thetas[i] for i, s in enumerate(expansion.steps)
-    )
-    convergents = browkin_convergents(expansion)
-    det_ok = True
-    prev = None
-    for n, conv in enumerate(convergents):
-        if prev is not None:
-            det_ok &= conv.pn * prev.qn - prev.pn * conv.qn == (-1) ** (n + 1)
-        prev = conv
-    yield "determinant identity", det_ok and convergents[-1].value == r
-    window = padic_digits(r, p, 12)
-    yield "digit truncation identity", all(
-        vp(r - window.prefix_value(i), p) >= window.start_exponent + i
-        for i in range(1, 13)
-        if r != window.prefix_value(i)
-    )
-    a, b = r.numerator, r.denominator
-    if a % p != 0 and b % p != 0:
-        sexp = schneider_expand(a, b, p)
-        yield "schneider reconstruction", schneider_evaluate(
-            sexp.head, sexp.tail_value, p
-        ) == r
-        if sexp.steps:
-            laws_ok = True
-            total_alpha = 0
-            for m, (matrix, value) in enumerate(schneider_convergents(sexp)):
-                total_alpha += sexp.steps[m].alpha
-                laws_ok &= matrix.det() == (-1) ** (m + 1) * p**total_alpha
-                laws_ok &= vp(r - value, p) == total_alpha
-            yield "schneider matrix laws", laws_ok
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    failures = 0
-    for name, ok in _verify_checks(args.rational, args.prime):
-        if ok:
-            print(f"ok: {name}")
-        else:
-            print(f"FAIL: {name}")
-            failures += 1
-    return 1 if failures else 0
+    checks = oracle.battery(args.rational, args.prime)
+    for name, ok in checks:
+        print(f"{'ok' if ok else 'FAIL'}: {name}")
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def _sweep_rows(primes, max_num, max_den):
@@ -323,19 +262,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for p, a, b in _sweep_rows(args.primes, args.max_num, args.max_den):
             r = Fraction(a, b)
             expansion = browkin_expand(r, p)
-            if cf_evaluate(expansion.quotients) != r:
-                return _fail(f"browkin reconstruction mismatch at p={p}, {a}/{b}")
-            beta0, beta1 = _expansion_betas(expansion)
+            beta0, beta1 = expansion.beta0, expansion.beta1_abs
             report = browkin_bound(beta0, beta1, p)
+            recon = oracle.browkin_reconstruction(r, expansion)
+            oracle.require(p, r, recon, oracle.browkin_length_bound(expansion, report))
             browkin_len = len(expansion.steps)
             slack = report.n_bound + 1 - browkin_len
-            if slack < 0:
-                return _fail(f"length bound violated at p={p}, {a}/{b} (slack {slack})")
             stationary = ""
             if a % p != 0 and b % p != 0:
                 sexp = schneider_expand(a, b, p)
-                if schneider_evaluate(sexp.head, sexp.tail_value, p) != r:
-                    return _fail(f"schneider reconstruction mismatch at p={p}, {a}/{b}")
+                oracle.require(p, r, oracle.schneider_reconstruction(r, sexp))
                 if sexp.stationary_from is not None:
                     stationary = sexp.stationary_from
                     if max_stationary is None or stationary > max_stationary:
@@ -469,7 +405,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
-    except ArithmeticError as exc:
+    except OverflowError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # includes oracle.VerificationError
         return _fail(str(exc))
 
 

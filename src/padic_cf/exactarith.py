@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# The universal exact value type of the whole package.
-Rational = Fraction
-
 
 def is_odd_prime(p: int) -> bool:
     """True for primes >= 3 (2 is deliberately rejected)."""
@@ -133,14 +130,6 @@ class QuadraticElement:
     def is_rational(self) -> bool:
         return self.y == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.y != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.x
-
-    def conjugate(self) -> QuadraticElement:
-        return QuadraticElement(self.x, -self.y, self.d)
-
     def sign(self) -> int:
         """Exact sign of the real number x + y*sqrt(d); no floating point."""
         if self.y == 0:
@@ -212,12 +201,6 @@ class QuadraticElement:
         norm = other.x * other.x - other.y * other.y * other.d
         return self * QuadraticElement(other.x / norm, -other.y / norm, other.d)
 
-    def __rtruediv__(self, other: object) -> QuadraticElement:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced / self
-
     def __pow__(self, n: int) -> QuadraticElement:
         if not isinstance(n, int):
             return NotImplemented
@@ -257,15 +240,3 @@ class QuadraticElement:
             return f"{self.y}*sqrt({self.d})"
         op = "-" if self.y < 0 else "+"
         return f"{self.x} {op} {abs(self.y)}*sqrt({self.d})"
-
-
-def qf_pow(e: QuadraticElement, n: int) -> QuadraticElement:
-    """Exact n-th power in the element's field; qf_pow(e, 0) is 1."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    return e ** n
-
-
-def qf_sign(e: QuadraticElement) -> int:
-    """Exact sign (-1, 0, +1) of a quadratic field element."""
-    return e.sign()

@@ -27,7 +27,6 @@ from .exactarith import (
     QuadraticElement,
     int_vp,
     mod_inverse,
-    qf_sign,
     require_odd_prime,
 )
 
@@ -218,7 +217,7 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
         if a - b * root == QuadraticElement(0):
             raise ValueError("a/b equals a characteristic root: theta undefined")
     theta = ((t1 - pa) * (a - b * t1)) / ((t2 - pa) * (a - b * t2))
-    if qf_sign(theta * theta - 1) <= 0:
+    if (theta * theta - 1).sign() <= 0:
         raise ValueError("|theta| <= 1: no constant head to measure")
 
     ratio = t2 / t1

@@ -15,7 +15,7 @@ from padic_cf.browkin import (
     theta_sequence,
 )
 from padic_cf.digits import fractional_part
-from padic_cf.exactarith import QuadraticElement, qf_sign, vp
+from padic_cf.exactarith import QuadraticElement, vp
 
 
 def random_rationals(seed, count, span=300):
@@ -35,6 +35,7 @@ class TestExpandFixtures:
         ]
         assert exp.k_trace == [3, 1, 1, 1]
         assert exp.beta_trace == [2, 5, -2, 1]
+        assert exp.beta1_abs == 5
         assert exp.terminated
         assert cf_evaluate(exp.quotients) == Fraction(365, 54)
 
@@ -66,6 +67,7 @@ class TestExpandFixtures:
         for r in (Fraction(1), Fraction(-1), Fraction(-2, 9)):
             exp = browkin_expand(r, 3)
             assert exp.quotients == [r]
+            assert exp.beta1_abs == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -108,7 +110,7 @@ class TestConvergents:
         for p in (3, 5):
             for r in random_rationals(43 + p, 100):
                 exp = browkin_expand(r, p)
-                convs = browkin_convergents(exp)
+                convs = browkin_convergents(exp.quotients)
                 assert convs[-1].value == r
                 for n in range(1, len(convs)):
                     det = convs[n].pn * convs[n - 1].qn - convs[n - 1].pn * convs[n].qn
@@ -119,7 +121,7 @@ class TestConvergents:
     def test_padic_convergence_is_monotone(self):
         for r in random_rationals(47, 80):
             exp = browkin_expand(r, 3)
-            convs = browkin_convergents(exp)
+            convs = browkin_convergents(exp.quotients)
             vals = [vp(r - c.value, 3) for c in convs if c.value != r]
             assert vals == sorted(set(vals))
 
@@ -177,10 +179,10 @@ class TestBound:
             for lam in (report.lambda1, report.lambda2):
                 residual = 2 * p * p * lam * lam - p * p * lam - 2
                 assert residual == QuadraticElement(0)
-            assert qf_sign(report.lambda1) == 1
-            assert qf_sign(1 - report.lambda1) == 1
-            assert qf_sign(report.lambda2) == -1
-            assert qf_sign(report.lambda2 + Fraction(1, 2)) == 1
+            assert report.lambda1.sign() == 1
+            assert (1 - report.lambda1).sign() == 1
+            assert report.lambda2.sign() == -1
+            assert (report.lambda2 + Fraction(1, 2)).sign() == 1
 
     def test_bound_brackets_capacity_exactly(self):
         rng = random.Random(59)
@@ -189,8 +191,8 @@ class TestBound:
             b0, b1 = rng.randint(1, 40), rng.randint(0, 40)
             report = browkin_bound(b0, b1, p)
             n, lam1, cap = report.n_bound, report.lambda1, report.capacity_constant
-            assert qf_sign(lam1**n * cap - 1) >= 0
-            assert qf_sign(lam1 ** (n + 1) * cap - 1) < 0
+            assert (lam1**n * cap - 1).sign() >= 0
+            assert (lam1 ** (n + 1) * cap - 1).sign() < 0
 
     def test_theta_dominated_by_geometric_envelope(self):
         # theta_i <= lambda1**i * capacity, exactly in the quadratic field
@@ -199,7 +201,7 @@ class TestBound:
             thetas = theta_sequence(2, 5, p, 12)
             for i, theta in enumerate(thetas):
                 envelope = report.lambda1**i * report.capacity_constant
-                assert qf_sign(envelope - theta) >= 0
+                assert (envelope - theta).sign() >= 0
 
 
 class TestMajorantAndLength:

@@ -1,12 +1,13 @@
 """CLI contract tests: grammar, JSON schemas, exit codes, sweep CSV."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-import padic_cf.cli as cli
+import padic_cf.oracle as oracle
 from padic_cf.cli import main, parse_rational
 
 
@@ -56,7 +57,7 @@ class TestExpandBrowkinCommand:
         assert "reconstructed: true" in out
 
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "cf_evaluate", lambda quotients: Fraction(0))
+        monkeypatch.setattr(oracle, "cf_evaluate", lambda quotients: Fraction(0))
         code, out, err = run_cli(["expand-browkin", "-p", "3", "365/54"], capsys)
         assert code == 1
         assert out == ""
@@ -121,6 +122,15 @@ class TestBoundCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "-p", "3"])
         assert exc.value.code == 2
+
+    def test_float_overflow_is_internal_error(self, capsys):
+        # not a verification failure: exit 3, never "FAIL"
+        huge = str(10**400)
+        code, out, err = run_cli(["bound", "-p", "3", "--beta0", huge, "--beta1", huge], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal: ")
+        assert "FAIL" not in err
 
 
 class TestHeadCommand:
@@ -211,6 +221,17 @@ class TestSweepCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("p,a,b,")
         assert "sweep ok" in err
+
+    def test_grid_output_is_pinned(self, capsys):
+        # 3,331 CSV lines; any change to a row, its order or its format moves the hash
+        code, out, err = run_cli(
+            ["sweep", "--primes", "3,5,7", "--max-num", "30", "--max-den", "30"], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "af553650d1041f496064792fc4bbde6b8e65bdb7857976ba402cb72ba46b1988"
+        )
+        assert err == "sweep ok: max browkin_len 6, min slack 0, max steps to stationarity 13\n"
 
     def test_bad_prime_list(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,106 @@
+"""Oracle failure paths: a broken law must fail its own check, and every
+command that prints a certified output must refuse it with exit code 1."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+import padic_cf.oracle as oracle
+from padic_cf import browkin, digits, schneider
+from padic_cf.cli import SWEEP_COLUMNS, main
+
+
+def run_cli(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _short_bound(beta0, beta1, p):
+    return replace(browkin.browkin_bound(beta0, beta1, p), n_bound=-1)
+
+
+def _shifted_convergents(quotients):
+    return [
+        replace(c, pn=c.pn + 1, value=(c.pn + 1) / c.qn)
+        for c in browkin.browkin_convergents(quotients)
+    ]
+
+
+def _wrong_first_digit(r, p, count):
+    window = digits.padic_digits(r, p, count)
+    return replace(window, digits=(window.digits[0] + 1,) + window.digits[1:])
+
+
+def _singular_matrices(expansion):
+    return [
+        (schneider.SchneiderMatrix(0, 0, 0, 0), value)
+        for _, value in schneider.schneider_convergents(expansion)
+    ]
+
+
+BROKEN_LAWS = [
+    ("cf_evaluate", lambda quotients: Fraction(0), "browkin reconstruction"),
+    ("browkin_bound", _short_bound, "browkin length bound"),
+    ("theta_sequence", lambda b0, b1, p, n: [Fraction(0)] * n, "majorant"),
+    ("browkin_convergents", _shifted_convergents, "determinant identity"),
+    ("padic_digits", _wrong_first_digit, "digit truncation identity"),
+    ("schneider_evaluate", lambda head, tail, p: Fraction(0), "schneider reconstruction"),
+    ("schneider_convergents", _singular_matrices, "schneider matrix laws"),
+]
+
+
+def test_battery_names_every_check(capsys):
+    code, out, _ = run_cli(["verify", "-p", "3", "2/5"], capsys)
+    assert code == 0
+    assert out.splitlines() == [f"ok: {name}" for _, _, name in BROKEN_LAWS]
+
+
+@pytest.mark.parametrize("target, broken, name", BROKEN_LAWS, ids=[n for _, _, n in BROKEN_LAWS])
+def test_verify_fails_only_the_broken_check(target, broken, name, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, target, broken)
+    code, out, _ = run_cli(["verify", "-p", "3", "2/5"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        f"{'FAIL' if check == name else 'ok'}: {check}" for _, _, check in BROKEN_LAWS
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_out, message",
+    [
+        (
+            ["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1"],
+            ",".join(SWEEP_COLUMNS) + "\r\n",  # the header only: the first row fails
+            "FAIL: schneider reconstruction failed at p=3, -2/1\n",
+        ),
+        (
+            ["expand-schneider", "-p", "3", "2/5"],
+            "",
+            "FAIL: schneider reconstruction failed at p=3, 2/5\n",
+        ),
+    ],
+    ids=["sweep", "expand-schneider"],
+)
+def test_planted_schneider_defect_exits_1(argv, expected_out, message, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "schneider_evaluate", lambda head, tail, p: Fraction(0))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == expected_out
+    assert err == message
+
+
+def test_planted_prefix_defect_fails_digits(capsys, monkeypatch):
+    monkeypatch.setattr(digits.PAdicDigits, "prefix_value", lambda self, length: Fraction(0))
+    code, out, err = run_cli(["digits", "-p", "5", "-n", "7", "--", "-1793/100"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "FAIL: digit truncation identity failed at p=5, -1793/100\n"
+
+
+def test_require_passes_and_names_first_failure():
+    r = Fraction(2, 5)
+    oracle.require(3, r, oracle.Check("a", True), oracle.Check("b", True))
+    with pytest.raises(oracle.VerificationError, match=r"^b failed at p=3, 2/5$"):
+        oracle.require(3, r, oracle.Check("a", True), oracle.Check("b", False), oracle.Check("c", False))
