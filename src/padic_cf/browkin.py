@@ -18,10 +18,8 @@ certifies that at most n_bound + 1 quotients can appear.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactarith import (
     QuadraticElement,
@@ -81,21 +79,28 @@ class Convergent:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Certified upper bound on the number of partial quotients.
+    """Certified bound: at most n_bound + 1 partial quotients, where n_bound is
+    the largest n with lambda1**n * capacity >= 1 and capacity =
+    2|beta1|/(lambda1-lambda2) + |beta0|; browkin_bound certifies it."""
 
-    n_bound is the integer part of -log(capacity)/log(lambda1) where
-    capacity = 2|beta1|/(lambda1-lambda2) + |beta0|; the floor is certified
-    by exact sign tests in the field holding lambda1, never by floats.
-    exact_certificate records that the float estimate agreed.
-    """
-
-    lambda1: QuadraticElement
-    lambda2: QuadraticElement
-    lambda1_float: float
-    lambda2_float: float
-    capacity_constant: QuadraticElement
+    p: int
+    beta0_abs: int
+    beta1_abs: int
     n_bound: int
-    exact_certificate: bool
+    exact_certificate = True  # n_bound is always certified exactly; `bound` still reports it
+
+    @property
+    def lambda1(self) -> QuadraticElement:
+        return QuadraticElement(Fraction(1, 4), Fraction(1, 4 * self.p), self.p * self.p + 16)
+
+    @property
+    def lambda2(self) -> QuadraticElement:
+        return QuadraticElement(Fraction(1, 4), Fraction(-1, 4 * self.p), self.p * self.p + 16)
+
+    @property
+    def capacity_constant(self) -> QuadraticElement:
+        disc = self.p * self.p + 16  # 2|b1|/(lam1-lam2) = (4p|b1|/disc)*sqrt(disc)
+        return QuadraticElement(self.beta0_abs, Fraction(4 * self.p * self.beta1_abs, disc), disc)
 
 
 def browkin_expand(
@@ -103,8 +108,8 @@ def browkin_expand(
 ) -> BrowkinExpansion:
     """Full Browkin expansion of a nonzero rational.
 
-    max_steps defaults to 4*(n_bound+2) once beta_1 is known; exceeding the
-    cap would contradict the length bound and raises ArithmeticError.
+    max_steps defaults to a cap read off the bit length of the input, above
+    n_bound + 1; exceeding the cap raises ArithmeticError.
     """
     require_odd_prime(p)
     r = Fraction(r)
@@ -119,9 +124,10 @@ def browkin_expand(
 
     steps: list[BrowkinStep] = []
     b_prev, b_cur, k = alpha, beta, k0
-    cap = max_steps
+    # lambda1 <= 2/3 for p >= 3 and capacity < 4|alpha| + 3*beta, so N + 1 < 2*bits + 1 < cap
+    cap = max_steps or 4 * ((4 * abs(alpha) + 3 * beta).bit_length() + 1)
     while True:
-        if cap is not None and len(steps) >= cap:
+        if len(steps) >= cap:
             raise ArithmeticError(
                 f"bound violated: expansion of {r} exceeded {cap} steps"
             )
@@ -136,21 +142,19 @@ def browkin_expand(
         shifted = delta // p**k  # exact: delta is divisible by p**(1+k)
         k_next = int_vp(shifted, p)
         b_prev, b_cur, k = b_cur, shifted // p**k_next, k_next
-        if cap is None and len(steps) == 2:
-            cap = 4 * (browkin_bound(beta, abs(steps[1].beta), p).n_bound + 2)
 
 
 def cf_evaluate(quotients) -> Fraction:
-    """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak))."""
-    qs = [Fraction(q) for q in quotients]
+    """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)) on an integer pair."""
+    qs = list(quotients)
     if not qs:
         raise ValueError("empty quotient sequence")
-    acc = qs[-1]
+    num, den = qs[-1].numerator, qs[-1].denominator
     for a in reversed(qs[:-1]):
-        if acc == 0:
+        if num == 0:
             raise ZeroDivisionError("divergent finite fraction")
-        acc = a + 1 / acc
-    return acc
+        num, den = a.numerator * num + a.denominator * den, a.denominator * num
+    return Fraction(num, den)
 
 
 def browkin_convergents(quotients) -> list[Convergent]:
@@ -186,14 +190,14 @@ def theta_sequence(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[Fract
     return seq
 
 
-@lru_cache(maxsize=None)
 def browkin_bound(beta0_abs: int, beta1_abs: int, p: int) -> BoundReport:
     """Certified bound N: at most N+1 partial quotients can appear.
 
     lambda1 > |lambda2| are the roots of 2 p**2 X**2 - p**2 X - 2 = 0, i.e.
-    (p +- sqrt(p**2+16)) / (4p).  N is the largest integer with
-    lambda1**N * capacity >= 1, located from a float estimate and then
-    certified by exact sign comparisons in Q(sqrt(p**2+16)).
+    (p +- sqrt(D)) / (4p) with D = p**2+16.  N is the largest n with
+    lambda1**n * capacity >= 1, i.e. (u + v*sqrt(D)) * (D|beta0| +
+    4p|beta1|*sqrt(D)) >= D * (4p)**n where (p + sqrt(D))**n = u + v*sqrt(D),
+    found by repeated squaring and a descent over the squares.
     """
     require_odd_prime(p)
     if beta0_abs < 1:
@@ -202,17 +206,21 @@ def browkin_bound(beta0_abs: int, beta1_abs: int, p: int) -> BoundReport:
         raise ValueError("beta1 magnitude must be >= 0")
 
     disc = p * p + 16
-    lam1 = QuadraticElement(Fraction(1, 4), Fraction(1, 4 * p), disc)
-    lam2 = QuadraticElement(Fraction(1, 4), Fraction(-1, 4 * p), disc)
-    # 2|b1|/(lam1-lam2) = 4p|b1|/sqrt(disc) = (4p|b1|/disc)*sqrt(disc)
-    capacity = QuadraticElement(beta0_abs, Fraction(4 * p * beta1_abs, disc), disc)
+    a, b = disc * beta0_abs, 4 * p * beta1_abs
 
-    lf1, lf2, cf = float(lam1), float(lam2), float(capacity)
-    n_float = math.floor(-math.log(cf) / math.log(lf1)) if cf > 1.0 else 0
+    def holds(u: int, v: int, scale: int) -> bool:
+        # (u + v*sqrt(D)) * (a + b*sqrt(D)) - D*scale = x + y*sqrt(D) >= 0, where y >= 0
+        x, y = u * a + v * b * disc - disc * scale, u * b + v * a
+        return x >= 0 or y * y * disc >= x * x
 
-    n = max(0, n_float)
-    while (lam1**n * capacity - 1).sign() < 0:
-        n -= 1  # capacity >= 1, so n = 0 always satisfies the first test
-    while (lam1 ** (n + 1) * capacity - 1).sign() >= 0:
-        n += 1
-    return BoundReport(lam1, lam2, lf1, lf2, capacity, n, n == n_float)
+    # squares[j] = ((p + sqrt(D))**(2**j) as (u, v), (4p)**(2**j)); n = 0 holds as capacity >= 1
+    squares = [(p, 1, 4 * p)]
+    while holds(*squares[-1]):
+        u, v, scale = squares[-1]
+        squares.append((u * u + v * v * disc, 2 * u * v, scale * scale))
+    n, u, v, scale = 0, 1, 0, 1
+    for j, (su, sv, ss) in reversed(list(enumerate(squares[:-1]))):
+        tu, tv, ts = u * su + v * sv * disc, u * sv + v * su, scale * ss
+        if holds(tu, tv, ts):
+            n, u, v, scale = n + (1 << j), tu, tv, ts
+    return BoundReport(p, beta0_abs, beta1_abs, n)

@@ -3,8 +3,8 @@
 Subcommands: expand-browkin, expand-schneider, digits, bound, head, verify,
 sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --).  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 internal error (such as a float overflow).  Every computed
-expansion is certified by padic_cf.oracle before anything is printed.
+2 usage error, 3 internal error (a float overflow; only `head` still hits one).
+Every computed expansion is certified by padic_cf.oracle before it is printed.
 """
 
 from __future__ import annotations
@@ -180,16 +180,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                 "p": args.prime,
                 "beta0_abs": beta0,
                 "beta1_abs": beta1,
-                "lambda1_float": _f6(report.lambda1_float),
-                "lambda2_float": _f6(report.lambda2_float),
+                "lambda1_float": _f6(float(report.lambda1)),
+                "lambda2_float": _f6(float(report.lambda2)),
                 "n_bound": report.n_bound,
                 "exact_certificate": report.exact_certificate,
             }
         ))
     else:
         print(f"beta magnitudes: {beta0}, {beta1} (p={args.prime})")
-        print(f"lambda1 = {report.lambda1} (~{_f6(report.lambda1_float)})")
-        print(f"lambda2 = {report.lambda2} (~{_f6(report.lambda2_float)})")
+        print(f"lambda1 = {report.lambda1} (~{_f6(float(report.lambda1))})")
+        print(f"lambda2 = {report.lambda2} (~{_f6(float(report.lambda2))})")
         print(f"N = {report.n_bound}")
         print(f"exact certificate: {'true' if report.exact_certificate else 'false'}")
     return 0

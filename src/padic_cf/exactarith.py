@@ -121,15 +121,6 @@ class QuadraticElement:
         self.y = y
         self.d = d
 
-    @classmethod
-    def sqrt(cls, d: int) -> QuadraticElement:
-        """The element sqrt(d)."""
-        return cls(0, 1, d)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.y == 0
-
     def sign(self) -> int:
         """Exact sign of the real number x + y*sqrt(d); no floating point."""
         if self.y == 0:

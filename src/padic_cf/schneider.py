@@ -158,16 +158,16 @@ def schneider_evaluate(head, tail_value: Fraction | int, p: int) -> Fraction:
     """Exact back-substitution of b0 + p**a0/(b1 + ... + p**ak/tail_value).
 
     The everlasting (p-1, 1) tail is represented by tail_value = -1, its
-    exact value.
+    exact value.  Runs on an unreduced integer pair, reduced once at the end.
     """
-    acc = Fraction(tail_value)
-    if acc == 0:
+    num, den = tail_value.numerator, tail_value.denominator
+    if num == 0:
         raise ZeroDivisionError("zero tail value")
     for digit, alpha in reversed(list(head)):
-        if acc == 0:
+        if num == 0:
             raise ZeroDivisionError("zero denominator in back-substitution")
-        acc = digit + Fraction(p) ** alpha / acc
-    return acc
+        num, den = digit * num + p**alpha * den, num
+    return Fraction(num, den)
 
 
 def schneider_convergents(expansion: SchneiderExpansion) -> list[tuple[SchneiderMatrix, Fraction]]:

@@ -186,9 +186,13 @@ class TestBound:
 
     def test_bound_brackets_capacity_exactly(self):
         rng = random.Random(59)
+        inputs = []
         for _ in range(60):
-            p = rng.choice([3, 5, 7])
-            b0, b1 = rng.randint(1, 40), rng.randint(0, 40)
+            inputs.append((rng.choice([3, 5, 7]), rng.randint(1, 40), rng.randint(0, 40)))
+        for height in (10**50, 10**300, 10**400, 10**1000):  # past the float range too
+            for p in (3, 5, 7, 101):
+                inputs.append((p, rng.randint(1, height - 1), rng.randint(0, height - 1)))
+        for p, b0, b1 in inputs:
             report = browkin_bound(b0, b1, p)
             n, lam1, cap = report.n_bound, report.lambda1, report.capacity_constant
             assert (lam1**n * cap - 1).sign() >= 0

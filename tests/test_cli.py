@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import padic_cf.browkin as browkin
+import padic_cf.cli as cli
 import padic_cf.oracle as oracle
 from padic_cf.cli import main, parse_rational
+from padic_cf.schneider import generate_constant_head
 
 
 def run_cli(argv, capsys):
@@ -62,6 +65,11 @@ class TestExpandBrowkinCommand:
         assert code == 1
         assert out == ""
         assert "FAIL" in err
+
+    def test_height_beyond_float_range(self, capsys):
+        code, out, err = run_cli(["expand-browkin", "-p", "5", f"{10**400 + 1}/{7**300}"], capsys)
+        assert code == 0, err
+        assert "bound N: 1629 " in out
 
 
 class TestExpandSchneiderCommand:
@@ -124,13 +132,19 @@ class TestBoundCommand:
         assert exc.value.code == 2
 
     def test_float_overflow_is_internal_error(self, capsys):
-        # not a verification failure: exit 3, never "FAIL"
-        huge = str(10**400)
-        code, out, err = run_cli(["bound", "-p", "3", "--beta0", huge, "--beta1", huge], capsys)
+        # not a verification failure: exit 3, never "FAIL"; head's float estimate overflows here
+        a, b = generate_constant_head(1, 1, 1500, 3)
+        code, out, err = run_cli(["head", "-p", "3", f"{a}/{b}"], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("error: internal: ")
         assert "FAIL" not in err
+
+    def test_height_beyond_float_range_certifies(self, capsys):
+        huge = str(10**400)
+        payload = run_json(["bound", "-p", "3", "--beta0", huge, "--beta1", huge, "--json"], capsys)
+        assert payload["n_bound"] == 2274
+        assert payload["exact_certificate"] is True
 
 
 class TestHeadCommand:
@@ -232,6 +246,24 @@ class TestSweepCommand:
             "af553650d1041f496064792fc4bbde6b8e65bdb7857976ba402cb72ba46b1988"
         )
         assert err == "sweep ok: max browkin_len 6, min slack 0, max steps to stationarity 13\n"
+
+    def test_one_bound_call_per_row(self, capsys, monkeypatch):
+        bound, calls = cli.browkin_bound, []
+
+        def counted(*args):
+            calls.append(args)
+            return bound(*args)
+
+        def unreachable(*args):
+            raise AssertionError("browkin_expand called browkin_bound")
+
+        monkeypatch.setattr(cli, "browkin_bound", counted)
+        monkeypatch.setattr(browkin, "browkin_bound", unreachable)
+        code, out, _ = run_cli(["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"], capsys)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) > 0
+        assert len(calls) == len(rows)
 
     def test_bad_prime_list(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -108,7 +108,7 @@ class TestSymmetricResidue:
 class TestQuadraticElement:
     def test_square_radicand_normalizes(self):
         assert QuadraticElement(0, 1, 25) == QuadraticElement(5)
-        assert QuadraticElement(0, 1, 25).is_rational
+        assert QuadraticElement(0, 1, 25).y == 0
         assert QuadraticElement(0, 1, 12) == QuadraticElement(0, 2, 3)
         assert QuadraticElement(Fraction(1, 2), 0, 41).d == 1
 
@@ -130,7 +130,7 @@ class TestQuadraticElement:
             assert (a / b) * b == a
 
     def test_defining_equation_of_sqrt(self):
-        root = QuadraticElement.sqrt(13)
+        root = QuadraticElement(0, 1, 13)
         assert root * root == QuadraticElement(13)
         assert root**2 == QuadraticElement(13)
 
