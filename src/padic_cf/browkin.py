@@ -103,14 +103,8 @@ class BoundReport:
         return QuadraticElement(self.beta0_abs, Fraction(4 * self.p * self.beta1_abs, disc), disc)
 
 
-def browkin_expand(
-    r: Fraction | int, p: int, max_steps: int | None = None
-) -> BrowkinExpansion:
-    """Full Browkin expansion of a nonzero rational.
-
-    max_steps defaults to a cap read off the bit length of the input, above
-    n_bound + 1; exceeding the cap raises ArithmeticError.
-    """
+def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansion:
+    # the expansion of r, cut with terminated False once it holds the cap's number of steps
     require_odd_prime(p)
     r = Fraction(r)
     if r == 0:
@@ -126,11 +120,7 @@ def browkin_expand(
     b_prev, b_cur, k = alpha, beta, k0
     # lambda1 <= 2/3 for p >= 3 and capacity < 4|alpha| + 3*beta, so N + 1 < 2*bits + 1 < cap
     cap = max_steps or 4 * ((4 * abs(alpha) + 3 * beta).bit_length() + 1)
-    while True:
-        if len(steps) >= cap:
-            raise ArithmeticError(
-                f"bound violated: expansion of {r} exceeded {cap} steps"
-            )
+    while len(steps) < cap:
         modulus = p ** (1 + k)
         x = symmetric_residue(b_prev * mod_inverse(b_cur, modulus), modulus)
         steps.append(
@@ -142,6 +132,29 @@ def browkin_expand(
         shifted = delta // p**k  # exact: delta is divisible by p**(1+k)
         k_next = int_vp(shifted, p)
         b_prev, b_cur, k = b_cur, shifted // p**k_next, k_next
+    return BrowkinExpansion(p, r, alpha, beta, tuple(steps), False)
+
+
+def browkin_betas(r: Fraction | int, p: int) -> tuple[int, int]:
+    """(beta0, beta1_abs) of browkin_expand(r, p), read from its first two steps alone."""
+    head = _expand(r, p, 2)
+    return head.beta0, head.beta1_abs
+
+
+def browkin_expand(
+    r: Fraction | int, p: int, max_steps: int | None = None
+) -> BrowkinExpansion:
+    """Full Browkin expansion of a nonzero rational.
+
+    max_steps defaults to a cap read off the bit length of the input, above
+    n_bound + 1; exceeding the cap raises ArithmeticError.
+    """
+    expansion = _expand(r, p, max_steps)
+    if not expansion.terminated:
+        raise ArithmeticError(
+            f"bound violated: expansion of {expansion.value} exceeded {len(expansion.steps)} steps"
+        )
+    return expansion
 
 
 def cf_evaluate(quotients) -> Fraction:

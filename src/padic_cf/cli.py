@@ -18,10 +18,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import oracle
-from .browkin import browkin_bound, browkin_expand
+from .browkin import browkin_betas, browkin_bound, browkin_expand
 from .digits import digit_period, padic_digits
 from .exactarith import is_odd_prime
-from .schneider import head_analysis, schneider_expand
+from .schneider import first_step, head_analysis, schneider_expand
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/(\d+))?$")
 
@@ -169,8 +169,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.rational is not None:
-        expansion = browkin_expand(args.rational, args.prime)
-        beta0, beta1 = expansion.beta0, expansion.beta1_abs
+        beta0, beta1 = browkin_betas(args.rational, args.prime)
     else:
         beta0, beta1 = args.beta0, args.beta1
     report = browkin_bound(beta0, beta1, args.prime)
@@ -199,10 +198,9 @@ def _cmd_head(args: argparse.Namespace) -> int:
     a, b = args.rational.numerator, args.rational.denominator
     digit, exponent = args.digit, args.exponent
     if digit is None or exponent is None:
-        expansion = schneider_expand(a, b, args.prime)
-        if not expansion.steps:
+        first = first_step(a, b, args.prime)
+        if first is None:
             raise ValueError("input has no head step to analyze")
-        first = expansion.steps[0]
         digit = first.b if digit is None else digit
         exponent = first.alpha if exponent is None else exponent
     report = head_analysis(a, b, digit, exponent, args.prime)

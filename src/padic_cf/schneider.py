@@ -14,7 +14,7 @@ every later step is (p-1, 1) and the remaining tail has exact value -1.
 A constant head of k+1 identical (digit, exponent) steps satisfies
 (T2/T1)**k = theta where T1, T2 are the roots of T**2 - digit*T - p**exponent
 and theta is a ratio of conjugate products; head_analysis certifies that
-identity exactly in the quadratic field.
+identity exactly, on integer pairs in Z[sqrt(4p**exponent + digit**2)].
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class SchneiderMatrix:
 class HeadReport:
     """Exact certificate for the length of a constant (digit, exponent) head.
 
-    exact_identity means (t2/t1)**(head_len-1) equals theta componentwise in
-    the field; otherwise head_len is only the float-derived estimate and the
-    input's head is not exactly constant.
+    exact_identity means (t2/t1)**(head_len-1) equals theta, checked exactly on
+    integer pairs in Z[sqrt(D)]; otherwise head_len is only the float-derived
+    estimate and the input's head is not exactly constant.
     """
 
     digit: int
@@ -116,12 +116,8 @@ class HeadReport:
 _STATIONARY_PAIRS = ((1, -1), (-1, 1))
 
 
-def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> SchneiderExpansion:
-    """Expand a/b until stationarity or finite termination.
-
-    Requires a nonzero, b positive, and a, b, p pairwise coprime.  Exceeding
-    max_steps raises ArithmeticError: every rational is absorbed eventually.
-    """
+def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
+    # the expansion of a/b, cut with neither tail marker set once it holds max_steps steps
     require_odd_prime(p)
     if a == 0:
         raise ValueError("numerator must be nonzero")
@@ -137,10 +133,10 @@ def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> Schneid
         raise ValueError("max_steps must be positive")
 
     y_prev, y_cur = a, b
-    if (y_prev, y_cur) in _STATIONARY_PAIRS:
-        return SchneiderExpansion(p, a, b, (), 0, False)
     steps: list[SchneiderStep] = []
-    while len(steps) < max_steps:
+    while (y_prev, y_cur) not in _STATIONARY_PAIRS:
+        if len(steps) == max_steps:
+            return SchneiderExpansion(p, a, b, tuple(steps), None, False)
         digit = (y_prev * mod_inverse(y_cur, p)) % p
         delta = y_prev - digit * y_cur
         if delta == 0:
@@ -149,9 +145,25 @@ def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> Schneid
         y_next = delta // p**alpha
         steps.append(SchneiderStep(digit, alpha, y_next))
         y_prev, y_cur = y_cur, y_next
-        if (y_prev, y_cur) in _STATIONARY_PAIRS:
-            return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False)
-    raise ArithmeticError(f"stationarity not reached within {max_steps} steps")
+    return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False)
+
+
+def first_step(a: int, b: int, p: int) -> SchneiderStep | None:
+    """First step of a/b's expansion, or None (stationary or finite from the start)."""
+    steps = _expand(a, b, p, 1).steps
+    return steps[0] if steps else None
+
+
+def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> SchneiderExpansion:
+    """Expand a/b until stationarity or finite termination.
+
+    Requires a nonzero, b positive, and a, b, p pairwise coprime.  Exceeding
+    max_steps raises ArithmeticError: every rational is absorbed eventually.
+    """
+    expansion = _expand(a, b, p, max_steps)
+    if expansion.stationary_from is None and not expansion.finite_end:
+        raise ArithmeticError(f"stationarity not reached within {max_steps} steps")
+    return expansion
 
 
 def schneider_evaluate(head, tail_value: Fraction | int, p: int) -> Fraction:
@@ -198,43 +210,50 @@ def _check_head_pair(digit: int, alpha: int, p: int) -> None:
 def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     """Certify the length of the constant (digit, alpha) head of a/b.
 
-    Returns head_len = e + 1 with the exponent e certified by the exact
-    identity (t2/t1)**e = theta; when no exponent near the float estimate
-    satisfies it, the input's head is not exactly constant and the report
-    carries the float-derived length with exact_identity False.
+    Returns head_len = e + 1 with the exponent e certified by the exact identity
+    (t2/t1)**e = theta, checked on integer pairs in Z[sqrt(D)]; when no exponent
+    near the float estimate satisfies it, the input's head is not exactly constant
+    and the report carries the float-derived length with exact_identity False.
     """
     require_odd_prime(p)
     _check_head_pair(digit, alpha, p)
     if b < 1:
         raise ValueError("denominator must be positive")
 
-    disc = 4 * p**alpha + digit * digit
-    half = Fraction(1, 2)
-    t1 = QuadraticElement(digit * half, -half, disc)
-    t2 = QuadraticElement(digit * half, half, disc)
+    # 4(t1 - p**alpha)(a - b*t1) = x + y*sqrt(D) is never 0: D = s*s would force
+    # (s - digit)(s + digit) = 4p**alpha, i.e. the stationary pair (p-1, 1)
     pa = p**alpha
-    for root in (t1, t2):
-        if a - b * root == QuadraticElement(0):
-            raise ValueError("a/b equals a characteristic root: theta undefined")
-    theta = ((t1 - pa) * (a - b * t1)) / ((t2 - pa) * (a - b * t2))
-    if (theta * theta - 1).sign() <= 0:
+    disc = 4 * pa + digit * digit
+    big_p, q = digit - 2 * pa, 2 * a - b * digit
+    x, y = big_p * q - b * disc, big_p * b - q
+    if x * y <= 0:
         raise ValueError("|theta| <= 1: no constant head to measure")
-
-    ratio = t2 / t1
+    # theta = (x + y*sqrt(D)) / (x - y*sqrt(D)) = (sx + sy*sqrt(D)) / n
+    sx, sy, n = x * x + disc * y * y, 2 * x * y, x * x - disc * y * y
+    t1 = QuadraticElement(Fraction(digit, 2), Fraction(-1, 2), disc)
+    t2 = QuadraticElement(Fraction(digit, 2), Fraction(1, 2), disc)
+    theta = QuadraticElement(Fraction(sx, n), Fraction(sy, n), disc)
     t1f, t2f, thetaf = float(t1), float(t2), float(theta)
     estimate = math.log(abs(thetaf)) / math.log(abs(t2f / t1f))
     nearest = round(estimate)
+    # t1*t2 = -p**alpha, so (t2/t1)**e = w**e / (4p**alpha)**e with w = wu + wv*sqrt(D) =
+    # -(digit + sqrt(D))**2; the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e
+    wu, wv = -(digit * digit + disc), -2 * digit
+    first = max(1, nearest - 1)
+    u, v, bu, bv, e = 1, 0, wu, wv, first - 1
+    while e:
+        if e & 1:
+            u, v = u * bu + v * bv * disc, u * bv + v * bu
+        bu, bv, e = bu * bu + bv * bv * disc, 2 * bu * bv, e >> 1
+    scale = (4 * pa) ** (first - 1)
     exact_exponent = None
-    for candidate in (nearest - 1, nearest, nearest + 1):
-        if candidate >= 1 and ratio**candidate == theta:
+    for candidate in range(first, nearest + 2):
+        u, v, scale = u * wu + v * wv * disc, u * wv + v * wu, scale * 4 * pa
+        if u * n == sx * scale and v * n == sy * scale:
             exact_exponent = candidate
             break
-    if exact_exponent is not None:
-        head_len = exact_exponent + 1
-        exact = True
-    else:
-        head_len = math.floor(estimate) + 1
-        exact = False
+    exact = exact_exponent is not None
+    head_len = exact_exponent + 1 if exact else math.floor(estimate) + 1
     return HeadReport(
         digit, alpha, t1, t2, t1f, t2f, theta, thetaf, head_len, exact_exponent, exact
     )

@@ -1,8 +1,11 @@
 """CLI contract tests: grammar, JSON schemas, exit codes, sweep CSV."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import padic_cf.browkin as browkin
 import padic_cf.cli as cli
 import padic_cf.oracle as oracle
+import padic_cf.schneider as schneider
 from padic_cf.cli import main, parse_rational
 from padic_cf.schneider import generate_constant_head
 
@@ -18,6 +22,13 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unreachable(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return fail
 
 
 def run_json(argv, capsys):
@@ -126,6 +137,28 @@ class TestBoundCommand:
         assert payload["beta1_abs"] == 13
         assert payload["n_bound"] == 6
 
+    def test_rational_mode_does_not_expand(self, capsys, monkeypatch):
+        rng = random.Random(4)
+        cases = [(5, "-1793/100"), (3, "365/54"), (3, "2/5"), (3, "3/2"), (3, "1"), (7, "-9/13")]
+        for digits in (300, 400):
+            for p in (3, 7, 101):
+                a = rng.randrange(10 ** (digits - 1), 10**digits)
+                cases.append((p, f"{-a}/{rng.randrange(10 ** (digits - 1), 10**digits)}"))
+        expected, one_step = [], 0
+        for p, text in cases:
+            expansion = browkin.browkin_expand(parse_rational(text), p)
+            one_step += len(expansion.steps) == 1  # beta1_abs reads 0
+            betas = ["--beta0", str(expansion.beta0), "--beta1", str(expansion.beta1_abs)]
+            expected.append([run_cli(["bound", "-p", str(p), *flags, *betas], capsys)
+                             for flags in ([], ["--json"])])
+        assert one_step > 0
+        monkeypatch.setattr(cli, "browkin_expand", unreachable("browkin_expand"))
+        monkeypatch.setattr(browkin, "browkin_expand", unreachable("browkin_expand"))
+        for (p, text), want in zip(cases, expected):
+            got = [run_cli(["bound", "-p", str(p), *flags, "--", text], capsys)
+                   for flags in ([], ["--json"])]
+            assert got == want
+
     def test_needs_input(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "-p", "3"])
@@ -169,6 +202,54 @@ class TestHeadCommand:
             capsys,
         )
         assert payload["head_len"] == 6
+
+    def test_pair_comes_from_first_step_without_expanding(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "schneider_expand", unreachable("schneider_expand"))
+        monkeypatch.setattr(schneider, "schneider_expand", unreachable("schneider_expand"))
+        assert run_json(["head", "-p", "3", "--json", "2/5"], capsys)["head_len"] == 4
+        a, b = generate_constant_head(1, 2, 300, 3)
+        code, out, _ = run_cli(["head", "-p", "3", f"{a}/{b}"], capsys)
+        assert code == 0
+        assert "head pair: (1,2) (p=3)" in out
+        assert "head length: 301" in out
+
+    def test_output_is_pinned(self):
+        # text and --json for the benchmark's twelve head triples at k = 20 and
+        # 200 and the three table fixtures; any change to a byte moves the hash
+        triples = [
+            (1, 2, 3), (1, 3, 3), (1, 2, 5), (2, 3, 5), (1, 2, 7), (2, 2, 7),
+            (3, 3, 7), (1, 1, 11), (2, 2, 11), (1, 1, 13), (1, 1, 101), (2, 1, 101),
+        ]
+        inputs = [(3, "2/5"), (3, "1259/701"), (5, "3044/673")]
+        for digit, alpha, p in triples:
+            for k in (20, 200):
+                a, b = generate_constant_head(digit, alpha, k, p)
+                inputs.append((p, f"{a}/{b}"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for p, text in inputs:
+                for flags in ([], ["--json"]):
+                    assert main(["head", "-p", str(p), *flags, "--", text]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "b77a89d1f2ac75553910f6b4d74e6d213ae981e8b7a28f7aa919113a8ad2b2a7"
+        )
+
+    @pytest.mark.parametrize(
+        "p, text, message",
+        [
+            ("3", "-1", "input has no head step to analyze"),  # stationary from the start
+            ("5", "3", "input has no head step to analyze"),  # finite end on the first step
+            ("3", "3/5", "numerator must be coprime to p"),
+            ("3", "5/3", "denominator must be coprime to p"),
+        ],
+    )
+    def test_usage_errors(self, p, text, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["head", "-p", p, "--", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"padic-cf: error: {message}\n")
 
 
 class TestVerifyCommand:

@@ -221,6 +221,30 @@ class TestHeadAnalysis:
         with pytest.raises(ValueError, match="theta|head"):
             head_analysis(-2, 1, 1, 1, 3)  # single-quotient head: |theta| = 1
 
+    def test_integer_identity_matches_field_reference(self):
+        # the twelve benchmark head triples, then a spread with D squarefree or not
+        triples = [
+            (1, 2, 3), (1, 3, 3), (1, 2, 5), (2, 3, 5), (1, 2, 7), (2, 2, 7),
+            (3, 3, 7), (1, 1, 11), (2, 2, 11), (1, 1, 13), (1, 1, 101), (2, 1, 101),
+            (1, 1, 3), (2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 7), (6, 2, 7),
+        ]
+        for digit, alpha, p in triples:
+            disc = 4 * p**alpha + digit * digit
+            ratio = (digit + math.sqrt(disc)) / (math.sqrt(disc) - digit)
+            # theta is about ratio**k and head_analysis still takes float(theta)
+            k_max = min(1000, int(300 / math.log10(ratio)))
+            for k in sorted({1, 2, 7, 60, k_max // 3, k_max}):
+                a, b = generate_constant_head(digit, alpha, k, p)
+                report = head_analysis(a, b, digit, alpha, p)
+                assert report.head_len == k + 1
+                assert report.exact_identity and report.exact_exponent == k
+                assert (report.t2 / report.t1) ** k == report.theta
+                # a +- p keeps the first digit but breaks the constant head
+                for shifted in (a + p, a - p) if k >= 7 else ():
+                    off = head_analysis(shifted, b, digit, alpha, p)
+                    assert not off.exact_identity
+                    assert off.exact_exponent is None
+
     def test_non_constant_head_input(self):
         # 7/2 has head (2,1) once then terminates; no exact identity for (1,2)
         report = head_analysis(7, 2, 1, 2, 3)
