@@ -5,12 +5,14 @@ sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --).  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 internal error (a float overflow; only `head` still hits one).
 Every computed expansion is certified by padic_cf.oracle before it is printed.
+The argparse parser is built once per process, on the first main() call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -298,6 +300,7 @@ def _add_rational_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-cf",
@@ -386,6 +389,8 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         have_betas = args.beta0 is not None and args.beta1 is not None
         if args.rational is None and not have_betas:
             parser.error("bound needs a rational or both --beta0 and --beta1")
+        if args.rational is not None and (args.beta0 is not None or args.beta1 is not None):
+            parser.error("bound takes a rational or --beta0/--beta1, not both")
         if have_betas and (args.beta0 < 1 or args.beta1 < 0):
             parser.error("--beta0 must be >= 1 and --beta1 >= 0")
     if args.command == "digits" and args.count < 1:

@@ -117,7 +117,7 @@ _STATIONARY_PAIRS = ((1, -1), (-1, 1))
 
 
 def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
-    # the expansion of a/b, cut with neither tail marker set once it holds max_steps steps
+    # the expansion of a/b, cut with neither tail marker set if it needs over max_steps steps
     require_odd_prime(p)
     if a == 0:
         raise ValueError("numerator must be nonzero")
@@ -135,12 +135,12 @@ def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
     y_prev, y_cur = a, b
     steps: list[SchneiderStep] = []
     while (y_prev, y_cur) not in _STATIONARY_PAIRS:
-        if len(steps) == max_steps:
-            return SchneiderExpansion(p, a, b, tuple(steps), None, False)
         digit = (y_prev * mod_inverse(y_cur, p)) % p
         delta = y_prev - digit * y_cur
         if delta == 0:
             return SchneiderExpansion(p, a, b, tuple(steps), None, True)
+        if len(steps) == max_steps:
+            return SchneiderExpansion(p, a, b, tuple(steps), None, False)
         alpha = int_vp(delta, p)
         y_next = delta // p**alpha
         steps.append(SchneiderStep(digit, alpha, y_next))
@@ -157,8 +157,9 @@ def first_step(a: int, b: int, p: int) -> SchneiderStep | None:
 def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> SchneiderExpansion:
     """Expand a/b until stationarity or finite termination.
 
-    Requires a nonzero, b positive, and a, b, p pairwise coprime.  Exceeding
-    max_steps raises ArithmeticError: every rational is absorbed eventually.
+    Requires a nonzero, b positive, and a, b, p pairwise coprime.  Needing
+    more than max_steps recorded steps raises ArithmeticError: every rational
+    is absorbed eventually.
     """
     expansion = _expand(a, b, p, max_steps)
     if expansion.stationary_from is None and not expansion.finite_end:

@@ -1,12 +1,17 @@
 """CLI contract tests: grammar, JSON schemas, exit codes, sweep CSV."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +106,11 @@ class TestExpandSchneiderCommand:
             main(["expand-schneider", "-p", "3", "3/5"])
         assert exc.value.code == 2
 
+    def test_cap_equal_to_recorded_steps(self, capsys):
+        want = run_cli(["expand-schneider", "-p", "3", "--max-steps", "2", "7/2"], capsys)
+        assert want[0] == 0 and "finite end with tail value 2" in want[1]
+        assert run_cli(["expand-schneider", "-p", "3", "--max-steps", "1", "7/2"], capsys) == want
+
 
 class TestDigitsCommand:
     def test_plain_rendering(self, capsys):
@@ -163,6 +173,19 @@ class TestBoundCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "-p", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "betas", [["--beta0", "5", "--beta1", "3"], ["--beta0", "5"], ["--beta1", "3"]]
+    )
+    def test_rational_with_betas_is_usage_error(self, betas, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "-p", "3", *betas, "7/2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "padic-cf: error: bound takes a rational or --beta0/--beta1, not both\n"
+        )
 
     def test_float_overflow_is_internal_error(self, capsys):
         # not a verification failure: exit 3, never "FAIL"; head's float estimate overflows here
@@ -374,3 +397,47 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["digits", "-p", "5", "-n", "3", "-1793/100"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        assert main(["bound", "-p", "3", "7/2"]) == 0
+        init, built = argparse.ArgumentParser.__init__, []
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["bound", "-p", "3", "7/2"]) == 0
+        assert built == []
+
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        a, b = generate_constant_head(1, 1, 1500, 3)
+        calls = [
+            ["expand-browkin", "-p", "3", "365/54"],
+            ["bound", "-p", "3", "--beta0", "5", "7/2"],
+            ["expand-schneider", "-p", "3", "--max-steps", "2", "1259/701"],
+            ["head", "-p", "3", f"{a}/{b}"],
+            ["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"],
+            ["expand-browkin", "-p", "3", "365/54"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        codes = []
+        for argv in calls:
+            # newline="" keeps the CSV's \r\n as written, as a process's stdout does
+            out, err = io.StringIO(newline=""), io.StringIO(newline="")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code, raised = main(argv), False
+                except SystemExit as exc:
+                    code, raised = exc.code, True
+            assert raised == (code == 2), argv
+            fresh = subprocess.run(
+                [sys.executable, "-m", "padic_cf", *argv], capture_output=True, env=env, timeout=60
+            )
+            got = (out.getvalue().encode(), err.getvalue().encode(), code)
+            assert got == (fresh.stdout, fresh.stderr, fresh.returncode), argv
+            codes.append(code)
+        assert codes == [0, 2, 1, 3, 0, 0]

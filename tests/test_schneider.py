@@ -91,6 +91,18 @@ class TestExpandFixtures:
         with pytest.raises(ArithmeticError, match="stationarity not reached"):
             schneider_expand(1259, 701, 3, max_steps=2)
 
+    def test_cap_equal_to_recorded_steps(self):
+        # a cap that holds every recorded step suffices, whichever tail follows them
+        exp = schneider_expand(7, 2, 3, max_steps=1)
+        assert exp.finite_end and exp.head == [(2, 1)]
+        exp = schneider_expand(19, 7, 3, max_steps=3)
+        assert exp.finite_end and exp.head == [(1, 1)] * 3
+        exp = schneider_expand(2, 5, 3, max_steps=4)
+        assert exp.stationary_from == 4
+        for a, b, cap in ((19, 7, 2), (2, 5, 3)):
+            with pytest.raises(ArithmeticError, match=f"not reached within {cap} steps"):
+                schneider_expand(a, b, 3, max_steps=cap)
+
 
 class TestEvaluate:
     def test_fixtures(self):
