@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactarith import (
     QuadraticElement,
@@ -27,20 +28,17 @@ from .exactarith import (
     mod_inverse,
     require_odd_prime,
     symmetric_residue,
-    vp,
 )
 
 
-@dataclass(frozen=True)
-class BrowkinStep:
-    """One expansion step: exponent kn, residue xn, denominator bookkeeping
-    integer beta_n, partial quotient an = xn/p**kn, complete quotient rn."""
+class BrowkinStep(NamedTuple):
+    """One expansion step: exponent kn, residue xn and denominator bookkeeping
+    integer beta_n; the partial quotient is an = xn/p**kn, already in lowest
+    terms (xn is prime to p whenever kn > 0)."""
 
     k: int
     x: int
     beta: int
-    a: Fraction
-    r: Fraction
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,13 @@ class BrowkinExpansion:
     terminated: bool
 
     @property
+    def quotient_pairs(self) -> list[tuple[int, int]]:
+        """Partial quotients as (xn, p**kn), numerator and positive denominator."""
+        return [(s.x, self.p**s.k) for s in self.steps]
+
+    @property
     def quotients(self) -> list[Fraction]:
-        return [s.a for s in self.steps]
+        return [Fraction(x, den) for x, den in self.quotient_pairs]
 
     @property
     def k_trace(self) -> list[int]:
@@ -112,9 +115,10 @@ def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansio
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be positive")
 
-    k0 = max(0, -vp(r, p))
-    alpha = r.numerator
-    beta = r.denominator // p**k0  # positive and p-free; sign lives in alpha
+    alpha, beta, k0 = r.numerator, r.denominator, 0
+    while beta % p == 0:  # beta ends positive and p-free; sign lives in alpha
+        beta //= p
+        k0 += 1
 
     steps: list[BrowkinStep] = []
     b_prev, b_cur, k = alpha, beta, k0
@@ -123,9 +127,7 @@ def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansio
     while len(steps) < cap:
         modulus = p ** (1 + k)
         x = symmetric_residue(b_prev * mod_inverse(b_cur, modulus), modulus)
-        steps.append(
-            BrowkinStep(k, x, b_cur, Fraction(x, p**k), Fraction(b_prev, b_cur * p**k))
-        )
+        steps.append(BrowkinStep(k, x, b_cur))
         delta = b_prev - x * b_cur
         if delta == 0:
             return BrowkinExpansion(p, r, alpha, beta, tuple(steps), True)
@@ -158,15 +160,19 @@ def browkin_expand(
 
 
 def cf_evaluate(quotients) -> Fraction:
-    """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)) on an integer pair."""
-    qs = list(quotients)
+    """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)) on an integer pair.
+
+    Each quotient is an integer pair (num, den) with den > 0, as
+    BrowkinExpansion.quotient_pairs gives them, or a rational.
+    """
+    qs = [q if isinstance(q, tuple) else (q.numerator, q.denominator) for q in quotients]
     if not qs:
         raise ValueError("empty quotient sequence")
-    num, den = qs[-1].numerator, qs[-1].denominator
-    for a in reversed(qs[:-1]):
+    num, den = qs[-1]
+    for a_num, a_den in reversed(qs[:-1]):
         if num == 0:
             raise ZeroDivisionError("divergent finite fraction")
-        num, den = a.numerator * num + a.denominator * den, a.denominator * num
+        num, den = a_num * num + a_den * den, a_den * num
     return Fraction(num, den)
 
 

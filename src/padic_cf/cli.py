@@ -78,8 +78,7 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
                 "p": args.prime,
                 "input": _rat_str(r),
                 "quotients": [
-                    {"num": a.numerator, "den": a.denominator}
-                    for a in expansion.quotients
+                    {"num": num, "den": den} for num, den in expansion.quotient_pairs
                 ],
                 "k": expansion.k_trace,
                 "beta": expansion.beta_trace,
@@ -301,7 +300,8 @@ def _add_rational_argument(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and each subcommand's, by name; errors go to the latter
     parser = argparse.ArgumentParser(
         prog="padic-cf",
         description="Exact Browkin and Schneider p-adic continued fractions.",
@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--max-num", type=int, required=True)
     sw.add_argument("--max-den", type=int, required=True)
     sw.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -401,13 +401,14 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
-    _validate(args, parser)
+    command_parser = subparsers[args.command]
+    _validate(args, command_parser)
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
-        parser.error(str(exc))
+        command_parser.error(str(exc))
     except OverflowError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3

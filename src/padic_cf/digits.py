@@ -31,19 +31,21 @@ class PAdicDigits:
         """Exact value of the first `length` digits (default: all of them)."""
         if length is None:
             length = len(self.digits)
-        total = Fraction(0)
-        scale = Fraction(self.p) ** self.start_exponent
-        for digit in self.digits[:length]:
-            total += digit * scale
-            scale *= self.p
-        return total
+        total = 0
+        for digit in reversed(self.digits[:length]):
+            total = total * self.p + digit
+        if self.start_exponent >= 0:
+            return Fraction(total * self.p**self.start_exponent)
+        return Fraction(total, self.p**-self.start_exponent)
 
 
-def _unit_digit(t: Fraction, p: int) -> int:
-    # t has a p-free denominator; its digit is the symmetric residue mod p
-    if t == 0:
-        return 0
-    return symmetric_residue(t.numerator * mod_inverse(t.denominator, p), p)
+def _unit_form(r: Fraction, p: int) -> tuple[int, int, int]:
+    # (v, n, d) with r = p**v * n/d, nonzero r, n and d prime to p, d > 0; every
+    # digit step (n/d - digit)/p keeps d and maps n to (n - digit*d) // p
+    v = vp(r, p)
+    if v >= 0:
+        return v, r.numerator // p**v, r.denominator
+    return v, r.numerator, r.denominator // p**-v
 
 
 def padic_digits(r: Fraction | int, p: int, count: int) -> PAdicDigits:
@@ -54,13 +56,13 @@ def padic_digits(r: Fraction | int, p: int, count: int) -> PAdicDigits:
     r = Fraction(r)
     if r == 0:
         return PAdicDigits(p, 0, (), count)
-    start = vp(r, p)
-    t = r / Fraction(p) ** start
+    start, n, d = _unit_form(r, p)
+    inverse = mod_inverse(d, p)
     digits = []
     for _ in range(count):
-        d = _unit_digit(t, p)
-        digits.append(d)
-        t = (t - d) / p
+        digit = symmetric_residue(n * inverse, p)
+        digits.append(digit)
+        n = (n - digit * d) // p
     return PAdicDigits(p, start, tuple(digits), count)
 
 
@@ -94,15 +96,15 @@ def digit_period(r: Fraction | int, p: int) -> tuple[int, tuple[int, ...], tuple
     r = Fraction(r)
     if r == 0:
         return 0, (), (0,)
-    start = vp(r, p)
-    t = r / Fraction(p) ** start
-    seen = {t: 0}
+    start, n, d = _unit_form(r, p)
+    inverse = mod_inverse(d, p)
+    seen = {n: 0}
     digits: list[int] = []
     while True:
-        d = _unit_digit(t, p)
-        digits.append(d)
-        t = (t - d) / p
-        if t in seen:
-            cut = seen[t]
+        digit = symmetric_residue(n * inverse, p)
+        digits.append(digit)
+        n = (n - digit * d) // p
+        if n in seen:
+            cut = seen[n]
             return start, tuple(digits[:cut]), tuple(digits[cut:])
-        seen[t] = len(digits)
+        seen[n] = len(digits)

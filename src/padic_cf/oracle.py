@@ -25,7 +25,7 @@ class VerificationError(ArithmeticError):
 
 
 def browkin_reconstruction(r: Fraction, expansion) -> Check:
-    return Check("browkin reconstruction", cf_evaluate(expansion.quotients) == r)
+    return Check("browkin reconstruction", cf_evaluate(expansion.quotient_pairs) == r)
 
 
 def browkin_length_bound(expansion, report) -> Check:
@@ -63,11 +63,18 @@ def schneider_reconstruction(r: Fraction, expansion) -> Check:
 
 
 def schneider_matrix_laws(r: Fraction, expansion) -> Check:
-    """det M_m = (-1)**(m+1) p**s and vp(r - U_m/W_m) = s, s = alpha_0+...+alpha_m."""
-    p, ok, total = expansion.p, True, 0
-    for m, (matrix, value) in enumerate(schneider_convergents(expansion)):
-        total += expansion.steps[m].alpha
-        ok &= matrix.det() == (-1) ** (m + 1) * p**total and vp(r - value, p) == total
+    """det M_m = (-1)**(m+1) p**s and vp(r - U_m/W_m) = s, s = alpha_0+...+alpha_m.
+
+    r - U/W = (a*W - b*U) / (b*W) with b and W prime to p, so the valuation is
+    exactly s iff p**s divides a*W - b*U and p**(s+1) does not; a zero
+    difference fails.
+    """
+    p, a, b = expansion.p, r.numerator, r.denominator
+    ok, ps = True, 1
+    for m, (matrix, _) in enumerate(schneider_convergents(expansion)):
+        ps *= p ** expansion.steps[m].alpha
+        diff = a * matrix.w - b * matrix.u
+        ok &= matrix.det() == (-1) ** (m + 1) * ps and diff % ps == 0 and diff % (ps * p) != 0
     return Check("schneider matrix laws", ok)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactarith import (
     QuadraticElement,
@@ -31,8 +32,7 @@ from .exactarith import (
 )
 
 
-@dataclass(frozen=True)
-class SchneiderStep:
+class SchneiderStep(NamedTuple):
     b: int
     alpha: int
     y_next: int

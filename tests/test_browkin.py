@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import padic_cf.browkin as browkin
 from padic_cf.browkin import (
     browkin_bound,
     browkin_convergents,
@@ -78,12 +79,56 @@ class TestExpandFixtures:
             browkin_expand(Fraction(365, 54), 3, max_steps=2)
 
 
+class TestQuotientPairs:
+    def test_lowest_terms_at_large_heights(self):
+        # x is prime to p once k > 0, so (x, p**k) is the Fraction's own pair
+        rng = random.Random(67)
+        for height in (10**6, 10**50, 10**300, 10**1000):
+            for p in (3, 5, 101):
+                for shift in (0, 2):
+                    num = rng.randint(-height, height) or 1
+                    r = Fraction(num, rng.randint(1, height) * p**shift)
+                    exp = browkin_expand(r, p)
+                    pairs = exp.quotient_pairs
+                    assert pairs == [(s.x, p**s.k) for s in exp.steps]
+                    assert [(a.numerator, a.denominator) for a in exp.quotients] == pairs
+                    for (x, den), step in zip(pairs, exp.steps):
+                        if step.k > 0:
+                            assert math.gcd(x, den) == 1
+                    assert cf_evaluate(pairs) == r
+
+    def test_expansion_builds_no_quotient_fractions(self, monkeypatch):
+        # the input's own Fraction at most; never one per step
+        rng = random.Random(71)
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(browkin, "Fraction", counting)
+        for p in (3, 7, 101):
+            r = Fraction(-rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300))
+            made.clear()
+            exp = browkin.browkin_expand(r, p)
+            assert len(made) <= 1, made[1:3]
+            assert len(exp.steps) > 100
+            assert cf_evaluate(exp.quotient_pairs) == r
+
+
 class TestCfEvaluate:
     def test_fixtures(self):
         assert cf_evaluate([Fraction(-2, 9), Fraction(2, 9)]) == Fraction(77, 18)
         assert cf_evaluate([Fraction(5, 7)]) == Fraction(5, 7)
         quotients = [Fraction(-20, 27), Fraction(4, 3), Fraction(2, 3), Fraction(-2, 3)]
         assert cf_evaluate(quotients) == Fraction(365, 54)
+
+    def test_integer_pairs(self):
+        assert cf_evaluate([(-2, 9), (2, 9)]) == Fraction(77, 18)
+        assert cf_evaluate([(-20, 27), (4, 3), (2, 3), (-2, 3)]) == Fraction(365, 54)
+        assert cf_evaluate([(-1, 1), (-4, 3), (2, 3)]) == 5
+        with pytest.raises(ZeroDivisionError, match="divergent"):
+            cf_evaluate([(1, 1), (0, 1)])
 
     def test_divergent(self):
         with pytest.raises(ZeroDivisionError, match="divergent"):
@@ -132,12 +177,16 @@ class TestStepIdentities:
             for r in random_rationals(53 + p, 80):
                 exp = browkin_expand(r, p)
                 steps = exp.steps
-                assert steps[0].r == r
-                assert steps[0].a == fractional_part(r, p)
+                a = exp.quotients
+                # complete quotients r_n = beta_{n-1} / (beta_n * p**k_n), beta_{-1} = alpha
+                betas = [exp.alpha] + [s.beta for s in steps]
+                rs = [Fraction(betas[n], betas[n + 1] * p**s.k) for n, s in enumerate(steps)]
+                assert rs[0] == r
+                assert a[0] == fractional_part(r, p)
                 for n in range(len(steps) - 1):
-                    assert steps[n].r == steps[n].a + 1 / steps[n + 1].r
-                    assert vp(steps[n + 1].r, p) == -steps[n + 1].k < 0
-                assert steps[-1].r == steps[-1].a  # exact termination
+                    assert rs[n] == a[n] + 1 / rs[n + 1]
+                    assert vp(rs[n + 1], p) == -steps[n + 1].k < 0
+                assert rs[-1] == a[-1]  # exact termination
                 for n, s in enumerate(steps):
                     assert abs(s.x) <= (p ** (1 + s.k) - 1) // 2
                     if n >= 1:

@@ -87,6 +87,24 @@ class TestExpandBrowkinCommand:
         assert code == 0, err
         assert "bound N: 1629 " in out
 
+    def test_output_is_pinned(self):
+        # text and --json on the README fixtures and 300-digit inputs, some
+        # with p**3 in the denominator; any change to a byte moves the hash
+        inputs = [(3, "365/54"), (3, "77/18"), (5, "-1793/100"), (3, "5"), (3, "1"), (3, "-2/9")]
+        rng = random.Random(6)
+        for p in (3, 5, 7, 101):
+            for shift in (0, 3):
+                a = rng.randrange(10**299, 10**300) * rng.choice((1, -1))
+                inputs.append((p, f"{a}/{rng.randrange(10**299, 10**300) * p**shift}"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for p, text in inputs:
+                for flags in ([], ["--json"]):
+                    assert main(["expand-browkin", "-p", str(p), *flags, "--", text]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "02177f5cea442609eab25b12143c1260d43fc62e13a8f028700daba8b3d8e606"
+        )
+
 
 class TestExpandSchneiderCommand:
     def test_json_schema(self, capsys):
@@ -128,6 +146,27 @@ class TestDigitsCommand:
         assert payload["digits"] == [-2, 2, -2, -2, 1, 1, 1]
         assert payload["preperiod_len"] == 4
         assert payload["period"] == [1]
+
+    def test_output_is_pinned(self):
+        # text on the README fixture and 300-digit inputs, --json where the
+        # period is short; any change to a byte moves the hash
+        fixtures = [(5, "-1793/100"), (3, "3"), (3, "0"), (7, "-1/49"), (7, "98/5"),
+                    (5, "22/1009"), (101, "-3/91")]
+        calls = [["-p", str(p), "-n", "20", *flags, "--", text]
+                 for p, text in fixtures for flags in ([], ["--json"])]
+        rng = random.Random(9)
+        for p in (3, 7, 101):
+            for shift in (-2, 0, 2):
+                a = rng.randrange(10**299, 10**300) * p ** max(shift, 0)
+                b = rng.randrange(10**299, 10**300) * p ** max(-shift, 0)
+                calls.append(["-p", str(p), "-n", "64", "--", f"{-a}/{b}"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for argv in calls:
+                assert main(["digits", *argv]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "2956253ca4bf99a7df0941dab417000d71495e86e53500e665e694d30950b8fc"
+        )
 
     def test_count_required_positive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,7 +223,7 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(
-            "padic-cf: error: bound takes a rational or --beta0/--beta1, not both\n"
+            "padic-cf bound: error: bound takes a rational or --beta0/--beta1, not both\n"
         )
 
     def test_float_overflow_is_internal_error(self, capsys):
@@ -272,7 +311,7 @@ class TestHeadCommand:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(f"padic-cf: error: {message}\n")
+        assert captured.err.endswith(f"padic-cf head: error: {message}\n")
 
 
 class TestVerifyCommand:
@@ -392,6 +431,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "-p", "3", "--beta0", "5", "7/2"],
+             "bound takes a rational or --beta0/--beta1, not both"),  # from _validate
+            (["expand-schneider", "-p", "3", "3/5"],
+             "numerator must be coprime to p"),  # a ValueError raised by the command
+        ],
+        ids=["validate", "command"],
+    )
+    def test_usage_names_the_subcommand(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: padic-cf {argv[0]} [-h] -p PRIME ")
+        assert captured.err.endswith(f"\npadic-cf {argv[0]}: error: {message}\n")
 
     def test_negative_rational_needs_separator(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -104,3 +104,15 @@ def test_require_passes_and_names_first_failure():
     oracle.require(3, r, oracle.Check("a", True), oracle.Check("b", True))
     with pytest.raises(oracle.VerificationError, match=r"^b failed at p=3, 2/5$"):
         oracle.require(3, r, oracle.Check("a", True), oracle.Check("b", False), oracle.Check("c", False))
+
+
+def test_matrix_laws_catch_an_off_by_one_valuation():
+    # keep the expansion and its matrices, move r so that r - U_m/W_m at the last
+    # prefix has valuation s + 1, s - 1 or is zero: only the valuation law can fail
+    big = Fraction(-(10**120 + 7), 3**60 + 2)
+    for p, r in ((3, Fraction(2, 5)), (3, Fraction(1259, 701)), (5, Fraction(3044, 673)), (7, big)):
+        expansion = schneider.schneider_expand(r.numerator, r.denominator, p)
+        assert oracle.schneider_matrix_laws(r, expansion).ok
+        _, value = schneider.schneider_convergents(expansion)[-1]
+        for planted in (value + (r - value) * p, value + (r - value) / p, value):
+            assert not oracle.schneider_matrix_laws(planted, expansion).ok, (p, r, planted)
