@@ -11,6 +11,10 @@ integer pair (beta_{n-1}, beta_n):
     delta  = beta_{n-1} - xn * beta_n          (divisible by p**(1+kn))
     k_{n+1} = vp(delta) - kn,   beta_{n+1} = delta / p**(kn + k_{n+1})
 
+Since xn makes delta divisible by p**(1+kn), k_{n+1} >= 1 and the step loop
+divides delta exactly by p**(1+kn), then strips the remaining factors of p;
+it reduces beta_{n-1} and beta_n modulo p**(1+kn) before multiplying them.
+
 beta_{n+1} = 0 terminates: the last complete quotient equals its partial
 quotient exactly.  |beta_n| is dominated by a linear recurrence whose decay
 certifies that at most n_bound + 1 quotients can appear.
@@ -22,13 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import (
-    QuadraticElement,
-    int_vp,
-    mod_inverse,
-    require_odd_prime,
-    symmetric_residue,
-)
+from .exactarith import QuadraticElement, require_odd_prime
 
 
 class BrowkinStep(NamedTuple):
@@ -106,10 +104,14 @@ class BoundReport:
         return QuadraticElement(self.beta0_abs, Fraction(4 * self.p * self.beta1_abs, disc), disc)
 
 
+_record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
+
+
 def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansion:
     # the expansion of r, cut with terminated False once it holds the cap's number of steps
     require_odd_prime(p)
-    r = Fraction(r)
+    if isinstance(r, int):  # a Fraction is kept as it is
+        r = Fraction(r)
     if r == 0:
         raise ValueError("cannot expand zero")
     if max_steps is not None and max_steps < 1:
@@ -126,14 +128,18 @@ def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansio
     cap = max_steps or 4 * ((4 * abs(alpha) + 3 * beta).bit_length() + 1)
     while len(steps) < cap:
         modulus = p ** (1 + k)
-        x = symmetric_residue(b_prev * mod_inverse(b_cur, modulus), modulus)
-        steps.append(BrowkinStep(k, x, b_cur))
+        x = b_prev % modulus * pow(b_cur % modulus, -1, modulus) % modulus
+        if x > modulus >> 1:  # the symmetric residue
+            x -= modulus
+        steps.append(_record(BrowkinStep, (k, x, b_cur)))
         delta = b_prev - x * b_cur
         if delta == 0:
             return BrowkinExpansion(p, r, alpha, beta, tuple(steps), True)
-        shifted = delta // p**k  # exact: delta is divisible by p**(1+k)
-        k_next = int_vp(shifted, p)
-        b_prev, b_cur, k = b_cur, shifted // p**k_next, k_next
+        b_next, k = delta // modulus, 1  # exact, and k_{n+1} >= 1
+        while not b_next % p:
+            b_next //= p
+            k += 1
+        b_prev, b_cur = b_cur, b_next
     return BrowkinExpansion(p, r, alpha, beta, tuple(steps), False)
 
 

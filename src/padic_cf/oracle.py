@@ -71,7 +71,7 @@ def schneider_matrix_laws(r: Fraction, expansion) -> Check:
     """
     p, a, b = expansion.p, r.numerator, r.denominator
     ok, ps = True, 1
-    for m, (matrix, _) in enumerate(schneider_convergents(expansion)):
+    for m, matrix in enumerate(schneider_convergents(expansion)):
         ps *= p ** expansion.steps[m].alpha
         diff = a * matrix.w - b * matrix.u
         ok &= matrix.det() == (-1) ** (m + 1) * ps and diff % ps == 0 and diff % (ps * p) != 0

@@ -8,6 +8,11 @@ The expansion writes a/b = b0 + p**a0/(b1 + p**a1/(...)) with digits in
     b_m = y_{m-1} * y_m**-1 mod p,   alpha_m = vp(y_{m-1} - b_m y_m)
     y_{m+1} = (y_{m-1} - b_m y_m) / p**alpha_m
 
+Every y_m is prime to p, so the step loop carries r_m = y_m mod p, never 0,
+beside y_m: the digit b_m = r_{m-1} * r_m**-1 mod p costs no big-integer
+operation, and one exact division of y_{m-1} - b_m y_m by p, then one more
+per further factor of p, yields alpha_m, y_{m+1} and r_{m+1} together.
+
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
 every later step is (p-1, 1) and the remaining tail has exact value -1.
@@ -24,12 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import (
-    QuadraticElement,
-    int_vp,
-    mod_inverse,
-    require_odd_prime,
-)
+from .exactarith import QuadraticElement, require_odd_prime
 
 
 class SchneiderStep(NamedTuple):
@@ -114,6 +114,7 @@ class HeadReport:
 
 
 _STATIONARY_PAIRS = ((1, -1), (-1, 1))
+_record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
 
 
 def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
@@ -132,19 +133,24 @@ def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
 
-    y_prev, y_cur = a, b
+    # r_prev, r_cur carry y_{m-1} mod p and y_m mod p, never 0
+    y_prev, y_cur, r_prev, r_cur = a, b, a % p, b % p
     steps: list[SchneiderStep] = []
     while (y_prev, y_cur) not in _STATIONARY_PAIRS:
-        digit = (y_prev * mod_inverse(y_cur, p)) % p
+        digit = r_prev * pow(r_cur, -1, p) % p
         delta = y_prev - digit * y_cur
         if delta == 0:
             return SchneiderExpansion(p, a, b, tuple(steps), None, True)
         if len(steps) == max_steps:
             return SchneiderExpansion(p, a, b, tuple(steps), None, False)
-        alpha = int_vp(delta, p)
-        y_next = delta // p**alpha
-        steps.append(SchneiderStep(digit, alpha, y_next))
-        y_prev, y_cur = y_cur, y_next
+        y_next, alpha = delta // p, 1  # exact: digit makes delta divisible by p
+        r_next = y_next % p
+        while not r_next:
+            y_next //= p
+            alpha += 1
+            r_next = y_next % p
+        steps.append(_record(SchneiderStep, (digit, alpha, y_next)))
+        y_prev, y_cur, r_prev, r_cur = y_cur, y_next, r_cur, r_next
     return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False)
 
 
@@ -183,8 +189,8 @@ def schneider_evaluate(head, tail_value: Fraction | int, p: int) -> Fraction:
     return Fraction(num, den)
 
 
-def schneider_convergents(expansion: SchneiderExpansion) -> list[tuple[SchneiderMatrix, Fraction]]:
-    """Matrix prefixes M_m with their convergent values U_m/W_m.
+def schneider_convergents(expansion: SchneiderExpansion) -> list[SchneiderMatrix]:
+    """Matrix prefixes M_m; the m-th convergent is U_m/W_m = M_m.u/M_m.w.
 
     det M_m = (-1)**(m+1) * p**(alpha_0+...+alpha_m), and the truncation
     error a/b - U_m/W_m has valuation exactly alpha_0+...+alpha_m.
@@ -195,7 +201,7 @@ def schneider_convergents(expansion: SchneiderExpansion) -> list[tuple[Schneider
     m = SchneiderMatrix(1, 0, 0, 1)
     for s in expansion.steps:
         m = m.times_step(s.b, s.alpha, expansion.p)
-        out.append((m, Fraction(m.u, m.w)))
+        out.append(m)
     return out
 
 

@@ -158,10 +158,10 @@ def _schneider_battery(a, b, p):
     if exp.steps:
         r = Fraction(a, b)
         total = 0
-        for m, (matrix, value) in enumerate(schneider_convergents(exp)):
+        for m, matrix in enumerate(schneider_convergents(exp)):
             total += exp.steps[m].alpha
             assert matrix.det() == (-1) ** (m + 1) * p**total
-            assert vp(r - value, p) == total
+            assert vp(r - Fraction(matrix.u, matrix.w), p) == total
 
 
 def test_criterion_5_property_suite():

@@ -16,13 +16,40 @@ from padic_cf.browkin import (
     theta_sequence,
 )
 from padic_cf.digits import fractional_part
-from padic_cf.exactarith import QuadraticElement, vp
+from padic_cf.exactarith import QuadraticElement, int_vp, mod_inverse, symmetric_residue, vp
 
 
 def random_rationals(seed, count, span=300):
     rng = random.Random(seed)
     for _ in range(count):
         yield Fraction(rng.randint(-span, span) or 1, rng.randint(1, span))
+
+
+def raw_step(beta_prev, beta, k, p):
+    """Independent re-derivation of one step from the module docstring:
+    (xn, k_{n+1}, beta_{n+1}), the last two None when the expansion ends."""
+    modulus = p ** (1 + k)
+    x = symmetric_residue(beta_prev * mod_inverse(beta, modulus), modulus)
+    delta = beta_prev - x * beta
+    if delta == 0:
+        return x, None, None
+    v = int_vp(delta, p)
+    return x, v - k, delta // p**v
+
+
+def assert_step_law(exp, p):
+    """Each recorded step follows from the pair before it by raw_step, and the last one ends."""
+    steps = exp.steps
+    assert steps[0].beta == exp.beta0 and exp.beta0 % p != 0
+    assert Fraction(exp.alpha, exp.beta0 * p ** steps[0].k) == exp.value
+    beta_prev = exp.alpha
+    for n, step in enumerate(steps):
+        x, k_next, beta_next = raw_step(beta_prev, step.beta, step.k, p)
+        assert step.x == x
+        if n + 1 < len(steps):
+            assert (steps[n + 1].k, steps[n + 1].beta) == (k_next, beta_next)
+        beta_prev = step.beta
+    assert exp.terminated and k_next is None
 
 
 class TestExpandFixtures:
@@ -98,7 +125,7 @@ class TestQuotientPairs:
                     assert cf_evaluate(pairs) == r
 
     def test_expansion_builds_no_quotient_fractions(self, monkeypatch):
-        # the input's own Fraction at most; never one per step
+        # a Fraction input is used as it is: no copy of it, and never one per step
         rng = random.Random(71)
         made = []
 
@@ -111,7 +138,7 @@ class TestQuotientPairs:
             r = Fraction(-rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300))
             made.clear()
             exp = browkin.browkin_expand(r, p)
-            assert len(made) <= 1, made[1:3]
+            assert made == [], made[:2]
             assert len(exp.steps) > 100
             assert cf_evaluate(exp.quotient_pairs) == r
 
@@ -192,6 +219,34 @@ class TestStepIdentities:
                     if n >= 1:
                         assert s.k >= 1
                     assert s.beta % p != 0
+
+
+class TestStepLaw:
+    """The step loop against raw_step, far beyond the small grids."""
+
+    def test_large_heights(self):
+        rng = random.Random(97)
+        for p in (3, 5, 7, 101):
+            for digits in (300, 1000):
+                for shift in (0, 1, 2):
+                    num = p
+                    while num % p == 0:
+                        num = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+                    r = Fraction(num, rng.randrange(10 ** (digits - 1), 10**digits) * p**shift)
+                    exp = browkin_expand(r, p)
+                    assert len(exp.steps) > digits // 2
+                    assert any(s.k >= 2 for s in exp.steps[1:])
+                    assert_step_law(exp, p)
+
+    def test_short_and_integer_expansions(self):
+        rng = random.Random(101)
+        for p in (3, 5, 7, 101):
+            inputs = [Fraction(1), Fraction(-1), Fraction(2, p**2), Fraction(p - 1, p), Fraction(p**40 + 1)]
+            inputs += [Fraction(rng.randrange(10**999, 10**1000)), Fraction(1, p**300)]
+            for r in inputs:
+                exp = browkin_expand(r, p)
+                assert_step_law(exp, p)
+                assert cf_evaluate(exp.quotient_pairs) == r
 
 
 class TestThetaSequence:

@@ -19,11 +19,41 @@ from padic_cf.schneider import (
 
 
 def raw_step(y_prev, y_cur, p):
-    """Independent re-derivation of one expansion step for absorption tests."""
+    """Independent re-derivation of one expansion step, straight from the recurrence."""
     digit = (y_prev * mod_inverse(y_cur, p)) % p
     delta = y_prev - digit * y_cur
     alpha = int_vp(delta, p)
     return digit, alpha, delta // p**alpha
+
+
+def assert_step_law(exp, a, b, p):
+    """Each recorded step is raw_step of the pair before it; the tail marker fits the last pair."""
+    y_prev, y_cur = a, b
+    for step in exp.steps:
+        assert (y_prev, y_cur) not in ((1, -1), (-1, 1))
+        assert step == raw_step(y_prev, y_cur, p)
+        y_prev, y_cur = y_cur, step.y_next
+    if exp.finite_end:
+        assert y_prev == (y_prev * mod_inverse(y_cur, p)) % p * y_cur
+    else:
+        assert exp.stationary_from == len(exp.steps)
+        assert (y_prev, y_cur) in ((1, -1), (-1, 1))
+
+
+def finite_end_input(rng, length, p):
+    """a/b whose expansion is `length` random steps, then a finite end.
+
+    Built backwards from the last pair (t, 1), t a digit: y_{m-1} = b_m y_m +
+    p**alpha_m y_{m+1} keeps every y prime to p, each pair coprime and, past
+    the last pair, |y| >= 2, so the forward expansion retraces exactly these steps.
+    """
+    y_cur, y_next = rng.randint(1, p - 1), 1
+    head = []
+    for _ in range(length):
+        digit, alpha = rng.randint(1, p - 1), rng.choice((1, 1, 2, 3))
+        y_cur, y_next = digit * y_cur + p**alpha * y_next, y_cur
+        head.append((digit, alpha))
+    return (y_cur, y_next, head[::-1]) if y_next > 0 else (-y_cur, -y_next, head[::-1])
 
 
 def coprime_pairs(seed, count, span=120):
@@ -119,15 +149,15 @@ class TestEvaluate:
 class TestConvergents:
     def test_first_matrix_fixture(self):
         exp = schneider_expand(2, 5, 3)
-        matrix, value = schneider_convergents(exp)[0]
+        matrix = schneider_convergents(exp)[0]
         assert matrix == SchneiderMatrix(1, 3, 1, 0)
-        assert value == 1
+        assert Fraction(matrix.u, matrix.w) == 1
 
     def test_determinant_law_fixture(self):
         exp = schneider_expand(2, 5, 3)
-        matrix, value = schneider_convergents(exp)[1]
+        matrix = schneider_convergents(exp)[1]
         assert matrix.det() == 9  # (-1)**2 * 3**(1+1)
-        assert vp(Fraction(2, 5) - value, 3) == 2
+        assert vp(Fraction(2, 5) - Fraction(matrix.u, matrix.w), 3) == 2
 
     def test_laws_on_random_inputs(self):
         for p in (3, 5, 7):
@@ -139,10 +169,10 @@ class TestConvergents:
                     continue
                 r = Fraction(a, b)
                 total = 0
-                for m, (matrix, value) in enumerate(schneider_convergents(exp)):
+                for m, matrix in enumerate(schneider_convergents(exp)):
                     total += exp.steps[m].alpha
                     assert matrix.det() == (-1) ** (m + 1) * p**total
-                    assert vp(r - value, p) == total
+                    assert vp(r - Fraction(matrix.u, matrix.w), p) == total
 
 
 class TestReconstructionAndAbsorption:
@@ -191,6 +221,42 @@ class TestReconstructionAndAbsorption:
                 for m, (digit, alpha) in enumerate(exp.head):
                     assert 1 <= digit <= p - 1
                     assert alpha >= 1
+
+
+class TestStepLaw:
+    """The step loop against raw_step, far beyond the small grids."""
+
+    def test_large_heights(self):
+        rng = random.Random(83)
+        for p in (3, 5, 7, 101):
+            for digits in (300, 1000):
+                a = b = p
+                while a % p == 0 or b % p == 0 or math.gcd(a, b) != 1:
+                    a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+                    b = rng.randrange(10 ** (digits - 1), 10**digits)
+                exp = schneider_expand(a, b, p)
+                assert len(exp.steps) > digits
+                assert any(s.alpha >= 2 for s in exp.steps)
+                assert_step_law(exp, a, b, p)
+
+    def test_constant_heads_with_large_exponents(self):
+        for digit, alpha, p in ((1, 3, 3), (2, 3, 5), (3, 3, 7)):
+            a, b = generate_constant_head(digit, alpha, 2000, p)
+            exp = schneider_expand(a, b, p)
+            assert exp.head == [(digit, alpha)] * 2001
+            assert_step_law(exp, a, b, p)
+
+    def test_finite_ends(self):
+        rng = random.Random(89)
+        fixtures = [(3, (7, 2, [(2, 1)])), (3, (19, 7, [(1, 1)] * 3)), (3, (2, 1, []))]
+        for p in (3, 5, 7, 101):
+            for length in (1, 5, 400, 2000):
+                fixtures.append((p, finite_end_input(rng, length, p)))
+        for p, (a, b, head) in fixtures:
+            exp = schneider_expand(a, b, p)
+            assert exp.finite_end and exp.head == head
+            assert_step_law(exp, a, b, p)
+            assert schneider_evaluate(exp.head, exp.tail_value, p) == Fraction(a, b)
 
 
 class TestHeadAnalysis:
