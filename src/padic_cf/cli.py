@@ -5,6 +5,9 @@ sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --).  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 internal error (a float overflow; only `head` still hits one).
 Every computed expansion is certified by padic_cf.oracle before it is printed.
+`--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
+"head", expand-browkin's "quotients") are formatted as text straight from the
+step records, one "%d" template per step, with no dict per step.
 The argparse parser is built once per process, on the first main() call.
 """
 
@@ -61,6 +64,12 @@ def _f6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
+def _json_pairs(rows, key0: str, key1: str) -> str:
+    # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], integer fields
+    template = f'{{"{key0}": %d, "{key1}": %d}}'
+    return "[" + ", ".join([template % row[:2] for row in rows]) + "]"
+
+
 def _fail(message: str) -> int:
     print(f"FAIL: {message}", file=sys.stderr)
     return 1
@@ -73,19 +82,12 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     recon = oracle.browkin_reconstruction(r, expansion)
     oracle.require(args.prime, r, recon, oracle.browkin_length_bound(expansion, report))
     if args.json:
-        print(json.dumps(
-            {
-                "p": args.prime,
-                "input": _rat_str(r),
-                "quotients": [
-                    {"num": num, "den": den} for num, den in expansion.quotient_pairs
-                ],
-                "k": expansion.k_trace,
-                "beta": expansion.beta_trace,
-                "bound_N": report.n_bound,
-                "reconstructed": True,
-            }
-        ))
+        print(
+            f'{{"p": {args.prime}, "input": {json.dumps(_rat_str(r))}, '
+            f'"quotients": {_json_pairs(expansion.quotient_pairs, "num", "den")}, '
+            f'"k": {json.dumps(expansion.k_trace)}, "beta": {json.dumps(expansion.beta_trace)}, '
+            f'"bound_N": {report.n_bound}, "reconstructed": true}}'
+        )
     else:
         print(f"input: {_rat_str(r)} (p={args.prime})")
         print("quotients: " + ", ".join(_rat_str(a) for a in expansion.quotients))
@@ -101,16 +103,12 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     expansion = schneider_expand(r.numerator, r.denominator, args.prime, args.max_steps)
     oracle.require(args.prime, r, oracle.schneider_reconstruction(r, expansion))
     if args.json:
-        print(json.dumps(
-            {
-                "p": args.prime,
-                "a": r.numerator,
-                "b": r.denominator,
-                "head": [{"b": d, "alpha": e} for d, e in expansion.head],
-                "stationary_from": expansion.stationary_from,
-                "finite_end": expansion.finite_end,
-            }
-        ))
+        print(
+            f'{{"p": {args.prime}, "a": {r.numerator}, "b": {r.denominator}, '
+            f'"head": {_json_pairs(expansion.steps, "b", "alpha")}, '
+            f'"stationary_from": {json.dumps(expansion.stationary_from)}, '
+            f'"finite_end": {json.dumps(expansion.finite_end)}}}'
+        )
     else:
         print(f"input: {_rat_str(r)} (p={args.prime})")
         print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.head))
@@ -363,6 +361,15 @@ _COMMANDS = {
 }
 
 
+def _check_prime(p: int, parser: argparse.ArgumentParser) -> None:
+    try:
+        prime = is_odd_prime(p)
+    except ValueError as exc:  # p past the limit of the primality test
+        parser.error(str(exc))
+    if not prime:
+        parser.error(f"p must be an odd prime >= 3, got {p}")
+
+
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if args.command == "sweep":
         try:
@@ -372,14 +379,12 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         if not primes:
             parser.error("empty prime list")
         for p in primes:
-            if not is_odd_prime(p):
-                parser.error(f"p must be an odd prime >= 3, got {p}")
+            _check_prime(p, parser)
         if args.max_num < 1 or args.max_den < 1:
             parser.error("sweep ranges must be positive")
         args.primes = sorted(set(primes))
         return
-    if not is_odd_prime(args.prime):
-        parser.error(f"p must be an odd prime >= 3, got {args.prime}")
+    _check_prime(args.prime, parser)
     if getattr(args, "rational", None) is not None:
         try:
             args.rational = parse_rational(args.rational)

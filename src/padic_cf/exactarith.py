@@ -1,5 +1,5 @@
-"""Exact arithmetic foundation: p-adic valuations, symmetric residues,
-modular inverses, and real quadratic field elements.
+"""Exact arithmetic foundation: the primality test, p-adic valuations,
+symmetric residues, modular inverses, and real quadratic field elements.
 
 Everything here is exact integer/rational arithmetic; floating point only
 appears in ``float()`` conversions used for advisory estimates.
@@ -11,15 +11,42 @@ import math
 from fractions import Fraction
 
 
+# Deterministic Miller-Rabin: the prime bases 2..41 decide every n below the
+# least strong pseudoprime to all of them, PRIME_LIMIT (Sorenson and Webster 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+# the odd primes below 43**2, where every composite has a prime factor <= 41
+_SMALL_ODD_PRIMES = frozenset(_BASES[1:]).union(
+    n for n in range(43, 43 * 43, 2) if math.gcd(n, math.prod(_BASES)) == 1
+)
+
+
 def is_odd_prime(p: int) -> bool:
-    """True for primes >= 3 (2 is deliberately rejected)."""
-    if p < 3 or p % 2 == 0:
+    """True for primes >= 3 (2 is deliberately rejected).
+
+    A table below 43**2, deterministic Miller-Rabin above it, certified below
+    PRIME_LIMIT (about 3.3e24); an odd p at or above the limit raises ValueError.
+    """
+    if p < 43 * 43:
+        return p in _SMALL_ODD_PRIMES
+    if not p & 1:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"p must be below {PRIME_LIMIT}, the limit of the primality test, got {p}")
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

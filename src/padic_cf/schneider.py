@@ -68,7 +68,7 @@ class SchneiderExpansion:
         """Exact value of the unexpanded tail after the recorded steps."""
         if self.stationary_from is not None:
             return Fraction(-1)
-        ys = [self.a, self.b] + [s.y_next for s in self.steps]
+        ys = (self.a, self.b) + tuple(s.y_next for s in self.steps[-2:])
         return Fraction(ys[-2], ys[-1])
 
 

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -34,6 +35,11 @@ def unreachable(name):
         raise AssertionError(f"{name} called")
 
     return fail
+
+
+def negated(pair):
+    a, b = pair
+    return -a, b
 
 
 def run_json(argv, capsys):
@@ -87,6 +93,11 @@ class TestExpandBrowkinCommand:
         assert code == 0, err
         assert "bound N: 1629 " in out
 
+    def test_21_digit_prime_answers(self, capsys):
+        code, out, err = run_cli(["expand-browkin", "-p", "100000000000000000039", "7/2"], capsys)
+        assert code == 0, err
+        assert "bound N: 2 (length 2 <= N+1)" in out
+
     def test_output_is_pinned(self):
         # text and --json on the README fixtures and 300-digit inputs, some
         # with p**3 in the denominator; any change to a byte moves the hash
@@ -128,6 +139,38 @@ class TestExpandSchneiderCommand:
         want = run_cli(["expand-schneider", "-p", "3", "--max-steps", "2", "7/2"], capsys)
         assert want[0] == 0 and "finite end with tail value 2" in want[1]
         assert run_cli(["expand-schneider", "-p", "3", "--max-steps", "1", "7/2"], capsys) == want
+
+    def test_output_is_pinned(self):
+        # text and --json on the README fixtures, 300-digit inputs, two constant
+        # heads with alpha = 3, finite ends and --max-steps caps; any change to a
+        # byte moves the hash
+        calls = [[text] for text in ("2/5", "1259/701", "7/2", "19/7", "-1", "2")]
+        calls += [["-p", "5", "3044/673"], ["--max-steps", "6", "1259/701"],
+                  ["--max-steps", "3", "19/7"]]
+        calls = [argv if "-p" in argv else ["-p", "3", *argv] for argv in calls]
+        rng = random.Random(8)
+        for p in (3, 7, 101):
+            for _ in range(2):
+                a = b = p
+                while a % p == 0 or b % p == 0 or math.gcd(a, b) != 1:
+                    a = rng.randrange(10**299, 10**300) * rng.choice((1, -1))
+                    b = rng.randrange(10**299, 10**300)
+                calls.append(["-p", str(p), f"{a}/{b}"])
+        for digit, alpha, p in ((1, 3, 3), (3, 3, 7)):
+            for k in (20, 2000):
+                a, b = generate_constant_head(digit, alpha, k, p)
+                calls.append(["-p", str(p), f"{a}/{b}"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for argv in calls:
+                for flags in ([], ["--json"]):
+                    *options, text = argv
+                    assert main(["expand-schneider", *options, *flags, "--", text]) == 0
+            # a cap one short of the recorded steps: exit 1 and nothing printed
+            assert main(["expand-schneider", "-p", "3", "--max-steps", "5", "1259/701"]) == 1
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "90f92214c6724235baa24d1e54ec7f3ab05a62ff19065fcc3d93701359976cac"
+        )
 
 
 class TestDigitsCommand:
@@ -345,6 +388,46 @@ class TestJsonRoundTrip:
         line = out.strip()
         assert json.dumps(json.loads(line)) == line
 
+    @pytest.mark.parametrize(
+        "p, make",
+        [
+            (3, lambda: generate_constant_head(1, 2, 2000, 3)),  # alpha = 2
+            (3, lambda: negated(generate_constant_head(1, 2, 2000, 3))),
+            (7, lambda: generate_constant_head(3, 3, 2000, 7)),  # alpha = 3
+            (3, lambda: (7, 2)),  # a finite Schneider end
+            (3, lambda: (-1793, 100)),
+        ],
+        ids=["head-1-2-3", "negated-head-1-2-3", "head-3-3-7", "finite-end", "negative"],
+    )
+    def test_per_step_arrays_match_the_dict_payload(self, p, make, capsys):
+        # the line printed equals json.dumps of the payload built as dicts, per step
+        a, b = make()
+        text = f"{a}/{b}"
+        r = Fraction(a, b)
+        sch = schneider.schneider_expand(a, b, p)
+        want = json.dumps({
+            "p": p, "a": a, "b": b,
+            "head": [{"b": d, "alpha": e} for d, e in sch.head],
+            "stationary_from": sch.stationary_from,
+            "finite_end": sch.finite_end,
+        })
+        assert run_cli(["expand-schneider", "-p", str(p), "--json", "--", text], capsys) == (
+            0, want + "\n", ""
+        )
+        bro = browkin.browkin_expand(r, p)
+        want = json.dumps({
+            "p": p,
+            "input": text,
+            "quotients": [{"num": x, "den": den} for x, den in bro.quotient_pairs],
+            "k": bro.k_trace,
+            "beta": bro.beta_trace,
+            "bound_N": browkin.browkin_bound(bro.beta0, bro.beta1_abs, p).n_bound,
+            "reconstructed": True,
+        })
+        assert run_cli(["expand-browkin", "-p", str(p), "--json", "--", text], capsys) == (
+            0, want + "\n", ""
+        )
+
 
 class TestSweepCommand:
     def test_csv_contract(self, capsys, tmp_path):
@@ -450,6 +533,17 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: padic-cf {argv[0]} [-h] -p PRIME ")
         assert captured.err.endswith(f"\npadic-cf {argv[0]}: error: {message}\n")
+
+    def test_prime_past_the_primality_limit(self, capsys):
+        limit = "3317044064679887385961981"  # padic_cf.exactarith.PRIME_LIMIT
+        for argv in (["expand-schneider", "-p", "3317044064679887385961983", "7/2"],
+                     ["sweep", "--primes", f"3,{limit}", "--max-num", "2", "--max-den", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"padic-cf {argv[0]}: error: p must be below {limit}, " in captured.err
 
     def test_negative_rational_needs_separator(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from padic_cf.exactarith import (
+    PRIME_LIMIT,
     QuadraticElement,
     is_odd_prime,
     mod_inverse,
@@ -190,3 +191,43 @@ class TestQfSign:
 
 def test_is_odd_prime():
     assert [n for n in range(2, 30) if is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_odd_prime_matches_trial_division():
+    # the table below 43**2 and Miller-Rabin above it
+    def trial(n):
+        return n > 2 and n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+    assert [n for n in range(-3, 200_000) if is_odd_prime(n) != trial(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael
+        2047, 3277, 4033, 3215031751,  # strong pseudoprimes to base 2 (the last to 2, 3, 5, 7)
+        2152302898747, 3474749660383, 341550071728321,  # to the first 5, 6, 7 primes
+        3825123056546413051, 318665857834031151167461,  # to the first 9 and 12 primes
+        (10**9 + 7) * (10**9 + 9), (2**31 - 1) ** 2, 3**49,
+    ],
+)
+def test_is_odd_prime_rejects_pseudoprimes(n):
+    assert not is_odd_prime(n)
+
+
+@pytest.mark.parametrize(
+    "p", [1_000_003, 10**9 + 7, 2**31 - 1, 2**61 - 1, 10**18 + 9, 10**20 + 39, 10**24 + 7]
+)
+def test_is_odd_prime_accepts_large_primes(p):
+    assert is_odd_prime(p)
+
+
+def test_prime_limit():
+    # bases 2..41 are proven below the limit; the limit itself is a strong
+    # pseudoprime to all of them, so it and every odd p above are refused
+    assert PRIME_LIMIT == 3_317_044_064_679_887_385_961_981
+    assert not is_odd_prime(318_665_857_834_031_151_167_461)  # below, composite
+    assert not is_odd_prime(PRIME_LIMIT + 1)  # even: no test needed
+    for p in (PRIME_LIMIT, PRIME_LIMIT + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"p must be below {PRIME_LIMIT}"):
+            is_odd_prime(p)
