@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
 from .exactarith import QuadraticElement, require_odd_prime
@@ -215,14 +216,53 @@ def theta_sequence(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[Fract
     return seq
 
 
+def _length_seed(a: int, b: int, p: int, disc: int) -> int:
+    # about log2(capacity) / log2(1/lambda1), capacity = (a + b*sqrt(D))/D and
+    # 1/lambda1 = 4p/(p + sqrt(D)), as integers scaled by 2**bits, bits about
+    # log2(bit length) + 2.  log2(capacity) is read off its bit length, linear
+    # between powers of 2 (at most 0.09 low); log2(1/lambda1), whose error N
+    # multiplies, by squaring its mantissa once per bit.
+    bits = max(a, b * p).bit_length().bit_length() + 2
+    width = bits + 8
+    root = isqrt(disc << 2 * width)  # about sqrt(D) * 2**width
+    capacity = ((a << width) + b * root) // disc  # about capacity * 2**width
+    top = capacity.bit_length() - 1
+    log_capacity = (capacity << bits >> top) + ((top - width - 1) << bits)
+    m, log_ratio = (4 * p << 2 * width) // ((p << width) + root), 0  # 1/lambda1 in (1, 2)
+    for _ in range(bits):
+        m = m * m >> width
+        log_ratio <<= 1
+        if m >> width > 1:
+            m >>= 1
+            log_ratio += 1
+    return max(0, log_capacity // log_ratio)
+
+
 def browkin_bound(beta0_abs: int, beta1_abs: int, p: int) -> BoundReport:
     """Certified bound N: at most N+1 partial quotients can appear.
 
     lambda1 > |lambda2| are the roots of 2 p**2 X**2 - p**2 X - 2 = 0, i.e.
     (p +- sqrt(D)) / (4p) with D = p**2+16.  N is the largest n with
-    lambda1**n * capacity >= 1, i.e. (u + v*sqrt(D)) * (D|beta0| +
-    4p|beta1|*sqrt(D)) >= D * (4p)**n where (p + sqrt(D))**n = u + v*sqrt(D),
-    found by repeated squaring and a descent over the squares.
+    lambda1**n * capacity >= 1, i.e. with
+
+        x_n + y_n*sqrt(D) >= D * (4p)**n,  x_n + y_n*sqrt(D) = (p + sqrt(D))**n * (a + b*sqrt(D)),
+
+    where a = D|beta0| and b = 4p|beta1|; x_n, y_n >= 0, so each test is an
+    integer sign test: D * (4p)**n - x_n <= 0 or D * y_n**2 >= that gap squared.
+    With r = isqrt(D), r <= sqrt(D) < r + 1, so y_n * r >= gap or y_n * (r + 1)
+    <= gap decides most tests with one product; the squares settle the rest.
+
+    An integer seed n0 ~ log2(capacity) / log2(1/lambda1) comes from
+    fixed-point base-2 logarithms; (p + sqrt(D))**n0 is taken by repeated
+    squaring and multiplied once by a + b*sqrt(D).  From n0 the search walks
+    one n at a time: down while the test fails, else up while the next n
+    holds.  A step up maps (x, y) to (p*x + D*y, x + p*y); a step down is
+    its inverse ((D*y - p*x)/16, (x - p*y)/16), exact because (p + sqrt(D))
+    * (sqrt(D) - p) = 16 and x_n + y_n*sqrt(D) is (p + sqrt(D)) times
+    x_{n-1} + y_{n-1}*sqrt(D).  lambda1 < 1, so the test holds exactly for
+    n <= N; the walk stops only on the n that holds with n + 1 failing, and
+    the test holds at n = 0 (capacity >= 1), so N does not depend on the
+    seed, which sets only how many steps are taken.
     """
     require_odd_prime(p)
     if beta0_abs < 1:
@@ -230,22 +270,31 @@ def browkin_bound(beta0_abs: int, beta1_abs: int, p: int) -> BoundReport:
     if beta1_abs < 0:
         raise ValueError("beta1 magnitude must be >= 0")
 
-    disc = p * p + 16
-    a, b = disc * beta0_abs, 4 * p * beta1_abs
+    disc, four_p = p * p + 16, 4 * p
+    a, b = disc * beta0_abs, four_p * beta1_abs
+    root = isqrt(disc)
 
-    def holds(u: int, v: int, scale: int) -> bool:
-        # (u + v*sqrt(D)) * (a + b*sqrt(D)) - D*scale = x + y*sqrt(D) >= 0, where y >= 0
-        x, y = u * a + v * b * disc - disc * scale, u * b + v * a
-        return x >= 0 or y * y * disc >= x * x
+    def holds(x: int, y: int, scale: int) -> bool:
+        # x + y*sqrt(D) >= scale, where x, y >= 0
+        gap = scale - x
+        if gap <= 0 or y * root >= gap:
+            return True
+        return y * (root + 1) > gap and y * y * disc >= gap * gap
 
-    # squares[j] = ((p + sqrt(D))**(2**j) as (u, v), (4p)**(2**j)); n = 0 holds as capacity >= 1
-    squares = [(p, 1, 4 * p)]
-    while holds(*squares[-1]):
-        u, v, scale = squares[-1]
-        squares.append((u * u + v * v * disc, 2 * u * v, scale * scale))
-    n, u, v, scale = 0, 1, 0, 1
-    for j, (su, sv, ss) in reversed(list(enumerate(squares[:-1]))):
-        tu, tv, ts = u * su + v * sv * disc, u * sv + v * su, scale * ss
-        if holds(tu, tv, ts):
-            n, u, v, scale = n + (1 << j), tu, tv, ts
-    return BoundReport(p, beta0_abs, beta1_abs, n)
+    n = _length_seed(a, b, p, disc)
+    u, v = 1, 0
+    for bit in bin(n)[2:]:  # (p + sqrt(D))**n = u + v*sqrt(D)
+        u, v = u * u + v * v * disc, 2 * u * v
+        if bit == "1":
+            u, v = p * u + disc * v, u + p * v
+    x, y, scale = u * a + v * b * disc, u * b + v * a, disc * four_p**n
+    if holds(x, y, scale):
+        while True:
+            x, y, scale = p * x + disc * y, x + p * y, scale * four_p
+            if not holds(x, y, scale):
+                return BoundReport(p, beta0_abs, beta1_abs, n)
+            n += 1
+    while True:
+        x, y, scale, n = (disc * y - p * x) >> 4, (x - p * y) >> 4, scale // four_p, n - 1
+        if holds(x, y, scale):
+            return BoundReport(p, beta0_abs, beta1_abs, n)

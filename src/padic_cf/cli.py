@@ -70,11 +70,6 @@ def _json_pairs(rows, key0: str, key1: str) -> str:
     return "[" + ", ".join([template % row[:2] for row in rows]) + "]"
 
 
-def _fail(message: str) -> int:
-    print(f"FAIL: {message}", file=sys.stderr)
-    return 1
-
-
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     r = args.rational
     expansion = browkin_expand(r, args.prime, args.max_steps)
@@ -247,8 +242,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         try:
             out = open(args.out, "w", newline="")
-        except OSError as exc:
-            return _fail(f"cannot open {args.out}: {exc}")
+        except OSError as exc:  # a usage error, not a failed check
+            raise ValueError(f"cannot open {args.out}: {exc}") from exc
         close_out = True
     try:
         writer = csv.writer(out)
@@ -418,7 +413,8 @@ def main(argv=None) -> int:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:  # includes oracle.VerificationError
-        return _fail(str(exc))
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import padic_cf.browkin as browkin
+import padic_cf.exactarith as exactarith
 from padic_cf.browkin import (
     browkin_bound,
     browkin_convergents,
@@ -288,7 +289,7 @@ class TestBound:
             assert report.lambda2.sign() == -1
             assert (report.lambda2 + Fraction(1, 2)).sign() == 1
 
-    def test_bound_brackets_capacity_exactly(self):
+    def test_bound_brackets_capacity_exactly(self, monkeypatch):
         rng = random.Random(59)
         inputs = []
         for _ in range(60):
@@ -296,11 +297,35 @@ class TestBound:
         for height in (10**50, 10**300, 10**400, 10**1000):  # past the float range too
             for p in (3, 5, 7, 101):
                 inputs.append((p, rng.randint(1, height - 1), rng.randint(0, height - 1)))
+        inputs += [(p, 1, 0) for p in (3, 5, 101)]  # capacity exactly 1, N = 0
+        # at n = N, x + isqrt(D)*y < D*(4p)**n <= x + sqrt(D)*y: only the squares decide
+        inputs += [(5, 1, 5), (5, 1, 9), (7, 5, 2), (7, 4, 21), (11, 1, 14)]
+        for height in (10**20, 10**300):
+            for p in (3, 53, 1009):  # D = 25 * 113 folds at p = 53
+                inputs.append((p, rng.randint(1, height - 1), 0))
+                inputs.append((p, rng.randint(1, 40), rng.randint(1, height - 1)))
+        for p in (1009, 10**9 + 7):
+            inputs.append((p, rng.randint(1, 10**200), rng.randint(0, 10**200)))
         for p, b0, b1 in inputs:
             report = browkin_bound(b0, b1, p)
-            n, lam1, cap = report.n_bound, report.lambda1, report.capacity_constant
-            assert (lam1**n * cap - 1).sign() >= 0
-            assert (lam1 ** (n + 1) * cap - 1).sign() < 0
+            with monkeypatch.context() as patch:
+                if p > 10**6:  # trial-division folding of p*p + 16 would not finish
+                    patch.setattr(exactarith, "_square_part", lambda d: (1, d))  # same value
+                n, lam1, cap = report.n_bound, report.lambda1, report.capacity_constant
+                assert (lam1**n * cap - 1).sign() >= 0
+                assert (lam1 ** (n + 1) * cap - 1).sign() < 0
+
+    def test_seed_cannot_change_the_bound(self, monkeypatch):
+        # the seed only sets where the walk starts: any start gives the same N
+        rng = random.Random(67)
+        cases = [(2, 1, 3), (2, 5, 3), (4, 13, 5), (1, 0, 3), (1, 0, 101)]
+        cases += [(rng.randint(1, 10**1000), rng.randint(0, 10**1000), p) for p in (3, 7, 101)]
+        for b0, b1, p in cases:
+            n = browkin_bound(b0, b1, p).n_bound
+            for seed in (0, n - 7, n + 7, 2 * n + 5):
+                monkeypatch.setattr(browkin, "_length_seed", lambda *args, seed=max(0, seed): seed)
+                assert browkin_bound(b0, b1, p).n_bound == n
+            monkeypatch.undo()
 
     def test_theta_dominated_by_geometric_envelope(self):
         # theta_i <= lambda1**i * capacity, exactly in the quadratic field

@@ -462,6 +462,18 @@ class TestSweepCommand:
         assert out.splitlines()[0].startswith("p,a,b,")
         assert "sweep ok" in err
 
+    def test_unopenable_out_path_is_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--primes", "3", "--max-num", "2", "--max-den", "2",
+                  "--out", str(out_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"padic-cf sweep: error: cannot open {out_path}: ")
+        assert "FAIL" not in captured.err
+
     def test_grid_output_is_pinned(self, capsys):
         # 3,331 CSV lines; any change to a row, its order or its format moves the hash
         code, out, err = run_cli(
