@@ -22,7 +22,6 @@ certifies that at most n_bound + 1 quotients can appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -40,8 +39,7 @@ class BrowkinStep(NamedTuple):
     beta: int
 
 
-@dataclass(frozen=True)
-class BrowkinExpansion:
+class BrowkinExpansion(NamedTuple):
     p: int
     value: Fraction
     alpha: int
@@ -72,15 +70,13 @@ class BrowkinExpansion:
         return abs(self.steps[1].beta) if len(self.steps) > 1 else 0
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     pn: Fraction
     qn: Fraction
     value: Fraction
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Certified bound: at most n_bound + 1 partial quotients, where n_bound is
     the largest n with lambda1**n * capacity >= 1 and capacity =
     2|beta1|/(lambda1-lambda2) + |beta0|; browkin_bound certifies it."""
@@ -109,14 +105,12 @@ _record = tuple.__new__  # a step record without the NamedTuple's Python-level _
 
 
 def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansion:
-    # the expansion of r, cut with terminated False once it holds the cap's number of steps
+    # the expansion of r, cut with terminated False at max_steps steps or the default cap
     require_odd_prime(p)
     if isinstance(r, int):  # a Fraction is kept as it is
         r = Fraction(r)
     if r == 0:
         raise ValueError("cannot expand zero")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be positive")
 
     alpha, beta, k0 = r.numerator, r.denominator, 0
     while beta % p == 0:  # beta ends positive and p-free; sign lives in alpha
@@ -150,15 +144,13 @@ def browkin_betas(r: Fraction | int, p: int) -> tuple[int, int]:
     return head.beta0, head.beta1_abs
 
 
-def browkin_expand(
-    r: Fraction | int, p: int, max_steps: int | None = None
-) -> BrowkinExpansion:
+def browkin_expand(r: Fraction | int, p: int) -> BrowkinExpansion:
     """Full Browkin expansion of a nonzero rational.
 
-    max_steps defaults to a cap read off the bit length of the input, above
-    n_bound + 1; exceeding the cap raises ArithmeticError.
+    The step loop is capped by a count read off the bit length of the input,
+    above n_bound + 1; exceeding the cap raises ArithmeticError.
     """
-    expansion = _expand(r, p, max_steps)
+    expansion = _expand(r, p, None)
     if not expansion.terminated:
         raise ArithmeticError(
             f"bound violated: expansion of {expansion.value} exceeded {len(expansion.steps)} steps"

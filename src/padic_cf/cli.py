@@ -3,7 +3,8 @@
 Subcommands: expand-browkin, expand-schneider, digits, bound, head, verify,
 sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --).  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 internal error (a float overflow; only `head` still hits one).
+2 usage error, 3 internal error (a float overflow; only `head` still hits one),
+141 when the reader closes stdout early, as in `padic-cf sweep ... | head -1`.
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
@@ -17,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -72,7 +74,7 @@ def _json_pairs(rows, key0: str, key1: str) -> str:
 
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     r = args.rational
-    expansion = browkin_expand(r, args.prime, args.max_steps)
+    expansion = browkin_expand(r, args.prime)
     report = browkin_bound(expansion.beta0, expansion.beta1_abs, args.prime)
     recon = oracle.browkin_reconstruction(r, expansion)
     oracle.require(args.prime, r, recon, oracle.browkin_length_bound(expansion, report))
@@ -303,7 +305,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     eb = sub.add_parser("expand-browkin", help="Browkin expansion with length bound")
     _add_prime_option(eb)
-    eb.add_argument("--max-steps", type=int, default=None)
     eb.add_argument("--json", action="store_true")
     _add_rational_argument(eb)
 
@@ -407,6 +408,10 @@ def main(argv=None) -> int:
     _validate(args, command_parser)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:  # the reader closed stdout: 128 + SIGPIPE, and a quiet flush at exit
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         command_parser.error(str(exc))
     except OverflowError as exc:

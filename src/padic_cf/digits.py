@@ -7,14 +7,13 @@ expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactarith import mod_inverse, require_odd_prime, symmetric_residue, vp
 
 
-@dataclass(frozen=True)
-class PAdicDigits:
+class PAdicDigits(NamedTuple):
     """A finite window of the symmetric-digit expansion of a rational.
 
     The window value sum(digits[i] * p**(start_exponent+i)) is congruent to
@@ -29,8 +28,6 @@ class PAdicDigits:
 
     def prefix_value(self, length: int | None = None) -> Fraction:
         """Exact value of the first `length` digits (default: all of them)."""
-        if length is None:
-            length = len(self.digits)
         total = 0
         for digit in reversed(self.digits[:length]):
             total = total * self.p + digit

@@ -107,13 +107,17 @@ def _sign_of(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
 
+FOLD_LIMIT = 4096  # the largest trial divisor when folding a radicand
+
+
 def _square_part(n: int) -> tuple[int, int]:
-    # n = s*s*m with m squarefree; trial division is plenty for our radicands
-    root = math.isqrt(n)
-    if root * root == n:
-        return root, 1
+    # n = s*s*m, folding square factors f*f with f <= FOLD_LIMIT, then the
+    # cofactor if it is a perfect square: m = 1 exactly when n is a square
     s, m, f = 1, n, 2
     while f * f <= m:
+        if f > FOLD_LIMIT:
+            root = math.isqrt(m)
+            return (s * root, 1) if root * root == m else (s, m)
         ff = f * f
         while m % ff == 0:
             m //= ff
@@ -127,8 +131,11 @@ class QuadraticElement:
 
     Square factors of the radicand fold into y on construction, so rational
     values always normalize to d = 1 and equality is plain componentwise
-    comparison.  Elements with distinct irrational radicands refuse to mix:
-    each computation lives in a single field.
+    comparison.  Folding stops at f*f with f = FOLD_LIMIT, then folds the
+    cofactor only if it is a square: d is squarefree below 2*(FOLD_LIMIT+1)**2
+    and may keep the square of a larger prime above it.  Elements with
+    distinct irrational radicands refuse to mix: each computation lives in a
+    single field.
     """
 
     __slots__ = ("x", "y", "d")
@@ -160,7 +167,7 @@ class QuadraticElement:
         # opposite-sign parts: compare x**2 against y**2 * d exactly
         gap = self.x * self.x - self.y * self.y * self.d
         if gap == 0:
-            return 0  # impossible for a squarefree radicand > 1
+            return 0  # impossible for a radicand that is not a square
         return sx if gap > 0 else sy
 
     def _coerce(self, other: object) -> QuadraticElement | None:

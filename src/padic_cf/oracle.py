@@ -58,7 +58,7 @@ def digit_truncation_identity(r: Fraction, window, lengths) -> Check:
 
 
 def schneider_reconstruction(r: Fraction, expansion) -> Check:
-    value = schneider_evaluate(expansion.head, expansion.tail_value, expansion.p)
+    value = schneider_evaluate(expansion.steps, expansion.tail_value, expansion.p)
     return Check("schneider reconstruction", value == r)
 
 

@@ -25,7 +25,6 @@ identity exactly, on integer pairs in Z[sqrt(4p**exponent + digit**2)].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,8 +37,7 @@ class SchneiderStep(NamedTuple):
     y_next: int
 
 
-@dataclass(frozen=True)
-class SchneiderExpansion:
+class SchneiderExpansion(NamedTuple):
     """Recorded non-stationary head plus the tail marker.
 
     Exactly one of stationary_from / finite_end describes the tail:
@@ -72,8 +70,7 @@ class SchneiderExpansion:
         return Fraction(ys[-2], ys[-1])
 
 
-@dataclass(frozen=True)
-class SchneiderMatrix:
+class SchneiderMatrix(NamedTuple):
     """Running product of the step matrices [[b, p**alpha], [1, 0]]."""
 
     u: int
@@ -91,8 +88,7 @@ class SchneiderMatrix:
         )
 
 
-@dataclass(frozen=True)
-class HeadReport:
+class HeadReport(NamedTuple):
     """Exact certificate for the length of a constant (digit, exponent) head.
 
     exact_identity means (t2/t1)**(head_len-1) equals theta, checked exactly on
@@ -176,16 +172,17 @@ def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> Schneid
 def schneider_evaluate(head, tail_value: Fraction | int, p: int) -> Fraction:
     """Exact back-substitution of b0 + p**a0/(b1 + ... + p**ak/tail_value).
 
+    head is a SchneiderExpansion's steps or a list of (digit, alpha) pairs.
     The everlasting (p-1, 1) tail is represented by tail_value = -1, its
     exact value.  Runs on an unreduced integer pair, reduced once at the end.
     """
     num, den = tail_value.numerator, tail_value.denominator
     if num == 0:
         raise ZeroDivisionError("zero tail value")
-    for digit, alpha in reversed(list(head)):
+    for step in reversed(head):
         if num == 0:
             raise ZeroDivisionError("zero denominator in back-substitution")
-        num, den = digit * num + p**alpha * den, num
+        num, den = step[0] * num + p ** step[1] * den, num
     return Fraction(num, den)
 
 

@@ -23,6 +23,14 @@ import padic_cf.schneider as schneider
 from padic_cf.cli import main, parse_rational
 from padic_cf.schneider import generate_constant_head
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(args, timeout=60):
+    # a fresh interpreter on this checkout's package, output captured as bytes
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=timeout)
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -97,6 +105,13 @@ class TestExpandBrowkinCommand:
         code, out, err = run_cli(["expand-browkin", "-p", "100000000000000000039", "7/2"], capsys)
         assert code == 0, err
         assert "bound N: 2 (length 2 <= N+1)" in out
+
+    def test_max_steps_is_usage_error(self, capsys):
+        # the step cap is read off the input's bit length; no option sets it
+        with pytest.raises(SystemExit) as exc:
+            main(["expand-browkin", "-p", "3", "--max-steps", "1", "365/54"])
+        assert exc.value.code == 2
+        assert "--max-steps" in capsys.readouterr().err
 
     def test_output_is_pinned(self):
         # text and --json on the README fixtures and 300-digit inputs, some
@@ -283,6 +298,33 @@ class TestBoundCommand:
         payload = run_json(["bound", "-p", "3", "--beta0", huge, "--beta1", huge, "--json"], capsys)
         assert payload["n_bound"] == 2274
         assert payload["exact_certificate"] is True
+
+
+class TestLargeRadicands:
+    # folding a radicand trial-divides only up to FOLD_LIMIT, so these answer at once;
+    # both heads start with (1,40) at p = 3, the second is the constant head with k = 3
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "-p", "100000007", "7/2"],
+            ["bound", "-p", "100000007", "--json", "7/2"],
+            ["head", "-p", "3", "--",
+             "147808829414345923291767879288269439998/1478088294143459233039255447473263687"],
+            ["head", "-p", "3", "--json", "--",
+             "147808829414345923291767879288269439998/147808829414345923303925544747326368799"],
+        ],
+    )
+    def test_answers_within_the_timeout(self, argv):
+        done = run_process(["-m", "padic_cf", *argv], timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == b""
+
+    def test_unfolded_radicand_is_printed(self, capsys):
+        # p*p + 16 = 10000001400000065 has no square factor f*f with f <= FOLD_LIMIT
+        code, out, _ = run_cli(["bound", "-p", "100000007", "7/2"], capsys)
+        assert code == 0
+        assert "lambda1 = 1/4 + 1/400000028*sqrt(10000001400000065) (~0.5)" in out
+        assert "N = 2" in out
 
 
 class TestHeadCommand:
@@ -503,6 +545,20 @@ class TestSweepCommand:
         assert len(rows) > 0
         assert len(calls) == len(rows)
 
+    def test_closed_pipe_exits_141_quietly(self):
+        # `sweep ... | head -1`: the reader takes one line and closes the pipe
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["sweep", "--primes", "3", "--max-num", "100", "--max-den", "100"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "padic_cf", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"p,a,b,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_bad_prime_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--primes", "3,4", "--max-num", "2", "--max-den", "2"])
@@ -587,7 +643,6 @@ class TestParserReuse:
             ["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"],
             ["expand-browkin", "-p", "3", "365/54"],
         ]
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         codes = []
         for argv in calls:
             # newline="" keeps the CSV's \r\n as written, as a process's stdout does
@@ -598,10 +653,14 @@ class TestParserReuse:
                 except SystemExit as exc:
                     code, raised = exc.code, True
             assert raised == (code == 2), argv
-            fresh = subprocess.run(
-                [sys.executable, "-m", "padic_cf", *argv], capture_output=True, env=env, timeout=60
-            )
+            fresh = run_process(["-m", "padic_cf", *argv])
             got = (out.getvalue().encode(), err.getvalue().encode(), code)
             assert got == (fresh.stdout, fresh.stderr, fresh.returncode), argv
             codes.append(code)
         assert codes == [0, 2, 1, 3, 0, 0]
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every record is a NamedTuple; -S keeps site's own imports out of the count
+    code = "import sys, padic_cf.cli; print('dataclasses' in sys.modules)"
+    assert run_process(["-S", "-c", code]).stdout == b"False\n"

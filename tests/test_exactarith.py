@@ -113,6 +113,15 @@ class TestQuadraticElement:
         assert QuadraticElement(0, 1, 12) == QuadraticElement(0, 2, 3)
         assert QuadraticElement(Fraction(1, 2), 0, 41).d == 1
 
+    def test_folding_is_bounded(self):
+        # 4099 is a prime above FOLD_LIMIT: its square folds only as the whole cofactor
+        q = 4099
+        assert QuadraticElement(0, 1, 4 * q * q) == QuadraticElement(2 * q)
+        assert QuadraticElement(0, 1, 12 * q * q) == QuadraticElement(0, 2, 3 * q * q)
+        unfolded = QuadraticElement(1, 1, 2 * q * q)
+        assert unfolded.d == 2 * q * q and unfolded.sign() == 1
+        assert (unfolded - 1) * (unfolded - 1) == 2 * q * q
+
     def test_mixed_radicands_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
             QuadraticElement(0, 1, 2) + QuadraticElement(0, 1, 3)

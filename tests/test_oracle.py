@@ -1,11 +1,11 @@
 """Oracle failure paths: a broken law must fail its own check, and every
 command that prints a certified output must refuse it with exit code 1."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import padic_cf
 import padic_cf.oracle as oracle
 from padic_cf import browkin, digits, schneider
 from padic_cf.cli import SWEEP_COLUMNS, main
@@ -17,20 +17,38 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "record",
+    ["BrowkinExpansion", "BrowkinStep", "Convergent", "BoundReport", "SchneiderExpansion",
+     "SchneiderStep", "SchneiderMatrix", "HeadReport", "PAdicDigits"],
+)
+def test_records_are_named_tuples(record):
+    # the mutants below rebuild records with _replace, which every NamedTuple has
+    cls = getattr(padic_cf, record)
+    assert issubclass(cls, tuple) and cls._fields and hasattr(cls, "_replace")
+
+
+def test_records_compare_as_tuples():
+    assert schneider.SchneiderMatrix(1, 0, 0, 1) == (1, 0, 0, 1)
+    report = browkin.browkin_bound(2, 5, 3)
+    assert tuple(report) == (3, 2, 5, 6) and report.exact_certificate is True
+    assert repr(report) == "BoundReport(p=3, beta0_abs=2, beta1_abs=5, n_bound=6)"
+
+
 def _short_bound(beta0, beta1, p):
-    return replace(browkin.browkin_bound(beta0, beta1, p), n_bound=-1)
+    return browkin.browkin_bound(beta0, beta1, p)._replace(n_bound=-1)
 
 
 def _shifted_convergents(quotients):
     return [
-        replace(c, pn=c.pn + 1, value=(c.pn + 1) / c.qn)
+        c._replace(pn=c.pn + 1, value=(c.pn + 1) / c.qn)
         for c in browkin.browkin_convergents(quotients)
     ]
 
 
 def _wrong_first_digit(r, p, count):
     window = digits.padic_digits(r, p, count)
-    return replace(window, digits=(window.digits[0] + 1,) + window.digits[1:])
+    return window._replace(digits=(window.digits[0] + 1,) + window.digits[1:])
 
 
 def _singular_matrices(expansion):

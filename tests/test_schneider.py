@@ -145,6 +145,13 @@ class TestEvaluate:
         with pytest.raises(ZeroDivisionError):
             schneider_evaluate([(1, 1)], 0, 3)
 
+    def test_step_records_and_pairs_agree(self):
+        # the oracle passes exp.steps; (digit, alpha) pair lists still work
+        for a, b, p in ((2, 5, 3), (3044, 673, 5), (1259, 701, 3), (7, 2, 3), (2, 1, 3)):
+            exp = schneider_expand(a, b, p)
+            by_steps = schneider_evaluate(exp.steps, exp.tail_value, p)
+            assert by_steps == schneider_evaluate(exp.head, exp.tail_value, p) == Fraction(a, b)
+
 
 class TestConvergents:
     def test_first_matrix_fixture(self):
