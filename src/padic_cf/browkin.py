@@ -23,7 +23,7 @@ certifies that at most n_bound + 1 quotients can appear.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .exactarith import QuadraticElement, require_odd_prime
@@ -40,12 +40,17 @@ class BrowkinStep(NamedTuple):
 
 
 class BrowkinExpansion(NamedTuple):
+    """The expansion of alpha / (beta0 * p**k0), k0 = steps[0].k, in lowest terms."""
+
     p: int
-    value: Fraction
     alpha: int
     beta0: int
     steps: tuple[BrowkinStep, ...]
     terminated: bool
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.alpha, self.beta0 * self.p ** self.steps[0].k)
 
     @property
     def quotient_pairs(self) -> list[tuple[int, int]]:
@@ -104,15 +109,22 @@ class BoundReport(NamedTuple):
 _record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
 
 
-def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansion:
-    # the expansion of r, cut with terminated False at max_steps steps or the default cap
-    require_odd_prime(p)
-    if isinstance(r, int):  # a Fraction is kept as it is
-        r = Fraction(r)
-    if r == 0:
-        raise ValueError("cannot expand zero")
+def _pair(r) -> tuple[int, int]:
+    # (num, den) of a rational, or the integer pair itself
+    return r if isinstance(r, tuple) else (r.numerator, r.denominator)
 
-    alpha, beta, k0 = r.numerator, r.denominator, 0
+
+def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpansion:
+    # the expansion of alpha/beta, cut with terminated False at max_steps steps or the default cap
+    require_odd_prime(p)
+    if alpha == 0:
+        raise ValueError("cannot expand zero")
+    if beta < 1:
+        raise ValueError("denominator must be positive")
+    if gcd(alpha, beta) != 1:
+        raise ValueError(f"numerator and denominator must be coprime, got gcd = {gcd(alpha, beta)}")
+
+    k0 = 0
     while beta % p == 0:  # beta ends positive and p-free; sign lives in alpha
         beta //= p
         k0 += 1
@@ -129,28 +141,30 @@ def _expand(r: Fraction | int, p: int, max_steps: int | None) -> BrowkinExpansio
         steps.append(_record(BrowkinStep, (k, x, b_cur)))
         delta = b_prev - x * b_cur
         if delta == 0:
-            return BrowkinExpansion(p, r, alpha, beta, tuple(steps), True)
+            return BrowkinExpansion(p, alpha, beta, tuple(steps), True)
         b_next, k = delta // modulus, 1  # exact, and k_{n+1} >= 1
         while not b_next % p:
             b_next //= p
             k += 1
         b_prev, b_cur = b_cur, b_next
-    return BrowkinExpansion(p, r, alpha, beta, tuple(steps), False)
+    return BrowkinExpansion(p, alpha, beta, tuple(steps), False)
 
 
 def browkin_betas(r: Fraction | int, p: int) -> tuple[int, int]:
     """(beta0, beta1_abs) of browkin_expand(r, p), read from its first two steps alone."""
-    head = _expand(r, p, 2)
+    head = _expand(r.numerator, r.denominator, p, 2)
     return head.beta0, head.beta1_abs
 
 
-def browkin_expand(r: Fraction | int, p: int) -> BrowkinExpansion:
+def browkin_expand(r: Fraction | int | tuple[int, int], p: int) -> BrowkinExpansion:
     """Full Browkin expansion of a nonzero rational.
 
+    r is a Fraction, an int, or a pair (a, b) of coprime integers with b > 0
+    standing for a/b, so that a caller holding integers builds no Fraction.
     The step loop is capped by a count read off the bit length of the input,
     above n_bound + 1; exceeding the cap raises ArithmeticError.
     """
-    expansion = _expand(r, p, None)
+    expansion = _expand(*_pair(r), p, None)
     if not expansion.terminated:
         raise ArithmeticError(
             f"bound violated: expansion of {expansion.value} exceeded {len(expansion.steps)} steps"
@@ -158,54 +172,90 @@ def browkin_expand(r: Fraction | int, p: int) -> BrowkinExpansion:
     return expansion
 
 
+def cf_pair(reversed_quotients) -> tuple[int, int]:
+    """Unreduced (num, den), den != 0, of a0 + 1/(a1 + 1/(... + 1/ak)).
+
+    reversed_quotients is an iterable of integer pairs (num, den) with den > 0,
+    ak first and a0 last, so that a generator over the step records in reverse
+    serves without a list.  A zero tail value raises ZeroDivisionError.
+    """
+    pairs = iter(reversed_quotients)
+    try:
+        num, den = next(pairs)
+    except StopIteration:
+        raise ValueError("empty quotient sequence") from None
+    for a_num, a_den in pairs:
+        if num == 0:
+            raise ZeroDivisionError("divergent finite fraction")
+        num, den = a_num * num + a_den * den, a_den * num
+    return num, den
+
+
 def cf_evaluate(quotients) -> Fraction:
-    """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)) on an integer pair.
+    """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)), on cf_pair.
 
     Each quotient is an integer pair (num, den) with den > 0, as
     BrowkinExpansion.quotient_pairs gives them, or a rational.
     """
-    qs = [q if isinstance(q, tuple) else (q.numerator, q.denominator) for q in quotients]
-    if not qs:
-        raise ValueError("empty quotient sequence")
-    num, den = qs[-1]
-    for a_num, a_den in reversed(qs[:-1]):
-        if num == 0:
-            raise ZeroDivisionError("divergent finite fraction")
-        num, den = a_num * num + a_den * den, a_den * num
-    return Fraction(num, den)
+    return Fraction(*cf_pair(_pair(q) for q in reversed(list(quotients))))
 
 
-def browkin_convergents(quotients) -> list[Convergent]:
-    """Convergents p_n/q_n of the quotient sequence a_0, a_1, ...
+def convergent_triples(quotients) -> list[tuple[int, int, int]]:
+    """(P_n, Q_n, D_n) for the quotients a_n = num_n/den_n, integer pairs with
+    den_n > 0: the convergent p_n/q_n scaled by D_n = den_0 * ... * den_n.
 
-    Recurrence u_{n+2} = a_{n+2} u_{n+1} + u_n seeded with p_{-1}=1, p_0=a_0,
-    q_{-1}=0, q_0=1; successive pairs satisfy p_n q_{n-1} - p_{n-1} q_n =
-    (-1)**(n+1).
+    p_n = a_n p_{n-1} + p_{n-2} from p_{-1} = 1, p_0 = a_0 (q_{-1} = 0,
+    q_0 = 1) becomes P_n = num_n P_{n-1} + den_n den_{n-1} P_{n-2}, with
+    P_{-1} = 1, P_0 = num_0, Q_{-1} = 0, Q_0 = den_0 and den_{-1} = 1; the
+    determinant law p_n q_{n-1} - p_{n-1} q_n = (-1)**(n+1) reads
+    P_n Q_{n-1} - P_{n-1} Q_n = (-1)**(n+1) D_n D_{n-1}.
     """
-    qs = [Fraction(a) for a in quotients]
+    qs = list(quotients)
     if not qs:
         raise ValueError("empty quotient sequence")
-    p_prev, q_prev = Fraction(1), Fraction(0)
-    p_cur, q_cur = qs[0], Fraction(1)
-    out = [Convergent(p_cur, q_cur, p_cur / q_cur)]
-    for a in qs[1:]:
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        out.append(Convergent(p_cur, q_cur, p_cur / q_cur))
+    p_prev, q_prev = 1, 0
+    p_cur, den = qs[0]
+    q_cur = d = den
+    out = [(p_cur, q_cur, d)]
+    for num, den_next in qs[1:]:
+        link, den = den_next * den, den_next
+        p_cur, p_prev = num * p_cur + link * p_prev, p_cur
+        q_cur, q_prev = num * q_cur + link * q_prev, q_cur
+        d *= den
+        out.append((p_cur, q_cur, d))
     return out
 
 
-def theta_sequence(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[Fraction]:
-    """Majorant sequence theta dominating |beta_n|:
-    theta_0 = |beta_0|, theta_1 = |beta_1|, theta_{i+1} = theta_i/2 + theta_{i-1}/p**2.
+def browkin_convergents(quotients) -> list[Convergent]:
+    """Convergents p_n/q_n of the quotient sequence a_0, a_1, ..., on
+    convergent_triples; successive pairs satisfy p_n q_{n-1} - p_{n-1} q_n =
+    (-1)**(n+1).
+    """
+    return [
+        Convergent(Fraction(pn, d), Fraction(qn, d), Fraction(pn, qn))
+        for pn, qn, d in convergent_triples((q.numerator, q.denominator) for q in quotients)
+    ]
+
+
+def theta_scaled(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[int]:
+    """T_i = theta_i * (2p**2)**i for i < n, where theta is theta_sequence's
+    majorant: T_0 = |beta_0|, T_1 = 2p**2 |beta_1|, T_{i+1} = p**2 T_i + 4p**2 T_{i-1}.
     """
     if n < 2:
         raise ValueError("need at least two terms")
-    seq = [Fraction(beta0_abs), Fraction(beta1_abs)]
-    inv_pp = Fraction(1, p * p)
+    pp = p * p
+    seq = [beta0_abs, 2 * pp * beta1_abs]
     while len(seq) < n:
-        seq.append(seq[-1] / 2 + seq[-2] * inv_pp)
+        seq.append(pp * seq[-1] + 4 * pp * seq[-2])
     return seq
+
+
+def theta_sequence(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[Fraction]:
+    """Majorant sequence theta dominating |beta_n|, on theta_scaled:
+    theta_0 = |beta_0|, theta_1 = |beta_1|, theta_{i+1} = theta_i/2 + theta_{i-1}/p**2.
+    """
+    scaled = theta_scaled(beta0_abs, beta1_abs, p, n)
+    return [Fraction(t, (2 * p * p) ** i) for i, t in enumerate(scaled)]
 
 
 def _length_seed(a: int, b: int, p: int, disc: int) -> int:

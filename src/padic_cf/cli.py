@@ -74,10 +74,11 @@ def _json_pairs(rows, key0: str, key1: str) -> str:
 
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     r = args.rational
+    a, b = r.numerator, r.denominator
     expansion = browkin_expand(r, args.prime)
     report = browkin_bound(expansion.beta0, expansion.beta1_abs, args.prime)
-    recon = oracle.browkin_reconstruction(r, expansion)
-    oracle.require(args.prime, r, recon, oracle.browkin_length_bound(expansion, report))
+    recon = oracle.browkin_reconstruction(a, b, expansion)
+    oracle.require(args.prime, a, b, recon, oracle.browkin_length_bound(expansion, report))
     if args.json:
         print(
             f'{{"p": {args.prime}, "input": {json.dumps(_rat_str(r))}, '
@@ -97,11 +98,12 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     r = args.rational
-    expansion = schneider_expand(r.numerator, r.denominator, args.prime, args.max_steps)
-    oracle.require(args.prime, r, oracle.schneider_reconstruction(r, expansion))
+    a, b = r.numerator, r.denominator
+    expansion = schneider_expand(a, b, args.prime, args.max_steps)
+    oracle.require(args.prime, a, b, oracle.schneider_reconstruction(a, b, expansion))
     if args.json:
         print(
-            f'{{"p": {args.prime}, "a": {r.numerator}, "b": {r.denominator}, '
+            f'{{"p": {args.prime}, "a": {a}, "b": {b}, '
             f'"head": {_json_pairs(expansion.steps, "b", "alpha")}, '
             f'"stationary_from": {json.dumps(expansion.stationary_from)}, '
             f'"finite_end": {json.dumps(expansion.finite_end)}}}'
@@ -144,9 +146,11 @@ def _digit_terms(p: int, start: int, digits) -> str:
 def _cmd_digits(args: argparse.Namespace) -> int:
     r = args.rational
     window = padic_digits(r, args.prime, args.count)
-    oracle.require(args.prime, r, oracle.digit_truncation_identity(r, window, (window.count,)))
+    check = oracle.digit_truncation_identity(r, window, (window.count,))
+    oracle.require(args.prime, r.numerator, r.denominator, check)
     if args.json:
-        start, preperiod, period = digit_period(r, args.prime)
+        _, preperiod, period = digit_period(r, args.prime)
+        found = period is not None  # else the search stopped at DIGIT_PERIOD_LIMIT
         print(json.dumps(
             {
                 "p": args.prime,
@@ -154,8 +158,8 @@ def _cmd_digits(args: argparse.Namespace) -> int:
                 "start_exponent": window.start_exponent,
                 "digits": list(window.digits),
                 "count": window.count,
-                "preperiod_len": len(preperiod),
-                "period": list(period),
+                "preperiod_len": len(preperiod) if found else None,
+                "period": list(period) if found else None,
             }
         ))
     else:
@@ -254,18 +258,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         min_slack = None
         max_stationary = None
         for p, a, b in _sweep_rows(args.primes, args.max_num, args.max_den):
-            r = Fraction(a, b)
-            expansion = browkin_expand(r, p)
+            expansion = browkin_expand((a, b), p)
             beta0, beta1 = expansion.beta0, expansion.beta1_abs
             report = browkin_bound(beta0, beta1, p)
-            recon = oracle.browkin_reconstruction(r, expansion)
-            oracle.require(p, r, recon, oracle.browkin_length_bound(expansion, report))
+            recon = oracle.browkin_reconstruction(a, b, expansion)
+            oracle.require(p, a, b, recon, oracle.browkin_length_bound(expansion, report))
             browkin_len = len(expansion.steps)
             slack = report.n_bound + 1 - browkin_len
             stationary = ""
             if a % p != 0 and b % p != 0:
                 sexp = schneider_expand(a, b, p)
-                oracle.require(p, r, oracle.schneider_reconstruction(r, sexp))
+                oracle.require(p, a, b, oracle.schneider_reconstruction(a, b, sexp))
                 if sexp.stationary_from is not None:
                     stationary = sexp.stationary_from
                     if max_stationary is None or stationary > max_stationary:
@@ -403,8 +406,10 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
 
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     command_parser = subparsers[args.command]
+    if unknown:  # reported with the subcommand's usage, as every usage error is
+        command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     _validate(args, command_parser)
     try:
         return _COMMANDS[args.command](args)

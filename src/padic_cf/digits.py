@@ -12,6 +12,12 @@ from typing import NamedTuple
 
 from .exactarith import mod_inverse, require_odd_prime, symmetric_residue, vp
 
+# The most digits digit_period extracts while it looks for a repeated remainder
+# state.  The period is the order of p modulo the p-free denominator, which can
+# be about as large as that denominator, and every state is kept in a dict, so
+# the search is bounded: about 0.1 s and 15 MB at the limit.
+DIGIT_PERIOD_LIMIT = 100_000
+
 
 class PAdicDigits(NamedTuple):
     """A finite window of the symmetric-digit expansion of a rational.
@@ -82,12 +88,16 @@ def fractional_part(r: Fraction | int, p: int) -> Fraction:
     return Fraction(x, p**k)
 
 
-def digit_period(r: Fraction | int, p: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def digit_period(
+    r: Fraction | int, p: int
+) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
     """Split the digit stream into (start_exponent, preperiod, period).
 
     The repeating tail is located by exact remainder-state repetition: the
     remainder after each extracted digit keeps a fixed p-free denominator,
     so there are finitely many states and the first revisit pins the cycle.
+    A split is found exactly when len(preperiod) + len(period) is at most
+    DIGIT_PERIOD_LIMIT; past it the result is (start_exponent, None, None).
     """
     require_odd_prime(p)
     r = Fraction(r)
@@ -97,7 +107,7 @@ def digit_period(r: Fraction | int, p: int) -> tuple[int, tuple[int, ...], tuple
     inverse = mod_inverse(d, p)
     seen = {n: 0}
     digits: list[int] = []
-    while True:
+    while len(digits) < DIGIT_PERIOD_LIMIT:
         digit = symmetric_residue(n * inverse, p)
         digits.append(digit)
         n = (n - digit * d) // p
@@ -105,3 +115,4 @@ def digit_period(r: Fraction | int, p: int) -> tuple[int, tuple[int, ...], tuple
             cut = seen[n]
             return start, tuple(digits[:cut]), tuple(digits[cut:])
         seen[n] = len(digits)
+    return start, None, None

@@ -4,15 +4,20 @@ Each check re-derives one law of an expansion by exact arithmetic.  Commands
 pass their checks to `require` before printing anything.  Library functions
 are reached through this module's globals only, so rebinding one here (to
 plant a defect, or to trace it) reaches every check.
+
+The input a/b is a pair of coprime integers with b > 0, and the Browkin and
+Schneider checks run on plain integers: a reconstruction is an unreduced
+pair (num, den) from the back-substitution core, equal to the input exactly
+when den != 0 and num * b == den * a.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .browkin import browkin_bound, browkin_convergents, browkin_expand, cf_evaluate, theta_sequence
+from .browkin import browkin_bound, browkin_expand, cf_pair, convergent_triples, theta_scaled
 from .digits import padic_digits
 from .exactarith import vp
-from .schneider import schneider_convergents, schneider_evaluate, schneider_expand
+from .schneider import schneider_convergents, schneider_expand, schneider_pair
 
 
 class Check(NamedTuple):
@@ -24,8 +29,15 @@ class VerificationError(ArithmeticError):
     """A computed output failed an exact check."""
 
 
-def browkin_reconstruction(r: Fraction, expansion) -> Check:
-    return Check("browkin reconstruction", cf_evaluate(expansion.quotient_pairs) == r)
+def _equals(pair: tuple[int, int], a: int, b: int) -> bool:
+    num, den = pair
+    return den != 0 and num * b == den * a
+
+
+def browkin_reconstruction(a: int, b: int, expansion) -> Check:
+    p = expansion.p
+    pair = cf_pair((s.x, p**s.k) for s in reversed(expansion.steps))
+    return Check("browkin reconstruction", _equals(pair, a, b))
 
 
 def browkin_length_bound(expansion, report) -> Check:
@@ -33,17 +45,25 @@ def browkin_length_bound(expansion, report) -> Check:
 
 
 def majorant(expansion) -> Check:
-    steps = expansion.steps
-    thetas = theta_sequence(expansion.beta0, expansion.beta1_abs, expansion.p, max(2, len(steps)))
-    return Check("majorant", all(abs(s.beta) <= thetas[i] for i, s in enumerate(steps)))
+    """|beta_i| <= theta_i, checked as |beta_i| * (2p**2)**i <= T_i on theta_scaled."""
+    steps, p = expansion.steps, expansion.p
+    thetas = theta_scaled(expansion.beta0, expansion.beta1_abs, p, max(2, len(steps)))
+    ok, scale = True, 1
+    for step, theta in zip(steps, thetas):
+        ok &= abs(step.beta) * scale <= theta
+        scale *= 2 * p * p
+    return Check("majorant", ok)
 
 
-def determinant_identity(r: Fraction, expansion) -> Check:
-    """p_n q_{n-1} - p_{n-1} q_n = (-1)**(n+1), and the last convergent is r."""
-    convs = browkin_convergents(expansion.quotients)
-    ok = convs[-1].value == r
+def determinant_identity(a: int, b: int, expansion) -> Check:
+    """P_n Q_{n-1} - P_{n-1} Q_n = (-1)**(n+1) D_n D_{n-1} on the convergents
+    scaled by D_n = p**(k_0+...+k_n), and the last convergent is a/b."""
+    p = expansion.p
+    convs = convergent_triples((s.x, p**s.k) for s in expansion.steps)
+    ok = _equals(convs[-1][:2], a, b)
     for n in range(1, len(convs)):
-        ok &= convs[n].pn * convs[n - 1].qn - convs[n - 1].pn * convs[n].qn == (-1) ** (n + 1)
+        (pn, qn, dn), (pm, qm, dm) = convs[n], convs[n - 1]
+        ok &= pn * qm - pm * qn == (-1) ** (n + 1) * dn * dm
     return Check("determinant identity", ok)
 
 
@@ -57,19 +77,19 @@ def digit_truncation_identity(r: Fraction, window, lengths) -> Check:
     return Check("digit truncation identity", ok)
 
 
-def schneider_reconstruction(r: Fraction, expansion) -> Check:
-    value = schneider_evaluate(expansion.steps, expansion.tail_value, expansion.p)
-    return Check("schneider reconstruction", value == r)
+def schneider_reconstruction(a: int, b: int, expansion) -> Check:
+    pair = schneider_pair(expansion.steps, expansion.tail, expansion.p)
+    return Check("schneider reconstruction", _equals(pair, a, b))
 
 
-def schneider_matrix_laws(r: Fraction, expansion) -> Check:
+def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
     """det M_m = (-1)**(m+1) p**s and vp(r - U_m/W_m) = s, s = alpha_0+...+alpha_m.
 
     r - U/W = (a*W - b*U) / (b*W) with b and W prime to p, so the valuation is
     exactly s iff p**s divides a*W - b*U and p**(s+1) does not; a zero
     difference fails.
     """
-    p, a, b = expansion.p, r.numerator, r.denominator
+    p = expansion.p
     ok, ps = True, 1
     for m, matrix in enumerate(schneider_convergents(expansion)):
         ps *= p ** expansion.steps[m].alpha
@@ -80,25 +100,26 @@ def schneider_matrix_laws(r: Fraction, expansion) -> Check:
 
 def battery(r: Fraction, p: int) -> list[Check]:
     """Every check that applies to a nonzero rational, as `verify` prints them."""
+    a, b = r.numerator, r.denominator
     expansion = browkin_expand(r, p)
     report = browkin_bound(expansion.beta0, expansion.beta1_abs, p)
     checks = [
-        browkin_reconstruction(r, expansion),
+        browkin_reconstruction(a, b, expansion),
         browkin_length_bound(expansion, report),
         majorant(expansion),
-        determinant_identity(r, expansion),
+        determinant_identity(a, b, expansion),
         digit_truncation_identity(r, padic_digits(r, p, 12), range(1, 13)),
     ]
-    if r.numerator % p != 0 and r.denominator % p != 0:
-        sexp = schneider_expand(r.numerator, r.denominator, p)
-        checks.append(schneider_reconstruction(r, sexp))
+    if a % p != 0 and b % p != 0:
+        sexp = schneider_expand(a, b, p)
+        checks.append(schneider_reconstruction(a, b, sexp))
         if sexp.steps:
-            checks.append(schneider_matrix_laws(r, sexp))
+            checks.append(schneider_matrix_laws(a, b, sexp))
     return checks
 
 
-def require(p: int, r: Fraction, *checks: Check) -> None:
-    """Raise VerificationError naming the first failed check, p and r."""
+def require(p: int, a: int, b: int, *checks: Check) -> None:
+    """Raise VerificationError naming the first failed check, p and the input a/b."""
     for name, ok in checks:
         if not ok:
-            raise VerificationError(f"{name} failed at p={p}, {r.numerator}/{r.denominator}")
+            raise VerificationError(f"{name} failed at p={p}, {a}/{b}")

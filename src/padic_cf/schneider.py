@@ -62,12 +62,18 @@ class SchneiderExpansion(NamedTuple):
         return [s.y_next for s in self.steps]
 
     @property
-    def tail_value(self) -> Fraction:
-        """Exact value of the unexpanded tail after the recorded steps."""
+    def tail(self) -> tuple[int, int]:
+        """Exact value of the unexpanded tail after the recorded steps, as an
+        unreduced integer pair (num, den): (-1, 1) for the stationary tail,
+        else the last two y values."""
         if self.stationary_from is not None:
-            return Fraction(-1)
+            return -1, 1
         ys = (self.a, self.b) + tuple(s.y_next for s in self.steps[-2:])
-        return Fraction(ys[-2], ys[-1])
+        return ys[-2], ys[-1]
+
+    @property
+    def tail_value(self) -> Fraction:
+        return Fraction(*self.tail)
 
 
 class SchneiderMatrix(NamedTuple):
@@ -169,21 +175,29 @@ def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> Schneid
     return expansion
 
 
-def schneider_evaluate(head, tail_value: Fraction | int, p: int) -> Fraction:
-    """Exact back-substitution of b0 + p**a0/(b1 + ... + p**ak/tail_value).
+def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:
+    """Unreduced (num, den) of b0 + p**a0/(b1 + ... + p**ak/(tail num/den)).
 
-    head is a SchneiderExpansion's steps or a list of (digit, alpha) pairs.
-    The everlasting (p-1, 1) tail is represented by tail_value = -1, its
-    exact value.  Runs on an unreduced integer pair, reduced once at the end.
+    head is a SchneiderExpansion's steps or a list of (digit, alpha) pairs;
+    items 0 and 1 of each record are read, last record first.  A zero tail
+    or zero partial denominator raises ZeroDivisionError.
     """
-    num, den = tail_value.numerator, tail_value.denominator
+    num, den = tail
     if num == 0:
         raise ZeroDivisionError("zero tail value")
     for step in reversed(head):
         if num == 0:
             raise ZeroDivisionError("zero denominator in back-substitution")
         num, den = step[0] * num + p ** step[1] * den, num
-    return Fraction(num, den)
+    return num, den
+
+
+def schneider_evaluate(head, tail_value: Fraction | int, p: int) -> Fraction:
+    """Exact back-substitution of b0 + p**a0/(b1 + ... + p**ak/tail_value), on
+    schneider_pair.  The everlasting (p-1, 1) tail is represented by
+    tail_value = -1, its exact value.
+    """
+    return Fraction(*schneider_pair(head, (tail_value.numerator, tail_value.denominator), p))
 
 
 def schneider_convergents(expansion: SchneiderExpansion) -> list[SchneiderMatrix]:

@@ -101,9 +101,17 @@ class TestExpandFixtures:
         with pytest.raises(ValueError):
             browkin_expand(Fraction(0), 3)
 
+    def test_integer_pair_input(self):
+        # a coprime pair (a, b), b > 0, stands for a/b: the sweep passes its rows this way
+        for r, p in ((Fraction(365, 54), 3), (Fraction(-1793, 100), 5), (Fraction(5), 3)):
+            assert browkin_expand((r.numerator, r.denominator), p) == browkin_expand(r, p)
+        for pair in ((0, 1), (2, 4), (1, 0), (1, -2)):
+            with pytest.raises(ValueError):
+                browkin_expand(pair, 3)
+
     def test_max_steps_cap(self):
         # the step loop stops at its cap with terminated False; browkin_expand takes no cap
-        exp = browkin._expand(Fraction(365, 54), 3, 2)
+        exp = browkin._expand(365, 54, 3, 2)
         assert not exp.terminated
         assert exp.steps == browkin_expand(Fraction(365, 54), 3).steps[:2]
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import fractions
 import hashlib
 import io
 import json
@@ -90,7 +91,7 @@ class TestExpandBrowkinCommand:
         assert "reconstructed: true" in out
 
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "cf_evaluate", lambda quotients: Fraction(0))
+        monkeypatch.setattr(oracle, "cf_pair", lambda reversed_quotients: (0, 1))
         code, out, err = run_cli(["expand-browkin", "-p", "3", "365/54"], capsys)
         assert code == 1
         assert out == ""
@@ -204,6 +205,16 @@ class TestDigitsCommand:
         assert payload["digits"] == [-2, 2, -2, -2, 1, 1, 1]
         assert payload["preperiod_len"] == 4
         assert payload["period"] == [1]
+
+    def test_json_period_past_the_limit_is_null(self, capsys):
+        # the period of 1/1000003 at p=7 is longer than DIGIT_PERIOD_LIMIT states;
+        # the keys stay, with null values, and the digits are still certified
+        payload = run_json(["digits", "-p", "7", "-n", "4", "--json", "1/1000003"], capsys)
+        assert payload["digits"] == [2, 1, -2, 0]
+        assert payload["preperiod_len"] is None
+        assert payload["period"] is None
+        assert list(payload) == ["p", "input", "start_exponent", "digits", "count",
+                                 "preperiod_len", "period"]
 
     def test_output_is_pinned(self):
         # text on the README fixture and 300-digit inputs, --json where the
@@ -527,6 +538,24 @@ class TestSweepCommand:
         )
         assert err == "sweep ok: max browkin_len 6, min slack 0, max steps to stationarity 13\n"
 
+    def test_rows_build_no_fraction(self, capsys):
+        # the sweep passes each row's a, b through as integers: a profile hook
+        # sees no call into fractions.py (no Fraction built, compared or read)
+        seen = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                seen.append(frame.f_code.co_name)
+
+        sys.setprofile(hook)
+        try:
+            code = main(["sweep", "--primes", "3,5", "--max-num", "12", "--max-den", "12"])
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        assert "sweep ok" in capsys.readouterr().err
+        assert seen == []
+
     def test_one_bound_call_per_row(self, capsys, monkeypatch):
         bound, calls = cli.browkin_bound, []
 
@@ -612,6 +641,25 @@ class TestUsageErrors:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"padic-cf {argv[0]}: error: p must be below {limit}, " in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, unknown",
+        [
+            (["expand-browkin", "-p", "3", "--max-steps", "1", "365/54"], "--max-steps 365/54"),
+            (["expand-schneider", "-p", "3", "--bogus", "365/53"], "--bogus"),
+            (["expand-schneider", "-p", "3", "365/53", "--json", "--bogus=2"], "--bogus=2"),
+        ],
+        ids=["browkin-max-steps", "schneider-bogus", "schneider-bogus-after"],
+    )
+    def test_unknown_option_names_the_subcommand(self, argv, unknown, capsys):
+        # nothing runs: in the first call the 1 would otherwise be taken as the rational
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: padic-cf {argv[0]} [-h] -p PRIME ")
+        assert captured.err.endswith(f"\npadic-cf {argv[0]}: error: unrecognized arguments: {unknown}\n")
 
     def test_negative_rational_needs_separator(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_cf import digits
 from padic_cf.digits import digit_period, fractional_part, padic_digits
 from padic_cf.exactarith import vp
 
@@ -105,6 +106,24 @@ def test_digit_period_terminating_value():
     start, preperiod, period = digit_period(Fraction(3), 3)
     assert (start, preperiod, period) == (1, (1,), (0,))
     assert digit_period(Fraction(0), 5) == (0, (), (0,))
+
+
+def test_period_search_stops_at_the_limit(monkeypatch):
+    # -1793/100 at p=5 splits into 4 + 1 digits: found with a limit of 5, not of 4
+    r = Fraction(-1793, 100)
+    monkeypatch.setattr(digits, "DIGIT_PERIOD_LIMIT", 5)
+    assert digit_period(r, 5) == (-2, (-2, 2, -2, -2), (1,))
+    monkeypatch.setattr(digits, "DIGIT_PERIOD_LIMIT", 4)
+    assert digit_period(r, 5) == (-2, None, None)
+
+
+def test_period_limit_at_its_documented_value():
+    # 1/q at p=3 is purely periodic with period the order of 3 mod q: 99,988 for
+    # q = 99,989 (found) and 100,002 for q = 100,003 (past the limit)
+    assert digits.DIGIT_PERIOD_LIMIT == 100_000
+    start, preperiod, period = digit_period(Fraction(1, 99989), 3)
+    assert (start, preperiod, len(period)) == (0, (), 99988)
+    assert digit_period(Fraction(1, 100003), 3) == (0, None, None)
 
 
 def test_eventual_periodicity_by_state_repetition():

@@ -1,0 +1,117 @@
+"""The integer cores behind the oracle against the Fraction wrappers and
+independent Fraction references, on random inputs up to 1,000 digits.
+
+The cores are cf_pair and schneider_pair (back-substitution to an unreduced
+pair), convergent_triples (convergents scaled by D_n) and theta_scaled (the
+majorant scaled by (2p**2)**i).  The public cf_evaluate, schneider_evaluate,
+browkin_convergents and theta_sequence wrap them and keep their Fraction
+results.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+from fractions import Fraction
+from math import gcd
+
+from padic_cf import browkin_bound, browkin_convergents, browkin_expand, cf_evaluate, theta_sequence
+from padic_cf.browkin import Convergent, cf_pair, convergent_triples, theta_scaled
+from padic_cf.cli import main
+from padic_cf.schneider import schneider_evaluate, schneider_expand, schneider_pair
+
+PRIMES = (3, 7, 101, 10**9 + 7)
+DIGITS = (1, 40, 300, 1000)
+
+
+def _inputs():
+    # (p, a, b, digits), gcd(a, b) = 1, b > 0; the 1- and 300-digit ones put p**j into b
+    rng = random.Random(2024)
+    out = []
+    for p in PRIMES:
+        for i, digits in enumerate(DIGITS):
+            while True:
+                a = rng.randrange(1, 10**digits) * rng.choice((-1, 1))
+                b = rng.randrange(1, 10**digits)
+                if i % 2 == 0:
+                    b *= p ** rng.randrange(1, 4)
+                if gcd(a, b) == 1:
+                    break
+            out.append((p, a, b, digits))
+    return out
+
+
+INPUTS = _inputs()
+
+
+def _reference_convergents(quotients):
+    # the recurrence p_n = a_n p_{n-1} + p_{n-2} on Fractions, as it was computed before
+    p_prev, q_prev = Fraction(1), Fraction(0)
+    p_cur, q_cur = quotients[0], Fraction(1)
+    out = [(p_cur, q_cur)]
+    for a in quotients[1:]:
+        p_cur, p_prev = a * p_cur + p_prev, p_cur
+        q_cur, q_prev = a * q_cur + q_prev, q_cur
+        out.append((p_cur, q_cur))
+    return out
+
+
+def _reference_theta(beta0_abs, beta1_abs, p, n):
+    seq = [Fraction(beta0_abs), Fraction(beta1_abs)]
+    while len(seq) < n:
+        seq.append(seq[-1] / 2 + seq[-2] / (p * p))
+    return seq
+
+
+def test_reconstruction_cores_agree_with_the_wrappers():
+    for p, a, b, _ in INPUTS:
+        r = Fraction(a, b)
+        exp = browkin_expand((a, b), p)
+        assert exp == browkin_expand(r, p) and exp.value == r
+        num, den = cf_pair((s.x, p**s.k) for s in reversed(exp.steps))
+        assert den != 0 and num * b == den * a
+        assert Fraction(num, den) == cf_evaluate(exp.quotient_pairs) == cf_evaluate(exp.quotients) == r
+        if a % p and b % p:
+            sexp = schneider_expand(a, b, p)
+            num, den = schneider_pair(sexp.steps, sexp.tail, p)
+            assert den != 0 and num * b == den * a
+            assert Fraction(num, den) == schneider_evaluate(sexp.head, sexp.tail_value, p) == r
+
+
+def test_convergent_and_theta_cores_agree_with_fraction_references():
+    # the Fraction references slow down with steps * bits of p: they run where
+    # that product is at most 3000 (12 of the 16 inputs, 1,000 digits at p = 3);
+    # at 1,000 digits and p = 10**9+7 they alone take over 10 s
+    for p, a, b, _ in INPUTS:
+        exp = browkin_expand((a, b), p)
+        if len(exp.steps) * p.bit_length() > 3000:
+            continue
+        reference = _reference_convergents(exp.quotients)
+        triples = convergent_triples(exp.quotient_pairs)
+        assert [(Fraction(pn, d), Fraction(qn, d)) for pn, qn, d in triples] == reference
+        assert browkin_convergents(exp.quotients) == [Convergent(pn, qn, pn / qn) for pn, qn in reference]
+        assert reference[-1][0] / reference[-1][1] == Fraction(a, b)
+        n = len(exp.steps) + 2
+        thetas = _reference_theta(exp.beta0, exp.beta1_abs, p, n)
+        scaled = theta_scaled(exp.beta0, exp.beta1_abs, p, n)
+        assert [Fraction(t, (2 * p * p) ** i) for i, t in enumerate(scaled)] == thetas
+        assert theta_sequence(exp.beta0, exp.beta1_abs, p, n) == thetas
+
+
+def test_bound_and_verify_output_are_pinned():
+    # sha256 of every n_bound and of the verify output, computed with the
+    # Fraction oracle before the integer cores replaced it.  verify leaves out
+    # the 1,000-digit inputs at p = 101 and 10**9+7 (seconds each, mostly in
+    # the Schneider matrix laws' determinants).
+    bounds, verified = hashlib.sha256(), hashlib.sha256()
+    for p, a, b, digits in INPUTS:
+        exp = browkin_expand((a, b), p)
+        bounds.update(f"{p} {a}/{b} {browkin_bound(exp.beta0, exp.beta1_abs, p).n_bound}\n".encode())
+        if digits > 300 and p > 7:
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "-p", str(p), "--", f"{a}/{b}"])
+        verified.update(f"{p} {a}/{b} exit {code}\n{out.getvalue()}".encode())
+    assert bounds.hexdigest() == "a2e16d89b156dbd9e0283c65645be512474b77a6847b7aeb3b1ee45d53f6e8cd"
+    assert verified.hexdigest() == "d9fc6a0ea34c99698cd92fda8a9833e6b78d9e40e45ad9fc57e3eea010f3d2a5"

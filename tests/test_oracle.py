@@ -40,10 +40,8 @@ def _short_bound(beta0, beta1, p):
 
 
 def _shifted_convergents(quotients):
-    return [
-        c._replace(pn=c.pn + 1, value=(c.pn + 1) / c.qn)
-        for c in browkin.browkin_convergents(quotients)
-    ]
+    # p_n + 1 in place of p_n: the scaled P_n + D_n
+    return [(pn + d, qn, d) for pn, qn, d in browkin.convergent_triples(quotients)]
 
 
 def _wrong_first_digit(r, p, count):
@@ -56,12 +54,12 @@ def _singular_matrices(expansion):
 
 
 BROKEN_LAWS = [
-    ("cf_evaluate", lambda quotients: Fraction(0), "browkin reconstruction"),
+    ("cf_pair", lambda reversed_quotients: (0, 1), "browkin reconstruction"),
     ("browkin_bound", _short_bound, "browkin length bound"),
-    ("theta_sequence", lambda b0, b1, p, n: [Fraction(0)] * n, "majorant"),
-    ("browkin_convergents", _shifted_convergents, "determinant identity"),
+    ("theta_scaled", lambda b0, b1, p, n: [0] * n, "majorant"),
+    ("convergent_triples", _shifted_convergents, "determinant identity"),
     ("padic_digits", _wrong_first_digit, "digit truncation identity"),
-    ("schneider_evaluate", lambda head, tail, p: Fraction(0), "schneider reconstruction"),
+    ("schneider_pair", lambda head, tail, p: (0, 1), "schneider reconstruction"),
     ("schneider_convergents", _singular_matrices, "schneider matrix laws"),
 ]
 
@@ -99,7 +97,7 @@ def test_verify_fails_only_the_broken_check(target, broken, name, capsys, monkey
     ids=["sweep", "expand-schneider"],
 )
 def test_planted_schneider_defect_exits_1(argv, expected_out, message, capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "schneider_evaluate", lambda head, tail, p: Fraction(0))
+    monkeypatch.setattr(oracle, "schneider_pair", lambda head, tail, p: (0, 1))
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == expected_out
@@ -115,10 +113,9 @@ def test_planted_prefix_defect_fails_digits(capsys, monkeypatch):
 
 
 def test_require_passes_and_names_first_failure():
-    r = Fraction(2, 5)
-    oracle.require(3, r, oracle.Check("a", True), oracle.Check("b", True))
+    oracle.require(3, 2, 5, oracle.Check("a", True), oracle.Check("b", True))
     with pytest.raises(oracle.VerificationError, match=r"^b failed at p=3, 2/5$"):
-        oracle.require(3, r, oracle.Check("a", True), oracle.Check("b", False), oracle.Check("c", False))
+        oracle.require(3, 2, 5, oracle.Check("a", True), oracle.Check("b", False), oracle.Check("c", False))
 
 
 def test_matrix_laws_catch_an_off_by_one_valuation():
@@ -127,8 +124,58 @@ def test_matrix_laws_catch_an_off_by_one_valuation():
     big = Fraction(-(10**120 + 7), 3**60 + 2)
     for p, r in ((3, Fraction(2, 5)), (3, Fraction(1259, 701)), (5, Fraction(3044, 673)), (7, big)):
         expansion = schneider.schneider_expand(r.numerator, r.denominator, p)
-        assert oracle.schneider_matrix_laws(r, expansion).ok
+        assert oracle.schneider_matrix_laws(r.numerator, r.denominator, expansion).ok
         last = schneider.schneider_convergents(expansion)[-1]
         value = Fraction(last.u, last.w)
         for planted in (value + (r - value) * p, value + (r - value) / p, value):
-            assert not oracle.schneider_matrix_laws(planted, expansion).ok, (p, r, planted)
+            a, b = planted.numerator, planted.denominator
+            assert not oracle.schneider_matrix_laws(a, b, expansion).ok, (p, r, planted)
+
+
+@pytest.mark.parametrize(
+    "core, check, a, b, expansion",
+    [
+        ("cf_pair", oracle.browkin_reconstruction, 365, 54, browkin.browkin_expand((365, 54), 3)),
+        ("schneider_pair", oracle.schneider_reconstruction, 1259, 701,
+         schneider.schneider_expand(1259, 701, 3)),
+    ],
+    ids=["browkin", "schneider"],
+)
+def test_reconstruction_cross_multiplies_the_pair(core, check, a, b, expansion, monkeypatch):
+    # the core's pair is unreduced: any nonzero multiple of (a, b) passes, and a
+    # zero denominator fails even where num * b == den * a holds (num = 0)
+    assert check(a, b, expansion).ok
+    planted = [
+        ((0, 0), False),
+        ((a, 0), False),
+        ((a + 1, b), False),
+        ((-a, b), False),
+        ((a * 3**40, b * 3**40), True),
+        ((-7 * a, -7 * b), True),
+    ]
+    for pair, ok in planted:
+        monkeypatch.setattr(oracle, core, lambda *args, pair=pair: pair)
+        assert check(a, b, expansion).ok is ok, pair
+
+
+@pytest.mark.parametrize(
+    "argv, core, name",
+    [
+        (["expand-browkin", "-p", "3", "365/54"], "cf_pair", "browkin reconstruction"),
+        (["expand-schneider", "-p", "3", "1259/701"], "schneider_pair", "schneider reconstruction"),
+    ],
+    ids=["browkin", "schneider"],
+)
+def test_zero_denominator_fails_and_unreduced_pair_passes(argv, core, name, capsys, monkeypatch):
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0
+    original = getattr(oracle, core)
+
+    def scaled(*args):
+        num, den = original(*args)
+        return -5 * num, -5 * den
+
+    monkeypatch.setattr(oracle, core, scaled)
+    assert run_cli(argv, capsys) == (0, want, "")
+    monkeypatch.setattr(oracle, core, lambda *args: (0, 0))
+    assert run_cli(argv, capsys) == (1, "", f"FAIL: {name} failed at p=3, {argv[-1]}\n")
