@@ -2,9 +2,11 @@
 
 Subcommands: expand-browkin, expand-schneider, digits, bound, head, verify,
 sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
-negative values after --).  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 internal error (a float overflow; only `head` still hits one),
-141 when the reader closes stdout early, as in `padic-cf sweep ... | head -1`.
+negative values after --) and may have any number of digits: main lifts
+Python's limit on int/str conversion while it runs.  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 internal error (reserved; no known
+input reaches it), 141 when the reader closes stdout early, as in
+`padic-cf sweep ... | head -1`.
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
@@ -61,9 +63,9 @@ def _rat_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def _f6(value: float) -> float:
+def _f6(value: float | None) -> float | None:
     # floats are advisory; pin them to 6 significant digits for stable output
-    return float(f"{value:.6g}")
+    return None if value is None else float(f"{value:.6g}")
 
 
 def _json_pairs(rows, key0: str, key1: str) -> str:
@@ -99,7 +101,7 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     r = args.rational
     a, b = r.numerator, r.denominator
-    expansion = schneider_expand(a, b, args.prime, args.max_steps)
+    expansion = schneider_expand(a, b, args.prime)
     oracle.require(args.prime, a, b, oracle.schneider_reconstruction(a, b, expansion))
     if args.json:
         print(
@@ -217,11 +219,13 @@ def _cmd_head(args: argparse.Namespace) -> int:
         ))
     else:
         print(f"head pair: ({digit},{exponent}) (p={args.prime})")
-        print(f"T1 ~ {_f6(report.t1_float)}, T2 ~ {_f6(report.t2_float)}")
-        print(f"theta = {report.theta} (~{_f6(report.theta_float)})")
+        if report.t1_float is not None and report.t2_float is not None:
+            print(f"T1 ~ {_f6(report.t1_float)}, T2 ~ {_f6(report.t2_float)}")
+        approx = "" if report.theta_float is None else f" (~{_f6(report.theta_float)})"
+        print(f"theta = {report.theta}{approx}")
         if report.exact_identity:
             print(f"exact exponent: {report.exact_exponent}")
-        print(f"head length: {report.head_len}")
+        print(f"head length: {'unknown' if report.head_len is None else report.head_len}")
         print(f"exact identity: {'true' if report.exact_identity else 'false'}")
     return 0
 
@@ -313,7 +317,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     es = sub.add_parser("expand-schneider", help="Schneider expansion to stationarity")
     _add_prime_option(es)
-    es.add_argument("--max-steps", type=int, default=10_000)
     es.add_argument("--json", action="store_true")
     _add_rational_argument(es)
 
@@ -405,6 +408,17 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
 
 
 def main(argv=None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7: no limit to lift
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser, subparsers = _build_parser()
     args, unknown = parser.parse_known_args(argv)
     command_parser = subparsers[args.command]

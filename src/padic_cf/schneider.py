@@ -16,6 +16,26 @@ per further factor of p, yields alpha_m, y_{m+1} and r_{m+1} together.
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
 every later step is (p-1, 1) and the remaining tail has exact value -1.
+
+The step loop's cap comes from the input.  Let H_m = max(|y_{m-1}|, |y_m|),
+so H_0 = max(|a|, b) < 2**bits with bits = max(|a|, b).bit_length(), and
+H_m >= 1 as no y_m is 0.
+  (i) |y_{m+1}| <= (|y_{m-1}| + b_m |y_m|) / p**alpha_m <= H_m, since
+      b_m <= p-1 and alpha_m >= 1: H never increases.
+ (ii) After a step other than (p-1, 1), b_m <= p-2 or alpha_m >= 2, so
+      |y_{m+1}| <= (p-1) H_m / p, and then H_{m+2} <= c H_m with
+      c = (p*p - p + 1) / (p*p).  Of K such steps, at least K/2 lie two or
+      more apart, each multiplying H by at most c before the next, so
+      c**(K/2 - 1) H_0 >= 1.  As ln(1/c) >= (p-1)/p**2 >= 1/(p+2) and
+      ln H_0 < bits, K < 2 bits (p+2) + 2.
+(iii) A (p-1, 1) step maps s_m = y_{m-1} + y_m to s_{m+1} = s_m / p.  s_m is
+      a nonzero integer before every recorded step: s_m = 0 with y_{m-1}, y_m
+      coprime is the stationary pair.  So a run of r such steps has
+      p**r <= |s_m| <= 2 H_0 < 2**(bits+1), which gives r <= bits.
+Hence at most K + (K+1) bits < (2 bits (p+2) + 4)(bits + 1) steps are
+recorded, and that count is the cap: a guard against a defect in the loop,
+quadratic in bits, not the paper's length bound.
+
 A constant head of k+1 identical (digit, exponent) steps satisfies
 (T2/T1)**k = theta where T1, T2 are the roots of T**2 - digit*T - p**exponent
 and theta is a ratio of conjugate products; head_analysis certifies that
@@ -98,19 +118,19 @@ class HeadReport(NamedTuple):
     """Exact certificate for the length of a constant (digit, exponent) head.
 
     exact_identity means (t2/t1)**(head_len-1) equals theta, checked exactly on
-    integer pairs in Z[sqrt(D)]; otherwise head_len is only the float-derived
-    estimate and the input's head is not exactly constant.
+    integer pairs in Z[sqrt(D)]; otherwise head_len and exact_exponent are None.
+    The *_float fields are advisory, and None for a value past the float range.
     """
 
     digit: int
     alpha: int
     t1: QuadraticElement
     t2: QuadraticElement
-    t1_float: float
-    t2_float: float
+    t1_float: float | None
+    t2_float: float | None
     theta: QuadraticElement
-    theta_float: float
-    head_len: int
+    theta_float: float | None
+    head_len: int | None
     exact_exponent: int | None
     exact_identity: bool
 
@@ -119,8 +139,8 @@ _STATIONARY_PAIRS = ((1, -1), (-1, 1))
 _record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
 
 
-def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
-    # the expansion of a/b, cut with neither tail marker set if it needs over max_steps steps
+def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion:
+    # the expansion of a/b, cut with neither tail marker set past max_steps steps or the default cap
     require_odd_prime(p)
     if a == 0:
         raise ValueError("numerator must be nonzero")
@@ -132,9 +152,10 @@ def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
         raise ValueError("numerator must be coprime to p")
     if b % p == 0:
         raise ValueError("denominator must be coprime to p")
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
 
+    # above every step count the module docstring allows, so only a defect reaches it
+    bits = max(abs(a), b).bit_length()
+    cap = max_steps or (2 * bits * (p + 2) + 4) * (bits + 1)
     # r_prev, r_cur carry y_{m-1} mod p and y_m mod p, never 0
     y_prev, y_cur, r_prev, r_cur = a, b, a % p, b % p
     steps: list[SchneiderStep] = []
@@ -143,7 +164,7 @@ def _expand(a: int, b: int, p: int, max_steps: int) -> SchneiderExpansion:
         delta = y_prev - digit * y_cur
         if delta == 0:
             return SchneiderExpansion(p, a, b, tuple(steps), None, True)
-        if len(steps) == max_steps:
+        if len(steps) == cap:
             return SchneiderExpansion(p, a, b, tuple(steps), None, False)
         y_next, alpha = delta // p, 1  # exact: digit makes delta divisible by p
         r_next = y_next % p
@@ -162,16 +183,19 @@ def first_step(a: int, b: int, p: int) -> SchneiderStep | None:
     return steps[0] if steps else None
 
 
-def schneider_expand(a: int, b: int, p: int, max_steps: int = 10_000) -> SchneiderExpansion:
+def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     """Expand a/b until stationarity or finite termination.
 
-    Requires a nonzero, b positive, and a, b, p pairwise coprime.  Needing
-    more than max_steps recorded steps raises ArithmeticError: every rational
-    is absorbed eventually.
+    Requires a nonzero, b positive, and a, b, p pairwise coprime.  The step
+    loop is capped by a count read off the bit length of the input, above
+    every possible step count (module docstring); exceeding the cap raises
+    ArithmeticError.
     """
-    expansion = _expand(a, b, p, max_steps)
+    expansion = _expand(a, b, p, None)
     if expansion.stationary_from is None and not expansion.finite_end:
-        raise ArithmeticError(f"stationarity not reached within {max_steps} steps")
+        raise ArithmeticError(
+            f"bound violated: expansion of {a}/{b} exceeded {len(expansion.steps)} steps"
+        )
     return expansion
 
 
@@ -225,13 +249,22 @@ def _check_head_pair(digit: int, alpha: int, p: int) -> None:
         raise ValueError("the stationary pair (p-1, 1) has no constant head")
 
 
+def _float(value: QuadraticElement) -> float | None:
+    # float(value), or None when it lies past the float range
+    try:
+        result = float(value)
+    except OverflowError:
+        return None
+    return result if math.isfinite(result) else None
+
+
 def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     """Certify the length of the constant (digit, alpha) head of a/b.
 
     Returns head_len = e + 1 with the exponent e certified by the exact identity
-    (t2/t1)**e = theta, checked on integer pairs in Z[sqrt(D)]; when no exponent
-    near the float estimate satisfies it, the input's head is not exactly constant
-    and the report carries the float-derived length with exact_identity False.
+    (t2/t1)**e = theta, checked on integer pairs in Z[sqrt(D)] for the exponents
+    within one of a seed taken from logarithms of integers.  When none satisfies
+    it, the input's head is not exactly constant and head_len is None.
     """
     require_odd_prime(p)
     _check_head_pair(digit, alpha, p)
@@ -251,29 +284,39 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     t1 = QuadraticElement(Fraction(digit, 2), Fraction(-1, 2), disc)
     t2 = QuadraticElement(Fraction(digit, 2), Fraction(1, 2), disc)
     theta = QuadraticElement(Fraction(sx, n), Fraction(sy, n), disc)
-    t1f, t2f, thetaf = float(t1), float(t2), float(theta)
-    estimate = math.log(abs(thetaf)) / math.log(abs(t2f / t1f))
-    nearest = round(estimate)
+    # the seed log|theta| / log|t2/t1| from math.log of integers, which never overflows:
+    # |theta| = (|x| + |y|*sqrt(D))**2 / |n| and |t2/t1| = 1 + 2*digit*(sqrt(D) + digit)
+    # / (4p**alpha), with sqrt(D) * 2**64 taken as isqrt(D << 128)
+    root = math.isqrt(disc << 128)
+    log_theta = 2 * (math.log((abs(x) << 64) + abs(y) * root) - 64 * math.log(2)) - math.log(abs(n))
+    log_ratio = math.log1p(2 * digit * ((digit << 64) + root) / (pa << 66))
     # t1*t2 = -p**alpha, so (t2/t1)**e = w**e / (4p**alpha)**e with w = wu + wv*sqrt(D) =
-    # -(digit + sqrt(D))**2; the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e
+    # -(digit + sqrt(D))**2; the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e.
+    # Then p**(alpha*e) divides n, as the rational part of w**e is prime to p: in Z_p take
+    # sqrt(D) = s = digit mod p, so digit + s is a unit and digit - s has valuation alpha.
+    # That bounds e by e_max, and with it the size of the powers below.
+    e_max = (n.bit_length() - 1) // (alpha * (p.bit_length() - 1))
     wu, wv = -(digit * digit + disc), -2 * digit
-    first = max(1, nearest - 1)
-    u, v, bu, bv, e = 1, 0, wu, wv, first - 1
-    while e:
-        if e & 1:
-            u, v = u * bu + v * bv * disc, u * bv + v * bu
-        bu, bv, e = bu * bu + bv * bv * disc, 2 * bu * bv, e >> 1
-    scale = (4 * pa) ** (first - 1)
     exact_exponent = None
-    for candidate in range(first, nearest + 2):
-        u, v, scale = u * wu + v * wv * disc, u * wv + v * wu, scale * 4 * pa
-        if u * n == sx * scale and v * n == sy * scale:
-            exact_exponent = candidate
-            break
+    if 0 < log_theta < (e_max + 1) * log_ratio:
+        nearest = round(log_theta / log_ratio)
+        first = max(1, nearest - 1)
+        u, v, bu, bv, e = 1, 0, wu, wv, first - 1
+        while e:
+            if e & 1:
+                u, v = u * bu + v * bv * disc, u * bv + v * bu
+            bu, bv, e = bu * bu + bv * bv * disc, 2 * bu * bv, e >> 1
+        scale = (4 * pa) ** (first - 1)
+        for candidate in range(first, min(nearest + 1, e_max) + 1):
+            u, v, scale = u * wu + v * wv * disc, u * wv + v * wu, scale * 4 * pa
+            if u * n == sx * scale and v * n == sy * scale:
+                exact_exponent = candidate
+                break
     exact = exact_exponent is not None
-    head_len = exact_exponent + 1 if exact else math.floor(estimate) + 1
+    head_len = exact_exponent + 1 if exact else None
     return HeadReport(
-        digit, alpha, t1, t2, t1f, t2f, theta, thetaf, head_len, exact_exponent, exact
+        digit, alpha, t1, t2, _float(t1), _float(t2), theta, _float(theta),
+        head_len, exact_exponent, exact,
     )
 
 

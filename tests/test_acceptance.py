@@ -150,7 +150,8 @@ def _browkin_battery(r, p):
 
 
 def _schneider_battery(a, b, p):
-    exp = schneider_expand(a, b, p, max_steps=500)
+    exp = schneider_expand(a, b, p)
+    assert len(exp.steps) <= 500
     assert exp.stationary_from is not None or exp.finite_end
     if exp.stationary_from is not None:
         assert exp.tail_value == -1
@@ -180,7 +181,8 @@ def test_criterion_5_property_suite():
                         continue
                     for k in range(9):
                         a, b = generate_constant_head(digit, alpha, k, p)
-                        exp = schneider_expand(a, b, p, max_steps=500)
+                        exp = schneider_expand(a, b, p)
+                        assert len(exp.steps) <= 500
                         assert exp.head == [(digit, alpha)] * (k + 1)
                         assert exp.stationary_from == k + 1
 

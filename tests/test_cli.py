@@ -25,6 +25,11 @@ from padic_cf.cli import main, parse_rational
 from padic_cf.schneider import generate_constant_head
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# the CLI in a fresh interpreter, with schneider's stationary pairs emptied
+PLANTED_MAIN = (
+    "import sys, padic_cf.schneider as s; s._STATIONARY_PAIRS = ()\n"
+    "from padic_cf.cli import main; sys.exit(main(sys.argv[1:]))"
+)
 
 
 def run_process(args, timeout=60):
@@ -151,18 +156,32 @@ class TestExpandSchneiderCommand:
             main(["expand-schneider", "-p", "3", "3/5"])
         assert exc.value.code == 2
 
-    def test_cap_equal_to_recorded_steps(self, capsys):
-        want = run_cli(["expand-schneider", "-p", "3", "--max-steps", "2", "7/2"], capsys)
-        assert want[0] == 0 and "finite end with tail value 2" in want[1]
-        assert run_cli(["expand-schneider", "-p", "3", "--max-steps", "1", "7/2"], capsys) == want
+    def test_2000_digit_input_answers(self, capsys):
+        # 11,144 steps, past the fixed cap of 10,000 steps this command once had
+        rng = random.Random(5)
+        a = b = 3
+        while a % 3 == 0 or b % 3 == 0:
+            a, b = rng.randrange(10**1999, 10**2000), rng.randrange(10**1999, 10**2000)
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+        payload = run_json(["expand-schneider", "-p", "3", "--json", f"{a}/{b}"], capsys)
+        assert len(payload["head"]) == payload["stationary_from"] == 11144
+
+    def test_planted_endless_loop_ends_in_bound_violated(self, capsys, monkeypatch):
+        # with the stationary pairs unknown, 2/5 steps (2,1) forever; the cap read
+        # off the input, (2*3*5 + 4) * 4 = 136 steps, ends it as a failed check
+        monkeypatch.setattr(schneider, "_STATIONARY_PAIRS", ())
+        code, out, err = run_cli(["expand-schneider", "-p", "3", "2/5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "FAIL: bound violated: expansion of 2/5 exceeded 136 steps\n"
 
     def test_output_is_pinned(self):
         # text and --json on the README fixtures, 300-digit inputs, two constant
-        # heads with alpha = 3, finite ends and --max-steps caps; any change to a
-        # byte moves the hash
+        # heads with alpha = 3 and finite ends; any change to a byte moves the hash
         calls = [[text] for text in ("2/5", "1259/701", "7/2", "19/7", "-1", "2")]
-        calls += [["-p", "5", "3044/673"], ["--max-steps", "6", "1259/701"],
-                  ["--max-steps", "3", "19/7"]]
+        # 1259/701 and 19/7 run twice: the hash was pinned with a second, capped
+        # call of each, whose cap let every step through
+        calls += [["-p", "5", "3044/673"], ["1259/701"], ["19/7"]]
         calls = [argv if "-p" in argv else ["-p", "3", *argv] for argv in calls]
         rng = random.Random(8)
         for p in (3, 7, 101):
@@ -182,8 +201,6 @@ class TestExpandSchneiderCommand:
                 for flags in ([], ["--json"]):
                     *options, text = argv
                     assert main(["expand-schneider", *options, *flags, "--", text]) == 0
-            # a cap one short of the recorded steps: exit 1 and nothing printed
-            assert main(["expand-schneider", "-p", "3", "--max-steps", "5", "1259/701"]) == 1
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
             "90f92214c6724235baa24d1e54ec7f3ab05a62ff19065fcc3d93701359976cac"
         )
@@ -295,15 +312,6 @@ class TestBoundCommand:
             "padic-cf bound: error: bound takes a rational or --beta0/--beta1, not both\n"
         )
 
-    def test_float_overflow_is_internal_error(self, capsys):
-        # not a verification failure: exit 3, never "FAIL"; head's float estimate overflows here
-        a, b = generate_constant_head(1, 1, 1500, 3)
-        code, out, err = run_cli(["head", "-p", "3", f"{a}/{b}"], capsys)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: internal: ")
-        assert "FAIL" not in err
-
     def test_height_beyond_float_range_certifies(self, capsys):
         huge = str(10**400)
         payload = run_json(["bound", "-p", "3", "--beta0", huge, "--beta1", huge, "--json"], capsys)
@@ -360,6 +368,31 @@ class TestHeadCommand:
             capsys,
         )
         assert payload["head_len"] == 6
+
+    def test_head_past_the_float_range_answers(self, capsys):
+        # theta of the k = 1500 (1,1) head at p = 3 overflows a float: no "(~...)"
+        # in text, null in JSON with the key kept, and the length still certified
+        a, b = generate_constant_head(1, 1, 1500, 3)
+        code, out, err = run_cli(["head", "-p", "3", f"{a}/{b}"], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1] == "T1 ~ -1.30278, T2 ~ 2.30278"
+        assert lines[2].startswith("theta = ") and "~" not in lines[2]
+        assert lines[3:] == ["exact exponent: 1500", "head length: 1501", "exact identity: true"]
+        payload = run_json(["head", "-p", "3", "--json", f"{a}/{b}"], capsys)
+        assert payload == {
+            "T1_float": -1.30278, "T2_float": 2.30278, "theta_float": None,
+            "exact_exponent": 1500, "head_len": 1501, "exact_identity": True,
+        }
+
+    def test_no_identity_prints_no_length(self, capsys):
+        # the (1,40) head of this input has length 1, then (1,2), (1,1), ... follow
+        text = "147808829414345923291767879288269439998/1478088294143459233039255447473263687"
+        code, out, _ = run_cli(["head", "-p", "3", "--", text], capsys)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["head length: unknown", "exact identity: false"]
+        payload = run_json(["head", "-p", "3", "--json", "--", text], capsys)
+        assert payload["head_len"] is None and payload["exact_exponent"] is None
 
     def test_pair_comes_from_first_step_without_expanding(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "schneider_expand", unreachable("schneider_expand"))
@@ -646,13 +679,16 @@ class TestUsageErrors:
         "argv, unknown",
         [
             (["expand-browkin", "-p", "3", "--max-steps", "1", "365/54"], "--max-steps 365/54"),
+            (["expand-schneider", "-p", "3", "--max-steps", "5", "1259/701"],
+             "--max-steps 1259/701"),
             (["expand-schneider", "-p", "3", "--bogus", "365/53"], "--bogus"),
             (["expand-schneider", "-p", "3", "365/53", "--json", "--bogus=2"], "--bogus=2"),
         ],
-        ids=["browkin-max-steps", "schneider-bogus", "schneider-bogus-after"],
+        ids=["browkin-max-steps", "schneider-max-steps", "schneider-bogus",
+             "schneider-bogus-after"],
     )
     def test_unknown_option_names_the_subcommand(self, argv, unknown, capsys):
-        # nothing runs: in the first call the 1 would otherwise be taken as the rational
+        # nothing runs: in the --max-steps calls the number would otherwise be taken as the rational
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -683,10 +719,13 @@ class TestParserReuse:
     def test_calls_in_one_process_match_fresh_processes(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
         a, b = generate_constant_head(1, 1, 1500, 3)
+        # a failed check needs a defect: this call runs with the stationary pairs
+        # emptied, in this process and in the fresh one
+        planted = ["expand-schneider", "-p", "3", "1259/701"]
         calls = [
             ["expand-browkin", "-p", "3", "365/54"],
             ["bound", "-p", "3", "--beta0", "5", "7/2"],
-            ["expand-schneider", "-p", "3", "--max-steps", "2", "1259/701"],
+            planted,
             ["head", "-p", "3", f"{a}/{b}"],
             ["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"],
             ["expand-browkin", "-p", "3", "365/54"],
@@ -695,17 +734,55 @@ class TestParserReuse:
         for argv in calls:
             # newline="" keeps the CSV's \r\n as written, as a process's stdout does
             out, err = io.StringIO(newline=""), io.StringIO(newline="")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    monkeypatch.context() as patch:
+                if argv is planted:
+                    patch.setattr(schneider, "_STATIONARY_PAIRS", ())
                 try:
                     code, raised = main(argv), False
                 except SystemExit as exc:
                     code, raised = exc.code, True
             assert raised == (code == 2), argv
-            fresh = run_process(["-m", "padic_cf", *argv])
+            fresh = run_process(["-c", PLANTED_MAIN, *argv] if argv is planted
+                                else ["-m", "padic_cf", *argv])
             got = (out.getvalue().encode(), err.getvalue().encode(), code)
             assert got == (fresh.stdout, fresh.stderr, fresh.returncode), argv
             codes.append(code)
-        assert codes == [0, 2, 1, 3, 0, 0]
+        assert codes == [0, 2, 1, 0, 0, 0]
+
+
+class TestSizeRule:
+    """The CLI takes and prints integers of any size: main lifts Python's
+    4,300-digit limit on int/str conversion while it runs."""
+
+    def test_5000_digit_bound_answers(self):
+        # built as text: this process keeps Python's limit
+        rng = random.Random(11)
+        num, den = ("".join(rng.choices("123456789", k=5000)) for _ in range(2))
+        text = f"{num}/{den}"
+        done = run_process(["-m", "padic_cf", "bound", "-p", "3", text])
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[-2].startswith(b"N = ")
+
+    def test_7000_step_head_prints_in_full(self):
+        a, b = generate_constant_head(1, 1, 7000, 3)
+        done = run_process(["-m", "padic_cf", "head", "-p", "3", f"{a}/{b}"])
+        assert (done.returncode, done.stderr) == (0, b"")
+        lines = done.stdout.decode().splitlines()
+        assert len(lines[2]) > 5000 and lines[2].startswith("theta = ")
+        assert lines[3:] == ["exact exponent: 7000", "head length: 7001", "exact identity: true"]
+
+    def test_malformed_rational_is_still_a_usage_error(self):
+        done = run_process(["-m", "padic_cf", "bound", "-p", "3", "12x/5"])
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.endswith(b"padic-cf bound: error: malformed rational '12x/5'\n")
+
+    def test_limit_is_restored_on_return(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["bound", "-p", "3", "7/2"]) == 0
+        with pytest.raises(SystemExit):
+            main(["bound", "-p", "3", "12x/5"])
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -40,6 +40,31 @@ def assert_step_law(exp, a, b, p):
         assert (y_prev, y_cur) in ((1, -1), (-1, 1))
 
 
+def assert_guard_lemmas(exp, a, b, p):
+    """Lemmas (i)-(iii) of the schneider module docstring, step by step, and the
+    step count below the cap they give."""
+    ys = [a, b] + exp.y_trace  # ys[m] = y_{m-1}
+    h0 = max(abs(a), b)
+    bits = h0.bit_length()
+    others = run = 0
+    for m, step in enumerate(exp.steps):
+        h = max(abs(ys[m]), abs(ys[m + 1]))
+        assert abs(ys[m + 2]) <= h  # (i)
+        if (step.b, step.alpha) == (p - 1, 1):
+            # (iii): the pair's sum is a nonzero integer divided by exactly p
+            assert ys[m] + ys[m + 1] != 0
+            assert ys[m] + ys[m + 1] == p * (ys[m + 1] + ys[m + 2])
+            run += 1
+            assert p**run <= 2 * h0 and run <= bits
+        else:
+            others, run = others + 1, 0
+            assert p * abs(ys[m + 2]) <= (p - 1) * h  # (ii)
+            if m + 3 < len(ys):
+                assert p * p * max(abs(ys[m + 2]), abs(ys[m + 3])) <= (p * p - p + 1) * h
+    assert others < 2 * bits * (p + 2) + 2
+    assert len(exp.steps) < (2 * bits * (p + 2) + 4) * (bits + 1)
+
+
 def finite_end_input(rng, length, p):
     """a/b whose expansion is `length` random steps, then a finite end.
 
@@ -116,22 +141,6 @@ class TestExpandFixtures:
             schneider_expand(0, 1, 3)
         with pytest.raises(ValueError, match="positive"):
             schneider_expand(2, -5, 3)
-
-    def test_max_steps(self):
-        with pytest.raises(ArithmeticError, match="stationarity not reached"):
-            schneider_expand(1259, 701, 3, max_steps=2)
-
-    def test_cap_equal_to_recorded_steps(self):
-        # a cap that holds every recorded step suffices, whichever tail follows them
-        exp = schneider_expand(7, 2, 3, max_steps=1)
-        assert exp.finite_end and exp.head == [(2, 1)]
-        exp = schneider_expand(19, 7, 3, max_steps=3)
-        assert exp.finite_end and exp.head == [(1, 1)] * 3
-        exp = schneider_expand(2, 5, 3, max_steps=4)
-        assert exp.stationary_from == 4
-        for a, b, cap in ((19, 7, 2), (2, 5, 3)):
-            with pytest.raises(ArithmeticError, match=f"not reached within {cap} steps"):
-                schneider_expand(a, b, 3, max_steps=cap)
 
 
 class TestEvaluate:
@@ -246,6 +255,22 @@ class TestStepLaw:
                 assert any(s.alpha >= 2 for s in exp.steps)
                 assert_step_law(exp, a, b, p)
 
+    def test_guard_lemmas(self):
+        rng = random.Random(97)
+        for p in (3, 7, 101, 10**9 + 7):
+            for digits in (1, 3, 30, 300, 1000):
+                a = b = p
+                while a % p == 0 or b % p == 0 or math.gcd(a, b) != 1:
+                    a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+                    b = rng.randrange(10 ** (digits - 1), 10**digits)
+                assert_guard_lemmas(schneider_expand(a, b, p), a, b, p)
+            for r in (5, 40):  # a + b = p**r: a run of (p-1, 1) steps first
+                assert_guard_lemmas(schneider_expand(p**r - 2, 2, p), p**r - 2, 2, p)
+        for digit, alpha, p in ((1, 1, 3), (1, 2, 3), (3, 1, 5), (5, 1, 7), (1, 1, 101)):
+            for k in (0, 1, 20, 2000):
+                a, b = generate_constant_head(digit, alpha, k, p)
+                assert_guard_lemmas(schneider_expand(a, b, p), a, b, p)
+
     def test_constant_heads_with_large_exponents(self):
         for digit, alpha, p in ((1, 3, 3), (2, 3, 5), (3, 3, 7)):
             a, b = generate_constant_head(digit, alpha, 2000, p)
@@ -314,11 +339,7 @@ class TestHeadAnalysis:
             (1, 1, 3), (2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 7), (6, 2, 7),
         ]
         for digit, alpha, p in triples:
-            disc = 4 * p**alpha + digit * digit
-            ratio = (digit + math.sqrt(disc)) / (math.sqrt(disc) - digit)
-            # theta is about ratio**k and head_analysis still takes float(theta)
-            k_max = min(1000, int(300 / math.log10(ratio)))
-            for k in sorted({1, 2, 7, 60, k_max // 3, k_max}):
+            for k in (1, 2, 7, 60, 333, 1000):
                 a, b = generate_constant_head(digit, alpha, k, p)
                 report = head_analysis(a, b, digit, alpha, p)
                 assert report.head_len == k + 1
@@ -331,11 +352,34 @@ class TestHeadAnalysis:
                     assert off.exact_exponent is None
 
     def test_non_constant_head_input(self):
-        # 7/2 has head (2,1) once then terminates; no exact identity for (1,2)
-        report = head_analysis(7, 2, 1, 2, 3)
-        assert not report.exact_identity
-        assert report.exact_exponent is None
-        assert report.head_len >= 1
+        # no exact identity, so no length: 7/2 has head (2,1) once, then a finite
+        # end; the (1,40) input starts (1,40), (1,2), (1,1), ... with |t2/t1| - 1
+        # about 2.9e-10, where a float-derived length read 201
+        for a, b, digit, alpha in (
+            (7, 2, 1, 2),
+            (147808829414345923291767879288269439998, 1478088294143459233039255447473263687, 1, 40),
+        ):
+            report = head_analysis(a, b, digit, alpha, 3)
+            assert not report.exact_identity
+            assert report.exact_exponent is None
+            assert report.head_len is None
+
+    def test_long_heads_certify_past_the_float_range(self):
+        # theta overflows a float on these heads (the k = 1500 (1,1) head at p = 3
+        # first): the seed comes from logarithms of integers, theta_float is None;
+        # the (1,40) head at p = 3 has |t2/t1| - 1 about 2.9e-10
+        for digit, alpha, p, k in ((1, 1, 3, 1500), (4, 1, 7, 2000), (1, 40, 3, 1000)):
+            a, b = generate_constant_head(digit, alpha, k, p)
+            report = head_analysis(a, b, digit, alpha, p)
+            assert report.exact_identity and report.head_len == k + 1
+            assert (report.theta_float is None) == (alpha == 1)
+
+    def test_seed_past_the_input_size_takes_no_power(self):
+        # a real convergent of the infinite (1,20) head's value at p = 3: |theta| is
+        # about 7e26 and |t2/t1| - 1 about 1.7e-5, so the seed is near 3.65e6, but
+        # p**(alpha*e) must divide n, which allows e <= 4; w**(3.65e6) would not end
+        report = head_analysis(3294299955222442, 55788786613, 1, 20, 3)
+        assert report.head_len is None and report.exact_exponent is None
 
 
 class TestGenerator:
