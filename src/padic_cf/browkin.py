@@ -23,10 +23,10 @@ certifies that at most n_bound + 1 quotients can appear.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
-from .exactarith import QuadraticElement, require_odd_prime
+from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime
 
 
 class BrowkinStep(NamedTuple):
@@ -109,20 +109,12 @@ class BoundReport(NamedTuple):
 _record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
 
 
-def _pair(r) -> tuple[int, int]:
-    # (num, den) of a rational, or the integer pair itself
-    return r if isinstance(r, tuple) else (r.numerator, r.denominator)
-
-
 def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpansion:
     # the expansion of alpha/beta, cut with terminated False at max_steps steps or the default cap
     require_odd_prime(p)
     if alpha == 0:
         raise ValueError("cannot expand zero")
-    if beta < 1:
-        raise ValueError("denominator must be positive")
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"numerator and denominator must be coprime, got gcd = {gcd(alpha, beta)}")
+    require_lowest_terms(alpha, beta)
 
     k0 = 0
     while beta % p == 0:  # beta ends positive and p-free; sign lives in alpha
@@ -150,21 +142,19 @@ def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpa
     return BrowkinExpansion(p, alpha, beta, tuple(steps), False)
 
 
-def browkin_betas(r: Fraction | int, p: int) -> tuple[int, int]:
-    """(beta0, beta1_abs) of browkin_expand(r, p), read from its first two steps alone."""
-    head = _expand(r.numerator, r.denominator, p, 2)
+def browkin_betas(a: int, b: int, p: int) -> tuple[int, int]:
+    """(beta0, beta1_abs) of browkin_expand(a, b, p), read from its first two steps alone."""
+    head = _expand(a, b, p, 2)
     return head.beta0, head.beta1_abs
 
 
-def browkin_expand(r: Fraction | int | tuple[int, int], p: int) -> BrowkinExpansion:
-    """Full Browkin expansion of a nonzero rational.
+def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
+    """Full Browkin expansion of a/b, a nonzero, a and b coprime, b > 0.
 
-    r is a Fraction, an int, or a pair (a, b) of coprime integers with b > 0
-    standing for a/b, so that a caller holding integers builds no Fraction.
     The step loop is capped by a count read off the bit length of the input,
     above n_bound + 1; exceeding the cap raises ArithmeticError.
     """
-    expansion = _expand(*_pair(r), p, None)
+    expansion = _expand(a, b, p, None)
     if not expansion.terminated:
         raise ArithmeticError(
             f"bound violated: expansion of {expansion.value} exceeded {len(expansion.steps)} steps"
@@ -195,9 +185,9 @@ def cf_evaluate(quotients) -> Fraction:
     """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)), on cf_pair.
 
     Each quotient is an integer pair (num, den) with den > 0, as
-    BrowkinExpansion.quotient_pairs gives them, or a rational.
+    BrowkinExpansion.quotient_pairs gives them.
     """
-    return Fraction(*cf_pair(_pair(q) for q in reversed(list(quotients))))
+    return Fraction(*cf_pair(reversed(list(quotients))))
 
 
 def convergent_triples(quotients) -> list[tuple[int, int, int]]:
@@ -227,13 +217,14 @@ def convergent_triples(quotients) -> list[tuple[int, int, int]]:
 
 
 def browkin_convergents(quotients) -> list[Convergent]:
-    """Convergents p_n/q_n of the quotient sequence a_0, a_1, ..., on
-    convergent_triples; successive pairs satisfy p_n q_{n-1} - p_{n-1} q_n =
-    (-1)**(n+1).
+    """Convergents p_n/q_n of the quotient sequence a_0, a_1, ..., integer
+    pairs (num, den) with den > 0 as BrowkinExpansion.quotient_pairs gives
+    them, on convergent_triples; successive pairs satisfy
+    p_n q_{n-1} - p_{n-1} q_n = (-1)**(n+1).
     """
     return [
         Convergent(Fraction(pn, d), Fraction(qn, d), Fraction(pn, qn))
-        for pn, qn, d in convergent_triples((q.numerator, q.denominator) for q in quotients)
+        for pn, qn, d in convergent_triples(quotients)
     ]
 
 

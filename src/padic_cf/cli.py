@@ -3,7 +3,12 @@
 Subcommands: expand-browkin, expand-schneider, digits, bound, head, verify,
 sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --) and may have any number of digits: main lifts
-Python's limit on int/str conversion while it runs.  Exit codes: 0 success,
+Python's limit on int/str conversion while it runs.  parse_rational turns
+each into the integer pair (a, b) of a/b in lowest terms with b > 0, the one
+input form of the library.  `head --exponent alpha` is a usage error when
+alpha*(p.bit_length()-1) >= (|a| + (p-1)*b).bit_length(): then p**alpha
+exceeds |a - digit*b|, so no expansion of a/b starts with (digit, alpha), and
+it is rejected before any power is built.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 internal error (reserved; no known
 input reaches it), 141 when the reader closes stdout early, as in
 `padic-cf sweep ... | head -1`.
@@ -23,7 +28,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from math import gcd
 
 from . import oracle
@@ -32,7 +36,7 @@ from .digits import digit_period, padic_digits
 from .exactarith import is_odd_prime
 from .schneider import first_step, head_analysis, schneider_expand
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 SWEEP_COLUMNS = [
     "p",
@@ -47,20 +51,20 @@ SWEEP_COLUMNS = [
 ]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'num' or 'num/den' into a normalized fraction."""
+def parse_rational(text: str) -> tuple[int, int]:
+    """Parse 'num' or 'num/den' into the pair (a, b) of a/b in lowest terms, b > 0."""
     match = _RATIONAL_RE.match(text)
     if not match:
         raise ValueError(f"malformed rational {text!r}")
-    if match.group(1) is not None and int(match.group(1)) == 0:
+    a, b = int(match.group(1)), int(match.group(2) or 1)
+    if b == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(text)
+    g = gcd(a, b)
+    return a // g, b // g
 
 
-def _rat_str(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+def _rat_str(a: int, b: int) -> str:
+    return str(a) if b == 1 else f"{a}/{b}"
 
 
 def _f6(value: float | None) -> float | None:
@@ -75,32 +79,30 @@ def _json_pairs(rows, key0: str, key1: str) -> str:
 
 
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
-    r = args.rational
-    a, b = r.numerator, r.denominator
-    expansion = browkin_expand(r, args.prime)
+    a, b = args.rational
+    expansion = browkin_expand(a, b, args.prime)
     report = browkin_bound(expansion.beta0, expansion.beta1_abs, args.prime)
     recon = oracle.browkin_reconstruction(a, b, expansion)
     oracle.require(args.prime, a, b, recon, oracle.browkin_length_bound(expansion, report))
     if args.json:
         print(
-            f'{{"p": {args.prime}, "input": {json.dumps(_rat_str(r))}, '
+            f'{{"p": {args.prime}, "input": {json.dumps(_rat_str(a, b))}, '
             f'"quotients": {_json_pairs(expansion.quotient_pairs, "num", "den")}, '
             f'"k": {json.dumps(expansion.k_trace)}, "beta": {json.dumps(expansion.beta_trace)}, '
             f'"bound_N": {report.n_bound}, "reconstructed": true}}'
         )
     else:
-        print(f"input: {_rat_str(r)} (p={args.prime})")
-        print("quotients: " + ", ".join(_rat_str(a) for a in expansion.quotients))
+        print(f"input: {_rat_str(a, b)} (p={args.prime})")
+        print("quotients: " + ", ".join(_rat_str(*pair) for pair in expansion.quotient_pairs))
         print("k: " + ", ".join(str(k) for k in expansion.k_trace))
-        print("beta: " + ", ".join(str(b) for b in expansion.beta_trace))
+        print("beta: " + ", ".join(str(beta) for beta in expansion.beta_trace))
         print(f"bound N: {report.n_bound} (length {len(expansion.steps)} <= N+1)")
         print("reconstructed: true")
     return 0
 
 
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
-    r = args.rational
-    a, b = r.numerator, r.denominator
+    a, b = args.rational
     expansion = schneider_expand(a, b, args.prime)
     oracle.require(args.prime, a, b, oracle.schneider_reconstruction(a, b, expansion))
     if args.json:
@@ -111,7 +113,7 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
             f'"finite_end": {json.dumps(expansion.finite_end)}}}'
         )
     else:
-        print(f"input: {_rat_str(r)} (p={args.prime})")
+        print(f"input: {_rat_str(a, b)} (p={args.prime})")
         print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.head))
         print("y trace: " + ", ".join(str(y) for y in expansion.y_trace))
         if expansion.stationary_from is not None:
@@ -120,7 +122,7 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
                 f" (tail digit {args.prime - 1}, exponent 1, tail value -1)"
             )
         else:
-            print(f"finite end with tail value {_rat_str(expansion.tail_value)}")
+            print(f"finite end with tail value {expansion.tail_value}")
         print("reconstructed: true")
     return 0
 
@@ -146,17 +148,17 @@ def _digit_terms(p: int, start: int, digits) -> str:
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
-    r = args.rational
-    window = padic_digits(r, args.prime, args.count)
-    check = oracle.digit_truncation_identity(r, window, (window.count,))
-    oracle.require(args.prime, r.numerator, r.denominator, check)
+    a, b = args.rational
+    window = padic_digits(a, b, args.prime, args.count)
+    check = oracle.digit_truncation_identity(a, b, window, (window.count,))
+    oracle.require(args.prime, a, b, check)
     if args.json:
-        _, preperiod, period = digit_period(r, args.prime)
+        _, preperiod, period = digit_period(a, b, args.prime)
         found = period is not None  # else the search stopped at DIGIT_PERIOD_LIMIT
         print(json.dumps(
             {
                 "p": args.prime,
-                "input": _rat_str(r),
+                "input": _rat_str(a, b),
                 "start_exponent": window.start_exponent,
                 "digits": list(window.digits),
                 "count": window.count,
@@ -171,7 +173,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.rational is not None:
-        beta0, beta1 = browkin_betas(args.rational, args.prime)
+        beta0, beta1 = browkin_betas(*args.rational, args.prime)
     else:
         beta0, beta1 = args.beta0, args.beta1
     report = browkin_bound(beta0, beta1, args.prime)
@@ -197,7 +199,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_head(args: argparse.Namespace) -> int:
-    a, b = args.rational.numerator, args.rational.denominator
+    a, b = args.rational
     digit, exponent = args.digit, args.exponent
     if digit is None or exponent is None:
         first = first_step(a, b, args.prime)
@@ -231,7 +233,7 @@ def _cmd_head(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = oracle.battery(args.rational, args.prime)
+    checks = oracle.battery(*args.rational, args.prime)
     for name, ok in checks:
         print(f"{'ok' if ok else 'FAIL'}: {name}")
     return 0 if all(ok for _, ok in checks) else 1
@@ -262,7 +264,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         min_slack = None
         max_stationary = None
         for p, a, b in _sweep_rows(args.primes, args.max_num, args.max_den):
-            expansion = browkin_expand((a, b), p)
+            expansion = browkin_expand(a, b, p)
             beta0, beta1 = expansion.beta0, expansion.beta1_abs
             report = browkin_bound(beta0, beta1, p)
             recon = oracle.browkin_reconstruction(a, b, expansion)
@@ -387,9 +389,10 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         args.primes = sorted(set(primes))
         return
     _check_prime(args.prime, parser)
-    if getattr(args, "rational", None) is not None:
+    rational = getattr(args, "rational", None)
+    if rational is not None:
         try:
-            args.rational = parse_rational(args.rational)
+            args.rational = rational = parse_rational(rational)
         except ValueError as exc:
             parser.error(str(exc))
     if args.command == "bound":
@@ -402,8 +405,7 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             parser.error("--beta0 must be >= 1 and --beta1 >= 0")
     if args.command == "digits" and args.count < 1:
         parser.error("count must be positive")
-    rational = getattr(args, "rational", None)
-    if rational is not None and rational == 0 and args.command != "digits":
+    if rational is not None and rational[0] == 0 and args.command != "digits":
         parser.error("input must be nonzero")
 
 

@@ -8,9 +8,10 @@ expansion.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
-from .exactarith import mod_inverse, require_odd_prime, symmetric_residue, vp
+from .exactarith import int_vp, mod_inverse, require_lowest_terms, require_odd_prime, symmetric_residue
 
 # The most digits digit_period extracts while it looks for a repeated remainder
 # state.  The period is the order of p modulo the p-free denominator, which can
@@ -32,66 +33,68 @@ class PAdicDigits(NamedTuple):
     digits: tuple[int, ...]
     count: int
 
-    def prefix_value(self, length: int | None = None) -> Fraction:
-        """Exact value of the first `length` digits (default: all of them)."""
+    def prefix_sum(self, length: int | None = None) -> int:
+        """sum(digits[i] * p**i) over the first `length` digits (default: all of them)."""
         total = 0
         for digit in reversed(self.digits[:length]):
             total = total * self.p + digit
-        if self.start_exponent >= 0:
-            return Fraction(total * self.p**self.start_exponent)
-        return Fraction(total, self.p**-self.start_exponent)
+        return total
+
+    def prefix_value(self, length: int | None = None) -> Fraction:
+        """Exact value of the first `length` digits: prefix_sum * p**start_exponent."""
+        total, s = self.prefix_sum(length), self.start_exponent
+        return Fraction(total * self.p**s) if s >= 0 else Fraction(total, self.p**-s)
 
 
-def _unit_form(r: Fraction, p: int) -> tuple[int, int, int]:
-    # (v, n, d) with r = p**v * n/d, nonzero r, n and d prime to p, d > 0; every
-    # digit step (n/d - digit)/p keeps d and maps n to (n - digit*d) // p
-    v = vp(r, p)
-    if v >= 0:
-        return v, r.numerator // p**v, r.denominator
-    return v, r.numerator, r.denominator // p**-v
-
-
-def padic_digits(r: Fraction | int, p: int, count: int) -> PAdicDigits:
-    """First `count` symmetric digits of r, starting at exponent vp(r)."""
+def _unit_form(a: int, b: int, p: int) -> tuple[int, int, int]:
+    # (v, n, d) with a/b = p**v * n/d, d prime to p and n prime to p unless a = 0,
+    # once p and a/b are checked; a and b are coprime, so p divides at most one of them
     require_odd_prime(p)
+    require_lowest_terms(a, b)
+    v, w = int_vp(a, p) if a else 0, int_vp(b, p)
+    return v - w, a // p**v, b // p**w
+
+
+def _digit_stream(n: int, d: int, p: int):
+    # (digit, next n) for each digit of n/d, d prime to p: the digit is the symmetric
+    # residue of n/d mod p, and (n/d - digit)/p keeps d and maps n to (n - digit*d) // p
+    inverse = mod_inverse(d, p)
+    while True:
+        digit = symmetric_residue(n * inverse, p)
+        n = (n - digit * d) // p
+        yield digit, n
+
+
+def padic_digits(a: int, b: int, p: int, count: int) -> PAdicDigits:
+    """First `count` symmetric digits of a/b, a and b coprime, b > 0, starting
+    at exponent vp(a/b); none for a = 0."""
     if count < 1:
         raise ValueError("count must be positive")
-    r = Fraction(r)
-    if r == 0:
-        return PAdicDigits(p, 0, (), count)
-    start, n, d = _unit_form(r, p)
-    inverse = mod_inverse(d, p)
-    digits = []
-    for _ in range(count):
-        digit = symmetric_residue(n * inverse, p)
-        digits.append(digit)
-        n = (n - digit * d) // p
-    return PAdicDigits(p, start, tuple(digits), count)
+    start, n, d = _unit_form(a, b, p)
+    digits = tuple(digit for digit, _ in islice(_digit_stream(n, d, p), count)) if n else ()
+    return PAdicDigits(p, start, digits, count)
 
 
-def fractional_part(r: Fraction | int, p: int) -> Fraction:
-    """Sum of the expansion terms with exponent <= 0.
+def fractional_part(a: int, b: int, p: int) -> Fraction:
+    """Sum of the expansion terms of a/b (a and b coprime, b > 0) with
+    exponent <= 0.
 
-    Lies in Z[1/p] with real absolute value below p/2, and r minus the
-    result has valuation >= 1.  Computed directly: with r = a/(b*p**k),
-    k = max(0, -vp(r)) and p-free b, the value is the symmetric residue of
-    a * b**-1 modulo p**(1+k), divided by p**k.
+    Lies in Z[1/p] with real absolute value below p/2, and a/b minus the
+    result has valuation >= 1.  Computed directly: with b = d * p**k and
+    p-free d, the value is the symmetric residue of a * d**-1 modulo
+    p**(1+k), divided by p**k.
     """
-    require_odd_prime(p)
-    r = Fraction(r)
-    if r == 0:
-        return Fraction(0)
-    k = max(0, -vp(r, p))
+    v, _, d = _unit_form(a, b, p)
+    k = max(0, -v)
     modulus = p ** (1 + k)
-    b = r.denominator // p**k
-    x = symmetric_residue(r.numerator * mod_inverse(b, modulus), modulus)
-    return Fraction(x, p**k)
+    return Fraction(symmetric_residue(a * mod_inverse(d, modulus), modulus), p**k)
 
 
 def digit_period(
-    r: Fraction | int, p: int
+    a: int, b: int, p: int
 ) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Split the digit stream into (start_exponent, preperiod, period).
+    """Split the digit stream of a/b (a and b coprime, b > 0) into
+    (start_exponent, preperiod, period).
 
     The repeating tail is located by exact remainder-state repetition: the
     remainder after each extracted digit keeps a fixed p-free denominator,
@@ -99,20 +102,14 @@ def digit_period(
     A split is found exactly when len(preperiod) + len(period) is at most
     DIGIT_PERIOD_LIMIT; past it the result is (start_exponent, None, None).
     """
-    require_odd_prime(p)
-    r = Fraction(r)
-    if r == 0:
-        return 0, (), (0,)
-    start, n, d = _unit_form(r, p)
-    inverse = mod_inverse(d, p)
+    start, n, d = _unit_form(a, b, p)
     seen = {n: 0}
     digits: list[int] = []
-    while len(digits) < DIGIT_PERIOD_LIMIT:
-        digit = symmetric_residue(n * inverse, p)
+    for digit, n in _digit_stream(n, d, p):
         digits.append(digit)
-        n = (n - digit * d) // p
         if n in seen:
             cut = seen[n]
             return start, tuple(digits[:cut]), tuple(digits[cut:])
+        if len(digits) == DIGIT_PERIOD_LIMIT:
+            return start, None, None
         seen[n] = len(digits)
-    return start, None, None

@@ -55,6 +55,14 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def require_lowest_terms(a: int, b: int) -> None:
+    """Raise ValueError unless a/b is in lowest terms with b > 0."""
+    if b < 1:
+        raise ValueError("denominator must be positive")
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"numerator and denominator must be coprime, got gcd = {math.gcd(a, b)}")
+
+
 def int_vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -71,18 +79,7 @@ def vp(r: Fraction | int, p: int) -> int:
     r = Fraction(r)
     if r == 0:
         raise ValueError("valuation of zero undefined")
-    num, den = r.numerator, r.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v > 0:
-        return v
-    # num and den are coprime, so at most one side carries factors of p
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return int_vp(r.numerator, p) - int_vp(r.denominator, p)
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -5,18 +5,16 @@ pass their checks to `require` before printing anything.  Library functions
 are reached through this module's globals only, so rebinding one here (to
 plant a defect, or to trace it) reaches every check.
 
-The input a/b is a pair of coprime integers with b > 0, and the Browkin and
-Schneider checks run on plain integers: a reconstruction is an unreduced
-pair (num, den) from the back-substitution core, equal to the input exactly
-when den != 0 and num * b == den * a.
+The input a/b is a pair of coprime integers with b > 0, and every check
+runs on plain integers: a reconstruction is an unreduced pair (num, den)
+from the back-substitution core, equal to the input exactly when den != 0
+and num * b == den * a.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .browkin import browkin_bound, browkin_expand, cf_pair, convergent_triples, theta_scaled
 from .digits import padic_digits
-from .exactarith import vp
 from .schneider import schneider_convergents, schneider_expand, schneider_pair
 
 
@@ -67,13 +65,18 @@ def determinant_identity(a: int, b: int, expansion) -> Check:
     return Check("determinant identity", ok)
 
 
-def digit_truncation_identity(r: Fraction, window, lengths) -> Check:
-    """r minus each prefix is 0 or has valuation >= start_exponent + length."""
+def digit_truncation_identity(a: int, b: int, window, lengths) -> Check:
+    """a/b minus each prefix is 0 or has valuation >= start_exponent + length.
+
+    The prefix is T * p**s, T its prefix_sum and s = start_exponent, so a/b minus
+    it is (a - b*T*p**s) / b; b*p**s is an integer and vp(b) = max(0, -s), so the
+    law is p**(length + max(s, 0)) dividing the integer a - b*T*p**s.
+    """
+    p, s = window.p, window.start_exponent
+    scaled_b = b * p**s if s >= 0 else b // p**-s
     ok = True
     for length in lengths:
-        prefix = window.prefix_value(length)
-        if prefix != r:
-            ok &= vp(r - prefix, window.p) >= window.start_exponent + length
+        ok &= (a - scaled_b * window.prefix_sum(length)) % p ** (length + max(s, 0)) == 0
     return Check("digit truncation identity", ok)
 
 
@@ -98,17 +101,16 @@ def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
     return Check("schneider matrix laws", ok)
 
 
-def battery(r: Fraction, p: int) -> list[Check]:
-    """Every check that applies to a nonzero rational, as `verify` prints them."""
-    a, b = r.numerator, r.denominator
-    expansion = browkin_expand(r, p)
+def battery(a: int, b: int, p: int) -> list[Check]:
+    """Every check that applies to a nonzero a/b, as `verify` prints them."""
+    expansion = browkin_expand(a, b, p)
     report = browkin_bound(expansion.beta0, expansion.beta1_abs, p)
     checks = [
         browkin_reconstruction(a, b, expansion),
         browkin_length_bound(expansion, report),
         majorant(expansion),
         determinant_identity(a, b, expansion),
-        digit_truncation_identity(r, padic_digits(r, p, 12), range(1, 13)),
+        digit_truncation_identity(a, b, padic_digits(a, b, p, 12), range(1, 13)),
     ]
     if a % p != 0 and b % p != 0:
         sexp = schneider_expand(a, b, p)

@@ -48,7 +48,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import QuadraticElement, require_odd_prime
+from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime
 
 
 class SchneiderStep(NamedTuple):
@@ -144,10 +144,7 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
     require_odd_prime(p)
     if a == 0:
         raise ValueError("numerator must be nonzero")
-    if b < 1:
-        raise ValueError("denominator must be positive")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"a and b must be coprime, got gcd = {math.gcd(a, b)}")
+    require_lowest_terms(a, b)
     if a % p == 0:
         raise ValueError("numerator must be coprime to p")
     if b % p == 0:
@@ -216,12 +213,13 @@ def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:
     return num, den
 
 
-def schneider_evaluate(head, tail_value: Fraction | int, p: int) -> Fraction:
-    """Exact back-substitution of b0 + p**a0/(b1 + ... + p**ak/tail_value), on
-    schneider_pair.  The everlasting (p-1, 1) tail is represented by
-    tail_value = -1, its exact value.
+def schneider_evaluate(head, tail: tuple[int, int], p: int) -> Fraction:
+    """Exact back-substitution of b0 + p**a0/(b1 + ... + p**ak/(tail num/den)),
+    on schneider_pair.  tail is an integer pair (num, den), den != 0, as
+    SchneiderExpansion.tail gives it; the everlasting (p-1, 1) tail is
+    (-1, 1), its exact value.
     """
-    return Fraction(*schneider_pair(head, (tail_value.numerator, tail_value.denominator), p))
+    return Fraction(*schneider_pair(head, tail, p))
 
 
 def schneider_convergents(expansion: SchneiderExpansion) -> list[SchneiderMatrix]:
@@ -270,6 +268,13 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     _check_head_pair(digit, alpha, p)
     if b < 1:
         raise ValueError("denominator must be positive")
+    # before any power is built: p**alpha >= 2**(alpha*(p.bit_length()-1)), so when that
+    # exponent reaches the bit length of |a| + (p-1)*b, p**alpha > |a| + (p-1)*b >=
+    # |a - digit*b|, p**alpha cannot divide a nonzero a - digit*b, and no expansion of a/b
+    # starts with (digit, alpha); the largest exponent left is alpha_max
+    alpha_max = ((abs(a) + (p - 1) * b).bit_length() - 1) // (p.bit_length() - 1)
+    if alpha > alpha_max:
+        raise ValueError(f"exponent must be at most {alpha_max} for {a}/{b} at p={p}, got {alpha}")
 
     # 4(t1 - p**alpha)(a - b*t1) = x + y*sqrt(D) is never 0: D = s*s would force
     # (s - digit)(s + digit) = 4p**alpha, i.e. the stationary pair (p-1, 1)
@@ -294,7 +299,8 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     # -(digit + sqrt(D))**2; the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e.
     # Then p**(alpha*e) divides n, as the rational part of w**e is prime to p: in Z_p take
     # sqrt(D) = s = digit mod p, so digit + s is a unit and digit - s has valuation alpha.
-    # That bounds e by e_max, and with it the size of the powers below.
+    # That bounds e by e_max, and with it the size of the powers below, as alpha_max bounds
+    # p**alpha by the input.
     e_max = (n.bit_length() - 1) // (alpha * (p.bit_length() - 1))
     wu, wv = -(digit * digit + disc), -2 * digit
     exact_exponent = None

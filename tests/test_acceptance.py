@@ -39,7 +39,7 @@ def criterion(number, label):
 def test_criterion_1_browkin_fixtures():
     with criterion(1, "browkin table fixtures, errata-aware, exact reconstruction"):
         # 365/54 at p=3: quotients exactly as printed
-        exp = browkin_expand(Fraction(365, 54), 3)
+        exp = browkin_expand(365, 54, 3)
         assert exp.quotients[:3] == [Fraction(-20, 27), Fraction(4, 3), Fraction(2, 3)]
         assert exp.k_trace == [3, 1, 1, 1]
         assert exp.beta_trace == [2, 5, -2, 1]
@@ -47,13 +47,13 @@ def test_criterion_1_browkin_fixtures():
         assert (exp.steps[3].x - 7) % 3 ** (1 + 1) == 0
 
         # 77/18 at p=3: printed x0 = 25 mod 27, x1 = 11 mod 9
-        exp = browkin_expand(Fraction(77, 18), 3)
+        exp = browkin_expand(77, 18, 3)
         assert (exp.steps[0].k, exp.steps[0].beta) == (2, 2)
         assert (exp.steps[0].x - 25) % 27 == 0
         assert (exp.steps[1].x - 11) % 9 == 0
 
         # -1793/100 at p=5: printed a3 = -4/5 fails reconstruction; oracle +4/5
-        exp = browkin_expand(Fraction(-1793, 100), 5)
+        exp = browkin_expand(-1793, 100, 5)
         assert exp.quotients == [
             Fraction(-42, 25),
             Fraction(-8, 5),
@@ -62,12 +62,8 @@ def test_criterion_1_browkin_fixtures():
         ]
         assert [abs(b) for b in exp.beta_trace] == [4, 13, 4, 1]
 
-        for r, p in [
-            (Fraction(365, 54), 3),
-            (Fraction(77, 18), 3),
-            (Fraction(-1793, 100), 5),
-        ]:
-            assert cf_evaluate(browkin_expand(r, p).quotients) == r  # zero tolerance
+        for a, b, p in [(365, 54, 3), (77, 18, 3), (-1793, 100, 5)]:
+            assert cf_evaluate(browkin_expand(a, b, p).quotient_pairs) == Fraction(a, b)  # zero tolerance
 
 
 def test_criterion_2_length_bounds():
@@ -94,19 +90,19 @@ def test_criterion_3_schneider_fixtures():
         assert exp.head == [(1, 1)] * 4
         assert exp.y_trace == [-1, 2, -1, 1]
         assert exp.stationary_from == 4
-        assert schneider_evaluate(exp.head, Fraction(-1), 3) == Fraction(2, 5)
+        assert schneider_evaluate(exp.head, (-1, 1), 3) == Fraction(2, 5)
 
         exp = schneider_expand(1259, 701, 3)
         assert exp.head == [(1, 2)] * 6
         assert exp.y_trace == [62, 71, -1, 8, -1, 1]
         assert exp.stationary_from == 6
-        assert schneider_evaluate(exp.head, Fraction(-1), 3) == Fraction(1259, 701)
+        assert schneider_evaluate(exp.head, (-1, 1), 3) == Fraction(1259, 701)
 
         exp = schneider_expand(3044, 673, 5)
         assert exp.head == [(3, 2)] * 4
         assert exp.y_trace == [41, 22, -1, 1]
         assert exp.stationary_from == 4
-        assert schneider_evaluate(exp.head, Fraction(-1), 5) == Fraction(3044, 673)
+        assert schneider_evaluate(exp.head, (-1, 1), 5) == Fraction(3044, 673)
 
 
 def test_criterion_4_head_analysis():
@@ -134,15 +130,15 @@ def test_criterion_4_head_analysis():
 
 
 def _browkin_battery(r, p):
-    exp = browkin_expand(r, p)
-    assert cf_evaluate(exp.quotients) == r
+    exp = browkin_expand(r.numerator, r.denominator, p)
+    assert cf_evaluate(exp.quotient_pairs) == r
     beta1 = exp.beta1_abs
     report = browkin_bound(exp.beta0, beta1, p)
     assert len(exp.steps) <= report.n_bound + 1
     thetas = theta_sequence(exp.beta0, beta1, p, max(2, len(exp.steps)))
     for i, step in enumerate(exp.steps):
         assert abs(step.beta) <= thetas[i]
-    convs = browkin_convergents(exp.quotients)
+    convs = browkin_convergents(exp.quotient_pairs)
     for n in range(1, len(convs)):
         det = convs[n].pn * convs[n - 1].qn - convs[n - 1].pn * convs[n].qn
         assert det == (-1) ** (n + 1)
@@ -155,7 +151,7 @@ def _schneider_battery(a, b, p):
     assert exp.stationary_from is not None or exp.finite_end
     if exp.stationary_from is not None:
         assert exp.tail_value == -1
-    assert schneider_evaluate(exp.head, exp.tail_value, p) == Fraction(a, b)
+    assert schneider_evaluate(exp.head, exp.tail, p) == Fraction(a, b)
     if exp.steps:
         r = Fraction(a, b)
         total = 0
@@ -189,7 +185,7 @@ def test_criterion_5_property_suite():
 
 def test_criterion_6_digits():
     with criterion(6, "digit expansion fixture, prefixes, periodic tail"):
-        window = padic_digits(Fraction(-1793, 100), 5, 7)
+        window = padic_digits(-1793, 100, 5, 7)
         assert window.start_exponent == -2
         assert window.digits == (-2, 2, -2, -2, 1, 1, 1)
         r = Fraction(-1793, 100)
@@ -197,7 +193,7 @@ def test_criterion_6_digits():
             prefix = window.prefix_value(length)
             assert vp(r - prefix, 5) >= window.start_exponent + length
 
-        start, preperiod, period = digit_period(r, 5)
+        start, preperiod, period = digit_period(r.numerator, r.denominator, 5)
         assert start == -2
         assert preperiod == (-2, 2, -2, -2)
         assert period == (1,)  # the all-ones tail, found by state repetition

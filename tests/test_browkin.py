@@ -8,6 +8,11 @@ from fractions import Fraction
 import pytest
 
 import padic_cf.browkin as browkin
+import padic_cf.cli as cli
+import padic_cf.digits as digits
+import padic_cf.exactarith as exactarith
+import padic_cf.oracle as oracle
+import padic_cf.schneider as schneider
 from padic_cf.browkin import (
     browkin_bound,
     browkin_convergents,
@@ -23,6 +28,22 @@ def random_rationals(seed, count, span=300):
     rng = random.Random(seed)
     for _ in range(count):
         yield Fraction(rng.randint(-span, span) or 1, rng.randint(1, span))
+
+
+def count_fractions(monkeypatch):
+    """Swap a counting subclass of Fraction into every padic_cf module that
+    names Fraction; returns the list of constructor arguments it records."""
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (browkin, cli, digits, exactarith, oracle, schneider):
+        if hasattr(module, "Fraction"):
+            monkeypatch.setattr(module, "Fraction", Counting)
+    return made
 
 
 def raw_step(beta_prev, beta, k, p):
@@ -54,7 +75,7 @@ def assert_step_law(exp, p):
 
 class TestExpandFixtures:
     def test_365_54(self):
-        exp = browkin_expand(Fraction(365, 54), 3)
+        exp = browkin_expand(365, 54, 3)
         assert exp.quotients == [
             Fraction(-20, 27),
             Fraction(4, 3),
@@ -65,16 +86,16 @@ class TestExpandFixtures:
         assert exp.beta_trace == [2, 5, -2, 1]
         assert exp.beta1_abs == 5
         assert exp.terminated
-        assert cf_evaluate(exp.quotients) == Fraction(365, 54)
+        assert cf_evaluate(exp.quotient_pairs) == Fraction(365, 54)
 
     def test_77_18(self):
-        exp = browkin_expand(Fraction(77, 18), 3)
+        exp = browkin_expand(77, 18, 3)
         assert exp.quotients == [Fraction(-2, 9), Fraction(2, 9)]
         assert (exp.k_trace[0], exp.beta_trace[0]) == (2, 2)
-        assert cf_evaluate(exp.quotients) == Fraction(77, 18)
+        assert cf_evaluate(exp.quotient_pairs) == Fraction(77, 18)
 
     def test_minus_1793_100(self):
-        exp = browkin_expand(Fraction(-1793, 100), 5)
+        exp = browkin_expand(-1793, 100, 5)
         assert exp.quotients == [
             Fraction(-42, 25),
             Fraction(-8, 5),
@@ -83,37 +104,37 @@ class TestExpandFixtures:
         ]
         assert exp.k_trace == [2, 1, 1, 1]
         assert [abs(b) for b in exp.beta_trace] == [4, 13, 4, 1]
-        assert cf_evaluate(exp.quotients) == Fraction(-1793, 100)
+        assert cf_evaluate(exp.quotient_pairs) == Fraction(-1793, 100)
 
     def test_integer_five(self):
         # deterministic rule output, frozen; reconstruction is the oracle
-        exp = browkin_expand(Fraction(5), 3)
+        exp = browkin_expand(5, 1, 3)
         assert exp.quotients == [Fraction(-1), Fraction(-4, 3), Fraction(2, 3)]
-        assert cf_evaluate(exp.quotients) == 5
+        assert cf_evaluate(exp.quotient_pairs) == 5
 
     def test_single_quotient_inputs(self):
         for r in (Fraction(1), Fraction(-1), Fraction(-2, 9)):
-            exp = browkin_expand(r, 3)
+            exp = browkin_expand(r.numerator, r.denominator, 3)
             assert exp.quotients == [r]
             assert exp.beta1_abs == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            browkin_expand(Fraction(0), 3)
+            browkin_expand(0, 1, 3)
 
     def test_integer_pair_input(self):
-        # a coprime pair (a, b), b > 0, stands for a/b: the sweep passes its rows this way
+        # a coprime pair (a, b), b > 0, stands for a/b, the only input form
         for r, p in ((Fraction(365, 54), 3), (Fraction(-1793, 100), 5), (Fraction(5), 3)):
-            assert browkin_expand((r.numerator, r.denominator), p) == browkin_expand(r, p)
+            assert browkin_expand(r.numerator, r.denominator, p).value == r
         for pair in ((0, 1), (2, 4), (1, 0), (1, -2)):
             with pytest.raises(ValueError):
-                browkin_expand(pair, 3)
+                browkin_expand(*pair, 3)
 
     def test_max_steps_cap(self):
         # the step loop stops at its cap with terminated False; browkin_expand takes no cap
         exp = browkin._expand(365, 54, 3, 2)
         assert not exp.terminated
-        assert exp.steps == browkin_expand(Fraction(365, 54), 3).steps[:2]
+        assert exp.steps == browkin_expand(365, 54, 3).steps[:2]
 
 
 class TestQuotientPairs:
@@ -125,7 +146,7 @@ class TestQuotientPairs:
                 for shift in (0, 2):
                     num = rng.randint(-height, height) or 1
                     r = Fraction(num, rng.randint(1, height) * p**shift)
-                    exp = browkin_expand(r, p)
+                    exp = browkin_expand(r.numerator, r.denominator, p)
                     pairs = exp.quotient_pairs
                     assert pairs == [(s.x, p**s.k) for s in exp.steps]
                     assert [(a.numerator, a.denominator) for a in exp.quotients] == pairs
@@ -135,29 +156,42 @@ class TestQuotientPairs:
                     assert cf_evaluate(pairs) == r
 
     def test_expansion_builds_no_quotient_fractions(self, monkeypatch):
-        # a Fraction input is used as it is: no copy of it, and never one per step
+        # the integer pair in, integer steps out: no Fraction, and never one per step
         rng = random.Random(71)
-        made = []
-
-        def counting(*args):
-            made.append(args)
-            return Fraction(*args)
-
-        monkeypatch.setattr(browkin, "Fraction", counting)
+        made = count_fractions(monkeypatch)
         for p in (3, 7, 101):
             r = Fraction(-rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300))
             made.clear()
-            exp = browkin.browkin_expand(r, p)
+            exp = browkin.browkin_expand(r.numerator, r.denominator, p)
             assert made == [], made[:2]
             assert len(exp.steps) > 100
             assert cf_evaluate(exp.quotient_pairs) == r
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--primes", "3,5", "--max-num", "12", "--max-den", "12"],
+            ["expand-browkin", "-p", "7", "--json", "--", "-365/54"],
+            ["expand-schneider", "-p", "7", "--json", "--", "-365/54"],
+            ["digits", "-p", "7", "-n", "64", "--", "-365/54"],
+        ],
+    )
+    def test_commands_build_no_fraction(self, argv, monkeypatch, capsys):
+        # from the parsed pair to the last oracle check, these commands run on integers
+        if argv[0] != "sweep":
+            rng = random.Random(73)
+            argv[-1] = f"{-rng.randrange(10**299, 10**300)}/{rng.randrange(10**299, 10**300)}"
+        made = count_fractions(monkeypatch)
+        assert cli.main(argv) == 0
+        assert made == [], made[:2]
+        assert capsys.readouterr().out
+
 
 class TestCfEvaluate:
     def test_fixtures(self):
-        assert cf_evaluate([Fraction(-2, 9), Fraction(2, 9)]) == Fraction(77, 18)
-        assert cf_evaluate([Fraction(5, 7)]) == Fraction(5, 7)
-        quotients = [Fraction(-20, 27), Fraction(4, 3), Fraction(2, 3), Fraction(-2, 3)]
+        assert cf_evaluate([(-2, 9), (2, 9)]) == Fraction(77, 18)
+        assert cf_evaluate([(5, 7)]) == Fraction(5, 7)
+        quotients = [(-20, 27), (4, 3), (2, 3), (-2, 3)]
         assert cf_evaluate(quotients) == Fraction(365, 54)
 
     def test_integer_pairs(self):
@@ -169,17 +203,17 @@ class TestCfEvaluate:
 
     def test_divergent(self):
         with pytest.raises(ZeroDivisionError, match="divergent"):
-            cf_evaluate([Fraction(1), Fraction(0)])
+            cf_evaluate([(1, 1), (0, 1)])
 
 
 class TestConvergents:
     def test_fixture_values(self):
-        convs = browkin_convergents([Fraction(-2, 9), Fraction(2, 9)])
+        convs = browkin_convergents([(-2, 9), (2, 9)])
         assert [c.value for c in convs] == [Fraction(-2, 9), Fraction(77, 18)]
-        assert browkin_convergents([Fraction(7)])[0].value == 7
+        assert browkin_convergents([(7, 1)])[0].value == 7
 
     def test_determinant_at_one(self):
-        convs = browkin_convergents([Fraction(-20, 27), Fraction(4, 3)])
+        convs = browkin_convergents([(-20, 27), (4, 3)])
         assert convs[1].pn * convs[0].qn - convs[0].pn * convs[1].qn == 1
 
     def test_last_convergent_is_input_and_determinants(self):
@@ -191,8 +225,8 @@ class TestConvergents:
 
         for p in (3, 5):
             for r in random_rationals(43 + p, 100):
-                exp = browkin_expand(r, p)
-                convs = browkin_convergents(exp.quotients)
+                exp = browkin_expand(r.numerator, r.denominator, p)
+                convs = browkin_convergents(exp.quotient_pairs)
                 assert convs[-1].value == r
                 for n in range(1, len(convs)):
                     det = convs[n].pn * convs[n - 1].qn - convs[n - 1].pn * convs[n].qn
@@ -202,8 +236,8 @@ class TestConvergents:
 
     def test_padic_convergence_is_monotone(self):
         for r in random_rationals(47, 80):
-            exp = browkin_expand(r, 3)
-            convs = browkin_convergents(exp.quotients)
+            exp = browkin_expand(r.numerator, r.denominator, 3)
+            convs = browkin_convergents(exp.quotient_pairs)
             vals = [vp(r - c.value, 3) for c in convs if c.value != r]
             assert vals == sorted(set(vals))
 
@@ -212,14 +246,14 @@ class TestStepIdentities:
     def test_complete_quotients(self):
         for p in (3, 5, 7):
             for r in random_rationals(53 + p, 80):
-                exp = browkin_expand(r, p)
+                exp = browkin_expand(r.numerator, r.denominator, p)
                 steps = exp.steps
                 a = exp.quotients
                 # complete quotients r_n = beta_{n-1} / (beta_n * p**k_n), beta_{-1} = alpha
                 betas = [exp.alpha] + [s.beta for s in steps]
                 rs = [Fraction(betas[n], betas[n + 1] * p**s.k) for n, s in enumerate(steps)]
                 assert rs[0] == r
-                assert a[0] == fractional_part(r, p)
+                assert a[0] == fractional_part(r.numerator, r.denominator, p)
                 for n in range(len(steps) - 1):
                     assert rs[n] == a[n] + 1 / rs[n + 1]
                     assert vp(rs[n + 1], p) == -steps[n + 1].k < 0
@@ -243,7 +277,7 @@ class TestStepLaw:
                     while num % p == 0:
                         num = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
                     r = Fraction(num, rng.randrange(10 ** (digits - 1), 10**digits) * p**shift)
-                    exp = browkin_expand(r, p)
+                    exp = browkin_expand(r.numerator, r.denominator, p)
                     assert len(exp.steps) > digits // 2
                     assert any(s.k >= 2 for s in exp.steps[1:])
                     assert_step_law(exp, p)
@@ -254,7 +288,7 @@ class TestStepLaw:
             inputs = [Fraction(1), Fraction(-1), Fraction(2, p**2), Fraction(p - 1, p), Fraction(p**40 + 1)]
             inputs += [Fraction(rng.randrange(10**999, 10**1000)), Fraction(1, p**300)]
             for r in inputs:
-                exp = browkin_expand(r, p)
+                exp = browkin_expand(r.numerator, r.denominator, p)
                 assert_step_law(exp, p)
                 assert cf_evaluate(exp.quotient_pairs) == r
 
@@ -347,7 +381,7 @@ class TestMajorantAndLength:
     def test_small_grid(self):
         for p in (3, 5):
             for r in random_rationals(61 + p, 120):
-                exp = browkin_expand(r, p)
+                exp = browkin_expand(r.numerator, r.denominator, p)
                 beta1 = abs(exp.steps[1].beta) if len(exp.steps) > 1 else 0
                 report = browkin_bound(exp.beta0, beta1, p)
                 assert len(exp.steps) <= report.n_bound + 1

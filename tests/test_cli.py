@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,11 +65,37 @@ def run_json(argv, capsys):
 
 class TestParseRational:
     def test_valid(self):
-        assert parse_rational("77/18") == Fraction(77, 18)
-        assert parse_rational("-1793/100") == Fraction(-1793, 100)
-        assert parse_rational("4/6") == Fraction(2, 3)
-        assert parse_rational("5") == 5
-        assert parse_rational("-7") == -7
+        assert parse_rational("77/18") == (77, 18)
+        assert parse_rational("-1793/100") == (-1793, 100)
+        assert parse_rational("4/6") == (2, 3)
+        assert parse_rational("5") == (5, 1)
+        assert parse_rational("-7") == (-7, 1)
+
+    def test_matches_fraction(self):
+        # the pair is Fraction(text)'s numerator and denominator: same reduction, same sign
+        rng = random.Random(13)
+
+        def number():
+            zeros = "0" * rng.choice((0, 0, 1, 3))
+            return zeros + str(rng.choice((0, 1, rng.randrange(2, 10**6), rng.randrange(10**40))))
+
+        texts = ["0", "-0", "0/7", "-0/1", "00/0001", "6/3", "-6/1", "12/18", "007/014"]
+        for _ in range(2000):
+            sign = rng.choice(("", "-"))
+            num = number()
+            if rng.random() < 0.3:
+                texts.append(sign + num)
+                continue
+            den = number()
+            if int(den) == 0:
+                den = rng.choice(("1", "01"))
+            if rng.random() < 0.3:  # a common factor to reduce
+                factor = rng.randrange(2, 1000)
+                num, den = str(int(num) * factor), str(int(den) * factor)
+            texts.append(f"{sign}{num}/{den}")
+        for text in texts:
+            r = Fraction(text)
+            assert parse_rational(text) == (r.numerator, r.denominator), text
 
     @pytest.mark.parametrize(
         "text", ["", "a/b", "1/0", "1//2", "+5", "1.5", "1/-2", "/3", "2/"]
@@ -281,7 +308,7 @@ class TestBoundCommand:
                 cases.append((p, f"{-a}/{rng.randrange(10 ** (digits - 1), 10**digits)}"))
         expected, one_step = [], 0
         for p, text in cases:
-            expansion = browkin.browkin_expand(parse_rational(text), p)
+            expansion = browkin.browkin_expand(*parse_rational(text), p)
             one_step += len(expansion.steps) == 1  # beta1_abs reads 0
             betas = ["--beta0", str(expansion.beta0), "--beta1", str(expansion.beta1_abs)]
             expected.append([run_cli(["bound", "-p", str(p), *flags, *betas], capsys)
@@ -310,6 +337,29 @@ class TestBoundCommand:
         assert captured.out == ""
         assert captured.err.endswith(
             "padic-cf bound: error: bound takes a rational or --beta0/--beta1, not both\n"
+        )
+
+    def test_output_is_pinned(self):
+        # text and --json, from a rational (README fixtures and 300-digit inputs,
+        # some with p**3 in the denominator) and from --beta0/--beta1; any change
+        # to a byte moves the hash
+        inputs = [(3, "365/54"), (3, "77/18"), (5, "-1793/100"), (3, "5"), (3, "1"),
+                  (3, "-2/9"), (3, "2/5")]
+        rng = random.Random(11)
+        for p in (3, 5, 7, 101):
+            for shift in (0, 3):
+                a = rng.randrange(10**299, 10**300) * rng.choice((1, -1))
+                inputs.append((p, f"{a}/{rng.randrange(10**299, 10**300) * p**shift}"))
+        calls = [[str(p), "--", text] for p, text in inputs]
+        betas = [(3, 2, 5), (5, 4, 13), (3, 1, 0), (7, 10**300, 10**299)]
+        calls += [[str(p), "--beta0", str(b0), "--beta1", str(b1)] for p, b0, b1 in betas]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for p, *rest in calls:
+                for flags in ([], ["--json"]):
+                    assert main(["bound", "-p", p, *flags, *rest]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "c8a31d0a6070d4319eddf399675c563c3c4e17dee1f04829cbd849b588fbb49d"
         )
 
     def test_height_beyond_float_range_certifies(self, capsys):
@@ -425,6 +475,23 @@ class TestHeadCommand:
             "b77a89d1f2ac75553910f6b4d74e6d213ae981e8b7a28f7aa919113a8ad2b2a7"
         )
 
+    def test_exponent_past_the_input_is_usage_error(self, capsys):
+        # p**alpha > |a| + (p-1)*b >= |a - digit*b|: no expansion of 2/5 starts with (1, alpha),
+        # so alpha > 3 is refused before p**alpha is built, however large alpha is
+        payload = run_json(["head", "-p", "3", "--digit", "1", "--exponent", "3", "--json", "2/5"],
+                           capsys)
+        assert payload["head_len"] is None
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["head", "-p", "3", "--digit", "1", "--exponent", "1000000", "--json", "2/5"])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "padic-cf head: error: exponent must be at most 3 for 2/5 at p=3, got 1000000\n"
+        )
+
     @pytest.mark.parametrize(
         "p, text, message",
         [
@@ -455,6 +522,24 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "-p", "3", "365/54"], capsys)
         assert code == 0
         assert "schneider" not in out
+
+    def test_output_is_pinned(self):
+        # the README fixtures and 300-digit inputs, some with p**3 in the
+        # denominator (no Schneider checks); any change to a byte moves the hash
+        inputs = [(3, "365/54"), (3, "77/18"), (5, "-1793/100"), (3, "5"), (3, "2/5"),
+                  (3, "1259/701"), (5, "3044/673"), (3, "-1")]
+        rng = random.Random(12)
+        for p in (3, 5, 7, 101):
+            for shift in (0, 3):
+                a = rng.randrange(10**299, 10**300) * rng.choice((1, -1))
+                inputs.append((p, f"{a}/{rng.randrange(10**299, 10**300) * p**shift}"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for p, text in inputs:
+                assert main(["verify", "-p", str(p), "--", text]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "1dbf3e680119fafe48256135121bf4b5b360ea2e3f090cbcef6ee18ade4090da"
+        )
 
 
 class TestJsonRoundTrip:
@@ -489,7 +574,6 @@ class TestJsonRoundTrip:
         # the line printed equals json.dumps of the payload built as dicts, per step
         a, b = make()
         text = f"{a}/{b}"
-        r = Fraction(a, b)
         sch = schneider.schneider_expand(a, b, p)
         want = json.dumps({
             "p": p, "a": a, "b": b,
@@ -500,7 +584,7 @@ class TestJsonRoundTrip:
         assert run_cli(["expand-schneider", "-p", str(p), "--json", "--", text], capsys) == (
             0, want + "\n", ""
         )
-        bro = browkin.browkin_expand(r, p)
+        bro = browkin.browkin_expand(a, b, p)
         want = json.dumps({
             "p": p,
             "input": text,

@@ -66,16 +66,16 @@ def _reference_theta(beta0_abs, beta1_abs, p, n):
 def test_reconstruction_cores_agree_with_the_wrappers():
     for p, a, b, _ in INPUTS:
         r = Fraction(a, b)
-        exp = browkin_expand((a, b), p)
-        assert exp == browkin_expand(r, p) and exp.value == r
+        exp = browkin_expand(a, b, p)
+        assert exp.value == r
         num, den = cf_pair((s.x, p**s.k) for s in reversed(exp.steps))
         assert den != 0 and num * b == den * a
-        assert Fraction(num, den) == cf_evaluate(exp.quotient_pairs) == cf_evaluate(exp.quotients) == r
+        assert Fraction(num, den) == cf_evaluate(exp.quotient_pairs) == r
         if a % p and b % p:
             sexp = schneider_expand(a, b, p)
             num, den = schneider_pair(sexp.steps, sexp.tail, p)
             assert den != 0 and num * b == den * a
-            assert Fraction(num, den) == schneider_evaluate(sexp.head, sexp.tail_value, p) == r
+            assert Fraction(num, den) == schneider_evaluate(sexp.head, sexp.tail, p) == r
 
 
 def test_convergent_and_theta_cores_agree_with_fraction_references():
@@ -83,13 +83,13 @@ def test_convergent_and_theta_cores_agree_with_fraction_references():
     # that product is at most 3000 (12 of the 16 inputs, 1,000 digits at p = 3);
     # at 1,000 digits and p = 10**9+7 they alone take over 10 s
     for p, a, b, _ in INPUTS:
-        exp = browkin_expand((a, b), p)
+        exp = browkin_expand(a, b, p)
         if len(exp.steps) * p.bit_length() > 3000:
             continue
         reference = _reference_convergents(exp.quotients)
         triples = convergent_triples(exp.quotient_pairs)
         assert [(Fraction(pn, d), Fraction(qn, d)) for pn, qn, d in triples] == reference
-        assert browkin_convergents(exp.quotients) == [Convergent(pn, qn, pn / qn) for pn, qn in reference]
+        assert browkin_convergents(exp.quotient_pairs) == [Convergent(pn, qn, pn / qn) for pn, qn in reference]
         assert reference[-1][0] / reference[-1][1] == Fraction(a, b)
         n = len(exp.steps) + 2
         thetas = _reference_theta(exp.beta0, exp.beta1_abs, p, n)
@@ -105,7 +105,7 @@ def test_bound_and_verify_output_are_pinned():
     # the Schneider matrix laws' determinants).
     bounds, verified = hashlib.sha256(), hashlib.sha256()
     for p, a, b, digits in INPUTS:
-        exp = browkin_expand((a, b), p)
+        exp = browkin_expand(a, b, p)
         bounds.update(f"{p} {a}/{b} {browkin_bound(exp.beta0, exp.beta1_abs, p).n_bound}\n".encode())
         if digits > 300 and p > 7:
             continue

@@ -44,8 +44,8 @@ def _shifted_convergents(quotients):
     return [(pn + d, qn, d) for pn, qn, d in browkin.convergent_triples(quotients)]
 
 
-def _wrong_first_digit(r, p, count):
-    window = digits.padic_digits(r, p, count)
+def _wrong_first_digit(a, b, p, count):
+    window = digits.padic_digits(a, b, p, count)
     return window._replace(digits=(window.digits[0] + 1,) + window.digits[1:])
 
 
@@ -105,7 +105,7 @@ def test_planted_schneider_defect_exits_1(argv, expected_out, message, capsys, m
 
 
 def test_planted_prefix_defect_fails_digits(capsys, monkeypatch):
-    monkeypatch.setattr(digits.PAdicDigits, "prefix_value", lambda self, length: Fraction(0))
+    monkeypatch.setattr(digits.PAdicDigits, "prefix_sum", lambda self, length: 0)
     code, out, err = run_cli(["digits", "-p", "5", "-n", "7", "--", "-1793/100"], capsys)
     assert code == 1
     assert out == ""
@@ -135,7 +135,7 @@ def test_matrix_laws_catch_an_off_by_one_valuation():
 @pytest.mark.parametrize(
     "core, check, a, b, expansion",
     [
-        ("cf_pair", oracle.browkin_reconstruction, 365, 54, browkin.browkin_expand((365, 54), 3)),
+        ("cf_pair", oracle.browkin_reconstruction, 365, 54, browkin.browkin_expand(365, 54, 3)),
         ("schneider_pair", oracle.schneider_reconstruction, 1259, 701,
          schneider.schneider_expand(1259, 701, 3)),
     ],

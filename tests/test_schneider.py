@@ -118,7 +118,7 @@ class TestExpandFixtures:
         assert exp.finite_end and exp.stationary_from is None
         assert exp.head == [(2, 1)]
         assert exp.tail_value == 2
-        assert schneider_evaluate(exp.head, exp.tail_value, 3) == Fraction(7, 2)
+        assert schneider_evaluate(exp.head, exp.tail, 3) == Fraction(7, 2)
 
         exp = schneider_expand(2, 1, 3)  # small integer: immediate division
         assert exp.finite_end and exp.head == []
@@ -145,21 +145,21 @@ class TestExpandFixtures:
 
 class TestEvaluate:
     def test_fixtures(self):
-        assert schneider_evaluate([(1, 1)] * 4, -1, 3) == Fraction(2, 5)
-        assert schneider_evaluate([], Fraction(9, 4), 3) == Fraction(9, 4)
-        assert schneider_evaluate([(3, 2)] * 4, -1, 5) == Fraction(3044, 673)
-        assert schneider_evaluate([(1, 2)] * 6, -1, 3) == Fraction(1259, 701)
+        assert schneider_evaluate([(1, 1)] * 4, (-1, 1), 3) == Fraction(2, 5)
+        assert schneider_evaluate([], (9, 4), 3) == Fraction(9, 4)
+        assert schneider_evaluate([(3, 2)] * 4, (-1, 1), 5) == Fraction(3044, 673)
+        assert schneider_evaluate([(1, 2)] * 6, (-1, 1), 3) == Fraction(1259, 701)
 
     def test_zero_tail_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            schneider_evaluate([(1, 1)], 0, 3)
+            schneider_evaluate([(1, 1)], (0, 1), 3)
 
     def test_step_records_and_pairs_agree(self):
         # the oracle passes exp.steps; (digit, alpha) pair lists still work
         for a, b, p in ((2, 5, 3), (3044, 673, 5), (1259, 701, 3), (7, 2, 3), (2, 1, 3)):
             exp = schneider_expand(a, b, p)
-            by_steps = schneider_evaluate(exp.steps, exp.tail_value, p)
-            assert by_steps == schneider_evaluate(exp.head, exp.tail_value, p) == Fraction(a, b)
+            by_steps = schneider_evaluate(exp.steps, exp.tail, p)
+            assert by_steps == schneider_evaluate(exp.head, exp.tail, p) == Fraction(a, b)
 
 
 class TestConvergents:
@@ -199,7 +199,7 @@ class TestReconstructionAndAbsorption:
                     continue
                 exp = schneider_expand(a, b, p)
                 assert exp.stationary_from is not None or exp.finite_end
-                value = schneider_evaluate(exp.head, exp.tail_value, p)
+                value = schneider_evaluate(exp.head, exp.tail, p)
                 assert value == Fraction(a, b)
 
     def test_coprimality_chain(self):
@@ -288,7 +288,7 @@ class TestStepLaw:
             exp = schneider_expand(a, b, p)
             assert exp.finite_end and exp.head == head
             assert_step_law(exp, a, b, p)
-            assert schneider_evaluate(exp.head, exp.tail_value, p) == Fraction(a, b)
+            assert schneider_evaluate(exp.head, exp.tail, p) == Fraction(a, b)
 
 
 class TestHeadAnalysis:
