@@ -36,7 +36,7 @@ from .digits import digit_period, padic_digits
 from .exactarith import is_odd_prime
 from .schneider import first_step, head_analysis, schneider_expand
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 SWEEP_COLUMNS = [
     "p",
@@ -53,7 +53,7 @@ SWEEP_COLUMNS = [
 
 def parse_rational(text: str) -> tuple[int, int]:
     """Parse 'num' or 'num/den' into the pair (a, b) of a/b in lowest terms, b > 0."""
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.fullmatch(text)
     if not match:
         raise ValueError(f"malformed rational {text!r}")
     a, b = int(match.group(1)), int(match.group(2) or 1)
@@ -73,9 +73,10 @@ def _f6(value: float | None) -> float | None:
 
 
 def _json_pairs(rows, key0: str, key1: str) -> str:
-    # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], integer fields
+    # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], each row
+    # a pair of integers
     template = f'{{"{key0}": %d, "{key1}": %d}}'
-    return "[" + ", ".join([template % row[:2] for row in rows]) + "]"
+    return "[" + ", ".join([template % row for row in rows]) + "]"
 
 
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:

@@ -86,18 +86,28 @@ def schneider_reconstruction(a: int, b: int, expansion) -> Check:
 
 
 def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
-    """det M_m = (-1)**(m+1) p**s and vp(r - U_m/W_m) = s, s = alpha_0+...+alpha_m.
+    """det M_m = (-1)**(m+1) p**s and vp(r - U_m/W_m) = s, s = alpha_0+...+alpha_m,
+    checked in time linear in each prefix's size.
 
-    r - U/W = (a*W - b*U) / (b*W) with b and W prime to p, so the valuation is
-    exactly s iff p**s divides a*W - b*U and p**(s+1) does not; a zero
+    Every M_m must be M_{m-1} [[b_m, p**alpha_m], [1, 0]], M_{-1} the
+    identity, and each step matrix has determinant -p**alpha_m: that is the
+    determinant law.  Then U_m = b_m U_{m-1} + p**alpha_{m-1} U_{m-2}, W_m
+    likewise, so a*W_m - b*U_m = p**s eps_m with eps_m = (b_m eps_{m-1} +
+    eps_{m-2}) / p**alpha_m, eps_{-2} = a and eps_{-1} = -b.  r - U/W =
+    (a*W - b*U) / (b*W) with b and W prime to p, so the valuation is exactly s
+    iff every division is exact and every eps_m is prime to p; a zero
     difference fails.
     """
-    p = expansion.p
-    ok, ps = True, 1
-    for m, matrix in enumerate(schneider_convergents(expansion)):
-        ps *= p ** expansion.steps[m].alpha
-        diff = a * matrix.w - b * matrix.u
-        ok &= matrix.det() == (-1) ** (m + 1) * ps and diff % ps == 0 and diff % (ps * p) != 0
+    p, steps = expansion.p, expansion.steps
+    matrices = schneider_convergents(expansion)
+    ok, eps_prev, eps = len(matrices) == len(steps), a, -b
+    u, v, w, z = 1, 0, 0, 1
+    for (digit, alpha), matrix in zip(steps, matrices):
+        pa = p**alpha
+        ok &= matrix == (u * digit + v, u * pa, w * digit + z, w * pa)
+        eps_prev, (eps, rem) = eps, divmod(digit * eps + eps_prev, pa)
+        ok &= not rem and eps % p != 0
+        u, v, w, z = matrix
     return Check("schneider matrix laws", ok)
 
 

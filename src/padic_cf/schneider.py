@@ -36,6 +36,30 @@ Hence at most K + (K+1) bits < (2 bits (p+2) + 4)(bits + 1) steps are
 recorded, and that count is the cap: a guard against a defect in the loop,
 quadratic in bits, not the paper's length bound.
 
+Above a bound, steps are taken in batches, on residues (Lehmer's method for
+Euclid's algorithm, in the p-adic direction).  Let W = _BATCH_WIDTH and
+K = W // p.bit_length().  When x = y_{m-1} and x' = y_m mod p**P and
+vp(x - b_m x') = alpha < P, then alpha = alpha_m and (x - b_m x') / p**alpha
+= y_{m+1} mod p**(P - alpha): the next steps depend only on y_{m-1}, y_m
+mod p**K.  A batch steps on those residues (|x| < p**K <= 2**W, and as in
+(i) no later residue is larger) while at least 2 digits of precision are
+left, and keeps the matrix C with p**s (y_{j-1}, y_j) = C (y_{m-1}, y_m), s
+the batch's exponent sum; one exact division by p**s then gives the pair it
+reached, without forming the y values in between.  A first step whose
+exponent the residues cannot tell (alpha_m >= K-1) is taken on the full pair.
+ (iv) Batches run only while min(|y_{m-1}|, |y_m|) >= 2**(2W), and K >= 2
+      (the loop asks K >= _BATCH_DEPTH_MIN, for speed); they meet neither a
+      stationary pair (H = 1) nor a finite end (y_{m-1} = b_m y_m with the
+      pair coprime, so |y_m| = 1 and H <= p-1).  For y_{m-1} = b_m y_m +
+      p**alpha_m y_{m+1} gives H_m <= (p-1+p**alpha_m) H_{m+1} < 2 p**alpha_m
+      H_{m+1}, and a batch's n <= s <= K-1 steps divide H by less than
+      2**n p**s < 2**K p**K <= 2**(3W/2), as p.bit_length() >= 2.  So H stays
+      above 2**(W/2) >= 2**p.bit_length() > p-1, since K >= 2 means
+      p.bit_length() <= W/2.
+So every pair the batches pass over is one the single-step loop would step
+from without stopping, and every stationary pair and finite end lies below
+the bound, where the single-step loop runs.
+
 A constant head of k+1 identical (digit, exponent) steps satisfies
 (T2/T1)**k = theta where T1, T2 are the roots of T**2 - digit*T - p**exponent
 and theta is a ratio of conjugate products; head_analysis certifies that
@@ -54,7 +78,6 @@ from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prim
 class SchneiderStep(NamedTuple):
     b: int
     alpha: int
-    y_next: int
 
 
 class SchneiderExpansion(NamedTuple):
@@ -63,7 +86,10 @@ class SchneiderExpansion(NamedTuple):
     Exactly one of stationary_from / finite_end describes the tail:
     stationary_from is the index of the first of the everlasting (p-1, 1)
     steps (= len(steps)); finite_end means the next digit would divide
-    exactly, leaving the integer tail value tail_value.
+    exactly, leaving the integer tail value tail_value.  tail is the exact
+    value of the unexpanded tail after the recorded steps, as an unreduced
+    integer pair (num, den): (-1, 1) for the stationary tail, else the last
+    pair (y_{n-1}, y_n) the steps reached.
     """
 
     p: int
@@ -72,6 +98,7 @@ class SchneiderExpansion(NamedTuple):
     steps: tuple[SchneiderStep, ...]
     stationary_from: int | None
     finite_end: bool
+    tail: tuple[int, int]
 
     @property
     def head(self) -> list[tuple[int, int]]:
@@ -79,17 +106,12 @@ class SchneiderExpansion(NamedTuple):
 
     @property
     def y_trace(self) -> list[int]:
-        return [s.y_next for s in self.steps]
-
-    @property
-    def tail(self) -> tuple[int, int]:
-        """Exact value of the unexpanded tail after the recorded steps, as an
-        unreduced integer pair (num, den): (-1, 1) for the stationary tail,
-        else the last two y values."""
-        if self.stationary_from is not None:
-            return -1, 1
-        ys = (self.a, self.b) + tuple(s.y_next for s in self.steps[-2:])
-        return ys[-2], ys[-1]
+        """y_1, y_2, ..., one per step, replayed from (a, b) through the recurrence."""
+        p, y_prev, y_cur, out = self.p, self.a, self.b, []
+        for digit, alpha in self.steps:
+            y_prev, y_cur = y_cur, (y_prev - digit * y_cur) // p**alpha
+            out.append(y_cur)
+        return out
 
     @property
     def tail_value(self) -> Fraction:
@@ -136,7 +158,53 @@ class HeadReport(NamedTuple):
 
 
 _STATIONARY_PAIRS = ((1, -1), (-1, 1))
+_BATCH_WIDTH = 480  # W: bits of the residues a batch steps on (module docstring, (iv))
+# fewest digits K a batch steps on: with fewer (p above 17 bits), its full-size products
+# and division cost more than the single steps they replace
+_BATCH_DEPTH_MIN = 28
 _record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
+
+
+def _batches(y_prev: int, y_cur: int, p: int, depth: int, steps: list, cap: int) -> tuple[int, int]:
+    # steps y_prev, y_cur in batches on residues mod p**depth while both stay at or above
+    # 2**(2W) and a whole batch fits under the cap; returns the pair reached
+    pows = [p**e for e in range(depth + 1)]
+    modulus, bound, append = pows[depth], 2 * _BATCH_WIDTH, steps.append
+    while min(abs(y_prev), abs(y_cur)).bit_length() > bound and len(steps) + depth <= cap:
+        x_prev, x_cur = y_prev % modulus, y_cur % modulus
+        r_prev, r_cur = x_prev % p, x_cur % p
+        # precision digits left, and C = [[c00, c01], [c10, c11]]
+        left, c00, c01, c10, c11 = depth, 1, 0, 0, 1
+        while left >= 2:
+            digit = r_prev * pow(r_cur, -1, p) % p
+            x_next, alpha = (x_prev - digit * x_cur) // p, 1
+            r_next = x_next % p
+            while not r_next and alpha + 1 < left:
+                x_next //= p
+                alpha += 1
+                r_next = x_next % p
+            if not r_next:
+                break  # alpha >= left: the residues cannot tell this step
+            left -= alpha
+            pa = pows[alpha]
+            c00, c01, c10, c11 = pa * c10, pa * c11, c00 - digit * c10, c01 - digit * c11
+            append(_record(SchneiderStep, (digit, alpha)))
+            x_prev, x_cur, r_prev, r_cur = x_cur, x_next, r_cur, r_next
+        if left < depth:
+            scale = pows[depth - left]
+            (y_prev, rem_prev), (y_cur, rem_cur) = (
+                divmod(c00 * y_prev + c01 * y_cur, scale), divmod(c10 * y_prev + c11 * y_cur, scale))
+            if rem_prev or rem_cur:
+                raise ArithmeticError(f"inexact batch division by {p}**{depth - left}")
+        else:
+            # the first step's exponent is depth - 1 or more: take it, digit and all, on the full pair
+            y_next, alpha = (y_prev - digit * y_cur) // p, 1
+            while not y_next % p:
+                y_next //= p
+                alpha += 1
+            append(_record(SchneiderStep, (digit, alpha)))
+            y_prev, y_cur = y_cur, y_next
+    return y_prev, y_cur
 
 
 def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion:
@@ -153,25 +221,31 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
     # above every step count the module docstring allows, so only a defect reaches it
     bits = max(abs(a), b).bit_length()
     cap = max_steps or (2 * bits * (p + 2) + 4) * (bits + 1)
-    # r_prev, r_cur carry y_{m-1} mod p and y_m mod p, never 0
-    y_prev, y_cur, r_prev, r_cur = a, b, a % p, b % p
+    y_prev, y_cur = a, b
     steps: list[SchneiderStep] = []
+    depth = _BATCH_WIDTH // p.bit_length()
+    # the bound is tested here too, so that below it no call builds the batch tables
+    if depth >= _BATCH_DEPTH_MIN and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
+        y_prev, y_cur = _batches(a, b, p, depth, steps, cap)
+    # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
+    # and y_m mod p, never 0
+    r_prev, r_cur = y_prev % p, y_cur % p
     while (y_prev, y_cur) not in _STATIONARY_PAIRS:
         digit = r_prev * pow(r_cur, -1, p) % p
         delta = y_prev - digit * y_cur
         if delta == 0:
-            return SchneiderExpansion(p, a, b, tuple(steps), None, True)
+            return SchneiderExpansion(p, a, b, tuple(steps), None, True, (y_prev, y_cur))
         if len(steps) == cap:
-            return SchneiderExpansion(p, a, b, tuple(steps), None, False)
+            return SchneiderExpansion(p, a, b, tuple(steps), None, False, (y_prev, y_cur))
         y_next, alpha = delta // p, 1  # exact: digit makes delta divisible by p
         r_next = y_next % p
         while not r_next:
             y_next //= p
             alpha += 1
             r_next = y_next % p
-        steps.append(_record(SchneiderStep, (digit, alpha, y_next)))
+        steps.append(_record(SchneiderStep, (digit, alpha)))
         y_prev, y_cur, r_prev, r_cur = y_cur, y_next, r_cur, r_next
-    return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False)
+    return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False, (-1, 1))
 
 
 def first_step(a: int, b: int, p: int) -> SchneiderStep | None:

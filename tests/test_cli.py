@@ -104,6 +104,14 @@ class TestParseRational:
         with pytest.raises(ValueError):
             parse_rational(text)
 
+    def test_trailing_newline_is_malformed(self):
+        # a pattern ending in $ would also match before a final newline
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational("7/2\n")
+        done = run_process(["-m", "padic_cf", "bound", "-p", "3", "7/2\n"])
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.endswith(b"padic-cf bound: error: malformed rational '7/2\\n'\n")
+
 
 class TestExpandBrowkinCommand:
     def test_json_schema(self, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_cf import schneider
 from padic_cf.exactarith import QuadraticElement, int_vp, mod_inverse, vp
 from padic_cf.schneider import (
     SchneiderMatrix,
@@ -27,23 +28,34 @@ def raw_step(y_prev, y_cur, p):
 
 
 def assert_step_law(exp, a, b, p):
-    """Each recorded step is raw_step of the pair before it; the tail marker fits the last pair."""
-    y_prev, y_cur = a, b
+    """Each recorded step is raw_step of the pair before it, y_trace replays the
+    y values raw_step gives, and the tail marker and tail fit the last pair."""
+    y_prev, y_cur, ys = a, b, []
     for step in exp.steps:
         assert (y_prev, y_cur) not in ((1, -1), (-1, 1))
-        assert step == raw_step(y_prev, y_cur, p)
-        y_prev, y_cur = y_cur, step.y_next
+        digit, alpha, y_next = raw_step(y_prev, y_cur, p)
+        assert step == (digit, alpha)
+        y_prev, y_cur = y_cur, y_next
+        ys.append(y_next)
+    assert exp.y_trace == ys
     if exp.finite_end:
         assert y_prev == (y_prev * mod_inverse(y_cur, p)) % p * y_cur
+        assert exp.tail == (y_prev, y_cur)
     else:
         assert exp.stationary_from == len(exp.steps)
         assert (y_prev, y_cur) in ((1, -1), (-1, 1))
+        assert exp.tail == (-1, 1)
 
 
 def assert_guard_lemmas(exp, a, b, p):
-    """Lemmas (i)-(iii) of the schneider module docstring, step by step, and the
-    step count below the cap they give."""
-    ys = [a, b] + exp.y_trace  # ys[m] = y_{m-1}
+    """Lemmas (i)-(iii) of the schneider module docstring, step by step on the y
+    values raw_step gives, and the step count below the cap they give."""
+    ys = [a, b]  # ys[m] = y_{m-1}
+    for step in exp.steps:
+        digit, alpha, y_next = raw_step(ys[-2], ys[-1], p)
+        assert step == (digit, alpha)
+        ys.append(y_next)
+    assert ys[2:] == exp.y_trace
     h0 = max(abs(a), b)
     bits = h0.bit_length()
     others = run = 0
@@ -66,19 +78,49 @@ def assert_guard_lemmas(exp, a, b, p):
 
 
 def finite_end_input(rng, length, p):
-    """a/b whose expansion is `length` random steps, then a finite end.
+    """a/b whose expansion is `length` random steps, then a finite end."""
+    last = rng.randint(1, p - 1)
+    head = [(rng.randint(1, p - 1), rng.choice((1, 1, 2, 3))) for _ in range(length)][::-1]
+    return (*finite_end_pair(head, last, p), head)
 
-    Built backwards from the last pair (t, 1), t a digit: y_{m-1} = b_m y_m +
+
+def finite_end_pair(head, last, p):
+    """a/b whose expansion is `head`, then a finite end at the pair (last, 1).
+
+    Built backwards from the last pair, last a digit: y_{m-1} = b_m y_m +
     p**alpha_m y_{m+1} keeps every y prime to p, each pair coprime and, past
     the last pair, |y| >= 2, so the forward expansion retraces exactly these steps.
     """
-    y_cur, y_next = rng.randint(1, p - 1), 1
-    head = []
-    for _ in range(length):
-        digit, alpha = rng.randint(1, p - 1), rng.choice((1, 1, 2, 3))
+    y_cur, y_next = last, 1
+    for digit, alpha in reversed(head):
         y_cur, y_next = digit * y_cur + p**alpha * y_next, y_cur
+    return (y_cur, y_next) if y_next > 0 else (-y_cur, -y_next)
+
+
+def reference_expansion(a, b, p, max_steps=None):
+    """(head, stationary_from, finite_end, tail) of a/b by the recurrence, one
+    full-size step at a time, cut after max_steps steps if given."""
+    y_prev, y_cur, head = a, b, []
+    while (y_prev, y_cur) not in ((1, -1), (-1, 1)):
+        digit = y_prev * mod_inverse(y_cur, p) % p
+        delta = y_prev - digit * y_cur
+        if delta == 0:
+            return head, None, True, (y_prev, y_cur)
+        if len(head) == max_steps:
+            return head, None, False, (y_prev, y_cur)
+        alpha = int_vp(delta, p)
         head.append((digit, alpha))
-    return (y_cur, y_next, head[::-1]) if y_next > 0 else (-y_cur, -y_next, head[::-1])
+        y_prev, y_cur = y_cur, delta // p**alpha
+    return head, len(head), False, (-1, 1)
+
+
+def random_input(rng, digits, p):
+    """a/b in lowest terms, a and b of `digits` digits, prime to p, a of random sign."""
+    a = b = p
+    while a % p == 0 or b % p == 0 or math.gcd(a, b) != 1:
+        a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+        b = rng.randrange(10 ** (digits - 1), 10**digits)
+    return a, b
 
 
 def coprime_pairs(seed, count, span=120):
@@ -246,10 +288,7 @@ class TestStepLaw:
         rng = random.Random(83)
         for p in (3, 5, 7, 101):
             for digits in (300, 1000):
-                a = b = p
-                while a % p == 0 or b % p == 0 or math.gcd(a, b) != 1:
-                    a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
-                    b = rng.randrange(10 ** (digits - 1), 10**digits)
+                a, b = random_input(rng, digits, p)
                 exp = schneider_expand(a, b, p)
                 assert len(exp.steps) > digits
                 assert any(s.alpha >= 2 for s in exp.steps)
@@ -259,10 +298,7 @@ class TestStepLaw:
         rng = random.Random(97)
         for p in (3, 7, 101, 10**9 + 7):
             for digits in (1, 3, 30, 300, 1000):
-                a = b = p
-                while a % p == 0 or b % p == 0 or math.gcd(a, b) != 1:
-                    a = rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
-                    b = rng.randrange(10 ** (digits - 1), 10**digits)
+                a, b = random_input(rng, digits, p)
                 assert_guard_lemmas(schneider_expand(a, b, p), a, b, p)
             for r in (5, 40):  # a + b = p**r: a run of (p-1, 1) steps first
                 assert_guard_lemmas(schneider_expand(p**r - 2, 2, p), p**r - 2, 2, p)
@@ -289,6 +325,85 @@ class TestStepLaw:
             assert exp.finite_end and exp.head == head
             assert_step_law(exp, a, b, p)
             assert schneider_evaluate(exp.head, exp.tail, p) == Fraction(a, b)
+
+
+class TestBatchedKernel:
+    """The kernel, which takes its steps in batches on residues above a bound,
+    against the single-step reference on inputs on both sides of the bound."""
+
+    @staticmethod
+    def assert_matches_reference(a, b, p):
+        exp = schneider_expand(a, b, p)
+        got = (exp.head, exp.stationary_from, exp.finite_end, exp.tail)
+        assert got == reference_expansion(a, b, p), (a, b, p)
+        return exp
+
+    @staticmethod
+    def batched(a, b, p):
+        # the input starts above the bound and p is small enough for batches
+        depth = schneider._BATCH_WIDTH // p.bit_length()
+        width = min(abs(a), b).bit_length()
+        return depth >= schneider._BATCH_DEPTH_MIN and width > 2 * schneider._BATCH_WIDTH
+
+    def test_random_inputs(self):
+        rng = random.Random(101)
+        for p in (3, 5, 7, 101, 65537, 10**9 + 7):
+            for digits in (1, 30, 250, 300, 1000, 3000):
+                a, b = random_input(rng, digits, p)
+                assert self.batched(a, b, p) == (digits >= 300 and p < 2**17)
+                self.assert_matches_reference(a, b, p)
+
+    def test_long_stationary_runs(self):
+        # a + b = p**r: r - 1 or so (p-1, 1) steps on a pair that starts far above the bound
+        for p, r in ((3, 1500), (5, 700), (7, 1000), (101, 400), (65537, 200)):
+            exp = self.assert_matches_reference(p**r - 2, 2, p)
+            assert exp.head[: r - 2] == [(p - 1, 1)] * (r - 2)
+            exp = self.assert_matches_reference(-(p**r) + 2, 2, p)
+
+    def test_finite_ends(self):
+        rng = random.Random(103)
+        for p in (3, 7, 101, 65537):
+            a, b, head = finite_end_input(rng, 2000, p)
+            assert self.batched(a, b, p)
+            exp = self.assert_matches_reference(a, b, p)
+            assert exp.finite_end and exp.head == head
+            a, b = -a, b  # a negative input, of the same size
+            self.assert_matches_reference(a, b, p)
+
+    def test_constant_heads(self):
+        for p in (3, 5, 7, 101):
+            for alpha in (1, 2, 5, 9):
+                for digit in {1, p - 2, p - 1} - {p - 1 if alpha == 1 else 0}:
+                    k = 1500 // alpha
+                    a, b = generate_constant_head(digit, alpha, k, p)
+                    assert self.batched(a, b, p)
+                    exp = self.assert_matches_reference(a, b, p)
+                    assert exp.head == [(digit, alpha)] * (k + 1)
+
+    def test_exponent_past_the_residues(self):
+        # a step above the bound whose exponent the residues cannot tell
+        # (alpha >= K - 1) is taken on the full pair
+        rng = random.Random(107)
+        for p in (3, 7):
+            depth = schneider._BATCH_WIDTH // p.bit_length()
+            for alpha in (depth - 2, depth - 1, depth, 3 * depth):
+                head = [(rng.randint(1, p - 1), rng.choice((1, 2))) for _ in range(1500)]
+                head.insert(200, (rng.randint(1, p - 1), alpha))
+                a, b = finite_end_pair(head, 1, p)
+                assert self.batched(a, b, p)
+                exp = self.assert_matches_reference(a, b, p)
+                assert exp.head == head
+
+    def test_cut_inside_the_batches(self):
+        # a step cap cuts the batches exactly where the single-step loop would
+        a, b = random_input(random.Random(109), 1000, 3)
+        depth = schneider._BATCH_WIDTH // 3 .bit_length()
+        for cap in (1, depth - 1, depth, depth + 1, 1000, 5000):
+            exp = schneider._expand(a, b, 3, cap)
+            assert exp.stationary_from is None and not exp.finite_end
+            head, _, _, tail = reference_expansion(a, b, 3, cap)
+            assert (exp.head, exp.tail) == (head, tail)
+        assert schneider.first_step(a, b, 3) == tuple(head[0])
 
 
 class TestHeadAnalysis:
