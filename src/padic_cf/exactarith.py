@@ -1,8 +1,8 @@
 """Exact arithmetic foundation: the primality test, p-adic valuations,
 symmetric residues, modular inverses, and real quadratic field elements.
 
-Everything here is exact integer/rational arithmetic; floating point only
-appears in ``float()`` conversions used for advisory estimates.
+Everything here is exact integer/rational arithmetic; the float of a
+QuadraticElement (``__float__``) is an approximation for display only.
 """
 
 from __future__ import annotations
@@ -64,13 +64,23 @@ def require_lowest_terms(a: int, b: int) -> None:
 
 
 def int_vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer: p, p**2, p**4, ... are divided out
+    while each divides, then the same powers are tried in reverse."""
     if n == 0:
         raise ValueError("valuation of zero undefined")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    n, v, powers, power = n // p, 1, [p], p * p
+    q, r = divmod(n, power)
+    while not r:
+        n, v = q, 2 * v + 1
+        powers.append(power)
+        power *= power
+        q, r = divmod(n, power)
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n, v = q, v + (1 << i)
     return v
 
 

@@ -62,8 +62,9 @@ the bound, where the single-step loop runs.
 
 A constant head of k+1 identical (digit, exponent) steps satisfies
 (T2/T1)**k = theta where T1, T2 are the roots of T**2 - digit*T - p**exponent
-and theta is a ratio of conjugate products; head_analysis certifies that
-identity exactly, on integer pairs in Z[sqrt(4p**exponent + digit**2)].
+and theta is a ratio of conjugate products.  head_analysis reads the one k it
+allows off two p-adic valuations and checks the identity for that k exactly,
+on integer pairs in Z[sqrt(4p**exponent + digit**2)]; no float takes part.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime
+from .exactarith import QuadraticElement, int_vp, require_lowest_terms, require_odd_prime
 
 
 class SchneiderStep(NamedTuple):
@@ -141,7 +142,7 @@ class HeadReport(NamedTuple):
 
     exact_identity means (t2/t1)**(head_len-1) equals theta, checked exactly on
     integer pairs in Z[sqrt(D)]; otherwise head_len and exact_exponent are None.
-    The *_float fields are advisory, and None for a value past the float range.
+    The *_float fields are for display only, and None past the float range.
     """
 
     digit: int
@@ -207,16 +208,23 @@ def _batches(y_prev: int, y_cur: int, p: int, depth: int, steps: list, cap: int)
     return y_prev, y_cur
 
 
-def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion:
-    # the expansion of a/b, cut with neither tail marker set past max_steps steps or the default cap
+def _require_unit_pair(a: int, b: int, p: int) -> None:
+    # what an expansion and a head ask of a/b: a nonzero, b positive, both prime to p
     require_odd_prime(p)
     if a == 0:
         raise ValueError("numerator must be nonzero")
-    require_lowest_terms(a, b)
+    if b < 1:
+        raise ValueError("denominator must be positive")
     if a % p == 0:
         raise ValueError("numerator must be coprime to p")
     if b % p == 0:
         raise ValueError("denominator must be coprime to p")
+
+
+def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion:
+    # the expansion of a/b, cut with neither tail marker set past max_steps steps or the default cap
+    _require_unit_pair(a, b, p)
+    require_lowest_terms(a, b)
 
     # above every step count the module docstring allows, so only a defect reaches it
     bits = max(abs(a), b).bit_length()
@@ -333,15 +341,13 @@ def _float(value: QuadraticElement) -> float | None:
 def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     """Certify the length of the constant (digit, alpha) head of a/b.
 
-    Returns head_len = e + 1 with the exponent e certified by the exact identity
-    (t2/t1)**e = theta, checked on integer pairs in Z[sqrt(D)] for the exponents
-    within one of a seed taken from logarithms of integers.  When none satisfies
-    it, the input's head is not exactly constant and head_len is None.
+    Returns head_len = e + 1 for the one exponent e that p-adic valuations allow,
+    once (t2/t1)**e = theta is checked for it exactly on integer pairs in
+    Z[sqrt(D)]; else head_len is None.  a/b is taken as schneider_expand takes
+    it, but need not be in lowest terms: only its value decides the answer.
     """
-    require_odd_prime(p)
+    _require_unit_pair(a, b, p)
     _check_head_pair(digit, alpha, p)
-    if b < 1:
-        raise ValueError("denominator must be positive")
     # before any power is built: p**alpha >= 2**(alpha*(p.bit_length()-1)), so when that
     # exponent reaches the bit length of |a| + (p-1)*b, p**alpha > |a| + (p-1)*b >=
     # |a - digit*b|, p**alpha cannot divide a nonzero a - digit*b, and no expansion of a/b
@@ -358,45 +364,29 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     x, y = big_p * q - b * disc, big_p * b - q
     if x * y <= 0:
         raise ValueError("|theta| <= 1: no constant head to measure")
-    # theta = (x + y*sqrt(D)) / (x - y*sqrt(D)) = (sx + sy*sqrt(D)) / n
+    # theta = (x + y*sqrt(D)) / (x - y*sqrt(D)) = (sx + sy*sqrt(D)) / n, with sx > 0 and n != 0
     sx, sy, n = x * x + disc * y * y, 2 * x * y, x * x - disc * y * y
     t1 = QuadraticElement(Fraction(digit, 2), Fraction(-1, 2), disc)
     t2 = QuadraticElement(Fraction(digit, 2), Fraction(1, 2), disc)
     theta = QuadraticElement(Fraction(sx, n), Fraction(sy, n), disc)
-    # the seed log|theta| / log|t2/t1| from math.log of integers, which never overflows:
-    # |theta| = (|x| + |y|*sqrt(D))**2 / |n| and |t2/t1| = 1 + 2*digit*(sqrt(D) + digit)
-    # / (4p**alpha), with sqrt(D) * 2**64 taken as isqrt(D << 128)
-    root = math.isqrt(disc << 128)
-    log_theta = 2 * (math.log((abs(x) << 64) + abs(y) * root) - 64 * math.log(2)) - math.log(abs(n))
-    log_ratio = math.log1p(2 * digit * ((digit << 64) + root) / (pa << 66))
-    # t1*t2 = -p**alpha, so (t2/t1)**e = w**e / (4p**alpha)**e with w = wu + wv*sqrt(D) =
-    # -(digit + sqrt(D))**2; the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e.
-    # Then p**(alpha*e) divides n, as the rational part of w**e is prime to p: in Z_p take
-    # sqrt(D) = s = digit mod p, so digit + s is a unit and digit - s has valuation alpha.
-    # That bounds e by e_max, and with it the size of the powers below, as alpha_max bounds
-    # p**alpha by the input.
-    e_max = (n.bit_length() - 1) // (alpha * (p.bit_length() - 1))
-    wu, wv = -(digit * digit + disc), -2 * digit
-    exact_exponent = None
-    if 0 < log_theta < (e_max + 1) * log_ratio:
-        nearest = round(log_theta / log_ratio)
-        first = max(1, nearest - 1)
-        u, v, bu, bv, e = 1, 0, wu, wv, first - 1
-        while e:
-            if e & 1:
+    # t1*t2 = -p**alpha, so (t2/t1)**e = w**e / (4p**alpha)**e with w = -(digit + sqrt(D))**2;
+    # the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e.  In Z_p take
+    # sqrt(D) = s = digit mod p: digit + s is a unit, digit - s has valuation alpha, so the rational
+    # part u = (w(s)**e + w(-s)**e) / 2 of w**e is a unit, and u*n == sx*(4p**alpha)**e forces
+    # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized
+    e, rem = divmod(int_vp(n, p) - int_vp(sx, p), alpha)
+    exact = False
+    if e >= 1 and not rem:
+        u, v, bu, bv, i = 1, 0, -(digit * digit + disc), -2 * digit, e
+        while i:
+            if i & 1:
                 u, v = u * bu + v * bv * disc, u * bv + v * bu
-            bu, bv, e = bu * bu + bv * bv * disc, 2 * bu * bv, e >> 1
-        scale = (4 * pa) ** (first - 1)
-        for candidate in range(first, min(nearest + 1, e_max) + 1):
-            u, v, scale = u * wu + v * wv * disc, u * wv + v * wu, scale * 4 * pa
-            if u * n == sx * scale and v * n == sy * scale:
-                exact_exponent = candidate
-                break
-    exact = exact_exponent is not None
-    head_len = exact_exponent + 1 if exact else None
+            bu, bv, i = bu * bu + bv * bv * disc, 2 * bu * bv, i >> 1
+        scale = (4 * pa) ** e
+        exact = u * n == sx * scale and v * n == sy * scale
     return HeadReport(
         digit, alpha, t1, t2, _float(t1), _float(t2), theta, _float(theta),
-        head_len, exact_exponent, exact,
+        e + 1 if exact else None, e if exact else None, exact,
     )
 
 

@@ -517,6 +517,30 @@ class TestHeadCommand:
         assert captured.out == ""
         assert captured.err.endswith(f"padic-cf head: error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("9/2", "numerator must be coprime to p"),
+            ("2/9", "denominator must be coprime to p"),
+        ],
+    )
+    def test_explicit_pair_takes_only_expandable_inputs(self, text, message, capsys):
+        # with --digit and --exponent no expansion step runs, and the input is still checked
+        with pytest.raises(SystemExit) as exc:
+            main(["head", "-p", "3", "--digit", "1", "--exponent", "1", "--", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"padic-cf head: error: {message}\n")
+
+    @pytest.mark.parametrize("p", [100000000000000000039, 10**21 + 117])
+    def test_heads_certify_at_large_p(self, p, capsys):
+        for digit, alpha, k in ((1, 2, 5), (2, 3, 3), (1, 2, 40)):
+            a, b = generate_constant_head(digit, alpha, k, p)
+            payload = run_json(["head", "-p", str(p), "--json", f"{a}/{b}"], capsys)
+            assert payload["head_len"] == k + 1 and payload["exact_exponent"] == k
+            assert payload["exact_identity"] is True
+
 
 class TestVerifyCommand:
     def test_ok(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from padic_cf.exactarith import (
     PRIME_LIMIT,
     QuadraticElement,
+    int_vp,
     is_odd_prime,
     mod_inverse,
     symmetric_residue,
@@ -45,6 +46,25 @@ class TestValuation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             vp(Fraction(0), 3)
+        with pytest.raises(ValueError, match="zero"):
+            int_vp(0, 3)
+
+    def test_int_vp_matches_repeated_division(self):
+        def by_division(n, p):
+            v, (q, r) = 0, divmod(n, p)
+            while not r:
+                n, v = q, v + 1
+                q, r = divmod(n, p)
+            return v
+
+        # v = 2**j - 1, 2**j, 2**j + 1 meet the edges of the squaring; the reference
+        # costs time quadratic in v, so few large v are tried
+        rng = random.Random(20261018)
+        for p in (3, 5, 101, 65537, 10**21 + 117):
+            for v in list(range(18)) + [31, 32, 33, 127, 128, 255, 1023, 1024, 5000]:
+                u = rng.randrange(p * p) * p + rng.randrange(1, p)  # prime to p
+                n = rng.choice((1, -1)) * u * p**v
+                assert int_vp(n, p) == v == by_division(n, p)
 
     def test_multiplicative_and_ultrametric(self):
         rng = random.Random(20260810)

@@ -18,6 +18,14 @@ from padic_cf.schneider import (
     schneider_expand,
 )
 
+# (digit, alpha, p) of the constant heads the benchmark runs
+BENCHMARK_HEAD_TRIPLES = [
+    (1, 2, 3), (1, 3, 3), (1, 2, 5), (2, 3, 5), (1, 2, 7), (2, 2, 7),
+    (3, 3, 7), (1, 1, 11), (2, 2, 11), (1, 1, 13), (1, 1, 101), (2, 1, 101),
+]
+LARGE_PRIMES = (100000000000000000039, 10**21 + 117)
+LARGE_P_HEADS = ((1, 2, 5), (2, 3, 3), (1, 2, 40))  # (digit, alpha, k)
+
 
 def raw_step(y_prev, y_cur, p):
     """Independent re-derivation of one expansion step, straight from the recurrence."""
@@ -445,12 +453,22 @@ class TestHeadAnalysis:
             head_analysis(2, 5, 2, 1, 3)
         with pytest.raises(ValueError, match="theta|head"):
             head_analysis(-2, 1, 1, 1, 3)  # single-quotient head: |theta| = 1
+        # the inputs schneider_expand refuses, refused with its messages
+        for a, b, message in (
+            (0, 1, "numerator must be nonzero"),
+            (2, 0, "denominator must be positive"),
+            (2, -5, "denominator must be positive"),
+            (9, 2, "numerator must be coprime to p"),
+            (2, 9, "denominator must be coprime to p"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                head_analysis(a, b, 1, 1, 3)
+        # only the value a/b decides the answer: 4/10 is 2/5
+        assert head_analysis(4, 10, 1, 1, 3) == head_analysis(2, 5, 1, 1, 3)
 
     def test_integer_identity_matches_field_reference(self):
         # the twelve benchmark head triples, then a spread with D squarefree or not
-        triples = [
-            (1, 2, 3), (1, 3, 3), (1, 2, 5), (2, 3, 5), (1, 2, 7), (2, 2, 7),
-            (3, 3, 7), (1, 1, 11), (2, 2, 11), (1, 1, 13), (1, 1, 101), (2, 1, 101),
+        triples = BENCHMARK_HEAD_TRIPLES + [
             (1, 1, 3), (2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 7), (6, 2, 7),
         ]
         for digit, alpha, p in triples:
@@ -481,7 +499,7 @@ class TestHeadAnalysis:
 
     def test_long_heads_certify_past_the_float_range(self):
         # theta overflows a float on these heads (the k = 1500 (1,1) head at p = 3
-        # first): the seed comes from logarithms of integers, theta_float is None;
+        # first): the exponent comes from valuations, theta_float is None;
         # the (1,40) head at p = 3 has |t2/t1| - 1 about 2.9e-10
         for digit, alpha, p, k in ((1, 1, 3, 1500), (4, 1, 7, 2000), (1, 40, 3, 1000)):
             a, b = generate_constant_head(digit, alpha, k, p)
@@ -489,12 +507,35 @@ class TestHeadAnalysis:
             assert report.exact_identity and report.head_len == k + 1
             assert (report.theta_float is None) == (alpha == 1)
 
-    def test_seed_past_the_input_size_takes_no_power(self):
+    def test_exponent_stays_within_the_input_size(self):
         # a real convergent of the infinite (1,20) head's value at p = 3: |theta| is
-        # about 7e26 and |t2/t1| - 1 about 1.7e-5, so the seed is near 3.65e6, but
-        # p**(alpha*e) must divide n, which allows e <= 4; w**(3.65e6) would not end
+        # about 7e26 and |t2/t1| - 1 about 1.7e-5, so log|theta| / log|t2/t1| is near
+        # 3.65e6, but the identity forces p**(alpha*e) to divide n, which allows
+        # e <= 4; w**(3.65e6) would not end
         report = head_analysis(3294299955222442, 55788786613, 1, 20, 3)
         assert report.head_len is None and report.exact_exponent is None
+
+    def test_heads_certify_at_large_p(self):
+        # |t2/t1| - 1 is 1e-20 or less here, below the resolution of a double
+        for p in LARGE_PRIMES:
+            for digit, alpha, k in LARGE_P_HEADS:
+                a, b = generate_constant_head(digit, alpha, k, p)
+                assert schneider_expand(a, b, p).head == [(digit, alpha)] * (k + 1)
+                report = head_analysis(a, b, digit, alpha, p)
+                assert report.exact_identity and report.head_len == k + 1
+
+    def test_no_float_decides_the_head(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a logarithm was taken")
+
+        monkeypatch.setattr(math, "log", unreachable)
+        monkeypatch.setattr(math, "log1p", unreachable)
+        cases = [(digit, alpha, 1000, p) for digit, alpha, p in BENCHMARK_HEAD_TRIPLES]
+        cases += [(digit, alpha, k, p) for p in LARGE_PRIMES for digit, alpha, k in LARGE_P_HEADS]
+        for digit, alpha, k, p in cases:
+            a, b = generate_constant_head(digit, alpha, k, p)
+            report = head_analysis(a, b, digit, alpha, p)
+            assert report.exact_identity and report.head_len == k + 1
 
 
 class TestGenerator:
