@@ -22,6 +22,7 @@ certifies that at most n_bound + 1 quotients can appear.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -190,30 +191,22 @@ def cf_evaluate(quotients) -> Fraction:
     return Fraction(*cf_pair(reversed(list(quotients))))
 
 
-def convergent_triples(quotients) -> list[tuple[int, int, int]]:
-    """(P_n, Q_n, D_n) for the quotients a_n = num_n/den_n, integer pairs with
-    den_n > 0: the convergent p_n/q_n scaled by D_n = den_0 * ... * den_n.
+def convergent_triples(quotients) -> Iterator[tuple[int, int, int]]:
+    """Yield (P_n, Q_n, D_n) for the quotients a_n = num_n/den_n, integer pairs
+    with den_n > 0: the convergent p_n/q_n scaled by D_n = den_0 * ... * den_n.
 
-    p_n = a_n p_{n-1} + p_{n-2} from p_{-1} = 1, p_0 = a_0 (q_{-1} = 0,
-    q_0 = 1) becomes P_n = num_n P_{n-1} + den_n den_{n-1} P_{n-2}, with
-    P_{-1} = 1, P_0 = num_0, Q_{-1} = 0, Q_0 = den_0 and den_{-1} = 1; the
-    determinant law p_n q_{n-1} - p_{n-1} q_n = (-1)**(n+1) reads
-    P_n Q_{n-1} - P_{n-1} Q_n = (-1)**(n+1) D_n D_{n-1}.
+    p_n = a_n p_{n-1} + p_{n-2} becomes P_n = num_n P_{n-1} + den_n den_{n-1} P_{n-2}
+    (Q_n likewise), started at n = 0 by P_{-2} = Q_{-1} = 0, P_{-1} = Q_{-2} = 1
+    and den_{-1} = D_{-1} = 1; the determinant law p_n q_{n-1} - p_{n-1} q_n =
+    (-1)**(n+1) reads P_n Q_{n-1} - P_{n-1} Q_n = (-1)**(n+1) D_n D_{n-1}.
     """
-    qs = list(quotients)
-    if not qs:
-        raise ValueError("empty quotient sequence")
-    p_prev, q_prev = 1, 0
-    p_cur, den = qs[0]
-    q_cur = d = den
-    out = [(p_cur, q_cur, d)]
-    for num, den_next in qs[1:]:
+    p_prev, p_cur, q_prev, q_cur, d, den = 0, 1, 1, 0, 1, 1
+    for num, den_next in quotients:
         link, den = den_next * den, den_next
         p_cur, p_prev = num * p_cur + link * p_prev, p_cur
         q_cur, q_prev = num * q_cur + link * q_prev, q_cur
         d *= den
-        out.append((p_cur, q_cur, d))
-    return out
+        yield p_cur, q_cur, d
 
 
 def browkin_convergents(quotients) -> list[Convergent]:
@@ -228,25 +221,16 @@ def browkin_convergents(quotients) -> list[Convergent]:
     ]
 
 
-def theta_scaled(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[int]:
-    """T_i = theta_i * (2p**2)**i for i < n, where theta is theta_sequence's
-    majorant: T_0 = |beta_0|, T_1 = 2p**2 |beta_1|, T_{i+1} = p**2 T_i + 4p**2 T_{i-1}.
+def theta_sequence(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[Fraction]:
+    """Majorant sequence theta dominating |beta_n| (see oracle.majorant):
+    theta_0 = |beta_0|, theta_1 = |beta_1|, theta_{i+1} = theta_i/2 + theta_{i-1}/p**2.
     """
     if n < 2:
         raise ValueError("need at least two terms")
-    pp = p * p
-    seq = [beta0_abs, 2 * pp * beta1_abs]
+    seq = [Fraction(beta0_abs), Fraction(beta1_abs)]
     while len(seq) < n:
-        seq.append(pp * seq[-1] + 4 * pp * seq[-2])
+        seq.append(seq[-1] / 2 + seq[-2] / (p * p))
     return seq
-
-
-def theta_sequence(beta0_abs: int, beta1_abs: int, p: int, n: int) -> list[Fraction]:
-    """Majorant sequence theta dominating |beta_n|, on theta_scaled:
-    theta_0 = |beta_0|, theta_1 = |beta_1|, theta_{i+1} = theta_i/2 + theta_{i-1}/p**2.
-    """
-    scaled = theta_scaled(beta0_abs, beta1_abs, p, n)
-    return [Fraction(t, (2 * p * p) ** i) for i, t in enumerate(scaled)]
 
 
 def _length_seed(a: int, b: int, p: int, disc: int) -> int:

@@ -36,7 +36,7 @@ from .digits import digit_period, padic_digits
 from .exactarith import is_odd_prime
 from .schneider import first_step, head_analysis, schneider_expand
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: int() reads any Unicode digit
 
 SWEEP_COLUMNS = [
     "p",

@@ -13,7 +13,7 @@ and num * b == den * a.
 
 from typing import NamedTuple
 
-from .browkin import browkin_bound, browkin_expand, cf_pair, convergent_triples, theta_scaled
+from .browkin import browkin_bound, browkin_expand, cf_pair, convergent_triples
 from .digits import padic_digits
 from .schneider import schneider_convergents, schneider_expand, schneider_pair
 
@@ -34,7 +34,10 @@ def _equals(pair: tuple[int, int], a: int, b: int) -> bool:
 
 def browkin_reconstruction(a: int, b: int, expansion) -> Check:
     p = expansion.p
-    pair = cf_pair((s.x, p**s.k) for s in reversed(expansion.steps))
+    try:
+        pair = cf_pair((s.x, p**s.k) for s in reversed(expansion.steps))
+    except ZeroDivisionError:  # a complete quotient of 0 on the way: not a/b
+        pair = (0, 0)
     return Check("browkin reconstruction", _equals(pair, a, b))
 
 
@@ -43,26 +46,40 @@ def browkin_length_bound(expansion, report) -> Check:
 
 
 def majorant(expansion) -> Check:
-    """|beta_i| <= theta_i, checked as |beta_i| * (2p**2)**i <= T_i on theta_scaled."""
-    steps, p = expansion.steps, expansion.p
-    thetas = theta_scaled(expansion.beta0, expansion.beta1_abs, p, max(2, len(steps)))
-    ok, scale = True, 1
-    for step, theta in zip(steps, thetas):
-        ok &= abs(step.beta) * scale <= theta
-        scale *= 2 * p * p
+    """|beta_i| <= theta_i of browkin.theta_sequence, checked one step at a time.
+
+    beta_{n+1} = (beta_{n-1} - x_n beta_n) / p**(k_n + k_{n+1}), |x_n| < p**(1+k_n)/2
+    and k_n, k_{n+1} >= 1 for n >= 1, so |beta_{n+1}| <= |beta_n|/2 + |beta_{n-1}|/p**2:
+    the step law 2p**2 |beta_i| <= p**2 |beta_{i-1}| + 2|beta_{i-2}| (i >= 2), on
+    input-sized integers.  By induction from theta_0 = beta0 >= |beta_0| and
+    theta_1 = |beta_1| it gives |beta_i| <= theta_i = theta_{i-1}/2 + theta_{i-2}/p**2.
+    """
+    steps, pp = expansion.steps, expansion.p**2
+    ok = abs(steps[0].beta) <= expansion.beta0
+    for before, prev, step in zip(steps, steps[1:], steps[2:]):
+        ok &= 2 * pp * abs(step.beta) <= pp * abs(prev.beta) + 2 * abs(before.beta)
     return Check("majorant", ok)
 
 
 def determinant_identity(a: int, b: int, expansion) -> Check:
     """P_n Q_{n-1} - P_{n-1} Q_n = (-1)**(n+1) D_n D_{n-1} on the convergents
-    scaled by D_n = p**(k_0+...+k_n), and the last convergent is a/b."""
-    p = expansion.p
-    convs = convergent_triples((s.x, p**s.k) for s in expansion.steps)
-    ok = _equals(convs[-1][:2], a, b)
-    for n in range(1, len(convs)):
-        (pn, qn, dn), (pm, qm, dm) = convs[n], convs[n - 1]
-        ok &= pn * qm - pm * qn == (-1) ** (n + 1) * dn * dm
-    return Check("determinant identity", ok)
+    scaled by D_n = p**(k_0+...+k_n), and the last convergent is a/b.
+
+    Each triple must follow from the two before it by convergent_triples'
+    recurrence, whose multipliers x_n, d_n = p**k_n and L_n = d_n d_{n-1} are
+    small.  It gives Delta_n = P_n Q_{n-1} - P_{n-1} Q_n = -L_n Delta_{n-1}
+    from Delta_0 = -d_0, hence the law by induction; the last triple against
+    a/b is the one full-size test.
+    """
+    quotients = expansion.quotient_pairs
+    triples = convergent_triples(quotients)
+    ok, count = True, 0
+    p2, q2, p1, q1, d1, den1 = 0, 1, 1, 0, 1, 1  # P_{n-2}, Q_{n-2}, the triple n-1, d_{n-1}
+    for count, ((x, den), triple) in enumerate(zip(quotients, triples), 1):
+        ok &= triple == (x * p1 + den * den1 * p2, x * q1 + den * den1 * q2, den * d1)
+        p2, q2, (p1, q1, d1), den1 = p1, q1, triple, den
+    ok &= count == len(quotients) and next(triples, None) is None
+    return Check("determinant identity", ok and _equals((p1, q1), a, b))
 
 
 def digit_truncation_identity(a: int, b: int, window, lengths) -> Check:
@@ -100,14 +117,15 @@ def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
     """
     p, steps = expansion.p, expansion.steps
     matrices = schneider_convergents(expansion)
-    ok, eps_prev, eps = len(matrices) == len(steps), a, -b
+    ok, count, eps_prev, eps = True, 0, a, -b
     u, v, w, z = 1, 0, 0, 1
-    for (digit, alpha), matrix in zip(steps, matrices):
+    for count, ((digit, alpha), matrix) in enumerate(zip(steps, matrices), 1):
         pa = p**alpha
         ok &= matrix == (u * digit + v, u * pa, w * digit + z, w * pa)
         eps_prev, (eps, rem) = eps, divmod(digit * eps + eps_prev, pa)
         ok &= not rem and eps % p != 0
         u, v, w, z = matrix
+    ok &= count == len(steps) and next(matrices, None) is None
     return Check("schneider matrix laws", ok)
 
 

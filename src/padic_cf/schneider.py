@@ -70,6 +70,7 @@ on integer pairs in Z[sqrt(4p**exponent + digit**2)]; no float takes part.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -304,20 +305,16 @@ def schneider_evaluate(head, tail: tuple[int, int], p: int) -> Fraction:
     return Fraction(*schneider_pair(head, tail, p))
 
 
-def schneider_convergents(expansion: SchneiderExpansion) -> list[SchneiderMatrix]:
-    """Matrix prefixes M_m; the m-th convergent is U_m/W_m = M_m.u/M_m.w.
+def schneider_convergents(expansion: SchneiderExpansion) -> Iterator[SchneiderMatrix]:
+    """Yield the matrix prefixes M_m; the m-th convergent is U_m/W_m = M_m.u/M_m.w.
 
     det M_m = (-1)**(m+1) * p**(alpha_0+...+alpha_m), and the truncation
     error a/b - U_m/W_m has valuation exactly alpha_0+...+alpha_m.
     """
-    if not expansion.steps:
-        raise ValueError("empty expansion")
-    out = []
     m = SchneiderMatrix(1, 0, 0, 1)
     for s in expansion.steps:
         m = m.times_step(s.b, s.alpha, expansion.p)
-        out.append(m)
-    return out
+        yield m
 
 
 def _check_head_pair(digit: int, alpha: int, p: int) -> None:

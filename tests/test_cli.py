@@ -112,6 +112,16 @@ class TestParseRational:
         assert (done.returncode, done.stdout) == (2, b"")
         assert done.stderr.endswith(b"padic-cf bound: error: malformed rational '7/2\\n'\n")
 
+    @pytest.mark.parametrize("text", ["\u0663\u0666\u0665/\u0665\u0664", "\uff13\uff16\uff15/54", "365/\u0665\u0664"])
+    def test_non_ascii_digits_are_malformed(self, text):
+        # int() reads every Unicode decimal digit, so a pattern on \d took the
+        # Arabic-Indic "365/54" as 365/54
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational(text)
+        done = run_process(["-m", "padic_cf", "expand-browkin", "-p", "3", text])
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert b"malformed rational" in done.stderr
+
 
 class TestExpandBrowkinCommand:
     def test_json_schema(self, capsys):

@@ -2,10 +2,11 @@
 independent Fraction references, on random inputs up to 1,000 digits.
 
 The cores are cf_pair and schneider_pair (back-substitution to an unreduced
-pair), convergent_triples (convergents scaled by D_n) and theta_scaled (the
-majorant scaled by (2p**2)**i).  The public cf_evaluate, schneider_evaluate,
-browkin_convergents and theta_sequence wrap them and keep their Fraction
-results.
+pair) and convergent_triples (convergents scaled by D_n, yielded one prefix
+at a time).  The public cf_evaluate, schneider_evaluate and
+browkin_convergents wrap them and keep their Fraction results.  The oracle
+checks the majorant one step at a time; the global statement, every
+|beta_i| <= theta_i of theta_sequence, is tested here.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from padic_cf import browkin_bound, browkin_convergents, browkin_expand, cf_evaluate, theta_sequence
-from padic_cf.browkin import Convergent, cf_pair, convergent_triples, theta_scaled
+from padic_cf.browkin import Convergent, cf_pair, convergent_triples
 from padic_cf.cli import main
 from padic_cf.schneider import schneider_evaluate, schneider_expand, schneider_pair
 
@@ -57,10 +58,13 @@ def _reference_convergents(quotients):
 
 
 def _reference_theta(beta0_abs, beta1_abs, p, n):
-    seq = [Fraction(beta0_abs), Fraction(beta1_abs)]
+    # theta_i * (2p**2)**i as integers: T_0 = |beta_0|, T_1 = 2p**2 |beta_1|,
+    # T_{i+1} = p**2 T_i + 4p**2 T_{i-1}
+    pp = p * p
+    seq = [beta0_abs, 2 * pp * beta1_abs]
     while len(seq) < n:
-        seq.append(seq[-1] / 2 + seq[-2] / (p * p))
-    return seq
+        seq.append(pp * seq[-1] + 4 * pp * seq[-2])
+    return [Fraction(t, (2 * pp) ** i) for i, t in enumerate(seq)]
 
 
 def test_reconstruction_cores_agree_with_the_wrappers():
@@ -87,15 +91,34 @@ def test_convergent_and_theta_cores_agree_with_fraction_references():
         if len(exp.steps) * p.bit_length() > 3000:
             continue
         reference = _reference_convergents(exp.quotients)
-        triples = convergent_triples(exp.quotient_pairs)
+        triples = list(convergent_triples(exp.quotient_pairs))
         assert [(Fraction(pn, d), Fraction(qn, d)) for pn, qn, d in triples] == reference
         assert browkin_convergents(exp.quotient_pairs) == [Convergent(pn, qn, pn / qn) for pn, qn in reference]
         assert reference[-1][0] / reference[-1][1] == Fraction(a, b)
         n = len(exp.steps) + 2
         thetas = _reference_theta(exp.beta0, exp.beta1_abs, p, n)
-        scaled = theta_scaled(exp.beta0, exp.beta1_abs, p, n)
-        assert [Fraction(t, (2 * p * p) ** i) for i, t in enumerate(scaled)] == thetas
         assert theta_sequence(exp.beta0, exp.beta1_abs, p, n) == thetas
+
+
+def test_betas_obey_the_step_law_and_the_majorant():
+    # the step law the oracle checks, and the global statement it implies:
+    # |beta_i| <= theta_i, with theta_0 = beta0 and theta_1 = |beta_1|
+    rng = random.Random(16)
+    for p in (3, 5, 101, 10**9 + 7):
+        for digits in DIGITS:
+            while True:
+                a = rng.randrange(1, 10**digits) * rng.choice((-1, 1))
+                b = rng.randrange(1, 10**digits) * p ** rng.randrange(0, 3)
+                if gcd(a, b) == 1:
+                    break
+            exp = browkin_expand(a, b, p)
+            betas = [abs(beta) for beta in exp.beta_trace]
+            assert betas[0] == exp.beta0
+            thetas = theta_sequence(exp.beta0, exp.beta1_abs, p, max(2, len(betas)))
+            assert all(beta <= theta for beta, theta in zip(betas, thetas)), (p, a, b)
+            pp = p * p
+            for i in range(2, len(betas)):
+                assert 2 * pp * betas[i] <= pp * betas[i - 1] + 2 * betas[i - 2], (p, a, b, i)
 
 
 def test_bound_and_verify_output_are_pinned():

@@ -1,6 +1,7 @@
 """Oracle failure paths: a broken law must fail its own check, and every
 command that prints a certified output must refuse it with exit code 1."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,9 +40,16 @@ def _short_bound(beta0, beta1, p):
     return browkin.browkin_bound(beta0, beta1, p)._replace(n_bound=-1)
 
 
+def _doubled_last_beta(a, b, p):
+    # 2*beta + 1 in place of the last beta_n alone
+    expansion = browkin.browkin_expand(a, b, p)
+    *head, last = expansion.steps
+    return expansion._replace(steps=(*head, last._replace(beta=2 * last.beta + 1)))
+
+
 def _shifted_convergents(quotients):
     # p_n + 1 in place of p_n: the scaled P_n + D_n
-    return [(pn + d, qn, d) for pn, qn, d in browkin.convergent_triples(quotients)]
+    return ((pn + d, qn, d) for pn, qn, d in browkin.convergent_triples(quotients))
 
 
 def _wrong_first_digit(a, b, p, count):
@@ -50,13 +58,13 @@ def _wrong_first_digit(a, b, p, count):
 
 
 def _singular_matrices(expansion):
-    return [schneider.SchneiderMatrix(0, 0, 0, 0) for _ in schneider.schneider_convergents(expansion)]
+    return (schneider.SchneiderMatrix(0, 0, 0, 0) for _ in schneider.schneider_convergents(expansion))
 
 
 BROKEN_LAWS = [
     ("cf_pair", lambda reversed_quotients: (0, 1), "browkin reconstruction"),
     ("browkin_bound", _short_bound, "browkin length bound"),
-    ("theta_scaled", lambda b0, b1, p, n: [0] * n, "majorant"),
+    ("browkin_expand", _doubled_last_beta, "majorant"),
     ("convergent_triples", _shifted_convergents, "determinant identity"),
     ("padic_digits", _wrong_first_digit, "digit truncation identity"),
     ("schneider_pair", lambda head, tail, p: (0, 1), "schneider reconstruction"),
@@ -125,7 +133,7 @@ def test_matrix_laws_catch_an_off_by_one_valuation():
     for p, r in ((3, Fraction(2, 5)), (3, Fraction(1259, 701)), (5, Fraction(3044, 673)), (7, big)):
         expansion = schneider.schneider_expand(r.numerator, r.denominator, p)
         assert oracle.schneider_matrix_laws(r.numerator, r.denominator, expansion).ok
-        last = schneider.schneider_convergents(expansion)[-1]
+        last = list(schneider.schneider_convergents(expansion))[-1]
         value = Fraction(last.u, last.w)
         for planted in (value + (r - value) * p, value + (r - value) / p, value):
             a, b = planted.numerator, planted.denominator
@@ -179,3 +187,75 @@ def test_zero_denominator_fails_and_unreduced_pair_passes(argv, core, name, caps
     assert run_cli(argv, capsys) == (0, want, "")
     monkeypatch.setattr(oracle, core, lambda *args: (0, 0))
     assert run_cli(argv, capsys) == (1, "", f"FAIL: {name} failed at p=3, {argv[-1]}\n")
+
+
+def _reduced(text):
+    r = Fraction(text)
+    return r.numerator, r.denominator
+
+
+@pytest.mark.parametrize("p", [3, 101, 10**9 + 7])
+def test_one_changed_quotient_fails_reconstruction_and_determinant(p):
+    # at p = 3 one changed quotient makes a complete quotient 0 on the way back:
+    # cf_pair raises ZeroDivisionError, and the reconstruction check fails
+    a, b = _reduced("7" * 300 + "/" + "2" * 299 + "5")
+    expansion = browkin.browkin_expand(a, b, p)
+    assert oracle.browkin_reconstruction(a, b, expansion).ok
+    assert oracle.determinant_identity(a, b, expansion).ok
+    steps = expansion.steps
+    for n in (0, 1, len(steps) // 2, len(steps) - 1):
+        changed = steps[:n] + (steps[n]._replace(x=steps[n].x + 1),) + steps[n + 1:]
+        planted = expansion._replace(steps=changed)
+        assert not oracle.browkin_reconstruction(a, b, planted).ok, n
+        assert not oracle.determinant_identity(a, b, planted).ok, n
+
+
+@pytest.mark.parametrize(
+    "core, check, a, b, expansion",
+    [
+        ("convergent_triples", oracle.determinant_identity, 365, 54, browkin.browkin_expand(365, 54, 3)),
+        ("schneider_convergents", oracle.schneider_matrix_laws, 1259, 701,
+         schneider.schneider_expand(1259, 701, 3)),
+    ],
+    ids=["determinant identity", "schneider matrix laws"],
+)
+def test_prefixes_of_the_wrong_length_fail(core, check, a, b, expansion, monkeypatch):
+    # the checks walk the yielded prefixes beside the steps: one too few or one
+    # too many fails
+    original = getattr(oracle, core)
+    assert check(a, b, expansion).ok
+    for extend in (lambda prefixes: prefixes[:-1], lambda prefixes: [*prefixes, prefixes[-1]]):
+        monkeypatch.setattr(oracle, core, lambda *args, extend=extend: iter(extend(list(original(*args)))))
+        assert not check(a, b, expansion).ok
+
+
+def test_step_law_catches_every_beta_mutant_the_global_majorant_catches():
+    # change one beta to 2*beta + 1 or to 0; wherever some |beta_i| > theta_i,
+    # theta_sequence from the planted beta0 and |beta_1| as the global check
+    # took them, the step law fails too
+    caught = 0
+    for p, text in ((3, "365/54"), (5, "-1793/100"), (7, "123456789/1000"), (101, "7" * 40 + "/3")):
+        expansion = browkin.browkin_expand(*_reduced(text), p)
+        steps = expansion.steps
+        for n in range(len(steps)):
+            for beta in (2 * steps[n].beta + 1, 0):
+                planted = expansion._replace(steps=steps[:n] + (steps[n]._replace(beta=beta),) + steps[n + 1:])
+                thetas = browkin.theta_sequence(planted.beta0, planted.beta1_abs, p, max(2, len(steps)))
+                if any(abs(s.beta) > theta for s, theta in zip(planted.steps, thetas)):
+                    assert not oracle.majorant(planted).ok, (p, text, n, beta)
+                    caught += 1
+    assert caught > 0
+
+
+def test_battery_memory_stays_near_the_input_size():
+    # the checks stream their prefixes: an oracle that built every prefix
+    # list peaked at 38 MB here, the streaming one stays below 1 MB
+    a, b = _reduced("7" * 1000 + "/" + "2" * 999 + "5")
+    tracemalloc.start()
+    try:
+        checks = oracle.battery(a, b, 10**9 + 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [check.ok for check in checks] == [True] * 7
+    assert peak < 8 * 2**20, peak

@@ -215,13 +215,13 @@ class TestEvaluate:
 class TestConvergents:
     def test_first_matrix_fixture(self):
         exp = schneider_expand(2, 5, 3)
-        matrix = schneider_convergents(exp)[0]
+        matrix = list(schneider_convergents(exp))[0]
         assert matrix == SchneiderMatrix(1, 3, 1, 0)
         assert Fraction(matrix.u, matrix.w) == 1
 
     def test_determinant_law_fixture(self):
         exp = schneider_expand(2, 5, 3)
-        matrix = schneider_convergents(exp)[1]
+        matrix = list(schneider_convergents(exp))[1]
         assert matrix.det() == 9  # (-1)**2 * 3**(1+1)
         assert vp(Fraction(2, 5) - Fraction(matrix.u, matrix.w), 3) == 2
 
