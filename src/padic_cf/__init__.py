@@ -12,7 +12,7 @@ from .browkin import (
     cf_evaluate,
     theta_sequence,
 )
-from .digits import PAdicDigits, digit_period, fractional_part, padic_digits
+from .digits import PAdicDigits, digit_period, padic_digits
 from .exactarith import (
     QuadraticElement,
     is_odd_prime,
@@ -50,7 +50,6 @@ __all__ = [
     "browkin_expand",
     "cf_evaluate",
     "digit_period",
-    "fractional_part",
     "generate_constant_head",
     "head_analysis",
     "is_odd_prime",

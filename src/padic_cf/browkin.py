@@ -50,17 +50,9 @@ class BrowkinExpansion(NamedTuple):
     terminated: bool
 
     @property
-    def value(self) -> Fraction:
-        return Fraction(self.alpha, self.beta0 * self.p ** self.steps[0].k)
-
-    @property
     def quotient_pairs(self) -> list[tuple[int, int]]:
         """Partial quotients as (xn, p**kn), numerator and positive denominator."""
         return [(s.x, self.p**s.k) for s in self.steps]
-
-    @property
-    def quotients(self) -> list[Fraction]:
-        return [Fraction(x, den) for x, den in self.quotient_pairs]
 
     @property
     def k_trace(self) -> list[int]:
@@ -100,11 +92,6 @@ class BoundReport(NamedTuple):
     @property
     def lambda2(self) -> QuadraticElement:
         return QuadraticElement(Fraction(1, 4), Fraction(-1, 4 * self.p), self.p * self.p + 16)
-
-    @property
-    def capacity_constant(self) -> QuadraticElement:
-        disc = self.p * self.p + 16  # 2|b1|/(lam1-lam2) = (4p|b1|/disc)*sqrt(disc)
-        return QuadraticElement(self.beta0_abs, Fraction(4 * self.p * self.beta1_abs, disc), disc)
 
 
 _record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
@@ -158,7 +145,7 @@ def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
     expansion = _expand(a, b, p, None)
     if not expansion.terminated:
         raise ArithmeticError(
-            f"bound violated: expansion of {expansion.value} exceeded {len(expansion.steps)} steps"
+            f"bound violated: expansion of {a}/{b} exceeded {len(expansion.steps)} steps"
         )
     return expansion
 

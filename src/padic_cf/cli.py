@@ -5,10 +5,12 @@ sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --) and may have any number of digits: main lifts
 Python's limit on int/str conversion while it runs.  parse_rational turns
 each into the integer pair (a, b) of a/b in lowest terms with b > 0, the one
-input form of the library.  `head --exponent alpha` is a usage error when
-alpha*(p.bit_length()-1) >= (|a| + (p-1)*b).bit_length(): then p**alpha
-exceeds |a - digit*b|, so no expansion of a/b starts with (digit, alpha), and
-it is rejected before any power is built.  Exit codes: 0 success,
+input form of the library.  Integer options and --primes tokens are an
+optional '-' and ASCII digits, as a rational's parts are.
+`head --exponent alpha` is a usage error when alpha*(p.bit_length()-1) >=
+(|a| + (p-1)*b).bit_length(): then p**alpha exceeds |a - digit*b|, so no
+expansion of a/b starts with (digit, alpha), and it is rejected before any
+power is built.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 internal error (reserved; no known
 input reaches it), 141 when the reader closes stdout early, as in
 `padic-cf sweep ... | head -1`.
@@ -36,7 +38,9 @@ from .digits import digit_period, padic_digits
 from .exactarith import is_odd_prime
 from .schneider import first_step, head_analysis, schneider_expand
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only: int() reads any Unicode digit
+# ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 SWEEP_COLUMNS = [
     "p",
@@ -61,6 +65,13 @@ def parse_rational(text: str) -> tuple[int, int]:
         raise ValueError(f"zero denominator in {text!r}")
     g = gcd(a, b)
     return a // g, b // g
+
+
+def _parse_integer(text: str) -> int:
+    """Parse an integer option or --primes token: an optional '-' and ASCII digits."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def _rat_str(a: int, b: int) -> str:
@@ -115,7 +126,7 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
         )
     else:
         print(f"input: {_rat_str(a, b)} (p={args.prime})")
-        print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.head))
+        print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.steps))
         print("y trace: " + ", ".join(str(y) for y in expansion.y_trace))
         if expansion.stationary_from is not None:
             print(
@@ -295,7 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_prime_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-p", "--prime", type=int, required=True, help="odd prime base")
+    parser.add_argument("-p", "--prime", type=_parse_integer, required=True, help="odd prime base")
 
 
 def _add_rational_argument(parser: argparse.ArgumentParser) -> None:
@@ -325,21 +336,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     dg = sub.add_parser("digits", help="symmetric base-p digits")
     _add_prime_option(dg)
-    dg.add_argument("-n", "--count", type=int, required=True, help="number of digits")
+    dg.add_argument("-n", "--count", type=_parse_integer, required=True, help="number of digits")
     dg.add_argument("--json", action="store_true")
     _add_rational_argument(dg)
 
     bd = sub.add_parser("bound", help="certified expansion-length bound")
     _add_prime_option(bd)
-    bd.add_argument("--beta0", type=int, default=None, help="|beta_0| (with --beta1)")
-    bd.add_argument("--beta1", type=int, default=None, help="|beta_1| (with --beta0)")
+    bd.add_argument("--beta0", type=_parse_integer, default=None, help="|beta_0| (with --beta1)")
+    bd.add_argument("--beta1", type=_parse_integer, default=None, help="|beta_1| (with --beta0)")
     bd.add_argument("--json", action="store_true")
     bd.add_argument("rational", nargs="?", default=None)
 
     hd = sub.add_parser("head", help="constant-head length certificate")
     _add_prime_option(hd)
-    hd.add_argument("--digit", type=int, default=None, help="head digit (default: from expansion)")
-    hd.add_argument("--exponent", type=int, default=None, help="head exponent (default: from expansion)")
+    hd.add_argument(
+        "--digit", type=_parse_integer, default=None, help="head digit (default: from expansion)"
+    )
+    hd.add_argument(
+        "--exponent", type=_parse_integer, default=None, help="head exponent (default: from expansion)"
+    )
     hd.add_argument("--json", action="store_true")
     _add_rational_argument(hd)
 
@@ -349,8 +364,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     sw = sub.add_parser("sweep", help="CSV bound-tightness sweep over coprime pairs")
     sw.add_argument("--primes", required=True, help="comma-separated odd primes")
-    sw.add_argument("--max-num", type=int, required=True)
-    sw.add_argument("--max-den", type=int, required=True)
+    sw.add_argument("--max-num", type=_parse_integer, required=True)
+    sw.add_argument("--max-den", type=_parse_integer, required=True)
     sw.add_argument("--out", default=None, help="CSV output path (default stdout)")
     return parser, sub.choices
 
@@ -378,11 +393,9 @@ def _check_prime(p: int, parser: argparse.ArgumentParser) -> None:
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if args.command == "sweep":
         try:
-            primes = [int(tok) for tok in args.primes.split(",") if tok.strip()]
-        except ValueError:
+            primes = [_parse_integer(tok) for tok in args.primes.split(",")]
+        except argparse.ArgumentTypeError:
             parser.error(f"malformed prime list {args.primes!r}")
-        if not primes:
-            parser.error("empty prime list")
         for p in primes:
             _check_prime(p, parser)
         if args.max_num < 1 or args.max_den < 1:

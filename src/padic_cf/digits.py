@@ -1,8 +1,8 @@
-"""Symmetric-digit base-p expansion of a rational and its fractional part.
+"""Symmetric-digit base-p expansion of a rational.
 
-Digits live in {-(p-1)/2, ..., (p-1)/2}.  The fractional part collects the
-terms with exponent <= 0 and is the partial quotient used by the Browkin
-expansion.
+Digits live in {-(p-1)/2, ..., (p-1)/2}.  The terms with exponent <= 0 sum
+to the first Browkin partial quotient: both are x/p**k, where p**k is the
+p-part of b and x the symmetric residue of a * (b/p**k)**-1 mod p**(1+k).
 """
 
 from __future__ import annotations
@@ -73,21 +73,6 @@ def padic_digits(a: int, b: int, p: int, count: int) -> PAdicDigits:
     start, n, d = _unit_form(a, b, p)
     digits = tuple(digit for digit, _ in islice(_digit_stream(n, d, p), count)) if n else ()
     return PAdicDigits(p, start, digits, count)
-
-
-def fractional_part(a: int, b: int, p: int) -> Fraction:
-    """Sum of the expansion terms of a/b (a and b coprime, b > 0) with
-    exponent <= 0.
-
-    Lies in Z[1/p] with real absolute value below p/2, and a/b minus the
-    result has valuation >= 1.  Computed directly: with b = d * p**k and
-    p-free d, the value is the symmetric residue of a * d**-1 modulo
-    p**(1+k), divided by p**k.
-    """
-    v, _, d = _unit_form(a, b, p)
-    k = max(0, -v)
-    modulus = p ** (1 + k)
-    return Fraction(symmetric_residue(a * mod_inverse(d, modulus), modulus), p**k)
 
 
 def digit_period(

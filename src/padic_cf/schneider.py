@@ -103,10 +103,6 @@ class SchneiderExpansion(NamedTuple):
     tail: tuple[int, int]
 
     @property
-    def head(self) -> list[tuple[int, int]]:
-        return [(s.b, s.alpha) for s in self.steps]
-
-    @property
     def y_trace(self) -> list[int]:
         """y_1, y_2, ..., one per step, replayed from (a, b) through the recurrence."""
         p, y_prev, y_cur, out = self.p, self.a, self.b, []
@@ -127,9 +123,6 @@ class SchneiderMatrix(NamedTuple):
     v: int
     w: int
     z: int
-
-    def det(self) -> int:
-        return self.u * self.z - self.v * self.w
 
     def times_step(self, b: int, alpha: int, p: int) -> SchneiderMatrix:
         pa = p**alpha

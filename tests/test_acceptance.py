@@ -40,7 +40,7 @@ def test_criterion_1_browkin_fixtures():
     with criterion(1, "browkin table fixtures, errata-aware, exact reconstruction"):
         # 365/54 at p=3: quotients exactly as printed
         exp = browkin_expand(365, 54, 3)
-        assert exp.quotients[:3] == [Fraction(-20, 27), Fraction(4, 3), Fraction(2, 3)]
+        assert exp.quotient_pairs[:3] == [(-20, 27), (4, 3), (2, 3)]
         assert exp.k_trace == [3, 1, 1, 1]
         assert exp.beta_trace == [2, 5, -2, 1]
         # printed a3 = 7/3 is the same residue class: 7 = -2 mod 9
@@ -54,12 +54,7 @@ def test_criterion_1_browkin_fixtures():
 
         # -1793/100 at p=5: printed a3 = -4/5 fails reconstruction; oracle +4/5
         exp = browkin_expand(-1793, 100, 5)
-        assert exp.quotients == [
-            Fraction(-42, 25),
-            Fraction(-8, 5),
-            Fraction(-3, 5),
-            Fraction(4, 5),
-        ]
+        assert exp.quotient_pairs == [(-42, 25), (-8, 5), (-3, 5), (4, 5)]
         assert [abs(b) for b in exp.beta_trace] == [4, 13, 4, 1]
 
         for a, b, p in [(365, 54, 3), (77, 18, 3), (-1793, 100, 5)]:
@@ -87,22 +82,22 @@ def test_criterion_2_length_bounds():
 def test_criterion_3_schneider_fixtures():
     with criterion(3, "schneider table fixtures with y-traces"):
         exp = schneider_expand(2, 5, 3)
-        assert exp.head == [(1, 1)] * 4
+        assert exp.steps == ((1, 1),) * 4
         assert exp.y_trace == [-1, 2, -1, 1]
         assert exp.stationary_from == 4
-        assert schneider_evaluate(exp.head, (-1, 1), 3) == Fraction(2, 5)
+        assert schneider_evaluate(exp.steps, (-1, 1), 3) == Fraction(2, 5)
 
         exp = schneider_expand(1259, 701, 3)
-        assert exp.head == [(1, 2)] * 6
+        assert exp.steps == ((1, 2),) * 6
         assert exp.y_trace == [62, 71, -1, 8, -1, 1]
         assert exp.stationary_from == 6
-        assert schneider_evaluate(exp.head, (-1, 1), 3) == Fraction(1259, 701)
+        assert schneider_evaluate(exp.steps, (-1, 1), 3) == Fraction(1259, 701)
 
         exp = schneider_expand(3044, 673, 5)
-        assert exp.head == [(3, 2)] * 4
+        assert exp.steps == ((3, 2),) * 4
         assert exp.y_trace == [41, 22, -1, 1]
         assert exp.stationary_from == 4
-        assert schneider_evaluate(exp.head, (-1, 1), 5) == Fraction(3044, 673)
+        assert schneider_evaluate(exp.steps, (-1, 1), 5) == Fraction(3044, 673)
 
 
 def test_criterion_4_head_analysis():
@@ -151,13 +146,13 @@ def _schneider_battery(a, b, p):
     assert exp.stationary_from is not None or exp.finite_end
     if exp.stationary_from is not None:
         assert exp.tail_value == -1
-    assert schneider_evaluate(exp.head, exp.tail, p) == Fraction(a, b)
+    assert schneider_evaluate(exp.steps, exp.tail, p) == Fraction(a, b)
     if exp.steps:
         r = Fraction(a, b)
         total = 0
         for m, matrix in enumerate(schneider_convergents(exp)):
             total += exp.steps[m].alpha
-            assert matrix.det() == (-1) ** (m + 1) * p**total
+            assert matrix.u * matrix.z - matrix.v * matrix.w == (-1) ** (m + 1) * p**total
             assert vp(r - Fraction(matrix.u, matrix.w), p) == total
 
 
@@ -179,7 +174,7 @@ def test_criterion_5_property_suite():
                         a, b = generate_constant_head(digit, alpha, k, p)
                         exp = schneider_expand(a, b, p)
                         assert len(exp.steps) <= 500
-                        assert exp.head == [(digit, alpha)] * (k + 1)
+                        assert exp.steps == ((digit, alpha),) * (k + 1)
                         assert exp.stationary_from == k + 1
 
 

@@ -20,7 +20,6 @@ from padic_cf.browkin import (
     cf_evaluate,
     theta_sequence,
 )
-from padic_cf.digits import fractional_part
 from padic_cf.exactarith import QuadraticElement, int_vp, mod_inverse, symmetric_residue, vp
 
 
@@ -58,11 +57,18 @@ def raw_step(beta_prev, beta, k, p):
     return x, v - k, delta // p**v
 
 
-def assert_step_law(exp, p):
-    """Each recorded step follows from the pair before it by raw_step, and the last one ends."""
+def capacity(report):
+    """2|beta1|/(lambda1-lambda2) + |beta0| = |beta0| + (4p|beta1|/D)*sqrt(D), D = p**2 + 16."""
+    p, disc = report.p, report.p**2 + 16
+    return QuadraticElement(report.beta0_abs, Fraction(4 * p * report.beta1_abs, disc), disc)
+
+
+def assert_step_law(exp, r, p):
+    """exp expands r; each recorded step follows from the pair before it by raw_step,
+    and the last one ends."""
     steps = exp.steps
     assert steps[0].beta == exp.beta0 and exp.beta0 % p != 0
-    assert Fraction(exp.alpha, exp.beta0 * p ** steps[0].k) == exp.value
+    assert Fraction(exp.alpha, exp.beta0 * p ** steps[0].k) == r
     beta_prev = exp.alpha
     for n, step in enumerate(steps):
         x, k_next, beta_next = raw_step(beta_prev, step.beta, step.k, p)
@@ -76,12 +82,7 @@ def assert_step_law(exp, p):
 class TestExpandFixtures:
     def test_365_54(self):
         exp = browkin_expand(365, 54, 3)
-        assert exp.quotients == [
-            Fraction(-20, 27),
-            Fraction(4, 3),
-            Fraction(2, 3),
-            Fraction(-2, 3),
-        ]
+        assert exp.quotient_pairs == [(-20, 27), (4, 3), (2, 3), (-2, 3)]
         assert exp.k_trace == [3, 1, 1, 1]
         assert exp.beta_trace == [2, 5, -2, 1]
         assert exp.beta1_abs == 5
@@ -90,18 +91,13 @@ class TestExpandFixtures:
 
     def test_77_18(self):
         exp = browkin_expand(77, 18, 3)
-        assert exp.quotients == [Fraction(-2, 9), Fraction(2, 9)]
+        assert exp.quotient_pairs == [(-2, 9), (2, 9)]
         assert (exp.k_trace[0], exp.beta_trace[0]) == (2, 2)
         assert cf_evaluate(exp.quotient_pairs) == Fraction(77, 18)
 
     def test_minus_1793_100(self):
         exp = browkin_expand(-1793, 100, 5)
-        assert exp.quotients == [
-            Fraction(-42, 25),
-            Fraction(-8, 5),
-            Fraction(-3, 5),
-            Fraction(4, 5),
-        ]
+        assert exp.quotient_pairs == [(-42, 25), (-8, 5), (-3, 5), (4, 5)]
         assert exp.k_trace == [2, 1, 1, 1]
         assert [abs(b) for b in exp.beta_trace] == [4, 13, 4, 1]
         assert cf_evaluate(exp.quotient_pairs) == Fraction(-1793, 100)
@@ -109,13 +105,13 @@ class TestExpandFixtures:
     def test_integer_five(self):
         # deterministic rule output, frozen; reconstruction is the oracle
         exp = browkin_expand(5, 1, 3)
-        assert exp.quotients == [Fraction(-1), Fraction(-4, 3), Fraction(2, 3)]
+        assert exp.quotient_pairs == [(-1, 1), (-4, 3), (2, 3)]
         assert cf_evaluate(exp.quotient_pairs) == 5
 
     def test_single_quotient_inputs(self):
         for r in (Fraction(1), Fraction(-1), Fraction(-2, 9)):
             exp = browkin_expand(r.numerator, r.denominator, 3)
-            assert exp.quotients == [r]
+            assert exp.quotient_pairs == [(r.numerator, r.denominator)]
             assert exp.beta1_abs == 0
 
     def test_zero_rejected(self):
@@ -125,7 +121,9 @@ class TestExpandFixtures:
     def test_integer_pair_input(self):
         # a coprime pair (a, b), b > 0, stands for a/b, the only input form
         for r, p in ((Fraction(365, 54), 3), (Fraction(-1793, 100), 5), (Fraction(5), 3)):
-            assert browkin_expand(r.numerator, r.denominator, p).value == r
+            exp = browkin_expand(r.numerator, r.denominator, p)
+            assert Fraction(exp.alpha, exp.beta0 * p ** exp.steps[0].k) == r
+            assert cf_evaluate(exp.quotient_pairs) == r
         for pair in ((0, 1), (2, 4), (1, 0), (1, -2)):
             with pytest.raises(ValueError):
                 browkin_expand(*pair, 3)
@@ -149,7 +147,7 @@ class TestQuotientPairs:
                     exp = browkin_expand(r.numerator, r.denominator, p)
                     pairs = exp.quotient_pairs
                     assert pairs == [(s.x, p**s.k) for s in exp.steps]
-                    assert [(a.numerator, a.denominator) for a in exp.quotients] == pairs
+                    assert [Fraction(x, den).as_integer_ratio() for x, den in pairs] == pairs
                     for (x, den), step in zip(pairs, exp.steps):
                         if step.k > 0:
                             assert math.gcd(x, den) == 1
@@ -248,12 +246,11 @@ class TestStepIdentities:
             for r in random_rationals(53 + p, 80):
                 exp = browkin_expand(r.numerator, r.denominator, p)
                 steps = exp.steps
-                a = exp.quotients
+                a = [Fraction(x, den) for x, den in exp.quotient_pairs]
                 # complete quotients r_n = beta_{n-1} / (beta_n * p**k_n), beta_{-1} = alpha
                 betas = [exp.alpha] + [s.beta for s in steps]
                 rs = [Fraction(betas[n], betas[n + 1] * p**s.k) for n, s in enumerate(steps)]
                 assert rs[0] == r
-                assert a[0] == fractional_part(r.numerator, r.denominator, p)
                 for n in range(len(steps) - 1):
                     assert rs[n] == a[n] + 1 / rs[n + 1]
                     assert vp(rs[n + 1], p) == -steps[n + 1].k < 0
@@ -280,7 +277,7 @@ class TestStepLaw:
                     exp = browkin_expand(r.numerator, r.denominator, p)
                     assert len(exp.steps) > digits // 2
                     assert any(s.k >= 2 for s in exp.steps[1:])
-                    assert_step_law(exp, p)
+                    assert_step_law(exp, r, p)
 
     def test_short_and_integer_expansions(self):
         rng = random.Random(101)
@@ -289,7 +286,7 @@ class TestStepLaw:
             inputs += [Fraction(rng.randrange(10**999, 10**1000)), Fraction(1, p**300)]
             for r in inputs:
                 exp = browkin_expand(r.numerator, r.denominator, p)
-                assert_step_law(exp, p)
+                assert_step_law(exp, r, p)
                 assert cf_evaluate(exp.quotient_pairs) == r
 
 
@@ -320,6 +317,7 @@ class TestBound:
         assert report.n_bound == 6
         assert report.lambda1 == QuadraticElement(Fraction(1, 4), Fraction(1, 20), 41)
         assert report.exact_certificate
+        assert capacity(report) == QuadraticElement(2 * 13) / (report.lambda1 - report.lambda2) + 4
 
     def test_roots_satisfy_defining_equation(self):
         for p in (3, 5, 7, 11):
@@ -351,7 +349,7 @@ class TestBound:
             inputs.append((p, rng.randint(1, 10**200), rng.randint(0, 10**200)))
         for p, b0, b1 in inputs:
             report = browkin_bound(b0, b1, p)
-            n, lam1, cap = report.n_bound, report.lambda1, report.capacity_constant
+            n, lam1, cap = report.n_bound, report.lambda1, capacity(report)
             assert (lam1**n * cap - 1).sign() >= 0
             assert (lam1 ** (n + 1) * cap - 1).sign() < 0
 
@@ -373,7 +371,7 @@ class TestBound:
             report = browkin_bound(2, 5, p)
             thetas = theta_sequence(2, 5, p, 12)
             for i, theta in enumerate(thetas):
-                envelope = report.lambda1**i * report.capacity_constant
+                envelope = report.lambda1**i * capacity(report)
                 assert (envelope - theta).sign() >= 0
 
 

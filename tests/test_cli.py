@@ -26,6 +26,7 @@ from padic_cf.cli import main, parse_rational
 from padic_cf.schneider import generate_constant_head
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 # the CLI in a fresh interpreter, with schneider's stationary pairs emptied
 PLANTED_MAIN = (
     "import sys, padic_cf.schneider as s; s._STATIONARY_PAIRS = ()\n"
@@ -619,7 +620,7 @@ class TestJsonRoundTrip:
         sch = schneider.schneider_expand(a, b, p)
         want = json.dumps({
             "p": p, "a": a, "b": b,
-            "head": [{"b": d, "alpha": e} for d, e in sch.head],
+            "head": [{"b": d, "alpha": e} for d, e in sch.steps],
             "stationary_from": sch.stationary_from,
             "finite_end": sch.finite_end,
         })
@@ -823,6 +824,39 @@ class TestUsageErrors:
         assert captured.err.startswith(f"usage: padic-cf {argv[0]} [-h] -p PRIME ")
         assert captured.err.endswith(f"\npadic-cf {argv[0]}: error: unrecognized arguments: {unknown}\n")
 
+    # each integer option in three forms int() reads but the CLI does not: a
+    # non-ASCII digit, surrounding spaces and an underscore between digits
+    INTEGER_OPTIONS = {
+        "prime": (["expand-browkin", "-p", "{}", "365/54"], ["\u0663", " 3", "1_1"]),
+        "count": (["digits", "-p", "3", "-n", "{}", "2/5"], ["\u0661\u0660", " 10 ", "1_0"]),
+        "beta0": (["bound", "-p", "3", "--beta0", "{}", "--beta1", "5"], ["\u0662", "2 ", "1_2"]),
+        "beta1": (["bound", "-p", "3", "--beta0", "2", "--beta1", "{}"], ["\u0665", " 5", "1_5"]),
+        "digit": (["head", "-p", "3", "--digit", "{}", "2/5"], ["\u0661", " 1", "0_1"]),
+        "exponent": (["head", "-p", "3", "--exponent", "{}", "2/5"], ["\u0661", "1 ", "0_1"]),
+        "max-num": (["sweep", "--primes", "3", "--max-num", "{}", "--max-den", "1"], ["\u0661", " 1", "1_0"]),
+        "max-den": (["sweep", "--primes", "3", "--max-num", "1", "--max-den", "{}"], ["\u0661", " 1", "1_0"]),
+        "primes": (["sweep", "--primes", "{}", "--max-num", "1", "--max-den", "1"], ["\u0663", "3, 5", "1_1"]),
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param([arg.format(value) for arg in argv], id=f"{option}-{form}")
+            for option, (argv, values) in INTEGER_OPTIONS.items()
+            for form, value in zip(("unicode", "spaces", "underscore"), values)
+        ]
+        + [pytest.param(["digits", "-p", " 3", "-n", "1_0", "2/5"], id="prime-and-count")],
+    )
+    def test_integer_options_take_ascii_digits_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: padic-cf {argv[0]} [-h] ")
+        assert f"\npadic-cf {argv[0]}: error: " in captured.err
+        assert "malformed integer" in captured.err or "malformed prime list" in captured.err
+
     def test_negative_rational_needs_separator(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["digits", "-p", "5", "-n", "3", "-1793/100"])
@@ -915,3 +949,14 @@ def test_cli_import_loads_no_dataclasses():
     # every record is a NamedTuple; -S keeps site's own imports out of the count
     code = "import sys, padic_cf.cli; print('dataclasses' in sys.modules)"
     assert run_process(["-S", "-c", code]).stdout == b"False\n"
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # perfbench/tracer.py wraps library functions it looks up by name: one
+    # deleted or renamed would fail every traced benchmark run
+    code = (
+        f"import sys; sys.path.insert(0, {str(PERFBENCH)!r}); import padic_cf.cli\n"
+        "from tracer import Tracer; Tracer().install()"
+    )
+    done = run_process(["-c", code])
+    assert done.returncode == 0, done.stderr.decode()

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from padic_cf import digits
-from padic_cf.digits import digit_period, fractional_part, padic_digits
-from padic_cf.exactarith import vp
+from padic_cf.browkin import browkin_expand
+from padic_cf.digits import digit_period, padic_digits
+from padic_cf.exactarith import int_vp, vp
 
 
 def test_digit_fixtures():
@@ -57,42 +58,51 @@ def test_truncation_identity_every_prefix():
                 assert vp(r - prefix, p) >= window.start_exponent + length
 
 
-def test_fractional_part_fixtures():
-    assert fractional_part(-1793, 100, 5) == Fraction(-42, 25)
-    assert fractional_part(3, 1, 3) == 0
-    # Against the digit route; 25/9 is the same class mod 27 but out of range
-    assert fractional_part(77, 18, 3) == Fraction(-2, 9)
-    assert fractional_part(0, 1, 7) == 0
-    assert fractional_part(9, 2, 3) == 0  # positive valuation
+def low_digit_sum(a, b, p):
+    """Sum of the symmetric digits of a/b with exponent <= 0, read off the digit stream."""
+    start = padic_digits(a, b, p, 1).start_exponent
+    return padic_digits(a, b, p, max(1, 1 - start)).prefix_value(max(0, 1 - start))
 
 
-def test_fractional_part_properties():
-    rng = random.Random(31)
-    for _ in range(400):
-        p = rng.choice([3, 5, 7])
-        r = Fraction(rng.randint(-400, 400) or 1, rng.randint(1, 400))
-        frac = fractional_part(r.numerator, r.denominator, p)
-        if r != frac:
-            assert vp(r - frac, p) >= 1
-        # element of Z[1/p] with real absolute value below p/2
-        den = frac.denominator
-        while den % p == 0:
-            den //= p
-        assert den == 1
-        assert abs(frac) < Fraction(p, 2)
+def assert_first_quotient_law(a, b, p):
+    """The first Browkin quotient x/p**k of a/b is the sum of its digits with
+    exponent <= 0: an element of Z[1/p] below p/2 in absolute value, and a/b
+    minus it has valuation >= 1."""
+    x, den = browkin_expand(a, b, p).quotient_pairs[0]
+    assert Fraction(x, den) == low_digit_sum(a, b, p)
+    assert den == p ** int_vp(den, p)
+    assert 2 * abs(x) < p * den
+    if a * den != x * b:
+        assert vp(Fraction(a, b) - Fraction(x, den), p) >= 1
 
 
-def test_fractional_part_agrees_with_digit_sum():
-    rng = random.Random(37)
-    for _ in range(200):
-        p = rng.choice([3, 5, 7])
-        r = Fraction(rng.randint(-300, 300) or 1, rng.randint(1, 300))
-        v = vp(r, p)
-        if v > 0:
-            assert fractional_part(r.numerator, r.denominator, p) == 0
-            continue
-        window = padic_digits(r.numerator, r.denominator, p, -v + 1)
-        assert fractional_part(r.numerator, r.denominator, p) == window.prefix_value()
+def test_first_quotient_is_the_low_digit_sum_on_fixtures():
+    # 77/18 at p=3: 25/9 is the same class mod 27 as -2/9 but out of range
+    fixtures = [(-1793, 100, 5, Fraction(-42, 25)), (3, 1, 3, 0), (77, 18, 3, Fraction(-2, 9))]
+    fixtures.append((9, 2, 3, 0))  # positive valuation
+    for a, b, p, first in fixtures:
+        assert low_digit_sum(a, b, p) == first
+        assert_first_quotient_law(a, b, p)
+    # zero has no Browkin expansion, and no digit
+    assert low_digit_sum(0, 1, 7) == 0
+    with pytest.raises(ValueError, match="zero"):
+        browkin_expand(0, 1, 7)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 10**9 + 7])
+def test_first_quotient_is_the_low_digit_sum(p):
+    rng = random.Random(37 + p)
+    for digits in (1, 3, 30, 300, 1000):
+        for valuation in (-3, -1, 0, 0, 2):
+            for _ in range(20 if digits <= 3 else 2):
+                a = rng.choice((-1, 1)) * rng.randrange(1, 10**digits)
+                b = rng.randrange(1, 10**digits)
+                if valuation > 0:
+                    a *= p**valuation
+                else:
+                    b *= p**-valuation
+                g = math.gcd(a, b)
+                assert_first_quotient_law(a // g, b // g, p)
 
 
 def test_digit_period_fixture():

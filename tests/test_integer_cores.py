@@ -71,7 +71,7 @@ def test_reconstruction_cores_agree_with_the_wrappers():
     for p, a, b, _ in INPUTS:
         r = Fraction(a, b)
         exp = browkin_expand(a, b, p)
-        assert exp.value == r
+        assert Fraction(exp.alpha, exp.beta0 * p ** exp.steps[0].k) == r
         num, den = cf_pair((s.x, p**s.k) for s in reversed(exp.steps))
         assert den != 0 and num * b == den * a
         assert Fraction(num, den) == cf_evaluate(exp.quotient_pairs) == r
@@ -79,7 +79,7 @@ def test_reconstruction_cores_agree_with_the_wrappers():
             sexp = schneider_expand(a, b, p)
             num, den = schneider_pair(sexp.steps, sexp.tail, p)
             assert den != 0 and num * b == den * a
-            assert Fraction(num, den) == schneider_evaluate(sexp.head, sexp.tail, p) == r
+            assert Fraction(num, den) == schneider_evaluate(sexp.steps, sexp.tail, p) == r
 
 
 def test_convergent_and_theta_cores_agree_with_fraction_references():
@@ -90,7 +90,7 @@ def test_convergent_and_theta_cores_agree_with_fraction_references():
         exp = browkin_expand(a, b, p)
         if len(exp.steps) * p.bit_length() > 3000:
             continue
-        reference = _reference_convergents(exp.quotients)
+        reference = _reference_convergents([Fraction(x, den) for x, den in exp.quotient_pairs])
         triples = list(convergent_triples(exp.quotient_pairs))
         assert [(Fraction(pn, d), Fraction(qn, d)) for pn, qn, d in triples] == reference
         assert browkin_convergents(exp.quotient_pairs) == [Convergent(pn, qn, pn / qn) for pn, qn in reference]
