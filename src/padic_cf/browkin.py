@@ -12,8 +12,14 @@ integer pair (beta_{n-1}, beta_n):
     k_{n+1} = vp(delta) - kn,   beta_{n+1} = delta / p**(kn + k_{n+1})
 
 Since xn makes delta divisible by p**(1+kn), k_{n+1} >= 1 and the step loop
-divides delta exactly by p**(1+kn), then strips the remaining factors of p;
-it reduces beta_{n-1} and beta_n modulo p**(1+kn) before multiplying them.
+divides delta exactly by p**(1+kn), then strips the remaining factors of p.
+xn needs beta_{n-1} and beta_n only modulo p**(1+kn), so the loop carries
+those residues from step to step.  A step with k_{n+1} = 1 reads beta_{n+1}
+mod p**2 once, which also shows that k_{n+1} = 1, and takes beta_n mod p**2
+from its carried residue, known mod p**(1+kn), a multiple of p**2 as kn >= 1
+for n >= 1.  Only k0 may be 0, so beta_0 is carried mod p**(2+k0): known
+only mod p, it could not give a k1 = 1 step beta_0 mod p**2.  A step with
+k_{n+1} >= 2 reduces both full integers mod p**(1+k_{n+1}).
 
 beta_{n+1} = 0 terminates: the last complete quotient equals its partial
 quotient exactly.  |beta_n| is dominated by a linear recurrence whose decay
@@ -113,20 +119,30 @@ def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpa
     b_prev, b_cur, k = alpha, beta, k0
     # lambda1 <= 2/3 for p >= 3 and capacity < 4|alpha| + 3*beta, so N + 1 < 2*bits + 1 < cap
     cap = max_steps or 4 * ((4 * abs(alpha) + 3 * beta).bit_length() + 1)
+    # r_prev, r_cur are congruent to beta_{n-1}, beta_n modulo p**(1+kn), and r_cur also
+    # modulo p**2: a k_{n+1} = 1 step reads beta_n mod p**2 off r_cur, and kn = 0 only at n = 0
+    p2, modulus = p * p, p ** (1 + k0)
+    r_prev, r_cur = alpha % modulus, beta % (modulus * p)
     while len(steps) < cap:
-        modulus = p ** (1 + k)
-        x = b_prev % modulus * pow(b_cur % modulus, -1, modulus) % modulus
+        x = r_prev * pow(r_cur, -1, modulus) % modulus
         if x > modulus >> 1:  # the symmetric residue
             x -= modulus
         steps.append(_record(BrowkinStep, (k, x, b_cur)))
         delta = b_prev - x * b_cur
         if delta == 0:
             return BrowkinExpansion(p, alpha, beta, tuple(steps), True)
-        b_next, k = delta // modulus, 1  # exact, and k_{n+1} >= 1
-        while not b_next % p:
-            b_next //= p
-            k += 1
-        b_prev, b_cur = b_cur, b_next
+        b_prev, b_cur = b_cur, delta // modulus  # exact, and k_{n+1} >= 1
+        r_prev, r_cur = r_cur, b_cur % p2
+        if r_cur % p:  # k_{n+1} = 1: both residues carried, one full-size reduction
+            k = 1
+            modulus = p2
+        else:  # k_{n+1} >= 2: strip p, then reduce both full integers
+            b_cur, k = b_cur // p, 2
+            while not b_cur % p:
+                b_cur //= p
+                k += 1
+            modulus = p ** (1 + k)
+            r_prev, r_cur = b_prev % modulus, b_cur % modulus
     return BrowkinExpansion(p, alpha, beta, tuple(steps), False)
 
 

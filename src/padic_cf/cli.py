@@ -17,8 +17,13 @@ input reaches it), 141 when the reader closes stdout early, as in
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
-step records, one "%d" template per step, with no dict per step.
-The argparse parser is built once per process, on the first main() call.
+step records, with no dict per step: one "%" over all the rows when most are
+distinct, else one "%d" template per distinct row.
+The argparse parsers are built once per process, on the first main() call.
+When argv[0] names a subcommand, main hands the rest of argv straight to that
+subcommand's parser; the top-level parser runs only for -h, an empty argv or
+an unknown subcommand, and the two routes print the same usage and help.
+`digits -n` above digits.DIGIT_PERIOD_LIMIT is a usage error.
 """
 
 from __future__ import annotations
@@ -30,11 +35,12 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 from math import gcd
 
 from . import oracle
 from .browkin import browkin_betas, browkin_bound, browkin_expand
-from .digits import digit_period, padic_digits
+from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
 from .exactarith import is_odd_prime
 from .schneider import first_step, head_analysis, schneider_expand
 
@@ -85,9 +91,14 @@ def _f6(value: float | None) -> float | None:
 
 def _json_pairs(rows, key0: str, key1: str) -> str:
     # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], each row
-    # a pair of integers
+    # a hashable pair of integers
     template = f'{{"{key0}": %d, "{key1}": %d}}'
-    return "[" + ", ".join([template % row for row in rows]) + "]"
+    distinct = set(rows)
+    if 2 * len(distinct) > len(rows):  # mostly distinct, as Browkin quotients at a large p
+        return "[" + ", ".join([template] * len(rows)) % tuple(chain.from_iterable(rows)) + "]"
+    # mostly repeated, as Schneider steps at a small p: format each distinct row once
+    text = {row: template % row for row in distinct}
+    return "[" + ", ".join(map(text.__getitem__, rows)) + "]"
 
 
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
@@ -419,6 +430,8 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
             parser.error("--beta0 must be >= 1 and --beta1 >= 0")
     if args.command == "digits" and args.count < 1:
         parser.error("count must be positive")
+    if args.command == "digits" and args.count > DIGIT_PERIOD_LIMIT:
+        parser.error(f"count must be at most {DIGIT_PERIOD_LIMIT}, got {args.count}")
     if rational is not None and rational[0] == 0 and args.command != "digits":
         parser.error("input must be nonzero")
 
@@ -434,13 +447,26 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
-def _main(argv) -> int:
+def _parse(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
+    # (args, the subcommand's parser); a usage error exits 2
     parser, subparsers = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    command_parser = subparsers[args.command]
+    if argv is None:
+        argv = sys.argv[1:]
+    command_parser = subparsers.get(argv[0]) if argv else None
+    if command_parser is not None:  # the top-level parser would pass it the rest of argv
+        args, unknown = command_parser.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # -h, no argv or an unknown subcommand: the top-level parser reports it
+        args, unknown = parser.parse_known_args(argv)
+        command_parser = subparsers[args.command]
     if unknown:  # reported with the subcommand's usage, as every usage error is
         command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     _validate(args, command_parser)
+    return args, command_parser
+
+
+def _main(argv) -> int:
+    args, command_parser = _parse(argv)
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # the reader closed stdout: 128 + SIGPIPE, and a quiet flush at exit

@@ -11,7 +11,11 @@ The expansion writes a/b = b0 + p**a0/(b1 + p**a1/(...)) with digits in
 Every y_m is prime to p, so the step loop carries r_m = y_m mod p, never 0,
 beside y_m: the digit b_m = r_{m-1} * r_m**-1 mod p costs no big-integer
 operation, and one exact division of y_{m-1} - b_m y_m by p, then one more
-per further factor of p, yields alpha_m, y_{m+1} and r_{m+1} together.
+per further factor of p, yields alpha_m, y_{m+1} and r_{m+1} together.  The
+inverses r**-1 mod p come from a dict made for each expansion.  It starts
+with 1 and p-1, their own inverses, and inverts any other residue on its
+first use, so an expansion makes at most min(p-3, steps) pow calls and none
+at p = 3; the dict is dropped when the expansion returns.
 
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
@@ -47,6 +51,8 @@ left, and keeps the matrix C with p**s (y_{j-1}, y_j) = C (y_{m-1}, y_m), s
 the batch's exponent sum; one exact division by p**s then gives the pair it
 reached, without forming the y values in between.  A first step whose
 exponent the residues cannot tell (alpha_m >= K-1) is taken on the full pair.
+The batches share the expansion's dict of inverses, and take each step record
+from a dict keyed by (digit, alpha) for the call, so equal steps share one.
  (iv) Batches run only while min(|y_{m-1}|, |y_m|) >= 2**(2W), and K >= 2
       (the loop asks K >= _BATCH_DEPTH_MIN, for speed); they meet neither a
       stationary pair (H = 1) nor a finite end (y_{m-1} = b_m y_m with the
@@ -160,18 +166,25 @@ _BATCH_DEPTH_MIN = 28
 _record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
 
 
-def _batches(y_prev: int, y_cur: int, p: int, depth: int, steps: list, cap: int) -> tuple[int, int]:
+def _batches(
+    y_prev: int, y_cur: int, p: int, depth: int, steps: list, cap: int, inverses: dict
+) -> tuple[int, int]:
     # steps y_prev, y_cur in batches on residues mod p**depth while both stay at or above
-    # 2**(2W) and a whole batch fits under the cap; returns the pair reached
+    # 2**(2W) and a whole batch fits under the cap; returns the pair reached.  inverses
+    # maps r to r**-1 mod p for the expansion, records (digit, alpha) to one step record
     pows = [p**e for e in range(depth + 1)]
     modulus, bound, append = pows[depth], 2 * _BATCH_WIDTH, steps.append
+    records: dict[tuple[int, int], SchneiderStep] = {}
     while min(abs(y_prev), abs(y_cur)).bit_length() > bound and len(steps) + depth <= cap:
         x_prev, x_cur = y_prev % modulus, y_cur % modulus
         r_prev, r_cur = x_prev % p, x_cur % p
         # precision digits left, and C = [[c00, c01], [c10, c11]]
         left, c00, c01, c10, c11 = depth, 1, 0, 0, 1
         while left >= 2:
-            digit = r_prev * pow(r_cur, -1, p) % p
+            inverse = inverses.get(r_cur)
+            if inverse is None:
+                inverse = inverses[r_cur] = pow(r_cur, -1, p)
+            digit = r_prev * inverse % p
             x_next, alpha = (x_prev - digit * x_cur) // p, 1
             r_next = x_next % p
             while not r_next and alpha + 1 < left:
@@ -183,7 +196,11 @@ def _batches(y_prev: int, y_cur: int, p: int, depth: int, steps: list, cap: int)
             left -= alpha
             pa = pows[alpha]
             c00, c01, c10, c11 = pa * c10, pa * c11, c00 - digit * c10, c01 - digit * c11
-            append(_record(SchneiderStep, (digit, alpha)))
+            key = digit, alpha
+            record = records.get(key)
+            if record is None:
+                record = records[key] = _record(SchneiderStep, key)
+            append(record)
             x_prev, x_cur, r_prev, r_cur = x_cur, x_next, r_cur, r_next
         if left < depth:
             scale = pows[depth - left]
@@ -225,15 +242,19 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
     cap = max_steps or (2 * bits * (p + 2) + 4) * (bits + 1)
     y_prev, y_cur = a, b
     steps: list[SchneiderStep] = []
+    inverses = {1: 1, p - 1: p - 1}  # r -> r**-1 mod p; 1 and p-1 are their own inverses
     depth = _BATCH_WIDTH // p.bit_length()
     # the bound is tested here too, so that below it no call builds the batch tables
     if depth >= _BATCH_DEPTH_MIN and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
-        y_prev, y_cur = _batches(a, b, p, depth, steps, cap)
+        y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses)
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
     # and y_m mod p, never 0
     r_prev, r_cur = y_prev % p, y_cur % p
     while (y_prev, y_cur) not in _STATIONARY_PAIRS:
-        digit = r_prev * pow(r_cur, -1, p) % p
+        inverse = inverses.get(r_cur)
+        if inverse is None:
+            inverse = inverses[r_cur] = pow(r_cur, -1, p)
+        digit = r_prev * inverse % p
         delta = y_prev - digit * y_cur
         if delta == 0:
             return SchneiderExpansion(p, a, b, tuple(steps), None, True, (y_prev, y_cur))

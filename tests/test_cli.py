@@ -305,6 +305,25 @@ class TestDigitsCommand:
             main(["digits", "-p", "5", "-n", "0", "1/2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("count", ["100001", "1000000000"])
+    def test_count_past_the_period_limit_is_a_usage_error(self, count, capsys):
+        # -n is bounded by digits.DIGIT_PERIOD_LIMIT, so a billion digits fail at once
+        with pytest.raises(SystemExit) as exc:
+            main(["digits", "-p", "3", "-n", count, "1/7"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"\npadic-cf digits: error: count must be at most 100000, got {count}\n")
+
+    def test_count_up_to_the_limit_answers(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DIGIT_PERIOD_LIMIT", 5)
+        code, out, _ = run_cli(["digits", "-p", "3", "-n", "5", "1/7"], capsys)
+        assert (code, out) == (0, "1 +1*3 -1*3^3 -1*3^4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["digits", "-p", "3", "-n", "6", "1/7"])
+        assert exc.value.code == 2
+
 
 class TestBoundCommand:
     def test_beta_mode(self, capsys):
@@ -861,6 +880,100 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["digits", "-p", "5", "-n", "3", "-1793/100"])
         assert exc.value.code == 2
+
+
+def _top_level_parse(argv):
+    # argv through the top-level parser, then the subcommand's, as main always parsed before
+    parser, subparsers = cli._build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    command_parser = subparsers[args.command]
+    if unknown:
+        command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    cli._validate(args, command_parser)
+    return args, command_parser
+
+
+class TestDispatch:
+    """main hands argv to the subcommand's parser when argv[0] names one; the
+    top-level parser runs only for -h, an empty argv or an unknown subcommand."""
+
+    ARGVS = [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["expand-browkin"],
+        ["expand-browkin", "-h"],
+        ["expand-browkin", "-p", "3", "1/2", "--bogus"],
+        ["--", "expand-browkin", "-p", "3", "1/2"],
+        ["-p", "3", "expand-browkin", "1/2"],
+        ["expand-browkin", "--prime=3", "1/2"],
+        ["expand-browkin", "--pr", "3", "1/2"],
+        ["expand-browkin", "-p", "3", "1/2", "-h"],
+        ["expand-browkin", "-p", "3", "--", "1/2", "3/4"],
+        ["expand-schneider", "-p3", "--json", "--", "-365/53"],
+        ["digits", "-p", "5", "-n", "7", "--", "-1793/100"],
+        ["bound", "-p", "3", "--beta0", "2", "--beta1", "5", "--json"],
+        ["head", "-p", "3", "--json", "1259/701"],
+        ["verify", "-p", "3", "2/5"],
+        ["sweep", "--primes", "3,5", "--max-num", "3", "--max-den", "3"],
+        ["sweep", "-h"],
+    ]
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(newline=""), io.StringIO(newline="")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return out.getvalue(), err.getvalue(), code
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_as_the_top_level_parse(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        got = self.run(argv)
+        monkeypatch.setattr(cli, "_parse", _top_level_parse)
+        assert got == self.run(argv)
+
+    def test_subcommand_skips_the_top_level_parser(self, capsys, monkeypatch):
+        parser, _ = cli._build_parser()
+        calls = []
+        parse = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args", lambda *a: calls.append(a) or parse(*a))
+        assert main(["bound", "-p", "3", "7/2"]) == 0
+        assert calls == []
+        with pytest.raises(SystemExit):
+            main(["bogus"])
+        assert len(calls) == 1
+
+
+class TestJsonPairs:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(1, 1)],
+            [(2, 1)] * 40,
+            [(i, 3 ** abs(i)) for i in range(-20, 20)],
+            [(1, 1), (2, 1), (1, 1), (2, 1), (1, 2), (1, 1)],  # half distinct
+            [(1, 1), (2, 1), (1, 1), (3, 1), (1, 2)],  # more than half
+            [(-(10**400), 3), (10**400, 3)] * 3,
+        ],
+        ids=["empty", "one", "all-equal", "all-distinct", "half", "most", "large"],
+    )
+    def test_equals_json_dumps(self, rows):
+        want = json.dumps([{"num": x, "den": y} for x, y in rows])
+        assert cli._json_pairs(rows, "num", "den") == want
+
+    def test_step_records(self):
+        a, b = generate_constant_head(1, 2, 300, 3)
+        for exp in (schneider.schneider_expand(a, b, 3), schneider.schneider_expand(365, 53, 101)):
+            want = json.dumps([{"b": d, "alpha": e} for d, e in exp.steps])
+            assert cli._json_pairs(exp.steps, "b", "alpha") == want
+        exp = browkin.browkin_expand(-(10**300 + 7), 10**299 + 3, 101)
+        want = json.dumps([{"num": x, "den": y} for x, y in exp.quotient_pairs])
+        assert cli._json_pairs(exp.quotient_pairs, "num", "den") == want
 
 
 class TestParserReuse:
