@@ -17,8 +17,8 @@ input reaches it), 141 when the reader closes stdout early, as in
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
-step records, with no dict per step: one "%" over all the rows when most are
-distinct, else one "%d" template per distinct row.
+step records, with no dict per step: one "%" over all the rows when more than
+a third are distinct, else one "%d" template per distinct row.
 The argparse parsers are built once per process, on the first main() call.
 When argv[0] names a subcommand, main hands the rest of argv straight to that
 subcommand's parser; the top-level parser runs only for -h, an empty argv or
@@ -94,7 +94,9 @@ def _json_pairs(rows, key0: str, key1: str) -> str:
     # a hashable pair of integers
     template = f'{{"{key0}": %d, "{key1}": %d}}'
     distinct = set(rows)
-    if 2 * len(distinct) > len(rows):  # mostly distinct, as Browkin quotients at a large p
+    # the two paths take the same time at about a third of the rows distinct
+    # (BENCH_step_tables.json, "json_pairs_paths")
+    if 3 * len(distinct) > len(rows):  # as Browkin quotients at a large p
         return "[" + ", ".join([template] * len(rows)) % tuple(chain.from_iterable(rows)) + "]"
     # mostly repeated, as Schneider steps at a small p: format each distinct row once
     text = {row: template % row for row in distinct}

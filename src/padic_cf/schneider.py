@@ -14,8 +14,11 @@ operation, and one exact division of y_{m-1} - b_m y_m by p, then one more
 per further factor of p, yields alpha_m, y_{m+1} and r_{m+1} together.  The
 inverses r**-1 mod p come from a dict made for each expansion.  It starts
 with 1 and p-1, their own inverses, and inverts any other residue on its
-first use, so an expansion makes at most min(p-3, steps) pow calls and none
-at p = 3; the dict is dropped when the expansion returns.
+first use.  Lookups are made only for the digits b_m of the pairs
+(y_{m-1}, y_m) the expansion reaches: one for each step it records, and one
+more at a finite end or past a cap.  So an expansion makes at most
+min(p-3, steps+1) pow calls and none at p = 3; the dict is dropped when the
+expansion returns.
 
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,

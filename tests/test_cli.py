@@ -959,8 +959,11 @@ class TestJsonPairs:
             [(1, 1), (2, 1), (1, 1), (2, 1), (1, 2), (1, 1)],  # half distinct
             [(1, 1), (2, 1), (1, 1), (3, 1), (1, 2)],  # more than half
             [(-(10**400), 3), (10**400, 3)] * 3,
+            [(1, 1), (2, 1), (1, 1), (2, 1), (1, 1), (1, 1)],  # a third distinct
+            [(1, 1), (2, 1), (1, 2), (1, 1), (1, 1), (2, 1), (1, 1), (1, 1)],  # over a third
         ],
-        ids=["empty", "one", "all-equal", "all-distinct", "half", "most", "large"],
+        ids=["empty", "one", "all-equal", "all-distinct", "half", "most", "large", "third",
+             "over-third"],
     )
     def test_equals_json_dumps(self, rows):
         want = json.dumps([{"num": x, "den": y} for x, y in rows])

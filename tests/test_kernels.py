@@ -197,9 +197,7 @@ class TestSchneider:
         for p in (3, 5, 101, 65537):
             a, b = random_pair(rng, 3000, p)
             assert min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
-            exp = assert_schneider_matches(a, b, p)
-            # the batches share one record per distinct (digit, alpha)
-            assert len({id(step) for step in exp.steps}) < len(exp.steps)
+            assert_schneider_matches(a, b, p)
 
     @pytest.mark.parametrize("p", (3, 5, 101))
     def test_each_residue_inverted_once(self, p, monkeypatch):
@@ -211,6 +209,24 @@ class TestSchneider:
         exp = schneider_expand(a, b, p)
         assert len(exp.steps) > 1000
         assert len(calls) == len(set(calls)) <= p - 3
+
+    @pytest.mark.parametrize("p", (5, 101))
+    def test_pow_calls_within_steps_plus_one(self, p, monkeypatch):
+        # cut, finite and stationary expansions: at most min(p-3, steps+1) pow calls, as
+        # the module docstring states; a cut one reads the digit of the step past its cap
+        calls = []
+        monkeypatch.setattr(schneider, "pow", lambda *args: calls.append(args) or pow(*args),
+                            raising=False)
+        rng = random.Random(61)
+        inputs = [random_pair(rng, 40, p) for _ in range(40)] + [(1, p + 1), (p - 1, 1), (-1, 1)]
+        reached = False
+        for a, b in inputs:
+            for cap in (1, 2, 3, 10, None):
+                calls.clear()
+                exp = schneider._expand(a, b, p, cap)
+                assert len(calls) == len(set(calls)) <= min(p - 3, len(exp.steps) + 1)
+                reached |= len(calls) == len(exp.steps) + 1
+        assert reached
 
     def test_cut(self):
         a, b = random_pair(random.Random(53), 3000, 3)
