@@ -7,6 +7,9 @@ Python's limit on int/str conversion while it runs.  parse_rational turns
 each into the integer pair (a, b) of a/b in lowest terms with b > 0, the one
 input form of the library.  Integer options and --primes tokens are an
 optional '-' and ASCII digits, as a rational's parts are.
+Every ValueError the library raises on a command's input (p, a zero rational,
+the digit count, the betas) is that command's usage error, printed with the
+subcommand's usage; _validate checks only what the library cannot know.
 `head --exponent alpha` is a usage error when alpha*(p.bit_length()-1) >=
 (|a| + (p-1)*b).bit_length(): then p**alpha exceeds |a - digit*b|, so no
 expansion of a/b starts with (digit, alpha), and it is rejected before any
@@ -23,7 +26,6 @@ The argparse parsers are built once per process, on the first main() call.
 When argv[0] names a subcommand, main hands the rest of argv straight to that
 subcommand's parser; the top-level parser runs only for -h, an empty argv or
 an unknown subcommand, and the two routes print the same usage and help.
-`digits -n` above digits.DIGIT_PERIOD_LIMIT is a usage error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from math import gcd
 from . import oracle
 from .browkin import browkin_betas, browkin_bound, browkin_expand
 from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
-from .exactarith import is_odd_prime
+from .exactarith import require_odd_prime
 from .schneider import first_step, head_analysis, schneider_expand
 
 # ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
@@ -394,48 +396,29 @@ _COMMANDS = {
 }
 
 
-def _check_prime(p: int, parser: argparse.ArgumentParser) -> None:
-    try:
-        prime = is_odd_prime(p)
-    except ValueError as exc:  # p past the limit of the primality test
-        parser.error(str(exc))
-    if not prime:
-        parser.error(f"p must be an odd prime >= 3, got {p}")
-
-
-def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if args.command == "sweep":
+def _validate(args: argparse.Namespace) -> None:
+    # the input rules the library cannot know: the sweep's primes and ranges, the rational's
+    # syntax, bound's rational or betas, and digits -n at most DIGIT_PERIOD_LIMIT
+    if args.command == "sweep":  # every prime before the CSV header
         try:
             primes = [_parse_integer(tok) for tok in args.primes.split(",")]
         except argparse.ArgumentTypeError:
-            parser.error(f"malformed prime list {args.primes!r}")
+            raise ValueError(f"malformed prime list {args.primes!r}") from None
         for p in primes:
-            _check_prime(p, parser)
+            require_odd_prime(p)
         if args.max_num < 1 or args.max_den < 1:
-            parser.error("sweep ranges must be positive")
+            raise ValueError("sweep ranges must be positive")
         args.primes = sorted(set(primes))
         return
-    _check_prime(args.prime, parser)
-    rational = getattr(args, "rational", None)
-    if rational is not None:
-        try:
-            args.rational = rational = parse_rational(rational)
-        except ValueError as exc:
-            parser.error(str(exc))
+    if args.rational is not None:
+        args.rational = parse_rational(args.rational)
     if args.command == "bound":
-        have_betas = args.beta0 is not None and args.beta1 is not None
-        if args.rational is None and not have_betas:
-            parser.error("bound needs a rational or both --beta0 and --beta1")
+        if args.rational is None and (args.beta0 is None or args.beta1 is None):
+            raise ValueError("bound needs a rational or both --beta0 and --beta1")
         if args.rational is not None and (args.beta0 is not None or args.beta1 is not None):
-            parser.error("bound takes a rational or --beta0/--beta1, not both")
-        if have_betas and (args.beta0 < 1 or args.beta1 < 0):
-            parser.error("--beta0 must be >= 1 and --beta1 >= 0")
-    if args.command == "digits" and args.count < 1:
-        parser.error("count must be positive")
+            raise ValueError("bound takes a rational or --beta0/--beta1, not both")
     if args.command == "digits" and args.count > DIGIT_PERIOD_LIMIT:
-        parser.error(f"count must be at most {DIGIT_PERIOD_LIMIT}, got {args.count}")
-    if rational is not None and rational[0] == 0 and args.command != "digits":
-        parser.error("input must be nonzero")
+        raise ValueError(f"count must be at most {DIGIT_PERIOD_LIMIT}, got {args.count}")
 
 
 def main(argv=None) -> int:
@@ -463,19 +446,19 @@ def _parse(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
         command_parser = subparsers[args.command]
     if unknown:  # reported with the subcommand's usage, as every usage error is
         command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    _validate(args, command_parser)
     return args, command_parser
 
 
 def _main(argv) -> int:
     args, command_parser = _parse(argv)
     try:
+        _validate(args)
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # the reader closed stdout: 128 + SIGPIPE, and a quiet flush at exit
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except ValueError as exc:
+    except ValueError as exc:  # a rule on the input, _validate's or the library's
         command_parser.error(str(exc))
     except OverflowError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -35,15 +35,24 @@ class PAdicDigits(NamedTuple):
 
     def prefix_sum(self, length: int | None = None) -> int:
         """sum(digits[i] * p**i) over the first `length` digits (default: all of them)."""
-        total = 0
-        for digit in reversed(self.digits[:length]):
-            total = total * self.p + digit
-        return total
+        return _digit_sum(self.digits[:length], self.p)
 
     def prefix_value(self, length: int | None = None) -> Fraction:
         """Exact value of the first `length` digits: prefix_sum * p**start_exponent."""
         total, s = self.prefix_sum(length), self.start_exponent
         return Fraction(total * self.p**s) if s >= 0 else Fraction(total, self.p**-s)
+
+
+def _digit_sum(digits: tuple[int, ...], p: int) -> int:
+    # sum(digits[i] * p**i): Horner's loop, quadratic in the count, up to 64 digits; above,
+    # the two halves' sums joined by one p**mid
+    if len(digits) <= 64:
+        total = 0
+        for digit in reversed(digits):
+            total = total * p + digit
+        return total
+    mid = len(digits) // 2
+    return _digit_sum(digits[:mid], p) + _digit_sum(digits[mid:], p) * p**mid
 
 
 def _unit_form(a: int, b: int, p: int) -> tuple[int, int, int]:

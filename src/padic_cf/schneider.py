@@ -247,8 +247,9 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
     steps: list[SchneiderStep] = []
     inverses = {1: 1, p - 1: p - 1}  # r -> r**-1 mod p; 1 and p-1 are their own inverses
     depth = _BATCH_WIDTH // p.bit_length()
-    # the bound is tested here too, so that below it no call builds the batch tables
-    if depth >= _BATCH_DEPTH_MIN and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
+    # _batches' own tests, the bound and a whole batch under the cap, are made here too, so
+    # that no call builds tables it cannot use (first_step's cap of 1 fits no batch)
+    if _BATCH_DEPTH_MIN <= depth <= cap and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
         y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses)
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
     # and y_m mod p, never 0

@@ -810,6 +810,41 @@ class TestUsageErrors:
         assert captured.err.startswith(f"usage: padic-cf {argv[0]} [-h] -p PRIME ")
         assert captured.err.endswith(f"\npadic-cf {argv[0]}: error: {message}\n")
 
+    @staticmethod
+    def library_rules():
+        # (argv, message): each input rule the library raises ValueError for, on every
+        # command it reaches; the CLI only reports it
+        for p in ("9", "2"):
+            for argv in (["expand-browkin", "-p", p, "2/5"], ["expand-schneider", "-p", p, "2/5"],
+                         ["digits", "-p", p, "-n", "5", "2/5"], ["bound", "-p", p, "7/2"],
+                         ["bound", "-p", p, "--beta0", "2", "--beta1", "5"], ["head", "-p", p, "2/5"],
+                         ["head", "-p", p, "--digit", "1", "--exponent", "1", "2/5"],
+                         ["verify", "-p", p, "2/5"]):
+                yield argv, f"p must be an odd prime, got {p}"
+        for command in ("expand-browkin", "bound", "verify"):
+            yield [command, "-p", "3", "0"], "cannot expand zero"
+        for command in ("expand-schneider", "head"):
+            yield [command, "-p", "3", "0"], "numerator must be nonzero"
+        yield ["digits", "-p", "3", "-n", "0", "2/5"], "count must be positive"
+        yield ["bound", "-p", "3", "--beta0", "0", "--beta1", "0"], "beta0 magnitude must be >= 1"
+        yield ["bound", "-p", "3", "--beta0", "1", "--beta1", "-1"], "beta1 magnitude must be >= 0"
+        # every prime is checked before the CSV header is written
+        yield ["sweep", "--primes", "3,9", "--max-num", "2", "--max-den", "2"], "p must be an odd prime, got 9"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [pytest.param(argv, message, id=" ".join(argv)) for argv, message in library_rules()],
+    )
+    def test_library_rule_is_the_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: padic-cf {argv[0]} [-h] ")
+        assert captured.err.endswith(f"\npadic-cf {argv[0]}: error: {message}\n")
+        assert captured.err.count("error:") == 1
+
     def test_prime_past_the_primality_limit(self, capsys):
         limit = "3317044064679887385961981"  # padic_cf.exactarith.PRIME_LIMIT
         for argv in (["expand-schneider", "-p", "3317044064679887385961983", "7/2"],
@@ -889,7 +924,6 @@ def _top_level_parse(argv):
     command_parser = subparsers[args.command]
     if unknown:
         command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    cli._validate(args, command_parser)
     return args, command_parser
 
 

@@ -58,6 +58,20 @@ def test_truncation_identity_every_prefix():
                 assert vp(r - prefix, p) >= window.start_exponent + length
 
 
+@pytest.mark.parametrize("p", [3, 101, 10**9 + 7])
+def test_prefix_sum_matches_horner(p):
+    # above 64 digits prefix_sum joins the sums of two halves; Horner's loop is the reference
+    rng = random.Random(p)
+    half = (p - 1) // 2
+    for count in (0, 1, 2, 63, 64, 65, 127, 128, 129, 1000):
+        window = digits.PAdicDigits(p, 0, tuple(rng.randint(-half, half) for _ in range(count)), count)
+        for length in (None, *range(count + 2)):
+            expected = 0
+            for digit in reversed(window.digits[:length]):
+                expected = expected * p + digit
+            assert window.prefix_sum(length) == expected, (count, length)
+
+
 def low_digit_sum(a, b, p):
     """Sum of the symmetric digits of a/b with exponent <= 0, read off the digit stream."""
     start = padic_digits(a, b, p, 1).start_exponent

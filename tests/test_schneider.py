@@ -413,6 +413,21 @@ class TestBatchedKernel:
             assert (list(exp.steps), exp.tail) == (head, tail)
         assert schneider.first_step(a, b, 3) == tuple(head[0])
 
+    def test_first_step_builds_no_batch_tables(self, monkeypatch):
+        # no batch fits under first_step's cap of 1, so it never enters _batches
+        a, b = generate_constant_head(1, 2, 1000, 3)
+        assert self.batched(a, b, 3)
+        batches, calls = schneider._batches, []
+
+        def fail(*args):
+            raise AssertionError("_batches called")
+
+        monkeypatch.setattr(schneider, "_batches", fail)
+        assert schneider.first_step(a, b, 3) == (1, 2)
+        monkeypatch.setattr(schneider, "_batches", lambda *args: calls.append(1) or batches(*args))
+        assert schneider_expand(a, b, 3).steps == ((1, 2),) * 1001
+        assert calls == [1]
+
 
 class TestHeadAnalysis:
     def test_2_5_fixture(self):
