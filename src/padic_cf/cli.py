@@ -14,9 +14,10 @@ subcommand's usage; _validate checks only what the library cannot know.
 (|a| + (p-1)*b).bit_length(): then p**alpha exceeds |a - digit*b|, so no
 expansion of a/b starts with (digit, alpha), and it is rejected before any
 power is built.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 internal error (reserved; no known
-input reaches it), 141 when the reader closes stdout early, as in
-`padic-cf sweep ... | head -1`.
+1 verification failure, 2 usage error, 3 an output write failed (as to a full
+disk) or an internal error (reserved; no known input reaches it), 141 when
+the reader closes stdout early, as in `padic-cf sweep ... | head -1`.
+Floats are for display only, made from the library's exact values by _f6.
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
@@ -31,14 +32,16 @@ an unknown subcommand, and the two routes print the same usage and help.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import os
 import re
 import sys
 from itertools import chain
-from math import gcd
+from math import gcd, isfinite
 
 from . import oracle
 from .browkin import browkin_betas, browkin_bound, browkin_expand
@@ -86,9 +89,14 @@ def _rat_str(a: int, b: int) -> str:
     return str(a) if b == 1 else f"{a}/{b}"
 
 
-def _f6(value: float | None) -> float | None:
-    # floats are advisory; pin them to 6 significant digits for stable output
-    return None if value is None else float(f"{value:.6g}")
+def _f6(value) -> float | None:
+    # the one display float of an exact value, pinned to 6 significant digits for stable
+    # output; None when the value lies past the float range
+    try:
+        approx = float(value)
+    except OverflowError:
+        return None
+    return float(f"{approx:.6g}") if isfinite(approx) else None
 
 
 def _json_pairs(rows, key0: str, key1: str) -> str:
@@ -149,7 +157,8 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
                 f" (tail digit {args.prime - 1}, exponent 1, tail value -1)"
             )
         else:
-            print(f"finite end with tail value {expansion.tail_value}")
+            num, den = expansion.tail  # |den| = 1 at a finite end
+            print(f"finite end with tail value {num // den}")
         print("reconstructed: true")
     return 0
 
@@ -210,16 +219,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                 "p": args.prime,
                 "beta0_abs": beta0,
                 "beta1_abs": beta1,
-                "lambda1_float": _f6(float(report.lambda1)),
-                "lambda2_float": _f6(float(report.lambda2)),
+                "lambda1_float": _f6(report.lambda1),
+                "lambda2_float": _f6(report.lambda2),
                 "n_bound": report.n_bound,
                 "exact_certificate": report.exact_certificate,
             }
         ))
     else:
         print(f"beta magnitudes: {beta0}, {beta1} (p={args.prime})")
-        print(f"lambda1 = {report.lambda1} (~{_f6(float(report.lambda1))})")
-        print(f"lambda2 = {report.lambda2} (~{_f6(float(report.lambda2))})")
+        print(f"lambda1 = {report.lambda1} (~{_f6(report.lambda1)})")
+        print(f"lambda2 = {report.lambda2} (~{_f6(report.lambda2)})")
         print(f"N = {report.n_bound}")
         print(f"exact certificate: {'true' if report.exact_certificate else 'false'}")
     return 0
@@ -235,25 +244,27 @@ def _cmd_head(args: argparse.Namespace) -> int:
         digit = first.b if digit is None else digit
         exponent = first.alpha if exponent is None else exponent
     report = head_analysis(a, b, digit, exponent, args.prime)
+    t1, t2, theta = _f6(report.t1), _f6(report.t2), _f6(report.theta)
+    exact_exponent = None if report.head_len is None else report.head_len - 1
     if args.json:
         print(json.dumps(
             {
-                "T1_float": _f6(report.t1_float),
-                "T2_float": _f6(report.t2_float),
-                "theta_float": _f6(report.theta_float),
-                "exact_exponent": report.exact_exponent,
+                "T1_float": t1,
+                "T2_float": t2,
+                "theta_float": theta,
+                "exact_exponent": exact_exponent,
                 "head_len": report.head_len,
                 "exact_identity": report.exact_identity,
             }
         ))
     else:
         print(f"head pair: ({digit},{exponent}) (p={args.prime})")
-        if report.t1_float is not None and report.t2_float is not None:
-            print(f"T1 ~ {_f6(report.t1_float)}, T2 ~ {_f6(report.t2_float)}")
-        approx = "" if report.theta_float is None else f" (~{_f6(report.theta_float)})"
+        if t1 is not None and t2 is not None:
+            print(f"T1 ~ {t1}, T2 ~ {t2}")
+        approx = "" if theta is None else f" (~{theta})"
         print(f"theta = {report.theta}{approx}")
         if report.exact_identity:
-            print(f"exact exponent: {report.exact_exponent}")
+            print(f"exact exponent: {exact_exponent}")
         print(f"head length: {'unknown' if report.head_len is None else report.head_len}")
         print(f"exact identity: {'true' if report.exact_identity else 'false'}")
     return 0
@@ -277,13 +288,11 @@ def _sweep_rows(primes, max_num, max_den):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out = sys.stdout
-    close_out = False
     if args.out is not None:
         try:
             out = open(args.out, "w", newline="")
         except OSError as exc:  # a usage error, not a failed check
             raise ValueError(f"cannot open {args.out}: {exc}") from exc
-        close_out = True
     try:
         writer = csv.writer(out)
         writer.writerow(SWEEP_COLUMNS)
@@ -309,14 +318,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             writer.writerow([p, a, b, browkin_len, report.n_bound, beta0, beta1, slack, stationary])
             max_len = max(max_len, browkin_len)
             min_slack = slack if min_slack is None else min(min_slack, slack)
-        print(
-            f"sweep ok: max browkin_len {max_len}, min slack {min_slack},"
-            f" max steps to stationarity {max_stationary}",
-            file=sys.stderr,
-        )
-    finally:
-        if close_out:
+    finally:  # a write that fails on either target raises here, before the summary
+        if out is sys.stdout:
+            out.flush()
+        else:
             out.close()
+    print(
+        f"sweep ok: max browkin_len {max_len}, min slack {min_slack},"
+        f" max steps to stationarity {max_stationary}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -453,11 +464,18 @@ def _main(argv) -> int:
     args, command_parser = _parse(argv)
     try:
         _validate(args)
-        return _COMMANDS[args.command](args)
-    except BrokenPipeError:  # the reader closed stdout: 128 + SIGPIPE, and a quiet flush at exit
-        with open(os.devnull, "wb") as devnull:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a buffered write that fails is reported here, not at exit
+        return code
+    except OSError as exc:  # the output could not be written
+        # stdout keeps what it failed to write: point its fd at devnull, or the flush at exit
+        # fails again (a traceback and exit 120); an in-memory stdout has no fd
+        with open(os.devnull, "wb") as devnull, contextlib.suppress(io.UnsupportedOperation):
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout: 128 + SIGPIPE
+            return 141
+        print(f"error: cannot write output: {exc}", file=sys.stderr)  # as to a full disk
+        return 3
     except ValueError as exc:  # a rule on the input, _validate's or the library's
         command_parser.error(str(exc))
     except OverflowError as exc:

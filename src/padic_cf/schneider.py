@@ -78,7 +78,6 @@ on integer pairs in Z[sqrt(4p**exponent + digit**2)]; no float takes part.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
@@ -97,10 +96,10 @@ class SchneiderExpansion(NamedTuple):
     Exactly one of stationary_from / finite_end describes the tail:
     stationary_from is the index of the first of the everlasting (p-1, 1)
     steps (= len(steps)); finite_end means the next digit would divide
-    exactly, leaving the integer tail value tail_value.  tail is the exact
-    value of the unexpanded tail after the recorded steps, as an unreduced
-    integer pair (num, den): (-1, 1) for the stationary tail, else the last
-    pair (y_{n-1}, y_n) the steps reached.
+    exactly, leaving an integer tail.  tail is the exact value of the
+    unexpanded tail after the recorded steps, as an unreduced integer pair
+    (num, den): (-1, 1) for the stationary tail, else the last pair
+    (y_{n-1}, y_n) the steps reached, with |den| = 1 at a finite end.
     """
 
     p: int
@@ -119,10 +118,6 @@ class SchneiderExpansion(NamedTuple):
             y_prev, y_cur = y_cur, (y_prev - digit * y_cur) // p**alpha
             out.append(y_cur)
         return out
-
-    @property
-    def tail_value(self) -> Fraction:
-        return Fraction(*self.tail)
 
 
 class SchneiderMatrix(NamedTuple):
@@ -143,21 +138,18 @@ class SchneiderMatrix(NamedTuple):
 class HeadReport(NamedTuple):
     """Exact certificate for the length of a constant (digit, exponent) head.
 
-    exact_identity means (t2/t1)**(head_len-1) equals theta, checked exactly on
-    integer pairs in Z[sqrt(D)]; otherwise head_len and exact_exponent are None.
-    The *_float fields are for display only, and None past the float range.
+    t1, t2 are the roots of T**2 - digit*T - p**alpha and theta the ratio of
+    conjugate products, all exact.  exact_identity means (t2/t1)**(head_len-1)
+    equals theta, checked exactly on integer pairs in Z[sqrt(D)]; otherwise
+    head_len is None.
     """
 
     digit: int
     alpha: int
     t1: QuadraticElement
     t2: QuadraticElement
-    t1_float: float | None
-    t2_float: float | None
     theta: QuadraticElement
-    theta_float: float | None
     head_len: int | None
-    exact_exponent: int | None
     exact_identity: bool
 
 
@@ -344,15 +336,6 @@ def _check_head_pair(digit: int, alpha: int, p: int) -> None:
         raise ValueError("the stationary pair (p-1, 1) has no constant head")
 
 
-def _float(value: QuadraticElement) -> float | None:
-    # float(value), or None when it lies past the float range
-    try:
-        result = float(value)
-    except OverflowError:
-        return None
-    return result if math.isfinite(result) else None
-
-
 def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     """Certify the length of the constant (digit, alpha) head of a/b.
 
@@ -377,8 +360,10 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     disc = 4 * pa + digit * digit
     big_p, q = digit - 2 * pa, 2 * a - b * digit
     x, y = big_p * q - b * disc, big_p * b - q
-    if x * y <= 0:
-        raise ValueError("|theta| <= 1: no constant head to measure")
+    # x*y < 0 makes |theta| < 1; y = 0 makes theta = 1, the one-step head d - p**alpha (e = 0),
+    # and x = 0 makes theta = -1, which no e meets
+    if x * y < 0:
+        raise ValueError("|theta| < 1: no constant head to measure")
     # theta = (x + y*sqrt(D)) / (x - y*sqrt(D)) = (sx + sy*sqrt(D)) / n, with sx > 0 and n != 0
     sx, sy, n = x * x + disc * y * y, 2 * x * y, x * x - disc * y * y
     t1 = QuadraticElement(Fraction(digit, 2), Fraction(-1, 2), disc)
@@ -391,7 +376,7 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized
     e, rem = divmod(int_vp(n, p) - int_vp(sx, p), alpha)
     exact = False
-    if e >= 1 and not rem:
+    if e >= 0 and not rem:
         u, v, bu, bv, i = 1, 0, -(digit * digit + disc), -2 * digit, e
         while i:
             if i & 1:
@@ -399,10 +384,7 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
             bu, bv, i = bu * bu + bv * bv * disc, 2 * bu * bv, i >> 1
         scale = (4 * pa) ** e
         exact = u * n == sx * scale and v * n == sy * scale
-    return HeadReport(
-        digit, alpha, t1, t2, _float(t1), _float(t2), theta, _float(theta),
-        e + 1 if exact else None, e if exact else None, exact,
-    )
+    return HeadReport(digit, alpha, t1, t2, theta, e + 1 if exact else None, exact)
 
 
 def generate_constant_head(digit: int, alpha: int, k: int, p: int) -> tuple[int, int]:

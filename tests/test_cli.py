@@ -450,6 +450,14 @@ class TestHeadCommand:
         assert payload["exact_identity"] is True
         assert abs(payload["T1_float"] - (-1.303)) < 1e-3
 
+    def test_one_step_head(self, capsys):
+        # -8 = 1 - 9: the (1,2) step once, then the stationary tail, where theta = 1
+        payload = run_json(["head", "-p", "3", "--json", "--", "-8"], capsys)
+        assert payload == {
+            "T1_float": -2.54138, "T2_float": 3.54138, "theta_float": 1.0,
+            "exact_exponent": 0, "head_len": 1, "exact_identity": True,
+        }
+
     def test_explicit_pair(self, capsys):
         payload = run_json(
             ["head", "-p", "3", "--digit", "1", "--exponent", "2", "--json", "1259/701"],
@@ -771,6 +779,45 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--primes", "3,4", "--max-num", "2", "--max-den", "2"])
         assert exc.value.code == 2
+
+
+class TestWriteFailures:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-p", "3", "2/5"],
+            ["head", "-p", "3", "--json", "2/5"],
+            ["sweep", "--primes", "3", "--max-num", "3", "--max-den", "3"],
+            ["sweep", "--primes", "3", "--max-num", "3", "--max-den", "3", "--out", "/dev/full"],
+        ],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_exits_3(self, argv, unbuffered):
+        # a write that fails is not a verification failure (1): exit 3, one line, no traceback;
+        # block-buffered stdout fails only at a flush, and must not fail again at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "padic_cf", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert done.returncode == 3
+        assert done.stderr.startswith(b"error: cannot write output: ")
+        assert done.stderr.count(b"\n") == 1  # no traceback, and no "sweep ok" summary
+
+    def test_failed_flush_exits_3(self, capsys, monkeypatch):
+        # output held in a buffer fails when it is flushed, before main returns
+        class FullBuffer(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullBuffer())
+        assert main(["verify", "-p", "3", "2/5"]) == 3
+        assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 class TestUsageErrors:

@@ -149,7 +149,7 @@ class TestExpandFixtures:
         assert exp.y_trace == [-1, 2, -1, 1]
         assert exp.stationary_from == 4
         assert not exp.finite_end
-        assert exp.tail_value == -1
+        assert exp.tail == (-1, 1)
 
     def test_1259_701_table(self):
         exp = schneider_expand(1259, 701, 3)
@@ -167,18 +167,18 @@ class TestExpandFixtures:
         exp = schneider_expand(7, 2, 3)
         assert exp.finite_end and exp.stationary_from is None
         assert exp.steps == ((2, 1),)
-        assert exp.tail_value == 2
+        assert exp.tail == (2, 1)
         assert schneider_evaluate(exp.steps, exp.tail, 3) == Fraction(7, 2)
 
         exp = schneider_expand(2, 1, 3)  # small integer: immediate division
         assert exp.finite_end and exp.steps == ()
-        assert exp.tail_value == 2
+        assert exp.tail == (2, 1)
 
     def test_minus_one_is_purely_stationary(self):
         exp = schneider_expand(-1, 1, 5)
         assert exp.stationary_from == 0
         assert exp.steps == ()
-        assert exp.tail_value == -1
+        assert exp.tail == (-1, 1)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="coprime to p"):
@@ -432,31 +432,31 @@ class TestBatchedKernel:
 class TestHeadAnalysis:
     def test_2_5_fixture(self):
         report = head_analysis(2, 5, 1, 1, 3)
-        assert abs(report.t1_float - (-1.303)) < 1e-3
-        assert abs(report.t2_float - 2.303) < 1e-3
-        assert abs(report.theta_float - (-5.523)) < 1e-3
+        assert abs(float(report.t1) - (-1.303)) < 1e-3
+        assert abs(float(report.t2) - 2.303) < 1e-3
+        assert abs(float(report.theta) - (-5.523)) < 1e-3
         assert report.theta == QuadraticElement(Fraction(-77, 27), Fraction(-20, 27), 13)
-        assert report.exact_exponent == 3
+        assert report.head_len - 1 == 3
         assert report.head_len == 4
         assert report.exact_identity
         assert (report.t2 / report.t1) ** 3 == report.theta
 
     def test_1259_701_fixture_with_errata(self):
         report = head_analysis(1259, 701, 1, 2, 3)
-        assert report.exact_exponent == 5
+        assert report.head_len - 1 == 5
         assert report.head_len == 6
         assert report.exact_identity
         # the characteristic roots belong to T**2 - T - 9, not T**2 - T - 3
         residual = report.t1 * report.t1 - report.t1 - 9
         assert residual == QuadraticElement(0)
-        assert abs(report.theta_float - (-73.736)) > 1
+        assert abs(float(report.theta) - (-73.736)) > 1
 
     def test_3044_673_fixture_with_errata(self):
         report = head_analysis(3044, 673, 3, 2, 5)
-        assert report.exact_exponent == 3
+        assert report.head_len - 1 == 3
         assert report.head_len == 4
         assert report.exact_identity
-        assert abs(report.theta_float - 11.211) > 1
+        assert abs(float(report.theta) - 11.211) > 1
 
     def test_root_identities(self):
         report = head_analysis(2, 5, 1, 1, 3)
@@ -466,8 +466,10 @@ class TestHeadAnalysis:
     def test_preconditions(self):
         with pytest.raises(ValueError, match="stationary pair"):
             head_analysis(2, 5, 2, 1, 3)
-        with pytest.raises(ValueError, match="theta|head"):
-            head_analysis(-2, 1, 1, 1, 3)  # single-quotient head: |theta| = 1
+        # the one-step head -2 = 1 - 3 before the stationary tail: theta = 1 = (t2/t1)**0
+        report = head_analysis(-2, 1, 1, 1, 3)
+        assert report.exact_identity and report.head_len == 1
+        assert report.theta == QuadraticElement(1)
         # the inputs schneider_expand refuses, refused with its messages
         for a, b, message in (
             (0, 1, "numerator must be nonzero"),
@@ -487,17 +489,17 @@ class TestHeadAnalysis:
             (1, 1, 3), (2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 7), (6, 2, 7),
         ]
         for digit, alpha, p in triples:
-            for k in (1, 2, 7, 60, 333, 1000):
+            for k in (0, 1, 2, 7, 60, 333, 1000):
                 a, b = generate_constant_head(digit, alpha, k, p)
                 report = head_analysis(a, b, digit, alpha, p)
                 assert report.head_len == k + 1
-                assert report.exact_identity and report.exact_exponent == k
+                assert report.exact_identity and report.head_len - 1 == k
                 assert (report.t2 / report.t1) ** k == report.theta
                 # a +- p keeps the first digit but breaks the constant head
                 for shifted in (a + p, a - p) if k >= 7 else ():
                     off = head_analysis(shifted, b, digit, alpha, p)
                     assert not off.exact_identity
-                    assert off.exact_exponent is None
+                    assert off.head_len is None
 
     def test_non_constant_head_input(self):
         # no exact identity, so no length: 7/2 has head (2,1) once, then a finite
@@ -509,18 +511,21 @@ class TestHeadAnalysis:
         ):
             report = head_analysis(a, b, digit, alpha, 3)
             assert not report.exact_identity
-            assert report.exact_exponent is None
             assert report.head_len is None
 
     def test_long_heads_certify_past_the_float_range(self):
         # theta overflows a float on these heads (the k = 1500 (1,1) head at p = 3
-        # first): the exponent comes from valuations, theta_float is None;
+        # first): the exponent comes from valuations, float(theta) raises;
         # the (1,40) head at p = 3 has |t2/t1| - 1 about 2.9e-10
         for digit, alpha, p, k in ((1, 1, 3, 1500), (4, 1, 7, 2000), (1, 40, 3, 1000)):
             a, b = generate_constant_head(digit, alpha, k, p)
             report = head_analysis(a, b, digit, alpha, p)
             assert report.exact_identity and report.head_len == k + 1
-            assert (report.theta_float is None) == (alpha == 1)
+            if alpha == 1:
+                with pytest.raises(OverflowError):
+                    float(report.theta)
+            else:
+                assert math.isfinite(float(report.theta))
 
     def test_exponent_stays_within_the_input_size(self):
         # a real convergent of the infinite (1,20) head's value at p = 3: |theta| is
@@ -528,7 +533,7 @@ class TestHeadAnalysis:
         # 3.65e6, but the identity forces p**(alpha*e) to divide n, which allows
         # e <= 4; w**(3.65e6) would not end
         report = head_analysis(3294299955222442, 55788786613, 1, 20, 3)
-        assert report.head_len is None and report.exact_exponent is None
+        assert report.head_len is None and not report.exact_identity
 
     def test_heads_certify_at_large_p(self):
         # |t2/t1| - 1 is 1e-20 or less here, below the resolution of a double
@@ -538,6 +543,26 @@ class TestHeadAnalysis:
                 assert schneider_expand(a, b, p).steps == ((digit, alpha),) * (k + 1)
                 report = head_analysis(a, b, digit, alpha, p)
                 assert report.exact_identity and report.head_len == k + 1
+
+    def test_records_hold_no_float_or_fraction(self):
+        # the records are exact: display floats are made by the CLI alone, from these values
+        def leaves(value):
+            if isinstance(value, tuple):  # a record, its steps or its tail pair
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        assert schneider.HeadReport._fields == (
+            "digit", "alpha", "t1", "t2", "theta", "head_len", "exact_identity")
+        assert not hasattr(schneider.SchneiderExpansion, "tail_value")
+        records = [schneider_expand(7, 2, 3)]  # a finite end
+        cases = [(digit, alpha, 20, p) for digit, alpha, p in BENCHMARK_HEAD_TRIPLES]
+        for digit, alpha, k, p in cases + [(1, 1, 1500, 3)]:
+            a, b = generate_constant_head(digit, alpha, k, p)
+            records += [head_analysis(a, b, digit, alpha, p), schneider_expand(a, b, p)]
+        for record in records:
+            assert not any(isinstance(leaf, (float, Fraction)) for leaf in leaves(record))
 
     def test_no_float_decides_the_head(self, monkeypatch):
         def unreachable(*args):
@@ -586,7 +611,7 @@ class TestGenerator:
                 for alpha in (1, 2):
                     if (digit, alpha) == (p - 1, 1):
                         continue
-                    for k in range(1, 5):
+                    for k in range(5):
                         a, b = generate_constant_head(digit, alpha, k, p)
                         report = head_analysis(a, b, digit, alpha, p)
                         assert report.exact_identity
