@@ -37,13 +37,12 @@ from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prim
 
 
 class BrowkinStep(NamedTuple):
-    """One expansion step: exponent kn, residue xn and denominator bookkeeping
-    integer beta_n; the partial quotient is an = xn/p**kn, already in lowest
-    terms (xn is prime to p whenever kn > 0)."""
+    """One expansion step: exponent kn and residue xn; the partial quotient is
+    an = xn/p**kn, already in lowest terms (xn is prime to p whenever kn > 0).
+    beta_n is not stored: BrowkinExpansion.beta_trace replays it."""
 
     k: int
     x: int
-    beta: int
 
 
 class BrowkinExpansion(NamedTuple):
@@ -65,13 +64,22 @@ class BrowkinExpansion(NamedTuple):
         return [s.k for s in self.steps]
 
     @property
-    def beta_trace(self) -> list[int]:
-        return [s.beta for s in self.steps]
+    def beta_trace(self) -> Iterator[int]:
+        """beta_0, beta_1, ..., one per step, replayed from (alpha, beta0) by
+        beta_{n+1} = (beta_{n-1} - xn*beta_n) / p**(kn + k_{n+1})."""
+        p, b_prev, b_cur = self.p, self.alpha, self.beta0
+        yield b_cur
+        for (k, x), (k_next, _) in zip(self.steps, self.steps[1:]):
+            b_prev, b_cur = b_cur, (b_prev - x * b_cur) // p ** (k + k_next)
+            yield b_cur
 
     @property
     def beta1_abs(self) -> int:
-        """|beta_1|, or 0 for a one-step expansion: the length bound's input."""
-        return abs(self.steps[1].beta) if len(self.steps) > 1 else 0
+        """|beta_1|, or 0 for a one-step expansion: the length bound's input, one step replayed."""
+        if len(self.steps) < 2:
+            return 0
+        k0, x0 = self.steps[0]
+        return abs((self.alpha - x0 * self.beta0) // self.p ** (k0 + self.steps[1].k))
 
 
 class Convergent(NamedTuple):
@@ -127,7 +135,7 @@ def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpa
         x = r_prev * pow(r_cur, -1, modulus) % modulus
         if x > modulus >> 1:  # the symmetric residue
             x -= modulus
-        steps.append(_record(BrowkinStep, (k, x, b_cur)))
+        steps.append(_record(BrowkinStep, (k, x)))
         delta = b_prev - x * b_cur
         if delta == 0:
             return BrowkinExpansion(p, alpha, beta, tuple(steps), True)

@@ -123,7 +123,7 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
         print(
             f'{{"p": {args.prime}, "input": {json.dumps(_rat_str(a, b))}, '
             f'"quotients": {_json_pairs(expansion.quotient_pairs, "num", "den")}, '
-            f'"k": {json.dumps(expansion.k_trace)}, "beta": {json.dumps(expansion.beta_trace)}, '
+            f'"k": {json.dumps(expansion.k_trace)}, "beta": {json.dumps(list(expansion.beta_trace))}, '
             f'"bound_N": {report.n_bound}, "reconstructed": true}}'
         )
     else:
@@ -186,7 +186,7 @@ def _digit_terms(p: int, start: int, digits) -> str:
 def _cmd_digits(args: argparse.Namespace) -> int:
     a, b = args.rational
     window = padic_digits(a, b, args.prime, args.count)
-    check = oracle.digit_truncation_identity(a, b, window, (window.count,))
+    check = oracle.digit_truncation_identity(a, b, window)
     oracle.require(args.prime, a, b, check)
     if args.json:
         _, preperiod, period = digit_period(a, b, args.prime)

@@ -46,18 +46,20 @@ def browkin_length_bound(expansion, report) -> Check:
 
 
 def majorant(expansion) -> Check:
-    """|beta_i| <= theta_i of browkin.theta_sequence, checked one step at a time.
+    """|beta_i| <= theta_i of browkin.theta_sequence, checked one step at a time on
+    the betas that expansion.beta_trace replays from the quotients.
 
     beta_{n+1} = (beta_{n-1} - x_n beta_n) / p**(k_n + k_{n+1}), |x_n| < p**(1+k_n)/2
     and k_n, k_{n+1} >= 1 for n >= 1, so |beta_{n+1}| <= |beta_n|/2 + |beta_{n-1}|/p**2:
     the step law 2p**2 |beta_i| <= p**2 |beta_{i-1}| + 2|beta_{i-2}| (i >= 2), on
-    input-sized integers.  By induction from theta_0 = beta0 >= |beta_0| and
-    theta_1 = |beta_1| it gives |beta_i| <= theta_i = theta_{i-1}/2 + theta_{i-2}/p**2.
+    input-sized integers.  By induction from theta_0 = beta0 = beta_0 (the replay's
+    start) and theta_1 = |beta_1| it gives |beta_i| <= theta_i = theta_{i-1}/2 + theta_{i-2}/p**2.
     """
-    steps, pp = expansion.steps, expansion.p**2
-    ok = abs(steps[0].beta) <= expansion.beta0
-    for before, prev, step in zip(steps, steps[1:], steps[2:]):
-        ok &= 2 * pp * abs(step.beta) <= pp * abs(prev.beta) + 2 * abs(before.beta)
+    betas, pp, ok = map(abs, expansion.beta_trace), expansion.p**2, True
+    before, prev = next(betas), next(betas, 0)
+    for beta in betas:
+        ok &= 2 * pp * beta <= pp * prev + 2 * before
+        before, prev = prev, beta
     return Check("majorant", ok)
 
 
@@ -82,18 +84,19 @@ def determinant_identity(a: int, b: int, expansion) -> Check:
     return Check("determinant identity", ok and _equals((p1, q1), a, b))
 
 
-def digit_truncation_identity(a: int, b: int, window, lengths) -> Check:
-    """a/b minus each prefix is 0 or has valuation >= start_exponent + length.
+def digit_truncation_identity(a: int, b: int, window) -> Check:
+    """a/b minus the window's value is 0 or has valuation >= start_exponent + count.
 
-    The prefix is T * p**s, T its prefix_sum and s = start_exponent, so a/b minus
+    The value is T * p**s, T its prefix_sum and s = start_exponent, so a/b minus
     it is (a - b*T*p**s) / b; b*p**s is an integer and vp(b) = max(0, -s), so the
-    law is p**(length + max(s, 0)) dividing the integer a - b*T*p**s.
+    law is p**(count + max(s, 0)) dividing the integer a - b*T*p**s.
+
+    That law implies the law of every shorter prefix T_L: T - T_L is a multiple of
+    p**L and b*p**s one of p**max(s, 0), so p**(L + max(s, 0)) divides a - b*T_L*p**s.
     """
-    p, s = window.p, window.start_exponent
+    p, s, count = window.p, window.start_exponent, window.count
     scaled_b = b * p**s if s >= 0 else b // p**-s
-    ok = True
-    for length in lengths:
-        ok &= (a - scaled_b * window.prefix_sum(length)) % p ** (length + max(s, 0)) == 0
+    ok = (a - scaled_b * window.prefix_sum(count)) % p ** (count + max(s, 0)) == 0
     return Check("digit truncation identity", ok)
 
 
@@ -138,7 +141,7 @@ def battery(a: int, b: int, p: int) -> list[Check]:
         browkin_length_bound(expansion, report),
         majorant(expansion),
         determinant_identity(a, b, expansion),
-        digit_truncation_identity(a, b, padic_digits(a, b, p, 12), range(1, 13)),
+        digit_truncation_identity(a, b, padic_digits(a, b, p, 12)),
     ]
     if a % p != 0 and b % p != 0:
         sexp = schneider_expand(a, b, p)

@@ -111,13 +111,12 @@ class SchneiderExpansion(NamedTuple):
     tail: tuple[int, int]
 
     @property
-    def y_trace(self) -> list[int]:
+    def y_trace(self) -> Iterator[int]:
         """y_1, y_2, ..., one per step, replayed from (a, b) through the recurrence."""
-        p, y_prev, y_cur, out = self.p, self.a, self.b, []
+        p, y_prev, y_cur = self.p, self.a, self.b
         for digit, alpha in self.steps:
             y_prev, y_cur = y_cur, (y_prev - digit * y_cur) // p**alpha
-            out.append(y_cur)
-        return out
+            yield y_cur
 
 
 class SchneiderMatrix(NamedTuple):

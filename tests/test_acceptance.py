@@ -42,13 +42,13 @@ def test_criterion_1_browkin_fixtures():
         exp = browkin_expand(365, 54, 3)
         assert exp.quotient_pairs[:3] == [(-20, 27), (4, 3), (2, 3)]
         assert exp.k_trace == [3, 1, 1, 1]
-        assert exp.beta_trace == [2, 5, -2, 1]
+        assert list(exp.beta_trace) == [2, 5, -2, 1]
         # printed a3 = 7/3 is the same residue class: 7 = -2 mod 9
         assert (exp.steps[3].x - 7) % 3 ** (1 + 1) == 0
 
         # 77/18 at p=3: printed x0 = 25 mod 27, x1 = 11 mod 9
         exp = browkin_expand(77, 18, 3)
-        assert (exp.steps[0].k, exp.steps[0].beta) == (2, 2)
+        assert (exp.steps[0].k, next(exp.beta_trace)) == (2, 2)
         assert (exp.steps[0].x - 25) % 27 == 0
         assert (exp.steps[1].x - 11) % 9 == 0
 
@@ -83,19 +83,19 @@ def test_criterion_3_schneider_fixtures():
     with criterion(3, "schneider table fixtures with y-traces"):
         exp = schneider_expand(2, 5, 3)
         assert exp.steps == ((1, 1),) * 4
-        assert exp.y_trace == [-1, 2, -1, 1]
+        assert list(exp.y_trace) == [-1, 2, -1, 1]
         assert exp.stationary_from == 4
         assert schneider_evaluate(exp.steps, (-1, 1), 3) == Fraction(2, 5)
 
         exp = schneider_expand(1259, 701, 3)
         assert exp.steps == ((1, 2),) * 6
-        assert exp.y_trace == [62, 71, -1, 8, -1, 1]
+        assert list(exp.y_trace) == [62, 71, -1, 8, -1, 1]
         assert exp.stationary_from == 6
         assert schneider_evaluate(exp.steps, (-1, 1), 3) == Fraction(1259, 701)
 
         exp = schneider_expand(3044, 673, 5)
         assert exp.steps == ((3, 2),) * 4
-        assert exp.y_trace == [41, 22, -1, 1]
+        assert list(exp.y_trace) == [41, 22, -1, 1]
         assert exp.stationary_from == 4
         assert schneider_evaluate(exp.steps, (-1, 1), 5) == Fraction(3044, 673)
 
@@ -131,8 +131,10 @@ def _browkin_battery(r, p):
     report = browkin_bound(exp.beta0, beta1, p)
     assert len(exp.steps) <= report.n_bound + 1
     thetas = theta_sequence(exp.beta0, beta1, p, max(2, len(exp.steps)))
-    for i, step in enumerate(exp.steps):
-        assert abs(step.beta) <= thetas[i]
+    betas = list(exp.beta_trace)
+    assert len(betas) == len(exp.steps)
+    for i, beta in enumerate(betas):
+        assert abs(beta) <= thetas[i]
     convs = browkin_convergents(exp.quotient_pairs)
     for n in range(1, len(convs)):
         det = convs[n].pn * convs[n - 1].qn - convs[n - 1].pn * convs[n].qn

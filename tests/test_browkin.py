@@ -3,6 +3,7 @@ convergents, majorant sequence, and the certified length bound."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -66,16 +67,17 @@ def capacity(report):
 def assert_step_law(exp, r, p):
     """exp expands r; each recorded step follows from the pair before it by raw_step,
     and the last one ends."""
-    steps = exp.steps
-    assert steps[0].beta == exp.beta0 and exp.beta0 % p != 0
+    steps, betas = exp.steps, list(exp.beta_trace)
+    assert len(betas) == len(steps)
+    assert betas[0] == exp.beta0 and exp.beta0 % p != 0
     assert Fraction(exp.alpha, exp.beta0 * p ** steps[0].k) == r
     beta_prev = exp.alpha
-    for n, step in enumerate(steps):
-        x, k_next, beta_next = raw_step(beta_prev, step.beta, step.k, p)
+    for n, (step, beta) in enumerate(zip(steps, betas)):
+        x, k_next, beta_next = raw_step(beta_prev, beta, step.k, p)
         assert step.x == x
         if n + 1 < len(steps):
-            assert (steps[n + 1].k, steps[n + 1].beta) == (k_next, beta_next)
-        beta_prev = step.beta
+            assert (steps[n + 1].k, betas[n + 1]) == (k_next, beta_next)
+        beta_prev = beta
     assert exp.terminated and k_next is None
 
 
@@ -84,7 +86,7 @@ class TestExpandFixtures:
         exp = browkin_expand(365, 54, 3)
         assert exp.quotient_pairs == [(-20, 27), (4, 3), (2, 3), (-2, 3)]
         assert exp.k_trace == [3, 1, 1, 1]
-        assert exp.beta_trace == [2, 5, -2, 1]
+        assert list(exp.beta_trace) == [2, 5, -2, 1]
         assert exp.beta1_abs == 5
         assert exp.terminated
         assert cf_evaluate(exp.quotient_pairs) == Fraction(365, 54)
@@ -92,7 +94,7 @@ class TestExpandFixtures:
     def test_77_18(self):
         exp = browkin_expand(77, 18, 3)
         assert exp.quotient_pairs == [(-2, 9), (2, 9)]
-        assert (exp.k_trace[0], exp.beta_trace[0]) == (2, 2)
+        assert (exp.k_trace[0], next(exp.beta_trace)) == (2, 2)
         assert cf_evaluate(exp.quotient_pairs) == Fraction(77, 18)
 
     def test_minus_1793_100(self):
@@ -127,6 +129,19 @@ class TestExpandFixtures:
         for pair in ((0, 1), (2, 4), (1, 0), (1, -2)):
             with pytest.raises(ValueError):
                 browkin_expand(*pair, 3)
+
+    def test_expansion_retains_only_its_quotients(self):
+        # 7...7/2...23, 5,000 digits, at p = 3: about 7,300 (k, x) records and the
+        # input; records that also held each beta_n retained 8.5 MB here
+        a, b = 7 * (10**5000 - 1) // 9, 2 * (10**5000 - 1) // 9 + 1
+        tracemalloc.start()
+        try:
+            exp = browkin_expand(a, b, 3)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(exp.steps) > 7000
+        assert retained < 2**20, retained
 
     def test_max_steps_cap(self):
         # the step loop stops at its cap with terminated False; browkin_expand takes no cap
@@ -248,18 +263,19 @@ class TestStepIdentities:
                 steps = exp.steps
                 a = [Fraction(x, den) for x, den in exp.quotient_pairs]
                 # complete quotients r_n = beta_{n-1} / (beta_n * p**k_n), beta_{-1} = alpha
-                betas = [exp.alpha] + [s.beta for s in steps]
+                betas = [exp.alpha, *exp.beta_trace]
                 rs = [Fraction(betas[n], betas[n + 1] * p**s.k) for n, s in enumerate(steps)]
                 assert rs[0] == r
                 for n in range(len(steps) - 1):
                     assert rs[n] == a[n] + 1 / rs[n + 1]
                     assert vp(rs[n + 1], p) == -steps[n + 1].k < 0
                 assert rs[-1] == a[-1]  # exact termination
-                for n, s in enumerate(steps):
+                assert len(betas) == len(steps) + 1
+                for n, (s, beta) in enumerate(zip(steps, betas[1:])):
                     assert abs(s.x) <= (p ** (1 + s.k) - 1) // 2
                     if n >= 1:
                         assert s.k >= 1
-                    assert s.beta % p != 0
+                    assert beta % p != 0
 
 
 class TestStepLaw:
@@ -380,9 +396,12 @@ class TestMajorantAndLength:
         for p in (3, 5):
             for r in random_rationals(61 + p, 120):
                 exp = browkin_expand(r.numerator, r.denominator, p)
-                beta1 = abs(exp.steps[1].beta) if len(exp.steps) > 1 else 0
+                betas = list(exp.beta_trace)
+                beta1 = abs(betas[1]) if len(betas) > 1 else 0
+                assert beta1 == exp.beta1_abs
                 report = browkin_bound(exp.beta0, beta1, p)
                 assert len(exp.steps) <= report.n_bound + 1
                 thetas = theta_sequence(exp.beta0, beta1, p, max(2, len(exp.steps)))
-                for i, step in enumerate(exp.steps):
-                    assert abs(step.beta) <= thetas[i]
+                assert len(betas) == len(exp.steps)
+                for i, beta in enumerate(betas):
+                    assert abs(beta) <= thetas[i]

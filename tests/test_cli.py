@@ -660,7 +660,7 @@ class TestJsonRoundTrip:
             "input": text,
             "quotients": [{"num": x, "den": den} for x, den in bro.quotient_pairs],
             "k": bro.k_trace,
-            "beta": bro.beta_trace,
+            "beta": list(bro.beta_trace),
             "bound_N": browkin.browkin_bound(bro.beta0, bro.beta1_abs, p).n_bound,
             "reconstructed": True,
         })

@@ -5,7 +5,8 @@ time, with a pow call for every inverse and no table, carried residue or
 batch.  The kernels carry residues from step to step, keep a dict of
 inverses for each expansion and, for Schneider above a bound, step in batches
 on residues mod p**K: every such shortcut must give the reference's steps
-exactly, its tail markers included.
+exactly, its tail markers included.  A Browkin step records (k, x) alone, so
+the reference's beta_n are checked against the expansion's replayed beta_trace.
 """
 
 import random
@@ -63,9 +64,14 @@ def reference_schneider(a, b, p, max_steps=None):
     return steps, len(steps), False, (-1, 1)
 
 
+def browkin_record(exp):
+    # (steps, terminated) of an expansion in reference_browkin's form: (k, x) with beta_trace
+    return [(k, x, beta) for (k, x), beta in zip(exp.steps, exp.beta_trace, strict=True)], exp.terminated
+
+
 def assert_browkin_matches(a, b, p):
     exp = browkin_expand(a, b, p)
-    assert (list(exp.steps), exp.terminated) == reference_browkin(a, b, p), (a, b, p)
+    assert browkin_record(exp) == reference_browkin(a, b, p), (a, b, p)
     return exp
 
 
@@ -158,7 +164,7 @@ class TestBrowkin:
         a, b = random_pair(random.Random(41), 300, 3)
         for cap in (1, 2, 3, 50):
             exp = browkin._expand(a, b, 3, cap)
-            assert (list(exp.steps), exp.terminated) == reference_browkin(a, b, 3, cap)
+            assert browkin_record(exp) == reference_browkin(a, b, 3, cap)
 
 
 class TestSchneider:

@@ -40,11 +40,16 @@ def _short_bound(beta0, beta1, p):
     return browkin.browkin_bound(beta0, beta1, p)._replace(n_bound=-1)
 
 
+class _DoubledLastBeta(browkin.BrowkinExpansion):
+    # the same steps, with 2*beta + 1 in place of the last replayed beta_n alone
+    @property
+    def beta_trace(self):
+        *head, last = super().beta_trace
+        return iter([*head, 2 * last + 1])
+
+
 def _doubled_last_beta(a, b, p):
-    # 2*beta + 1 in place of the last beta_n alone
-    expansion = browkin.browkin_expand(a, b, p)
-    *head, last = expansion.steps
-    return expansion._replace(steps=(*head, last._replace(beta=2 * last.beta + 1)))
+    return _DoubledLastBeta(*browkin.browkin_expand(a, b, p))
 
 
 def _shifted_convergents(quotients):
@@ -229,22 +234,64 @@ def test_prefixes_of_the_wrong_length_fail(core, check, a, b, expansion, monkeyp
         assert not check(a, b, expansion).ok
 
 
-def test_step_law_catches_every_beta_mutant_the_global_majorant_catches():
-    # change one beta to 2*beta + 1 or to 0; wherever some |beta_i| > theta_i,
-    # theta_sequence from the planted beta0 and |beta_1| as the global check
-    # took them, the step law fails too
+def test_step_law_catches_every_beta_mutant_the_global_majorant_catches(monkeypatch):
+    # change one replayed beta to 2*beta + 1 or to 0; wherever some |beta_i| > theta_i,
+    # theta_sequence from the planted trace's |beta_0| and |beta_1| (the majorant reads
+    # the trace alone, whose beta_0 is beta0 by construction), the step law fails too
     caught = 0
     for p, text in ((3, "365/54"), (5, "-1793/100"), (7, "123456789/1000"), (101, "7" * 40 + "/3")):
         expansion = browkin.browkin_expand(*_reduced(text), p)
-        steps = expansion.steps
-        for n in range(len(steps)):
-            for beta in (2 * steps[n].beta + 1, 0):
-                planted = expansion._replace(steps=steps[:n] + (steps[n]._replace(beta=beta),) + steps[n + 1:])
-                thetas = browkin.theta_sequence(planted.beta0, planted.beta1_abs, p, max(2, len(steps)))
-                if any(abs(s.beta) > theta for s, theta in zip(planted.steps, thetas)):
-                    assert not oracle.majorant(planted).ok, (p, text, n, beta)
+        betas = list(expansion.beta_trace)
+        for n in range(len(betas)):
+            for beta in (2 * betas[n] + 1, 0):
+                planted = betas[:n] + [beta] + betas[n + 1:]
+                monkeypatch.setattr(browkin.BrowkinExpansion, "beta_trace",
+                                    property(lambda self, planted=planted: iter(planted)))
+                beta1 = abs(planted[1]) if len(planted) > 1 else 0
+                thetas = browkin.theta_sequence(abs(planted[0]), beta1, p, max(2, len(planted)))
+                if any(abs(b) > theta for b, theta in zip(planted, thetas)):
+                    assert not oracle.majorant(expansion).ok, (p, text, n, beta)
                     caught += 1
     assert caught > 0
+
+
+@pytest.mark.parametrize(
+    "trace, ok",
+    [
+        ([5], True),
+        ([5, 100], True),  # the law starts at beta_2
+        ([9, 2, 2], True),  # 18*2 == 9*2 + 2*9: the law holds with equality
+        ([-9, 2, -2], True),  # on magnitudes
+        ([9, 2, 3], False),
+        ([100, 1, 1, 1], False),  # fails at beta_3, from beta_2 and beta_1, not beta_0
+        ([100, 10, 1, 2], False),  # fails at beta_3: 36 > 9*1 + 2*10
+    ],
+)
+def test_majorant_checks_the_step_law_on_each_window(trace, ok, monkeypatch):
+    # 2p**2 |beta_i| <= p**2 |beta_{i-1}| + 2|beta_{i-2}| at p = 3, on planted traces
+    monkeypatch.setattr(browkin.BrowkinExpansion, "beta_trace", property(lambda self: iter(trace)))
+    assert oracle.majorant(browkin.browkin_expand(2, 5, 3)).ok is ok
+
+
+def test_digit_truncation_identity_fails_on_any_one_wrong_digit():
+    # the one test of the full window covers each digit, the last one included
+    for p, text in ((3, "2/5"), (5, "-1793/100"), (7, "123456789/1000")):
+        a, b = _reduced(text)
+        window = digits.padic_digits(a, b, p, 12)
+        assert oracle.digit_truncation_identity(a, b, window).ok
+        for i in range(window.count):
+            wrong = window.digits[:i] + (window.digits[i] + 1,) + window.digits[i + 1:]
+            assert not oracle.digit_truncation_identity(a, b, window._replace(digits=wrong)).ok, (p, text, i)
+
+
+def test_length_bound_passes_n_plus_one_steps_and_fails_one_more():
+    # len(steps) <= N + 1 exactly: with N = len(steps) - 1 it holds, with one less it
+    # fails, so a check loosened or tightened by one step is caught
+    for p, text in ((3, "365/54"), (5, "-1793/100"), (7, "123456789/1000"), (101, "7" * 40 + "/3")):
+        expansion = browkin.browkin_expand(*_reduced(text), p)
+        report, length = browkin.browkin_bound(expansion.beta0, expansion.beta1_abs, p), len(expansion.steps)
+        assert oracle.browkin_length_bound(expansion, report._replace(n_bound=length - 1)).ok
+        assert not oracle.browkin_length_bound(expansion, report._replace(n_bound=length - 2)).ok
 
 
 def test_battery_memory_stays_near_the_input_size():
