@@ -17,8 +17,9 @@ with 1 and p-1, their own inverses, and inverts any other residue on its
 first use.  Lookups are made only for the digits b_m of the pairs
 (y_{m-1}, y_m) the expansion reaches: one for each step it records, and one
 more at a finite end or past a cap.  So an expansion makes at most
-min(p-3, steps+1) pow calls and none at p = 3; the dict is dropped when the
-expansion returns.
+min(p-3, steps+1) pow calls and none at p = 3.  A second dict maps the int
+b_m + p*alpha_m to the one SchneiderStep of that step, made on its first use.
+Both loops share both dicts, which are dropped when the expansion returns.
 
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
@@ -35,9 +36,12 @@ H_m >= 1 as no y_m is 0.
       more apart, each multiplying H by at most c before the next, so
       c**(K/2 - 1) H_0 >= 1.  As ln(1/c) >= (p-1)/p**2 >= 1/(p+2) and
       ln H_0 < bits, K < 2 bits (p+2) + 2.
-(iii) A (p-1, 1) step maps s_m = y_{m-1} + y_m to s_{m+1} = s_m / p.  s_m is
-      a nonzero integer before every recorded step: s_m = 0 with y_{m-1}, y_m
-      coprime is the stationary pair.  So a run of r such steps has
+(iii) Every pair (y_{m-1}, y_m) is coprime: (a, b) is, and a step divides
+      y_{m-1} - b_m y_m by a power of p while y_m is prime to p.  So s_m =
+      y_{m-1} + y_m is 0 exactly at the stationary pairs +-(1, -1), and the
+      loop tests stationarity by that one add, also after a batch, which ends
+      on the exact pair.  A (p-1, 1) step maps s_m to s_{m+1} = s_m / p, and
+      s_m is nonzero before every recorded step.  So a run of r such steps has
       p**r <= |s_m| <= 2 H_0 < 2**(bits+1), which gives r <= bits.
 Hence at most K + (K+1) bits < (2 bits (p+2) + 4)(bits + 1) steps are
 recorded, and that count is the cap: a guard against a defect in the loop,
@@ -54,8 +58,6 @@ left, and keeps the matrix C with p**s (y_{j-1}, y_j) = C (y_{m-1}, y_m), s
 the batch's exponent sum; one exact division by p**s then gives the pair it
 reached, without forming the y values in between.  A first step whose
 exponent the residues cannot tell (alpha_m >= K-1) is taken on the full pair.
-The batches share the expansion's dict of inverses, and take each step record
-from a dict keyed by (digit, alpha) for the call, so equal steps share one.
  (iv) Batches run only while min(|y_{m-1}|, |y_m|) >= 2**(2W), and K >= 2
       (the loop asks K >= _BATCH_DEPTH_MIN, for speed); they meet neither a
       stationary pair (H = 1) nor a finite end (y_{m-1} = b_m y_m with the
@@ -152,7 +154,6 @@ class HeadReport(NamedTuple):
     exact_identity: bool
 
 
-_STATIONARY_PAIRS = ((1, -1), (-1, 1))
 _BATCH_WIDTH = 480  # W: bits of the residues a batch steps on (module docstring, (iv))
 # fewest digits K a batch steps on: with fewer (p above 17 bits), its full-size products
 # and division cost more than the single steps they replace
@@ -161,14 +162,14 @@ _record = tuple.__new__  # a step record without the NamedTuple's Python-level _
 
 
 def _batches(
-    y_prev: int, y_cur: int, p: int, depth: int, steps: list, cap: int, inverses: dict
+    y_prev: int, y_cur: int, p: int, depth: int, steps: list, cap: int, inverses: dict,
+    records: dict,
 ) -> tuple[int, int]:
     # steps y_prev, y_cur in batches on residues mod p**depth while both stay at or above
-    # 2**(2W) and a whole batch fits under the cap; returns the pair reached.  inverses
-    # maps r to r**-1 mod p for the expansion, records (digit, alpha) to one step record
+    # 2**(2W) and a whole batch fits under the cap; returns the pair reached.  inverses and
+    # records are the expansion's tables: r to r**-1 mod p, digit + p*alpha to its record
     pows = [p**e for e in range(depth + 1)]
     modulus, bound, append = pows[depth], 2 * _BATCH_WIDTH, steps.append
-    records: dict[tuple[int, int], SchneiderStep] = {}
     while min(abs(y_prev), abs(y_cur)).bit_length() > bound and len(steps) + depth <= cap:
         x_prev, x_cur = y_prev % modulus, y_cur % modulus
         r_prev, r_cur = x_prev % p, x_cur % p
@@ -190,10 +191,10 @@ def _batches(
             left -= alpha
             pa = pows[alpha]
             c00, c01, c10, c11 = pa * c10, pa * c11, c00 - digit * c10, c01 - digit * c11
-            key = digit, alpha
+            key = digit + p * alpha
             record = records.get(key)
             if record is None:
-                record = records[key] = _record(SchneiderStep, key)
+                record = records[key] = _record(SchneiderStep, (digit, alpha))
             append(record)
             x_prev, x_cur, r_prev, r_cur = x_cur, x_next, r_cur, r_next
         if left < depth:
@@ -208,7 +209,7 @@ def _batches(
             while not y_next % p:
                 y_next //= p
                 alpha += 1
-            append(_record(SchneiderStep, (digit, alpha)))
+            append(records.setdefault(digit + p * alpha, _record(SchneiderStep, (digit, alpha))))
             y_prev, y_cur = y_cur, y_next
     return y_prev, y_cur
 
@@ -236,22 +237,24 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
     cap = max_steps or (2 * bits * (p + 2) + 4) * (bits + 1)
     y_prev, y_cur = a, b
     steps: list[SchneiderStep] = []
+    append = steps.append
     inverses = {1: 1, p - 1: p - 1}  # r -> r**-1 mod p; 1 and p-1 are their own inverses
+    records: dict[int, SchneiderStep] = {}  # digit + p*alpha -> the one record of that step
     depth = _BATCH_WIDTH // p.bit_length()
     # _batches' own tests, the bound and a whole batch under the cap, are made here too, so
     # that no call builds tables it cannot use (first_step's cap of 1 fits no batch)
     if _BATCH_DEPTH_MIN <= depth <= cap and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
-        y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses)
+        y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses, records)
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
-    # and y_m mod p, never 0
+    # and y_m mod p, never 0, until the sum is 0 at a stationary pair (lemma (iii))
     r_prev, r_cur = y_prev % p, y_cur % p
-    while (y_prev, y_cur) not in _STATIONARY_PAIRS:
+    while y_prev + y_cur:
         inverse = inverses.get(r_cur)
         if inverse is None:
             inverse = inverses[r_cur] = pow(r_cur, -1, p)
         digit = r_prev * inverse % p
         delta = y_prev - digit * y_cur
-        if delta == 0:
+        if not delta:
             return SchneiderExpansion(p, a, b, tuple(steps), None, True, (y_prev, y_cur))
         if len(steps) == cap:
             return SchneiderExpansion(p, a, b, tuple(steps), None, False, (y_prev, y_cur))
@@ -261,7 +264,11 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
             y_next //= p
             alpha += 1
             r_next = y_next % p
-        steps.append(_record(SchneiderStep, (digit, alpha)))
+        key = digit + p * alpha
+        record = records.get(key)
+        if record is None:
+            record = records[key] = _record(SchneiderStep, (digit, alpha))
+        append(record)
         y_prev, y_cur, r_prev, r_cur = y_cur, y_next, r_cur, r_next
     return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False, (-1, 1))
 

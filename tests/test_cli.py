@@ -27,11 +27,17 @@ from padic_cf.schneider import generate_constant_head
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
-# the CLI in a fresh interpreter, with schneider's stationary pairs emptied
+# the CLI in a fresh interpreter, with every Schneider expansion cut after one step
 PLANTED_MAIN = (
-    "import sys, padic_cf.schneider as s; s._STATIONARY_PAIRS = ()\n"
+    "import sys, padic_cf.schneider as s; e = s._expand\n"
+    "s._expand = lambda a, b, p, cap: e(a, b, p, cap or 1)\n"
     "from padic_cf.cli import main; sys.exit(main(sys.argv[1:]))"
 )
+
+
+def cut_after_one_step(expand):
+    # a planted defect: an expansion with no cap of its own stops after one step
+    return lambda a, b, p, cap: expand(a, b, p, cap or 1)
 
 
 def run_process(args, timeout=60):
@@ -213,13 +219,13 @@ class TestExpandSchneiderCommand:
         payload = run_json(["expand-schneider", "-p", "3", "--json", f"{a}/{b}"], capsys)
         assert len(payload["head"]) == payload["stationary_from"] == 11144
 
-    def test_planted_endless_loop_ends_in_bound_violated(self, capsys, monkeypatch):
-        # with the stationary pairs unknown, 2/5 steps (2,1) forever; the cap read
-        # off the input, (2*3*5 + 4) * 4 = 136 steps, ends it as a failed check
-        monkeypatch.setattr(schneider, "_STATIONARY_PAIRS", ())
+    def test_planted_cut_ends_in_bound_violated(self, capsys, monkeypatch):
+        # an expansion cut with neither tail marker set, here after one of 2/5's
+        # steps, is reported as a failed check, not as an answer
+        monkeypatch.setattr(schneider, "_expand", cut_after_one_step(schneider._expand))
         code, out, err = run_cli(["expand-schneider", "-p", "3", "2/5"], capsys)
         assert (code, out) == (1, "")
-        assert err == "FAIL: bound violated: expansion of 2/5 exceeded 136 steps\n"
+        assert err == "FAIL: bound violated: expansion of 2/5 exceeded 1 steps\n"
 
     def test_output_is_pinned(self):
         # text and --json on the README fixtures, 300-digit inputs, two constant
@@ -1076,8 +1082,8 @@ class TestParserReuse:
     def test_calls_in_one_process_match_fresh_processes(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
         a, b = generate_constant_head(1, 1, 1500, 3)
-        # a failed check needs a defect: this call runs with the stationary pairs
-        # emptied, in this process and in the fresh one
+        # a failed check needs a defect: this call runs with every expansion cut after
+        # one step, in this process and in the fresh one
         planted = ["expand-schneider", "-p", "3", "1259/701"]
         calls = [
             ["expand-browkin", "-p", "3", "365/54"],
@@ -1094,7 +1100,7 @@ class TestParserReuse:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     monkeypatch.context() as patch:
                 if argv is planted:
-                    patch.setattr(schneider, "_STATIONARY_PAIRS", ())
+                    patch.setattr(schneider, "_expand", cut_after_one_step(schneider._expand))
                 try:
                     code, raised = main(argv), False
                 except SystemExit as exc:

@@ -3,10 +3,11 @@
 Each reference is its module docstring's recurrence, one full-size step at a
 time, with a pow call for every inverse and no table, carried residue or
 batch.  The kernels carry residues from step to step, keep a dict of
-inverses for each expansion and, for Schneider above a bound, step in batches
-on residues mod p**K: every such shortcut must give the reference's steps
-exactly, its tail markers included.  A Browkin step records (k, x) alone, so
-the reference's beta_n are checked against the expansion's replayed beta_trace.
+inverses (and, for Schneider, of step records) for each expansion and, for
+Schneider above a bound, step in batches on residues mod p**K: every such
+shortcut must give the reference's steps exactly, its tail markers included.
+A Browkin step records (k, x) alone, so the reference's beta_n are checked
+against the expansion's replayed beta_trace.
 """
 
 import random
@@ -233,6 +234,19 @@ class TestSchneider:
                 assert len(calls) == len(set(calls)) <= min(p - 3, len(exp.steps) + 1)
                 reached |= len(calls) == len(exp.steps) + 1
         assert reached
+
+    def test_equal_steps_share_one_record(self):
+        # one SchneiderStep object per distinct (digit, alpha) of an expansion, in the
+        # single-step loop and the batches alike
+        rng = random.Random(67)
+        inputs = [(*random_pair(rng, 300, p), p) for p in (3, 7, 101)]
+        a, b = random_pair(rng, 3000, 3)
+        assert min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
+        inputs += [(a, b, 3), (*generate_constant_head(1, 2, 300, 5), 5), (-1, 1, 3)]
+        for a, b, p in inputs:
+            exp = schneider_expand(a, b, p)
+            assert all(type(s) is schneider.SchneiderStep for s in exp.steps), (a, b, p)
+            assert len({id(s) for s in exp.steps}) == len(set(exp.steps)), (a, b, p)
 
     def test_cut(self):
         a, b = random_pair(random.Random(53), 3000, 3)

@@ -145,6 +145,15 @@ def test_matrix_laws_catch_an_off_by_one_valuation():
             assert not oracle.schneider_matrix_laws(a, b, expansion).ok, (p, r, planted)
 
 
+@pytest.mark.parametrize("a, b, p", [(-1, 1, 3), (-1, 1, 101), (2, 1, 3), (1, 1, 5)])
+def test_matrix_laws_hold_on_zero_steps(a, b, p):
+    # stationary or finite from the start: no matrix, and the laws hold with nothing
+    # to check, so a step count that does not start at 0 fails here
+    expansion = schneider.schneider_expand(a, b, p)
+    assert expansion.steps == ()
+    assert oracle.schneider_matrix_laws(a, b, expansion).ok
+
+
 @pytest.mark.parametrize(
     "core, check, a, b, expansion",
     [
