@@ -18,8 +18,10 @@ first use.  Lookups are made only for the digits b_m of the pairs
 (y_{m-1}, y_m) the expansion reaches: one for each step it records, and one
 more at a finite end or past a cap.  So an expansion makes at most
 min(p-3, steps+1) pow calls and none at p = 3.  A second dict maps the int
-b_m + p*alpha_m to the one SchneiderStep of that step, made on its first use.
-Both loops share both dicts, which are dropped when the expansion returns.
+b_m + p*alpha_m to the one SchneiderStep of that step, made on its first use:
+always in the batches, and in the single-step loop where 2p < bits (bits as
+below) only, as an expansion has about p distinct steps and in shorter ones
+lookups cost more than they save.  Both dicts go when the expansion returns.
 
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
@@ -36,13 +38,12 @@ H_m >= 1 as no y_m is 0.
       more apart, each multiplying H by at most c before the next, so
       c**(K/2 - 1) H_0 >= 1.  As ln(1/c) >= (p-1)/p**2 >= 1/(p+2) and
       ln H_0 < bits, K < 2 bits (p+2) + 2.
-(iii) Every pair (y_{m-1}, y_m) is coprime: (a, b) is, and a step divides
-      y_{m-1} - b_m y_m by a power of p while y_m is prime to p.  So s_m =
-      y_{m-1} + y_m is 0 exactly at the stationary pairs +-(1, -1), and the
-      loop tests stationarity by that one add, also after a batch, which ends
-      on the exact pair.  A (p-1, 1) step maps s_m to s_{m+1} = s_m / p, and
-      s_m is nonzero before every recorded step.  So a run of r such steps has
-      p**r <= |s_m| <= 2 H_0 < 2**(bits+1), which gives r <= bits.
+(iii) Every pair (y_{m-1}, y_m) is coprime, as (a, b) is and y_{m-1} =
+      b_m y_m + p**alpha_m y_{m+1}.  So s_m = y_{m-1} + y_m is 0 exactly at
+      the stationary pairs +-(1, -1), and the loop tests stationarity by that
+      one add (a batch ends on the exact pair).  A (p-1, 1) step maps s_m,
+      nonzero before each recorded step, to s_m / p, so a run of r such steps
+      has p**r <= |s_m| <= 2 H_0 < 2**(bits+1), which gives r <= bits.
 Hence at most K + (K+1) bits < (2 bits (p+2) + 4)(bits + 1) steps are
 recorded, and that count is the cap: a guard against a defect in the loop,
 quadratic in bits, not the paper's length bound.
@@ -240,6 +241,7 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
     append = steps.append
     inverses = {1: 1, p - 1: p - 1}  # r -> r**-1 mod p; 1 and p-1 are their own inverses
     records: dict[int, SchneiderStep] = {}  # digit + p*alpha -> the one record of that step
+    share = 2 * p < bits  # where steps repeat enough for the lookups to pay (module docstring)
     depth = _BATCH_WIDTH // p.bit_length()
     # _batches' own tests, the bound and a whole batch under the cap, are made here too, so
     # that no call builds tables it cannot use (first_step's cap of 1 fits no batch)
@@ -264,10 +266,12 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
             y_next //= p
             alpha += 1
             r_next = y_next % p
-        key = digit + p * alpha
-        record = records.get(key)
-        if record is None:
-            record = records[key] = _record(SchneiderStep, (digit, alpha))
+        if share:
+            record = records.get(key := digit + p * alpha)
+            if record is None:
+                record = records[key] = _record(SchneiderStep, (digit, alpha))
+        else:
+            record = _record(SchneiderStep, (digit, alpha))
         append(record)
         y_prev, y_cur, r_prev, r_cur = y_cur, y_next, r_cur, r_next
     return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False, (-1, 1))

@@ -227,6 +227,15 @@ class TestExpandSchneiderCommand:
         assert (code, out) == (1, "")
         assert err == "FAIL: bound violated: expansion of 2/5 exceeded 1 steps\n"
 
+    def test_planted_runaway_ends_at_the_default_cap(self, capsys, monkeypatch):
+        # with each residue taken as its own inverse, 1/4 at p=5 steps on wrong digits
+        # and never ends; the cap read off the input (3 bits), (2*3*(5+2) + 4) * (3+1)
+        # = 184 steps, ends it as a failed check
+        monkeypatch.setattr(schneider, "pow", lambda r, e, m: r, raising=False)
+        code, out, err = run_cli(["expand-schneider", "-p", "5", "1/4"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "FAIL: bound violated: expansion of 1/4 exceeded 184 steps\n"
+
     def test_output_is_pinned(self):
         # text and --json on the README fixtures, 300-digit inputs, two constant
         # heads with alpha = 3 and finite ends; any change to a byte moves the hash

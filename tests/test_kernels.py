@@ -236,8 +236,8 @@ class TestSchneider:
         assert reached
 
     def test_equal_steps_share_one_record(self):
-        # one SchneiderStep object per distinct (digit, alpha) of an expansion, in the
-        # single-step loop and the batches alike
+        # one SchneiderStep object per distinct (digit, alpha) of an expansion with 2p < bits,
+        # in the single-step loop and the batches alike
         rng = random.Random(67)
         inputs = [(*random_pair(rng, 300, p), p) for p in (3, 7, 101)]
         a, b = random_pair(rng, 3000, 3)
