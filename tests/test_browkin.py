@@ -354,7 +354,13 @@ class TestBound:
         for height in (10**50, 10**300, 10**400, 10**1000):  # past the float range too
             for p in (3, 5, 7, 101):
                 inputs.append((p, rng.randint(1, height - 1), rng.randint(0, height - 1)))
-        inputs += [(p, 1, 0) for p in (3, 5, 101)]  # capacity exactly 1, N = 0
+        for p in (3, 5, 7, 101, 10**9 + 7):
+            # capacity exactly 1 (N = 0), 255 (the largest integer capacity that starts
+            # the walk at n = 0) and 256 (the smallest that seeds it)
+            inputs += [(p, 1, 0), (p, 255, 0), (p, 256, 0)]
+            disc = p * p + 16
+            assert browkin._length_seed(255 * disc, 0, p, disc) == 0
+            assert browkin._length_seed(256 * disc, 0, p, disc) > 0
         # at n = N, x + isqrt(D)*y < D*(4p)**n <= x + sqrt(D)*y: only the squares decide
         inputs += [(5, 1, 5), (5, 1, 9), (7, 5, 2), (7, 4, 21), (11, 1, 14)]
         for height in (10**20, 10**300):
@@ -370,7 +376,9 @@ class TestBound:
             assert (lam1 ** (n + 1) * cap - 1).sign() < 0
 
     def test_seed_cannot_change_the_bound(self, monkeypatch):
-        # the seed only sets where the walk starts: any start gives the same N
+        # the seed only sets where the walk starts: any start gives the same N.  The
+        # small cases start at n = 0 unpatched; the cutoff lives in _length_seed, so
+        # the patch plants their starts too
         rng = random.Random(67)
         cases = [(2, 1, 3), (2, 5, 3), (4, 13, 5), (1, 0, 3), (1, 0, 101)]
         cases += [(rng.randint(1, 10**1000), rng.randint(0, 10**1000), p) for p in (3, 7, 101)]
