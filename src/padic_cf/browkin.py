@@ -108,7 +108,7 @@ class BoundReport(NamedTuple):
         return QuadraticElement(Fraction(1, 4), Fraction(-1, 4 * self.p), self.p * self.p + 16)
 
 
-_record = tuple.__new__  # a step or bound record without the NamedTuple's Python-level __new__
+_record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
 def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpansion:
@@ -138,7 +138,7 @@ def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpa
         steps.append(_record(BrowkinStep, (k, x)))
         delta = b_prev - x * b_cur
         if delta == 0:
-            return BrowkinExpansion(p, alpha, beta, tuple(steps), True)
+            return _record(BrowkinExpansion, (p, alpha, beta, tuple(steps), True))
         b_prev, b_cur = b_cur, delta // modulus  # exact, and k_{n+1} >= 1
         r_prev, r_cur = r_cur, b_cur % p2
         if r_cur % p:  # k_{n+1} = 1: both residues carried, one full-size reduction
@@ -151,7 +151,7 @@ def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpa
                 k += 1
             modulus = p ** (1 + k)
             r_prev, r_cur = b_prev % modulus, b_cur % modulus
-    return BrowkinExpansion(p, alpha, beta, tuple(steps), False)
+    return _record(BrowkinExpansion, (p, alpha, beta, tuple(steps), False))
 
 
 def browkin_betas(a: int, b: int, p: int) -> tuple[int, int]:

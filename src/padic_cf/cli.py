@@ -17,7 +17,9 @@ power is built.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 an output write failed (as to a full
 disk) or an internal error (reserved; no known input reaches it), 141 when
 the reader closes stdout early, as in `padic-cf sweep ... | head -1`.
-Floats are for display only, made from the library's exact values by _f6.
+Floats are for display only: _f6 reads each off the integers of an exact
+value (x + y*sqrt(d))/den, so `head --json` and `bound --json` build no
+Fraction and no QuadraticElement; text output still prints the exact values.
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
@@ -41,12 +43,12 @@ import os
 import re
 import sys
 from itertools import chain
-from math import gcd, isfinite
+from math import gcd, isfinite, sqrt
 
 from . import oracle
 from .browkin import browkin_betas, browkin_bound, browkin_expand
 from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
-from .exactarith import require_odd_prime
+from .exactarith import require_odd_prime, square_part
 from .schneider import first_step, head_analysis, schneider_expand
 
 # ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
@@ -89,11 +91,20 @@ def _rat_str(a: int, b: int) -> str:
     return str(a) if b == 1 else f"{a}/{b}"
 
 
-def _f6(value) -> float | None:
-    # the one display float of an exact value, pinned to 6 significant digits for stable
-    # output; None when the value lies past the float range
+def _f6(x: int, y: int, den: int, root: tuple[int, int]) -> float | None:
+    # the one display float of the exact value (x + y*sqrt(d)) / den, den != 0, pinned to 6
+    # significant digits for stable output; None when it lies past the float range.  root is
+    # square_part(d) = (s, m), d = s*s*m, taken once per report: the float is the one of
+    # QuadraticElement(Fraction(x, den), Fraction(y, den), d), whose parts are each one int
+    # division, correctly rounded as Fraction.__float__ rounds
+    s, m = root
+    if den < 0:  # as Fraction has it: 0 / -1 is -0.0, a zero Fraction's float 0.0
+        x, y, den = -x, -y, -den
     try:
-        approx = float(value)
+        if m == 1 or not y:  # a rational value: the element folds to d = 1
+            approx = (x + y * s) / den + 0.0
+        else:
+            approx = x / den + y * s / den * sqrt(m)
     except OverflowError:
         return None
     return float(f"{approx:.6g}") if isfinite(approx) else None
@@ -212,23 +223,27 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         beta0, beta1 = browkin_betas(*args.rational, args.prime)
     else:
         beta0, beta1 = args.beta0, args.beta1
-    report = browkin_bound(beta0, beta1, args.prime)
+    p = args.prime
+    report = browkin_bound(beta0, beta1, p)
+    # lambda1, lambda2 = (p +- sqrt(p*p + 16)) / (4p)
+    root = square_part(p * p + 16)
+    lambda1, lambda2 = _f6(p, 1, 4 * p, root), _f6(p, -1, 4 * p, root)
     if args.json:
         print(json.dumps(
             {
-                "p": args.prime,
+                "p": p,
                 "beta0_abs": beta0,
                 "beta1_abs": beta1,
-                "lambda1_float": _f6(report.lambda1),
-                "lambda2_float": _f6(report.lambda2),
+                "lambda1_float": lambda1,
+                "lambda2_float": lambda2,
                 "n_bound": report.n_bound,
                 "exact_certificate": report.exact_certificate,
             }
         ))
     else:
-        print(f"beta magnitudes: {beta0}, {beta1} (p={args.prime})")
-        print(f"lambda1 = {report.lambda1} (~{_f6(report.lambda1)})")
-        print(f"lambda2 = {report.lambda2} (~{_f6(report.lambda2)})")
+        print(f"beta magnitudes: {beta0}, {beta1} (p={p})")
+        print(f"lambda1 = {report.lambda1} (~{lambda1})")
+        print(f"lambda2 = {report.lambda2} (~{lambda2})")
         print(f"N = {report.n_bound}")
         print(f"exact certificate: {'true' if report.exact_certificate else 'false'}")
     return 0
@@ -244,7 +259,10 @@ def _cmd_head(args: argparse.Namespace) -> int:
         digit = first.b if digit is None else digit
         exponent = first.alpha if exponent is None else exponent
     report = head_analysis(a, b, digit, exponent, args.prime)
-    t1, t2, theta = _f6(report.t1), _f6(report.t2), _f6(report.theta)
+    # t1, t2 = (digit -+ sqrt(D)) / 2 and theta = (sx + sy*sqrt(D)) / n
+    root = square_part(report.disc)
+    t1, t2 = _f6(report.digit, -1, 2, root), _f6(report.digit, 1, 2, root)
+    theta = _f6(report.sx, report.sy, report.n, root)
     exact_exponent = None if report.head_len is None else report.head_len - 1
     if args.json:
         print(json.dumps(

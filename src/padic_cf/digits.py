@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .exactarith import int_vp, mod_inverse, require_lowest_terms, require_odd_prime, symmetric_residue
+from .exactarith import (
+    mod_inverse, require_lowest_terms, require_odd_prime, symmetric_residue, vp_split,
+)
 
 # The most digits digit_period extracts while it looks for a repeated remainder
 # state.  The period is the order of p modulo the p-free denominator, which can
@@ -43,6 +45,9 @@ class PAdicDigits(NamedTuple):
         return Fraction(total * self.p**s) if s >= 0 else Fraction(total, self.p**-s)
 
 
+_record = tuple.__new__  # a PAdicDigits without the NamedTuple's Python-level __new__
+
+
 def _digit_sum(digits: tuple[int, ...], p: int) -> int:
     # sum(digits[i] * p**i): Horner's loop, quadratic in the count, up to 64 digits; above,
     # the two halves' sums joined by one p**mid
@@ -60,8 +65,8 @@ def _unit_form(a: int, b: int, p: int) -> tuple[int, int, int]:
     # once p and a/b are checked; a and b are coprime, so p divides at most one of them
     require_odd_prime(p)
     require_lowest_terms(a, b)
-    v, w = int_vp(a, p) if a else 0, int_vp(b, p)
-    return v - w, a // p**v, b // p**w
+    (v, n), (w, d) = vp_split(a, p) if a else (0, 0), vp_split(b, p)
+    return v - w, n, d
 
 
 def _digit_stream(n: int, d: int, p: int):
@@ -81,7 +86,7 @@ def padic_digits(a: int, b: int, p: int, count: int) -> PAdicDigits:
         raise ValueError("count must be positive")
     start, n, d = _unit_form(a, b, p)
     digits = tuple(digit for digit, _ in islice(_digit_stream(n, d, p), count)) if n else ()
-    return PAdicDigits(p, start, digits, count)
+    return _record(PAdicDigits, (p, start, digits, count))
 
 
 def digit_period(

@@ -1,8 +1,13 @@
 """Exact arithmetic foundation: the primality test, p-adic valuations,
 symmetric residues, modular inverses, and real quadratic field elements.
 
-Everything here is exact integer/rational arithmetic; the float of a
-QuadraticElement (``__float__``) is an approximation for display only.
+Everything here is exact integer/rational arithmetic.  The library's own
+paths run on plain integers: vp_split gives a valuation with its p-free
+cofactor, and the Browkin bound and the head certificate test their
+identities on integer pairs in Z[sqrt(D)].  QuadraticElement remains for the
+values a report shows (BoundReport.lambda1, HeadReport.theta, built on
+demand), their text form and the tests; its float (``__float__``) is an
+approximation for display only.
 """
 
 from __future__ import annotations
@@ -11,10 +16,17 @@ import math
 from fractions import Fraction
 
 
-# Deterministic Miller-Rabin: the prime bases 2..41 decide every n below the
-# least strong pseudoprime to all of them, PRIME_LIMIT (Sorenson and Webster 2017).
+# Deterministic Miller-Rabin: the first k prime bases decide every n below psi_k,
+# the least strong pseudoprime to all of them (OEIS A014233); the last, psi_13 for
+# the bases 2..41, is PRIME_LIMIT (Sorenson and Webster 2017).
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+_PSEUDOPRIME_BOUNDS = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+PRIME_LIMIT = _PSEUDOPRIME_BOUNDS[-1]
 # the odd primes below 43**2, where every composite has a prime factor <= 41
 _SMALL_ODD_PRIMES = frozenset(_BASES[1:]).union(
     n for n in range(43, 43 * 43, 2) if math.gcd(n, math.prod(_BASES)) == 1
@@ -26,6 +38,8 @@ def is_odd_prime(p: int) -> bool:
 
     A table below 43**2, deterministic Miller-Rabin above it, certified below
     PRIME_LIMIT (about 3.3e24); an odd p at or above the limit raises ValueError.
+    Only the first k bases are tried, k the least with p below psi_k: 4 at
+    p = 10**9 + 7, all 13 near the limit.
     """
     if p < 43 * 43:
         return p in _SMALL_ODD_PRIMES
@@ -37,16 +51,17 @@ def is_odd_prime(p: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for a in _BASES:
+    for a, bound in zip(_BASES, _PSEUDOPRIME_BOUNDS):
         x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != p - 1:
+            for _ in range(s - 1):
+                x = x * x % p
+                if x == p - 1:
+                    break
+            else:
+                return False
+        if p < bound:  # the bases up to a decide every n below bound
+            break
     return True
 
 
@@ -63,13 +78,14 @@ def require_lowest_terms(a: int, b: int) -> None:
         raise ValueError(f"numerator and denominator must be coprime, got gcd = {math.gcd(a, b)}")
 
 
-def int_vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer: p, p**2, p**4, ... are divided out
-    while each divides, then the same powers are tried in reverse."""
+def vp_split(n: int, p: int) -> tuple[int, int]:
+    """(v, n // p**v) for a nonzero integer n, v its p-adic valuation: p, p**2,
+    p**4, ... are divided out while each divides, then the same powers are tried
+    in reverse, so the p-free cofactor comes with v at no further cost."""
     if n == 0:
         raise ValueError("valuation of zero undefined")
     if n % p:
-        return 0
+        return 0, n
     n, v, powers, power = n // p, 1, [p], p * p
     q, r = divmod(n, power)
     while not r:
@@ -81,7 +97,12 @@ def int_vp(n: int, p: int) -> int:
         q, r = divmod(n, powers[i])
         if not r:
             n, v = q, v + (1 << i)
-    return v
+    return v, n
+
+
+def int_vp(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer, vp_split's v."""
+    return vp_split(n, p)[0]
 
 
 def vp(r: Fraction | int, p: int) -> int:
@@ -117,9 +138,9 @@ def _sign_of(q: Fraction) -> int:
 FOLD_LIMIT = 4096  # the largest trial divisor when folding a radicand
 
 
-def _square_part(n: int) -> tuple[int, int]:
-    # n = s*s*m, folding square factors f*f with f <= FOLD_LIMIT, then the
-    # cofactor if it is a perfect square: m = 1 exactly when n is a square
+def square_part(n: int) -> tuple[int, int]:
+    """(s, m) with n = s*s*m, folding square factors f*f with f <= FOLD_LIMIT,
+    then the cofactor if it is a perfect square: m = 1 exactly when n is a square."""
     s, m, f = 1, n, 2
     while f * f <= m:
         if f > FOLD_LIMIT:
@@ -154,7 +175,7 @@ class QuadraticElement:
         if y == 0:
             d = 1
         elif d > 1:
-            s, d = _square_part(d)
+            s, d = square_part(d)
             y *= s
         if d == 1:
             x, y = x + y, Fraction(0)

@@ -23,6 +23,9 @@ class Check(NamedTuple):
     ok: bool
 
 
+_record = tuple.__new__  # a Check without the NamedTuple's Python-level __new__
+
+
 class VerificationError(ArithmeticError):
     """A computed output failed an exact check."""
 
@@ -38,11 +41,11 @@ def browkin_reconstruction(a: int, b: int, expansion) -> Check:
         pair = cf_pair((s.x, p**s.k) for s in reversed(expansion.steps))
     except ZeroDivisionError:  # a complete quotient of 0 on the way: not a/b
         pair = (0, 0)
-    return Check("browkin reconstruction", _equals(pair, a, b))
+    return _record(Check, ("browkin reconstruction", _equals(pair, a, b)))
 
 
 def browkin_length_bound(expansion, report) -> Check:
-    return Check("browkin length bound", len(expansion.steps) <= report.n_bound + 1)
+    return _record(Check, ("browkin length bound", len(expansion.steps) <= report.n_bound + 1))
 
 
 def majorant(expansion) -> Check:
@@ -60,7 +63,7 @@ def majorant(expansion) -> Check:
     for beta in betas:
         ok &= 2 * pp * beta <= pp * prev + 2 * before
         before, prev = prev, beta
-    return Check("majorant", ok)
+    return _record(Check, ("majorant", ok))
 
 
 def determinant_identity(a: int, b: int, expansion) -> Check:
@@ -81,7 +84,7 @@ def determinant_identity(a: int, b: int, expansion) -> Check:
         ok &= triple == (x * p1 + den * den1 * p2, x * q1 + den * den1 * q2, den * d1)
         p2, q2, (p1, q1, d1), den1 = p1, q1, triple, den
     ok &= count == len(quotients) and next(triples, None) is None
-    return Check("determinant identity", ok and _equals((p1, q1), a, b))
+    return _record(Check, ("determinant identity", ok and _equals((p1, q1), a, b)))
 
 
 def digit_truncation_identity(a: int, b: int, window) -> Check:
@@ -97,12 +100,12 @@ def digit_truncation_identity(a: int, b: int, window) -> Check:
     p, s, count = window.p, window.start_exponent, window.count
     scaled_b = b * p**s if s >= 0 else b // p**-s
     ok = (a - scaled_b * window.prefix_sum(count)) % p ** (count + max(s, 0)) == 0
-    return Check("digit truncation identity", ok)
+    return _record(Check, ("digit truncation identity", ok))
 
 
 def schneider_reconstruction(a: int, b: int, expansion) -> Check:
     pair = schneider_pair(expansion.steps, expansion.tail, expansion.p)
-    return Check("schneider reconstruction", _equals(pair, a, b))
+    return _record(Check, ("schneider reconstruction", _equals(pair, a, b)))
 
 
 def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
@@ -129,7 +132,7 @@ def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
         ok &= not rem and eps % p != 0
         u, v, w, z = matrix
     ok &= count == len(steps) and next(matrices, None) is None
-    return Check("schneider matrix laws", ok)
+    return _record(Check, ("schneider matrix laws", ok))
 
 
 def battery(a: int, b: int, p: int) -> list[Check]:

@@ -77,6 +77,13 @@ A constant head of k+1 identical (digit, exponent) steps satisfies
 and theta is a ratio of conjugate products.  head_analysis reads the one k it
 allows off two p-adic valuations and checks the identity for that k exactly,
 on integer pairs in Z[sqrt(4p**exponent + digit**2)]; no float takes part.
+The check runs on p-free parts.  With theta = (sx + sy*sqrt(D))/n and
+w**k = u + v*sqrt(D), the identity is u*n == sx*(4p**exponent)**k and
+v*n == sy*(4p**exponent)**k; write n = p**vn n' and sx = p**vs sx' with n',
+sx' prime to p and vn = vs + exponent*k.  Dividing the first equation by
+p**vn and the second by p**(exponent*k) gives u*n' == sx'*4**k and
+v*n'*p**vs == sy*4**k, the same equations, on input-sized products and with
+no power of p**exponent built.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import QuadraticElement, int_vp, require_lowest_terms, require_odd_prime
+from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime, vp_split
 
 
 class SchneiderStep(NamedTuple):
@@ -140,26 +147,41 @@ class SchneiderMatrix(NamedTuple):
 class HeadReport(NamedTuple):
     """Exact certificate for the length of a constant (digit, exponent) head.
 
-    t1, t2 are the roots of T**2 - digit*T - p**alpha and theta the ratio of
-    conjugate products, all exact.  exact_identity means (t2/t1)**(head_len-1)
-    equals theta, checked exactly on integer pairs in Z[sqrt(D)]; otherwise
-    head_len is None.
+    The record holds integers only: disc = D = 4p**alpha + digit**2, and theta
+    = (sx + sy*sqrt(D)) / n, the ratio of conjugate products.  exact_identity
+    means (t2/t1)**(head_len-1) equals theta, checked exactly on integer pairs
+    in Z[sqrt(D)]; otherwise head_len is None.  t1, t2 (the roots of
+    T**2 - digit*T - p**alpha) and theta are properties that build their
+    QuadraticElements on demand, for text output and tests.
     """
 
     digit: int
     alpha: int
-    t1: QuadraticElement
-    t2: QuadraticElement
-    theta: QuadraticElement
+    disc: int
+    sx: int
+    sy: int
+    n: int
     head_len: int | None
     exact_identity: bool
+
+    @property
+    def t1(self) -> QuadraticElement:
+        return QuadraticElement(Fraction(self.digit, 2), Fraction(-1, 2), self.disc)
+
+    @property
+    def t2(self) -> QuadraticElement:
+        return QuadraticElement(Fraction(self.digit, 2), Fraction(1, 2), self.disc)
+
+    @property
+    def theta(self) -> QuadraticElement:
+        return QuadraticElement(Fraction(self.sx, self.n), Fraction(self.sy, self.n), self.disc)
 
 
 _BATCH_WIDTH = 480  # W: bits of the residues a batch steps on (module docstring, (iv))
 # fewest digits K a batch steps on: with fewer (p above 17 bits), its full-size products
 # and division cost more than the single steps they replace
 _BATCH_DEPTH_MIN = 28
-_record = tuple.__new__  # a step record without the NamedTuple's Python-level __new__
+_record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
 def _batches(
@@ -256,10 +278,9 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
             inverse = inverses[r_cur] = pow(r_cur, -1, p)
         digit = r_prev * inverse % p
         delta = y_prev - digit * y_cur
-        if not delta:
-            return SchneiderExpansion(p, a, b, tuple(steps), None, True, (y_prev, y_cur))
-        if len(steps) == cap:
-            return SchneiderExpansion(p, a, b, tuple(steps), None, False, (y_prev, y_cur))
+        if not delta or len(steps) == cap:  # a finite end, or cut past the cap
+            return _record(
+                SchneiderExpansion, (p, a, b, tuple(steps), None, not delta, (y_prev, y_cur)))
         y_next, alpha = delta // p, 1  # exact: digit makes delta divisible by p
         r_next = y_next % p
         while not r_next:
@@ -274,7 +295,7 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
             record = _record(SchneiderStep, (digit, alpha))
         append(record)
         y_prev, y_cur, r_prev, r_cur = y_cur, y_next, r_cur, r_next
-    return SchneiderExpansion(p, a, b, tuple(steps), len(steps), False, (-1, 1))
+    return _record(SchneiderExpansion, (p, a, b, tuple(steps), len(steps), False, (-1, 1)))
 
 
 def first_step(a: int, b: int, p: int) -> SchneiderStep | None:
@@ -352,7 +373,14 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     Returns head_len = e + 1 for the one exponent e that p-adic valuations allow,
     once (t2/t1)**e = theta is checked for it exactly on integer pairs in
     Z[sqrt(D)]; else head_len is None.  a/b is taken as schneider_expand takes
-    it, but need not be in lowest terms: only its value decides the answer.
+    it, but need not be in lowest terms: only its value decides the answer
+    (the report's sx, sy and n scale by g**2 for a/b given as ga/gb).
+
+    The check runs on p-free parts: with n = p**vn n', sx = p**vs sx' and
+    vn = vs + alpha*e, the equations u*n == sx*(4p**alpha)**e and
+    v*n == sy*(4p**alpha)**e hold exactly when u*n' == sx'*4**e and
+    v*n'*p**vs == sy*4**e, dividing the first by p**vn and the second by
+    p**(alpha*e).
     """
     _require_unit_pair(a, b, p)
     _check_head_pair(digit, alpha, p)
@@ -376,15 +404,13 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
         raise ValueError("|theta| < 1: no constant head to measure")
     # theta = (x + y*sqrt(D)) / (x - y*sqrt(D)) = (sx + sy*sqrt(D)) / n, with sx > 0 and n != 0
     sx, sy, n = x * x + disc * y * y, 2 * x * y, x * x - disc * y * y
-    t1 = QuadraticElement(Fraction(digit, 2), Fraction(-1, 2), disc)
-    t2 = QuadraticElement(Fraction(digit, 2), Fraction(1, 2), disc)
-    theta = QuadraticElement(Fraction(sx, n), Fraction(sy, n), disc)
     # t1*t2 = -p**alpha, so (t2/t1)**e = w**e / (4p**alpha)**e with w = -(digit + sqrt(D))**2;
     # the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e.  In Z_p take
     # sqrt(D) = s = digit mod p: digit + s is a unit, digit - s has valuation alpha, so the rational
     # part u = (w(s)**e + w(-s)**e) / 2 of w**e is a unit, and u*n == sx*(4p**alpha)**e forces
     # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized
-    e, rem = divmod(int_vp(n, p) - int_vp(sx, p), alpha)
+    (vn, n_free), (vs, sx_free) = vp_split(n, p), vp_split(sx, p)
+    e, rem = divmod(vn - vs, alpha)
     exact = False
     if e >= 0 and not rem:
         u, v, bu, bv, i = 1, 0, -(digit * digit + disc), -2 * digit, e
@@ -392,9 +418,10 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
             if i & 1:
                 u, v = u * bu + v * bv * disc, u * bv + v * bu
             bu, bv, i = bu * bu + bv * bv * disc, 2 * bu * bv, i >> 1
-        scale = (4 * pa) ** e
-        exact = u * n == sx * scale and v * n == sy * scale
-    return HeadReport(digit, alpha, t1, t2, theta, e + 1 if exact else None, exact)
+        # the identity on p-free parts, as the docstring derives it
+        four_e = 1 << 2 * e
+        exact = u * n_free == sx_free * four_e and v * n_free * p**vs == sy * four_e
+    return _record(HeadReport, (digit, alpha, disc, sx, sy, n, e + 1 if exact else None, exact))
 
 
 def generate_constant_head(digit: int, alpha: int, k: int, p: int) -> tuple[int, int]:

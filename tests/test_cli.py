@@ -20,6 +20,7 @@ import pytest
 
 import padic_cf.browkin as browkin
 import padic_cf.cli as cli
+import padic_cf.exactarith as exactarith
 import padic_cf.oracle as oracle
 import padic_cf.schneider as schneider
 from padic_cf.cli import main, parse_rational
@@ -447,6 +448,62 @@ class TestLargeRadicands:
         assert code == 0
         assert "lambda1 = 1/4 + 1/400000028*sqrt(10000001400000065) (~0.5)" in out
         assert "N = 2" in out
+
+
+def field_f6(value):
+    # the display float as made from a QuadraticElement: the reference for cli._f6
+    try:
+        approx = float(value)
+    except OverflowError:
+        return None
+    return float(f"{approx:.6g}") if math.isfinite(approx) else None
+
+
+class TestDisplayFloats:
+    def test_f6_matches_the_field_float(self):
+        # (x + y*sqrt(d)) / den read off integers, against the QuadraticElement's float;
+        # repr tells -0.0 from 0.0, which JSON prints apart
+        a, b = generate_constant_head(2, 1, 30, 5)
+        report = schneider.head_analysis(a, b, 2, 1, 5)
+        assert report.disc == 24  # 4*5 + 2*2, a square factor to fold
+        cases = [
+            (2, -1, 24, 2), (2, 1, 24, 2), (report.sx, report.sy, report.disc, report.n),
+            (3, 1, 25, 12), (3, -1, 25, 12),  # the bound at p = 3: D = 25, a square
+            (7, 0, 13, 3), (-7, 0, 24, 5), (0, 0, 13, 5),  # y = 0
+            (5, 3, 13, -7), (0, 3, 24, -7), (0, 0, 13, -7), (-4, 1, 25, -3),  # den < 0
+            (-1, 0, 13, 10**400), (-1, 1, 25, 10**400),  # below the float range
+            (10**400, 1, 13, 1), (1, 10**400, 13, 3), (1, -(10**400), 25, 3),  # past it
+            (10**308, 10**308, 13, 1), (-(10**308), -(10**308), 24, 1),
+        ]
+        rng = random.Random(24)
+        for _ in range(3000):
+            bits = rng.choice((4, 30, 60, 200, 1100))
+            x, y = (rng.randrange(-(2**bits), 2**bits) for _ in range(2))
+            den = rng.choice((1, -1)) * rng.randrange(1, 2 ** rng.choice((3, 40, 1100)))
+            d = rng.randrange(1, 200) * rng.choice((1, 4, 9, 25, 49, 4096, 4099**2))
+            cases.append((x, y, d, den))
+        for x, y, d, den in cases:
+            want = field_f6(exactarith.QuadraticElement(Fraction(x, den), Fraction(y, den), d))
+            got = cli._f6(x, y, den, exactarith.square_part(d))
+            assert repr(got) == repr(want), (x, y, d, den)
+
+    def test_json_commands_build_no_field_element(self, capsys, monkeypatch):
+        # head --json and bound --json read their floats off the reports' integers
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Fraction or a QuadraticElement")
+
+        heads = [(3, "2/5"), (3, "-8"), (5, "3044/673")]
+        for digit, alpha, k, p in ((1, 1, 1500, 3), (2, 1, 30, 5), (1, 2, 40, 10**20 + 39)):
+            heads.append((p, "%d/%d" % generate_constant_head(digit, alpha, k, p)))
+        bounds = [["-p", "3", "7/2"], ["-p", "3", "--beta0", "2", "--beta1", "5"],
+                  ["-p", "100000007", "7/2"], ["-p", "5", "--", "-1793/100"]]
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        monkeypatch.setattr(exactarith.QuadraticElement, "__init__", refuse)
+        for p, text in heads:
+            payload = run_json(["head", "-p", str(p), "--json", "--", text], capsys)
+            assert payload["exact_identity"] is (payload["head_len"] is not None)
+        for argv in bounds:
+            assert run_json(["bound", "--json", *argv], capsys)["exact_certificate"] is True
 
 
 class TestHeadCommand:

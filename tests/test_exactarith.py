@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import padic_cf.exactarith as exactarith
 from padic_cf.exactarith import (
     PRIME_LIMIT,
     QuadraticElement,
@@ -235,6 +236,7 @@ def test_is_odd_prime_matches_trial_division():
     [
         561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael
         2047, 3277, 4033, 3215031751,  # strong pseudoprimes to base 2 (the last to 2, 3, 5, 7)
+        1373653, 25326001,  # to the first 2 and 3 primes
         2152302898747, 3474749660383, 341550071728321,  # to the first 5, 6, 7 primes
         3825123056546413051, 318665857834031151167461,  # to the first 9 and 12 primes
         (10**9 + 7) * (10**9 + 9), (2**31 - 1) ** 2, 3**49,
@@ -249,6 +251,29 @@ def test_is_odd_prime_rejects_pseudoprimes(n):
 )
 def test_is_odd_prime_accepts_large_primes(p):
     assert is_odd_prime(p)
+
+
+def test_pseudoprime_bounds():
+    # psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233), is
+    # composite and passes those k bases, so is_odd_prime must try more of them on it
+    def strong_probable_prime(n, a):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(a, d, n)
+        return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+    bases, bounds = exactarith._BASES, exactarith._PSEUDOPRIME_BOUNDS
+    assert len(bounds) == len(bases) and bounds[-1] == PRIME_LIMIT
+    assert list(bounds) == sorted(bounds) and bounds[0] == 2047 == 23 * 89
+    for k, psi in enumerate(bounds[:-1], 1):
+        assert all(strong_probable_prime(psi, a) for a in bases[:k])
+        assert not all(strong_probable_prime(psi, a) for a in bases)  # composite
+        assert not is_odd_prime(psi)
+        # the odd numbers just below psi_k are decided by the first k bases
+        below = [n for n in range(psi - 200, psi, 2)]
+        assert [n for n in below if is_odd_prime(n)] == [
+            n for n in below if all(strong_probable_prime(n, a) for a in bases)]
 
 
 def test_prime_limit():

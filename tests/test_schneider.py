@@ -480,8 +480,10 @@ class TestHeadAnalysis:
         ):
             with pytest.raises(ValueError, match=message):
                 head_analysis(a, b, 1, 1, 3)
-        # only the value a/b decides the answer: 4/10 is 2/5
-        assert head_analysis(4, 10, 1, 1, 3) == head_analysis(2, 5, 1, 1, 3)
+        # only the value a/b decides the answer: 4/10 is 2/5 (the record's integers scale by 2**2)
+        scaled, reduced = head_analysis(4, 10, 1, 1, 3), head_analysis(2, 5, 1, 1, 3)
+        assert (scaled.head_len, scaled.exact_identity, scaled.theta) == (
+            reduced.head_len, reduced.exact_identity, reduced.theta)
 
     def test_integer_identity_matches_field_reference(self):
         # the twelve benchmark head triples, then a spread with D squarefree or not
@@ -512,6 +514,14 @@ class TestHeadAnalysis:
             report = head_analysis(a, b, digit, alpha, 3)
             assert not report.exact_identity
             assert report.head_len is None
+
+    def test_theta_minus_one_meets_no_exponent(self):
+        # x = 0 gives theta = -1 and e = 0, where v = sy = 0: only the sign of the rational
+        # part, u*n' against sx'*4**e, tells the identity fails
+        for a, b, digit, alpha, p in ((-1, 4, 2, 2, 3), (-1, 2, 2, 1, 5), (17, 23, 4, 2, 5)):
+            report = head_analysis(a, b, digit, alpha, p)
+            assert report.theta == QuadraticElement(-1)
+            assert not report.exact_identity and report.head_len is None
 
     def test_long_heads_certify_past_the_float_range(self):
         # theta overflows a float on these heads (the k = 1500 (1,1) head at p = 3
@@ -554,7 +564,7 @@ class TestHeadAnalysis:
                 yield value
 
         assert schneider.HeadReport._fields == (
-            "digit", "alpha", "t1", "t2", "theta", "head_len", "exact_identity")
+            "digit", "alpha", "disc", "sx", "sy", "n", "head_len", "exact_identity")
         assert not hasattr(schneider.SchneiderExpansion, "tail_value")
         records = [schneider_expand(7, 2, 3)]  # a finite end
         cases = [(digit, alpha, 20, p) for digit, alpha, p in BENCHMARK_HEAD_TRIPLES]
