@@ -8,8 +8,10 @@ each into the integer pair (a, b) of a/b in lowest terms with b > 0, the one
 input form of the library.  Integer options and --primes tokens are an
 optional '-' and ASCII digits, as a rational's parts are.
 Every ValueError the library raises on a command's input (p, a zero rational,
-the digit count, the betas) is that command's usage error, printed with the
-subcommand's usage; _validate checks only what the library cannot know.
+the digit count, the betas, a head with no first step) is that command's usage
+error, printed with the subcommand's usage; _validate checks only what the
+library cannot know.  `head` hands --digit and --exponent to head_analysis as
+given, None when left out, and prints the pair the report holds.
 `head --exponent alpha` is a usage error when alpha*(p.bit_length()-1) >=
 (|a| + (p-1)*b).bit_length(): then p**alpha exceeds |a - digit*b|, so no
 expansion of a/b starts with (digit, alpha), and it is rejected before any
@@ -17,9 +19,10 @@ power is built.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 an output write failed (as to a full
 disk) or an internal error (reserved; no known input reaches it), 141 when
 the reader closes stdout early, as in `padic-cf sweep ... | head -1`.
-Floats are for display only: _f6 reads each off the integers of an exact
-value (x + y*sqrt(d))/den, so `head --json` and `bound --json` build no
-Fraction and no QuadraticElement; text output still prints the exact values.
+Floats are for display only, each read off the integers of an exact value:
+by _f6 as (x + y*sqrt(d))/den, and bound's lambda2 as -4/(p*(p + sqrt(D))),
+so `head --json` and `bound --json` build no Fraction and no
+QuadraticElement; text output still prints the exact values.
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
@@ -49,7 +52,7 @@ from . import oracle
 from .browkin import browkin_betas, browkin_bound, browkin_expand
 from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
 from .exactarith import require_odd_prime, square_part
-from .schneider import first_step, head_analysis, schneider_expand
+from .schneider import head_analysis, schneider_expand
 
 # ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -225,9 +228,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         beta0, beta1 = args.beta0, args.beta1
     p = args.prime
     report = browkin_bound(beta0, beta1, p)
-    # lambda1, lambda2 = (p +- sqrt(p*p + 16)) / (4p)
-    root = square_part(p * p + 16)
-    lambda1, lambda2 = _f6(p, 1, 4 * p, root), _f6(p, -1, 4 * p, root)
+    # lambda1, lambda2 = (p +- sqrt(D)) / (4p) with D = p*p + 16; lambda2's float is read off
+    # -4 / (p*(p + sqrt(D))), whose terms share a sign: p - sqrt(D) cancels at large p
+    s, m = root = square_part(p * p + 16)
+    lambda1, lambda2 = _f6(p, 1, 4 * p, root), float(f"{-4 / (p * (p + s * sqrt(m))):.6g}")
     if args.json:
         print(json.dumps(
             {
@@ -250,15 +254,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_head(args: argparse.Namespace) -> int:
-    a, b = args.rational
-    digit, exponent = args.digit, args.exponent
-    if digit is None or exponent is None:
-        first = first_step(a, b, args.prime)
-        if first is None:
-            raise ValueError("input has no head step to analyze")
-        digit = first.b if digit is None else digit
-        exponent = first.alpha if exponent is None else exponent
-    report = head_analysis(a, b, digit, exponent, args.prime)
+    report = head_analysis(*args.rational, args.digit, args.exponent, args.prime)
     # t1, t2 = (digit -+ sqrt(D)) / 2 and theta = (sx + sy*sqrt(D)) / n
     root = square_part(report.disc)
     t1, t2 = _f6(report.digit, -1, 2, root), _f6(report.digit, 1, 2, root)
@@ -276,7 +272,7 @@ def _cmd_head(args: argparse.Namespace) -> int:
             }
         ))
     else:
-        print(f"head pair: ({digit},{exponent}) (p={args.prime})")
+        print(f"head pair: ({report.digit},{report.alpha}) (p={args.prime})")
         if t1 is not None and t2 is not None:
             print(f"T1 ~ {t1}, T2 ~ {t2}")
         approx = "" if theta is None else f" (~{theta})"

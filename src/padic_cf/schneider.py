@@ -16,12 +16,13 @@ inverses r**-1 mod p come from a dict made for each expansion.  It starts
 with 1 and p-1, their own inverses, and inverts any other residue on its
 first use.  Lookups are made only for the digits b_m of the pairs
 (y_{m-1}, y_m) the expansion reaches: one for each step it records, and one
-more at a finite end or past a cap.  So an expansion makes at most
-min(p-3, steps+1) pow calls and none at p = 3.  A second dict maps the int
-b_m + p*alpha_m to the one SchneiderStep of that step, made on its first use:
-always in the batches, and in the single-step loop where 2p < bits (bits as
-below) only, as an expansion has about p distinct steps and in shorter ones
-lookups cost more than they save.  Both dicts go when the expansion returns.
+more at a finite end, for y_m = +-1 (lemma (iv)), whose inverse the dict
+starts with.  So an expansion makes at most min(p-3, steps) pow calls and
+none at p = 3.  A second dict maps the int b_m + p*alpha_m to the one
+SchneiderStep of that step, made on its first use: always in the batches,
+and in the single-step loop where 2p < bits (bits as below) only, as an
+expansion has about p distinct steps and in shorter ones lookups cost more
+than they save.  Both dicts go when the expansion returns.
 
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
@@ -103,7 +104,8 @@ class SchneiderStep(NamedTuple):
 class SchneiderExpansion(NamedTuple):
     """Recorded non-stationary head plus the tail marker.
 
-    Exactly one of stationary_from / finite_end describes the tail:
+    Exactly one of stationary_from / finite_end describes the tail, in every
+    record schneider_expand returns (a loop past its cap raises instead):
     stationary_from is the index of the first of the everlasting (p-1, 1)
     steps (= len(steps)); finite_end means the next digit would divide
     exactly, leaving an integer tail.  tail is the exact value of the
@@ -250,14 +252,20 @@ def _require_unit_pair(a: int, b: int, p: int) -> None:
         raise ValueError("denominator must be coprime to p")
 
 
-def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion:
-    # the expansion of a/b, cut with neither tail marker set past max_steps steps or the default cap
+def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
+    """Expand a/b until stationarity or finite termination.
+
+    Requires a nonzero, b positive, and a, b, p pairwise coprime.  The step
+    loop is capped by a count read off the bit length of the input, above
+    every possible step count (module docstring); exceeding the cap raises
+    ArithmeticError.
+    """
     _require_unit_pair(a, b, p)
     require_lowest_terms(a, b)
 
     # above every step count the module docstring allows, so only a defect reaches it
     bits = max(abs(a), b).bit_length()
-    cap = max_steps or (2 * bits * (p + 2) + 4) * (bits + 1)
+    cap = (2 * bits * (p + 2) + 4) * (bits + 1)
     y_prev, y_cur = a, b
     steps: list[SchneiderStep] = []
     append = steps.append
@@ -265,9 +273,7 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
     records: dict[int, SchneiderStep] = {}  # digit + p*alpha -> the one record of that step
     share = 2 * p < bits  # where steps repeat enough for the lookups to pay (module docstring)
     depth = _BATCH_WIDTH // p.bit_length()
-    # _batches' own tests, the bound and a whole batch under the cap, are made here too, so
-    # that no call builds tables it cannot use (first_step's cap of 1 fits no batch)
-    if _BATCH_DEPTH_MIN <= depth <= cap and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
+    if _BATCH_DEPTH_MIN <= depth and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
         y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses, records)
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
     # and y_m mod p, never 0, until the sum is 0 at a stationary pair (lemma (iii))
@@ -278,9 +284,10 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
             inverse = inverses[r_cur] = pow(r_cur, -1, p)
         digit = r_prev * inverse % p
         delta = y_prev - digit * y_cur
-        if not delta or len(steps) == cap:  # a finite end, or cut past the cap
-            return _record(
-                SchneiderExpansion, (p, a, b, tuple(steps), None, not delta, (y_prev, y_cur)))
+        if not delta:  # a finite end
+            return _record(SchneiderExpansion, (p, a, b, tuple(steps), None, True, (y_prev, y_cur)))
+        if len(steps) == cap:
+            raise ArithmeticError(f"bound violated: expansion of {a}/{b} exceeded {cap} steps")
         y_next, alpha = delta // p, 1  # exact: digit makes delta divisible by p
         r_next = y_next % p
         while not r_next:
@@ -296,28 +303,6 @@ def _expand(a: int, b: int, p: int, max_steps: int | None) -> SchneiderExpansion
         append(record)
         y_prev, y_cur, r_prev, r_cur = y_cur, y_next, r_cur, r_next
     return _record(SchneiderExpansion, (p, a, b, tuple(steps), len(steps), False, (-1, 1)))
-
-
-def first_step(a: int, b: int, p: int) -> SchneiderStep | None:
-    """First step of a/b's expansion, or None (stationary or finite from the start)."""
-    steps = _expand(a, b, p, 1).steps
-    return steps[0] if steps else None
-
-
-def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
-    """Expand a/b until stationarity or finite termination.
-
-    Requires a nonzero, b positive, and a, b, p pairwise coprime.  The step
-    loop is capped by a count read off the bit length of the input, above
-    every possible step count (module docstring); exceeding the cap raises
-    ArithmeticError.
-    """
-    expansion = _expand(a, b, p, None)
-    if expansion.stationary_from is None and not expansion.finite_end:
-        raise ArithmeticError(
-            f"bound violated: expansion of {a}/{b} exceeded {len(expansion.steps)} steps"
-        )
-    return expansion
 
 
 def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:
@@ -367,7 +352,7 @@ def _check_head_pair(digit: int, alpha: int, p: int) -> None:
         raise ValueError("the stationary pair (p-1, 1) has no constant head")
 
 
-def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
+def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) -> HeadReport:
     """Certify the length of the constant (digit, alpha) head of a/b.
 
     Returns head_len = e + 1 for the one exponent e that p-adic valuations allow,
@@ -376,6 +361,12 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     it, but need not be in lowest terms: only its value decides the answer
     (the report's sx, sy and n scale by g**2 for a/b given as ga/gb).
 
+    digit, alpha or both may be None: each is then that of a/b's first step,
+    b0 = a*b**-1 mod p and alpha0 = vp(a - b0*b), read off the definition and
+    not off an expansion, so that it too depends only on the value a/b.  An
+    a/b with no first step, a finite end (a = b0*b) or stationary (a + b = 0)
+    at once, raises ValueError.
+
     The check runs on p-free parts: with n = p**vn n', sx = p**vs sx' and
     vn = vs + alpha*e, the equations u*n == sx*(4p**alpha)**e and
     v*n == sy*(4p**alpha)**e hold exactly when u*n' == sx'*4**e and
@@ -383,6 +374,13 @@ def head_analysis(a: int, b: int, digit: int, alpha: int, p: int) -> HeadReport:
     p**(alpha*e).
     """
     _require_unit_pair(a, b, p)
+    if digit is None or alpha is None:
+        first = a * pow(b, -1, p) % p
+        delta = a - first * b
+        if not delta or a + b == 0:
+            raise ValueError("input has no head step to analyze")
+        digit = first if digit is None else digit
+        alpha = vp_split(delta, p)[0] if alpha is None else alpha
     _check_head_pair(digit, alpha, p)
     # before any power is built: p**alpha >= 2**(alpha*(p.bit_length()-1)), so when that
     # exponent reaches the bit length of |a| + (p-1)*b, p**alpha > |a| + (p-1)*b >=

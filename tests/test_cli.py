@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import decimal
 import fractions
 import hashlib
 import io
@@ -28,17 +29,12 @@ from padic_cf.schneider import generate_constant_head
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
-# the CLI in a fresh interpreter, with every Schneider expansion cut after one step
+# the CLI in a fresh interpreter, with each residue taken as its own inverse mod p in the
+# Schneider kernel, a planted defect: TestExpandSchneiderCommand's runaway loop
 PLANTED_MAIN = (
-    "import sys, padic_cf.schneider as s; e = s._expand\n"
-    "s._expand = lambda a, b, p, cap: e(a, b, p, cap or 1)\n"
+    "import sys, padic_cf.schneider as s; s.pow = lambda r, e, m: r\n"
     "from padic_cf.cli import main; sys.exit(main(sys.argv[1:]))"
 )
-
-
-def cut_after_one_step(expand):
-    # a planted defect: an expansion with no cap of its own stops after one step
-    return lambda a, b, p, cap: expand(a, b, p, cap or 1)
 
 
 def run_process(args, timeout=60):
@@ -219,14 +215,6 @@ class TestExpandSchneiderCommand:
             a, b = a // g, b // g
         payload = run_json(["expand-schneider", "-p", "3", "--json", f"{a}/{b}"], capsys)
         assert len(payload["head"]) == payload["stationary_from"] == 11144
-
-    def test_planted_cut_ends_in_bound_violated(self, capsys, monkeypatch):
-        # an expansion cut with neither tail marker set, here after one of 2/5's
-        # steps, is reported as a failed check, not as an answer
-        monkeypatch.setattr(schneider, "_expand", cut_after_one_step(schneider._expand))
-        code, out, err = run_cli(["expand-schneider", "-p", "3", "2/5"], capsys)
-        assert (code, out) == (1, "")
-        assert err == "FAIL: bound violated: expansion of 2/5 exceeded 1 steps\n"
 
     def test_planted_runaway_ends_at_the_default_cap(self, capsys, monkeypatch):
         # with each residue taken as its own inverse, 1/4 at p=5 steps on wrong digits
@@ -416,6 +404,16 @@ class TestBoundCommand:
             "c8a31d0a6070d4319eddf399675c563c3c4e17dee1f04829cbd849b588fbb49d"
         )
 
+    @pytest.mark.parametrize("p", [3, 5, 101, 16651, 100000007, 10**9 + 7, 10**20 + 39])
+    def test_lambda2_float_keeps_its_digits(self, p, capsys):
+        # lambda2 = (p - sqrt(p*p + 16)) / (4p), whose two terms nearly cancel at large p,
+        # against that difference taken to 50 significant digits in decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50 + 2 * len(str(p))  # the digits the cancellation takes, and 50 more
+            want = (p - decimal.Decimal(p * p + 16).sqrt()) / (4 * p)
+            want = float(f"{want:.6g}")
+        assert run_json(["bound", "-p", str(p), "--json", "7/2"], capsys)["lambda2_float"] == want
+
     def test_height_beyond_float_range_certifies(self, capsys):
         huge = str(10**400)
         payload = run_json(["bound", "-p", "3", "--beta0", huge, "--beta1", huge, "--json"], capsys)
@@ -561,6 +559,14 @@ class TestHeadCommand:
         assert out.splitlines()[-2:] == ["head length: unknown", "exact identity: false"]
         payload = run_json(["head", "-p", "3", "--json", "--", text], capsys)
         assert payload["head_len"] is None and payload["exact_exponent"] is None
+
+    @pytest.mark.parametrize("option", ["--digit", "--exponent"])
+    def test_one_option_takes_the_other_from_the_first_step(self, option, capsys):
+        # 2/5 at p=3 starts with (1,1): either option at 1 leaves the pair as it was
+        code, out, _ = run_cli(["head", "-p", "3", option, "1", "2/5"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "head pair: (1,1) (p=3)"
+        assert "head length: 4" in out.splitlines()
 
     def test_pair_comes_from_first_step_without_expanding(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "schneider_expand", unreachable("schneider_expand"))
@@ -945,10 +951,15 @@ class TestUsageErrors:
         for command in ("expand-schneider", "head"):
             yield [command, "-p", "3", "0"], "numerator must be nonzero"
         yield ["digits", "-p", "3", "-n", "0", "2/5"], "count must be positive"
+        yield ["head", "-p", "3", "--", "-222958/513481"], "|theta| < 1: no constant head to measure"
+        yield ["head", "-p", "3", "--digit", "0", "--exponent", "1", "2/5"], "digit must be in 1..2, got 0"
+        yield ["head", "-p", "3", "--digit", "1", "--exponent", "0", "2/5"], "exponent must be positive, got 0"
         yield ["bound", "-p", "3", "--beta0", "0", "--beta1", "0"], "beta0 magnitude must be >= 1"
         yield ["bound", "-p", "3", "--beta0", "1", "--beta1", "-1"], "beta1 magnitude must be >= 0"
         # every prime is checked before the CSV header is written
         yield ["sweep", "--primes", "3,9", "--max-num", "2", "--max-den", "2"], "p must be an odd prime, got 9"
+        # and the sweep's ranges, a rule of the CLI's own
+        yield ["sweep", "--primes", "3", "--max-num", "0", "--max-den", "1"], "sweep ranges must be positive"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1148,9 +1159,9 @@ class TestParserReuse:
     def test_calls_in_one_process_match_fresh_processes(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
         a, b = generate_constant_head(1, 1, 1500, 3)
-        # a failed check needs a defect: this call runs with every expansion cut after
-        # one step, in this process and in the fresh one
-        planted = ["expand-schneider", "-p", "3", "1259/701"]
+        # a failed check needs a defect: this call runs with PLANTED_MAIN's runaway loop,
+        # in this process and in the fresh one
+        planted = ["expand-schneider", "-p", "5", "1/4"]
         calls = [
             ["expand-browkin", "-p", "3", "365/54"],
             ["bound", "-p", "3", "--beta0", "5", "7/2"],
@@ -1166,7 +1177,7 @@ class TestParserReuse:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     monkeypatch.context() as patch:
                 if argv is planted:
-                    patch.setattr(schneider, "_expand", cut_after_one_step(schneider._expand))
+                    patch.setattr(schneider, "pow", lambda r, e, m: r, raising=False)
                 try:
                     code, raised = main(argv), False
                 except SystemExit as exc:

@@ -49,7 +49,7 @@ def reference_browkin(alpha, beta, p, max_steps=None):
     return steps, False
 
 
-def reference_schneider(a, b, p, max_steps=None):
+def reference_schneider(a, b, p):
     """(steps, stationary_from, finite_end, tail) of a/b: the steps as (digit, alpha) pairs."""
     y_prev, y_cur, steps = a, b, []
     while (y_prev, y_cur) not in ((1, -1), (-1, 1)):
@@ -57,8 +57,6 @@ def reference_schneider(a, b, p, max_steps=None):
         delta = y_prev - digit * y_cur
         if delta == 0:
             return steps, None, True, (y_prev, y_cur)
-        if len(steps) == max_steps:
-            return steps, None, False, (y_prev, y_cur)
         alpha = _valuation(delta, p)
         steps.append((digit, alpha))
         y_prev, y_cur = y_cur, delta // p**alpha
@@ -219,20 +217,20 @@ class TestSchneider:
 
     @pytest.mark.parametrize("p", (5, 101))
     def test_pow_calls_within_steps_plus_one(self, p, monkeypatch):
-        # cut, finite and stationary expansions: at most min(p-3, steps+1) pow calls, as
-        # the module docstring states; a cut one reads the digit of the step past its cap
+        # finite and stationary expansions: steps+1 lookups at most, but the one past the
+        # last step, at a finite end, is for y = +-1, so at most min(p-3, steps) pow calls,
+        # as the module docstring states; (p+2)/2, a finite end after one step, reaches it
         calls = []
         monkeypatch.setattr(schneider, "pow", lambda *args: calls.append(args) or pow(*args),
                             raising=False)
         rng = random.Random(61)
         inputs = [random_pair(rng, 40, p) for _ in range(40)] + [(1, p + 1), (p - 1, 1), (-1, 1)]
         reached = False
-        for a, b in inputs:
-            for cap in (1, 2, 3, 10, None):
-                calls.clear()
-                exp = schneider._expand(a, b, p, cap)
-                assert len(calls) == len(set(calls)) <= min(p - 3, len(exp.steps) + 1)
-                reached |= len(calls) == len(exp.steps) + 1
+        for a, b in inputs + [(p + 2, 2)]:
+            calls.clear()
+            exp = schneider_expand(a, b, p)
+            assert len(calls) == len(set(calls)) <= min(p - 3, len(exp.steps))
+            reached |= exp.finite_end and len(calls) == len(exp.steps) > 0
         assert reached
 
     def test_equal_steps_share_one_record(self):
@@ -247,10 +245,3 @@ class TestSchneider:
             exp = schneider_expand(a, b, p)
             assert all(type(s) is schneider.SchneiderStep for s in exp.steps), (a, b, p)
             assert len({id(s) for s in exp.steps}) == len(set(exp.steps)), (a, b, p)
-
-    def test_cut(self):
-        a, b = random_pair(random.Random(53), 3000, 3)
-        for cap in (1, 2, 100, 5000):
-            exp = schneider._expand(a, b, 3, cap)
-            head, _, _, tail = reference_schneider(a, b, 3, cap)
-            assert (list(exp.steps), exp.tail) == (head, tail)

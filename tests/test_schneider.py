@@ -105,17 +105,15 @@ def finite_end_pair(head, last, p):
     return (y_cur, y_next) if y_next > 0 else (-y_cur, -y_next)
 
 
-def reference_expansion(a, b, p, max_steps=None):
+def reference_expansion(a, b, p):
     """(head, stationary_from, finite_end, tail) of a/b by the recurrence, one
-    full-size step at a time, cut after max_steps steps if given."""
+    full-size step at a time."""
     y_prev, y_cur, head = a, b, []
     while (y_prev, y_cur) not in ((1, -1), (-1, 1)):
         digit = y_prev * mod_inverse(y_cur, p) % p
         delta = y_prev - digit * y_cur
         if delta == 0:
             return head, None, True, (y_prev, y_cur)
-        if len(head) == max_steps:
-            return head, None, False, (y_prev, y_cur)
         alpha = int_vp(delta, p)
         head.append((digit, alpha))
         y_prev, y_cur = y_cur, delta // p**alpha
@@ -402,31 +400,19 @@ class TestBatchedKernel:
                 exp = self.assert_matches_reference(a, b, p)
                 assert list(exp.steps) == head
 
-    def test_cut_inside_the_batches(self):
-        # a step cap cuts the batches exactly where the single-step loop would
-        a, b = random_input(random.Random(109), 1000, 3)
-        depth = schneider._BATCH_WIDTH // 3 .bit_length()
-        for cap in (1, depth - 1, depth, depth + 1, 1000, 5000):
-            exp = schneider._expand(a, b, 3, cap)
-            assert exp.stationary_from is None and not exp.finite_end
-            head, _, _, tail = reference_expansion(a, b, 3, cap)
-            assert (list(exp.steps), exp.tail) == (head, tail)
-        assert schneider.first_step(a, b, 3) == tuple(head[0])
-
-    def test_first_step_builds_no_batch_tables(self, monkeypatch):
-        # no batch fits under first_step's cap of 1, so it never enters _batches
+    def test_head_analysis_with_no_pair_runs_no_kernel(self, monkeypatch):
+        # the default pair is read off the first step's definition, not off an expansion,
+        # even on an input above the batch bound
         a, b = generate_constant_head(1, 2, 1000, 3)
         assert self.batched(a, b, 3)
-        batches, calls = schneider._batches, []
 
         def fail(*args):
-            raise AssertionError("_batches called")
+            raise AssertionError("the kernel ran")
 
+        monkeypatch.setattr(schneider, "schneider_expand", fail)
         monkeypatch.setattr(schneider, "_batches", fail)
-        assert schneider.first_step(a, b, 3) == (1, 2)
-        monkeypatch.setattr(schneider, "_batches", lambda *args: calls.append(1) or batches(*args))
-        assert schneider_expand(a, b, 3).steps == ((1, 2),) * 1001
-        assert calls == [1]
+        report = head_analysis(a, b, None, None, 3)
+        assert (report.digit, report.alpha, report.head_len) == (1, 2, 1001)
 
 
 class TestHeadAnalysis:
@@ -484,6 +470,17 @@ class TestHeadAnalysis:
         scaled, reduced = head_analysis(4, 10, 1, 1, 3), head_analysis(2, 5, 1, 1, 3)
         assert (scaled.head_len, scaled.exact_identity, scaled.theta) == (
             reduced.head_len, reduced.exact_identity, reduced.theta)
+
+    def test_pair_read_off_the_first_step(self):
+        # with no pair given, the first step's: only the value a/b decides it, as the rest
+        scaled, reduced = head_analysis(4, 10, None, None, 3), head_analysis(2, 5, None, None, 3)
+        assert (reduced.digit, reduced.alpha, reduced.head_len) == (1, 1, 4)
+        assert (scaled.head_len, scaled.exact_identity, scaled.theta) == (
+            reduced.head_len, reduced.exact_identity, reduced.theta)
+        # stationary at once (-1 at p=3) and a finite end at once (3 at p=5): no first step
+        for a, b, p in ((-1, 1, 3), (3, 1, 5)):
+            with pytest.raises(ValueError, match="input has no head step to analyze"):
+                head_analysis(a, b, None, None, p)
 
     def test_integer_identity_matches_field_reference(self):
         # the twelve benchmark head triples, then a spread with D squarefree or not
@@ -630,3 +627,7 @@ class TestGenerator:
     def test_stationary_pair_rejected(self):
         with pytest.raises(ValueError, match="stationary pair"):
             generate_constant_head(2, 1, 4, 3)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            generate_constant_head(1, 1, -1, 3)
