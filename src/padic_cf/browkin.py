@@ -30,29 +30,32 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple
 
-from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime
+from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime, vp_split
 
 
 class BrowkinStep(NamedTuple):
     """One expansion step: exponent kn and residue xn; the partial quotient is
     an = xn/p**kn, already in lowest terms (xn is prime to p whenever kn > 0).
-    beta_n is not stored: BrowkinExpansion.beta_trace replays it."""
+    beta_n is not stored: BrowkinExpansion.beta_trace replays it, and cf_pair's
+    back-substitution hands it back."""
 
     k: int
     x: int
 
 
 class BrowkinExpansion(NamedTuple):
-    """The expansion of alpha / (beta0 * p**k0), k0 = steps[0].k, in lowest terms."""
+    """The expansion of alpha / (beta0 * p**k0), k0 = steps[0].k, in lowest terms,
+    to the step whose delta is 0.  beta_trace and beta1_abs replay the betas
+    forward, for the majorant check and the tests; the commands take them off
+    the reconstruction check (oracle.browkin_reconstruction)."""
 
     p: int
     alpha: int
     beta0: int
     steps: tuple[BrowkinStep, ...]
-    terminated: bool
 
     @property
     def quotient_pairs(self) -> list[tuple[int, int]]:
@@ -111,26 +114,30 @@ class BoundReport(NamedTuple):
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
-def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpansion:
-    # the expansion of alpha/beta, cut with terminated False at max_steps steps or the default cap
-    require_odd_prime(p)
-    if alpha == 0:
-        raise ValueError("cannot expand zero")
-    require_lowest_terms(alpha, beta)
+def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
+    """Full Browkin expansion of a/b, a nonzero, a and b coprime, b > 0.
 
-    k0 = 0
-    while beta % p == 0:  # beta ends positive and p-free; sign lives in alpha
+    The step loop is capped by a count read off the bit length of the input,
+    above n_bound + 1; reaching the cap raises ArithmeticError.
+    """
+    require_odd_prime(p)
+    if a == 0:
+        raise ValueError("cannot expand zero")
+    require_lowest_terms(a, b)
+
+    beta, k0 = b, 0
+    while beta % p == 0:  # beta ends positive and p-free; sign lives in a
         beta //= p
         k0 += 1
 
     steps: list[BrowkinStep] = []
-    b_prev, b_cur, k = alpha, beta, k0
-    # lambda1 <= 2/3 for p >= 3 and capacity < 4|alpha| + 3*beta, so N + 1 < 2*bits + 1 < cap
-    cap = max_steps or 4 * ((4 * abs(alpha) + 3 * beta).bit_length() + 1)
+    b_prev, b_cur, k = a, beta, k0
+    # lambda1 <= 2/3 for p >= 3 and capacity < 4|a| + 3*beta, so N + 1 < 2*bits + 1 < cap
+    cap = 4 * ((4 * abs(a) + 3 * beta).bit_length() + 1)
     # r_prev, r_cur are congruent to beta_{n-1}, beta_n modulo p**(1+kn), and r_cur also
     # modulo p**2: a k_{n+1} = 1 step reads beta_n mod p**2 off r_cur, and kn = 0 only at n = 0
     p2, modulus = p * p, p ** (1 + k0)
-    r_prev, r_cur = alpha % modulus, beta % (modulus * p)
+    r_prev, r_cur = a % modulus, beta % (modulus * p)
     while len(steps) < cap:
         x = r_prev * pow(r_cur, -1, modulus) % modulus
         if x > modulus >> 1:  # the symmetric residue
@@ -138,7 +145,7 @@ def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpa
         steps.append(_record(BrowkinStep, (k, x)))
         delta = b_prev - x * b_cur
         if delta == 0:
-            return _record(BrowkinExpansion, (p, alpha, beta, tuple(steps), True))
+            return _record(BrowkinExpansion, (p, a, beta, tuple(steps)))
         b_prev, b_cur = b_cur, delta // modulus  # exact, and k_{n+1} >= 1
         r_prev, r_cur = r_cur, b_cur % p2
         if r_cur % p:  # k_{n+1} = 1: both residues carried, one full-size reduction
@@ -151,55 +158,74 @@ def _expand(alpha: int, beta: int, p: int, max_steps: int | None) -> BrowkinExpa
                 k += 1
             modulus = p ** (1 + k)
             r_prev, r_cur = b_prev % modulus, b_cur % modulus
-    return _record(BrowkinExpansion, (p, alpha, beta, tuple(steps), False))
+    raise ArithmeticError(f"bound violated: expansion of {a}/{b} exceeded {cap} steps")
 
 
 def browkin_betas(a: int, b: int, p: int) -> tuple[int, int]:
-    """(beta0, beta1_abs) of browkin_expand(a, b, p), read from its first two steps alone."""
-    head = _expand(a, b, p, 2)
-    return head.beta0, head.beta1_abs
+    """(beta0, beta1_abs) of browkin_expand(a, b, p), read off the first step's
+    definition alone, with browkin_expand's input rules and messages.
 
-
-def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
-    """Full Browkin expansion of a/b, a nonzero, a and b coprime, b > 0.
-
-    The step loop is capped by a count read off the bit length of the input,
-    above n_bound + 1; exceeding the cap raises ArithmeticError.
+    k0 = vp(b), beta0 = b / p**k0 and x0 is the symmetric residue of
+    a * beta0**-1 mod p**(1+k0); then delta = a - x0*beta0 = beta_1 * p**(k0+k1)
+    with beta_1 prime to p, so |beta_1| is the p-free part of |delta|, and 0
+    for a one-step expansion, where delta = 0.
     """
-    expansion = _expand(a, b, p, None)
-    if not expansion.terminated:
-        raise ArithmeticError(
-            f"bound violated: expansion of {a}/{b} exceeded {len(expansion.steps)} steps"
-        )
-    return expansion
+    require_odd_prime(p)
+    if a == 0:
+        raise ValueError("cannot expand zero")
+    require_lowest_terms(a, b)
+    k0, beta0 = vp_split(b, p)
+    modulus = p ** (1 + k0)
+    x0 = a * pow(beta0, -1, modulus) % modulus
+    if x0 > modulus >> 1:
+        x0 -= modulus
+    delta = a - x0 * beta0
+    return beta0, abs(vp_split(delta, p)[1]) if delta else 0
 
 
-def cf_pair(reversed_quotients) -> tuple[int, int]:
-    """Unreduced (num, den), den != 0, of a0 + 1/(a1 + 1/(... + 1/ak)).
+def cf_pair(steps, p: int, numerators: list[int] | None = None) -> tuple[int, int]:
+    """Unreduced (num, den), den != 0, of a0 + 1/(a1 + 1/(... + 1/aN)), where
+    a_n = x_n / p**k_n for the step records (k_n, x_n) of steps, in order.
 
-    reversed_quotients is an iterable of integer pairs (num, den) with den > 0,
-    ak first and a0 last, so that a generator over the step records in reverse
-    serves without a list.  A zero tail value raises ZeroDivisionError.
+    The back-substitution starts at level N from (x_N, p**k_N) and takes level
+    n to (x_n*num + p**k_n*den, p**k_n*num).  Every den is p**k_n times the
+    numerator of the level below, c_n (c_N = 1), so the loop carries (num, c_n)
+    and one product per level: num_n = x_n*num_{n+1} + p**(k_n+k_{n+1}) * c_{n+1}.
+    Given a list, numerators receives c_N, c_{N-1}, ..., c_0: for the steps of
+    an expansion these are s*beta_N, ..., s*beta_0 with one sign s (the numerator
+    lemma in the oracle module docstring).  A zero tail value raises
+    ZeroDivisionError.
     """
-    pairs = iter(reversed_quotients)
+    levels = reversed(steps)
     try:
-        num, den = next(pairs)
+        k, num = next(levels)
     except StopIteration:
         raise ValueError("empty quotient sequence") from None
-    for a_num, a_den in pairs:
+    cofactor = 1
+    keep = None if numerators is None else numerators.append
+    if keep:
+        keep(cofactor)
+    for k_n, x in levels:  # k is k_{n+1}
         if num == 0:
             raise ZeroDivisionError("divergent finite fraction")
-        num, den = a_num * num + a_den * den, a_den * num
-    return num, den
+        num, cofactor = x * num + p ** (k_n + k) * cofactor, num
+        k = k_n
+        if keep:
+            keep(cofactor)
+    return num, p**k * cofactor
 
 
 def cf_evaluate(quotients) -> Fraction:
     """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)), on cf_pair.
 
     Each quotient is an integer pair (num, den) with den > 0, as
-    BrowkinExpansion.quotient_pairs gives them.
+    BrowkinExpansion.quotient_pairs gives them.  Over the common denominator
+    D = lcm(den_0, ..., den_k), a_n = y_n / D with y_n = num_n * (D // den_n),
+    which cf_pair takes as the step record (1, y_n) with base D.
     """
-    return Fraction(*cf_pair(reversed(list(quotients))))
+    quotients = list(quotients)
+    common = lcm(*(den for _, den in quotients))
+    return Fraction(*cf_pair([(1, num * (common // den)) for num, den in quotients], common))
 
 
 def convergent_triples(quotients) -> Iterator[tuple[int, int, int]]:

@@ -24,10 +24,16 @@ by _f6 as (x + y*sqrt(d))/den, and bound's lambda2 as -4/(p*(p + sqrt(D))),
 so `head --json` and `bound --json` build no Fraction and no
 QuadraticElement; text output still prints the exact values.
 Every computed expansion is certified by padic_cf.oracle before it is printed.
+expand-browkin prints the betas that the reconstruction check's
+back-substitution hands back (oracle.browkin_reconstruction), and it and sweep
+take |beta_1| for browkin_bound from them, so no replay runs after the check;
+`bound` given a rational reads beta0 and |beta_1| off the first step alone.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
 step records, with no dict per step: one "%" over all the rows when more than
-a third are distinct, else one "%d" template per distinct row.
+a third are distinct, else one "%d" template per distinct row.  A Browkin
+record (k, x) is written {"num": x, "den": p**k}, with p**k taken once per
+distinct exponent on the "%" path.
 The argparse parsers are built once per process, on the first main() call.
 When argv[0] names a subcommand, main hands the rest of argv straight to that
 subcommand's parser; the top-level parser runs only for -h, an empty argv or
@@ -113,39 +119,60 @@ def _f6(x: int, y: int, den: int, root: tuple[int, int]) -> float | None:
     return float(f"{approx:.6g}") if isfinite(approx) else None
 
 
-def _json_pairs(rows, key0: str, key1: str) -> str:
+def _json_pairs(rows, key0: str, key1: str, p: int | None = None) -> str:
     # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], each row
-    # a hashable pair of integers
+    # a hashable pair of integers; given p, each row is a Browkin step record (k, x), written
+    # as the pair (x, p**k)
     template = f'{{"{key0}": %d, "{key1}": %d}}'
     distinct = set(rows)
     # the two paths take the same time at about a third of the rows distinct
     # (BENCH_step_tables.json, "json_pairs_paths")
     if 3 * len(distinct) > len(rows):  # as Browkin quotients at a large p
-        return "[" + ", ".join([template] * len(rows)) % tuple(chain.from_iterable(rows)) + "]"
+        if p is None:
+            templates, values = [template] * len(rows), tuple(chain.from_iterable(rows))
+        else:  # one template per exponent, p**k written in: a "%d" for x alone
+            ks, values = zip(*rows)
+            per_k = {k: f'{{"{key0}": %d, "{key1}": {p**k}}}' for k in set(ks)}
+            templates = map(per_k.__getitem__, ks)
+        return "[" + ", ".join(templates) % values + "]"
     # mostly repeated, as Schneider steps at a small p: format each distinct row once
-    text = {row: template % row for row in distinct}
+    if p is None:
+        text = {row: template % row for row in distinct}
+    else:
+        text = {(k, x): template % (x, p**k) for k, x in distinct}
     return "[" + ", ".join(map(text.__getitem__, rows)) + "]"
+
+
+def _certified_browkin(a: int, b: int, p: int):
+    # the expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all certified:
+    # the betas and |beta_1| come off the reconstruction check's own pass (a failed check
+    # leaves them unchecked, and require reports it before anything is printed)
+    expansion = browkin_expand(a, b, p)
+    betas: list[int] = []
+    recon = oracle.browkin_reconstruction(a, b, expansion, betas)
+    report = browkin_bound(expansion.beta0, abs(betas[1]) if len(betas) > 1 else 0, p)
+    oracle.require(p, a, b, recon, oracle.browkin_length_bound(expansion, report))
+    return expansion, betas, report
 
 
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     a, b = args.rational
-    expansion = browkin_expand(a, b, args.prime)
-    report = browkin_bound(expansion.beta0, expansion.beta1_abs, args.prime)
-    recon = oracle.browkin_reconstruction(a, b, expansion)
-    oracle.require(args.prime, a, b, recon, oracle.browkin_length_bound(expansion, report))
+    p = args.prime
+    expansion, betas, report = _certified_browkin(a, b, p)
+    steps = expansion.steps
     if args.json:
         print(
-            f'{{"p": {args.prime}, "input": {json.dumps(_rat_str(a, b))}, '
-            f'"quotients": {_json_pairs(expansion.quotient_pairs, "num", "den")}, '
-            f'"k": {json.dumps(expansion.k_trace)}, "beta": {json.dumps(list(expansion.beta_trace))}, '
+            f'{{"p": {p}, "input": {json.dumps(_rat_str(a, b))}, '
+            f'"quotients": {_json_pairs(steps, "num", "den", p)}, '
+            f'"k": {json.dumps([k for k, _ in steps])}, "beta": {json.dumps(betas)}, '
             f'"bound_N": {report.n_bound}, "reconstructed": true}}'
         )
     else:
-        print(f"input: {_rat_str(a, b)} (p={args.prime})")
-        print("quotients: " + ", ".join(_rat_str(*pair) for pair in expansion.quotient_pairs))
-        print("k: " + ", ".join(str(k) for k in expansion.k_trace))
-        print("beta: " + ", ".join(str(beta) for beta in expansion.beta_trace))
-        print(f"bound N: {report.n_bound} (length {len(expansion.steps)} <= N+1)")
+        print(f"input: {_rat_str(a, b)} (p={p})")
+        print("quotients: " + ", ".join(_rat_str(x, p**k) for k, x in steps))
+        print("k: " + ", ".join(str(k) for k, _ in steps))
+        print("beta: " + ", ".join(map(str, betas)))
+        print(f"bound N: {report.n_bound} (length {len(steps)} <= N+1)")
         print("reconstructed: true")
     return 0
 
@@ -314,13 +341,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         min_slack = None
         max_stationary = None
         for p, a, b in _sweep_rows(args.primes, args.max_num, args.max_den):
-            expansion = browkin_expand(a, b, p)
-            beta0, beta1 = expansion.beta0, expansion.beta1_abs
-            report = browkin_bound(beta0, beta1, p)
-            recon = oracle.browkin_reconstruction(a, b, expansion)
-            oracle.require(p, a, b, recon, oracle.browkin_length_bound(expansion, report))
+            expansion, _, report = _certified_browkin(a, b, p)
+            _, beta0, beta1, n_bound = report
             browkin_len = len(expansion.steps)
-            slack = report.n_bound + 1 - browkin_len
+            slack = n_bound + 1 - browkin_len
             stationary = ""
             if a % p != 0 and b % p != 0:
                 sexp = schneider_expand(a, b, p)
@@ -329,7 +353,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     stationary = sexp.stationary_from
                     if max_stationary is None or stationary > max_stationary:
                         max_stationary = stationary
-            writer.writerow([p, a, b, browkin_len, report.n_bound, beta0, beta1, slack, stationary])
+            writer.writerow([p, a, b, browkin_len, n_bound, beta0, beta1, slack, stationary])
             max_len = max(max_len, browkin_len)
             min_slack = slack if min_slack is None else min(min_slack, slack)
     finally:  # a write that fails on either target raises here, before the summary

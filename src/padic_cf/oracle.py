@@ -9,6 +9,22 @@ The input a/b is a pair of coprime integers with b > 0, and every check
 runs on plain integers: a reconstruction is an unreduced pair (num, den)
 from the back-substitution core, equal to the input exactly when den != 0
 and num * b == den * a.
+
+The numerator lemma.  Let (k_n, x_n), n = 0..N, be the Browkin expansion of
+a/b, with betas beta_{-1} = a, beta_0 = b / p**k_0 > 0, ..., beta_N.  Then
+cf_pair's back-substitution holds (s*beta_{n-1}, s*p**k_n*beta_n) after
+level n, where s = beta_N = +-1; at level 0 that is s*(a, b).  Proof: every
+beta_n with n >= 0 is prime to p, so beta_{n-1} = x_n*beta_n +
+p**(k_n+k_{n+1})*beta_{n+1} gives gcd(beta_n, beta_{n+1}) =
+gcd(beta_{n-1}, beta_n) = ... = gcd(a, beta_0) = 1.  The last step has delta
+= beta_{N-1} - x_N*beta_N = 0, so beta_N divides beta_{N-1} and is +-1, and
+the starting pair (x_N, p**k_N) is (s*beta_{N-1}, s*p**k_N*beta_N).  If
+level n+1 holds (s*beta_n, s*p**k_{n+1}*beta_{n+1}), level n holds
+(x_n*s*beta_n + p**k_n*s*p**k_{n+1}*beta_{n+1}, p**k_n*s*beta_n) =
+(s*beta_{n-1}, s*p**k_n*beta_n) by the same identity.  So the numerators
+below each level, which cf_pair can keep, are s*beta_N, ..., s*beta_0, and s
+is the sign of the last of them, as beta_0 > 0: browkin_reconstruction hands
+back the whole beta trace from the pass that checks the quotients.
 """
 
 from typing import NamedTuple
@@ -35,12 +51,22 @@ def _equals(pair: tuple[int, int], a: int, b: int) -> bool:
     return den != 0 and num * b == den * a
 
 
-def browkin_reconstruction(a: int, b: int, expansion) -> Check:
-    p = expansion.p
+def browkin_reconstruction(a: int, b: int, expansion, betas: list[int] | None = None) -> Check:
+    """cf_pair's back-substitution of the steps, against a/b.
+
+    Given a list, betas also receives beta_0, ..., beta_N off the same pass:
+    cf_pair keeps s*beta_N, ..., s*beta_0 (the numerator lemma), read here in
+    reverse and times s, the sign of s*beta_0.  Nothing else computes them on
+    a command's path, so every beta a command prints is a value this check used.
+    """
     try:
-        pair = cf_pair((s.x, p**s.k) for s in reversed(expansion.steps))
+        pair = cf_pair(expansion.steps, expansion.p, betas)
     except ZeroDivisionError:  # a complete quotient of 0 on the way: not a/b
         pair = (0, 0)
+    if betas:
+        betas.reverse()
+        if betas[0] < 0:  # s = -1
+            betas[:] = [-beta for beta in betas]
     return _record(Check, ("browkin reconstruction", _equals(pair, a, b)))
 
 

@@ -78,7 +78,7 @@ def assert_step_law(exp, r, p):
         if n + 1 < len(steps):
             assert (steps[n + 1].k, betas[n + 1]) == (k_next, beta_next)
         beta_prev = beta
-    assert exp.terminated and k_next is None
+    assert k_next is None
 
 
 class TestExpandFixtures:
@@ -88,7 +88,6 @@ class TestExpandFixtures:
         assert exp.k_trace == [3, 1, 1, 1]
         assert list(exp.beta_trace) == [2, 5, -2, 1]
         assert exp.beta1_abs == 5
-        assert exp.terminated
         assert cf_evaluate(exp.quotient_pairs) == Fraction(365, 54)
 
     def test_77_18(self):
@@ -143,11 +142,37 @@ class TestExpandFixtures:
         assert len(exp.steps) > 7000
         assert retained < 2**20, retained
 
-    def test_max_steps_cap(self):
-        # the step loop stops at its cap with terminated False; browkin_expand takes no cap
-        exp = browkin._expand(365, 54, 3, 2)
-        assert not exp.terminated
-        assert exp.steps == browkin_expand(365, 54, 3).steps[:2]
+
+class TestBrowkinBetas:
+    def test_first_step_alone_matches_the_expansion(self):
+        # one-step inputs (beta1_abs 0), k0 > 0, negative a and p up to 10**9 + 7
+        rng = random.Random(26)
+        cases = [(3, 1, 1), (3, -1, 3), (3, 9, 1), (3, -2, 9), (5, 5, 1), (3, 365, 54),
+                 (5, -1793, 100), (10**20 + 39, 7, 2), (10**20 + 39, -1, 3)]
+        for p in (3, 5, 101, 10**9 + 7):
+            for digits_ in (1, 2, 40, 300):
+                for shift in (0, 1, 3):
+                    while True:
+                        a = rng.randrange(1, 10**digits_) * rng.choice((-1, 1))
+                        b = rng.randrange(1, 10**digits_) * p**shift
+                        if math.gcd(a, b) == 1:
+                            break
+                    cases.append((p, a, b))
+        one_step = k0_positive = 0
+        for p, a, b in cases:
+            exp = browkin_expand(a, b, p)
+            assert browkin.browkin_betas(a, b, p) == (exp.beta0, exp.beta1_abs), (p, a, b)
+            one_step += len(exp.steps) == 1
+            k0_positive += exp.steps[0].k > 0
+        assert one_step >= 5 and k0_positive >= 20
+
+    def test_input_rules_are_browkin_expands(self):
+        for args in ((0, 1, 3), (2, 4, 3), (1, 0, 3), (1, -2, 3), (1, 2, 9), (1, 2, 2)):
+            with pytest.raises(ValueError) as expected:
+                browkin_expand(*args)
+            with pytest.raises(ValueError) as got:
+                browkin.browkin_betas(*args)
+            assert str(got.value) == str(expected.value), args
 
 
 class TestQuotientPairs:
@@ -211,8 +236,11 @@ class TestCfEvaluate:
         assert cf_evaluate([(-2, 9), (2, 9)]) == Fraction(77, 18)
         assert cf_evaluate([(-20, 27), (4, 3), (2, 3), (-2, 3)]) == Fraction(365, 54)
         assert cf_evaluate([(-1, 1), (-4, 3), (2, 3)]) == 5
+        assert cf_evaluate([(1, 2), (1, 3), (2, 5)]) == Fraction(29, 34)  # dens of no one base
         with pytest.raises(ZeroDivisionError, match="divergent"):
             cf_evaluate([(1, 1), (0, 1)])
+        with pytest.raises(ZeroDivisionError, match="divergent"):
+            cf_evaluate([(1, 2), (1, 3), (-3, 1)])  # 1/3 + 1/-3 = 0 on the way
 
     def test_divergent(self):
         with pytest.raises(ZeroDivisionError, match="divergent"):

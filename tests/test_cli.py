@@ -145,11 +145,50 @@ class TestExpandBrowkinCommand:
         assert "reconstructed: true" in out
 
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "cf_pair", lambda reversed_quotients: (0, 1))
+        monkeypatch.setattr(oracle, "cf_pair", lambda steps, p, numerators: (0, 1))
         code, out, err = run_cli(["expand-browkin", "-p", "3", "365/54"], capsys)
         assert code == 1
         assert out == ""
         assert "FAIL" in err
+
+    def test_printed_betas_are_the_replayed_trace(self, capsys):
+        # the betas come off the reconstruction's back-substitution; beta_trace replays
+        # them forward by the other recurrence, so the two must agree
+        cases = [(p, text) for p in (3, 5, 101, 10**9 + 7) for text in ("1", "-1/3", "9", "7/2")]
+        cases.append((10**20 + 39, "7/2"))
+        rng = random.Random(26)
+        for p in (3, 5, 101, 10**9 + 7):
+            for digits in (1, 2, 40, 300):
+                for shift in (0, 2):  # k0 > 0 at shift 2
+                    while True:
+                        a = rng.randrange(1, 10**digits) * rng.choice((-1, 1))
+                        b = rng.randrange(1, 10**digits) * p**shift
+                        if math.gcd(a, b) == 1:
+                            break
+                    cases.append((p, f"{a}/{b}"))
+        one_step = 0
+        for p, text in cases:
+            exp = browkin.browkin_expand(*parse_rational(text), p)
+            trace = list(exp.beta_trace)
+            one_step += len(trace) == 1
+            n_bound = browkin.browkin_bound(exp.beta0, exp.beta1_abs, p).n_bound
+            code, out, _ = run_cli(["expand-browkin", "-p", str(p), "--", text], capsys)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[3] == "beta: " + ", ".join(map(str, trace)), (p, text)
+            assert lines[4].startswith(f"bound N: {n_bound} ")
+            payload = run_json(["expand-browkin", "-p", str(p), "--json", "--", text], capsys)
+            assert (payload["beta"], payload["bound_N"]) == (trace, n_bound), (p, text)
+        assert one_step >= 8
+
+    def test_planted_runaway_ends_at_the_default_cap(self, capsys, monkeypatch):
+        # with every inverse taken as 1, 1/5 at p=3 steps on wrong digits and never
+        # ends; the cap read off the input, 4 * ((4*1 + 3*5).bit_length() + 1) = 24
+        # steps, ends it as a failed check
+        monkeypatch.setattr(browkin, "pow", lambda r, e, m: 1, raising=False)
+        code, out, err = run_cli(["expand-browkin", "-p", "3", "1/5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "FAIL: bound violated: expansion of 1/5 exceeded 24 steps\n"
 
     def test_height_beyond_float_range(self, capsys):
         code, out, err = run_cli(["expand-browkin", "-p", "5", f"{10**400 + 1}/{7**300}"], capsys)
@@ -1141,6 +1180,16 @@ class TestJsonPairs:
         exp = browkin.browkin_expand(-(10**300 + 7), 10**299 + 3, 101)
         want = json.dumps([{"num": x, "den": y} for x, y in exp.quotient_pairs])
         assert cli._json_pairs(exp.quotient_pairs, "num", "den") == want
+
+    def test_browkin_records_with_p(self):
+        # given p, the rows are (k, x) records written as (x, p**k), on both paths: k0 > 0
+        # and repeated rows at p = 3, distinct rows at the larger primes
+        for a, b, p in ((-(10**300 + 7), 3**5 * (10**299 + 3), 3), (365, 54, 3),
+                        (-(10**300 + 7), 10**299 + 3, 101), (10**300 + 7, 7 * 10**9 + 49, 10**9 + 7),
+                        (1, 1, 3), (-2, 9, 3)):
+            exp = browkin.browkin_expand(a, b, p)
+            want = json.dumps([{"num": x, "den": y} for x, y in exp.quotient_pairs])
+            assert cli._json_pairs(exp.steps, "num", "den", p) == want, (a, b, p)
 
 
 class TestParserReuse:

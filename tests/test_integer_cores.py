@@ -72,7 +72,7 @@ def test_reconstruction_cores_agree_with_the_wrappers():
         r = Fraction(a, b)
         exp = browkin_expand(a, b, p)
         assert Fraction(exp.alpha, exp.beta0 * p ** exp.steps[0].k) == r
-        num, den = cf_pair((s.x, p**s.k) for s in reversed(exp.steps))
+        num, den = cf_pair(exp.steps, p)
         assert den != 0 and num * b == den * a
         assert Fraction(num, den) == cf_evaluate(exp.quotient_pairs) == r
         if a % p and b % p:

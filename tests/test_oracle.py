@@ -67,7 +67,7 @@ def _singular_matrices(expansion):
 
 
 BROKEN_LAWS = [
-    ("cf_pair", lambda reversed_quotients: (0, 1), "browkin reconstruction"),
+    ("cf_pair", lambda steps, p, numerators: (0, 1), "browkin reconstruction"),
     ("browkin_bound", _short_bound, "browkin length bound"),
     ("browkin_expand", _doubled_last_beta, "majorant"),
     ("convergent_triples", _shifted_convergents, "determinant identity"),
@@ -206,6 +206,61 @@ def test_zero_denominator_fails_and_unreduced_pair_passes(argv, core, name, caps
 def _reduced(text):
     r = Fraction(text)
     return r.numerator, r.denominator
+
+
+def _back_substitution(off=None):
+    # the textbook back-substitution (x*num + p**k*den, p**k*num), level N first, keeping
+    # what cf_pair keeps (den / p**k at each level); the numerator after `off` levels is
+    # one too large
+    def planted(steps, p, numerators):
+        kept, den = [], 1
+        for i, (k, x) in enumerate(reversed(steps)):
+            num, den = (x, p**k) if i == 0 else (x * num + p**k * den, p**k * num)
+            kept.append(den // p**k)
+            if i == off:
+                num += 1
+        if numerators is not None:
+            numerators.extend(kept)
+        return num, den
+
+    return planted
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_one_numerator_off_fails_reconstruction_and_prints_nothing(json_flag, capsys, monkeypatch):
+    # the printed betas are the back-substitution's own numerators: a pass that is
+    # wrong at any one level fails the check before anything is printed
+    for p, text in ((3, "365/54"), (5, "-1793/100"), (101, "7" * 40 + "/3")):
+        argv = ["expand-browkin", "-p", str(p), *json_flag, "--", text]
+        monkeypatch.undo()
+        want = run_cli(argv, capsys)
+        monkeypatch.setattr(oracle, "cf_pair", _back_substitution())
+        assert run_cli(argv, capsys) == want  # the planted pass is faithful off its one change
+        levels = len(browkin.browkin_expand(*_reduced(text), p).steps)
+        for off in sorted({0, 1, levels // 2, levels - 1}):
+            monkeypatch.setattr(oracle, "cf_pair", _back_substitution(off))
+            assert run_cli(argv, capsys) == (1, "", f"FAIL: browkin reconstruction failed at p={p}, {text}\n")
+
+
+def test_only_commands_that_print_betas_keep_numerators(capsys, monkeypatch):
+    # verify's battery and the majorant replay stream; expand-browkin and sweep take the
+    # betas, and |beta_1|, off the reconstruction pass
+    original, asked = oracle.cf_pair, []
+
+    def recorded(steps, p, numerators):
+        asked.append(numerators is not None)
+        return original(steps, p, numerators)
+
+    monkeypatch.setattr(oracle, "cf_pair", recorded)
+    for argv, keeps in (
+        (["verify", "-p", "3", "2/5"], False),
+        (["expand-browkin", "-p", "3", "2/5"], True),
+        (["expand-browkin", "-p", "3", "--json", "2/5"], True),
+        (["sweep", "--primes", "3", "--max-num", "2", "--max-den", "2"], True),
+    ):
+        asked.clear()
+        assert run_cli(argv, capsys)[0] == 0
+        assert asked and set(asked) == {keeps}, argv
 
 
 @pytest.mark.parametrize("p", [3, 101, 10**9 + 7])
