@@ -23,7 +23,6 @@ from .exactarith import (
 from .schneider import (
     HeadReport,
     SchneiderExpansion,
-    SchneiderMatrix,
     SchneiderStep,
     generate_constant_head,
     head_analysis,
@@ -43,7 +42,6 @@ __all__ = [
     "PAdicDigits",
     "QuadraticElement",
     "SchneiderExpansion",
-    "SchneiderMatrix",
     "SchneiderStep",
     "browkin_bound",
     "browkin_convergents",

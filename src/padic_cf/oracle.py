@@ -25,13 +25,27 @@ level n+1 holds (s*beta_n, s*p**k_{n+1}*beta_{n+1}), level n holds
 below each level, which cf_pair can keep, are s*beta_N, ..., s*beta_0, and s
 is the sign of the last of them, as beta_0 > 0: browkin_reconstruction hands
 back the whole beta trace from the pass that checks the quotients.
+
+The error identity.  Let P_n, Q_n be the convergents of the same expansion
+scaled by D_n = p**(k_0+...+k_n), as browkin.convergent_triples yields them.
+For n = 0..N, with beta_{N+1} = 0,
+
+    a*Q_n - beta_0*p**k_0*P_n = (-1)**n * beta_{n+1} * p**(k_0+...+k_{n+1}) * D_n.
+
+Proof: the step identity divided by beta_n*p**k_n gives the complete quotients
+r_n = beta_{n-1}/(beta_n*p**k_n) = a_n + 1/r_{n+1}, and the errors e_n =
+q_n*a/b - p_n obey e_n = -e_{n-1}/r_{n+1} from e_{-1} = -1, so e_n = (-1)**n *
+beta_{n+1} * p**(k_1+...+k_{n+1}) / beta_0; multiply by b*D_n.  So the error
+of every prefix, and the last convergent's equality with a/b (beta_{N+1} = 0),
+are laws of the beta chain: determinant_identity checks that chain and
+builds no convergent.
 """
 
 from typing import NamedTuple
 
-from .browkin import browkin_bound, browkin_expand, cf_pair, convergent_triples
+from .browkin import browkin_bound, browkin_expand, cf_pair
 from .digits import padic_digits
-from .schneider import schneider_convergents, schneider_expand, schneider_pair
+from .schneider import schneider_expand, schneider_pair
 
 
 class Check(NamedTuple):
@@ -93,24 +107,28 @@ def majorant(expansion) -> Check:
 
 
 def determinant_identity(a: int, b: int, expansion) -> Check:
-    """P_n Q_{n-1} - P_{n-1} Q_n = (-1)**(n+1) D_n D_{n-1} on the convergents
-    scaled by D_n = p**(k_0+...+k_n), and the last convergent is a/b.
+    """The record's beta chain, from its own (alpha, beta0), is that of a/b's Browkin
+    expansion: by the error identity (module docstring) that gives the determinant law
+    of every prefix and a last convergent equal to a/b, with no convergent built.
 
-    Each triple must follow from the two before it by convergent_triples'
-    recurrence, whose multipliers x_n, d_n = p**k_n and L_n = d_n d_{n-1} are
-    small.  It gives Delta_n = P_n Q_{n-1} - P_{n-1} Q_n = -L_n Delta_{n-1}
-    from Delta_0 = -d_0, hence the law by induction; the last triple against
-    a/b is the one full-size test.
+    alpha == a and beta0 * p**k_0 == b; for n < N, delta_n = beta_{n-1} - x_n*beta_n
+    divides exactly by p**(k_n+k_{n+1}) to beta_{n+1}, and delta_N = 0; k_n >= 1 for
+    n >= 1 and 2|x_n| < p**(1+k_n).  With every beta prime to p, these fix each x_n
+    as the symmetric residue of beta_{n-1}/beta_n mod p**(1+k_n) and each k_{n+1} as
+    vp(delta_n) - k_n.  No beta is reduced mod p: x_n*beta_n = beta_{n-1} mod p, so
+    beta_n is prime to p when beta_{n-1} is, and beta_0 is, as it divides b and,
+    where p divides b, it does not divide a = x_0*beta_0 mod p.
     """
-    quotients = expansion.quotient_pairs
-    triples = convergent_triples(quotients)
-    ok, count = True, 0
-    p2, q2, p1, q1, d1, den1 = 0, 1, 1, 0, 1, 1  # P_{n-2}, Q_{n-2}, the triple n-1, d_{n-1}
-    for count, ((x, den), triple) in enumerate(zip(quotients, triples), 1):
-        ok &= triple == (x * p1 + den * den1 * p2, x * q1 + den * den1 * q2, den * d1)
-        p2, q2, (p1, q1, d1), den1 = p1, q1, triple, den
-    ok &= count == len(quotients) and next(triples, None) is None
-    return _record(Check, ("determinant identity", ok and _equals((p1, q1), a, b)))
+    p, steps, b_prev, b_cur = expansion.p, expansion.steps, expansion.alpha, expansion.beta0
+    ok = bool(steps) and b_prev == a and b_cur * p ** steps[0].k == b
+    for (k, x), (k_next, _) in zip(steps, steps[1:]):
+        pk = p**k
+        b_prev, (b_cur, rem) = b_cur, divmod(b_prev - x * b_cur, pk * p**k_next)
+        ok &= k_next >= 1 and 2 * abs(x) < p * pk and not rem
+    if ok:
+        k, x = steps[-1]
+        ok = 2 * abs(x) < p ** (1 + k) and b_prev == x * b_cur
+    return _record(Check, ("determinant identity", ok))
 
 
 def digit_truncation_identity(a: int, b: int, window) -> Check:
@@ -136,28 +154,25 @@ def schneider_reconstruction(a: int, b: int, expansion) -> Check:
 
 def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
     """det M_m = (-1)**(m+1) p**s and vp(r - U_m/W_m) = s, s = alpha_0+...+alpha_m,
-    checked in time linear in each prefix's size.
+    for every prefix M_m of the step matrices [[b_m, p**alpha_m], [1, 0]], on the
+    small side: no matrix is built.
 
-    Every M_m must be M_{m-1} [[b_m, p**alpha_m], [1, 0]], M_{-1} the
-    identity, and each step matrix has determinant -p**alpha_m: that is the
-    determinant law.  Then U_m = b_m U_{m-1} + p**alpha_{m-1} U_{m-2}, W_m
-    likewise, so a*W_m - b*U_m = p**s eps_m with eps_m = (b_m eps_{m-1} +
-    eps_{m-2}) / p**alpha_m, eps_{-2} = a and eps_{-1} = -b.  r - U/W =
-    (a*W - b*U) / (b*W) with b and W prime to p, so the valuation is exactly s
-    iff every division is exact and every eps_m is prime to p; a zero
-    difference fails.
+    Each step matrix has determinant -p**alpha_m.  a*W_m - b*U_m = p**s eps_m with
+    eps_m = (b_m eps_{m-1} + eps_{m-2}) / p**alpha_m = (-1)**m y_{m+1}, eps_{-2} = a,
+    eps_{-1} = -b, and r - U/W = (a*W - b*U) / (b*W), so with b and W prime to p the
+    valuation law is every division exact and every eps_m prime to p.  With
+    alpha_m >= 1, p divides b_m eps_{m-1} + eps_{m-2}, so eps_{m-1}, b_m and W_m =
+    b_m W_{m-1} mod p are prime to p when eps_{m-2} is; a or b is, and if p divides b
+    the first division fails, so only the last eps (-b with no step) is reduced mod p.
+    The chain must end at the record's tail, y_{N-1}/y_N = -eps_{N-2}/eps_{N-1} =
+    num/den, so a record with its last step dropped fails too.
     """
-    p, steps = expansion.p, expansion.steps
-    matrices = schneider_convergents(expansion)
-    ok, count, eps_prev, eps = True, 0, a, -b
-    u, v, w, z = 1, 0, 0, 1
-    for count, ((digit, alpha), matrix) in enumerate(zip(steps, matrices), 1):
-        pa = p**alpha
-        ok &= matrix == (u * digit + v, u * pa, w * digit + z, w * pa)
-        eps_prev, (eps, rem) = eps, divmod(digit * eps + eps_prev, pa)
-        ok &= not rem and eps % p != 0
-        u, v, w, z = matrix
-    ok &= count == len(steps) and next(matrices, None) is None
+    p, eps_prev, eps, ok = expansion.p, a, -b, True
+    for digit, alpha in expansion.steps:
+        eps_prev, (eps, rem) = eps, divmod(digit * eps + eps_prev, p**alpha)
+        ok &= alpha >= 1 and not rem
+    num, den = expansion.tail
+    ok &= eps % p != 0 and num * eps + den * eps_prev == 0
     return _record(Check, ("schneider matrix laws", ok))
 
 

@@ -131,21 +131,6 @@ class SchneiderExpansion(NamedTuple):
             yield y_cur
 
 
-class SchneiderMatrix(NamedTuple):
-    """Running product of the step matrices [[b, p**alpha], [1, 0]]."""
-
-    u: int
-    v: int
-    w: int
-    z: int
-
-    def times_step(self, b: int, alpha: int, p: int) -> SchneiderMatrix:
-        pa = p**alpha
-        return SchneiderMatrix(
-            self.u * b + self.v, self.u * pa, self.w * b + self.z, self.w * pa
-        )
-
-
 class HeadReport(NamedTuple):
     """Exact certificate for the length of a constant (digit, exponent) head.
 
@@ -331,16 +316,17 @@ def schneider_evaluate(head, tail: tuple[int, int], p: int) -> Fraction:
     return Fraction(*schneider_pair(head, tail, p))
 
 
-def schneider_convergents(expansion: SchneiderExpansion) -> Iterator[SchneiderMatrix]:
-    """Yield the matrix prefixes M_m; the m-th convergent is U_m/W_m = M_m.u/M_m.w.
+def schneider_convergents(expansion: SchneiderExpansion) -> Iterator[tuple[int, int, int, int]]:
+    """Yield the matrix prefixes M_m as tuples (u, v, w, z); the m-th convergent is u/w.
 
     det M_m = (-1)**(m+1) * p**(alpha_0+...+alpha_m), and the truncation
     error a/b - U_m/W_m has valuation exactly alpha_0+...+alpha_m.
     """
-    m = SchneiderMatrix(1, 0, 0, 1)
-    for s in expansion.steps:
-        m = m.times_step(s.b, s.alpha, expansion.p)
-        yield m
+    p, u, v, w, z = expansion.p, 1, 0, 0, 1
+    for digit, alpha in expansion.steps:
+        pa = p**alpha
+        u, v, w, z = u * digit + v, u * pa, w * digit + z, w * pa
+        yield u, v, w, z
 
 
 def _check_head_pair(digit: int, alpha: int, p: int) -> None:
@@ -433,10 +419,10 @@ def generate_constant_head(digit: int, alpha: int, k: int, p: int) -> tuple[int,
     _check_head_pair(digit, alpha, p)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    m = SchneiderMatrix(1, 0, 0, 1)
+    pa, u, v, w, z = p**alpha, 1, 0, 0, 1
     for _ in range(k + 1):
-        m = m.times_step(digit, alpha, p)
-    a, b = m.u - m.v, m.w - m.z
+        u, v, w, z = u * digit + v, u * pa, w * digit + z, w * pa
+    a, b = u - v, w - z
     if b < 0:
         a, b = -a, -b
     return a, b

@@ -152,10 +152,10 @@ def _schneider_battery(a, b, p):
     if exp.steps:
         r = Fraction(a, b)
         total = 0
-        for m, matrix in enumerate(schneider_convergents(exp)):
+        for m, (u, v, w, z) in enumerate(schneider_convergents(exp)):
             total += exp.steps[m].alpha
-            assert matrix.u * matrix.z - matrix.v * matrix.w == (-1) ** (m + 1) * p**total
-            assert vp(r - Fraction(matrix.u, matrix.w), p) == total
+            assert u * z - v * w == (-1) ** (m + 1) * p**total
+            assert vp(r - Fraction(u, w), p) == total
 
 
 def test_criterion_5_property_suite():

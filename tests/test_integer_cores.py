@@ -6,7 +6,10 @@ pair) and convergent_triples (convergents scaled by D_n, yielded one prefix
 at a time).  The public cf_evaluate, schneider_evaluate and
 browkin_convergents wrap them and keep their Fraction results.  The oracle
 checks the majorant one step at a time; the global statement, every
-|beta_i| <= theta_i of theta_sequence, is tested here.
+|beta_i| <= theta_i of theta_sequence, is tested here.  Its determinant
+identity walks the beta chain and builds no convergent; the error identity
+that ties the two, proved in the oracle module docstring, is tested here
+against convergent_triples and beta_trace.
 """
 
 import contextlib
@@ -16,7 +19,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from padic_cf import browkin_bound, browkin_convergents, browkin_expand, cf_evaluate, theta_sequence
+from padic_cf import browkin_bound, browkin_convergents, browkin_expand, cf_evaluate, oracle, theta_sequence
 from padic_cf.browkin import Convergent, cf_pair, convergent_triples
 from padic_cf.cli import main
 from padic_cf.schneider import schneider_evaluate, schneider_expand, schneider_pair
@@ -121,11 +124,50 @@ def test_betas_obey_the_step_law_and_the_majorant():
                 assert 2 * pp * betas[i] <= pp * betas[i - 1] + 2 * betas[i - 2], (p, a, b, i)
 
 
+def _identity_corpus():
+    # (p, a, b): random inputs of 1 to 60 digits with k0 = vp(b) in 0..3, and one-step
+    # inputs x/p**k0 with |x| < p**(1+k0)/2, for which a = x0*beta0 at once
+    rng = random.Random(27)
+    out = []
+    for p in (3, 5, 7, 11, 101, 10**9 + 7):
+        for _ in range(100):
+            digits = rng.randrange(1, 61)
+            while True:
+                a = rng.randrange(1, 10**digits) * rng.choice((-1, 1))
+                b = rng.randrange(1, 10**digits) * p ** rng.randrange(0, 4)
+                if gcd(a, b) == 1:
+                    break
+            out.append((p, a, b))
+        for k0 in range(4):
+            half = p ** (1 + k0) // 2
+            for x in {1, -1, half, -half, rng.randrange(1, half + 1)}:
+                if k0 == 0 or x % p:
+                    out.append((p, x, p**k0))
+    return out
+
+
+def test_error_identity_ties_the_beta_chain_to_the_convergents():
+    # a*Q_n - beta0*p**k0*P_n = (-1)**n * beta_{n+1} * p**(k_0+...+k_{n+1}) * D_n, with
+    # beta_{N+1} = 0: what the oracle's determinant identity rests on, checked against
+    # the convergents it no longer builds
+    corpus = _identity_corpus()
+    assert any(len(browkin_expand(a, b, p).steps) == 1 for p, a, b in corpus)
+    for p, a, b in corpus:
+        exp = browkin_expand(a, b, p)
+        betas, ks = [*exp.beta_trace, 0], [*exp.k_trace, 0]
+        assert exp.beta0 * p ** ks[0] == b
+        for n, (pn, qn, d) in enumerate(convergent_triples(exp.quotient_pairs)):
+            scale = p ** sum(ks[:n + 2])
+            assert a * qn - exp.beta0 * p ** ks[0] * pn == (-1) ** n * betas[n + 1] * scale * d, (p, a, b, n)
+        assert n == len(exp.steps) - 1
+        assert oracle.determinant_identity(a, b, exp).ok
+
+
 def test_bound_and_verify_output_are_pinned():
     # sha256 of every n_bound and of the verify output, computed with the
     # Fraction oracle before the integer cores replaced it.  verify leaves out
-    # the 1,000-digit inputs at p = 101 and 10**9+7 (seconds each, mostly in
-    # the Schneider matrix laws' determinants).
+    # the 1,000-digit inputs at p = 101 and 10**9+7, as it did when the pin was
+    # made (then seconds each, mostly in the Schneider matrix laws' determinants).
     bounds, verified = hashlib.sha256(), hashlib.sha256()
     for p, a, b, digits in INPUTS:
         exp = browkin_expand(a, b, p)

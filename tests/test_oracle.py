@@ -10,6 +10,7 @@ import padic_cf
 import padic_cf.oracle as oracle
 from padic_cf import browkin, digits, schneider
 from padic_cf.cli import SWEEP_COLUMNS, main
+from padic_cf.exactarith import vp_split
 
 
 def run_cli(argv, capsys):
@@ -21,7 +22,7 @@ def run_cli(argv, capsys):
 @pytest.mark.parametrize(
     "record",
     ["BrowkinExpansion", "BrowkinStep", "Convergent", "BoundReport", "SchneiderExpansion",
-     "SchneiderStep", "SchneiderMatrix", "HeadReport", "PAdicDigits"],
+     "SchneiderStep", "HeadReport", "PAdicDigits"],
 )
 def test_records_are_named_tuples(record):
     # the mutants below rebuild records with _replace, which every NamedTuple has
@@ -30,7 +31,7 @@ def test_records_are_named_tuples(record):
 
 
 def test_records_compare_as_tuples():
-    assert schneider.SchneiderMatrix(1, 0, 0, 1) == (1, 0, 0, 1)
+    assert schneider.SchneiderStep(1, 1) == (1, 1)
     report = browkin.browkin_bound(2, 5, 3)
     assert tuple(report) == (3, 2, 5, 6) and report.exact_certificate is True
     assert repr(report) == "BoundReport(p=3, beta0_abs=2, beta1_abs=5, n_bound=6)"
@@ -52,9 +53,10 @@ def _doubled_last_beta(a, b, p):
     return _DoubledLastBeta(*browkin.browkin_expand(a, b, p))
 
 
-def _shifted_convergents(quotients):
-    # p_n + 1 in place of p_n: the scaled P_n + D_n
-    return ((pn + d, qn, d) for pn, qn, d in browkin.convergent_triples(quotients))
+def _next_alpha(a, b, p):
+    # alpha + 1 in place of the record's alpha; the steps, and so their value, stay
+    expansion = browkin.browkin_expand(a, b, p)
+    return expansion._replace(alpha=expansion.alpha + 1)
 
 
 def _wrong_first_digit(a, b, p, count):
@@ -62,18 +64,22 @@ def _wrong_first_digit(a, b, p, count):
     return window._replace(digits=(window.digits[0] + 1,) + window.digits[1:])
 
 
-def _singular_matrices(expansion):
-    return (schneider.SchneiderMatrix(0, 0, 0, 0) for _ in schneider.schneider_convergents(expansion))
+def _deeper_last_step(a, b, p):
+    # the last step's alpha + 1 and the tail (p*num, den): the same value
+    expansion = schneider.schneider_expand(a, b, p)
+    *head, (digit, alpha) = expansion.steps
+    num, den = expansion.tail
+    return expansion._replace(steps=(*head, schneider.SchneiderStep(digit, alpha + 1)), tail=(p * num, den))
 
 
 BROKEN_LAWS = [
     ("cf_pair", lambda steps, p, numerators: (0, 1), "browkin reconstruction"),
     ("browkin_bound", _short_bound, "browkin length bound"),
     ("browkin_expand", _doubled_last_beta, "majorant"),
-    ("convergent_triples", _shifted_convergents, "determinant identity"),
+    ("browkin_expand", _next_alpha, "determinant identity"),
     ("padic_digits", _wrong_first_digit, "digit truncation identity"),
     ("schneider_pair", lambda head, tail, p: (0, 1), "schneider reconstruction"),
-    ("schneider_convergents", _singular_matrices, "schneider matrix laws"),
+    ("schneider_expand", _deeper_last_step, "schneider matrix laws"),
 ]
 
 
@@ -138,8 +144,8 @@ def test_matrix_laws_catch_an_off_by_one_valuation():
     for p, r in ((3, Fraction(2, 5)), (3, Fraction(1259, 701)), (5, Fraction(3044, 673)), (7, big)):
         expansion = schneider.schneider_expand(r.numerator, r.denominator, p)
         assert oracle.schneider_matrix_laws(r.numerator, r.denominator, expansion).ok
-        last = list(schneider.schneider_convergents(expansion))[-1]
-        value = Fraction(last.u, last.w)
+        u, _, w, _ = list(schneider.schneider_convergents(expansion))[-1]
+        value = Fraction(u, w)
         for planted in (value + (r - value) * p, value + (r - value) / p, value):
             a, b = planted.numerator, planted.denominator
             assert not oracle.schneider_matrix_laws(a, b, expansion).ok, (p, r, planted)
@@ -280,22 +286,94 @@ def test_one_changed_quotient_fails_reconstruction_and_determinant(p):
 
 
 @pytest.mark.parametrize(
-    "core, check, a, b, expansion",
+    "check, a, b, expansion",
     [
-        ("convergent_triples", oracle.determinant_identity, 365, 54, browkin.browkin_expand(365, 54, 3)),
-        ("schneider_convergents", oracle.schneider_matrix_laws, 1259, 701,
-         schneider.schneider_expand(1259, 701, 3)),
+        (oracle.determinant_identity, 365, 54, browkin.browkin_expand(365, 54, 3)),
+        (oracle.schneider_matrix_laws, 1259, 701, schneider.schneider_expand(1259, 701, 3)),
     ],
     ids=["determinant identity", "schneider matrix laws"],
 )
-def test_prefixes_of_the_wrong_length_fail(core, check, a, b, expansion, monkeypatch):
-    # the checks walk the yielded prefixes beside the steps: one too few or one
-    # too many fails
-    original = getattr(oracle, core)
+def test_prefixes_of_the_wrong_length_fail(check, a, b, expansion):
+    # the checks walk the record's own steps: with its last step dropped, or any one
+    # step repeated, the record fails
+    steps = expansion.steps
     assert check(a, b, expansion).ok
-    for extend in (lambda prefixes: prefixes[:-1], lambda prefixes: [*prefixes, prefixes[-1]]):
-        monkeypatch.setattr(oracle, core, lambda *args, extend=extend: iter(extend(list(original(*args)))))
-        assert not check(a, b, expansion).ok
+    for changed in [steps[:-1], *(steps[:n + 1] + steps[n:] for n in range(len(steps)))]:
+        assert not check(a, b, expansion._replace(steps=changed)).ok, changed
+
+
+@pytest.mark.parametrize("p, text", [(3, "2/5"), (3, "365/54"), (5, "-1793/100")])
+def test_a_split_last_step_fails_the_determinant_identity(p, text):
+    # (k_N, x_N) becomes (k_N, x_N - p**k_N) and then (0, 1): the same value, so the
+    # reconstruction and the length bound pass it, but a step with k = 0 after the
+    # first is no Browkin step
+    a, b = _reduced(text)
+    expansion = browkin.browkin_expand(a, b, p)
+    *head, (k, x) = expansion.steps
+    split = (browkin.BrowkinStep(k, x - p**k), browkin.BrowkinStep(0, 1))
+    planted = expansion._replace(steps=(*head, *split))
+    report = browkin.browkin_bound(planted.beta0, planted.beta1_abs, p)
+    assert oracle.browkin_reconstruction(a, b, planted).ok
+    assert oracle.browkin_length_bound(planted, report).ok
+    assert oracle.determinant_identity(a, b, expansion).ok
+    assert not oracle.determinant_identity(a, b, planted).ok
+
+
+def _first_quotient_out_of_range(a, b, p):
+    # x_0 + p**(1+k_0) for x_0, then the Browkin expansion of the complete quotient
+    # that leaves: an exact beta chain of the same value, down to delta_N = 0
+    expansion = browkin.browkin_expand(a, b, p)
+    k0, x0 = expansion.steps[0]
+    x0 += p ** (1 + k0)
+    shift, beta1 = vp_split(a - x0 * expansion.beta0, p)
+    sign = 1 if beta1 > 0 else -1
+    rest = browkin.browkin_expand(sign * expansion.beta0, sign * beta1 * p ** (shift - k0), p)
+    return expansion._replace(steps=(browkin.BrowkinStep(k0, x0), *rest.steps))
+
+
+def test_a_quotient_out_of_range_fails_the_determinant_identity():
+    # 2|x_n| < p**(1+k_n) alone fails these records: the first with its first quotient
+    # one modulus off, the second a one-step record a/p**k0 with 2|a| > p**(1+k0)
+    for p, text in ((3, "365/54"), (5, "-1793/100"), (7, "123456789/1000")):
+        a, b = _reduced(text)
+        planted = _first_quotient_out_of_range(a, b, p)
+        assert oracle.browkin_reconstruction(a, b, planted).ok
+        assert not oracle.determinant_identity(a, b, planted).ok, (p, text)
+    planted = browkin.browkin_expand(100, 9, 3)._replace(steps=(browkin.BrowkinStep(2, 100),))
+    assert oracle.browkin_reconstruction(100, 9, planted).ok
+    assert not oracle.determinant_identity(100, 9, planted).ok
+
+
+def test_determinant_identity_fails_on_the_record_of_another_input():
+    # the chain of 365/54 is exact from its own (alpha, beta0): it must also be the input's
+    expansion = browkin.browkin_expand(365, 54, 3)
+    assert oracle.determinant_identity(365, 54, expansion).ok
+    for a, b in ((367, 54), (365, 56), (365, 18)):
+        assert not oracle.determinant_identity(a, b, expansion).ok, (a, b)
+    assert not oracle.determinant_identity(365, 54, expansion._replace(steps=())).ok
+
+
+def test_matrix_laws_fail_a_step_with_no_power_of_p():
+    # 7/2 = 1 + 1/(5/2) at p = 3: a (1, 0) step, then the steps of 2/5; every division
+    # is exact, yet alpha_0 = 0 is no Schneider step
+    expansion = schneider.schneider_expand(2, 5, 3)
+    planted = expansion._replace(a=7, b=2, steps=(schneider.SchneiderStep(1, 0), *expansion.steps))
+    assert oracle.schneider_reconstruction(7, 2, planted).ok
+    assert not oracle.schneider_matrix_laws(7, 2, planted).ok
+
+
+def test_matrix_laws_fail_a_last_eps_divisible_by_p():
+    # the last step's alpha - 1 and the tail (num, p*den): the same value and an exact
+    # chain, but the last prefix's valuation is one above its exponent sum
+    for p, text in ((3, "1259/701"), (5, "3044/673")):
+        a, b = _reduced(text)
+        expansion = schneider.schneider_expand(a, b, p)
+        *head, (digit, alpha) = expansion.steps
+        assert alpha >= 2
+        num, den = expansion.tail
+        planted = expansion._replace(steps=(*head, schneider.SchneiderStep(digit, alpha - 1)), tail=(num, p * den))
+        assert oracle.schneider_reconstruction(a, b, planted).ok
+        assert not oracle.schneider_matrix_laws(a, b, planted).ok, (p, text)
 
 
 def test_step_law_catches_every_beta_mutant_the_global_majorant_catches(monkeypatch):
@@ -359,7 +437,7 @@ def test_length_bound_passes_n_plus_one_steps_and_fails_one_more():
 
 
 def test_battery_memory_stays_near_the_input_size():
-    # the checks stream their prefixes: an oracle that built every prefix
+    # the checks stream their chains: an oracle that built every prefix
     # list peaked at 38 MB here, the streaming one stays below 1 MB
     a, b = _reduced("7" * 1000 + "/" + "2" * 999 + "5")
     tracemalloc.start()

@@ -10,7 +10,6 @@ import pytest
 from padic_cf import schneider
 from padic_cf.exactarith import QuadraticElement, int_vp, mod_inverse, vp
 from padic_cf.schneider import (
-    SchneiderMatrix,
     generate_constant_head,
     head_analysis,
     schneider_convergents,
@@ -214,14 +213,15 @@ class TestConvergents:
     def test_first_matrix_fixture(self):
         exp = schneider_expand(2, 5, 3)
         matrix = list(schneider_convergents(exp))[0]
-        assert matrix == SchneiderMatrix(1, 3, 1, 0)
-        assert Fraction(matrix.u, matrix.w) == 1
+        assert matrix == (1, 3, 1, 0)
+        u, _, w, _ = matrix
+        assert Fraction(u, w) == 1
 
     def test_determinant_law_fixture(self):
         exp = schneider_expand(2, 5, 3)
-        matrix = list(schneider_convergents(exp))[1]
-        assert matrix.u * matrix.z - matrix.v * matrix.w == 9  # (-1)**2 * 3**(1+1)
-        assert vp(Fraction(2, 5) - Fraction(matrix.u, matrix.w), 3) == 2
+        u, v, w, z = list(schneider_convergents(exp))[1]
+        assert u * z - v * w == 9  # (-1)**2 * 3**(1+1)
+        assert vp(Fraction(2, 5) - Fraction(u, w), 3) == 2
 
     def test_laws_on_random_inputs(self):
         for p in (3, 5, 7):
@@ -233,10 +233,10 @@ class TestConvergents:
                     continue
                 r = Fraction(a, b)
                 total = 0
-                for m, matrix in enumerate(schneider_convergents(exp)):
+                for m, (u, v, w, z) in enumerate(schneider_convergents(exp)):
                     total += exp.steps[m].alpha
-                    assert matrix.u * matrix.z - matrix.v * matrix.w == (-1) ** (m + 1) * p**total
-                    assert vp(r - Fraction(matrix.u, matrix.w), p) == total
+                    assert u * z - v * w == (-1) ** (m + 1) * p**total
+                    assert vp(r - Fraction(u, w), p) == total
 
 
 class TestReconstructionAndAbsorption:
@@ -587,10 +587,11 @@ class TestHeadAnalysis:
 
 class TestGenerator:
     def test_fixtures(self):
-        m = SchneiderMatrix(1, 0, 0, 1)
-        for _ in range(4):
-            m = m.times_step(1, 1, 3)
-        assert m == SchneiderMatrix(19, 21, 7, 12)
+        # four (1, 1) step matrices at p = 3, the steps of 2/5: generate_constant_head(1, 1, 3, 3)
+        # is (u - v, w - z) of their product, sign-normalized
+        exp = schneider_expand(2, 5, 3)
+        assert exp.steps == ((1, 1),) * 4
+        assert list(schneider_convergents(exp))[-1] == (19, 21, 7, 12)
         assert generate_constant_head(1, 1, 3, 3) == (2, 5)
         assert generate_constant_head(1, 1, 0, 3) == (-2, 1)
         assert generate_constant_head(1, 2, 5, 3) == (1259, 701)
