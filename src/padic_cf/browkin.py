@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import NamedTuple
 
-from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime, vp_split
+from .exactarith import require_lowest_terms, require_odd_prime, vp_split
 
 
 class BrowkinStep(NamedTuple):
@@ -94,21 +94,15 @@ class Convergent(NamedTuple):
 class BoundReport(NamedTuple):
     """Certified bound: at most n_bound + 1 partial quotients, where n_bound is
     the largest n with lambda1**n * capacity >= 1 and capacity =
-    2|beta1|/(lambda1-lambda2) + |beta0|; browkin_bound certifies it."""
+    2|beta1|/(lambda1-lambda2) + |beta0|; browkin_bound certifies it.  The
+    record holds integers only: lambda1, lambda2 = (p +- sqrt(p**2 + 16)) / (4p)
+    are fixed by p, and `bound` prints them off it."""
 
     p: int
     beta0_abs: int
     beta1_abs: int
     n_bound: int
     exact_certificate = True  # n_bound is always certified exactly; `bound` still reports it
-
-    @property
-    def lambda1(self) -> QuadraticElement:
-        return QuadraticElement(Fraction(1, 4), Fraction(1, 4 * self.p), self.p * self.p + 16)
-
-    @property
-    def lambda2(self) -> QuadraticElement:
-        return QuadraticElement(Fraction(1, 4), Fraction(-1, 4 * self.p), self.p * self.p + 16)
 
 
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
@@ -118,7 +112,8 @@ def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
     """Full Browkin expansion of a/b, a nonzero, a and b coprime, b > 0.
 
     The step loop is capped by a count read off the bit length of the input,
-    above n_bound + 1; reaching the cap raises ArithmeticError.
+    above n_bound + 1; reaching the cap raises ArithmeticError, and so does a
+    beta of 0 before the p-strip, which only an inexact division can leave.
     """
     require_odd_prime(p)
     if a == 0:
@@ -152,6 +147,8 @@ def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
             k = 1
             modulus = p2
         else:  # k_{n+1} >= 2: strip p, then reduce both full integers
+            if not b_cur:  # only an inexact division (a defect) leaves 0, which p divides forever
+                raise ArithmeticError(f"inexact step: expansion of {a}/{b} reached a beta of 0")
             b_cur, k = b_cur // p, 2
             while not b_cur % p:
                 b_cur //= p

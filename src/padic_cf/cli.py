@@ -19,10 +19,10 @@ power is built.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 an output write failed (as to a full
 disk) or an internal error (reserved; no known input reaches it), 141 when
 the reader closes stdout early, as in `padic-cf sweep ... | head -1`.
-Floats are for display only, each read off the integers of an exact value:
-by _f6 as (x + y*sqrt(d))/den, and bound's lambda2 as -4/(p*(p + sqrt(D))),
-so `head --json` and `bound --json` build no Fraction and no
-QuadraticElement; text output still prints the exact values.
+Every printed value of the form (x + y*sqrt(d))/den is read off the integers
+of a report: its exact text by _exact_str, its display float by _f6 (bound's
+lambda2 float by -4/(p*(p + sqrt(D)))), so no command builds a Fraction or a
+QuadraticElement.
 Every computed expansion is certified by padic_cf.oracle before it is printed.
 expand-browkin prints the betas that the reconstruction check's
 back-substitution hands back (oracle.browkin_reconstruction), and it and sweep
@@ -98,6 +98,27 @@ def _parse_integer(text: str) -> int:
 
 def _rat_str(a: int, b: int) -> str:
     return str(a) if b == 1 else f"{a}/{b}"
+
+
+def _fraction_str(num: int, den: int) -> str:
+    # str(Fraction(num, den)) for den > 0: in lowest terms
+    g = gcd(num, den)
+    return _rat_str(num // g, den // g)
+
+
+def _exact_str(x: int, y: int, den: int, root: tuple[int, int]) -> str:
+    # the exact text of (x + y*sqrt(d)) / den, den != 0, with _f6's arguments: the str() of
+    # QuadraticElement(Fraction(x, den), Fraction(y, den), d), which folds d = s*s*m to
+    # y*s*sqrt(m), and a rational value (y = 0 or m = 1) to (x + y*s) / den
+    s, m = root
+    if den < 0:  # as Fraction has it: the sign on the numerator
+        x, y, den = -x, -y, -den
+    if m == 1 or not y:
+        return _fraction_str(x + y * s, den)
+    irrational = f"{_fraction_str(abs(y) * s, den)}*sqrt({m})"
+    if not x:
+        return irrational if y > 0 else "-" + irrational
+    return f"{_fraction_str(x, den)} {'-' if y < 0 else '+'} {irrational}"
 
 
 def _f6(x: int, y: int, den: int, root: tuple[int, int]) -> float | None:
@@ -273,8 +294,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         ))
     else:
         print(f"beta magnitudes: {beta0}, {beta1} (p={p})")
-        print(f"lambda1 = {report.lambda1} (~{lambda1})")
-        print(f"lambda2 = {report.lambda2} (~{lambda2})")
+        print(f"lambda1 = {_exact_str(p, 1, 4 * p, root)} (~{lambda1})")
+        print(f"lambda2 = {_exact_str(p, -1, 4 * p, root)} (~{lambda2})")
         print(f"N = {report.n_bound}")
         print(f"exact certificate: {'true' if report.exact_certificate else 'false'}")
     return 0
@@ -303,7 +324,7 @@ def _cmd_head(args: argparse.Namespace) -> int:
         if t1 is not None and t2 is not None:
             print(f"T1 ~ {t1}, T2 ~ {t2}")
         approx = "" if theta is None else f" (~{theta})"
-        print(f"theta = {report.theta}{approx}")
+        print(f"theta = {_exact_str(report.sx, report.sy, report.n, root)}{approx}")
         if report.exact_identity:
             print(f"exact exponent: {exact_exponent}")
         print(f"head length: {'unknown' if report.head_len is None else report.head_len}")

@@ -3,11 +3,12 @@ symmetric residues, modular inverses, and real quadratic field elements.
 
 Everything here is exact integer/rational arithmetic.  The library's own
 paths run on plain integers: vp_split gives a valuation with its p-free
-cofactor, and the Browkin bound and the head certificate test their
-identities on integer pairs in Z[sqrt(D)].  QuadraticElement remains for the
-values a report shows (BoundReport.lambda1, HeadReport.theta, built on
-demand), their text form and the tests; its float (``__float__``) is an
-approximation for display only.
+cofactor, the Browkin bound and the head certificate test their identities
+on integer pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off
+its integers and square_part(d).  No library path builds a QuadraticElement:
+it stays as the tests' exact reference for those values, and because the
+benchmark tracer (perfbench/tracer.py) wraps four of its methods by name.
+Its float (``__float__``) is an approximation for display only.
 """
 
 from __future__ import annotations

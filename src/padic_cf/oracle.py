@@ -165,12 +165,14 @@ def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
     b_m W_{m-1} mod p are prime to p when eps_{m-2} is; a or b is, and if p divides b
     the first division fails, so only the last eps (-b with no step) is reduced mod p.
     The chain must end at the record's tail, y_{N-1}/y_N = -eps_{N-2}/eps_{N-1} =
-    num/den, so a record with its last step dropped fails too.
+    num/den, so a record with its last step dropped fails too.  Each digit must lie
+    in 1..p-1, as Schneider's do: b_m + p with the tail moved to match keeps the value
+    and every law above, but is not the expansion.
     """
     p, eps_prev, eps, ok = expansion.p, a, -b, True
     for digit, alpha in expansion.steps:
         eps_prev, (eps, rem) = eps, divmod(digit * eps + eps_prev, p**alpha)
-        ok &= alpha >= 1 and not rem
+        ok &= 0 < digit < p and alpha >= 1 and not rem
     num, den = expansion.tail
     ok &= eps % p != 0 and num * eps + den * eps_prev == 0
     return _record(Check, ("schneider matrix laws", ok))

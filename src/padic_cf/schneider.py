@@ -93,7 +93,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import QuadraticElement, require_lowest_terms, require_odd_prime, vp_split
+from .exactarith import require_lowest_terms, require_odd_prime, vp_split
 
 
 class SchneiderStep(NamedTuple):
@@ -137,9 +137,9 @@ class HeadReport(NamedTuple):
     The record holds integers only: disc = D = 4p**alpha + digit**2, and theta
     = (sx + sy*sqrt(D)) / n, the ratio of conjugate products.  exact_identity
     means (t2/t1)**(head_len-1) equals theta, checked exactly on integer pairs
-    in Z[sqrt(D)]; otherwise head_len is None.  t1, t2 (the roots of
-    T**2 - digit*T - p**alpha) and theta are properties that build their
-    QuadraticElements on demand, for text output and tests.
+    in Z[sqrt(D)]; otherwise head_len is None.  t1, t2 = (digit -+ sqrt(D)) / 2,
+    the roots of T**2 - digit*T - p**alpha, are fixed by the pair; `head`
+    prints them and theta off these integers.
     """
 
     digit: int
@@ -150,18 +150,6 @@ class HeadReport(NamedTuple):
     n: int
     head_len: int | None
     exact_identity: bool
-
-    @property
-    def t1(self) -> QuadraticElement:
-        return QuadraticElement(Fraction(self.digit, 2), Fraction(-1, 2), self.disc)
-
-    @property
-    def t2(self) -> QuadraticElement:
-        return QuadraticElement(Fraction(self.digit, 2), Fraction(1, 2), self.disc)
-
-    @property
-    def theta(self) -> QuadraticElement:
-        return QuadraticElement(Fraction(self.sx, self.n), Fraction(self.sy, self.n), self.disc)
 
 
 _BATCH_WIDTH = 480  # W: bits of the residues a batch steps on (module docstring, (iv))
@@ -216,6 +204,8 @@ def _batches(
         else:
             # the first step's exponent is depth - 1 or more: take it, digit and all, on the full pair
             y_next, alpha = (y_prev - digit * y_cur) // p, 1
+            if not y_next:  # only a wrong digit (a defect) leaves 0, which p divides forever
+                raise ArithmeticError("inexact step: a batch reached y = 0")
             while not y_next % p:
                 y_next //= p
                 alpha += 1
@@ -243,7 +233,8 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     Requires a nonzero, b positive, and a, b, p pairwise coprime.  The step
     loop is capped by a count read off the bit length of the input, above
     every possible step count (module docstring); exceeding the cap raises
-    ArithmeticError.
+    ArithmeticError, and so does a y of 0 in a p-strip (single step or a
+    batch's full-pair step), which only a wrong digit can leave.
     """
     _require_unit_pair(a, b, p)
     require_lowest_terms(a, b)
@@ -259,7 +250,10 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     share = 2 * p < bits  # where steps repeat enough for the lookups to pay (module docstring)
     depth = _BATCH_WIDTH // p.bit_length()
     if _BATCH_DEPTH_MIN <= depth and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
-        y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses, records)
+        try:
+            y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses, records)
+        except ArithmeticError as exc:  # a defect: named with the input, as the cap is
+            raise ArithmeticError(f"{exc} in the expansion of {a}/{b}") from None
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
     # and y_m mod p, never 0, until the sum is 0 at a stationary pair (lemma (iii))
     r_prev, r_cur = y_prev % p, y_cur % p
@@ -276,6 +270,8 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
         y_next, alpha = delta // p, 1  # exact: digit makes delta divisible by p
         r_next = y_next % p
         while not r_next:
+            if not y_next:  # only a wrong digit (a defect) leaves 0, which p divides forever
+                raise ArithmeticError(f"inexact step: expansion of {a}/{b} reached y = 0")
             y_next //= p
             alpha += 1
             r_next = y_next % p

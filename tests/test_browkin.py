@@ -58,6 +58,15 @@ def raw_step(beta_prev, beta, k, p):
     return x, v - k, delta // p**v
 
 
+def lambdas(report):
+    """(lambda1, lambda2) = (p +- sqrt(D)) / (4p), D = p**2 + 16: the exact roots the
+    report's bound is taken with, built from its p."""
+    p = report.p
+    return tuple(
+        QuadraticElement(Fraction(1, 4), Fraction(sign, 4 * p), p * p + 16) for sign in (1, -1)
+    )
+
+
 def capacity(report):
     """2|beta1|/(lambda1-lambda2) + |beta0| = |beta0| + (4p|beta1|/D)*sqrt(D), D = p**2 + 16."""
     p, disc = report.p, report.p**2 + 16
@@ -351,28 +360,30 @@ class TestBound:
     def test_worked_fixtures(self):
         report = browkin_bound(2, 1, 3)
         assert report.n_bound == 3
-        assert report.lambda1 == QuadraticElement(Fraction(2, 3))
-        assert report.lambda2 == QuadraticElement(Fraction(-1, 6))
+        lambda1, lambda2 = lambdas(report)
+        assert lambda1 == QuadraticElement(Fraction(2, 3))
+        assert lambda2 == QuadraticElement(Fraction(-1, 6))
         assert report.exact_certificate
 
         assert browkin_bound(2, 5, 3).n_bound == 6
 
         report = browkin_bound(4, 13, 5)
         assert report.n_bound == 6
-        assert report.lambda1 == QuadraticElement(Fraction(1, 4), Fraction(1, 20), 41)
+        lambda1, lambda2 = lambdas(report)
+        assert lambda1 == QuadraticElement(Fraction(1, 4), Fraction(1, 20), 41)
         assert report.exact_certificate
-        assert capacity(report) == QuadraticElement(2 * 13) / (report.lambda1 - report.lambda2) + 4
+        assert capacity(report) == QuadraticElement(2 * 13) / (lambda1 - lambda2) + 4
 
     def test_roots_satisfy_defining_equation(self):
         for p in (3, 5, 7, 11):
-            report = browkin_bound(3, 4, p)
-            for lam in (report.lambda1, report.lambda2):
+            lambda1, lambda2 = lambdas(browkin_bound(3, 4, p))
+            for lam in (lambda1, lambda2):
                 residual = 2 * p * p * lam * lam - p * p * lam - 2
                 assert residual == QuadraticElement(0)
-            assert report.lambda1.sign() == 1
-            assert (1 - report.lambda1).sign() == 1
-            assert report.lambda2.sign() == -1
-            assert (report.lambda2 + Fraction(1, 2)).sign() == 1
+            assert lambda1.sign() == 1
+            assert (1 - lambda1).sign() == 1
+            assert lambda2.sign() == -1
+            assert (lambda2 + Fraction(1, 2)).sign() == 1
 
     def test_bound_brackets_capacity_exactly(self):
         rng = random.Random(59)
@@ -399,7 +410,7 @@ class TestBound:
             inputs.append((p, rng.randint(1, 10**200), rng.randint(0, 10**200)))
         for p, b0, b1 in inputs:
             report = browkin_bound(b0, b1, p)
-            n, lam1, cap = report.n_bound, report.lambda1, capacity(report)
+            n, lam1, cap = report.n_bound, lambdas(report)[0], capacity(report)
             assert (lam1**n * cap - 1).sign() >= 0
             assert (lam1 ** (n + 1) * cap - 1).sign() < 0
 
@@ -423,7 +434,7 @@ class TestBound:
             report = browkin_bound(2, 5, p)
             thetas = theta_sequence(2, 5, p, 12)
             for i, theta in enumerate(thetas):
-                envelope = report.lambda1**i * capacity(report)
+                envelope = lambdas(report)[0] ** i * capacity(report)
                 assert (envelope - theta).sign() >= 0
 
 

@@ -29,12 +29,17 @@ from padic_cf.schneider import generate_constant_head
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
-# the CLI in a fresh interpreter, with each residue taken as its own inverse mod p in the
-# Schneider kernel, a planted defect: TestExpandSchneiderCommand's runaway loop
-PLANTED_MAIN = (
-    "import sys, padic_cf.schneider as s; s.pow = lambda r, e, m: r\n"
-    "from padic_cf.cli import main; sys.exit(main(sys.argv[1:]))"
-)
+
+
+def planted_main(module, inverse="lambda r, e, m: r"):
+    # the CLI in a fresh interpreter, with the inverses mod p in a kernel's module planted
+    # as inverse(r, e, m) (by default each residue its own inverse), a defect
+    return (f"import sys, padic_cf.{module} as kernel; kernel.pow = {inverse}\n"
+            "from padic_cf.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+# the Schneider kernel's planted defect: TestExpandSchneiderCommand's runaway loop
+PLANTED_MAIN = planted_main("schneider")
 
 
 def run_process(args, timeout=60):
@@ -190,6 +195,15 @@ class TestExpandBrowkinCommand:
         assert (code, out) == (1, "")
         assert err == "FAIL: bound violated: expansion of 1/5 exceeded 24 steps\n"
 
+    def test_planted_zero_beta_ends_the_p_strip(self):
+        # with each residue taken as its own inverse, a step of 365/54 at p=3 divides inexactly
+        # to a beta of 0, which the p-strip once divided by p forever; in a fresh process under
+        # a timeout, so that a loop that does not end fails here and hangs nothing
+        done = run_process(["-c", planted_main("browkin"), "expand-browkin", "-p", "3", "365/54"],
+                           timeout=30)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == b"FAIL: inexact step: expansion of 365/54 reached a beta of 0\n"
+
     def test_height_beyond_float_range(self, capsys):
         code, out, err = run_cli(["expand-browkin", "-p", "5", f"{10**400 + 1}/{7**300}"], capsys)
         assert code == 0, err
@@ -263,6 +277,23 @@ class TestExpandSchneiderCommand:
         code, out, err = run_cli(["expand-schneider", "-p", "5", "1/4"], capsys)
         assert (code, out) == (1, "")
         assert err == "FAIL: bound violated: expansion of 1/4 exceeded 184 steps\n"
+
+    def test_planted_zero_y_ends_the_p_strip(self):
+        # with each residue taken as its own inverse, 3/2 at p=5 takes the digit 1: delta = 1
+        # gives y = 0, which the p-strip once divided by p forever.  Above the batch bound,
+        # with every inverse planted as 1, a/b = (2y + 1)/y takes the digit 2 for its true 4,
+        # the residues cannot tell the step, and the full pair gives y = 1 // 5 = 0.  Each in
+        # a fresh process under a timeout, so that a loop that does not end hangs nothing
+        done = run_process(["-c", PLANTED_MAIN, "expand-schneider", "-p", "5", "3/2"], timeout=30)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == b"FAIL: inexact step: expansion of 3/2 reached y = 0\n"
+        y = 3 + 5 * 10**300
+        text = f"{2 * y + 1}/{y}"
+        done = run_process(["-c", planted_main("schneider", "lambda r, e, m: 1"),
+                            "expand-schneider", "-p", "5", text], timeout=30)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == (
+            f"FAIL: inexact step: a batch reached y = 0 in the expansion of {text}\n".encode())
 
     def test_output_is_pinned(self):
         # text and --json on the README fixtures, 300-digit inputs, two constant
@@ -524,23 +555,68 @@ class TestDisplayFloats:
             got = cli._f6(x, y, den, exactarith.square_part(d))
             assert repr(got) == repr(want), (x, y, d, den)
 
-    def test_json_commands_build_no_field_element(self, capsys, monkeypatch):
-        # head --json and bound --json read their floats off the reports' integers
+    def test_exact_str_matches_the_field_str(self):
+        # (x + y*sqrt(d)) / den printed off integers, against the QuadraticElement's str()
+        limit = exactarith.FOLD_LIMIT
+        cases = [
+            (1, 1, 41, 4), (1, -1, 41, 4), (3, 1, 25, 12), (3, -1, 25, 12),  # the bounds
+            (2, -1, 24, 2), (0, 3, 24, -7), (0, -3, 13, 6), (0, 0, 13, -7),  # x = 0
+            (7, 0, 13, 3), (-7, 0, 24, -5), (6, 0, 24, 4),  # y = 0
+            (5, 3, 13, -7), (-4, 1, 25, -3), (4, 2, 12, -6),  # den < 0
+            (1, 1, (limit + 3) ** 2, 5), (1, 1, 13 * (limit + 3) ** 2, -5),  # past FOLD_LIMIT**2
+        ]
+        rng = random.Random(28)
+        for _ in range(2000):
+            digits = rng.choice((1, 3, 20, 1000))
+            x, y = (rng.choice((0, 1, 1, 1)) * rng.randrange(-(10**digits), 10**digits)
+                    for _ in range(2))
+            den = rng.choice((1, -1)) * rng.randrange(1, 10 ** rng.choice((1, 2, 12, 1000)))
+            d = rng.randrange(1, 200) * rng.choice((1, 4, 9, 25, 49, 4096, 4099**2, 4111**2))
+            if rng.random() < 0.1:  # a square d: the value is rational
+                d = rng.randrange(1, 10**6) ** 2
+            cases.append((x, y, d, den))
+        for x, y, d, den in cases:
+            want = str(exactarith.QuadraticElement(Fraction(x, den), Fraction(y, den), d))
+            assert cli._exact_str(x, y, den, exactarith.square_part(d)) == want, (x, y, d, den)
+
+    def test_no_command_builds_a_field_element(self, capsys, monkeypatch):
+        # every subcommand, in text and in --json: the exact values and their floats are read
+        # off the reports' integers, so no Fraction and no QuadraticElement is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a Fraction or a QuadraticElement")
 
-        heads = [(3, "2/5"), (3, "-8"), (5, "3044/673")]
+        heads = [(3, "2/5"), (3, "-8"), (5, "3044/673"), (3, "1258/701")]
         for digit, alpha, k, p in ((1, 1, 1500, 3), (2, 1, 30, 5), (1, 2, 40, 10**20 + 39)):
             heads.append((p, "%d/%d" % generate_constant_head(digit, alpha, k, p)))
         bounds = [["-p", "3", "7/2"], ["-p", "3", "--beta0", "2", "--beta1", "5"],
                   ["-p", "100000007", "7/2"], ["-p", "5", "--", "-1793/100"]]
+        units = [(3, "2/5"), (3, "1259/701"), (7, "-400/9"), (1000000007, "7/2")]  # a, b prime to p
+        rationals = units + [(3, "365/54"), (5, "-1793/100")]
         monkeypatch.setattr(Fraction, "__new__", refuse)
         monkeypatch.setattr(exactarith.QuadraticElement, "__init__", refuse)
         for p, text in heads:
             payload = run_json(["head", "-p", str(p), "--json", "--", text], capsys)
             assert payload["exact_identity"] is (payload["head_len"] is not None)
+            code, out, _ = run_cli(["head", "-p", str(p), "--", text], capsys)
+            assert code == 0 and "theta = " in out
         for argv in bounds:
             assert run_json(["bound", "--json", *argv], capsys)["exact_certificate"] is True
+            code, out, _ = run_cli(["bound", *argv], capsys)
+            assert code == 0 and "lambda1 = " in out and "lambda2 = " in out
+        for p, text in rationals:
+            commands = [["expand-browkin"], ["digits", "-n", "12"]]
+            if (p, text) in units:
+                commands.append(["expand-schneider"])
+            for command in commands:
+                argv = [*command, "-p", str(p), "--", text]
+                assert run_json([argv[0], "--json", *argv[1:]], capsys)
+                code, out, _ = run_cli(argv, capsys)
+                assert code == 0 and out
+            code, out, _ = run_cli(["verify", "-p", str(p), "--", text], capsys)
+            assert code == 0 and "FAIL" not in out
+        code, out, err = run_cli(["sweep", "--primes", "3,5,7", "--max-num", "9", "--max-den", "9"],
+                                 capsys)
+        assert code == 0 and out.startswith("p,a,b,") and err.startswith("sweep ok")
 
 
 class TestHeadCommand:

@@ -3,6 +3,7 @@ command that prints a certified output must refuse it with exit code 1."""
 
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -28,6 +29,13 @@ def test_records_are_named_tuples(record):
     # the mutants below rebuild records with _replace, which every NamedTuple has
     cls = getattr(padic_cf, record)
     assert issubclass(cls, tuple) and cls._fields and hasattr(cls, "_replace")
+
+
+def test_reports_define_no_property():
+    # plain integer tuples: the exact values they stand for are printed by the CLI off
+    # these integers, and the tests build them from the fields
+    for record in (browkin.BoundReport, schneider.HeadReport):
+        assert [name for name, value in vars(record).items() if isinstance(value, property)] == []
 
 
 def test_records_compare_as_tuples():
@@ -374,6 +382,39 @@ def test_matrix_laws_fail_a_last_eps_divisible_by_p():
         planted = expansion._replace(steps=(*head, schneider.SchneiderStep(digit, alpha - 1)), tail=(num, p * den))
         assert oracle.schneider_reconstruction(a, b, planted).ok
         assert not oracle.schneider_matrix_laws(a, b, planted).ok, (p, text)
+
+
+def _digit_past_p(expansion):
+    # the last step (d, 1) made (d + p, 1) and the tail (num, den - num): the same value, as
+    # p/(num/(den - num)) = p/(num/den) - p, and an exact eps chain to the new tail
+    p, (num, den) = expansion.p, expansion.tail
+    *head, (digit, alpha) = expansion.steps
+    assert alpha == 1
+    return expansion._replace(steps=(*head, schneider.SchneiderStep(digit + p, 1)), tail=(num, den - num))
+
+
+def test_matrix_laws_fail_a_digit_out_of_range():
+    # only 1 <= b_m <= p-1 tells these records from the expansion: planted, the record of
+    # -56 at p = 3 ends in (4, 1) with the tail (-1, 2); so does every plant of the grid
+    planted = _digit_past_p(schneider.schneider_expand(-56, 1, 3))
+    assert (planted.steps[-1], planted.tail) == ((4, 1), (-1, 2))
+    assert oracle.schneider_reconstruction(-56, 1, planted).ok
+    assert not oracle.schneider_matrix_laws(-56, 1, planted).ok
+    count = 0
+    for p in (3, 5, 7):
+        for b in range(1, 25):
+            for a in range(-25, 26):
+                if a % p == 0 or b % p == 0 or gcd(a, b) != 1:
+                    continue
+                expansion = schneider.schneider_expand(a, b, p)
+                if not expansion.steps or expansion.steps[-1].alpha != 1:
+                    continue
+                assert oracle.schneider_matrix_laws(a, b, expansion).ok
+                changed = _digit_past_p(expansion)
+                assert oracle.schneider_reconstruction(a, b, changed).ok, (p, a, b)
+                assert not oracle.schneider_matrix_laws(a, b, changed).ok, (p, a, b)
+                count += 1
+    assert count > 1000
 
 
 def test_step_law_catches_every_beta_mutant_the_global_majorant_catches(monkeypatch):

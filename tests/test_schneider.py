@@ -415,17 +415,27 @@ class TestBatchedKernel:
         assert (report.digit, report.alpha, report.head_len) == (1, 2, 1001)
 
 
+def head_values(report):
+    """(t1, t2, theta) of a HeadReport as exact QuadraticElements: t1, t2 = (digit -+ sqrt(D)) / 2,
+    the roots of T**2 - digit*T - p**alpha, and theta = (sx + sy*sqrt(D)) / n."""
+    digit, disc = report.digit, report.disc
+    t1 = QuadraticElement(Fraction(digit, 2), Fraction(-1, 2), disc)
+    t2 = QuadraticElement(Fraction(digit, 2), Fraction(1, 2), disc)
+    return t1, t2, QuadraticElement(Fraction(report.sx, report.n), Fraction(report.sy, report.n), disc)
+
+
 class TestHeadAnalysis:
     def test_2_5_fixture(self):
         report = head_analysis(2, 5, 1, 1, 3)
-        assert abs(float(report.t1) - (-1.303)) < 1e-3
-        assert abs(float(report.t2) - 2.303) < 1e-3
-        assert abs(float(report.theta) - (-5.523)) < 1e-3
-        assert report.theta == QuadraticElement(Fraction(-77, 27), Fraction(-20, 27), 13)
+        t1, t2, theta = head_values(report)
+        assert abs(float(t1) - (-1.303)) < 1e-3
+        assert abs(float(t2) - 2.303) < 1e-3
+        assert abs(float(theta) - (-5.523)) < 1e-3
+        assert theta == QuadraticElement(Fraction(-77, 27), Fraction(-20, 27), 13)
         assert report.head_len - 1 == 3
         assert report.head_len == 4
         assert report.exact_identity
-        assert (report.t2 / report.t1) ** 3 == report.theta
+        assert (t2 / t1) ** 3 == theta
 
     def test_1259_701_fixture_with_errata(self):
         report = head_analysis(1259, 701, 1, 2, 3)
@@ -433,20 +443,21 @@ class TestHeadAnalysis:
         assert report.head_len == 6
         assert report.exact_identity
         # the characteristic roots belong to T**2 - T - 9, not T**2 - T - 3
-        residual = report.t1 * report.t1 - report.t1 - 9
+        t1, _, theta = head_values(report)
+        residual = t1 * t1 - t1 - 9
         assert residual == QuadraticElement(0)
-        assert abs(float(report.theta) - (-73.736)) > 1
+        assert abs(float(theta) - (-73.736)) > 1
 
     def test_3044_673_fixture_with_errata(self):
         report = head_analysis(3044, 673, 3, 2, 5)
         assert report.head_len - 1 == 3
         assert report.head_len == 4
         assert report.exact_identity
-        assert abs(float(report.theta) - 11.211) > 1
+        assert abs(float(head_values(report)[2]) - 11.211) > 1
 
     def test_root_identities(self):
         report = head_analysis(2, 5, 1, 1, 3)
-        for root in (report.t1, report.t2):
+        for root in head_values(report)[:2]:
             assert root * root - 1 * root - 3 == QuadraticElement(0)
 
     def test_preconditions(self):
@@ -455,7 +466,7 @@ class TestHeadAnalysis:
         # the one-step head -2 = 1 - 3 before the stationary tail: theta = 1 = (t2/t1)**0
         report = head_analysis(-2, 1, 1, 1, 3)
         assert report.exact_identity and report.head_len == 1
-        assert report.theta == QuadraticElement(1)
+        assert head_values(report)[2] == QuadraticElement(1)
         # the inputs schneider_expand refuses, refused with its messages
         for a, b, message in (
             (0, 1, "numerator must be nonzero"),
@@ -468,15 +479,15 @@ class TestHeadAnalysis:
                 head_analysis(a, b, 1, 1, 3)
         # only the value a/b decides the answer: 4/10 is 2/5 (the record's integers scale by 2**2)
         scaled, reduced = head_analysis(4, 10, 1, 1, 3), head_analysis(2, 5, 1, 1, 3)
-        assert (scaled.head_len, scaled.exact_identity, scaled.theta) == (
-            reduced.head_len, reduced.exact_identity, reduced.theta)
+        assert (scaled.head_len, scaled.exact_identity, head_values(scaled)[2]) == (
+            reduced.head_len, reduced.exact_identity, head_values(reduced)[2])
 
     def test_pair_read_off_the_first_step(self):
         # with no pair given, the first step's: only the value a/b decides it, as the rest
         scaled, reduced = head_analysis(4, 10, None, None, 3), head_analysis(2, 5, None, None, 3)
         assert (reduced.digit, reduced.alpha, reduced.head_len) == (1, 1, 4)
-        assert (scaled.head_len, scaled.exact_identity, scaled.theta) == (
-            reduced.head_len, reduced.exact_identity, reduced.theta)
+        assert (scaled.head_len, scaled.exact_identity, head_values(scaled)[2]) == (
+            reduced.head_len, reduced.exact_identity, head_values(reduced)[2])
         # stationary at once (-1 at p=3) and a finite end at once (3 at p=5): no first step
         for a, b, p in ((-1, 1, 3), (3, 1, 5)):
             with pytest.raises(ValueError, match="input has no head step to analyze"):
@@ -493,7 +504,8 @@ class TestHeadAnalysis:
                 report = head_analysis(a, b, digit, alpha, p)
                 assert report.head_len == k + 1
                 assert report.exact_identity and report.head_len - 1 == k
-                assert (report.t2 / report.t1) ** k == report.theta
+                t1, t2, theta = head_values(report)
+                assert (t2 / t1) ** k == theta
                 # a +- p keeps the first digit but breaks the constant head
                 for shifted in (a + p, a - p) if k >= 7 else ():
                     off = head_analysis(shifted, b, digit, alpha, p)
@@ -517,7 +529,7 @@ class TestHeadAnalysis:
         # part, u*n' against sx'*4**e, tells the identity fails
         for a, b, digit, alpha, p in ((-1, 4, 2, 2, 3), (-1, 2, 2, 1, 5), (17, 23, 4, 2, 5)):
             report = head_analysis(a, b, digit, alpha, p)
-            assert report.theta == QuadraticElement(-1)
+            assert head_values(report)[2] == QuadraticElement(-1)
             assert not report.exact_identity and report.head_len is None
 
     def test_long_heads_certify_past_the_float_range(self):
@@ -530,9 +542,9 @@ class TestHeadAnalysis:
             assert report.exact_identity and report.head_len == k + 1
             if alpha == 1:
                 with pytest.raises(OverflowError):
-                    float(report.theta)
+                    float(head_values(report)[2])
             else:
-                assert math.isfinite(float(report.theta))
+                assert math.isfinite(float(head_values(report)[2]))
 
     def test_exponent_stays_within_the_input_size(self):
         # a real convergent of the infinite (1,20) head's value at p = 3: |theta| is
