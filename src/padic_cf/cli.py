@@ -38,6 +38,14 @@ The argparse parsers are built once per process, on the first main() call.
 When argv[0] names a subcommand, main hands the rest of argv straight to that
 subcommand's parser; the top-level parser runs only for -h, an empty argv or
 an unknown subcommand, and the two routes print the same usage and help.
+A canonical rest of argv skips argparse: its Namespace is read straight
+off the subcommand parser's own actions (option strings, dest, type, const,
+default, required) when every token is an exact option string given once,
+whose value (if it takes one) does not start with '-', or the one positional,
+optionally after a single '--'.  Every other argv (-h, an abbreviation, an
+'=' or attached value, a repeat, a value starting with '-', anything missing
+or extra) goes to parse_known_args, so argparse alone writes help, usage and
+error text, and both routes give the same Namespace.
 """
 
 from __future__ import annotations
@@ -502,6 +510,66 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+@functools.cache
+def _action_table(command_parser: argparse.ArgumentParser):
+    # what parse_known_args reads off the subcommand's own actions: each exact option string's
+    # store or store_const action, the positional, every default and the required dests
+    options, positional, defaults, required = {}, None, {}, set()
+    for action in command_parser._actions:
+        if action.dest != argparse.SUPPRESS and action.default != argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if not action.option_strings:
+            positional = action
+        elif isinstance(action, (argparse._StoreAction, argparse._StoreConstAction)):
+            options.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            required.add(action.dest)
+    return options, positional, defaults, required
+
+
+def _canonical_args(command_parser: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+    # the Namespace command_parser.parse_known_args(argv[1:], Namespace(command=argv[0])) builds,
+    # when every token is an exact option string given once, whose value (if it takes one) does
+    # not start with '-', or the one positional, optionally after a '--' that only it follows;
+    # None for every other argv, which argparse parses (and reports, as -h or an error)
+    options, positional, defaults, required = _action_table(command_parser)
+    values = {}
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        action = options.get(token)
+        if action is None:  # the positional
+            if token == "--" and i == end - 1:
+                token = argv[i]
+                i += 1
+            elif token[:1] == "-":
+                return None
+            action = positional
+            if action is None:
+                return None
+        elif action.nargs == 0:
+            token = action.const
+        elif i == end or argv[i][:1] == "-":
+            return None
+        else:
+            token = argv[i]
+            i += 1
+            if action.type is not None:
+                try:
+                    token = action.type(token)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+        if action.dest in values:
+            return None
+        values[action.dest] = token
+    if not values.keys() >= required:
+        return None
+    args = argparse.Namespace(command=argv[0], **defaults)
+    vars(args).update(values)
+    return args
+
+
 def _parse(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
     # (args, the subcommand's parser); a usage error exits 2
     parser, subparsers = _build_parser()
@@ -509,6 +577,9 @@ def _parse(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
         argv = sys.argv[1:]
     command_parser = subparsers.get(argv[0]) if argv else None
     if command_parser is not None:  # the top-level parser would pass it the rest of argv
+        args = _canonical_args(command_parser, argv)
+        if args is not None:
+            return args, command_parser
         args, unknown = command_parser.parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))
     else:  # -h, no argv or an unknown subcommand: the top-level parser reports it

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -1174,7 +1175,9 @@ def _top_level_parse(argv):
 
 class TestDispatch:
     """main hands argv to the subcommand's parser when argv[0] names one; the
-    top-level parser runs only for -h, an empty argv or an unknown subcommand."""
+    top-level parser runs only for -h, an empty argv or an unknown subcommand.
+    A canonical argv is read straight off the subcommand's actions, and every
+    other one is parsed by argparse, with the same result."""
 
     ARGVS = [
         [],
@@ -1196,6 +1199,21 @@ class TestDispatch:
         ["verify", "-p", "3", "2/5"],
         ["sweep", "--primes", "3,5", "--max-num", "3", "--max-den", "3"],
         ["sweep", "-h"],
+        # the edges of the canonical route: each of these but the last four goes to argparse
+        ["expand-browkin", "-p", "3", "-p", "5", "365/54"],
+        ["expand-schneider", "-p", "3", "--json", "--json", "1/2"],
+        ["expand-browkin", "-p", "-3", "1/2"],
+        ["head", "-p", "3", "--digit", "-1", "1259/701"],
+        ["head", "-p", "3", "-8"],
+        ["expand-browkin", "-p", "3", "--"],
+        ["bound", "-p", "3", "--"],
+        ["bound", "-p", "3", "--", "7/2", "--"],
+        ["digits", "-p", "3", "2/5", "-n"],
+        ["sweep", "--primes", "3", "--max-num=3", "--max-den", "3"],
+        ["expand-browkin", "365/54", "-p", "3"],
+        ["expand-browkin", "-p", "3", ""],
+        ["expand-browkin", "-p", "3", "--", "--"],
+        ["bound", "--beta1", "5", "--beta0", "2", "-p", "3"],
     ]
 
     @staticmethod
@@ -1225,6 +1243,86 @@ class TestDispatch:
         with pytest.raises(SystemExit):
             main(["bogus"])
         assert len(calls) == 1
+
+    def test_canonical_argv_skip_the_subcommand_parser(self, capsys, monkeypatch, tmp_path):
+        # the benchmark's query shapes and the sweep's, text and --json, never reach argparse
+        _, subparsers = cli._build_parser()
+        calls = []
+        for command_parser in subparsers.values():
+            parse = command_parser.parse_known_args
+            monkeypatch.setattr(command_parser, "parse_known_args",
+                                lambda *a, parse=parse: calls.append(a) or parse(*a))
+        a, b = generate_constant_head(1, 2, 20, 3)
+        argvs = [["sweep", "--primes", "3,5", "--max-num", "3", "--max-den", "2"],
+                 ["sweep", "--out", str(tmp_path / "sweep.csv"), "--max-den", "2", "--max-num", "3",
+                  "--primes", "3"],
+                 ["verify", "-p", "3", "--", "-365/54"], ["verify", "365/54", "--prime", "3"],
+                 ["bound", "--beta0", "2", "--beta1", "5", "-p", "3"]]
+        for command, extra in (("expand-browkin", []), ("expand-schneider", []),
+                               ("digits", ["-n", "64"]), ("bound", []), ("head", [])):
+            for json_flag in ([], ["--json"]):
+                argvs.append([command, "-p", "3", *extra, *json_flag, "--", f"{a}/{b}"])
+                argvs.append([command, *json_flag, f"{a}/{b}", *extra, "--prime", "3"])
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        assert calls == []
+
+    def test_same_as_argparse_on_a_corpus(self, monkeypatch, tmp_path):
+        # seeded argv built from each subcommand's options: random order, repeats,
+        # abbreviations, '=' and attached values, values that start with '-' or use non-ASCII
+        # digits, 0-2 positionals, with and without '--'; each gives the same (stdout, stderr,
+        # exit code) with the canonical route as with argparse alone, and each argv the route
+        # accepts gives argparse's Namespace
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        monkeypatch.chdir(tmp_path)  # where a sweep --out writes
+        _, subparsers = cli._build_parser()
+        rng = random.Random(29)
+        values = ["3", "5", "7", "2", "1", "-3", "\u0663", "0", "x"]
+        rationals = ["1/2", "-7/2", "365/54", "2/5", "", "0", "-8", "1/0", "1259/701"]
+        argvs = []
+        for _ in range(3000):
+            command = rng.choice(list(subparsers))
+            canonical = rng.random() < 0.5
+            tokens = []
+            for action in subparsers[command]._actions:
+                if not action.option_strings or action.default == argparse.SUPPRESS:
+                    continue  # the positional, and -h (the fixed cases above test help)
+                for _ in range(1 if canonical else rng.choice((0, 1, 1, 2))):
+                    option = rng.choice(action.option_strings)
+                    spelling = "exact" if canonical else rng.choice(("exact", "=", "abbrev"))
+                    if spelling == "abbrev" and option.startswith("--"):
+                        option = option[: rng.randrange(3, len(option) + 1)]
+                    if action.nargs == 0:
+                        tokens.append([option])
+                        continue
+                    value = rng.choice(values[:5] if canonical else values)
+                    if spelling == "=":
+                        tokens.append([option + ("" if len(option) == 2 else "=") + value])
+                    else:
+                        tokens.append([option, value])
+            rng.shuffle(tokens)
+            argv = [command, *chain.from_iterable(tokens)]
+            for _ in range(1 if canonical else rng.choice((0, 1, 1, 2))):
+                rational = rng.choice(rationals[:4] if canonical else rationals)
+                if rng.random() < 0.5:
+                    argv += ["--", rational]
+                else:
+                    argv.insert(rng.randrange(1, len(argv) + 1), rational)
+            argvs.append(argv)
+
+        got, accepted = [], 0
+        for argv in argvs:
+            args = cli._canonical_args(subparsers[argv[0]], argv)
+            if args is not None:
+                accepted += 1
+                want, unknown = subparsers[argv[0]].parse_known_args(
+                    argv[1:], argparse.Namespace(command=argv[0]))
+                assert (list(vars(args).items()), []) == (list(vars(want).items()), unknown), argv
+            got.append(self.run(argv))
+        assert 0.3 < accepted / len(argvs) < 0.7
+        monkeypatch.setattr(cli, "_canonical_args", lambda command_parser, argv: None)
+        for argv, output in zip(argvs, got):
+            assert output == self.run(argv), argv
 
 
 class TestJsonPairs:
