@@ -23,7 +23,9 @@ k_{n+1} >= 2 reduces both full integers mod p**(1+k_{n+1}).
 
 beta_{n+1} = 0 terminates: the last complete quotient equals its partial
 quotient exactly.  |beta_n| is dominated by a linear recurrence whose decay
-certifies that at most n_bound + 1 quotients can appear.
+certifies that at most n_bound + 1 quotients can appear.  A record stores no
+beta past beta_0: cf_pair's back-substitution hands them back to the
+reconstruction check, and the oracle's chain walk replays them for the others.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ from .exactarith import require_lowest_terms, require_odd_prime, vp_split
 
 class BrowkinStep(NamedTuple):
     """One expansion step: exponent kn and residue xn; the partial quotient is
-    an = xn/p**kn, already in lowest terms (xn is prime to p whenever kn > 0).
-    beta_n is not stored: BrowkinExpansion.beta_trace replays it, and cf_pair's
-    back-substitution hands it back."""
+    an = xn/p**kn, already in lowest terms (xn is prime to p whenever kn > 0)."""
 
     k: int
     x: int
@@ -48,41 +48,12 @@ class BrowkinStep(NamedTuple):
 
 class BrowkinExpansion(NamedTuple):
     """The expansion of alpha / (beta0 * p**k0), k0 = steps[0].k, in lowest terms,
-    to the step whose delta is 0.  beta_trace and beta1_abs replay the betas
-    forward, for the majorant check and the tests; the commands take them off
-    the reconstruction check (oracle.browkin_reconstruction)."""
+    to the step whose delta is 0; no beta past beta0 is stored (module docstring)."""
 
     p: int
     alpha: int
     beta0: int
     steps: tuple[BrowkinStep, ...]
-
-    @property
-    def quotient_pairs(self) -> list[tuple[int, int]]:
-        """Partial quotients as (xn, p**kn), numerator and positive denominator."""
-        return [(s.x, self.p**s.k) for s in self.steps]
-
-    @property
-    def k_trace(self) -> list[int]:
-        return [s.k for s in self.steps]
-
-    @property
-    def beta_trace(self) -> Iterator[int]:
-        """beta_0, beta_1, ..., one per step, replayed from (alpha, beta0) by
-        beta_{n+1} = (beta_{n-1} - xn*beta_n) / p**(kn + k_{n+1})."""
-        p, b_prev, b_cur = self.p, self.alpha, self.beta0
-        yield b_cur
-        for (k, x), (k_next, _) in zip(self.steps, self.steps[1:]):
-            b_prev, b_cur = b_cur, (b_prev - x * b_cur) // p ** (k + k_next)
-            yield b_cur
-
-    @property
-    def beta1_abs(self) -> int:
-        """|beta_1|, or 0 for a one-step expansion: the length bound's input, one step replayed."""
-        if len(self.steps) < 2:
-            return 0
-        k0, x0 = self.steps[0]
-        return abs((self.alpha - x0 * self.beta0) // self.p ** (k0 + self.steps[1].k))
 
 
 class Convergent(NamedTuple):
@@ -215,8 +186,8 @@ def cf_pair(steps, p: int, numerators: list[int] | None = None) -> tuple[int, in
 def cf_evaluate(quotients) -> Fraction:
     """Exact back-substitution of a0 + 1/(a1 + 1/(... + 1/ak)), on cf_pair.
 
-    Each quotient is an integer pair (num, den) with den > 0, as
-    BrowkinExpansion.quotient_pairs gives them.  Over the common denominator
+    Each quotient is an integer pair (num, den) with den > 0, such as (x_n, p**k_n)
+    for the step records of an expansion.  Over the common denominator
     D = lcm(den_0, ..., den_k), a_n = y_n / D with y_n = num_n * (D // den_n),
     which cf_pair takes as the step record (1, y_n) with base D.
     """
@@ -245,8 +216,8 @@ def convergent_triples(quotients) -> Iterator[tuple[int, int, int]]:
 
 def browkin_convergents(quotients) -> list[Convergent]:
     """Convergents p_n/q_n of the quotient sequence a_0, a_1, ..., integer
-    pairs (num, den) with den > 0 as BrowkinExpansion.quotient_pairs gives
-    them, on convergent_triples; successive pairs satisfy
+    pairs (num, den) with den > 0 such as (x_n, p**k_n) for an expansion's
+    step records, on convergent_triples; successive pairs satisfy
     p_n q_{n-1} - p_{n-1} q_n = (-1)**(n+1).
     """
     return [

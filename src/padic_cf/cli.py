@@ -23,11 +23,12 @@ Every printed value of the form (x + y*sqrt(d))/den is read off the integers
 of a report: its exact text by _exact_str, its display float by _f6 (bound's
 lambda2 float by -4/(p*(p + sqrt(D)))), so no command builds a Fraction or a
 QuadraticElement.
-Every computed expansion is certified by padic_cf.oracle before it is printed.
-expand-browkin prints the betas that the reconstruction check's
-back-substitution hands back (oracle.browkin_reconstruction), and it and sweep
-take |beta_1| for browkin_bound from them, so no replay runs after the check;
-`bound` given a rational reads beta0 and |beta_1| off the first step alone.
+Every computed expansion is certified by padic_cf.oracle before it is printed,
+and every trace printed is one a check computed: expand-browkin's betas come
+off the reconstruction's back-substitution (oracle.browkin_reconstruction), as
+does |beta_1| for its and sweep's bound, and text expand-schneider's y values
+off the matrix laws' chain (its --json prints no y and requires only the
+reconstruction); `bound` given a rational reads beta0 and |beta_1| off the first step.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
 step records, with no dict per step: one "%" over all the rows when more than
@@ -209,18 +210,21 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     a, b = args.rational
     expansion = schneider_expand(a, b, args.prime)
-    oracle.require(args.prime, a, b, oracle.schneider_reconstruction(a, b, expansion))
-    if args.json:
+    recon = oracle.schneider_reconstruction(a, b, expansion)
+    if args.json:  # no y printed, so no chain walked
+        oracle.require(args.prime, a, b, recon)
         print(
             f'{{"p": {args.prime}, "a": {a}, "b": {b}, '
             f'"head": {_json_pairs(expansion.steps, "b", "alpha")}, '
             f'"stationary_from": {json.dumps(expansion.stationary_from)}, '
             f'"finite_end": {json.dumps(expansion.finite_end)}}}'
         )
-    else:
+    else:  # the y trace printed is the one the matrix laws divided
+        ys: list[int] = []
+        oracle.require(args.prime, a, b, recon, oracle.schneider_matrix_laws(a, b, expansion, ys))
         print(f"input: {_rat_str(a, b)} (p={args.prime})")
         print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.steps))
-        print("y trace: " + ", ".join(str(y) for y in expansion.y_trace))
+        print("y trace: " + ", ".join(map(str, ys)))
         if expansion.stationary_from is not None:
             print(
                 f"stationary from index {expansion.stationary_from}"

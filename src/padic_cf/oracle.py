@@ -39,8 +39,14 @@ beta_{n+1} * p**(k_1+...+k_{n+1}) / beta_0; multiply by b*D_n.  So the error
 of every prefix, and the last convergent's equality with a/b (beta_{N+1} = 0),
 are laws of the beta chain: determinant_identity checks that chain and
 builds no convergent.
+
+The chain walk.  Both expansions obey y_{m-1} = d_m*y_m + p**e_m*y_{m+1}, with
+(d, e) = (x_n, k_n + k_{n+1}) on the beta chain and (b_m, alpha_m) on the y
+chain.  _walk is the one forward walk of it in the package.  On the same chain
+the determinant identity implies the majorant (see majorant's step law).
 """
 
+from itertools import chain
 from typing import NamedTuple
 
 from .browkin import browkin_bound, browkin_expand, cf_pair
@@ -88,18 +94,32 @@ def browkin_length_bound(expansion, report) -> Check:
     return _record(Check, ("browkin length bound", len(expansion.steps) <= report.n_bound + 1))
 
 
+def _walk(p: int, y_prev: int, y_cur: int, links):
+    """divmod(y_{m-1} - d*y_m, p**e) = (y_{m+1}, remainder) for each link (d, e) in
+    turn, from (y_{-1}, y_0) = (y_prev, y_cur): every beta or y a check reads."""
+    for d, e in links:
+        y_prev, (y_cur, rem) = y_cur, divmod(y_prev - d * y_cur, p**e)
+        yield y_cur, rem
+
+
+def _beta_links(steps):
+    # (x_n, k_n + k_{n+1}) for n < N: _walk from (alpha, beta0) yields beta_1, ..., beta_N
+    return ((x, k + k_next) for (k, x), (k_next, _) in zip(steps, steps[1:]))
+
+
 def majorant(expansion) -> Check:
     """|beta_i| <= theta_i of browkin.theta_sequence, checked one step at a time on
-    the betas that expansion.beta_trace replays from the quotients.
+    beta_0 = beta0 and the quotients beta_1, ..., beta_N that _walk yields.
 
     beta_{n+1} = (beta_{n-1} - x_n beta_n) / p**(k_n + k_{n+1}), |x_n| < p**(1+k_n)/2
     and k_n, k_{n+1} >= 1 for n >= 1, so |beta_{n+1}| <= |beta_n|/2 + |beta_{n-1}|/p**2:
     the step law 2p**2 |beta_i| <= p**2 |beta_{i-1}| + 2|beta_{i-2}| (i >= 2), on
-    input-sized integers.  By induction from theta_0 = beta0 = beta_0 (the replay's
-    start) and theta_1 = |beta_1| it gives |beta_i| <= theta_i = theta_{i-1}/2 + theta_{i-2}/p**2.
+    input-sized integers.  By induction from theta_0 = beta0 = beta_0 and theta_1 =
+    |beta_1| it gives |beta_i| <= theta_i = theta_{i-1}/2 + theta_{i-2}/p**2.
     """
-    betas, pp, ok = map(abs, expansion.beta_trace), expansion.p**2, True
-    before, prev = next(betas), next(betas, 0)
+    p, beta0 = expansion.p, expansion.beta0
+    betas = (abs(beta) for beta, _ in _walk(p, expansion.alpha, beta0, _beta_links(expansion.steps)))
+    pp, ok, before, prev = p**2, True, abs(beta0), next(betas, 0)
     for beta in betas:
         ok &= 2 * pp * beta <= pp * prev + 2 * before
         before, prev = prev, beta
@@ -111,24 +131,24 @@ def determinant_identity(a: int, b: int, expansion) -> Check:
     expansion: by the error identity (module docstring) that gives the determinant law
     of every prefix and a last convergent equal to a/b, with no convergent built.
 
-    alpha == a and beta0 * p**k_0 == b; for n < N, delta_n = beta_{n-1} - x_n*beta_n
-    divides exactly by p**(k_n+k_{n+1}) to beta_{n+1}, and delta_N = 0; k_n >= 1 for
-    n >= 1 and 2|x_n| < p**(1+k_n).  With every beta prime to p, these fix each x_n
-    as the symmetric residue of beta_{n-1}/beta_n mod p**(1+k_n) and each k_{n+1} as
+    alpha == a and beta0 * p**k_0 == b; k_n >= 1 for n >= 1 and 2|x_n| < p**(1+k_n);
+    for n < N, delta_n = beta_{n-1} - x_n*beta_n divides exactly by p**(k_n+k_{n+1}) to
+    beta_{n+1}; and delta_N = 0, read as beta_{N+1} off the last link (x_N, 0), the
+    one beta the check reads.  With every beta prime to p, these fix each x_n as the
+    symmetric residue of beta_{n-1}/beta_n mod p**(1+k_n) and each k_{n+1} as
     vp(delta_n) - k_n.  No beta is reduced mod p: x_n*beta_n = beta_{n-1} mod p, so
     beta_n is prime to p when beta_{n-1} is, and beta_0 is, as it divides b and,
     where p divides b, it does not divide a = x_0*beta_0 mod p.
     """
-    p, steps, b_prev, b_cur = expansion.p, expansion.steps, expansion.alpha, expansion.beta0
-    ok = bool(steps) and b_prev == a and b_cur * p ** steps[0].k == b
-    for (k, x), (k_next, _) in zip(steps, steps[1:]):
-        pk = p**k
-        b_prev, (b_cur, rem) = b_cur, divmod(b_prev - x * b_cur, pk * p**k_next)
-        ok &= k_next >= 1 and 2 * abs(x) < p * pk and not rem
-    if ok:
-        k, x = steps[-1]
-        ok = 2 * abs(x) < p ** (1 + k) and b_prev == x * b_cur
-    return _record(Check, ("determinant identity", ok))
+    p, steps = expansion.p, expansion.steps
+    if not steps:
+        return _record(Check, ("determinant identity", False))
+    ok = expansion.alpha == a and expansion.beta0 * p ** steps[0].k == b
+    ok &= all(k >= 1 for k, _ in steps[1:]) and all(2 * abs(x) < p ** (1 + k) for k, x in steps)
+    links = chain(_beta_links(steps), [(steps[-1].x, 0)])
+    for beta, rem in _walk(p, expansion.alpha, expansion.beta0, links):
+        ok &= not rem
+    return _record(Check, ("determinant identity", ok and beta == 0))
 
 
 def digit_truncation_identity(a: int, b: int, window) -> Check:
@@ -152,36 +172,44 @@ def schneider_reconstruction(a: int, b: int, expansion) -> Check:
     return _record(Check, ("schneider reconstruction", _equals(pair, a, b)))
 
 
-def schneider_matrix_laws(a: int, b: int, expansion) -> Check:
+def schneider_matrix_laws(a: int, b: int, expansion, ys: list[int] | None = None) -> Check:
     """det M_m = (-1)**(m+1) p**s and vp(r - U_m/W_m) = s, s = alpha_0+...+alpha_m,
     for every prefix M_m of the step matrices [[b_m, p**alpha_m], [1, 0]], on the
-    small side: no matrix is built.
+    small side: no matrix is built.  Given a list, ys receives y_1, ..., y_N, the
+    values the check divided.
 
     Each step matrix has determinant -p**alpha_m.  a*W_m - b*U_m = p**s eps_m with
-    eps_m = (b_m eps_{m-1} + eps_{m-2}) / p**alpha_m = (-1)**m y_{m+1}, eps_{-2} = a,
-    eps_{-1} = -b, and r - U/W = (a*W - b*U) / (b*W), so with b and W prime to p the
-    valuation law is every division exact and every eps_m prime to p.  With
-    alpha_m >= 1, p divides b_m eps_{m-1} + eps_{m-2}, so eps_{m-1}, b_m and W_m =
-    b_m W_{m-1} mod p are prime to p when eps_{m-2} is; a or b is, and if p divides b
-    the first division fails, so only the last eps (-b with no step) is reduced mod p.
-    The chain must end at the record's tail, y_{N-1}/y_N = -eps_{N-2}/eps_{N-1} =
-    num/den, so a record with its last step dropped fails too.  Each digit must lie
-    in 1..p-1, as Schneider's do: b_m + p with the tail moved to match keeps the value
-    and every law above, but is not the expansion.
+    eps_m = (b_m eps_{m-1} + eps_{m-2}) / p**alpha_m, eps_{-2} = a, eps_{-1} = -b, and
+    r - U/W = (a*W - b*U) / (b*W), so with b and W prime to p the valuation law is
+    every division exact and every eps_m prime to p.  While they are exact, eps_m =
+    (-1)**m y_{m+1}, so the check walks the y chain from (a, b).  With alpha_m >= 1,
+    p divides y_{m-1} - b_m y_m, so y_m, b_m and W_m = b_m W_{m-1} mod p are prime to
+    p when y_{m-1} is; a or b is, and if p divides b the first division fails, so
+    only the last y is reduced mod p.  The chain must end at the record's tail,
+    y_{N-1}/y_N = num/den, so a record with its last step dropped fails too.  Each
+    digit must lie in 1..p-1, as Schneider's do: b_m + p with the tail moved to match
+    keeps the value and every law above, but is not the expansion.
     """
-    p, eps_prev, eps, ok = expansion.p, a, -b, True
-    for digit, alpha in expansion.steps:
-        eps_prev, (eps, rem) = eps, divmod(digit * eps + eps_prev, p**alpha)
-        ok &= 0 < digit < p and alpha >= 1 and not rem
+    p, steps = expansion.p, expansion.steps
+    ok = all(0 < digit < p and alpha >= 1 for digit, alpha in steps)
+    keep = None if ys is None else ys.append
+    y_prev, y_cur = a, b
+    for y_next, rem in _walk(p, a, b, steps):
+        ok &= not rem
+        y_prev, y_cur = y_cur, y_next
+        if keep:
+            keep(y_next)
     num, den = expansion.tail
-    ok &= eps % p != 0 and num * eps + den * eps_prev == 0
+    ok &= y_cur % p != 0 and num * y_cur == den * y_prev
     return _record(Check, ("schneider matrix laws", ok))
 
 
 def battery(a: int, b: int, p: int) -> list[Check]:
     """Every check that applies to a nonzero a/b, as `verify` prints them."""
     expansion = browkin_expand(a, b, p)
-    report = browkin_bound(expansion.beta0, expansion.beta1_abs, p)
+    first_link = _beta_links(expansion.steps[:2])  # none for a one-step expansion: |beta_1| = 0
+    beta1, _ = next(_walk(p, expansion.alpha, expansion.beta0, first_link), (0, 0))
+    report = browkin_bound(expansion.beta0, abs(beta1), p)
     checks = [
         browkin_reconstruction(a, b, expansion),
         browkin_length_bound(expansion, report),

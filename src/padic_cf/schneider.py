@@ -24,6 +24,9 @@ and in the single-step loop where 2p < bits (bits as below) only, as an
 expansion has about p distinct steps and in shorter ones lookups cost more
 than they save.  Both dicts go when the expansion returns.
 
+A record stores no y but its tail: oracle.schneider_matrix_laws walks the y
+chain forward from (a, b) and hands back the values it divided.
+
 Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
 every later step is (p-1, 1) and the remaining tail has exact value -1.
@@ -121,14 +124,6 @@ class SchneiderExpansion(NamedTuple):
     stationary_from: int | None
     finite_end: bool
     tail: tuple[int, int]
-
-    @property
-    def y_trace(self) -> Iterator[int]:
-        """y_1, y_2, ..., one per step, replayed from (a, b) through the recurrence."""
-        p, y_prev, y_cur = self.p, self.a, self.b
-        for digit, alpha in self.steps:
-            y_prev, y_cur = y_cur, (y_prev - digit * y_cur) // p**alpha
-            yield y_cur
 
 
 class HeadReport(NamedTuple):

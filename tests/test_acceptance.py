@@ -25,6 +25,8 @@ from padic_cf.schneider import (
     schneider_expand,
 )
 
+from replay import beta1_abs, beta_trace, k_trace, quotient_pairs, y_trace
+
 
 @contextmanager
 def criterion(number, label):
@@ -56,25 +58,25 @@ def test_criterion_1_browkin_fixtures():
     with criterion(1, "browkin table fixtures, errata-aware, exact reconstruction"):
         # 365/54 at p=3: quotients exactly as printed
         exp = browkin_expand(365, 54, 3)
-        assert exp.quotient_pairs[:3] == [(-20, 27), (4, 3), (2, 3)]
-        assert exp.k_trace == [3, 1, 1, 1]
-        assert list(exp.beta_trace) == [2, 5, -2, 1]
+        assert quotient_pairs(exp)[:3] == [(-20, 27), (4, 3), (2, 3)]
+        assert k_trace(exp) == [3, 1, 1, 1]
+        assert beta_trace(exp) == [2, 5, -2, 1]
         # printed a3 = 7/3 is the same residue class: 7 = -2 mod 9
         assert (exp.steps[3].x - 7) % 3 ** (1 + 1) == 0
 
         # 77/18 at p=3: printed x0 = 25 mod 27, x1 = 11 mod 9
         exp = browkin_expand(77, 18, 3)
-        assert (exp.steps[0].k, next(exp.beta_trace)) == (2, 2)
+        assert (exp.steps[0].k, beta_trace(exp)[0]) == (2, 2)
         assert (exp.steps[0].x - 25) % 27 == 0
         assert (exp.steps[1].x - 11) % 9 == 0
 
         # -1793/100 at p=5: printed a3 = -4/5 fails reconstruction; oracle +4/5
         exp = browkin_expand(-1793, 100, 5)
-        assert exp.quotient_pairs == [(-42, 25), (-8, 5), (-3, 5), (4, 5)]
-        assert [abs(b) for b in exp.beta_trace] == [4, 13, 4, 1]
+        assert quotient_pairs(exp) == [(-42, 25), (-8, 5), (-3, 5), (4, 5)]
+        assert [abs(b) for b in beta_trace(exp)] == [4, 13, 4, 1]
 
         for a, b, p in [(365, 54, 3), (77, 18, 3), (-1793, 100, 5)]:
-            assert cf_evaluate(browkin_expand(a, b, p).quotient_pairs) == Fraction(a, b)  # zero tolerance
+            assert cf_evaluate(quotient_pairs(browkin_expand(a, b, p))) == Fraction(a, b)  # zero tolerance
 
 
 def test_criterion_2_length_bounds():
@@ -100,19 +102,19 @@ def test_criterion_3_schneider_fixtures():
     with criterion(3, "schneider table fixtures with y-traces"):
         exp = schneider_expand(2, 5, 3)
         assert exp.steps == ((1, 1),) * 4
-        assert list(exp.y_trace) == [-1, 2, -1, 1]
+        assert y_trace(exp) == [-1, 2, -1, 1]
         assert exp.stationary_from == 4
         assert schneider_evaluate(exp.steps, (-1, 1), 3) == Fraction(2, 5)
 
         exp = schneider_expand(1259, 701, 3)
         assert exp.steps == ((1, 2),) * 6
-        assert list(exp.y_trace) == [62, 71, -1, 8, -1, 1]
+        assert y_trace(exp) == [62, 71, -1, 8, -1, 1]
         assert exp.stationary_from == 6
         assert schneider_evaluate(exp.steps, (-1, 1), 3) == Fraction(1259, 701)
 
         exp = schneider_expand(3044, 673, 5)
         assert exp.steps == ((3, 2),) * 4
-        assert list(exp.y_trace) == [41, 22, -1, 1]
+        assert y_trace(exp) == [41, 22, -1, 1]
         assert exp.stationary_from == 4
         assert schneider_evaluate(exp.steps, (-1, 1), 5) == Fraction(3044, 673)
 
@@ -144,16 +146,16 @@ def test_criterion_4_head_analysis():
 
 def _browkin_battery(r, p):
     exp = browkin_expand(r.numerator, r.denominator, p)
-    assert cf_evaluate(exp.quotient_pairs) == r
-    beta1 = exp.beta1_abs
+    assert cf_evaluate(quotient_pairs(exp)) == r
+    beta1 = beta1_abs(exp)
     report = browkin_bound(exp.beta0, beta1, p)
     assert len(exp.steps) <= report.n_bound + 1
     thetas = theta_sequence(exp.beta0, beta1, p, max(2, len(exp.steps)))
-    betas = list(exp.beta_trace)
+    betas = beta_trace(exp)
     assert len(betas) == len(exp.steps)
     for i, beta in enumerate(betas):
         assert abs(beta) <= thetas[i]
-    convs = browkin_convergents(exp.quotient_pairs)
+    convs = browkin_convergents(quotient_pairs(exp))
     for n in range(1, len(convs)):
         det = convs[n].pn * convs[n - 1].qn - convs[n - 1].pn * convs[n].qn
         assert det == (-1) ** (n + 1)

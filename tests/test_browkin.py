@@ -23,6 +23,8 @@ from padic_cf.browkin import (
 )
 from padic_cf.exactarith import QuadraticElement, int_vp, mod_inverse, symmetric_residue, vp
 
+from replay import beta1_abs, beta_trace, k_trace, quotient_pairs
+
 
 def random_rationals(seed, count, span=300):
     rng = random.Random(seed)
@@ -76,7 +78,7 @@ def capacity(report):
 def assert_step_law(exp, r, p):
     """exp expands r; each recorded step follows from the pair before it by raw_step,
     and the last one ends."""
-    steps, betas = exp.steps, list(exp.beta_trace)
+    steps, betas = exp.steps, beta_trace(exp)
     assert len(betas) == len(steps)
     assert betas[0] == exp.beta0 and exp.beta0 % p != 0
     assert Fraction(exp.alpha, exp.beta0 * p ** steps[0].k) == r
@@ -93,36 +95,36 @@ def assert_step_law(exp, r, p):
 class TestExpandFixtures:
     def test_365_54(self):
         exp = browkin_expand(365, 54, 3)
-        assert exp.quotient_pairs == [(-20, 27), (4, 3), (2, 3), (-2, 3)]
-        assert exp.k_trace == [3, 1, 1, 1]
-        assert list(exp.beta_trace) == [2, 5, -2, 1]
-        assert exp.beta1_abs == 5
-        assert cf_evaluate(exp.quotient_pairs) == Fraction(365, 54)
+        assert quotient_pairs(exp) == [(-20, 27), (4, 3), (2, 3), (-2, 3)]
+        assert k_trace(exp) == [3, 1, 1, 1]
+        assert beta_trace(exp) == [2, 5, -2, 1]
+        assert beta1_abs(exp) == 5
+        assert cf_evaluate(quotient_pairs(exp)) == Fraction(365, 54)
 
     def test_77_18(self):
         exp = browkin_expand(77, 18, 3)
-        assert exp.quotient_pairs == [(-2, 9), (2, 9)]
-        assert (exp.k_trace[0], next(exp.beta_trace)) == (2, 2)
-        assert cf_evaluate(exp.quotient_pairs) == Fraction(77, 18)
+        assert quotient_pairs(exp) == [(-2, 9), (2, 9)]
+        assert (k_trace(exp)[0], beta_trace(exp)[0]) == (2, 2)
+        assert cf_evaluate(quotient_pairs(exp)) == Fraction(77, 18)
 
     def test_minus_1793_100(self):
         exp = browkin_expand(-1793, 100, 5)
-        assert exp.quotient_pairs == [(-42, 25), (-8, 5), (-3, 5), (4, 5)]
-        assert exp.k_trace == [2, 1, 1, 1]
-        assert [abs(b) for b in exp.beta_trace] == [4, 13, 4, 1]
-        assert cf_evaluate(exp.quotient_pairs) == Fraction(-1793, 100)
+        assert quotient_pairs(exp) == [(-42, 25), (-8, 5), (-3, 5), (4, 5)]
+        assert k_trace(exp) == [2, 1, 1, 1]
+        assert [abs(b) for b in beta_trace(exp)] == [4, 13, 4, 1]
+        assert cf_evaluate(quotient_pairs(exp)) == Fraction(-1793, 100)
 
     def test_integer_five(self):
         # deterministic rule output, frozen; reconstruction is the oracle
         exp = browkin_expand(5, 1, 3)
-        assert exp.quotient_pairs == [(-1, 1), (-4, 3), (2, 3)]
-        assert cf_evaluate(exp.quotient_pairs) == 5
+        assert quotient_pairs(exp) == [(-1, 1), (-4, 3), (2, 3)]
+        assert cf_evaluate(quotient_pairs(exp)) == 5
 
     def test_single_quotient_inputs(self):
         for r in (Fraction(1), Fraction(-1), Fraction(-2, 9)):
             exp = browkin_expand(r.numerator, r.denominator, 3)
-            assert exp.quotient_pairs == [(r.numerator, r.denominator)]
-            assert exp.beta1_abs == 0
+            assert quotient_pairs(exp) == [(r.numerator, r.denominator)]
+            assert beta1_abs(exp) == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +135,7 @@ class TestExpandFixtures:
         for r, p in ((Fraction(365, 54), 3), (Fraction(-1793, 100), 5), (Fraction(5), 3)):
             exp = browkin_expand(r.numerator, r.denominator, p)
             assert Fraction(exp.alpha, exp.beta0 * p ** exp.steps[0].k) == r
-            assert cf_evaluate(exp.quotient_pairs) == r
+            assert cf_evaluate(quotient_pairs(exp)) == r
         for pair in ((0, 1), (2, 4), (1, 0), (1, -2)):
             with pytest.raises(ValueError):
                 browkin_expand(*pair, 3)
@@ -154,7 +156,7 @@ class TestExpandFixtures:
 
 class TestBrowkinBetas:
     def test_first_step_alone_matches_the_expansion(self):
-        # one-step inputs (beta1_abs 0), k0 > 0, negative a and p up to 10**9 + 7
+        # one-step inputs (|beta_1| = 0), k0 > 0, negative a and p up to 10**9 + 7
         rng = random.Random(26)
         cases = [(3, 1, 1), (3, -1, 3), (3, 9, 1), (3, -2, 9), (5, 5, 1), (3, 365, 54),
                  (5, -1793, 100), (10**20 + 39, 7, 2), (10**20 + 39, -1, 3)]
@@ -170,7 +172,7 @@ class TestBrowkinBetas:
         one_step = k0_positive = 0
         for p, a, b in cases:
             exp = browkin_expand(a, b, p)
-            assert browkin.browkin_betas(a, b, p) == (exp.beta0, exp.beta1_abs), (p, a, b)
+            assert browkin.browkin_betas(a, b, p) == (exp.beta0, beta1_abs(exp)), (p, a, b)
             one_step += len(exp.steps) == 1
             k0_positive += exp.steps[0].k > 0
         assert one_step >= 5 and k0_positive >= 20
@@ -194,7 +196,7 @@ class TestQuotientPairs:
                     num = rng.randint(-height, height) or 1
                     r = Fraction(num, rng.randint(1, height) * p**shift)
                     exp = browkin_expand(r.numerator, r.denominator, p)
-                    pairs = exp.quotient_pairs
+                    pairs = quotient_pairs(exp)
                     assert pairs == [(s.x, p**s.k) for s in exp.steps]
                     assert [Fraction(x, den).as_integer_ratio() for x, den in pairs] == pairs
                     for (x, den), step in zip(pairs, exp.steps):
@@ -212,7 +214,7 @@ class TestQuotientPairs:
             exp = browkin.browkin_expand(r.numerator, r.denominator, p)
             assert made == [], made[:2]
             assert len(exp.steps) > 100
-            assert cf_evaluate(exp.quotient_pairs) == r
+            assert cf_evaluate(quotient_pairs(exp)) == r
 
     @pytest.mark.parametrize(
         "argv",
@@ -276,7 +278,7 @@ class TestConvergents:
         for p in (3, 5):
             for r in random_rationals(43 + p, 100):
                 exp = browkin_expand(r.numerator, r.denominator, p)
-                convs = browkin_convergents(exp.quotient_pairs)
+                convs = browkin_convergents(quotient_pairs(exp))
                 assert convs[-1].value == r
                 for n in range(1, len(convs)):
                     det = convs[n].pn * convs[n - 1].qn - convs[n - 1].pn * convs[n].qn
@@ -287,7 +289,7 @@ class TestConvergents:
     def test_padic_convergence_is_monotone(self):
         for r in random_rationals(47, 80):
             exp = browkin_expand(r.numerator, r.denominator, 3)
-            convs = browkin_convergents(exp.quotient_pairs)
+            convs = browkin_convergents(quotient_pairs(exp))
             vals = [vp(r - c.value, 3) for c in convs if c.value != r]
             assert vals == sorted(set(vals))
 
@@ -298,9 +300,9 @@ class TestStepIdentities:
             for r in random_rationals(53 + p, 80):
                 exp = browkin_expand(r.numerator, r.denominator, p)
                 steps = exp.steps
-                a = [Fraction(x, den) for x, den in exp.quotient_pairs]
+                a = [Fraction(x, den) for x, den in quotient_pairs(exp)]
                 # complete quotients r_n = beta_{n-1} / (beta_n * p**k_n), beta_{-1} = alpha
-                betas = [exp.alpha, *exp.beta_trace]
+                betas = [exp.alpha, *beta_trace(exp)]
                 rs = [Fraction(betas[n], betas[n + 1] * p**s.k) for n, s in enumerate(steps)]
                 assert rs[0] == r
                 for n in range(len(steps) - 1):
@@ -340,7 +342,7 @@ class TestStepLaw:
             for r in inputs:
                 exp = browkin_expand(r.numerator, r.denominator, p)
                 assert_step_law(exp, r, p)
-                assert cf_evaluate(exp.quotient_pairs) == r
+                assert cf_evaluate(quotient_pairs(exp)) == r
 
 
 class TestThetaSequence:
@@ -443,9 +445,9 @@ class TestMajorantAndLength:
         for p in (3, 5):
             for r in random_rationals(61 + p, 120):
                 exp = browkin_expand(r.numerator, r.denominator, p)
-                betas = list(exp.beta_trace)
+                betas = beta_trace(exp)
                 beta1 = abs(betas[1]) if len(betas) > 1 else 0
-                assert beta1 == exp.beta1_abs
+                assert beta1 == beta1_abs(exp)
                 report = browkin_bound(exp.beta0, beta1, p)
                 assert len(exp.steps) <= report.n_bound + 1
                 thetas = theta_sequence(exp.beta0, beta1, p, max(2, len(exp.steps)))

@@ -28,6 +28,8 @@ import padic_cf.schneider as schneider
 from padic_cf.cli import main, parse_rational
 from padic_cf.schneider import generate_constant_head
 
+from replay import beta1_abs, beta_trace, k_trace, quotient_pairs
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
 
@@ -158,7 +160,7 @@ class TestExpandBrowkinCommand:
         assert "FAIL" in err
 
     def test_printed_betas_are_the_replayed_trace(self, capsys):
-        # the betas come off the reconstruction's back-substitution; beta_trace replays
+        # the betas come off the reconstruction's back-substitution; the replay helper walks
         # them forward by the other recurrence, so the two must agree
         cases = [(p, text) for p in (3, 5, 101, 10**9 + 7) for text in ("1", "-1/3", "9", "7/2")]
         cases.append((10**20 + 39, "7/2"))
@@ -175,9 +177,9 @@ class TestExpandBrowkinCommand:
         one_step = 0
         for p, text in cases:
             exp = browkin.browkin_expand(*parse_rational(text), p)
-            trace = list(exp.beta_trace)
+            trace = beta_trace(exp)
             one_step += len(trace) == 1
-            n_bound = browkin.browkin_bound(exp.beta0, exp.beta1_abs, p).n_bound
+            n_bound = browkin.browkin_bound(exp.beta0, beta1_abs(exp), p).n_bound
             code, out, _ = run_cli(["expand-browkin", "-p", str(p), "--", text], capsys)
             assert code == 0
             lines = out.splitlines()
@@ -422,8 +424,8 @@ class TestBoundCommand:
         expected, one_step = [], 0
         for p, text in cases:
             expansion = browkin.browkin_expand(*parse_rational(text), p)
-            one_step += len(expansion.steps) == 1  # beta1_abs reads 0
-            betas = ["--beta0", str(expansion.beta0), "--beta1", str(expansion.beta1_abs)]
+            one_step += len(expansion.steps) == 1  # |beta_1| reads 0
+            betas = ["--beta0", str(expansion.beta0), "--beta1", str(beta1_abs(expansion))]
             expected.append([run_cli(["bound", "-p", str(p), *flags, *betas], capsys)
                              for flags in ([], ["--json"])])
         assert one_step > 0
@@ -852,10 +854,10 @@ class TestJsonRoundTrip:
         want = json.dumps({
             "p": p,
             "input": text,
-            "quotients": [{"num": x, "den": den} for x, den in bro.quotient_pairs],
-            "k": bro.k_trace,
-            "beta": list(bro.beta_trace),
-            "bound_N": browkin.browkin_bound(bro.beta0, bro.beta1_abs, p).n_bound,
+            "quotients": [{"num": x, "den": den} for x, den in quotient_pairs(bro)],
+            "k": k_trace(bro),
+            "beta": beta_trace(bro),
+            "bound_N": browkin.browkin_bound(bro.beta0, beta1_abs(bro), p).n_bound,
             "reconstructed": True,
         })
         assert run_cli(["expand-browkin", "-p", str(p), "--json", "--", text], capsys) == (
@@ -1352,8 +1354,8 @@ class TestJsonPairs:
             want = json.dumps([{"b": d, "alpha": e} for d, e in exp.steps])
             assert cli._json_pairs(exp.steps, "b", "alpha") == want
         exp = browkin.browkin_expand(-(10**300 + 7), 10**299 + 3, 101)
-        want = json.dumps([{"num": x, "den": y} for x, y in exp.quotient_pairs])
-        assert cli._json_pairs(exp.quotient_pairs, "num", "den") == want
+        want = json.dumps([{"num": x, "den": y} for x, y in quotient_pairs(exp)])
+        assert cli._json_pairs(quotient_pairs(exp), "num", "den") == want
 
     def test_browkin_records_with_p(self):
         # given p, the rows are (k, x) records written as (x, p**k), on both paths: k0 > 0
@@ -1362,7 +1364,7 @@ class TestJsonPairs:
                         (-(10**300 + 7), 10**299 + 3, 101), (10**300 + 7, 7 * 10**9 + 49, 10**9 + 7),
                         (1, 1, 3), (-2, 9, 3)):
             exp = browkin.browkin_expand(a, b, p)
-            want = json.dumps([{"num": x, "den": y} for x, y in exp.quotient_pairs])
+            want = json.dumps([{"num": x, "den": y} for x, y in quotient_pairs(exp)])
             assert cli._json_pairs(exp.steps, "num", "den", p) == want, (a, b, p)
 
 

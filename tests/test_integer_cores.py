@@ -9,7 +9,7 @@ checks the majorant one step at a time; the global statement, every
 |beta_i| <= theta_i of theta_sequence, is tested here.  Its determinant
 identity walks the beta chain and builds no convergent; the error identity
 that ties the two, proved in the oracle module docstring, is tested here
-against convergent_triples and beta_trace.
+against convergent_triples and the replayed betas.
 """
 
 import contextlib
@@ -23,6 +23,8 @@ from padic_cf import browkin_bound, browkin_convergents, browkin_expand, cf_eval
 from padic_cf.browkin import Convergent, cf_pair, convergent_triples
 from padic_cf.cli import main
 from padic_cf.schneider import schneider_evaluate, schneider_expand, schneider_pair
+
+from replay import beta1_abs, beta_trace, k_trace, quotient_pairs
 
 PRIMES = (3, 7, 101, 10**9 + 7)
 DIGITS = (1, 40, 300, 1000)
@@ -77,7 +79,7 @@ def test_reconstruction_cores_agree_with_the_wrappers():
         assert Fraction(exp.alpha, exp.beta0 * p ** exp.steps[0].k) == r
         num, den = cf_pair(exp.steps, p)
         assert den != 0 and num * b == den * a
-        assert Fraction(num, den) == cf_evaluate(exp.quotient_pairs) == r
+        assert Fraction(num, den) == cf_evaluate(quotient_pairs(exp)) == r
         if a % p and b % p:
             sexp = schneider_expand(a, b, p)
             num, den = schneider_pair(sexp.steps, sexp.tail, p)
@@ -93,14 +95,14 @@ def test_convergent_and_theta_cores_agree_with_fraction_references():
         exp = browkin_expand(a, b, p)
         if len(exp.steps) * p.bit_length() > 3000:
             continue
-        reference = _reference_convergents([Fraction(x, den) for x, den in exp.quotient_pairs])
-        triples = list(convergent_triples(exp.quotient_pairs))
+        reference = _reference_convergents([Fraction(x, den) for x, den in quotient_pairs(exp)])
+        triples = list(convergent_triples(quotient_pairs(exp)))
         assert [(Fraction(pn, d), Fraction(qn, d)) for pn, qn, d in triples] == reference
-        assert browkin_convergents(exp.quotient_pairs) == [Convergent(pn, qn, pn / qn) for pn, qn in reference]
+        assert browkin_convergents(quotient_pairs(exp)) == [Convergent(pn, qn, pn / qn) for pn, qn in reference]
         assert reference[-1][0] / reference[-1][1] == Fraction(a, b)
         n = len(exp.steps) + 2
-        thetas = _reference_theta(exp.beta0, exp.beta1_abs, p, n)
-        assert theta_sequence(exp.beta0, exp.beta1_abs, p, n) == thetas
+        thetas = _reference_theta(exp.beta0, beta1_abs(exp), p, n)
+        assert theta_sequence(exp.beta0, beta1_abs(exp), p, n) == thetas
 
 
 def test_betas_obey_the_step_law_and_the_majorant():
@@ -115,9 +117,9 @@ def test_betas_obey_the_step_law_and_the_majorant():
                 if gcd(a, b) == 1:
                     break
             exp = browkin_expand(a, b, p)
-            betas = [abs(beta) for beta in exp.beta_trace]
+            betas = [abs(beta) for beta in beta_trace(exp)]
             assert betas[0] == exp.beta0
-            thetas = theta_sequence(exp.beta0, exp.beta1_abs, p, max(2, len(betas)))
+            thetas = theta_sequence(exp.beta0, beta1_abs(exp), p, max(2, len(betas)))
             assert all(beta <= theta for beta, theta in zip(betas, thetas)), (p, a, b)
             pp = p * p
             for i in range(2, len(betas)):
@@ -154,9 +156,9 @@ def test_error_identity_ties_the_beta_chain_to_the_convergents():
     assert any(len(browkin_expand(a, b, p).steps) == 1 for p, a, b in corpus)
     for p, a, b in corpus:
         exp = browkin_expand(a, b, p)
-        betas, ks = [*exp.beta_trace, 0], [*exp.k_trace, 0]
+        betas, ks = [*beta_trace(exp), 0], [*k_trace(exp), 0]
         assert exp.beta0 * p ** ks[0] == b
-        for n, (pn, qn, d) in enumerate(convergent_triples(exp.quotient_pairs)):
+        for n, (pn, qn, d) in enumerate(convergent_triples(quotient_pairs(exp))):
             scale = p ** sum(ks[:n + 2])
             assert a * qn - exp.beta0 * p ** ks[0] * pn == (-1) ** n * betas[n + 1] * scale * d, (p, a, b, n)
         assert n == len(exp.steps) - 1
@@ -171,7 +173,7 @@ def test_bound_and_verify_output_are_pinned():
     bounds, verified = hashlib.sha256(), hashlib.sha256()
     for p, a, b, digits in INPUTS:
         exp = browkin_expand(a, b, p)
-        bounds.update(f"{p} {a}/{b} {browkin_bound(exp.beta0, exp.beta1_abs, p).n_bound}\n".encode())
+        bounds.update(f"{p} {a}/{b} {browkin_bound(exp.beta0, beta1_abs(exp), p).n_bound}\n".encode())
         if digits > 300 and p > 7:
             continue
         out = io.StringIO()

@@ -7,7 +7,7 @@ inverses (and, for Schneider, of step records) for each expansion and, for
 Schneider above a bound, step in batches on residues mod p**K: every such
 shortcut must give the reference's steps exactly, its tail markers included.
 A Browkin step records (k, x) alone, so the reference's beta_n are checked
-against the expansion's replayed beta_trace.
+against the betas replayed from the record (tests/replay.py).
 """
 
 import random
@@ -18,6 +18,8 @@ import pytest
 from padic_cf import schneider
 from padic_cf.browkin import browkin_expand
 from padic_cf.schneider import generate_constant_head, schneider_expand
+
+from replay import beta_trace, k_trace
 
 PRIMES = (3, 5, 101, 65537, 10**9 + 7)
 
@@ -63,8 +65,8 @@ def reference_schneider(a, b, p):
 
 
 def browkin_record(exp):
-    # the steps of an expansion in reference_browkin's form: (k, x) with beta_trace
-    return [(k, x, beta) for (k, x), beta in zip(exp.steps, exp.beta_trace, strict=True)]
+    # the steps of an expansion in reference_browkin's form: (k, x) with the replayed beta
+    return [(k, x, beta) for (k, x), beta in zip(exp.steps, beta_trace(exp), strict=True)]
 
 
 def assert_browkin_matches(a, b, p):
@@ -117,7 +119,7 @@ class TestBrowkin:
         # beta_0 must be known mod p**2 at the second step: known only mod p,
         # -47/4 at p = 3 reconstructed to -50
         exp = assert_browkin_matches(-47, 4, 3)
-        assert exp.k_trace[:2] == [0, 1]
+        assert k_trace(exp)[:2] == [0, 1]
         rng = random.Random(31)
         for p in PRIMES:
             for _ in range(20):
@@ -125,7 +127,7 @@ class TestBrowkin:
                 xs = [rng.randint(-(p // 2), p // 2)] + [random_residue(rng, k, p) for k in ks[1:]]
                 a, b = browkin_input(ks, xs, p)
                 exp = assert_browkin_matches(a, b, p)
-                assert exp.k_trace == ks and [s.x for s in exp.steps] == xs
+                assert k_trace(exp) == ks and [s.x for s in exp.steps] == xs
 
     def test_k0_positive_and_runs_of_large_k(self):
         rng = random.Random(37)
@@ -136,7 +138,7 @@ class TestBrowkin:
                 xs = [random_residue(rng, k, p) for k in ks]
                 a, b = browkin_input(ks, xs, p)
                 exp = assert_browkin_matches(a, b, p)
-                assert exp.k_trace == ks and [s.x for s in exp.steps] == xs
+                assert k_trace(exp) == ks and [s.x for s in exp.steps] == xs
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_random_inputs(self, p):

@@ -13,6 +13,8 @@ from padic_cf import browkin, digits, schneider
 from padic_cf.cli import SWEEP_COLUMNS, main
 from padic_cf.exactarith import vp_split
 
+from replay import beta1_abs, beta_trace, y_trace
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -33,9 +35,12 @@ def test_records_are_named_tuples(record):
 
 def test_reports_define_no_property():
     # plain integer tuples: the exact values they stand for are printed by the CLI off
-    # these integers, and the tests build them from the fields
-    for record in (browkin.BoundReport, schneider.HeadReport):
-        assert [name for name, value in vars(record).items() if isinstance(value, property)] == []
+    # these integers, the traces an expansion does not store are the oracle's chain walks,
+    # and the tests build all of them from the fields
+    for record in (browkin.BoundReport, schneider.HeadReport, browkin.BrowkinExpansion,
+                   schneider.SchneiderExpansion, browkin.BrowkinStep, schneider.SchneiderStep):
+        properties = [name for name, value in vars(record).items() if isinstance(value, property)]
+        assert properties == [], record.__name__
 
 
 def test_records_compare_as_tuples():
@@ -49,16 +54,16 @@ def _short_bound(beta0, beta1, p):
     return browkin.browkin_bound(beta0, beta1, p)._replace(n_bound=-1)
 
 
-class _DoubledLastBeta(browkin.BrowkinExpansion):
-    # the same steps, with 2*beta + 1 in place of the last replayed beta_n alone
-    @property
-    def beta_trace(self):
-        *head, last = super().beta_trace
-        return iter([*head, 2 * last + 1])
+_walk = oracle._walk
 
 
-def _doubled_last_beta(a, b, p):
-    return _DoubledLastBeta(*browkin.browkin_expand(a, b, p))
+def _doubled_past_the_first(p, y_prev, y_cur, links):
+    # the oracle's chain with 2*y in place of every value after the first, and the remainders
+    # kept: on 2/5 at p = 3 the majorant reads beta_2 = 2 for 1; the battery reads beta_1
+    # alone, the determinant identity only remainders and beta_{N+1} = 0, and the Schneider
+    # laws the last two y values, both doubled, of a chain longer than two
+    for i, (y, rem) in enumerate(_walk(p, y_prev, y_cur, links)):
+        yield (2 * y if i else y), rem
 
 
 def _next_alpha(a, b, p):
@@ -83,7 +88,7 @@ def _deeper_last_step(a, b, p):
 BROKEN_LAWS = [
     ("cf_pair", lambda steps, p, numerators: (0, 1), "browkin reconstruction"),
     ("browkin_bound", _short_bound, "browkin length bound"),
-    ("browkin_expand", _doubled_last_beta, "majorant"),
+    ("_walk", _doubled_past_the_first, "majorant"),
     ("browkin_expand", _next_alpha, "determinant identity"),
     ("padic_digits", _wrong_first_digit, "digit truncation identity"),
     ("schneider_pair", lambda head, tail, p: (0, 1), "schneider reconstruction"),
@@ -129,6 +134,39 @@ def test_planted_schneider_defect_exits_1(argv, expected_out, message, capsys, m
     assert code == 1
     assert out == expected_out
     assert err == message
+
+
+def test_a_deeper_last_step_fails_expand_schneider_in_text(capsys, monkeypatch):
+    # the record's value is right, so the reconstruction passes it; the y trace that text
+    # mode prints is the matrix laws' own chain, and that chain is inexact at the last step
+    monkeypatch.setattr("padic_cf.cli.schneider_expand", _deeper_last_step)
+    code, out, err = run_cli(["expand-schneider", "-p", "3", "1259/701"], capsys)
+    assert (code, out, err) == (1, "", "FAIL: schneider matrix laws failed at p=3, 1259/701\n")
+
+
+def test_matrix_laws_keep_the_y_trace(capsys, monkeypatch):
+    # ys receives y_1, ..., y_N, the replay's trace on every natural record; text
+    # expand-schneider prints that list, and --json prints no y and asks for no chain
+    for p, text in ((3, "2/5"), (3, "1259/701"), (5, "3044/673"), (7, "-1"), (101, "123456789" * 6 + "/17")):
+        a, b = _reduced(text)
+        expansion = schneider.schneider_expand(a, b, p)
+        ys = []
+        assert oracle.schneider_matrix_laws(a, b, expansion, ys).ok
+        assert ys == y_trace(expansion), (p, text)
+    original, kept = oracle.schneider_matrix_laws, []
+
+    def recorded(a, b, expansion, ys=None):
+        check = original(a, b, expansion, ys)
+        kept.append(ys)
+        return check
+
+    monkeypatch.setattr(oracle, "schneider_matrix_laws", recorded)
+    code, out, _ = run_cli(["expand-schneider", "-p", "3", "1259/701"], capsys)
+    assert code == 0 and len(kept) == 1
+    assert "y trace: " + ", ".join(map(str, kept[0])) + "\n" in out
+    kept.clear()
+    assert run_cli(["expand-schneider", "-p", "3", "--json", "1259/701"], capsys)[0] == 0
+    assert kept == []
 
 
 def test_planted_prefix_defect_fails_digits(capsys, monkeypatch):
@@ -257,7 +295,7 @@ def test_one_numerator_off_fails_reconstruction_and_prints_nothing(json_flag, ca
 
 
 def test_only_commands_that_print_betas_keep_numerators(capsys, monkeypatch):
-    # verify's battery and the majorant replay stream; expand-browkin and sweep take the
+    # verify's battery and the chain checks stream; expand-browkin and sweep take the
     # betas, and |beta_1|, off the reconstruction pass
     original, asked = oracle.cf_pair, []
 
@@ -320,7 +358,7 @@ def test_a_split_last_step_fails_the_determinant_identity(p, text):
     *head, (k, x) = expansion.steps
     split = (browkin.BrowkinStep(k, x - p**k), browkin.BrowkinStep(0, 1))
     planted = expansion._replace(steps=(*head, *split))
-    report = browkin.browkin_bound(planted.beta0, planted.beta1_abs, p)
+    report = browkin.browkin_bound(planted.beta0, beta1_abs(planted), p)
     assert oracle.browkin_reconstruction(a, b, planted).ok
     assert oracle.browkin_length_bound(planted, report).ok
     assert oracle.determinant_identity(a, b, expansion).ok
@@ -417,23 +455,29 @@ def test_matrix_laws_fail_a_digit_out_of_range():
     assert count > 1000
 
 
+def _planted_trace(expansion, betas, monkeypatch):
+    # the record with beta0 = betas[0], and the oracle's chain planted to yield betas[1:]
+    # as exact quotients, whatever the record's links
+    monkeypatch.setattr(oracle, "_walk", lambda p, y_prev, y_cur, links: iter([(beta, 0) for beta in betas[1:]]))
+    return expansion._replace(beta0=betas[0])
+
+
 def test_step_law_catches_every_beta_mutant_the_global_majorant_catches(monkeypatch):
     # change one replayed beta to 2*beta + 1 or to 0; wherever some |beta_i| > theta_i,
     # theta_sequence from the planted trace's |beta_0| and |beta_1| (the majorant reads
-    # the trace alone, whose beta_0 is beta0 by construction), the step law fails too
+    # the record's beta0 and the chain alone), the step law fails too
     caught = 0
     for p, text in ((3, "365/54"), (5, "-1793/100"), (7, "123456789/1000"), (101, "7" * 40 + "/3")):
         expansion = browkin.browkin_expand(*_reduced(text), p)
-        betas = list(expansion.beta_trace)
+        betas = beta_trace(expansion)
         for n in range(len(betas)):
             for beta in (2 * betas[n] + 1, 0):
                 planted = betas[:n] + [beta] + betas[n + 1:]
-                monkeypatch.setattr(browkin.BrowkinExpansion, "beta_trace",
-                                    property(lambda self, planted=planted: iter(planted)))
+                record = _planted_trace(expansion, planted, monkeypatch)
                 beta1 = abs(planted[1]) if len(planted) > 1 else 0
                 thetas = browkin.theta_sequence(abs(planted[0]), beta1, p, max(2, len(planted)))
                 if any(abs(b) > theta for b, theta in zip(planted, thetas)):
-                    assert not oracle.majorant(expansion).ok, (p, text, n, beta)
+                    assert not oracle.majorant(record).ok, (p, text, n, beta)
                     caught += 1
     assert caught > 0
 
@@ -452,8 +496,8 @@ def test_step_law_catches_every_beta_mutant_the_global_majorant_catches(monkeypa
 )
 def test_majorant_checks_the_step_law_on_each_window(trace, ok, monkeypatch):
     # 2p**2 |beta_i| <= p**2 |beta_{i-1}| + 2|beta_{i-2}| at p = 3, on planted traces
-    monkeypatch.setattr(browkin.BrowkinExpansion, "beta_trace", property(lambda self: iter(trace)))
-    assert oracle.majorant(browkin.browkin_expand(2, 5, 3)).ok is ok
+    record = _planted_trace(browkin.browkin_expand(2, 5, 3), trace, monkeypatch)
+    assert oracle.majorant(record).ok is ok
 
 
 def test_digit_truncation_identity_fails_on_any_one_wrong_digit():
@@ -472,7 +516,7 @@ def test_length_bound_passes_n_plus_one_steps_and_fails_one_more():
     # fails, so a check loosened or tightened by one step is caught
     for p, text in ((3, "365/54"), (5, "-1793/100"), (7, "123456789/1000"), (101, "7" * 40 + "/3")):
         expansion = browkin.browkin_expand(*_reduced(text), p)
-        report, length = browkin.browkin_bound(expansion.beta0, expansion.beta1_abs, p), len(expansion.steps)
+        report, length = browkin.browkin_bound(expansion.beta0, beta1_abs(expansion), p), len(expansion.steps)
         assert oracle.browkin_length_bound(expansion, report._replace(n_bound=length - 1)).ok
         assert not oracle.browkin_length_bound(expansion, report._replace(n_bound=length - 2)).ok
 
