@@ -26,7 +26,7 @@ QuadraticElement.
 Every computed expansion is certified by padic_cf.oracle before it is printed,
 and every trace printed is one a check computed: expand-browkin's betas come
 off the reconstruction's back-substitution (oracle.browkin_reconstruction), as
-does |beta_1| for its and sweep's bound, and text expand-schneider's y values
+do beta_0 and |beta_1| for its and sweep's bound, and text expand-schneider's y values
 off the matrix laws' chain (its --json prints no y and requires only the
 reconstruction); `bound` given a rational reads beta0 and |beta_1| off the first step.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
@@ -175,13 +175,15 @@ def _json_pairs(rows, key0: str, key1: str, p: int | None = None) -> str:
 
 def _certified_browkin(a: int, b: int, p: int):
     # the expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all certified:
-    # the betas and |beta_1| come off the reconstruction check's own pass (a failed check
-    # leaves them unchecked, and require reports it before anything is printed)
+    # the betas, beta_0 and |beta_1| among them, come off the reconstruction check's own pass,
+    # and the bound reads them only once that check has passed
     expansion = browkin_expand(a, b, p)
     betas: list[int] = []
     recon = oracle.browkin_reconstruction(a, b, expansion, betas)
-    report = browkin_bound(expansion.beta0, abs(betas[1]) if len(betas) > 1 else 0, p)
-    oracle.require(p, a, b, recon, oracle.browkin_length_bound(expansion, report))
+    if not recon.ok:
+        oracle.require(p, a, b, recon)
+    report = browkin_bound(betas[0], abs(betas[1]) if len(betas) > 1 else 0, p)
+    oracle.require(p, a, b, oracle.browkin_length_bound(expansion, report))
     return expansion, betas, report
 
 

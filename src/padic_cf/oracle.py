@@ -168,7 +168,11 @@ def digit_truncation_identity(a: int, b: int, window) -> Check:
 
 
 def schneider_reconstruction(a: int, b: int, expansion) -> Check:
-    pair = schneider_pair(expansion.steps, expansion.tail, expansion.p)
+    """schneider_pair's back-substitution of the steps onto the record's tail, against a/b."""
+    try:
+        pair = schneider_pair(expansion.steps, expansion.tail, expansion.p)
+    except ZeroDivisionError:  # a zero tail, or a partial denominator of 0 on the way: not a/b
+        pair = (0, 0)
     return _record(Check, ("schneider reconstruction", _equals(pair, a, b)))
 
 

@@ -76,6 +76,37 @@ So every pair the batches pass over is one the single-step loop would step
 from without stopping, and every stationary pair and finite end lies below
 the bound, where the single-step loop runs.
 
+A run of one repeated step (d, alpha) is taken at once, by one valuation and
+one power of the step matrix M = [[d, p**alpha], [1, 0]].  Let Q(x, y) =
+x*(x - d*y) - p**alpha*y**2, the norm form of the step.
+  (v) If x, y are prime to p and vp(Q(x, y)) > alpha, the step from (x, y) is
+      (d, alpha): with beta = vp(x - d*y), beta < alpha gives vp(Q) = beta
+      and beta > alpha gives vp(Q) = alpha, so beta = alpha, x = d*y mod p
+      and the digit is d.  After that step, y_{m-1} = d*y_m + p**alpha*y_{m+1}
+      gives Q(y_m, y_{m+1}) = -Q(y_{m-1}, y_m) / p**alpha.  So from a pair with
+      v = vp(Q) finite the next r = (v - 1)//alpha steps are all (d, alpha);
+      each pair passed over has vp(Q) > alpha, so it is neither a finite end
+      (x = d*y makes vp(Q) = alpha) nor stationary (Q = 0 there for (p-1, 1),
+      where Q = (x - p*y)(x + y) and x + y is the s of (iii); for any other
+      step vp(Q) = vp(1 + d - p**alpha) <= alpha).  As (y_{m-1}, y_m) =
+      M**r (y_{m+r-1}, y_{m+r}) and det M = -p**alpha, the pair reached is
+      adj(M**r) (y_{m-1}, y_m) / (-p**alpha)**r, an exact division.
+_run_power gives M**r in O(log r) products, off the Lucas sequence u_0 = 0,
+u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
+[u_r, p**alpha*u_{r-1}]].  Both loops that walk a whole head use it:
+  - _batches, after each batch whose steps are all one record, takes the
+    next r steps by (v) when r >= 2, capped as the batches are, and records
+    them as r references to that record.  Batches run on constant heads of
+    more than about 2W bits only; the single-step loop has no such test.
+  - schneider_pair finds runs of 2*_RUN or more records that are one object,
+    as the kernel shares them (each run holds head[i] is head[i + _RUN] at
+    some i = 0 mod _RUN, so one strided `is` test over the head finds them),
+    and applies each as M**r to (num, den).  It does so only for a digit in
+    1..p-1, an exponent >= 1 and a numerator prime to p below the run: then
+    each numerator in the run is d times the one below it mod p, prime to p
+    and never 0, so the step loop would raise nowhere in the run and would
+    reach the same pair.
+
 A constant head of k+1 identical (digit, exponent) steps satisfies
 (T2/T1)**k = theta where T1, T2 are the roots of T**2 - digit*T - p**exponent
 and theta is a ratio of conjugate products.  head_analysis reads the one k it
@@ -94,6 +125,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import compress
+from operator import is_
 from typing import NamedTuple
 
 from .exactarith import require_lowest_terms, require_odd_prime, vp_split
@@ -151,7 +184,22 @@ _BATCH_WIDTH = 480  # W: bits of the residues a batch steps on (module docstring
 # fewest digits K a batch steps on: with fewer (p above 17 bits), its full-size products
 # and division cost more than the single steps they replace
 _BATCH_DEPTH_MIN = 28
+# stride of schneider_pair's run search: runs of 2*_RUN or more equal records are taken as
+# one power (BENCH_schneider_runs.json, "run_stride")
+_RUN = 32
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
+
+
+def _run_power(digit: int, pa: int, r: int) -> tuple[int, int]:
+    # (u_{r+1}, u_r), r >= 1, with M**r = [[u_{r+1}, pa*u_r], [u_r, pa*u_{r-1}]] for the step
+    # matrix M = [[digit, pa], [1, 0]] (lemma (v)), doubling n by u_{2n+1} = u_{n+1}**2 +
+    # pa*u_n**2 and u_{2n} = u_n*(2*u_{n+1} - digit*u_n), then stepping n by one on a set bit
+    hi, lo = 1, 0  # (u_{n+1}, u_n) at n = 0
+    for bit in bin(r)[2:]:
+        hi, lo = hi * hi + pa * lo * lo, lo * (2 * hi - digit * lo)
+        if bit == "1":
+            hi, lo = digit * hi + pa * lo, hi
+    return hi, lo
 
 
 def _batches(
@@ -164,6 +212,7 @@ def _batches(
     pows = [p**e for e in range(depth + 1)]
     modulus, bound, append = pows[depth], 2 * _BATCH_WIDTH, steps.append
     while min(abs(y_prev), abs(y_cur)).bit_length() > bound and len(steps) + depth <= cap:
+        start = len(steps)
         x_prev, x_cur = y_prev % modulus, y_cur % modulus
         r_prev, r_cur = x_prev % p, x_cur % p
         # precision digits left, and C = [[c00, c01], [c10, c11]]
@@ -196,6 +245,22 @@ def _batches(
                 divmod(c00 * y_prev + c01 * y_cur, scale), divmod(c10 * y_prev + c11 * y_cur, scale))
             if rem_prev or rem_cur:
                 raise ArithmeticError(f"inexact batch division by {p}**{depth - left}")
+            # one repeated step, so lemma (v) may take a run: the batch's records are shared, and
+            # the list compare stops at the first other one
+            if steps[start] is record and steps[start:] == [record] * (len(steps) - start):
+                digit, alpha = record
+                pa = pows[alpha]
+                form = y_prev * (y_prev - digit * y_cur) - pa * y_cur * y_cur
+                run = min((vp_split(form, p)[0] - 1) // alpha, cap - len(steps)) if form else 0
+                if run >= 2:
+                    hi, lo = _run_power(digit, pa, run)
+                    scale = (-pa) ** run  # det M**run
+                    (y_prev, rem_prev), (y_cur, rem_cur) = (
+                        divmod((hi - digit * lo) * y_prev - pa * lo * y_cur, scale),
+                        divmod(hi * y_cur - lo * y_prev, scale))
+                    if rem_prev or rem_cur:
+                        raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
+                    steps.extend([record] * run)
         else:
             # the first step's exponent is depth - 1 or more: take it, digit and all, on the full pair
             y_next, alpha = (y_prev - digit * y_cur) // p, 1
@@ -286,16 +351,79 @@ def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:
 
     head is a SchneiderExpansion's steps or a list of (digit, alpha) pairs;
     items 0 and 1 of each record are read, last record first.  A zero tail
-    or zero partial denominator raises ZeroDivisionError.
+    or zero partial denominator raises ZeroDivisionError.  A run of 2*_RUN or
+    more records that are one object is taken as one power of its step matrix
+    where the module docstring's guard allows, giving the pair the step loop
+    gives.
     """
     num, den = tail
     if num == 0:
         raise ZeroDivisionError("zero tail value")
+    if len(head) >= 2 * _RUN:
+        num, den, head = _back_through_runs(head, num, den, p)
     for step in reversed(head):
         if num == 0:
             raise ZeroDivisionError("zero denominator in back-substitution")
         num, den = step[0] * num + p ** step[1] * den, num
     return num, den
+
+
+def _runs(head) -> list[tuple[int, int]]:
+    # (start, end) of each maximal run head[start:end] of 2*_RUN or more records that are one
+    # object, as the kernel makes them, in order.  Such a run holds some i = 0 mod _RUN with
+    # head[i] is head[i + _RUN]: one strided `is` test over the head finds every such i, one
+    # count confirms a chain of them _RUN apart, and each core found grows by fewer than
+    # _RUN records at either end, or a further i would lie in it
+    cores = []
+    hits = [i for i in compress(range(0, len(head), _RUN), map(is_, head[::_RUN], head[_RUN::_RUN]))
+            if head[i + _RUN // 2] is head[i] is head[i + _RUN // 4]]  # cheap filters: a run holds these
+    hits.append(-1)  # ends the last chain
+    first = hits[0]
+    for last, following in zip(hits, hits[1:]):
+        if following == last + _RUN:
+            continue
+        span = head[first:last + _RUN + 1]  # from head[first] to head[last + _RUN], one object
+        if span.count(span[0]) == len(span):
+            cores.append([first, last + _RUN + 1])
+        elif last > first:  # something else between them: block by block, joining those that meet
+            for i in range(first, last + 1, _RUN):
+                block = head[i:i + _RUN + 1]
+                if block.count(block[0]) == len(block):
+                    if cores and cores[-1][1] == i + 1:
+                        cores[-1][1] = i + _RUN + 1
+                    else:
+                        cores.append([i, i + _RUN + 1])
+        first = following
+    runs = []
+    for start, end in cores:
+        record = head[start]
+        while start and head[start - 1] is record:
+            start -= 1
+        while end < len(head) and head[end] is record:
+            end += 1
+        if end - start >= 2 * _RUN:
+            runs.append((start, end))
+    return runs
+
+
+def _back_through_runs(head, num: int, den: int, p: int):
+    # schneider_pair's (num, den) once every level from head's first run on is taken, each run
+    # as one power where the guard allows, and the records before that run, left to its loop
+    stop = len(head)
+    for start, end in reversed(_runs(head)):
+        for step in reversed(head[end:stop]):
+            if num == 0:
+                raise ZeroDivisionError("zero denominator in back-substitution")
+            num, den = step[0] * num + p ** step[1] * den, num
+        digit, alpha = head[start][0], head[start][1]
+        if 0 < digit < p and alpha >= 1 and num % p:  # no numerator in the run is 0
+            pa = p**alpha
+            hi, lo = _run_power(digit, pa, end - start)  # M**r = [[hi, pa*lo], [lo, hi - digit*lo]]
+            num, den = hi * num + pa * lo * den, lo * num + (hi - digit * lo) * den
+            stop = start
+        else:  # step by step, with the records before it
+            stop = end
+    return num, den, head[:stop]
 
 
 def schneider_evaluate(head, tail: tuple[int, int], p: int) -> Fraction:

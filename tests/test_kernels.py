@@ -5,7 +5,10 @@ time, with a pow call for every inverse and no table, carried residue or
 batch.  The kernels carry residues from step to step, keep a dict of
 inverses (and, for Schneider, of step records) for each expansion and, for
 Schneider above a bound, step in batches on residues mod p**K: every such
-shortcut must give the reference's steps exactly, its tail markers included.
+shortcut must give the reference's steps exactly, its tail markers included,
+and so must the runs of one repeated step that the batches take as one power
+(lemma (v)); schneider_pair, which takes such runs the same way, must give
+the pair of a back-substitution one level at a time.
 A Browkin step records (k, x) alone, so the reference's beta_n are checked
 against the betas replayed from the record (tests/replay.py).
 """
@@ -15,11 +18,12 @@ from math import gcd
 
 import pytest
 
-from padic_cf import schneider
+from padic_cf import oracle, schneider
 from padic_cf.browkin import browkin_expand
-from padic_cf.schneider import generate_constant_head, schneider_expand
+from padic_cf.exactarith import vp_split
+from padic_cf.schneider import generate_constant_head, schneider_expand, schneider_pair
 
-from replay import beta_trace, k_trace
+from replay import beta_trace, k_trace, y_trace
 
 PRIMES = (3, 5, 101, 65537, 10**9 + 7)
 
@@ -240,3 +244,199 @@ class TestSchneider:
             exp = schneider_expand(a, b, p)
             assert all(type(s) is schneider.SchneiderStep for s in exp.steps), (a, b, p)
             assert len({id(s) for s in exp.steps}) == len(set(exp.steps)), (a, b, p)
+
+
+def stepwise_pair(head, tail, p):
+    """The reference for schneider_pair: its back-substitution, one level at a time."""
+    num, den = tail
+    if num == 0:
+        raise ZeroDivisionError("zero tail value")
+    for step in reversed(head):
+        if num == 0:
+            raise ZeroDivisionError("zero denominator in back-substitution")
+        num, den = step[0] * num + p ** step[1] * den, num
+    return num, den
+
+
+def outcome(fn, *args):
+    # the pair fn returns, or the type and message of what it raises
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def head_over_tail(head, tail, p):
+    """a/b whose expansion starts with head and continues as tail's pair (y_{n-1}, y_n),
+    two units mod p, would: built back from it by y_{m-1} = d*y_m + p**alpha*y_{m+1}."""
+    y_cur, y_next = tail
+    for digit, alpha in reversed(head):
+        y_cur, y_next = digit * y_cur + p**alpha * y_next, y_cur
+    return (y_cur, y_next) if y_next > 0 else (-y_cur, -y_next)
+
+
+def norm_form(x, y, digit, alpha, p):
+    # Q(x, y) of lemma (v) for the step (digit, alpha)
+    return x * (x - digit * y) - p**alpha * y * y
+
+
+RUN_PRIMES = (3, 5, 7, 11, 101, 10**9 + 7)
+
+
+class TestRuns:
+    """Lemma (v) of the schneider module: a run of one step (d, alpha), read off one
+    valuation of Q and taken as one power of the step matrix, in the kernel's batches and
+    in schneider_pair.  The tests of either loop count _run_power calls, so each fails if
+    no run was taken."""
+
+    @pytest.fixture
+    def powers(self, monkeypatch):
+        calls = []
+        run_power = schneider._run_power
+
+        def counted(digit, pa, r):
+            calls.append(r)
+            return run_power(digit, pa, r)
+
+        monkeypatch.setattr(schneider, "_run_power", counted)
+        return calls
+
+    @staticmethod
+    def seeded_expansions(p):
+        rng = random.Random(p)
+        inputs = [random_pair(rng, digits, p) for digits in (1, 2, 30, 100, 300) for _ in range(3)]
+        top = 3 if p > 3 else 2
+        for digit, alpha in ((1, 1), (1, 2), (max(1, p - 2), top)):
+            inputs.append(generate_constant_head(digit, alpha, 300, p))
+            inputs.append(head_over_tail([(digit, alpha)] * 300, random_pair(rng, 40, p), p))
+        inputs.append(head_over_tail([(p - 1, 1)] * 300, random_pair(rng, 40, p), p))
+        return [schneider_expand(a, b, p) for a, b in inputs]
+
+    @pytest.mark.parametrize("p", RUN_PRIMES)
+    def test_run_law_at_every_pair(self, p):
+        # from each pair (y_{m-1}, y_m), with (d, alpha) its step and v = vp(Q) of that step,
+        # the next (v-1)//alpha steps are (d, alpha); Q is never 0 before a recorded step; and
+        # where that run is 2 or more, adj(M**r) (y_{m-1}, y_m) / (-p**alpha)**r is the pair reached
+        pairs = jumps = 0
+        for exp in self.seeded_expansions(p):
+            ys, steps = [exp.a, exp.b, *y_trace(exp)], exp.steps
+            for m, (digit, alpha) in enumerate(steps):
+                form = norm_form(ys[m], ys[m + 1], digit, alpha, p)
+                assert form != 0, (exp.a, exp.b, p, m)
+                r = (vp_split(form, p)[0] - 1) // alpha
+                assert m + r <= len(steps) and steps[m:m + r] == ((digit, alpha),) * r
+                if r >= 2 and m % 37 == 0:
+                    pa = p**alpha
+                    hi, lo = schneider._run_power(digit, pa, r)
+                    scale = (-pa) ** r
+                    reached = ((hi - digit * lo) * ys[m] - pa * lo * ys[m + 1], hi * ys[m + 1] - lo * ys[m])
+                    assert reached == (scale * ys[m + r], scale * ys[m + r + 1])
+                    jumps += 1
+                pairs += 1
+        assert pairs > 2000 and jumps > 20
+
+    def test_run_power_is_the_step_matrix_power(self):
+        for digit, pa in ((1, 3), (2, 25), (100, 101), (1, 10**9 + 7)):
+            m00, m01, m10, m11 = 1, 0, 0, 1
+            for r in range(1, 70):
+                m00, m01, m10, m11 = m00 * digit + m01, m00 * pa, m10 * digit + m11, m10 * pa
+                hi, lo = schneider._run_power(digit, pa, r)
+                assert (m00, m01, m10, m11) == (hi, pa * lo, lo, hi - digit * lo), (digit, pa, r)
+
+    @pytest.mark.parametrize("k", (600, 1500, 5000))
+    def test_constant_heads_jump(self, k, powers):
+        triples = [(1, 2, 3), (1, 3, 3), (2, 3, 5), (1, 1, 101)]
+        if k < 5000:
+            triples += [(3, 2, 7), (2, 1, 101), (99, 3, 101)]
+        for digit, alpha, p in triples:
+            powers.clear()
+            a, b = generate_constant_head(digit, alpha, k, p)
+            assert min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
+            exp = assert_schneider_matches(a, b, p)
+            assert exp.steps == ((digit, alpha),) * (k + 1)
+            assert len({id(step) for step in exp.steps}) == 1
+            assert powers and sum(powers) > k // 2, (digit, alpha, p)
+
+    def test_run_ending_mid_expansion(self, powers):
+        # a constant head over a random tail: the run ends where the tail's own steps start,
+        # above the batch bound, and the batches go on from the pair the run reached
+        rng = random.Random(71)
+        for p in (3, 5, 101):
+            for digit, alpha in ((1, 1), (2, 2), (1, 3)):
+                powers.clear()
+                tail = random_pair(rng, 400, p)
+                a, b = head_over_tail([(digit, alpha)] * 800, tail, p)
+                exp = assert_schneider_matches(a, b, p)
+                assert exp.steps[:800] == ((digit, alpha),) * 800
+                assert exp.steps[800:] == schneider_expand(*tail, p).steps
+                assert powers, (p, digit, alpha)
+
+    def test_long_stationary_digit_run(self, powers):
+        # (p-1, 1) runs above the batch bound, where Q = (x - p*y)(x + y), over a random tail
+        rng = random.Random(73)
+        for p in (3, 5, 101):
+            powers.clear()
+            tail = random_pair(rng, 400, p)
+            a, b = head_over_tail([(p - 1, 1)] * 1500, tail, p)
+            exp = assert_schneider_matches(a, b, p)
+            assert exp.steps[:1500] == ((p - 1, 1),) * 1500 and powers, p
+
+    @staticmethod
+    def pair_inputs():
+        # (head, tail, p): expansions with long runs, and heads of one shared record over tails
+        rng = random.Random(79)
+        out, shortest = [], 2 * schneider._RUN  # the shortest run taken as a power
+        for p in (3, 5, 101, 10**9 + 7):
+            for digit, alpha in ((1, 1), (1, 2), (p - 1, 1)):
+                for k in (shortest - 1, shortest, shortest + 1, 200, 1500):
+                    exp = schneider_expand(*head_over_tail([(digit, alpha)] * k, random_pair(rng, 50, p), p), p)
+                    out.append((exp.steps, exp.tail, p))
+            for k in (600, 3000):
+                exp = schneider_expand(*generate_constant_head(1, 2, k, p), p)
+                out.append((exp.steps, exp.tail, p))
+            exp = schneider_expand(*random_pair(rng, 1000, p), p)
+            out.append((exp.steps, exp.tail, p))
+            step = schneider.SchneiderStep(1, 2)
+            mixed = ([step] * (shortest + 8) + list(exp.steps[:100]) + [step] * (shortest + 1)
+                     + [(1, 2)] * 50 + [step] * 200)
+            out.append((mixed, exp.tail, p))
+        return out
+
+    def test_pair_matches_the_step_loop(self, powers):
+        inputs = self.pair_inputs()
+        powers.clear()  # the kernel's runs: only schneider_pair's count below
+        for head, tail, p in inputs:
+            assert schneider_pair(head, tail, p) == stepwise_pair(head, tail, p), (len(head), p)
+        assert powers
+
+    @pytest.mark.parametrize("p", (3, 5, 101))
+    def test_defects_inside_a_run_give_the_step_loop_outcome(self, p, powers):
+        # records planted inside a run or as one: a digit of 0 or p, a tail numerator that p
+        # divides, a zero tail, and a tail that makes a numerator 0 inside the run; each gives
+        # what the step loop gives, pair or exception, and so the same verdict
+        rng = random.Random(p)
+        a, b = head_over_tail([(1, 2)] * 300, random_pair(rng, 40, p), p)
+        exp = schneider_expand(a, b, p)
+        steps, tail = list(exp.steps), exp.tail
+        good = steps[0]
+        powers.clear()  # the kernel's runs: only schneider_pair's count below
+        planted = []
+        for bad in ((0, 2), (p, 2), (0, 1), (p, 1), (1, 0)):
+            record = schneider.SchneiderStep(*bad)
+            planted.append((steps[:100] + [record] * 80 + steps[180:], tail))  # a bad run
+            planted.append((steps[:100] + [record] + steps[101:], tail))  # a bad record in a run
+        planted += [
+            (steps, (p * tail[0], tail[1])),
+            (steps, (p, -1)),  # numerators that p divides, none of them 0
+            (steps, (0, 1)),
+            ([good] * 80, (p**2, -1)),  # 1*p**2 + p**2*(-1) = 0 at the second level
+            ([schneider.SchneiderStep(p, 1)] * 80, (1, -1)),  # p*1 + p*(-1) = 0 likewise
+            ([schneider.SchneiderStep(0, 1)] * 80, (1, 5)),
+        ]
+        for head, planted_tail in planted:
+            got = outcome(schneider_pair, head, planted_tail, p)
+            assert got == outcome(stepwise_pair, head, planted_tail, p), (head[:2], planted_tail)
+            record = exp._replace(steps=tuple(head), tail=planted_tail)
+            verdict = oracle.schneider_reconstruction(a, b, record).ok
+            assert verdict == (isinstance(got[0], int) and got[1] != 0 and got[0] * b == got[1] * a)
+        assert powers  # the natural runs above the planted ones were taken as powers

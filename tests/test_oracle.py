@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 import padic_cf
+import padic_cf.cli as cli
 import padic_cf.oracle as oracle
 from padic_cf import browkin, digits, schneider
 from padic_cf.cli import SWEEP_COLUMNS, main
@@ -134,6 +135,60 @@ def test_planted_schneider_defect_exits_1(argv, expected_out, message, capsys, m
     assert code == 1
     assert out == expected_out
     assert err == message
+
+
+def _zero_tail(a, b, p):
+    # the expansion with its tail value set to 0: schneider_pair raises ZeroDivisionError on it
+    return schneider.schneider_expand(a, b, p)._replace(tail=(0, 1))
+
+
+@pytest.mark.parametrize(
+    "argv, expected_out, message",
+    [
+        (["expand-schneider", "-p", "3", "--json", "43/28"], "",
+         "FAIL: schneider reconstruction failed at p=3, 43/28\n"),
+        (["expand-schneider", "-p", "3", "43/28"], "",
+         "FAIL: schneider reconstruction failed at p=3, 43/28\n"),
+        (["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1"], ",".join(SWEEP_COLUMNS) + "\r\n",
+         "FAIL: schneider reconstruction failed at p=3, -2/1\n"),
+    ],
+    ids=["expand-schneider json", "expand-schneider text", "sweep"],
+)
+def test_zero_tail_is_a_failed_reconstruction(argv, expected_out, message, capsys, monkeypatch):
+    # schneider_pair's ZeroDivisionError is the reconstruction check failing, named with the input
+    monkeypatch.setattr(cli, "schneider_expand", _zero_tail)
+    assert run_cli(argv, capsys) == (1, expected_out, message)
+
+
+def test_zero_tail_fails_verify(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "schneider_expand", _zero_tail)
+    code, out, _ = run_cli(["verify", "-p", "3", "43/28"], capsys)
+    assert code == 1
+    assert "FAIL: schneider reconstruction" in out.splitlines()
+    assert not oracle.schneider_reconstruction(43, 28, _zero_tail(43, 28, 3)).ok
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand-browkin", "-p", "3", "365/54"],
+        ["expand-browkin", "-p", "3", "--json", "365/54"],
+        ["sweep", "--primes", "3,5", "--max-num", "12", "--max-den", "12"],
+    ],
+    ids=["text", "json", "sweep"],
+)
+def test_bound_reads_the_certified_beta0(argv, capsys, monkeypatch):
+    # a record's beta0 off by a factor 1000: the bound and the printed beta_0 come off the
+    # reconstruction's betas, so every output is the natural one
+    want = run_cli(argv, capsys)
+    assert want[0] == 0
+
+    def inflated(a, b, p):
+        expansion = browkin.browkin_expand(a, b, p)
+        return expansion._replace(beta0=1000 * expansion.beta0)
+
+    monkeypatch.setattr(cli, "browkin_expand", inflated)
+    assert run_cli(argv, capsys) == want
 
 
 def test_a_deeper_last_step_fails_expand_schneider_in_text(capsys, monkeypatch):
