@@ -27,8 +27,9 @@ Every computed expansion is certified by padic_cf.oracle before it is printed,
 and every trace printed is one a check computed: expand-browkin's betas come
 off the reconstruction's back-substitution (oracle.browkin_reconstruction), as
 do beta_0 and |beta_1| for its and sweep's bound, and text expand-schneider's y values
-off the matrix laws' chain (its --json prints no y and requires only the
-reconstruction); `bound` given a rational reads beta0 and |beta_1| off the first step.
+off the matrix laws' chain (its --json prints no y and walks no chain).  Both
+modes of expand-schneider also require the tail laws, which fix where the record
+stops; `bound` given a rational reads beta0 and |beta_1| off the first step.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
 step records, with no dict per step: one "%" over all the rows when more than
@@ -214,7 +215,7 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     expansion = schneider_expand(a, b, args.prime)
     recon = oracle.schneider_reconstruction(a, b, expansion)
     if args.json:  # no y printed, so no chain walked
-        oracle.require(args.prime, a, b, recon)
+        oracle.require(args.prime, a, b, recon, oracle.schneider_tail_laws(expansion))
         print(
             f'{{"p": {args.prime}, "a": {a}, "b": {b}, '
             f'"head": {_json_pairs(expansion.steps, "b", "alpha")}, '
@@ -223,7 +224,8 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
         )
     else:  # the y trace printed is the one the matrix laws divided
         ys: list[int] = []
-        oracle.require(args.prime, a, b, recon, oracle.schneider_matrix_laws(a, b, expansion, ys))
+        oracle.require(args.prime, a, b, recon, oracle.schneider_matrix_laws(a, b, expansion, ys),
+                       oracle.schneider_tail_laws(expansion))
         print(f"input: {_rat_str(a, b)} (p={args.prime})")
         print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.steps))
         print("y trace: " + ", ".join(map(str, ys)))

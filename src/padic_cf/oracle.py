@@ -67,6 +67,10 @@ class VerificationError(ArithmeticError):
 
 
 def _equals(pair: tuple[int, int], a: int, b: int) -> bool:
+    # a correct record gives s*(a, b) exactly, s = +-1 (the numerator lemma, and for Schneider
+    # the y chain run backwards from its tail): that pair is tested before any product
+    if pair == (a, b) or pair == (-a, -b):
+        return True
     num, den = pair
     return den != 0 and num * b == den * a
 
@@ -174,6 +178,22 @@ def schneider_reconstruction(a: int, b: int, expansion) -> Check:
     except ZeroDivisionError:  # a zero tail, or a partial denominator of 0 on the way: not a/b
         pair = (0, 0)
     return _record(Check, ("schneider reconstruction", _equals(pair, a, b)))
+
+
+def schneider_tail_laws(expansion) -> Check:
+    """The place where the record stops, by two O(1) laws.  A finite end has no
+    stationary index, |den| = 1 and 0 < num*den < p: the last pair is (d*s, s) with
+    s = +-1 and d a digit.  Any other record is stationary from its end on, with the
+    tail (-1, 1) and a last step other than (p-1, 1), or that step would be the
+    tail's first.  Neither the reconstruction nor the matrix laws read the markers.
+    """
+    p, steps, (num, den) = expansion.p, expansion.steps, expansion.tail
+    if expansion.finite_end:
+        ok = expansion.stationary_from is None and abs(den) == 1 and 0 < num * den < p
+    else:
+        ok = (expansion.stationary_from == len(steps) and (num, den) == (-1, 1)
+              and not (steps and steps[-1] == (p - 1, 1)))
+    return _record(Check, ("schneider tail laws", ok))
 
 
 def schneider_matrix_laws(a: int, b: int, expansion, ys: list[int] | None = None) -> Check:

@@ -15,12 +15,13 @@ per further factor of p, yields alpha_m, y_{m+1} and r_{m+1} together.  The
 inverses r**-1 mod p come from a dict made for each expansion.  It starts
 with 1 and p-1, their own inverses, and inverts any other residue on its
 first use.  Lookups are made only for the digits b_m of the pairs
-(y_{m-1}, y_m) the expansion reaches: one for each step it records, and one
-more at a finite end, for y_m = +-1 (lemma (iv)), whose inverse the dict
-starts with.  So an expansion makes at most min(p-3, steps) pow calls and
-none at p = 3.  A second dict maps the int b_m + p*alpha_m to the one
-SchneiderStep of that step, made on its first use: always in the batches,
-and in the single-step loop where 2p < bits (bits as below) only, as an
+(y_{m-1}, y_m) the expansion reaches: one for each step it records (the
+entry run below may look up the first one twice), and one more at a finite
+end, for y_m = +-1 (lemma (iv)), whose inverse the dict starts with.  So an
+expansion makes at most min(p-3, steps) pow calls and none at p = 3.  A
+second dict maps the int b_m + p*alpha_m to the one SchneiderStep of that
+step, made on its first use: always in the entry run and the batches, and
+in the single-step loop where 2p < bits (bits as below) only, as an
 expansion has about p distinct steps and in shorter ones lookups cost more
 than they save.  Both dicts go when the expansion returns.
 
@@ -93,11 +94,18 @@ x*(x - d*y) - p**alpha*y**2, the norm form of the step.
       adj(M**r) (y_{m-1}, y_m) / (-p**alpha)**r, an exact division.
 _run_power gives M**r in O(log r) products, off the Lucas sequence u_0 = 0,
 u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
-[u_r, p**alpha*u_{r-1}]].  Both loops that walk a whole head use it:
-  - _batches, after each batch whose steps are all one record, takes the
-    next r steps by (v) when r >= 2, capped as the batches are, and records
-    them as r references to that record.  Batches run on constant heads of
-    more than about 2W bits only; the single-step loop has no such test.
+[u_r, p**alpha*u_{r-1}]].  It is the one power of the module, used in three
+places:
+  - the kernel, once, at the input pair: where min(|a|, b) has more than 2W
+    bits, at any p, it reads the first step (d, alpha) off (a, b), its digit
+    through the expansion's inverses, and tries (v) at (a, b) before any batch
+    (one form, one valuation, one power and one exact division; the run capped
+    as the batches are and recorded as r references to one record, and a
+    remainder raised as an ArithmeticError named with the input).  A wrong
+    digit (a defect) leaves alpha = 0, and then no run is taken.  So a constant
+    head of more than about 2W bits is one run even where no batch runs
+    (p >= 2**17).  A run that starts further in is stepped by the batches and
+    the single-step loop, which have no such test.
   - schneider_pair finds runs of 2*_RUN or more records that are one object,
     as the kernel shares them (each run holds head[i] is head[i + _RUN] at
     some i = 0 mod _RUN, so one strided `is` test over the head finds them),
@@ -106,19 +114,31 @@ u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
     each numerator in the run is d times the one below it mod p, prime to p
     and never 0, so the step loop would raise nowhere in the run and would
     reach the same pair.
+  - head_analysis, by lemma (vi).
 
-A constant head of k+1 identical (digit, exponent) steps satisfies
-(T2/T1)**k = theta where T1, T2 are the roots of T**2 - digit*T - p**exponent
-and theta is a ratio of conjugate products.  head_analysis reads the one k it
-allows off two p-adic valuations and checks the identity for that k exactly,
-on integer pairs in Z[sqrt(4p**exponent + digit**2)]; no float takes part.
-The check runs on p-free parts.  With theta = (sx + sy*sqrt(D))/n and
-w**k = u + v*sqrt(D), the identity is u*n == sx*(4p**exponent)**k and
-v*n == sy*(4p**exponent)**k; write n = p**vn n' and sx = p**vs sx' with n',
-sx' prime to p and vn = vs + exponent*k.  Dividing the first equation by
-p**vn and the second by p**(exponent*k) gives u*n' == sx'*4**k and
-v*n'*p**vs == sy*4**k, the same equations, on input-sized products and with
-no power of p**exponent built.
+A constant head of k+1 identical steps (d, alpha) satisfies (T2/T1)**k = theta.
+Here T1, T2 = (d -+ sqrt(D))/2 with D = 4p**alpha + d*d are the roots of
+T**2 - d*T - p**alpha, and theta = (T1 - p**alpha)(a - b*T1) / ((T2 -
+p**alpha)(a - b*T2)), the ratio of conjugate products.  D is not a square:
+D = s*s would force (s - d)(s + d) = 4p**alpha, i.e. the stationary pair
+(p-1, 1).  So T1 != T2 are irrational, and no factor of theta is 0 for b != 0.
+ (vi) (T2/T1)**e = theta(a, b) holds exactly when (a, b) is parallel to
+      v = M**(e+1) (1, -1), that is when a*W == b*U for (U, W) = v.  For
+      l2 = (1, -T1) and l1 = (1, -T2) are left eigenvectors of M with
+      eigenvalues T2 and T1 (l2 M = (d - T1, p**alpha) = T2 l2, as T1 + T2 = d
+      and T1*T2 = -p**alpha), and T_i - p**alpha = T_i (1 + T_j), so
+      theta(a, b) = T1 (1 + T2) l2.(a, b) / (T2 (1 + T1) l1.(a, b)).  At v,
+      l2.v / l1.v = (T2/T1)**(e+1) (1 + T1) / (1 + T2), so
+      theta(v) = (T2/T1)**e.
+      And theta(a, b) depends on (a, b) only through (a - b*T1) / (a - b*T2),
+      a Moebius map of a/b, one to one as T1 != T2.  By the Lucas form of M**r,
+      (U, W) = (u_{e+2} - p**alpha*u_{e+1}, u_{e+1} - p**alpha*u_e), and
+      p**alpha*u_e = u_{e+2} - d*u_{e+1} by the recurrence, so
+      W = (1 + d)*u_{e+1} - u_{e+2}: one _run_power(d, p**alpha, e + 1) and one
+      cross-multiplication decide the identity, on numbers the size of v.
+head_analysis reads the one e the identity allows off two p-adic valuations
+(its comments give the argument) and checks (vi) for that e; no float takes
+part, and a/b given as ga/gb answers as a/b does, being parallel to the same v.
 """
 
 from __future__ import annotations
@@ -164,8 +184,8 @@ class HeadReport(NamedTuple):
 
     The record holds integers only: disc = D = 4p**alpha + digit**2, and theta
     = (sx + sy*sqrt(D)) / n, the ratio of conjugate products.  exact_identity
-    means (t2/t1)**(head_len-1) equals theta, checked exactly on integer pairs
-    in Z[sqrt(D)]; otherwise head_len is None.  t1, t2 = (digit -+ sqrt(D)) / 2,
+    means (t2/t1)**(head_len-1) equals theta, checked exactly by lemma (vi) of
+    the module docstring; otherwise head_len is None.  t1, t2 = (digit -+ sqrt(D)) / 2,
     the roots of T**2 - digit*T - p**alpha, are fixed by the pair; `head`
     prints them and theta off these integers.
     """
@@ -212,7 +232,6 @@ def _batches(
     pows = [p**e for e in range(depth + 1)]
     modulus, bound, append = pows[depth], 2 * _BATCH_WIDTH, steps.append
     while min(abs(y_prev), abs(y_cur)).bit_length() > bound and len(steps) + depth <= cap:
-        start = len(steps)
         x_prev, x_cur = y_prev % modulus, y_cur % modulus
         r_prev, r_cur = x_prev % p, x_cur % p
         # precision digits left, and C = [[c00, c01], [c10, c11]]
@@ -245,22 +264,6 @@ def _batches(
                 divmod(c00 * y_prev + c01 * y_cur, scale), divmod(c10 * y_prev + c11 * y_cur, scale))
             if rem_prev or rem_cur:
                 raise ArithmeticError(f"inexact batch division by {p}**{depth - left}")
-            # one repeated step, so lemma (v) may take a run: the batch's records are shared, and
-            # the list compare stops at the first other one
-            if steps[start] is record and steps[start:] == [record] * (len(steps) - start):
-                digit, alpha = record
-                pa = pows[alpha]
-                form = y_prev * (y_prev - digit * y_cur) - pa * y_cur * y_cur
-                run = min((vp_split(form, p)[0] - 1) // alpha, cap - len(steps)) if form else 0
-                if run >= 2:
-                    hi, lo = _run_power(digit, pa, run)
-                    scale = (-pa) ** run  # det M**run
-                    (y_prev, rem_prev), (y_cur, rem_cur) = (
-                        divmod((hi - digit * lo) * y_prev - pa * lo * y_cur, scale),
-                        divmod(hi * y_cur - lo * y_prev, scale))
-                    if rem_prev or rem_cur:
-                        raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
-                    steps.extend([record] * run)
         else:
             # the first step's exponent is depth - 1 or more: take it, digit and all, on the full pair
             y_next, alpha = (y_prev - digit * y_cur) // p, 1
@@ -309,9 +312,30 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     records: dict[int, SchneiderStep] = {}  # digit + p*alpha -> the one record of that step
     share = 2 * p < bits  # where steps repeat enough for the lookups to pay (module docstring)
     depth = _BATCH_WIDTH // p.bit_length()
-    if _BATCH_DEPTH_MIN <= depth and min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
+    if min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
         try:
-            y_prev, y_cur = _batches(a, b, p, depth, steps, cap, inverses, records)
+            # the entry run, at any p: the first step (digit, alpha), then lemma (v) at (a, b)
+            r_cur = b % p
+            inverse = inverses.get(r_cur)
+            if inverse is None:
+                inverse = inverses[r_cur] = pow(r_cur, -1, p)
+            digit = a % p * inverse % p
+            alpha = vp_split(a - digit * b, p)[0]
+            pa = p**alpha
+            form = a * (a - digit * b) - pa * b * b
+            # alpha = 0 only for a wrong digit (a defect), which the steps below meet
+            run = min((vp_split(form, p)[0] - 1) // alpha, cap) if alpha and form else 0
+            if run >= 2:  # a run of r steps (d, alpha): one power, one exact division
+                hi, lo = _run_power(digit, pa, run)
+                scale = (-pa) ** run  # det M**run
+                (y_prev, rem_prev), (y_cur, rem_cur) = (
+                    divmod((hi - digit * lo) * a - pa * lo * b, scale), divmod(hi * b - lo * a, scale))
+                if rem_prev or rem_cur:
+                    raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
+                record = records[digit + p * alpha] = _record(SchneiderStep, (digit, alpha))
+                steps.extend([record] * run)
+            if _BATCH_DEPTH_MIN <= depth:
+                y_prev, y_cur = _batches(y_prev, y_cur, p, depth, steps, cap, inverses, records)
         except ArithmeticError as exc:  # a defect: named with the input, as the cap is
             raise ArithmeticError(f"{exc} in the expansion of {a}/{b}") from None
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
@@ -461,22 +485,18 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     """Certify the length of the constant (digit, alpha) head of a/b.
 
     Returns head_len = e + 1 for the one exponent e that p-adic valuations allow,
-    once (t2/t1)**e = theta is checked for it exactly on integer pairs in
-    Z[sqrt(D)]; else head_len is None.  a/b is taken as schneider_expand takes
-    it, but need not be in lowest terms: only its value decides the answer
-    (the report's sx, sy and n scale by g**2 for a/b given as ga/gb).
+    once (t2/t1)**e = theta is checked for it exactly by lemma (vi) of the
+    module docstring: a/b is the value of v = M**(e+1) (1, -1), the constant
+    head of e+1 steps, exactly when a*W == b*U for (U, W) = v.  Else head_len
+    is None.  a/b is taken as schneider_expand takes it, but need not be in
+    lowest terms: only its value decides the answer (the report's sx, sy and n
+    scale by g**2 for a/b given as ga/gb).
 
     digit, alpha or both may be None: each is then that of a/b's first step,
     b0 = a*b**-1 mod p and alpha0 = vp(a - b0*b), read off the definition and
     not off an expansion, so that it too depends only on the value a/b.  An
     a/b with no first step, a finite end (a = b0*b) or stationary (a + b = 0)
     at once, raises ValueError.
-
-    The check runs on p-free parts: with n = p**vn n', sx = p**vs sx' and
-    vn = vs + alpha*e, the equations u*n == sx*(4p**alpha)**e and
-    v*n == sy*(4p**alpha)**e hold exactly when u*n' == sx'*4**e and
-    v*n'*p**vs == sy*4**e, dividing the first by p**vn and the second by
-    p**(alpha*e).
     """
     _require_unit_pair(a, b, p)
     if digit is None or alpha is None:
@@ -512,18 +532,12 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     # sqrt(D) = s = digit mod p: digit + s is a unit, digit - s has valuation alpha, so the rational
     # part u = (w(s)**e + w(-s)**e) / 2 of w**e is a unit, and u*n == sx*(4p**alpha)**e forces
     # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized
-    (vn, n_free), (vs, sx_free) = vp_split(n, p), vp_split(sx, p)
-    e, rem = divmod(vn - vs, alpha)
+    e, rem = divmod(vp_split(n, p)[0] - vp_split(sx, p)[0], alpha)
     exact = False
     if e >= 0 and not rem:
-        u, v, bu, bv, i = 1, 0, -(digit * digit + disc), -2 * digit, e
-        while i:
-            if i & 1:
-                u, v = u * bu + v * bv * disc, u * bv + v * bu
-            bu, bv, i = bu * bu + bv * bv * disc, 2 * bu * bv, i >> 1
-        # the identity on p-free parts, as the docstring derives it
-        four_e = 1 << 2 * e
-        exact = u * n_free == sx_free * four_e and v * n_free * p**vs == sy * four_e
+        # lemma (vi): (U, W) = M**(e+1) (1, -1) off (u_{e+2}, u_{e+1}), as p**alpha*u_e = hi - digit*lo
+        hi, lo = _run_power(digit, pa, e + 1)
+        exact = a * ((1 + digit) * lo - hi) == b * (hi - pa * lo)
     return _record(HeadReport, (digit, alpha, disc, sx, sy, n, e + 1 if exact else None, exact))
 
 

@@ -1,5 +1,6 @@
 """Forward replays of the traces an expansion record does not store: the tests'
-references for the betas, the y values and the quotient pairs.
+references for the betas, the y values and the quotient pairs; and the head
+identity itself, the reference for head_analysis.
 
 Both replays walk y_{m+1} = (y_{m-1} - d_m*y_m) // p**e_m, with floor division, so
 a planted record replays to some trace rather than raising.
@@ -41,3 +42,31 @@ def quotient_pairs(expansion):
 
 def k_trace(expansion):
     return [k for k, _ in expansion.steps]
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def head_identity(report, p):
+    """(head_len, exact_identity) of a HeadReport by the identity (T2/T1)**e = theta itself, on
+    integer pairs in Z[sqrt(D)].  theta = (sx + sy*sqrt(D))/n and T1*T2 = -p**alpha, so
+    (T2/T1)**e = w**e / (4p**alpha)**e with w = -(digit + sqrt(D))**2, and the identity is
+    w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e, checked at the one e that valuations
+    allow, vp(n) = vp(sx) + alpha*e."""
+    digit, alpha, disc, sx, sy, n = report[:6]
+    e, rem = divmod(_valuation(n, p) - _valuation(sx, p), alpha)
+    if e < 0 or rem:
+        return None, False
+    u, v, bu, bv, i = 1, 0, -(digit * digit + disc), -2 * digit, e
+    while i:
+        if i & 1:
+            u, v = u * bu + v * bv * disc, u * bv + v * bu
+        bu, bv, i = bu * bu + bv * bv * disc, 2 * bu * bv, i >> 1
+    scale = (4 * p**alpha) ** e
+    exact = u * n == sx * scale and v * n == sy * scale
+    return (e + 1 if exact else None), exact

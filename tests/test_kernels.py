@@ -6,9 +6,9 @@ batch.  The kernels carry residues from step to step, keep a dict of
 inverses (and, for Schneider, of step records) for each expansion and, for
 Schneider above a bound, step in batches on residues mod p**K: every such
 shortcut must give the reference's steps exactly, its tail markers included,
-and so must the runs of one repeated step that the batches take as one power
-(lemma (v)); schneider_pair, which takes such runs the same way, must give
-the pair of a back-substitution one level at a time.
+and so must the runs of one repeated step that the kernel takes as one power
+(lemma (v)) at the input pair; schneider_pair, which takes such runs the same
+way, must give the pair of a back-substitution one level at a time.
 A Browkin step records (k, x) alone, so the reference's beta_n are checked
 against the betas replayed from the record (tests/replay.py).
 """
@@ -285,9 +285,9 @@ RUN_PRIMES = (3, 5, 7, 11, 101, 10**9 + 7)
 
 class TestRuns:
     """Lemma (v) of the schneider module: a run of one step (d, alpha), read off one
-    valuation of Q and taken as one power of the step matrix, in the kernel's batches and
-    in schneider_pair.  The tests of either loop count _run_power calls, so each fails if
-    no run was taken."""
+    valuation of Q and taken as one power of the step matrix, in the kernel (at the input
+    pair) and in schneider_pair.  The tests of either loop count _run_power calls, so
+    each fails if no run was taken."""
 
     @pytest.fixture
     def powers(self, monkeypatch):
@@ -371,6 +371,16 @@ class TestRuns:
                 assert exp.steps[800:] == schneider_expand(*tail, p).steps
                 assert powers, (p, digit, alpha)
 
+    @pytest.mark.parametrize("p, k", ((3, 1000), (10**9 + 7, 40)))
+    def test_inexact_run_division_names_the_input(self, p, k, monkeypatch):
+        # a wrong power (a defect) leaves a remainder, raised with the input as a batch's is
+        run_power = schneider._run_power
+        monkeypatch.setattr(schneider, "_run_power", lambda digit, pa, r: (run_power(digit, pa, r)[0] + 1, 0))
+        a, b = generate_constant_head(1, 2, k, p)
+        with pytest.raises(ArithmeticError) as caught:
+            schneider_expand(a, b, p)
+        assert str(caught.value) == f"inexact run division by (-{p}**2)**{k} in the expansion of {a}/{b}"
+
     def test_long_stationary_digit_run(self, powers):
         # (p-1, 1) runs above the batch bound, where Q = (x - p*y)(x + y), over a random tail
         rng = random.Random(73)
@@ -380,6 +390,42 @@ class TestRuns:
             a, b = head_over_tail([(p - 1, 1)] * 1500, tail, p)
             exp = assert_schneider_matches(a, b, p)
             assert exp.steps[:1500] == ((p - 1, 1),) * 1500 and powers, p
+
+    @pytest.mark.parametrize("p", (65537, 10**9 + 7))
+    def test_entry_run_at_large_p(self, p, powers):
+        # at 10**9+7 no batch runs, and at 65537 none before the entry run: the kernel takes the
+        # whole head at the input pair, so the records are the run's one object and the last
+        # step's, and the reconstruction takes the run as one power too
+        a, b = generate_constant_head(1, 1, 2000, p)
+        exp = assert_schneider_matches(a, b, p)
+        assert exp.steps == ((1, 1),) * 2001
+        assert len({id(step) for step in exp.steps}) == 2
+        assert powers == [2000]
+        powers.clear()
+        assert oracle.schneider_reconstruction(a, b, exp).ok and powers == [2000]
+
+    def test_entry_run_only_on_a_head_above_the_bound(self, powers):
+        # one power at the input pair of a constant head above the batch bound, whatever p is;
+        # none on a random input above it (no batch is one repeated step either) and none below it
+        rng = random.Random(83)
+        for p in (3, 101, 65537, 10**9 + 7):
+            cases = [(generate_constant_head(1, 2, 1000, p), True, 1), (random_pair(rng, 400, p), True, 0),
+                     (generate_constant_head(1, 1, 100 if p < 1000 else 10, p), False, 0)]
+            for (a, b), above, taken in cases:
+                powers.clear()
+                assert (min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH) == above
+                assert_schneider_matches(a, b, p)
+                assert len(powers) == taken, (p, a, b)
+
+    def test_a_wrong_first_digit_takes_no_entry_run(self, monkeypatch, powers):
+        # every inverse planted as 1: (2y + 1)/y at p = 5 takes the digit 2 for its true 4, which
+        # leaves alpha = 0 at the input pair, so no run is taken and the batch meets the defect
+        monkeypatch.setattr(schneider, "pow", lambda r, e, m: 1, raising=False)
+        y = 3 + 5 * 10**300
+        with pytest.raises(ArithmeticError) as caught:
+            schneider_expand(2 * y + 1, y, 5)
+        assert str(caught.value) == f"inexact step: a batch reached y = 0 in the expansion of {2 * y + 1}/{y}"
+        assert powers == []
 
     @staticmethod
     def pair_inputs():

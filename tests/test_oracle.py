@@ -199,6 +199,59 @@ def test_a_deeper_last_step_fails_expand_schneider_in_text(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "FAIL: schneider matrix laws failed at p=3, 1259/701\n")
 
 
+def _flipped_marker(a, b, p):
+    # the tail marker flipped, the steps and the tail kept: a stationary record called a finite
+    # end, or a finite end called stationary from its end.  The value is unchanged, and neither
+    # the reconstruction nor the matrix laws read the markers
+    expansion = schneider.schneider_expand(a, b, p)
+    if expansion.finite_end:
+        return expansion._replace(stationary_from=len(expansion.steps), finite_end=False)
+    return expansion._replace(stationary_from=None, finite_end=True)
+
+
+def _extra_stationary_step(a, b, p):
+    # one (p-1, 1) step more before the stationary tail: the same value, as -1 = (p-1) + p/(-1)
+    expansion = schneider.schneider_expand(a, b, p)
+    assert expansion.stationary_from is not None
+    steps = (*expansion.steps, schneider.SchneiderStep(p - 1, 1))
+    return expansion._replace(steps=steps, stationary_from=len(steps))
+
+
+TAIL_PLANTS = [(plant, text) for plant in (_deeper_last_step, _flipped_marker)
+               for text in ("1259/701", "43/28", "2/5")]
+TAIL_PLANTS += [(_extra_stationary_step, text) for text in ("1259/701", "2/5")]  # 43/28 ends
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("plant, text", TAIL_PLANTS, ids=[f"{f.__name__}-{t}" for f, t in TAIL_PLANTS])
+def test_tail_defects_fail_expand_schneider(plant, text, json_flag, capsys, monkeypatch):
+    # each record has a/b's value, so the reconstruction passes it; the tail laws fix where the
+    # expansion stops, and fail it in both modes before anything is printed.  Text mode walks
+    # the matrix laws first, which fail a deeper last step on their own
+    a, b = _reduced(text)
+    planted = plant(a, b, 3)
+    assert oracle.schneider_reconstruction(a, b, planted).ok
+    assert not oracle.schneider_tail_laws(planted).ok
+    monkeypatch.setattr(cli, "schneider_expand", plant)
+    argv = ["expand-schneider", "-p", "3", *(["--json"] if json_flag else []), text]
+    name = "schneider matrix laws" if plant is _deeper_last_step and not json_flag else "schneider tail laws"
+    assert run_cli(argv, capsys) == (1, "", f"FAIL: {name} failed at p=3, {text}\n")
+
+
+def test_tail_laws_hold_on_every_natural_record():
+    # finite ends, stationary tails, records with no step, long heads and large p
+    count = 0
+    for p in (3, 5, 7, 101, 10**9 + 7):
+        inputs = [(a, b) for b in range(1, 30) for a in range(-30, 31)
+                  if a % p and b % p and gcd(a, b) == 1]
+        inputs += [schneider.generate_constant_head(1, 2, 300, p), (-1, 1), (p - 1, 1)]
+        for a, b in inputs:
+            expansion = schneider.schneider_expand(a, b, p)
+            assert oracle.schneider_tail_laws(expansion).ok, (p, a, b)
+            count += 1
+    assert count > 4000
+
+
 def test_matrix_laws_keep_the_y_trace(capsys, monkeypatch):
     # ys receives y_1, ..., y_N, the replay's trace on every natural record; text
     # expand-schneider prints that list, and --json prints no y and asks for no chain
@@ -281,6 +334,10 @@ def test_reconstruction_cross_multiplies_the_pair(core, check, a, b, expansion, 
         ((-a, b), False),
         ((a * 3**40, b * 3**40), True),
         ((-7 * a, -7 * b), True),
+        ((a, b), True),  # s*(a, b), tested before any product
+        ((-a, -b), True),
+        ((a, -b), False),
+        ((0, b), False),
     ]
     for pair, ok in planted:
         monkeypatch.setattr(oracle, core, lambda *args, pair=pair: pair)

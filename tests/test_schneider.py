@@ -4,6 +4,7 @@ matrix laws, exact head-length certificates, and the generator round trip."""
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,7 @@ from padic_cf.schneider import (
     schneider_expand,
 )
 
-from replay import y_trace
+from replay import head_identity, y_trace
 
 # (digit, alpha, p) of the constant heads the benchmark runs
 BENCHMARK_HEAD_TRIPLES = [
@@ -513,6 +514,52 @@ class TestHeadAnalysis:
                     off = head_analysis(shifted, b, digit, alpha, p)
                     assert not off.exact_identity
                     assert off.head_len is None
+
+    def test_run_power_check_matches_the_identity_itself(self):
+        # lemma (vi), one power of the step matrix, against the identity (T2/T1)**e = theta in
+        # Z[sqrt(D)] (replay.head_identity) on seeded calls: constant heads with and without a
+        # random tail below them, random inputs of 3 and 40 digits, the same inputs scaled by
+        # g, and the pair left out, given, or wrong.  Each call's ValueError or verdict agrees
+        rng = random.Random(33)
+        calls = exact = scaled = 0
+        for p in (3, 5, 7, 11, 13, 101, 65537, 10**9 + 7):
+            inputs = []
+            for _ in range(60):
+                digit, alpha, k = rng.randrange(1, p), rng.randint(1, 3), rng.choice((0, 1, 2, 9, 40, 150))
+                if (digit, alpha) == (p - 1, 1):
+                    continue
+                a, b = generate_constant_head(digit, alpha, k, p)
+                y_cur, y_next = rng.randrange(1, 10**12) * rng.choice((-1, 1)), rng.randrange(1, 10**12)
+                for _ in range(k + 1):
+                    y_cur, y_next = digit * y_cur + p**alpha * y_next, y_cur
+                tailed = (y_cur, y_next) if y_next > 0 else (-y_cur, -y_next)
+                inputs += [(a, b, digit, alpha), (*tailed, digit, alpha)]
+            for digits in (3, 40):
+                for _ in range(20):
+                    b = rng.randrange(1, 10**digits)
+                    inputs.append((rng.randrange(1, 10**digits) * rng.choice((-1, 1)), b,
+                                   rng.randrange(1, p), rng.randint(1, 2)))
+            inputs += [(g * a, g * b, digit, alpha) for g in (2, 4) for a, b, digit, alpha in inputs[:40]]
+            for a, b, digit, alpha in inputs:
+                g = gcd(a, b)
+                for pair in ((None, None), (digit, alpha), (None, alpha), (digit, None),
+                             (digit, alpha + 1), (digit % (p - 1) + 1, alpha)):
+                    calls += 1
+                    try:
+                        report = head_analysis(a, b, *pair, p)
+                    except ValueError:
+                        continue
+                    assert (report.head_len, report.exact_identity) == head_identity(report, p), (a, b, pair, p)
+                    if g > 1:  # only the value a/b decides the answer, where both are asked
+                        try:
+                            reduced = head_analysis(a // g, b // g, *pair, p)
+                        except ValueError:  # an exponent past the smaller input's size
+                            reduced = None
+                        if reduced is not None:
+                            assert report[6:] == reduced[6:], (a, b, pair, p)
+                            scaled += 1
+                    exact += report.exact_identity
+        assert calls > 10000 and exact > 1000 and scaled > 1000, (calls, exact, scaled)
 
     def test_non_constant_head_input(self):
         # no exact identity, so no length: 7/2 has head (2,1) once, then a finite
