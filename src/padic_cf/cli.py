@@ -5,8 +5,13 @@ sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --) and may have any number of digits: main lifts
 Python's limit on int/str conversion while it runs.  parse_rational turns
 each into the integer pair (a, b) of a/b in lowest terms with b > 0, the one
-input form of the library.  Integer options and --primes tokens are an
-optional '-' and ASCII digits, as a rational's parts are.
+input form of the library.  When the text is canonical (no leading zero in
+either part, and a/b already in lowest terms, as its one gcd tells) its digits
+are str(a) and str(b): they ride beside the pair on the command's Namespace,
+and expand-browkin, expand-schneider and digits print the input off them
+rather than converting the pair back; any other spelling prints str() of the
+reduced pair, so every spelling prints the same.  Integer options and --primes
+tokens are an optional '-' and ASCII digits, as a rational's parts are.
 Every ValueError the library raises on a command's input (p, a zero rational,
 the digit count, the betas, a head with no first step) is that command's usage
 error, printed with the subcommand's usage; _validate checks only what the
@@ -32,8 +37,10 @@ modes of expand-schneider also require the tail laws, which fix where the record
 stops; `bound` given a rational reads beta0 and |beta_1| off the first step.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
-step records, with no dict per step: one "%" over all the rows when more than
-a third are distinct, else one "%d" template per distinct row.  A Browkin
+step records, with no dict per step: a run of 2*_RUN or more rows that are one
+object, as the Schneider kernel shares them, is one text repeated (found by
+schneider._runs' strided search); the other rows take one "%" over them when
+more than a third are distinct, else one "%d" template per distinct row.  A Browkin
 record (k, x) is written {"num": x, "den": p**k}, with p**k taken once per
 distinct exponent on the "%" path.
 The argparse parsers are built once per process, on the first main() call.
@@ -68,7 +75,7 @@ from . import oracle
 from .browkin import browkin_betas, browkin_bound, browkin_expand
 from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
 from .exactarith import require_odd_prime, square_part
-from .schneider import head_analysis, schneider_expand
+from .schneider import _runs, head_analysis, schneider_expand
 
 # ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -89,14 +96,25 @@ SWEEP_COLUMNS = [
 
 def parse_rational(text: str) -> tuple[int, int]:
     """Parse 'num' or 'num/den' into the pair (a, b) of a/b in lowest terms, b > 0."""
+    return _parse_input(text)[0]
+
+
+def _parse_input(text: str) -> tuple[tuple[int, int], tuple[str, str] | None]:
+    # parse_rational's pair, and (str(a), str(b)) read off text's own digits when text is
+    # canonical: no leading zero (nor "-0") in either part, and a/b already in lowest terms, so
+    # a command prints the input without converting it back; else None
     match = _RATIONAL_RE.fullmatch(text)
     if not match:
         raise ValueError(f"malformed rational {text!r}")
-    a, b = int(match.group(1)), int(match.group(2) or 1)
+    num, den = match.group(1), match.group(2) or "1"
+    a, b = int(num), int(den)
     if b == 0:
         raise ValueError(f"zero denominator in {text!r}")
     g = gcd(a, b)
-    return a // g, b // g
+    if g != 1:
+        return (a // g, b // g), None
+    canonical = den[0] != "0" and (num[0] != "0" or num == "0") and num[:2] != "-0"
+    return (a, b), ((num, den) if canonical else None)
 
 
 def _parse_integer(text: str) -> int:
@@ -108,6 +126,18 @@ def _parse_integer(text: str) -> int:
 
 def _rat_str(a: int, b: int) -> str:
     return str(a) if b == 1 else f"{a}/{b}"
+
+
+def _input_digits(args: argparse.Namespace) -> tuple[str, str]:
+    # (str(a), str(b)) of the input pair: argv's own digits where they are canonical
+    a, b = args.rational
+    return args.input_digits or (str(a), str(b))
+
+
+def _input_str(args: argparse.Namespace) -> str:
+    # _rat_str of the input pair
+    num, den = _input_digits(args)
+    return num if den == "1" else f"{num}/{den}"
 
 
 def _fraction_str(num: int, den: int) -> str:
@@ -153,7 +183,24 @@ def _f6(x: int, y: int, den: int, root: tuple[int, int]) -> float | None:
 def _json_pairs(rows, key0: str, key1: str, p: int | None = None) -> str:
     # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], each row
     # a hashable pair of integers; given p, each row is a Browkin step record (k, x), written
-    # as the pair (x, p**k)
+    # as the pair (x, p**k).  A run of 2*_RUN or more rows that are one object, as the
+    # Schneider kernel shares its records, is written as one text repeated, found by
+    # schneider._runs' strided identity search; the rows between runs by _json_rows.  The
+    # Browkin kernel shares no record, so given p no run is looked for
+    parts, stop = [], 0
+    for start, end in _runs(rows) if p is None else ():
+        if start > stop:
+            parts.append(_json_rows(rows[stop:start], key0, key1, p))
+        text = _json_rows(rows[start:start + 1], key0, key1, p)
+        parts.append(text + (", " + text) * (end - start - 1))
+        stop = end
+    if stop < len(rows) or not parts:
+        parts.append(_json_rows(rows[stop:], key0, key1, p))
+    return f"[{', '.join(parts)}]"  # one copy of a long head's text, not two
+
+
+def _json_rows(rows, key0: str, key1: str, p: int | None) -> str:
+    # _json_pairs' text for rows, without the brackets
     template = f'{{"{key0}": %d, "{key1}": %d}}'
     distinct = set(rows)
     # the two paths take the same time at about a third of the rows distinct
@@ -165,13 +212,13 @@ def _json_pairs(rows, key0: str, key1: str, p: int | None = None) -> str:
             ks, values = zip(*rows)
             per_k = {k: f'{{"{key0}": %d, "{key1}": {p**k}}}' for k in set(ks)}
             templates = map(per_k.__getitem__, ks)
-        return "[" + ", ".join(templates) % values + "]"
+        return ", ".join(templates) % values
     # mostly repeated, as Schneider steps at a small p: format each distinct row once
     if p is None:
         text = {row: template % row for row in distinct}
     else:
         text = {(k, x): template % (x, p**k) for k, x in distinct}
-    return "[" + ", ".join(map(text.__getitem__, rows)) + "]"
+    return ", ".join(map(text.__getitem__, rows))
 
 
 def _certified_browkin(a: int, b: int, p: int):
@@ -195,13 +242,13 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     steps = expansion.steps
     if args.json:
         print(
-            f'{{"p": {p}, "input": {json.dumps(_rat_str(a, b))}, '
+            f'{{"p": {p}, "input": {json.dumps(_input_str(args))}, '
             f'"quotients": {_json_pairs(steps, "num", "den", p)}, '
             f'"k": {json.dumps([k for k, _ in steps])}, "beta": {json.dumps(betas)}, '
             f'"bound_N": {report.n_bound}, "reconstructed": true}}'
         )
     else:
-        print(f"input: {_rat_str(a, b)} (p={p})")
+        print(f"input: {_input_str(args)} (p={p})")
         print("quotients: " + ", ".join(_rat_str(x, p**k) for k, x in steps))
         print("k: " + ", ".join(str(k) for k, _ in steps))
         print("beta: " + ", ".join(map(str, betas)))
@@ -216,8 +263,9 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     recon = oracle.schneider_reconstruction(a, b, expansion)
     if args.json:  # no y printed, so no chain walked
         oracle.require(args.prime, a, b, recon, oracle.schneider_tail_laws(expansion))
+        num, den = _input_digits(args)
         print(
-            f'{{"p": {args.prime}, "a": {a}, "b": {b}, '
+            f'{{"p": {args.prime}, "a": {num}, "b": {den}, '
             f'"head": {_json_pairs(expansion.steps, "b", "alpha")}, '
             f'"stationary_from": {json.dumps(expansion.stationary_from)}, '
             f'"finite_end": {json.dumps(expansion.finite_end)}}}'
@@ -226,7 +274,7 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
         ys: list[int] = []
         oracle.require(args.prime, a, b, recon, oracle.schneider_matrix_laws(a, b, expansion, ys),
                        oracle.schneider_tail_laws(expansion))
-        print(f"input: {_rat_str(a, b)} (p={args.prime})")
+        print(f"input: {_input_str(args)} (p={args.prime})")
         print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.steps))
         print("y trace: " + ", ".join(map(str, ys)))
         if expansion.stationary_from is not None:
@@ -272,7 +320,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
         print(json.dumps(
             {
                 "p": args.prime,
-                "input": _rat_str(a, b),
+                "input": _input_str(args),
                 "start_exponent": window.start_exponent,
                 "digits": list(window.digits),
                 "count": window.count,
@@ -497,7 +545,7 @@ def _validate(args: argparse.Namespace) -> None:
         args.primes = sorted(set(primes))
         return
     if args.rational is not None:
-        args.rational = parse_rational(args.rational)
+        args.rational, args.input_digits = _parse_input(args.rational)
     if args.command == "bound":
         if args.rational is None and (args.beta0 is None or args.beta1 is None):
             raise ValueError("bound needs a rational or both --beta0 and --beta1")

@@ -71,18 +71,42 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def require_coprime(a: int, b: int) -> None:
+    """Raise ValueError, naming gcd(a, b), unless a and b are coprime."""
+    g = math.gcd(a, b)
+    if g != 1:
+        raise ValueError(f"numerator and denominator must be coprime, got gcd = {g}")
+
+
 def require_lowest_terms(a: int, b: int) -> None:
     """Raise ValueError unless a/b is in lowest terms with b > 0."""
     if b < 1:
         raise ValueError("denominator must be positive")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"numerator and denominator must be coprime, got gcd = {math.gcd(a, b)}")
+    require_coprime(a, b)
+
+
+# fewest bits left after p**127 for vp_split's probe: below it the ladder's few divisions cost
+# less than the probe's residue test and power (BENCH_head_work.json, "probe_threshold")
+_PROBE_BITS = 3072
 
 
 def vp_split(n: int, p: int) -> tuple[int, int]:
     """(v, n // p**v) for a nonzero integer n, v its p-adic valuation: p, p**2,
     p**4, ... are divided out while each divides, then the same powers are tried
-    in reverse, so the p-free cofactor comes with v at no further cost."""
+    in reverse, so the p-free cofactor comes with v at no further cost.
+
+    Once p**64 divides what is left, and that has more than _PROBE_BITS bits,
+    one division by p**m is tried first, m the largest exponent that p**64's
+    bit length certifies with p**m < 2**(bits - 64), bits that of what is left.
+    It divides when what is left is a power of p times a cofactor of about 64
+    bits, as the norm forms of a constant head are (the Schneider entry run's
+    and head_analysis' n), and the ladder then runs on that small quotient.  As
+    schoolbook division costs divisor times quotient (Knuth, TAOCP vol. 2,
+    4.3.1), that division is cheap, where the ladder divides by powers of half
+    the size of n with quotients as large.  Building p**m is not cheap, so a
+    residue test mod 2**(q_bits + 64) first rules out every n that p**m cannot
+    divide with so small a quotient; on a miss the ladder goes on as before.
+    """
     if n == 0:
         raise ValueError("valuation of zero undefined")
     if n % p:
@@ -92,6 +116,19 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
     while not r:
         n, v = q, 2 * v + 1
         powers.append(power)
+        if v == 127 and n.bit_length() > _PROBE_BITS:
+            # power = p**64 has just divided n.  2**(width-1) <= p**64 < 2**width, so a quotient
+            # q = n // p**m has |q| < 2**q_bits, and q = n * p**-m mod 2**(q_bits+64)
+            bits, width = n.bit_length(), power.bit_length()
+            m = (bits - 64) * 64 // width
+            q_bits = bits - m * (width - 1) // 64
+            mask = (1 << (q_bits + 64)) - 1
+            t = (n & mask) * pow(p, -m, mask + 1) & mask
+            if t >> q_bits == 0 or (mask - t) >> q_bits == 0:
+                q, r = divmod(n, p**m)
+                if not r:
+                    w, n = vp_split(q, p)
+                    return v + m + w, n
         power *= power
         q, r = divmod(n, power)
     for i in range(len(powers) - 1, -1, -1):

@@ -92,6 +92,16 @@ x*(x - d*y) - p**alpha*y**2, the norm form of the step.
       step vp(Q) = vp(1 + d - p**alpha) <= alpha).  As (y_{m-1}, y_m) =
       M**r (y_{m+r-1}, y_{m+r}) and det M = -p**alpha, the pair reached is
       adj(M**r) (y_{m-1}, y_m) / (-p**alpha)**r, an exact division.
+(vii) That division keeps the gcd: for x, y prime to p and (x', y') the pair
+      r steps (d, alpha) reach, gcd(x, y) = gcd(x', y').  For (x, y) = M**r
+      (x', y') makes gcd(x', y') divide gcd(x, y), and (-p**alpha)**r (x', y') =
+      adj(M**r) (x, y), as det M**r = (-p**alpha)**r, makes gcd(x, y) divide
+      p**(alpha*r) gcd(x', y'), where p does not divide gcd(x, y) as it does not
+      divide x.  Nor does (v) ask x, y to be coprime: scaling both by g prime to p
+      scales Q by g**2 and leaves its valuation and the digit as they are.  So the
+      kernel checks that a/b is in lowest terms on the pair its entry run reaches,
+      numbers of the size the run leaves, and names the same gcd as a check at
+      (a, b) would.
 _run_power gives M**r in O(log r) products, off the Lucas sequence u_0 = 0,
 u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
 [u_r, p**alpha*u_{r-1}]].  It is the one power of the module, used in three
@@ -101,7 +111,10 @@ places:
     through the expansion's inverses, and tries (v) at (a, b) before any batch
     (one form, one valuation, one power and one exact division; the run capped
     as the batches are and recorded as r references to one record, and a
-    remainder raised as an ArithmeticError named with the input).  A wrong
+    remainder raised as an ArithmeticError named with the input).  It checks
+    lowest terms on the pair reached, by (vii), before any batch; below the
+    bound, at (a, b).  _batches builds its table of p**e, e <= K, only once a
+    batch runs, so an input the run leaves below the bound builds none.  A wrong
     digit (a defect) leaves alpha = 0, and then no run is taken.  So a constant
     head of more than about 2W bits is one run even where no batch runs
     (p >= 2**17).  A run that starts further in is stepped by the batches and
@@ -149,7 +162,7 @@ from itertools import compress
 from operator import is_
 from typing import NamedTuple
 
-from .exactarith import require_lowest_terms, require_odd_prime, vp_split
+from .exactarith import require_coprime, require_odd_prime, vp_split
 
 
 class SchneiderStep(NamedTuple):
@@ -229,9 +242,11 @@ def _batches(
     # steps y_prev, y_cur in batches on residues mod p**depth while both stay at or above
     # 2**(2W) and a whole batch fits under the cap; returns the pair reached.  inverses and
     # records are the expansion's tables: r to r**-1 mod p, digit + p*alpha to its record
-    pows = [p**e for e in range(depth + 1)]
-    modulus, bound, append = pows[depth], 2 * _BATCH_WIDTH, steps.append
+    bound, append, pows = 2 * _BATCH_WIDTH, steps.append, None
     while min(abs(y_prev), abs(y_cur)).bit_length() > bound and len(steps) + depth <= cap:
+        if pows is None:  # p**e for e <= depth, built once a batch runs
+            pows = [p**e for e in range(depth + 1)]
+            modulus = pows[depth]
         x_prev, x_cur = y_prev % modulus, y_cur % modulus
         r_prev, r_cur = x_prev % p, x_cur % p
         # precision digits left, and C = [[c00, c01], [c10, c11]]
@@ -300,7 +315,6 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     batch's full-pair step), which only a wrong digit can leave.
     """
     _require_unit_pair(a, b, p)
-    require_lowest_terms(a, b)
 
     # above every step count the module docstring allows, so only a defect reaches it
     bits = max(abs(a), b).bit_length()
@@ -334,10 +348,13 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
                     raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
                 record = records[digit + p * alpha] = _record(SchneiderStep, (digit, alpha))
                 steps.extend([record] * run)
+            require_coprime(y_prev, y_cur)  # lemma (vii): the pair reached has the gcd of (a, b)
             if _BATCH_DEPTH_MIN <= depth:
                 y_prev, y_cur = _batches(y_prev, y_cur, p, depth, steps, cap, inverses, records)
         except ArithmeticError as exc:  # a defect: named with the input, as the cap is
             raise ArithmeticError(f"{exc} in the expansion of {a}/{b}") from None
+    else:
+        require_coprime(a, b)
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
     # and y_m mod p, never 0, until the sum is 0 at a stationary pair (lemma (iii))
     r_prev, r_cur = y_prev % p, y_cur % p
@@ -398,6 +415,8 @@ def _runs(head) -> list[tuple[int, int]]:
     # head[i] is head[i + _RUN]: one strided `is` test over the head finds every such i, one
     # count confirms a chain of them _RUN apart, and each core found grows by fewer than
     # _RUN records at either end, or a further i would lie in it
+    if len(head) < 2 * _RUN:
+        return []
     cores = []
     hits = [i for i in compress(range(0, len(head), _RUN), map(is_, head[::_RUN], head[_RUN::_RUN]))
             if head[i + _RUN // 2] is head[i] is head[i + _RUN // 4]]  # cheap filters: a run holds these
@@ -521,12 +540,13 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     disc = 4 * pa + digit * digit
     big_p, q = digit - 2 * pa, 2 * a - b * digit
     x, y = big_p * q - b * disc, big_p * b - q
-    # x*y < 0 makes |theta| < 1; y = 0 makes theta = 1, the one-step head d - p**alpha (e = 0),
-    # and x = 0 makes theta = -1, which no e meets
-    if x * y < 0:
+    # x, y of opposite signs make |theta| < 1; y = 0 makes theta = 1, the one-step head
+    # d - p**alpha (e = 0), and x = 0 makes theta = -1, which no e meets
+    if (x < 0 < y) or (y < 0 < x):
         raise ValueError("|theta| < 1: no constant head to measure")
     # theta = (x + y*sqrt(D)) / (x - y*sqrt(D)) = (sx + sy*sqrt(D)) / n, with sx > 0 and n != 0
-    sx, sy, n = x * x + disc * y * y, 2 * x * y, x * x - disc * y * y
+    xx, dyy = x * x, disc * (y * y)
+    sx, sy, n = xx + dyy, 2 * (x * y), xx - dyy
     # t1*t2 = -p**alpha, so (t2/t1)**e = w**e / (4p**alpha)**e with w = -(digit + sqrt(D))**2;
     # the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e.  In Z_p take
     # sqrt(D) = s = digit mod p: digit + s is a unit, digit - s has valuation alpha, so the rational

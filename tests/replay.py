@@ -1,6 +1,7 @@
 """Forward replays of the traces an expansion record does not store: the tests'
-references for the betas, the y values and the quotient pairs; and the head
-identity itself, the reference for head_analysis.
+references for the betas, the y values and the quotient pairs; the head
+identity itself, the reference for head_analysis; and the plain valuation
+ladder, the reference for vp_split's probe.
 
 Both replays walk y_{m+1} = (y_{m-1} - d_m*y_m) // p**e_m, with floor division, so
 a planted record replays to some trace rather than raising.
@@ -50,6 +51,25 @@ def _valuation(n, p):
         n //= p
         v += 1
     return v
+
+
+def vp_split_ladder(n, p):
+    """(v, n // p**v) for a nonzero n by the ladder alone: p, p**2, p**4, ... divided out while
+    each divides, then the same powers tried in reverse (vp_split without its probe)."""
+    if n % p:
+        return 0, n
+    n, v, powers, power = n // p, 1, [p], p * p
+    q, r = divmod(n, power)
+    while not r:
+        n, v = q, 2 * v + 1
+        powers.append(power)
+        power *= power
+        q, r = divmod(n, power)
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n, v = q, v + (1 << i)
+    return v, n
 
 
 def head_identity(report, p):

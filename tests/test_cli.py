@@ -28,7 +28,7 @@ import padic_cf.schneider as schneider
 from padic_cf.cli import main, parse_rational
 from padic_cf.schneider import generate_constant_head
 
-from replay import beta1_abs, beta_trace, k_trace, quotient_pairs
+from replay import beta1_abs, beta_trace, head_identity, k_trace, quotient_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
@@ -1366,6 +1366,159 @@ class TestJsonPairs:
             exp = browkin.browkin_expand(a, b, p)
             want = json.dumps([{"num": x, "den": y} for x, y in quotient_pairs(exp)])
             assert cli._json_pairs(exp.steps, "num", "den", p) == want, (a, b, p)
+
+
+class TestJsonPairRuns:
+    """_json_pairs writes a run of 2*_RUN or more rows that are one object as one text
+    repeated; every mix of runs and other rows must still be json.dumps' text."""
+
+    R = schneider._RUN
+
+    @staticmethod
+    def want(rows, p=None):
+        if p is None:
+            return json.dumps([{"b": x, "alpha": y} for x, y in rows])
+        return json.dumps([{"b": x, "alpha": p**k} for k, x in rows])
+
+    def cases(self):
+        R, step = self.R, schneider.SchneiderStep
+        shared, other = step(1, 2), step(2, 1)
+        mixed = [step(1, 1), other, step(1, 1), step(4, 3)]
+        return {
+            "start": [shared] * (2 * R) + mixed,
+            "middle": mixed + [shared] * (3 * R + 5) + mixed,
+            "end": mixed + [shared] * (2 * R),
+            "shortest-run": [shared] * (2 * R),
+            "one-short": [shared] * (2 * R - 1),
+            "one-short-between": mixed + [shared] * (2 * R - 1) + mixed,
+            "two-runs": [shared] * (2 * R + 1) + [other] * (5 * R),
+            "runs-apart": [shared] * (2 * R) + mixed + [other] * (2 * R) + mixed + [shared] * (7 * R),
+            "equal-not-identical": [step(1, 2) for _ in range(5 * R)],
+            "identical-and-equal": [shared] * (2 * R) + [step(1, 2) for _ in range(3 * R)],
+        }
+
+    def test_equals_json_dumps(self):
+        for name, rows in self.cases().items():
+            assert cli._json_pairs(rows, "b", "alpha") == self.want(rows), name
+            assert cli._json_pairs(tuple(rows), "b", "alpha") == self.want(rows), name
+
+    def test_browkin_records_that_are_one_object(self):
+        for name, rows in self.cases().items():
+            records = [browkin.BrowkinStep(*row) for row in rows]  # (k, x) = (digit, alpha)
+            shared = {id(row): record for row, record in zip(rows, records)}
+            records = [shared[id(row)] for row in rows]  # one object where rows had one
+            assert cli._json_pairs(records, "b", "alpha", 5) == self.want(records, 5), name
+
+    def test_a_run_is_formatted_once(self, monkeypatch):
+        # the run's record goes through _json_rows once, alone, whatever the run's length
+        rows = self.cases()["middle"]
+        calls = []
+        json_rows = cli._json_rows
+        monkeypatch.setattr(cli, "_json_rows", lambda part, *args: calls.append(len(part)) or json_rows(part, *args))
+        assert cli._json_pairs(rows, "b", "alpha") == self.want(rows)
+        assert calls == [4, 1, 4]
+
+
+class TestInputDigits:
+    """Each command that prints its input prints str() of the reduced pair: argv's own digits
+    when they are canonical (no leading zero, in lowest terms), else the converted pair."""
+
+    # (canonical, spellings of the same value) for inputs prime to 3
+    SPELLINGS = [
+        ("-7/5", ["-007/5", "-7/05", "-14/10", "-0007/0005"]),
+        ("11", ["11/1", "011", "22/2", "011/001"]),
+        ("2/5", ["02/5", "4/10", "2/005"]),
+    ]
+    COMMANDS = [
+        ["expand-browkin", "-p", "3"], ["expand-schneider", "-p", "3"], ["digits", "-p", "3", "-n", "8"],
+    ]
+
+    def test_parse_input(self):
+        assert cli._parse_input("-7/5") == ((-7, 5), ("-7", "5"))
+        assert cli._parse_input("5") == ((5, 1), ("5", "1"))
+        assert cli._parse_input("5/1") == ((5, 1), ("5", "1"))
+        assert cli._parse_input("0") == ((0, 1), ("0", "1"))
+        for text, pair in (("-007/5", (-7, 5)), ("-0", (0, 1)), ("-0/7", (0, 1)), ("0/5", (0, 1)),
+                           ("4/6", (2, 3)), ("5/01", (5, 1)), ("00", (0, 1)), ("-10/15", (-2, 3))):
+            assert cli._parse_input(text) == (pair, None), text
+
+    def test_spellings_print_what_str_prints(self, capsys):
+        for canonical, spellings in self.SPELLINGS:
+            a, b = parse_rational(canonical)
+            for command in self.COMMANDS:
+                for json_flag in ([], ["--json"]):
+                    want = run_cli(command + json_flag + ["--", canonical], capsys)
+                    assert want[0] == 0, want
+                    if json_flag and command[0] != "expand-schneider":
+                        assert json.loads(want[1])["input"] == cli._rat_str(a, b)
+                    elif json_flag:
+                        assert json.loads(want[1])["a"] == a and json.loads(want[1])["b"] == b
+                    for text in spellings:
+                        assert run_cli(command + json_flag + ["--", text], capsys) == want, (command, text)
+                        if text[0] != "-":  # without the '--' too
+                            assert run_cli(command + json_flag + [text], capsys) == want, (command, text)
+
+    def test_a_long_head_in_its_spellings(self, capsys):
+        a, b = generate_constant_head(3, 3, 1950, 7)
+        want = run_cli(["expand-schneider", "-p", "7", "--json", f"{a}/{b}"], capsys)
+        got = json.loads(want[1])
+        assert want[0] == 0 and (got["a"], got["b"]) == (a, b)
+        sign = "-" if a < 0 else ""
+        for text in (f"{sign}00{abs(a)}/000{b}", f"{2 * a}/{2 * b}", f"{3 * a}/0{3 * b}"):
+            assert run_cli(["expand-schneider", "-p", "7", "--json", "--", text], capsys) == want
+
+
+class TestHeadDegenerateTheta:
+    """head_analysis' y = 0 (theta = 1) and x = 0 (theta = -1) branches, as they were before
+    its products were formed once each."""
+
+    @staticmethod
+    def expected(a, b, digit, alpha, p):
+        # the report by the formulas as first written, each product formed where it is used
+        pa = p**alpha
+        disc = 4 * pa + digit * digit
+        big_p, q = digit - 2 * pa, 2 * a - b * digit
+        x, y = big_p * q - b * disc, big_p * b - q
+        assert x * y >= 0
+        return (digit, alpha, disc, x * x + disc * y * y, 2 * x * y, x * x - disc * y * y)
+
+    def test_reports(self):
+        # y = 0 at a/b = digit - p**alpha; x = 0 at a/b = (disc + digit*(digit - 2p**alpha)) /
+        # (2*(digit - 2p**alpha))
+        cases = []
+        for p in (3, 5, 7, 11, 101):
+            for digit in range(1, min(p, 8)):
+                for alpha in (1, 2, 3):
+                    if (digit, alpha) == (p - 1, 1):
+                        continue
+                    pa = p**alpha
+                    disc, big_p = 4 * pa + digit * digit, digit - 2 * pa
+                    for value in (Fraction(digit - pa), Fraction(disc + digit * big_p, 2 * big_p)):
+                        a, b = value.numerator, value.denominator
+                        if a % p and b % p:
+                            cases.append((a, b, digit, alpha, p))
+        assert len(cases) > 80
+        zeros = {0: 0, 1: 0}
+        for a, b, digit, alpha, p in cases:
+            report = schneider.head_analysis(a, b, digit, alpha, p)
+            assert report[:6] == self.expected(a, b, digit, alpha, p), (a, b, digit, alpha, p)
+            assert (report.head_len, report.exact_identity) == head_identity(report, p)
+            assert report.sy == 0
+            zeros[report.n < 0] += 1  # theta = -1 where n = -sx, 1 where n = sx
+        assert zeros[0] and zeros[1]
+
+    def test_head_command(self, capsys):
+        # outputs recorded before the change
+        assert run_cli(["head", "-p", "3", "--digit", "1", "--exponent", "1", "--", "-4/5"], capsys)[1] == (
+            "head pair: (1,1) (p=3)\nT1 ~ -1.30278, T2 ~ 2.30278\ntheta = -1 (~-1.0)\n"
+            "head length: unknown\nexact identity: false\n")
+        assert run_cli(["head", "-p", "3", "--json", "--digit", "1", "--exponent", "1", "--", "-4/5"],
+                       capsys)[1] == (
+            '{"T1_float": -1.30278, "T2_float": 2.30278, "theta_float": -1.0, "exact_exponent": null, '
+            '"head_len": null, "exact_identity": false}\n')
+        assert run_cli(["head", "-p", "7", "--digit", "3", "--exponent", "2", "--", "-46"], capsys)[1] == (
+            "head pair: (3,2) (p=7)\nT1 ~ -5.65891, T2 ~ 8.65891\ntheta = 1 (~1.0)\nexact exponent: 0\n"
+            "head length: 1\nexact identity: true\n")
 
 
 class TestParserReuse:

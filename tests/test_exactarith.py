@@ -16,7 +16,12 @@ from padic_cf.exactarith import (
     mod_inverse,
     symmetric_residue,
     vp,
+    vp_split,
 )
+
+from replay import vp_split_ladder
+
+PROBE_PRIMES = (3, 5, 7, 101, 65537, 10**9 + 7)
 
 
 def brute_inverse(a, m):
@@ -79,6 +84,86 @@ class TestValuation:
                     assert vp(r + s, p) >= lo
                     if vp(r, p) != vp(s, p):
                         assert vp(r + s, p) == lo
+
+
+def probe_exponent(n, p):
+    """The m of vp_split's probe on n, p**127 dividing n: one division by p**m is tried on
+    n // p**127, m the largest exponent p**64's bit length certifies below 2**(bits - 64)."""
+    rest = n // p**127
+    return (rest.bit_length() - 64) * 64 // (p**64).bit_length()
+
+
+def probed(p):
+    """A valuation above 127 whose n // p**127 has more than _PROBE_BITS bits for any
+    cofactor, so that vp_split probes it: p**(v - 127) has over 1.5 * _PROBE_BITS bits."""
+    return 127 + 2 * exactarith._PROBE_BITS // p.bit_length() + 1
+
+
+def decoy(p, m):
+    """(n, v): p**v exactly divides n, the probe tries p**m > p**(v - 127), and n // p**127 is
+    p**m plus a multiple of 2**k, k the bits of the probe's residue test, so that test passes
+    and only the remainder of the division tells the probe missed."""
+    width = (p**64).bit_length()
+    bits = 64 + -(-m * width // 64)  # the least bit length that probes p**m
+    k = bits - m * (width - 1) // 64 + 64
+    v = (bits - k - 2) * 64 // width  # p**v < 2**(bits - k - 2)
+    w = (1 << (bits - 1 - k)) // p**v + 1
+    while w % p == 0:
+        w += 1
+    rest = p**m + (p**v * w << k)
+    assert rest.bit_length() == bits > exactarith._PROBE_BITS and v < m
+    return p**127 * rest, 127 + v
+
+
+class TestVpSplitProbe:
+    """vp_split divides once by the largest power of p that may fit once p**64 has divided
+    what is left: it must answer as the plain ladder does, on hits and misses alike."""
+
+    def cofactors(self, p, rng):
+        return (1, -1, 2, -(p + 1), rng.getrandbits(2000) * p + 1)
+
+    def test_powers_and_cofactors(self):
+        rng = random.Random(20261019)
+        for p in PROBE_PRIMES:
+            for v in (0, 1, 62, 63, 64, 65, 126, 127, 128, 1000, probed(p)):
+                for c in self.cofactors(p, rng):
+                    n = c * p**v
+                    assert vp_split(n, p) == vp_split_ladder(n, p) == (v, c), (p, v, c)
+
+    def test_around_the_estimate(self, monkeypatch):
+        # cofactors of 1 to 300 bits put the probe's m below, at and above v - 127: a probe at
+        # or under the valuation divides, one above it must fall back to the ladder.  The
+        # residue test's modular power is counted, so the test fails if no probe ran
+        calls = []
+        monkeypatch.setattr(exactarith, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+        for p in PROBE_PRIMES:
+            calls.clear()
+            checked = 0
+            for v in (probed(p), probed(p) + 1000):
+                seen = set()
+                for j in range(301):
+                    c = (1 << j) + 1
+                    while c % p == 0:
+                        c += 2
+                    n = c * p**v
+                    gap = probe_exponent(n, p) - (v - 127)
+                    if gap in (-1, 0, 1):
+                        seen.add(gap)
+                        checked += 2
+                        assert vp_split(n, p) == vp_split_ladder(n, p) == (v, c), (p, v, c)
+                        assert vp_split(-n, p) == (v, -c)
+                assert seen == {-1, 0, 1}, (p, v, seen)
+            assert len(calls) == checked, p  # every vp_split call above probed
+
+    @pytest.mark.parametrize("p", PROBE_PRIMES)
+    def test_a_passing_residue_is_not_a_hit(self, p):
+        width = (p**64).bit_length()
+        m0 = (exactarith._PROBE_BITS - 64) * 64 // width + 1  # the least m decoy() can give
+        for m in (m0, m0 + 1, 2 * m0, 5000):
+            n, v = decoy(p, m)
+            assert probe_exponent(n, p) == m
+            assert vp_split(n, p) == vp_split_ladder(n, p), (p, m)
+            assert vp_split(n, p)[0] == v
 
 
 class TestModInverse:

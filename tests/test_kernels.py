@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from padic_cf import oracle, schneider
+from padic_cf import cli, oracle, schneider
 from padic_cf.browkin import browkin_expand
 from padic_cf.exactarith import vp_split
 from padic_cf.schneider import generate_constant_head, schneider_expand, schneider_pair
@@ -486,3 +486,66 @@ class TestRuns:
             verdict = oracle.schneider_reconstruction(a, b, record).ok
             assert verdict == (isinstance(got[0], int) and got[1] != 0 and got[0] * b == got[1] * a)
         assert powers  # the natural runs above the planted ones were taken as powers
+
+
+# the text of the coprimality error, at every kernel entry
+COPRIME_MESSAGE = "numerator and denominator must be coprime, got gcd = {}"
+
+
+class TestLowestTermsAtTheEntryRun:
+    """Lemma (vii) of the schneider module: above the batch bound the kernel checks lowest
+    terms on the pair its entry run reaches, whose gcd is that of (a, b), so the error names
+    the gcd a check at (a, b) names, and it comes before any batch."""
+
+    @staticmethod
+    def scaled_inputs(p):
+        # a constant head and a random input above the bound, each scaled by 5 and by a g
+        # prime to p above 2**960: (g*a, g*b, g, the pair reached by the entry run or None)
+        rng = random.Random(p)
+        big = (1 << 961) + 1
+        while big % p == 0:
+            big += 2
+        head, tail = generate_constant_head(1, 2, 1000, p), (p * p - 1, 1)  # +-M (1, -1)
+        out = []
+        for g in (5, big):
+            out.append((g * head[0], g * head[1], g, (g * tail[0], g * tail[1])))
+            a, b = random_pair(rng, 400, p)
+            out.append((g * a, g * b, g, None))
+        return out
+
+    @pytest.mark.parametrize("p", (3, 7, 101, 65537))
+    def test_the_error_names_the_inputs_gcd(self, p, monkeypatch):
+        checked = []
+        require = schneider.require_coprime
+        monkeypatch.setattr(schneider, "require_coprime", lambda x, y: checked.append((x, y)) or require(x, y))
+        for a, b, g, reached in self.scaled_inputs(p):
+            assert min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
+            checked.clear()
+            with pytest.raises(ValueError) as caught:
+                schneider_expand(a, b, p)
+            assert str(caught.value) == COPRIME_MESSAGE.format(g)
+            # a head is checked on the small pair its run reached, a random input at (a, b)
+            assert [(abs(x), abs(y)) for x, y in checked] == [tuple(map(abs, reached or (a, b)))]
+
+    def test_the_check_comes_before_any_batch(self, monkeypatch):
+        def planted(*args):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(schneider, "_batches", planted)
+        for p in (3, 7, 101):
+            for a, b, g, _ in self.scaled_inputs(p):
+                with pytest.raises(ValueError) as caught:
+                    schneider_expand(a, b, p)
+                assert str(caught.value) == COPRIME_MESSAGE.format(g)
+            with pytest.raises(AssertionError, match="a batch ran"):  # the plant is live
+                schneider_expand(a // g, b // g, p)
+
+    def test_expand_schneider_exits_2(self, monkeypatch, capsys):
+        # the CLI reduces what it parses, so the scaled pair is planted past the parser
+        for a, b, g, _ in self.scaled_inputs(7):
+            monkeypatch.setattr(cli, "_parse_input", lambda text: ((a, b), None))
+            with pytest.raises(SystemExit) as caught:
+                cli.main(["expand-schneider", "-p", "7", "--json", "1/2"])
+            assert caught.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(f"error: {COPRIME_MESSAGE.format(g)}\n")
