@@ -37,12 +37,12 @@ modes of expand-schneider also require the tail laws, which fix where the record
 stops; `bound` given a rational reads beta0 and |beta_1| off the first step.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
-step records, with no dict per step: a run of 2*_RUN or more rows that are one
-object, as the Schneider kernel shares them, is one text repeated (found by
-schneider._runs' strided search); the other rows take one "%" over them when
-more than a third are distinct, else one "%d" template per distinct row.  A Browkin
-record (k, x) is written {"num": x, "den": p**k}, with p**k taken once per
-distinct exponent on the "%" path.
+step records, with no dict per step: a leading run of 64 or more equal rows, as
+a constant Schneider head has, is one text repeated (schneider._leading_run,
+which compares rows by value); the other rows, runs further in included, take
+one "%" over them when more than a third are distinct, else one "%d" template
+per distinct row.  A Browkin record (k, x) is written {"num": x, "den": p**k},
+with p**k taken once per distinct exponent on the "%" path.
 The argparse parsers are built once per process, on the first main() call.
 When argv[0] names a subcommand, main hands the rest of argv straight to that
 subcommand's parser; the top-level parser runs only for -h, an empty argv or
@@ -75,7 +75,7 @@ from . import oracle
 from .browkin import browkin_betas, browkin_bound, browkin_expand
 from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
 from .exactarith import require_odd_prime, square_part
-from .schneider import _runs, head_analysis, schneider_expand
+from .schneider import _leading_run, head_analysis, schneider_expand
 
 # ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -183,19 +183,15 @@ def _f6(x: int, y: int, den: int, root: tuple[int, int]) -> float | None:
 def _json_pairs(rows, key0: str, key1: str, p: int | None = None) -> str:
     # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], each row
     # a hashable pair of integers; given p, each row is a Browkin step record (k, x), written
-    # as the pair (x, p**k).  A run of 2*_RUN or more rows that are one object, as the
-    # Schneider kernel shares its records, is written as one text repeated, found by
-    # schneider._runs' strided identity search; the rows between runs by _json_rows.  The
-    # Browkin kernel shares no record, so given p no run is looked for
-    parts, stop = [], 0
-    for start, end in _runs(rows) if p is None else ():
-        if start > stop:
-            parts.append(_json_rows(rows[stop:start], key0, key1, p))
-        text = _json_rows(rows[start:start + 1], key0, key1, p)
-        parts.append(text + (", " + text) * (end - start - 1))
-        stop = end
-    if stop < len(rows) or not parts:
-        parts.append(_json_rows(rows[stop:], key0, key1, p))
+    # as the pair (x, p**k).  A leading run of schneider._RUN_MIN or more equal rows, as a
+    # constant Schneider head has, is written as one text repeated (schneider._leading_run);
+    # every other row, runs further in included, by _json_rows
+    run, parts = _leading_run(rows), []
+    if run:
+        text = _json_rows(rows[:1], key0, key1, p)
+        parts.append(text + (", " + text) * (run - 1))
+    if run < len(rows) or not parts:
+        parts.append(_json_rows(rows[run:], key0, key1, p))
     return f"[{', '.join(parts)}]"  # one copy of a long head's text, not two
 
 

@@ -119,14 +119,15 @@ places:
     head of more than about 2W bits is one run even where no batch runs
     (p >= 2**17).  A run that starts further in is stepped by the batches and
     the single-step loop, which have no such test.
-  - schneider_pair finds runs of 2*_RUN or more records that are one object,
-    as the kernel shares them (each run holds head[i] is head[i + _RUN] at
-    some i = 0 mod _RUN, so one strided `is` test over the head finds them),
-    and applies each as M**r to (num, den).  It does so only for a digit in
-    1..p-1, an exponent >= 1 and a numerator prime to p below the run: then
-    each numerator in the run is d times the one below it mod p, prime to p
-    and never 0, so the step loop would raise nowhere in the run and would
-    reach the same pair.
+  - schneider_pair takes one run only, the head's leading run of _RUN_MIN or
+    more records, found by value (_leading_run: records compared equal, so no
+    caller depends on the kernel sharing them), and applies it as M**r to
+    (num, den) once the levels after it are stepped.  It does so only for a
+    digit in 1..p-1, an exponent >= 1 and a numerator prime to p below the
+    run: then each numerator in the run is d times the one below it mod p,
+    prime to p and never 0, so the step loop would raise nowhere in the run
+    and would reach the same pair.  Otherwise, and for every run further in,
+    it steps level by level, as the kernel does.
   - head_analysis, by lemma (vi).
 
 A constant head of k+1 identical steps (d, alpha) satisfies (T2/T1)**k = theta.
@@ -158,8 +159,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import compress
-from operator import is_
 from typing import NamedTuple
 
 from .exactarith import require_coprime, require_odd_prime, vp_split
@@ -217,9 +216,9 @@ _BATCH_WIDTH = 480  # W: bits of the residues a batch steps on (module docstring
 # fewest digits K a batch steps on: with fewer (p above 17 bits), its full-size products
 # and division cost more than the single steps they replace
 _BATCH_DEPTH_MIN = 28
-# stride of schneider_pair's run search: runs of 2*_RUN or more equal records are taken as
-# one power (BENCH_schneider_runs.json, "run_stride")
-_RUN = 32
+# shortest leading run schneider_pair takes as one power and cli._json_pairs writes as one
+# text repeated (BENCH_schneider_runs.json, "run_stride")
+_RUN_MIN = 64
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
@@ -392,81 +391,51 @@ def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:
 
     head is a SchneiderExpansion's steps or a list of (digit, alpha) pairs;
     items 0 and 1 of each record are read, last record first.  A zero tail
-    or zero partial denominator raises ZeroDivisionError.  A run of 2*_RUN or
-    more records that are one object is taken as one power of its step matrix
-    where the module docstring's guard allows, giving the pair the step loop
-    gives.
+    or zero partial denominator raises ZeroDivisionError.  A leading run of
+    _RUN_MIN or more equal records (_leading_run) is taken as one power of
+    its step matrix where the module docstring's guard allows, giving the
+    pair the step loop gives; every other level, runs further in included,
+    is stepped one at a time.
     """
     num, den = tail
     if num == 0:
         raise ZeroDivisionError("zero tail value")
-    if len(head) >= 2 * _RUN:
-        num, den, head = _back_through_runs(head, num, den, p)
-    for step in reversed(head):
-        if num == 0:
-            raise ZeroDivisionError("zero denominator in back-substitution")
-        num, den = step[0] * num + p ** step[1] * den, num
-    return num, den
-
-
-def _runs(head) -> list[tuple[int, int]]:
-    # (start, end) of each maximal run head[start:end] of 2*_RUN or more records that are one
-    # object, as the kernel makes them, in order.  Such a run holds some i = 0 mod _RUN with
-    # head[i] is head[i + _RUN]: one strided `is` test over the head finds every such i, one
-    # count confirms a chain of them _RUN apart, and each core found grows by fewer than
-    # _RUN records at either end, or a further i would lie in it
-    if len(head) < 2 * _RUN:
-        return []
-    cores = []
-    hits = [i for i in compress(range(0, len(head), _RUN), map(is_, head[::_RUN], head[_RUN::_RUN]))
-            if head[i + _RUN // 2] is head[i] is head[i + _RUN // 4]]  # cheap filters: a run holds these
-    hits.append(-1)  # ends the last chain
-    first = hits[0]
-    for last, following in zip(hits, hits[1:]):
-        if following == last + _RUN:
-            continue
-        span = head[first:last + _RUN + 1]  # from head[first] to head[last + _RUN], one object
-        if span.count(span[0]) == len(span):
-            cores.append([first, last + _RUN + 1])
-        elif last > first:  # something else between them: block by block, joining those that meet
-            for i in range(first, last + 1, _RUN):
-                block = head[i:i + _RUN + 1]
-                if block.count(block[0]) == len(block):
-                    if cores and cores[-1][1] == i + 1:
-                        cores[-1][1] = i + _RUN + 1
-                    else:
-                        cores.append([i, i + _RUN + 1])
-        first = following
-    runs = []
-    for start, end in cores:
-        record = head[start]
-        while start and head[start - 1] is record:
-            start -= 1
-        while end < len(head) and head[end] is record:
-            end += 1
-        if end - start >= 2 * _RUN:
-            runs.append((start, end))
-    return runs
-
-
-def _back_through_runs(head, num: int, den: int, p: int):
-    # schneider_pair's (num, den) once every level from head's first run on is taken, each run
-    # as one power where the guard allows, and the records before that run, left to its loop
-    stop = len(head)
-    for start, end in reversed(_runs(head)):
-        for step in reversed(head[end:stop]):
+    run = _leading_run(head) if len(head) >= _RUN_MIN else 0  # a sweep head skips the call
+    levels = head[run:] if run else head
+    while True:
+        for step in reversed(levels):
             if num == 0:
                 raise ZeroDivisionError("zero denominator in back-substitution")
             num, den = step[0] * num + p ** step[1] * den, num
-        digit, alpha = head[start][0], head[start][1]
+        if not run:
+            return num, den
+        digit, alpha = head[0][0], head[0][1]
         if 0 < digit < p and alpha >= 1 and num % p:  # no numerator in the run is 0
             pa = p**alpha
-            hi, lo = _run_power(digit, pa, end - start)  # M**r = [[hi, pa*lo], [lo, hi - digit*lo]]
-            num, den = hi * num + pa * lo * den, lo * num + (hi - digit * lo) * den
-            stop = start
-        else:  # step by step, with the records before it
-            stop = end
-    return num, den, head[:stop]
+            hi, lo = _run_power(digit, pa, run)  # M**r = [[hi, pa*lo], [lo, hi - digit*lo]]
+            return hi * num + pa * lo * den, lo * num + (hi - digit * lo) * den
+        levels, run = head[:run], 0  # else the run is stepped too
+
+
+def _leading_run(head) -> int:
+    # the length of head's leading run of one step, records compared equal, when it has
+    # _RUN_MIN or more records; else 0.  Each test is one C-level count: the first _RUN_MIN
+    # records; the whole head, where its last record is the run's step (a constant head);
+    # else slices of the records not yet confirmed, doubling until one holds another step,
+    # then halving to the run's end, so a later repeat never lengthens the run
+    if len(head) < _RUN_MIN or head[_RUN_MIN - 1] != head[0] or head[:_RUN_MIN].count(head[0]) < _RUN_MIN:
+        return 0
+    first, end = head[0], len(head)
+    if head[-1] == first and head.count(first) == end:
+        return end
+    run, end, grow = _RUN_MIN, end - 1, True  # head[:run] equals first, and the run ends by end
+    while run < end:
+        mid = min(2 * run, end) if grow else (run + end + 1) // 2
+        if head[run:mid].count(first) == mid - run:
+            run = mid
+        else:
+            end, grow = mid - 1, False
+    return run
 
 
 def schneider_evaluate(head, tail: tuple[int, int], p: int) -> Fraction:

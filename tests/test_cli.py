@@ -1369,10 +1369,10 @@ class TestJsonPairs:
 
 
 class TestJsonPairRuns:
-    """_json_pairs writes a run of 2*_RUN or more rows that are one object as one text
-    repeated; every mix of runs and other rows must still be json.dumps' text."""
+    """_json_pairs writes a leading run of _RUN_MIN or more equal rows as one text repeated;
+    every mix of runs and other rows must still be json.dumps' text."""
 
-    R = schneider._RUN
+    R = schneider._RUN_MIN // 2  # the cases' runs are 2*R = _RUN_MIN rows or more
 
     @staticmethod
     def want(rows, p=None):
@@ -1410,13 +1410,14 @@ class TestJsonPairRuns:
             assert cli._json_pairs(records, "b", "alpha", 5) == self.want(records, 5), name
 
     def test_a_run_is_formatted_once(self, monkeypatch):
-        # the run's record goes through _json_rows once, alone, whatever the run's length
-        rows = self.cases()["middle"]
+        # the leading run's record goes through _json_rows once, alone, whatever the run's
+        # length, and the rows after it once
+        rows = self.cases()["start"]
         calls = []
         json_rows = cli._json_rows
         monkeypatch.setattr(cli, "_json_rows", lambda part, *args: calls.append(len(part)) or json_rows(part, *args))
         assert cli._json_pairs(rows, "b", "alpha") == self.want(rows)
-        assert calls == [4, 1, 4]
+        assert calls == [1, 4]
 
 
 class TestInputDigits:

@@ -7,8 +7,10 @@ inverses (and, for Schneider, of step records) for each expansion and, for
 Schneider above a bound, step in batches on residues mod p**K: every such
 shortcut must give the reference's steps exactly, its tail markers included,
 and so must the runs of one repeated step that the kernel takes as one power
-(lemma (v)) at the input pair; schneider_pair, which takes such runs the same
-way, must give the pair of a back-substitution one level at a time.
+(lemma (v)) at the input pair.  schneider_pair takes a head's one leading run
+the same way, found by value (_leading_run, checked against a plain scan), and
+steps every other level, runs further in included: it must give the pair of a
+back-substitution one level at a time.
 A Browkin step records (k, x) alone, so the reference's beta_n are checked
 against the betas replayed from the record (tests/replay.py).
 """
@@ -23,7 +25,7 @@ from padic_cf.browkin import browkin_expand
 from padic_cf.exactarith import vp_split
 from padic_cf.schneider import generate_constant_head, schneider_expand, schneider_pair
 
-from replay import beta_trace, k_trace, y_trace
+from replay import beta_trace, k_trace, leading_run, y_trace
 
 PRIMES = (3, 5, 101, 65537, 10**9 + 7)
 
@@ -395,14 +397,15 @@ class TestRuns:
     def test_entry_run_at_large_p(self, p, powers):
         # at 10**9+7 no batch runs, and at 65537 none before the entry run: the kernel takes the
         # whole head at the input pair, so the records are the run's one object and the last
-        # step's, and the reconstruction takes the run as one power too
+        # step's; the reconstruction compares records by value, so its one power covers all
+        # 2,001 records, the last one included
         a, b = generate_constant_head(1, 1, 2000, p)
         exp = assert_schneider_matches(a, b, p)
         assert exp.steps == ((1, 1),) * 2001
         assert len({id(step) for step in exp.steps}) == 2
         assert powers == [2000]
         powers.clear()
-        assert oracle.schneider_reconstruction(a, b, exp).ok and powers == [2000]
+        assert oracle.schneider_reconstruction(a, b, exp).ok and powers == [2001]
 
     def test_entry_run_only_on_a_head_above_the_bound(self, powers):
         # one power at the input pair of a constant head above the batch bound, whatever p is;
@@ -431,7 +434,7 @@ class TestRuns:
     def pair_inputs():
         # (head, tail, p): expansions with long runs, and heads of one shared record over tails
         rng = random.Random(79)
-        out, shortest = [], 2 * schneider._RUN  # the shortest run taken as a power
+        out, shortest = [], schneider._RUN_MIN  # the shortest run taken as a power
         for p in (3, 5, 101, 10**9 + 7):
             for digit, alpha in ((1, 1), (1, 2), (p - 1, 1)):
                 for k in (shortest - 1, shortest, shortest + 1, 200, 1500):
@@ -447,6 +450,37 @@ class TestRuns:
                      + [(1, 2)] * 50 + [step] * 200)
             out.append((mixed, exp.tail, p))
         return out
+
+    def test_leading_run_is_the_plain_scan(self):
+        # _leading_run against a scan of one record at a time, on plain tuples and on records:
+        # records are compared by value, and a later repeat of the run's step, the run's own
+        # object included, never lengthens the run
+        rng = random.Random(89)
+        shortest = schneider._RUN_MIN
+        for make in (lambda d, e: tuple([d, e]), schneider.SchneiderStep):  # a new object each call
+            A, B = make(1, 2), make(2, 1)
+            tail = [make(rng.randrange(1, 3), rng.randrange(1, 3)) for _ in range(300)]
+            heads = {
+                "empty": [],
+                "63": [A] * (shortest - 1),
+                "64": [A] * shortest,
+                "65": [A] * (shortest + 1),
+                "run-then-step": [A] * 100 + [B] + tail,
+                "repeat-after": [A] * shortest + [B] + [A] * 100,
+                "shared-recurs": [A] * 150 + [B] + [A if rng.random() < 0.5 else row for row in tail],
+                "equal-not-identical": [make(1, 2) for _ in range(200)] + [B] + tail,
+                "whole-head": [A] * 2001,
+                "whole-head-equal-last": [A] * 2000 + [make(1, 2)],
+            }
+            for n in range(1, 3 * shortest):  # the run's end at each place, the last record A or B
+                heads[f"ends-at-{n}"] = [A] * n + [B] + [A] * 50
+                heads[f"ends-at-{n}-last"] = [A] * n + [B]
+            assert len({id(row) for row in heads["equal-not-identical"][:200]}) == 200
+            assert [leading_run(heads[name], shortest) for name in ("empty", "63", "64", "65", "repeat-after",
+                    "whole-head")] == [0, 0, shortest, shortest + 1, shortest, 2001]
+            for name, head in heads.items():
+                for form in (head, tuple(head)):
+                    assert schneider._leading_run(form) == leading_run(head, shortest), (name, type(form))
 
     def test_pair_matches_the_step_loop(self, powers):
         inputs = self.pair_inputs()
@@ -485,7 +519,10 @@ class TestRuns:
             record = exp._replace(steps=tuple(head), tail=planted_tail)
             verdict = oracle.schneider_reconstruction(a, b, record).ok
             assert verdict == (isinstance(got[0], int) and got[1] != 0 and got[0] * b == got[1] * a)
-        assert powers  # the natural runs above the planted ones were taken as powers
+        # the intact leading run of 100 records above each alpha = 0 plant, which leaves the
+        # numerator below the run prime to p, was taken as one power, by schneider_pair and by
+        # the reconstruction; under every other plant the guard fails and the run is stepped
+        assert powers == [100] * 4
 
 
 # the text of the coprimality error, at every kernel entry
