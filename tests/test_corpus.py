@@ -5,7 +5,9 @@ text and `--json`, at p in {3, 5, 7, 11, 101, 10**9+7}, on random inputs of 1 to
 60 digits with up to p**3 in the denominator, one-step Browkin inputs,
 stationary and finite-end Schneider inputs built by reverse steps, inputs with p
 in the numerator, and usage errors.  Each call's (exit code, stdout, stderr)
-goes into one sha256 per command and mode.  A second digest covers the
+goes into one sha256 per command and mode.  `digits`, `bound` and `head`, in
+text and `--json`, have digests of their own (MORE_DIGESTS), and so do constant
+Schneider heads of 64 to 2,001 records through `expand-schneider` and `head`.  A second digest covers the
 verdicts of the three chain checks (majorant, determinant identity, Schneider
 matrix laws) on the natural records of the same inputs and on planted ones.
 
@@ -131,6 +133,116 @@ def test_corpus_outputs_are_pinned(mode):
     for argv in USAGE_ERRORS:
         digest.update(_call([command, *flags, *argv]))
     assert digest.hexdigest() == CORPUS_DIGESTS[mode]
+
+
+def _digits_calls(flags):
+    # digits -n 1..80 on rationals with p-free denominators below 10**4 (short period
+    # searches), p**0..p**3 in either part, and one 60-digit corpus input per prime, whose
+    # period search stops at DIGIT_PERIOD_LIMIT
+    rng = random.Random(36)
+    calls = []
+    for p in PRIMES:
+        for i in range(12):
+            while True:
+                a = rng.randrange(1, 10 ** rng.randint(1, 30)) * rng.choice((-1, 1)) * p ** (i % 4 == 1)
+                b = rng.randrange(1, 10**4) * p ** ((i % 4 == 3) * rng.randint(1, 3))
+                if gcd(a, b) == 1:
+                    break
+            calls.append(["-p", str(p), "-n", str(rng.randint(1, 80)), *flags, "--", f"{a}/{b}"])
+        a, b = next((a, b) for q, a, b in INPUTS if q == p and len(str(b)) >= 20)
+        calls.append(["-p", str(p), "-n", "40", *flags, "--", f"{a}/{b}"])
+    usage = (["-p", "3", "-n", "0", "2/5"], ["-p", "3", "-n", "100001", "2/5"], ["-p", "3", "2/5"])
+    return calls + [[*argv[:-1], *flags, argv[-1]] for argv in usage]
+
+
+def _bound_calls(flags):
+    # bound on every corpus input, and on --beta0/--beta1 pairs from 1 to 40 digits
+    rng = random.Random(37)
+    calls = [["-p", str(p), *flags, "--", f"{a}/{b}"] for p, a, b in INPUTS]
+    for p in PRIMES:
+        for _ in range(8):
+            beta0, beta1 = rng.randrange(1, 10 ** rng.randint(1, 40)), rng.randrange(0, 10 ** rng.randint(1, 40))
+            calls.append(["-p", str(p), "--beta0", str(beta0), "--beta1", str(beta1), *flags])
+    usage = (["-p", "3"], ["-p", "3", "--beta0", "5"], ["-p", "3", "--beta0", "5", "--beta1", "2", "2/5"])
+    return calls + [[*argv, *flags] for argv in usage]
+
+
+# constant heads (digit, alpha) repeated k+1 times: each whole expansion one run of one
+# step, from 64 records to 2,001, the longer ones above the kernel's 960-bit entry bound
+CONSTANT_HEADS = [
+    (digit, alpha, k, p)
+    for p, pairs, ks in (
+        (3, ((1, 1), (1, 2), (2, 3)), (63, 64, 299, 2000)),
+        (7, ((1, 1), (3, 3), (6, 2)), (63, 64, 299, 2000)),
+        (101, ((1, 1), (2, 1), (100, 2)), (63, 299)),
+        (10**9 + 7, ((1, 1), (5, 2)), (63, 99)),
+    )
+    for digit, alpha in pairs
+    for k in ks
+]
+
+
+def _head_calls(flags):
+    # head on the corpus inputs (most have no constant head to measure: a usage error), on
+    # the constant heads, and on the heads with --digit and --exponent, right and wrong
+    calls = [["-p", str(p), *flags, "--", f"{a}/{b}"] for p, a, b in INPUTS]
+    for digit, alpha, k, p in CONSTANT_HEADS:
+        a, b = schneider.generate_constant_head(digit, alpha, k, p)
+        calls.append(["-p", str(p), *flags, "--", f"{a}/{b}"])
+        calls.append(["-p", str(p), "--digit", str(digit), "--exponent", str(alpha), *flags, "--", f"{a}/{b}"])
+        calls.append(["-p", str(p), "--exponent", str(alpha + 1), *flags, "--", f"{a}/{b}"])
+    return calls
+
+
+def _head_expand_calls(flags):
+    calls = []
+    for digit, alpha, k, p in CONSTANT_HEADS:
+        a, b = schneider.generate_constant_head(digit, alpha, k, p)
+        calls.append(["-p", str(p), *flags, "--", f"{a}/{b}"])
+    return calls
+
+
+MORE_MODES = {
+    "digits text": ("digits", lambda: _digits_calls([])),
+    "digits json": ("digits", lambda: _digits_calls(["--json"])),
+    "bound text": ("bound", lambda: _bound_calls([])),
+    "bound json": ("bound", lambda: _bound_calls(["--json"])),
+    "head text": ("head", lambda: _head_calls([])),
+    "head json": ("head", lambda: _head_calls(["--json"])),
+    "constant heads expand-schneider text": ("expand-schneider", lambda: _head_expand_calls([])),
+    "constant heads expand-schneider json": ("expand-schneider", lambda: _head_expand_calls(["--json"])),
+}
+
+MORE_DIGESTS = {
+    "digits text": "b79bce0641498559fe2c501ab110c0b3f7e5a79ed10497af60906a30c35ae97f",
+    "digits json": "ed147340b44ea263d483fb3b4e89b62076275d6a4f7b1b8e40dcebddc9bc8707",
+    "bound text": "f5ca0de6f91cbb0069548c5db98b9a2894bff285e6c0456c1e089ca1d2b7a9ba",
+    "bound json": "e9bfab5501d1d5911e6e91945094f9bc766a1f866518e8957881bcf564ec23a2",
+    "head text": "632e7478bc75267fa3c501195a12c6e3ae3ae6c5dfaba04de3ef5044864b8e01",
+    "head json": "dde8cedac1a5a549ec6ab25811935fcda6e17d36ef492270d38a1c770f1bc4fb",
+    "constant heads expand-schneider text": "4498518a204a959e72e90a8ecce0a03a537d2348d52fe2ba5b1480a26c6bcf35",
+    "constant heads expand-schneider json": "178acccb5c429dc06f2351b0d3aa05f01e865f26a1a9465d59cec85c67aa83c0",
+}
+
+
+def test_constant_heads_span_the_entry_bound():
+    lengths, above = [], 0
+    for digit, alpha, k, p in CONSTANT_HEADS:
+        a, b = schneider.generate_constant_head(digit, alpha, k, p)
+        steps = schneider.schneider_expand(a, b, p).steps
+        assert steps.count(steps[0]) == len(steps) == k + 1
+        lengths.append(len(steps))
+        above += min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
+    assert min(lengths) == 64 and max(lengths) == 2001 and 0 < above < len(lengths)
+
+
+@pytest.mark.parametrize("mode", MORE_MODES)
+def test_more_outputs_are_pinned(mode):
+    command, calls = MORE_MODES[mode]
+    digest = hashlib.sha256()
+    for argv in calls():
+        digest.update(_call([command, *argv]))
+    assert digest.hexdigest() == MORE_DIGESTS[mode]
 
 
 def _browkin_plants(expansion):
