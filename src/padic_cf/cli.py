@@ -37,12 +37,12 @@ modes of expand-schneider also require the tail laws, which fix where the record
 stops; `bound` given a rational reads beta0 and |beta_1| off the first step.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
-step records, with no dict per step: a leading run of 64 or more equal rows, as
-a constant Schneider head has, is one text repeated (schneider._leading_run,
-which compares rows by value); the other rows, runs further in included, take
-one "%" over them when more than a third are distinct, else one "%d" template
-per distinct row.  A Browkin record (k, x) is written {"num": x, "den": p**k},
-with p**k taken once per distinct exponent on the "%" path.
+step records, with no dict per step: 64 or more rows all equal, as a constant
+Schneider head has, are one text repeated (schneider._leading_run, which
+compares rows by value); any other rows take one "%" over them when more than
+a third are distinct, else one "%d" template per distinct row.  A Browkin
+record (k, x) is written {"num": x, "den": p**k}, with p**k taken once per
+distinct exponent on the "%" path.
 The argparse parsers are built once per process, on the first main() call.
 When argv[0] names a subcommand, main hands the rest of argv straight to that
 subcommand's parser; the top-level parser runs only for -h, an empty argv or
@@ -102,7 +102,8 @@ def parse_rational(text: str) -> tuple[int, int]:
 def _parse_input(text: str) -> tuple[tuple[int, int], tuple[str, str] | None]:
     # parse_rational's pair, and (str(a), str(b)) read off text's own digits when text is
     # canonical: no leading zero (nor "-0") in either part, and a/b already in lowest terms, so
-    # a command prints the input without converting it back; else None
+    # a command prints the input without converting it back; else None.  Kept: without it,
+    # 1.68x on a 90,015-character head (BENCH_special_paths.json, row 4)
     match = _RATIONAL_RE.fullmatch(text)
     if not match:
         raise ValueError(f"malformed rational {text!r}")
@@ -183,16 +184,14 @@ def _f6(x: int, y: int, den: int, root: tuple[int, int]) -> float | None:
 def _json_pairs(rows, key0: str, key1: str, p: int | None = None) -> str:
     # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], each row
     # a hashable pair of integers; given p, each row is a Browkin step record (k, x), written
-    # as the pair (x, p**k).  A leading run of schneider._RUN_MIN or more equal rows, as a
-    # constant Schneider head has, is written as one text repeated (schneider._leading_run);
-    # every other row, runs further in included, by _json_rows
-    run, parts = _leading_run(rows), []
+    # as the pair (x, p**k).  schneider._RUN_MIN or more rows all equal, as a constant
+    # Schneider head has, are written as one text repeated (schneider._leading_run); any
+    # other rows by _json_rows
+    run = _leading_run(rows)  # kept: without it, 1.35x on a long head (BENCH_special_paths.json, row 3)
     if run:
         text = _json_rows(rows[:1], key0, key1, p)
-        parts.append(text + (", " + text) * (run - 1))
-    if run < len(rows) or not parts:
-        parts.append(_json_rows(rows[run:], key0, key1, p))
-    return f"[{', '.join(parts)}]"  # one copy of a long head's text, not two
+        return f"[{text}{(', ' + text) * (run - 1)}]"
+    return f"[{_json_rows(rows, key0, key1, p)}]"
 
 
 def _json_rows(rows, key0: str, key1: str, p: int | None) -> str:
@@ -311,8 +310,11 @@ def _cmd_digits(args: argparse.Namespace) -> int:
     check = oracle.digit_truncation_identity(a, b, window)
     oracle.require(args.prime, a, b, check)
     if args.json:
-        _, preperiod, period = digit_period(a, b, args.prime)
+        start, preperiod, period = digit_period(a, b, args.prime)
         found = period is not None  # else the search stopped at DIGIT_PERIOD_LIMIT
+        if found:
+            check = oracle.digit_period_identity(a, b, args.prime, start, preperiod, period)
+            oracle.require(args.prime, a, b, check)
         print(json.dumps(
             {
                 "p": args.prime,
@@ -429,7 +431,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             stationary = ""
             if a % p != 0 and b % p != 0:
                 sexp = schneider_expand(a, b, p)
-                oracle.require(p, a, b, oracle.schneider_reconstruction(a, b, sexp))
+                oracle.require(p, a, b, oracle.schneider_reconstruction(a, b, sexp),
+                               oracle.schneider_tail_laws(sexp))
                 if sexp.stationary_from is not None:
                     stationary = sexp.stationary_from
                     if max_stationary is None or stationary > max_stationary:
@@ -583,7 +586,8 @@ def _canonical_args(command_parser: argparse.ArgumentParser, argv) -> argparse.N
     # the Namespace command_parser.parse_known_args(argv[1:], Namespace(command=argv[0])) builds,
     # when every token is an exact option string given once, whose value (if it takes one) does
     # not start with '-', or the one positional, optionally after a '--' that only it follows;
-    # None for every other argv, which argparse parses (and reports, as -h or an error)
+    # None for every other argv, which argparse parses (and reports, as -h or an error).  Kept:
+    # without it, large_height latency_p50_ms reads 1.20x (BENCH_special_paths.json, row 7)
     options, positional, defaults, required = _action_table(command_parser)
     values = {}
     i, end = 1, len(argv)

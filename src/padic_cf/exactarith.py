@@ -87,7 +87,7 @@ def require_lowest_terms(a: int, b: int) -> None:
 
 # fewest bits left after p**127 for vp_split's probe: below it the ladder's few divisions cost
 # less than the probe's residue test and power (BENCH_head_work.json, "probe_threshold")
-_PROBE_BITS = 3072
+_PROBE_BITS = 3072  # the probe stays: without it head --json takes 1.75x (BENCH_special_paths.json, row 2)
 
 
 def vp_split(n: int, p: int) -> tuple[int, int]:

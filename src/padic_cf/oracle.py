@@ -50,7 +50,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .browkin import browkin_bound, browkin_expand, cf_pair
-from .digits import padic_digits
+from .digits import _digit_sum, padic_digits
 from .schneider import schneider_expand, schneider_pair
 
 
@@ -68,7 +68,8 @@ class VerificationError(ArithmeticError):
 
 def _equals(pair: tuple[int, int], a: int, b: int) -> bool:
     # a correct record gives s*(a, b) exactly, s = +-1 (the numerator lemma, and for Schneider
-    # the y chain run backwards from its tail): that pair is tested before any product
+    # the y chain run backwards from its tail): that pair is tested before any product.  Kept:
+    # without it, 1.13x on a constant head (BENCH_special_paths.json, row 6)
     if pair == (a, b) or pair == (-a, -b):
         return True
     num, den = pair
@@ -169,6 +170,32 @@ def digit_truncation_identity(a: int, b: int, window) -> Check:
     scaled_b = b * p**s if s >= 0 else b // p**-s
     ok = (a - scaled_b * window.prefix_sum(count)) % p ** (count + max(s, 0)) == 0
     return _record(Check, ("digit truncation identity", ok))
+
+
+def digit_period_identity(a: int, b: int, p: int, start: int, preperiod, period) -> Check:
+    """a/b = p**s * (P + p**l * R / (1 - p**m)), and no shorter split gives it.
+
+    s is the start exponent, l and m the lengths of the preperiod and the period,
+    and P and R their digit sums sum(d_i * p**i); cross-multiplied, the value law
+    is an integer identity.  Symmetric digits write a/b one way only, so with every
+    digit in range the split is a/b's once it is minimal, by two tests: the period
+    is no power u**k of a shorter word, that is no proper divisor d of m is a period
+    of it (the tail's periods are closed under gcd, so a shorter period of the tail
+    would give such a d), and a nonempty preperiod's last digit differs from the
+    period's last (else both shift back by one digit).
+    """
+    m = len(period)
+    if not m or not all(2 * abs(digit) < p for digit in chain(preperiod, period)):
+        return _record(Check, ("digit period identity", False))
+    pm = p**m
+    value = _digit_sum(preperiod, p) * (1 - pm) + p ** len(preperiod) * _digit_sum(period, p)
+    if start >= 0:  # a*(1 - p**m) == b*p**s*value, p**s on the side where it is an integer
+        ok = a * (1 - pm) == b * value * p**start
+    else:
+        ok = a * (1 - pm) * p**-start == b * value
+    ok &= not preperiod or preperiod[-1] != period[-1]
+    ok &= all(period[d:] != period[:-d] for d in range(1, m // 2 + 1) if not m % d)
+    return _record(Check, ("digit period identity", ok))
 
 
 def schneider_reconstruction(a: int, b: int, expansion) -> Check:

@@ -119,15 +119,15 @@ places:
     head of more than about 2W bits is one run even where no batch runs
     (p >= 2**17).  A run that starts further in is stepped by the batches and
     the single-step loop, which have no such test.
-  - schneider_pair takes one run only, the head's leading run of _RUN_MIN or
-    more records, found by value (_leading_run: records compared equal, so no
-    caller depends on the kernel sharing them), and applies it as M**r to
-    (num, den) once the levels after it are stepped.  It does so only for a
-    digit in 1..p-1, an exponent >= 1 and a numerator prime to p below the
-    run: then each numerator in the run is d times the one below it mod p,
-    prime to p and never 0, so the step loop would raise nowhere in the run
-    and would reach the same pair.  Otherwise, and for every run further in,
-    it steps level by level, as the kernel does.
+  - schneider_pair takes one run only, a whole head of _RUN_MIN or more
+    records of one step, found by value (_leading_run: records compared equal,
+    so no caller depends on the kernel sharing them), and applies it as M**r
+    to the tail (num, den).  It does so only for a digit in 1..p-1, an
+    exponent >= 1 and a tail numerator prime to p: then each numerator in the
+    run is d times the one below it mod p, prime to p and never 0, so the step
+    loop would raise nowhere in the run and would reach the same pair.
+    Otherwise, and for every head that is not one run (a run that ends inside
+    the head included), it steps level by level, as the kernel does.
   - head_analysis, by lemma (vi).
 
 A constant head of k+1 identical steps (d, alpha) satisfies (T2/T1)**k = theta.
@@ -216,7 +216,7 @@ _BATCH_WIDTH = 480  # W: bits of the residues a batch steps on (module docstring
 # fewest digits K a batch steps on: with fewer (p above 17 bits), its full-size products
 # and division cost more than the single steps they replace
 _BATCH_DEPTH_MIN = 28
-# shortest leading run schneider_pair takes as one power and cli._json_pairs writes as one
+# shortest constant head schneider_pair takes as one power and cli._json_pairs writes as one
 # text repeated (BENCH_schneider_runs.json, "run_stride")
 _RUN_MIN = 64
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
@@ -347,7 +347,9 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
                     raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
                 record = records[digit + p * alpha] = _record(SchneiderStep, (digit, alpha))
                 steps.extend([record] * run)
-            require_coprime(y_prev, y_cur)  # lemma (vii): the pair reached has the gcd of (a, b)
+            # lemma (vii): the pair reached has the gcd of (a, b).  Kept: checked at (a, b)
+            # instead, 1.24x on a 90,015-character head (BENCH_special_paths.json, row 5)
+            require_coprime(y_prev, y_cur)
             if _BATCH_DEPTH_MIN <= depth:
                 y_prev, y_cur = _batches(y_prev, y_cur, p, depth, steps, cap, inverses, records)
         except ArithmeticError as exc:  # a defect: named with the input, as the cap is
@@ -391,51 +393,34 @@ def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:
 
     head is a SchneiderExpansion's steps or a list of (digit, alpha) pairs;
     items 0 and 1 of each record are read, last record first.  A zero tail
-    or zero partial denominator raises ZeroDivisionError.  A leading run of
-    _RUN_MIN or more equal records (_leading_run) is taken as one power of
-    its step matrix where the module docstring's guard allows, giving the
-    pair the step loop gives; every other level, runs further in included,
-    is stepped one at a time.
+    or zero partial denominator raises ZeroDivisionError.  A head of _RUN_MIN
+    or more records all equal (_leading_run) is taken as one power of its
+    step matrix where the module docstring's guard allows, giving the pair
+    the step loop gives; every other head is stepped one level at a time.
     """
     num, den = tail
     if num == 0:
         raise ZeroDivisionError("zero tail value")
     run = _leading_run(head) if len(head) >= _RUN_MIN else 0  # a sweep head skips the call
-    levels = head[run:] if run else head
-    while True:
-        for step in reversed(levels):
-            if num == 0:
-                raise ZeroDivisionError("zero denominator in back-substitution")
-            num, den = step[0] * num + p ** step[1] * den, num
-        if not run:
-            return num, den
+    if run:
         digit, alpha = head[0][0], head[0][1]
         if 0 < digit < p and alpha >= 1 and num % p:  # no numerator in the run is 0
             pa = p**alpha
             hi, lo = _run_power(digit, pa, run)  # M**r = [[hi, pa*lo], [lo, hi - digit*lo]]
             return hi * num + pa * lo * den, lo * num + (hi - digit * lo) * den
-        levels, run = head[:run], 0  # else the run is stepped too
+    for step in reversed(head):
+        if num == 0:
+            raise ZeroDivisionError("zero denominator in back-substitution")
+        num, den = step[0] * num + p ** step[1] * den, num
+    return num, den
 
 
 def _leading_run(head) -> int:
-    # the length of head's leading run of one step, records compared equal, when it has
-    # _RUN_MIN or more records; else 0.  Each test is one C-level count: the first _RUN_MIN
-    # records; the whole head, where its last record is the run's step (a constant head);
-    # else slices of the records not yet confirmed, doubling until one holds another step,
-    # then halving to the run's end, so a later repeat never lengthens the run
-    if len(head) < _RUN_MIN or head[_RUN_MIN - 1] != head[0] or head[:_RUN_MIN].count(head[0]) < _RUN_MIN:
+    # len(head) when head is one run of _RUN_MIN or more equal records, a constant head;
+    # else 0: a length test, one compare of the last record, then one C-level count
+    if len(head) < _RUN_MIN or head[-1] != head[0] or head.count(head[0]) != len(head):
         return 0
-    first, end = head[0], len(head)
-    if head[-1] == first and head.count(first) == end:
-        return end
-    run, end, grow = _RUN_MIN, end - 1, True  # head[:run] equals first, and the run ends by end
-    while run < end:
-        mid = min(2 * run, end) if grow else (run + end + 1) // 2
-        if head[run:mid].count(first) == mid - run:
-            run = mid
-        else:
-            end, grow = mid - 1, False
-    return run
+    return len(head)
 
 
 def schneider_evaluate(head, tail: tuple[int, int], p: int) -> Fraction:

@@ -1,8 +1,7 @@
 """Forward replays of the traces an expansion record does not store: the tests'
 references for the betas, the y values and the quotient pairs; the head
-identity itself, the reference for head_analysis; the plain valuation
-ladder, the reference for vp_split's probe; and a plain scan of a head's
-leading run, the reference for schneider._leading_run.
+identity itself, the reference for head_analysis; and the plain valuation
+ladder, the reference for vp_split's probe.
 
 Both replays walk y_{m+1} = (y_{m-1} - d_m*y_m) // p**e_m, with floor division, so
 a planted record replays to some trace rather than raising.
@@ -71,15 +70,6 @@ def vp_split_ladder(n, p):
         if not r:
             n, v = q, v + (1 << i)
     return v, n
-
-
-def leading_run(head, shortest):
-    """The length of head's leading run of records equal to head[0], scanned one record at a
-    time, when it has `shortest` or more records; else 0."""
-    run = 0
-    while run < len(head) and head[run] == head[0]:
-        run += 1
-    return run if run >= shortest else 0
 
 
 def head_identity(report, p):

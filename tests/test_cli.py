@@ -1369,8 +1369,8 @@ class TestJsonPairs:
 
 
 class TestJsonPairRuns:
-    """_json_pairs writes a leading run of _RUN_MIN or more equal rows as one text repeated;
-    every mix of runs and other rows must still be json.dumps' text."""
+    """_json_pairs writes _RUN_MIN or more rows all equal, a constant head, as one text
+    repeated; every mix of runs and other rows must still be json.dumps' text."""
 
     R = schneider._RUN_MIN // 2  # the cases' runs are 2*R = _RUN_MIN rows or more
 
@@ -1410,14 +1410,18 @@ class TestJsonPairRuns:
             assert cli._json_pairs(records, "b", "alpha", 5) == self.want(records, 5), name
 
     def test_a_run_is_formatted_once(self, monkeypatch):
-        # the leading run's record goes through _json_rows once, alone, whatever the run's
-        # length, and the rows after it once
-        rows = self.cases()["start"]
+        # a constant head's record goes through _json_rows once, alone, whatever the head's
+        # length; rows that are not one run, a run that ends inside them included, go through
+        # it once, all of them
         calls = []
         json_rows = cli._json_rows
         monkeypatch.setattr(cli, "_json_rows", lambda part, *args: calls.append(len(part)) or json_rows(part, *args))
-        assert cli._json_pairs(rows, "b", "alpha") == self.want(rows)
-        assert calls == [1, 4]
+        for name, want in (("shortest-run", [1]), ("equal-not-identical", [1]), ("start", [2 * self.R + 4]),
+                           ("one-short", [2 * self.R - 1])):
+            calls.clear()
+            rows = self.cases()[name]
+            assert cli._json_pairs(rows, "b", "alpha") == self.want(rows)
+            assert calls == want, name
 
 
 class TestInputDigits:

@@ -7,10 +7,10 @@ inverses (and, for Schneider, of step records) for each expansion and, for
 Schneider above a bound, step in batches on residues mod p**K: every such
 shortcut must give the reference's steps exactly, its tail markers included,
 and so must the runs of one repeated step that the kernel takes as one power
-(lemma (v)) at the input pair.  schneider_pair takes a head's one leading run
+(lemma (v)) at the input pair.  schneider_pair takes a whole head of one step
 the same way, found by value (_leading_run, checked against a plain scan), and
-steps every other level, runs further in included: it must give the pair of a
-back-substitution one level at a time.
+steps every other head, one whose run ends inside it included: it must give
+the pair of a back-substitution one level at a time.
 A Browkin step records (k, x) alone, so the reference's beta_n are checked
 against the betas replayed from the record (tests/replay.py).
 """
@@ -25,7 +25,7 @@ from padic_cf.browkin import browkin_expand
 from padic_cf.exactarith import vp_split
 from padic_cf.schneider import generate_constant_head, schneider_expand, schneider_pair
 
-from replay import beta_trace, k_trace, leading_run, y_trace
+from replay import beta_trace, k_trace, y_trace
 
 PRIMES = (3, 5, 101, 65537, 10**9 + 7)
 
@@ -453,8 +453,7 @@ class TestRuns:
 
     def test_leading_run_is_the_plain_scan(self):
         # _leading_run against a scan of one record at a time, on plain tuples and on records:
-        # records are compared by value, and a later repeat of the run's step, the run's own
-        # object included, never lengthens the run
+        # records are compared by value, and a head is taken only when it is one run whole
         rng = random.Random(89)
         shortest = schneider._RUN_MIN
         for make in (lambda d, e: tuple([d, e]), schneider.SchneiderStep):  # a new object each call
@@ -467,20 +466,21 @@ class TestRuns:
                 "65": [A] * (shortest + 1),
                 "run-then-step": [A] * 100 + [B] + tail,
                 "repeat-after": [A] * shortest + [B] + [A] * 100,
-                "shared-recurs": [A] * 150 + [B] + [A if rng.random() < 0.5 else row for row in tail],
-                "equal-not-identical": [make(1, 2) for _ in range(200)] + [B] + tail,
+                "equal-not-identical": [make(1, 2) for _ in range(200)],
                 "whole-head": [A] * 2001,
                 "whole-head-equal-last": [A] * 2000 + [make(1, 2)],
             }
-            for n in range(1, 3 * shortest):  # the run's end at each place, the last record A or B
-                heads[f"ends-at-{n}"] = [A] * n + [B] + [A] * 50
-                heads[f"ends-at-{n}-last"] = [A] * n + [B]
-            assert len({id(row) for row in heads["equal-not-identical"][:200]}) == 200
-            assert [leading_run(heads[name], shortest) for name in ("empty", "63", "64", "65", "repeat-after",
-                    "whole-head")] == [0, 0, shortest, shortest + 1, shortest, 2001]
+            for n in range(1, 3 * shortest):  # one other record at each place, or first or last
+                heads[f"other-at-{n}"] = [A] * n + [B] + [A] * (3 * shortest - n)
+                heads[f"other-last-{n}"] = [A] * n + [B]
+                heads[f"other-first-{n}"] = [B] + [A] * n
+            assert len({id(row) for row in heads["equal-not-identical"]}) == 200
             for name, head in heads.items():
+                scan = len(head) if len(head) >= shortest and all(row == head[0] for row in head) else 0
                 for form in (head, tuple(head)):
-                    assert schneider._leading_run(form) == leading_run(head, shortest), (name, type(form))
+                    assert schneider._leading_run(form) == scan, (name, type(form))
+            taken = [name for name, head in heads.items() if schneider._leading_run(head)]
+            assert taken == ["64", "65", "equal-not-identical", "whole-head", "whole-head-equal-last"]
 
     def test_pair_matches_the_step_loop(self, powers):
         inputs = self.pair_inputs()
@@ -491,24 +491,27 @@ class TestRuns:
 
     @pytest.mark.parametrize("p", (3, 5, 101))
     def test_defects_inside_a_run_give_the_step_loop_outcome(self, p, powers):
-        # records planted inside a run or as one: a digit of 0 or p, a tail numerator that p
-        # divides, a zero tail, and a tail that makes a numerator 0 inside the run; each gives
+        # a constant head of 300 records with records planted inside it or as the whole of it
+        # (a digit of 0 or p, an exponent of 0), a tail numerator that p divides, a zero tail,
+        # a tail that makes a numerator 0 inside the run, and another unit tail; each gives
         # what the step loop gives, pair or exception, and so the same verdict
-        rng = random.Random(p)
-        a, b = head_over_tail([(1, 2)] * 300, random_pair(rng, 40, p), p)
+        a, b = generate_constant_head(1, 2, 299, p)
         exp = schneider_expand(a, b, p)
         steps, tail = list(exp.steps), exp.tail
         good = steps[0]
+        assert steps == [good] * 300
         powers.clear()  # the kernel's runs: only schneider_pair's count below
         planted = []
         for bad in ((0, 2), (p, 2), (0, 1), (p, 1), (1, 0)):
             record = schneider.SchneiderStep(*bad)
-            planted.append((steps[:100] + [record] * 80 + steps[180:], tail))  # a bad run
+            planted.append((steps[:100] + [record] * 80 + steps[180:], tail))  # a bad run inside
             planted.append((steps[:100] + [record] + steps[101:], tail))  # a bad record in a run
+            planted.append(([record] * 300, tail))  # a bad run, whole
         planted += [
             (steps, (p * tail[0], tail[1])),
             (steps, (p, -1)),  # numerators that p divides, none of them 0
             (steps, (0, 1)),
+            (steps, (2, 1)),  # a unit tail of another value
             ([good] * 80, (p**2, -1)),  # 1*p**2 + p**2*(-1) = 0 at the second level
             ([schneider.SchneiderStep(p, 1)] * 80, (1, -1)),  # p*1 + p*(-1) = 0 likewise
             ([schneider.SchneiderStep(0, 1)] * 80, (1, 5)),
@@ -519,10 +522,10 @@ class TestRuns:
             record = exp._replace(steps=tuple(head), tail=planted_tail)
             verdict = oracle.schneider_reconstruction(a, b, record).ok
             assert verdict == (isinstance(got[0], int) and got[1] != 0 and got[0] * b == got[1] * a)
-        # the intact leading run of 100 records above each alpha = 0 plant, which leaves the
-        # numerator below the run prime to p, was taken as one power, by schneider_pair and by
-        # the reconstruction; under every other plant the guard fails and the run is stepped
-        assert powers == [100] * 4
+        # the intact head over the unit tail (2, 1) passes the guard and is taken as one power,
+        # by schneider_pair and by the reconstruction; under every other plant the guard fails
+        # or the head is not one run, and it is stepped
+        assert powers == [300] * 2
 
 
 # the text of the coprimality error, at every kernel entry

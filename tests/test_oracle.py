@@ -645,3 +645,68 @@ def test_battery_memory_stays_near_the_input_size():
         tracemalloc.stop()
     assert [check.ok for check in checks] == [True] * 7
     assert peak < 8 * 2**20, peak
+
+
+def _later_stationary_index(a, b, p):
+    # stationary_from one index later on a stationary record: the steps and the tail, and so
+    # the value, are kept, and the reconstruction does not read the marker
+    expansion = schneider.schneider_expand(a, b, p)
+    if expansion.stationary_from is None:
+        return expansion
+    return expansion._replace(stationary_from=expansion.stationary_from + 1)
+
+
+def test_a_later_stationary_index_fails_sweep(tmp_path, capsys, monkeypatch):
+    # the sweep certifies the stationarity column by the tail laws: the first stationary input
+    # exits 1, named with its check, and its row is not written
+    argv = ["sweep", "--primes", "3,5", "--max-num", "6", "--max-den", "4", "--out", str(tmp_path / "sweep.csv")]
+    assert run_cli(argv, capsys)[0] == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    first = next(i for i, row in enumerate(rows[1:], 1) if row.split(",")[-1])
+    p, a, b = rows[first].split(",")[:3]
+    monkeypatch.setattr(cli, "schneider_expand", _later_stationary_index)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"FAIL: schneider tail laws failed at p={p}, {a}/{b}\n")
+    assert (tmp_path / "sweep.csv").read_text().splitlines() == rows[:first]
+
+
+def _rotated_period(start, preperiod, period):
+    return start, preperiod, period[1:] + period[:1]
+
+
+def _doubled_period(start, preperiod, period):
+    return start, preperiod, period * 2
+
+
+def _longer_preperiod(start, preperiod, period):
+    return start, preperiod + period[:1], period[1:] + period[:1]
+
+
+@pytest.mark.parametrize("plant", [_rotated_period, _doubled_period, _longer_preperiod],
+                         ids=["rotated", "doubled", "longer-preperiod"])
+def test_a_wrong_period_fails_digits_json(plant, capsys, monkeypatch):
+    # a rotated period changes the value; a doubled period and a preperiod one digit longer keep
+    # it, and fail the minimality tests.  Each exits 1 before anything is printed
+    monkeypatch.setattr(cli, "digit_period", lambda a, b, p: plant(*digits.digit_period(a, b, p)))
+    for p, text in ((3, "1/7"), (5, "-1793/700"), (7, "2/15"), (3, "-45/4")):
+        code, out, err = run_cli(["digits", "-p", str(p), "-n", "8", "--json", "--", text], capsys)
+        assert (code, out, err) == (1, "", f"FAIL: digit period identity failed at p={p}, {text}\n")
+
+
+def test_digit_period_identity_holds_on_natural_splits():
+    # every split digit_period finds, p in the numerator, the denominator or neither, and zero;
+    # a digit out of the symmetric range fails with the value kept
+    count = 0
+    for p in (3, 5, 7, 101):
+        for b in range(1, 60):
+            for a in range(-40, 41):
+                if gcd(a, b) != 1:
+                    continue
+                start, preperiod, period = digits.digit_period(a, b, p)
+                assert oracle.digit_period_identity(a, b, p, start, preperiod, period).ok, (p, a, b)
+                count += 1
+    assert count > 10000
+    start, preperiod, period = digits.digit_period(1, 2, 3)  # 1/2 = -1/(1 - 3): the period (-1,)
+    assert (start, preperiod, period) == (0, (), (-1,))
+    assert not oracle.digit_period_identity(1, 2, 3, 0, (2,), (1,)).ok  # 1/2 = 2 + 3/(1 - 3), 2 out of range
+    assert not oracle.digit_period_identity(1, 2, 3, 0, (), ()).ok
