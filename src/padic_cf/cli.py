@@ -33,8 +33,10 @@ and every trace printed is one a check computed: expand-browkin's betas come
 off the reconstruction's back-substitution (oracle.browkin_reconstruction), as
 do beta_0 and |beta_1| for its and sweep's bound, and text expand-schneider's y values
 off the matrix laws' chain (its --json prints no y and walks no chain).  Both
-modes of expand-schneider also require the tail laws, which fix where the record
-stops; `bound` given a rational reads beta0 and |beta_1| off the first step.
+modes of expand-schneider, and sweep, also require the tail laws, which fix where
+the record stops (sweep prints it as the stationarity column); digits --json
+requires the digit period identity for a period it prints; `bound` given a
+rational reads beta0 and |beta_1| off the first step.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
 step records, with no dict per step: 64 or more rows all equal, as a constant
