@@ -7,7 +7,8 @@ stationary and finite-end Schneider inputs built by reverse steps, inputs with p
 in the numerator, and usage errors.  Each call's (exit code, stdout, stderr)
 goes into one sha256 per command and mode.  `digits`, `bound` and `head`, in
 text and `--json`, have digests of their own (MORE_DIGESTS), and so do constant
-Schneider heads of 64 to 2,001 records through `expand-schneider` and `head`.  A second digest covers the
+Schneider heads of 64 to 2,001 records through `expand-schneider` and `head`,
+and `sweep` grids (SWEEP_CALLS) on stdout and through `--out`.  A second digest covers the
 verdicts of the three chain checks (majorant, determinant identity, Schneider
 matrix laws) on the natural records of the same inputs and on planted ones.
 
@@ -243,6 +244,43 @@ def test_more_outputs_are_pinned(mode):
     for argv in calls():
         digest.update(_call([command, *argv]))
     assert digest.hexdigest() == MORE_DIGESTS[mode]
+
+
+# sweep grids: several prime sets (unsorted and repeated ones among them), 101, 65537 and
+# 10**9+7, asymmetric ranges, p | a and p | b rows, |a| past 1,024, and usage errors
+SWEEP_CALLS = (
+    ["--primes", "3,5,7", "--max-num", "40", "--max-den", "9"],
+    ["--primes", "101", "--max-num", "320", "--max-den", "4"],
+    ["--primes", "101,103", "--max-num", "3", "--max-den", "210"],
+    ["--primes", "1000000007,3", "--max-num", "12", "--max-den", "25"],
+    ["--primes", "11,13", "--max-num", "6", "--max-den", "70"],
+    ["--primes", "7,5,7,3", "--max-num", "9", "--max-den", "1"],
+    ["--primes", "3", "--max-num", "1500", "--max-den", "2"],
+    ["--primes", "65537,101", "--max-num", "1100", "--max-den", "1"],
+    ["--primes", "3,9", "--max-num", "5", "--max-den", "5"],
+    ["--primes", "3", "--max-num", "0", "--max-den", "5"],
+)
+
+SWEEP_DIGESTS = {
+    "stdout": "b58c83e26d386b3c0579c7895fcba587219f76b661e91d036d325fc12a8c3f76",
+    "out": "c74aa8028cf46a978e734f7deeebc22de1e0178eebdad369f8ade5123cb3b39d",
+}
+
+
+@pytest.mark.parametrize("mode", SWEEP_DIGESTS)
+def test_sweep_outputs_are_pinned(mode, tmp_path):
+    # each call's exit code, stdout and stderr (the summary line or the usage error), and
+    # with --out the file it wrote; the temporary path is hashed as OUT
+    digest = hashlib.sha256()
+    for argv in SWEEP_CALLS:
+        if mode == "stdout":
+            digest.update(_call(["sweep", *argv]))
+            continue
+        path = tmp_path / "sweep.csv"
+        digest.update(_call(["sweep", *argv, "--out", str(path)]).replace(str(path).encode(), b"OUT"))
+        digest.update(path.read_bytes() if path.exists() else b"no file\n")
+        path.unlink(missing_ok=True)
+    assert digest.hexdigest() == SWEEP_DIGESTS[mode]
 
 
 def _browkin_plants(expansion):
