@@ -26,6 +26,17 @@ quotient exactly.  |beta_n| is dominated by a linear recurrence whose decay
 certifies that at most n_bound + 1 quotients can appear.  A record stores no
 beta past beta_0: cf_pair's back-substitution hands them back to the
 reconstruction check, and the oracle's chain walk replays them for the others.
+
+The mirror lemma.  The expansion of -a/b has the steps (k_n, -x_n) of a/b's
+and the betas beta'_n = (-1)**n * beta_n, from beta'_{-1} = -a.  Proof: k0 and
+beta_0 depend on b alone, so beta'_0 = beta_0.  If beta'_{n-1} and beta'_n are
+(-1)**(n-1) beta_{n-1} and (-1)**n beta_n, then beta'_{n-1} * beta'_n**-1 is
+-(beta_{n-1} * beta_n**-1), and the symmetric residue mod the odd modulus
+p**(1+kn) is an odd function, so x'_n = -x_n; then delta'_n = beta'_{n-1} -
+x'_n*beta'_n = (-1)**(n-1) * delta_n, so k'_{n+1} = k_{n+1}, beta'_{n+1} =
+(-1)**(n+1) beta_{n+1}, and delta'_n = 0 exactly where delta_n = 0.  So -a/b
+has the length, beta_0, |beta_1| and bound N of a/b; browkin_mirror builds
+its record without a step.
 """
 
 from __future__ import annotations
@@ -127,6 +138,14 @@ def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
             modulus = p ** (1 + k)
             r_prev, r_cur = b_prev % modulus, b_cur % modulus
     raise ArithmeticError(f"bound violated: expansion of {a}/{b} exceeded {cap} steps")
+
+
+def browkin_mirror(expansion: BrowkinExpansion) -> BrowkinExpansion:
+    """The expansion of -a/b from the expansion of a/b, by the mirror lemma (module
+    docstring): every x_n negated, every k_n and beta0 kept."""
+    p, alpha, beta0, steps = expansion
+    steps = tuple([_record(BrowkinStep, (k, -x)) for k, x in steps])
+    return _record(BrowkinExpansion, (p, -alpha, beta0, steps))
 
 
 def browkin_betas(a: int, b: int, p: int) -> tuple[int, int]:

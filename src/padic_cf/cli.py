@@ -32,7 +32,11 @@ Every computed expansion is certified by padic_cf.oracle before it is printed,
 and every trace printed is one a check computed: expand-browkin's betas come
 off the reconstruction's back-substitution (oracle.browkin_reconstruction), as
 do beta_0 and |beta_1| for its and sweep's bound, and text expand-schneider's y values
-off the matrix laws' chain (its --json prints no y and walks no chain).  Both
+off the matrix laws' chain (its --json prints no y and walks no chain).  A sweep row
+for 0 < a <= SWEEP_MIRROR_CAP takes its Browkin record from the row for -a/b by
+the mirror lemma (browkin module docstring) and reconstructs it as it would a
+kernel's; the row's bound report is reused only when it holds the
+reconstruction's beta_0 and |beta_1|, else the bound runs on them.  Both
 modes of expand-schneider, and sweep, also require the tail laws, which fix where
 the record stops (sweep prints it as the stationarity column); digits --json
 requires the digit period identity for a period it prints; `bound` given a
@@ -70,11 +74,11 @@ import json
 import os
 import re
 import sys
-from itertools import chain
+from itertools import chain, product
 from math import gcd, isfinite, sqrt
 
 from . import oracle
-from .browkin import browkin_betas, browkin_bound, browkin_expand
+from .browkin import browkin_betas, browkin_bound, browkin_expand, browkin_mirror
 from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
 from .exactarith import require_odd_prime, square_part
 from .schneider import _leading_run, head_analysis, schneider_expand
@@ -94,6 +98,11 @@ SWEEP_COLUMNS = [
     "slack",
     "schneider_steps_to_stationary",
 ]
+
+# the sweep's rows for 0 < a <= SWEEP_MIRROR_CAP take the certified record of -a/b, written
+# earlier in the same (p, b) line, by the mirror lemma (browkin module docstring); rows past
+# it run the kernel.  Each (p, b) line holds at most this many records, well under 1 MB
+SWEEP_MIRROR_CAP = 1024
 
 
 def parse_rational(text: str) -> tuple[int, int]:
@@ -218,16 +227,22 @@ def _json_rows(rows, key0: str, key1: str, p: int | None) -> str:
     return ", ".join(map(text.__getitem__, rows))
 
 
-def _certified_browkin(a: int, b: int, p: int):
+def _certified_browkin(a: int, b: int, p: int, mirror=None):
     # the expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all certified:
     # the betas, beta_0 and |beta_1| among them, come off the reconstruction check's own pass,
-    # and the bound reads them only once that check has passed
-    expansion = browkin_expand(a, b, p)
+    # and the bound reads them only once that check has passed.  Given mirror, the certified
+    # (expansion, report) of -a/b, the record is browkin_mirror's instead of the kernel's, and
+    # its report is reused when it holds the reconstruction's beta_0 and |beta_1|
+    expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
     betas: list[int] = []
     recon = oracle.browkin_reconstruction(a, b, expansion, betas)
     if not recon.ok:
         oracle.require(p, a, b, recon)
-    report = browkin_bound(betas[0], abs(betas[1]) if len(betas) > 1 else 0, p)
+    beta0, beta1 = betas[0], abs(betas[1]) if len(betas) > 1 else 0
+    if mirror is not None and mirror[1][:3] == (p, beta0, beta1):
+        report = mirror[1]  # the bound depends on p, beta_0 and |beta_1| alone
+    else:
+        report = browkin_bound(beta0, beta1, p)
     oracle.require(p, a, b, oracle.browkin_length_bound(expansion, report))
     return expansion, betas, report
 
@@ -403,15 +418,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(ok for _, ok in checks) else 1
 
 
-def _sweep_rows(primes, max_num, max_den):
-    for p in primes:
-        for b in range(1, max_den + 1):
-            for a in range(-max_num, max_num + 1):
-                if a == 0 or gcd(abs(a), b) != 1:
-                    continue
-                yield p, a, b
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out = sys.stdout
     if args.out is not None:
@@ -425,23 +431,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_len = 0
         min_slack = None
         max_stationary = None
-        for p, a, b in _sweep_rows(args.primes, args.max_num, args.max_den):
-            expansion, _, report = _certified_browkin(a, b, p)
-            _, beta0, beta1, n_bound = report
-            browkin_len = len(expansion.steps)
-            slack = n_bound + 1 - browkin_len
-            stationary = ""
-            if a % p != 0 and b % p != 0:
-                sexp = schneider_expand(a, b, p)
-                oracle.require(p, a, b, oracle.schneider_reconstruction(a, b, sexp),
-                               oracle.schneider_tail_laws(sexp))
-                if sexp.stationary_from is not None:
-                    stationary = sexp.stationary_from
-                    if max_stationary is None or stationary > max_stationary:
-                        max_stationary = stationary
-            writer.writerow([p, a, b, browkin_len, n_bound, beta0, beta1, slack, stationary])
-            max_len = max(max_len, browkin_len)
-            min_slack = slack if min_slack is None else min(min_slack, slack)
+        for p, b in product(args.primes, range(1, args.max_den + 1)):
+            mirrors = {}  # a -> the certified (expansion, report) of -a/b, a <= SWEEP_MIRROR_CAP
+            for a in range(-args.max_num, args.max_num + 1):
+                if a == 0 or gcd(abs(a), b) != 1:
+                    continue
+                expansion, _, report = _certified_browkin(a, b, p, mirrors.pop(a, None))
+                if -SWEEP_MIRROR_CAP <= a < 0:
+                    mirrors[-a] = expansion, report
+                _, beta0, beta1, n_bound = report
+                browkin_len = len(expansion.steps)
+                slack = n_bound + 1 - browkin_len
+                stationary = ""
+                if a % p != 0 and b % p != 0:
+                    sexp = schneider_expand(a, b, p)
+                    oracle.require(p, a, b, oracle.schneider_reconstruction(a, b, sexp),
+                                   oracle.schneider_tail_laws(sexp))
+                    if sexp.stationary_from is not None:
+                        stationary = sexp.stationary_from
+                        if max_stationary is None or stationary > max_stationary:
+                            max_stationary = stationary
+                writer.writerow([p, a, b, browkin_len, n_bound, beta0, beta1, slack, stationary])
+                max_len = max(max_len, browkin_len)
+                min_slack = slack if min_slack is None else min(min_slack, slack)
     finally:  # a write that fails on either target raises here, before the summary
         if out is sys.stdout:
             out.flush()

@@ -13,8 +13,10 @@ Its float (``__float__``) is an approximation for display only.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from itertools import compress
 
 
 # Deterministic Miller-Rabin: the first k prime bases decide every n below psi_k,
@@ -176,20 +178,38 @@ def _sign_of(q: Fraction) -> int:
 FOLD_LIMIT = 4096  # the largest trial divisor when folding a radicand
 
 
+@functools.cache
+def _fold_squares() -> tuple[tuple[int, int], ...]:
+    # (f, f*f) for the primes f up to FOLD_LIMIT, sieved on the first square_part call
+    # rather than at import
+    sieve = bytearray([1]) * (FOLD_LIMIT + 1)
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(FOLD_LIMIT) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, FOLD_LIMIT + 1, f)))
+    return tuple((f, f * f) for f in compress(range(FOLD_LIMIT + 1), sieve))
+
+
 def square_part(n: int) -> tuple[int, int]:
     """(s, m) with n = s*s*m, folding square factors f*f with f <= FOLD_LIMIT,
-    then the cofactor if it is a perfect square: m = 1 exactly when n is a square."""
-    s, m, f = 1, n, 2
-    while f * f <= m:
-        if f > FOLD_LIMIT:
-            root = math.isqrt(m)
-            return (s * root, 1) if root * root == m else (s, m)
-        ff = f * f
-        while m % ff == 0:
+    then the cofactor if it is a perfect square: m = 1 exactly when n is a square.
+
+    Only prime f are tried: once the primes below a composite f are folded, m
+    holds each of them at most once, so f*f cannot divide m, and trying every
+    f would give the same (s, m).  The cofactor is tested for a square once
+    the primes are spent, where trying every f tests it only from 4097**2 up:
+    no square below that is left, as one with no prime factor up to 4093 is 1
+    (returned before) or at least 4099**2.
+    """
+    s, m = 1, n
+    for f, ff in _fold_squares():
+        if ff > m:
+            return s, m
+        while not m % ff:
             m //= ff
             s *= f
-        f += 1
-    return s, m
+    root = math.isqrt(m)
+    return (s * root, 1) if root * root == m else (s, m)
 
 
 class QuadraticElement:

@@ -1,11 +1,14 @@
 """Forward replays of the traces an expansion record does not store: the tests'
 references for the betas, the y values and the quotient pairs; the head
-identity itself, the reference for head_analysis; and the plain valuation
-ladder, the reference for vp_split's probe.
+identity itself, the reference for head_analysis; the plain valuation
+ladder, the reference for vp_split's probe; and square folding by every trial
+divisor, the reference for square_part's primes.
 
 Both replays walk y_{m+1} = (y_{m-1} - d_m*y_m) // p**e_m, with floor division, so
 a planted record replays to some trace rather than raising.
 """
+
+import math
 
 
 def _replay(p, y_prev, y_cur, links):
@@ -90,3 +93,19 @@ def head_identity(report, p):
     scale = (4 * p**alpha) ** e
     exact = u * n == sx * scale and v * n == sy * scale
     return (e + 1 if exact else None), exact
+
+
+def square_part_every_f(n, limit=4096):
+    """(s, m) with n = s*s*m by trial division by every f = 2, 3, 4, ... while f*f <= m, up to
+    limit, then the cofactor folded whole if it is a square (square_part by every f)."""
+    s, m, f = 1, n, 2
+    while f * f <= m:
+        if f > limit:
+            root = math.isqrt(m)
+            return (s * root, 1) if root * root == m else (s, m)
+        ff = f * f
+        while m % ff == 0:
+            m //= ff
+            s *= f
+        f += 1
+    return s, m

@@ -186,6 +186,53 @@ class TestBrowkinBetas:
             assert str(got.value) == str(expected.value), args
 
 
+class TestMirrorLemma:
+    """browkin_expand(-a, b, p) is browkin_mirror of browkin_expand(a, b, p), and its
+    reconstruction's betas are (-1)**n * beta_n (the mirror lemma, browkin docstring)."""
+
+    @staticmethod
+    def assert_mirrored(p, a, b):
+        exp = browkin_expand(a, b, p)
+        mirrored = browkin_expand(-a, b, p)
+        assert mirrored == browkin.browkin_mirror(exp), (p, a, b)
+        assert [(k, -x) for k, x in mirrored.steps] == list(exp.steps)
+        betas, mirrored_betas = [], []
+        assert oracle.browkin_reconstruction(a, b, exp, betas).ok
+        assert oracle.browkin_reconstruction(-a, b, mirrored, mirrored_betas).ok
+        assert mirrored_betas == [(-1) ** n * beta for n, beta in enumerate(betas)], (p, a, b)
+        return exp
+
+    def test_random_inputs_up_to_3000_digits(self):
+        rng = random.Random(37)
+        cases = []
+        for p in (3, 5, 7, 101, 65537, 10**9 + 7):
+            for digits_ in (1, 2, 5, 30, 300, 3000):
+                for place in ("a", "b", None):  # p | a, p | b, or p prime to both
+                    while True:
+                        a = rng.randrange(1, 10**digits_) * rng.choice((-1, 1))
+                        b = rng.randrange(1, 10 ** rng.randint(1, digits_))
+                        a, b = (a * p, b) if place == "a" else (a, b * p) if place == "b" else (a, b)
+                        if math.gcd(a, b) == 1 and (place is not None or (a % p and b % p)):
+                            break
+                    cases.append((p, a, b))
+        lengths = [len(self.assert_mirrored(p, a, b).steps) for p, a, b in cases]
+        assert min(lengths) == 1 and max(lengths) > 4000
+
+    def test_whole_grid_at_small_primes(self):
+        pairs = [(a, b) for b in range(1, 101) for a in range(1, 101) if math.gcd(a, b) == 1]
+        for p in (3, 5, 7):
+            for a, b in pairs:
+                self.assert_mirrored(p, a, b)
+
+    def test_one_sign_kept_is_not_the_mirror(self):
+        # every record the helper does not negate whole reconstructs to another value
+        exp = browkin_expand(365, 54, 3)
+        mirrored = browkin.browkin_mirror(exp)
+        for n in range(len(exp.steps)):
+            planted = mirrored._replace(steps=(*mirrored.steps[:n], exp.steps[n], *mirrored.steps[n + 1:]))
+            assert not oracle.browkin_reconstruction(-365, 54, planted).ok, n
+
+
 class TestQuotientPairs:
     def test_lowest_terms_at_large_heights(self):
         # x is prime to p once k > 0, so (x, p**k) is the Fraction's own pair

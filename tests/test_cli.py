@@ -940,7 +940,10 @@ class TestSweepCommand:
         assert seen == []
 
     def test_one_bound_call_per_row(self, capsys, monkeypatch):
+        # one kernel and one bound call per row that ran the kernel: a < 0 here, where every
+        # |a| is under the mirror cap; a row for a > 0 takes the record and report of -a/b
         bound, calls = cli.browkin_bound, []
+        expand, expanded = cli.browkin_expand, []
 
         def counted(*args):
             calls.append(args)
@@ -950,12 +953,79 @@ class TestSweepCommand:
             raise AssertionError("browkin_expand called browkin_bound")
 
         monkeypatch.setattr(cli, "browkin_bound", counted)
+        monkeypatch.setattr(cli, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
         monkeypatch.setattr(browkin, "browkin_bound", unreachable)
         code, out, _ = run_cli(["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"], capsys)
         assert code == 0
-        rows = out.splitlines()[1:]
-        assert len(rows) > 0
-        assert len(calls) == len(rows)
+        rows = [[int(field) for field in row.split(",")[:3]] for row in out.splitlines()[1:]]
+        negative = [(a, b, p) for p, a, b in rows if a < 0]
+        assert 0 < len(negative) < len(rows)
+        assert expanded == negative
+        assert len(calls) == len(negative)
+
+    def test_rows_past_the_mirror_cap_run_the_kernel(self, capsys, monkeypatch):
+        # with the cap at 2 the 30x30 grid is byte for byte the default one; only the rows for
+        # a = 1, 2 are mirrored, each from the record of -a/b in its own (p, b) line
+        argv = ["sweep", "--primes", "3,5,7", "--max-num", "30", "--max-den", "30"]
+        default = run_cli(argv, capsys)
+        expand, expanded = cli.browkin_expand, []
+        mirror, mirrored = cli.browkin_mirror, []
+        monkeypatch.setattr(cli, "SWEEP_MIRROR_CAP", 2)
+        monkeypatch.setattr(cli, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
+        monkeypatch.setattr(cli, "browkin_mirror", lambda record: mirrored.append(record) or mirror(record))
+        assert run_cli(argv, capsys) == default
+        rows = [[int(field) for field in row.split(",")[:3]] for row in default[1].splitlines()[1:]]
+        assert expanded == [(a, b, p) for p, a, b in rows if not 0 < a <= 2]
+        kept = [(p, a, b) for p, a, b in rows if 0 < a <= 2]
+        assert len(kept) == len(mirrored) > 0
+        for (p, a, b), record in zip(kept, mirrored):
+            assert (record.p, record.alpha, record.beta0 * p ** record.steps[0].k) == (p, -a, b)
+
+    def test_a_mirror_with_one_sign_kept_fails(self, capsys, monkeypatch):
+        # the mirrored record is reconstructed like a kernel's: keep one x_n's sign in the
+        # record for 43/2 and the sweep stops at that row with no row written for it
+        mirror = cli.browkin_mirror
+
+        def planted(record):
+            out = mirror(record)
+            if (record.p, record.alpha, record.beta0) == (3, -43, 2):
+                n = len(out.steps) // 2
+                out = out._replace(steps=(*out.steps[:n], record.steps[n], *out.steps[n + 1:]))
+            return out
+
+        monkeypatch.setattr(cli, "browkin_mirror", planted)
+        code, out, err = run_cli(["sweep", "--primes", "3", "--max-num", "50", "--max-den", "3"], capsys)
+        assert code == 1
+        assert err == "FAIL: browkin reconstruction failed at p=3, 43/2\n"
+        rows = out.splitlines()
+        assert rows[-1].startswith("3,41,2,")
+        assert not any(row.startswith("3,43,2,") for row in rows)
+
+    def test_a_mirror_report_with_another_beta1_is_not_printed(self, capsys, monkeypatch):
+        # every report stored for a row a < 0 is planted with |beta_1| + 1: no row for a > 0
+        # reuses one, each runs the bound on its reconstruction's betas and prints that
+        argv = ["sweep", "--primes", "3,5", "--max-num", "20", "--max-den", "6"]
+        default = run_cli(argv, capsys)[1].splitlines()
+        certified, bound, calls = cli._certified_browkin, cli.browkin_bound, []
+
+        def planted(a, b, p, mirror=None):
+            expansion, betas, report = certified(a, b, p, mirror)
+            if a < 0:
+                report = report._replace(beta1_abs=report.beta1_abs + 1)
+            return expansion, betas, report
+
+        def counted(*args):
+            calls.append(args)
+            return bound(*args)
+
+        monkeypatch.setattr(cli, "_certified_browkin", planted)
+        monkeypatch.setattr(cli, "browkin_bound", counted)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = out.splitlines()
+        assert len(calls) == len(rows) - 1
+        positive = [i for i, row in enumerate(rows[1:], 1) if int(row.split(",")[1]) > 0]
+        assert positive and [rows[i] for i in positive] == [default[i] for i in positive]
 
     def test_closed_pipe_exits_141_quietly(self):
         # `sweep ... | head -1`: the reader takes one line and closes the pipe

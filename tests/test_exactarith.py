@@ -14,12 +14,13 @@ from padic_cf.exactarith import (
     int_vp,
     is_odd_prime,
     mod_inverse,
+    square_part,
     symmetric_residue,
     vp,
     vp_split,
 )
 
-from replay import vp_split_ladder
+from replay import square_part_every_f, vp_split_ladder
 
 PROBE_PRIMES = (3, 5, 7, 101, 65537, 10**9 + 7)
 
@@ -164,6 +165,33 @@ class TestVpSplitProbe:
             assert probe_exponent(n, p) == m
             assert vp_split(n, p) == vp_split_ladder(n, p), (p, m)
             assert vp_split(n, p)[0] == v
+
+
+class TestSquarePart:
+    """square_part tries prime trial divisors only: it must fold as trying every f does."""
+
+    def test_near_the_fold_limit(self):
+        limit = exactarith.FOLD_LIMIT
+        assert limit == 4096
+        near = [4093**2, 4096**2 * 3, 4097**2, 4099**2 * 5, 4099**2, 4093**2 * 4099**2,
+                4093 * 4099, 4097**2 * 4099**2, 4098**2, 4095**2 * 7, 4099**3, 4099**4]
+        for n in near + [c * n for n in near for c in (2, 3, 4, 9, 4093, 4099**2)]:
+            assert square_part(n) == square_part_every_f(n), n
+        assert square_part(4099**2 * 5) == (1, 4099**2 * 5)  # past the limit, not a square
+        assert square_part(4097**2 * 4099**2) == (4097 * 4099, 1)
+
+    def test_small_and_random_radicands(self):
+        rng = random.Random(20261020)
+        cases = list(range(-3, 5000))
+        cases += [p * p + 16 for p in (3, 5, 7, 11, 101, 65537, 10**9 + 7, 10**20 + 39)]
+        for _ in range(300):  # a product of random prime powers, squares among them
+            n = 1
+            for _ in range(rng.randint(1, 6)):
+                n *= rng.choice((2, 3, 5, 7, 11, 4091, 4093, 4099, 4111)) ** rng.randint(1, 4)
+            cases.append(n * rng.randint(1, 10**6))
+        cases += [rng.getrandbits(rng.randint(1, 200)) for _ in range(300)]
+        for n in cases:
+            assert square_part(n) == square_part_every_f(n), n
 
 
 class TestModInverse:
