@@ -28,19 +28,9 @@ Every printed value of the form (x + y*sqrt(d))/den is read off the integers
 of a report: its exact text by _exact_str, its display float by _f6 (bound's
 lambda2 float by -4/(p*(p + sqrt(D)))), so no command builds a Fraction or a
 QuadraticElement.
-Every computed expansion is certified by padic_cf.oracle before it is printed,
-and every trace printed is one a check computed: expand-browkin's betas come
-off the reconstruction's back-substitution (oracle.browkin_reconstruction), as
-do beta_0 and |beta_1| for its and sweep's bound, and text expand-schneider's y values
-off the matrix laws' chain (its --json prints no y and walks no chain).  A sweep row
-for 0 < a <= SWEEP_MIRROR_CAP takes its Browkin record from the row for -a/b by
-the mirror lemma (browkin module docstring) and reconstructs it as it would a
-kernel's; the row's bound report is reused only when it holds the
-reconstruction's beta_0 and |beta_1|, else the bound runs on them.  Both
-modes of expand-schneider, and sweep, also require the tail laws, which fix where
-the record stops (sweep prints it as the stationarity column); digits --json
-requires the digit period identity for a period it prints; `bound` given a
-rational reads beta0 and |beta_1| off the first step.
+Every record a command prints comes from one of padic_cf.oracle's certificate
+functions, which pick and run its checks; the oracle module docstring tables
+which check certifies each printed field, and cli names no check.
 `--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
 "head", expand-browkin's "quotients") are formatted as text straight from the
 step records, with no dict per step: 64 or more rows all equal, as a constant
@@ -78,10 +68,10 @@ from itertools import chain, product
 from math import gcd, isfinite, sqrt
 
 from . import oracle
-from .browkin import browkin_betas, browkin_bound, browkin_expand, browkin_mirror
-from .digits import DIGIT_PERIOD_LIMIT, digit_period, padic_digits
+from .browkin import browkin_betas, browkin_bound
+from .digits import DIGIT_PERIOD_LIMIT
 from .exactarith import require_odd_prime, square_part
-from .schneider import _leading_run, head_analysis, schneider_expand
+from .schneider import _leading_run, head_analysis
 
 # ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -227,30 +217,9 @@ def _json_rows(rows, key0: str, key1: str, p: int | None) -> str:
     return ", ".join(map(text.__getitem__, rows))
 
 
-def _certified_browkin(a: int, b: int, p: int, mirror=None):
-    # the expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all certified:
-    # the betas, beta_0 and |beta_1| among them, come off the reconstruction check's own pass,
-    # and the bound reads them only once that check has passed.  Given mirror, the certified
-    # (expansion, report) of -a/b, the record is browkin_mirror's instead of the kernel's, and
-    # its report is reused when it holds the reconstruction's beta_0 and |beta_1|
-    expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
-    betas: list[int] = []
-    recon = oracle.browkin_reconstruction(a, b, expansion, betas)
-    if not recon.ok:
-        oracle.require(p, a, b, recon)
-    beta0, beta1 = betas[0], abs(betas[1]) if len(betas) > 1 else 0
-    if mirror is not None and mirror[1][:3] == (p, beta0, beta1):
-        report = mirror[1]  # the bound depends on p, beta_0 and |beta_1| alone
-    else:
-        report = browkin_bound(beta0, beta1, p)
-    oracle.require(p, a, b, oracle.browkin_length_bound(expansion, report))
-    return expansion, betas, report
-
-
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
-    a, b = args.rational
     p = args.prime
-    expansion, betas, report = _certified_browkin(a, b, p)
+    expansion, betas, report = oracle.certified_browkin(*args.rational, p)
     steps = expansion.steps
     if args.json:
         print(
@@ -270,11 +239,9 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
-    a, b = args.rational
-    expansion = schneider_expand(a, b, args.prime)
-    recon = oracle.schneider_reconstruction(a, b, expansion)
-    if args.json:  # no y printed, so no chain walked
-        oracle.require(args.prime, a, b, recon, oracle.schneider_tail_laws(expansion))
+    ys = None if args.json else []  # text prints the y trace the matrix laws divide
+    expansion = oracle.certified_schneider(*args.rational, args.prime, ys)
+    if args.json:
         num, den = _input_digits(args)
         print(
             f'{{"p": {args.prime}, "a": {num}, "b": {den}, '
@@ -282,10 +249,7 @@ def _cmd_expand_schneider(args: argparse.Namespace) -> int:
             f'"stationary_from": {json.dumps(expansion.stationary_from)}, '
             f'"finite_end": {json.dumps(expansion.finite_end)}}}'
         )
-    else:  # the y trace printed is the one the matrix laws divided
-        ys: list[int] = []
-        oracle.require(args.prime, a, b, recon, oracle.schneider_matrix_laws(a, b, expansion, ys),
-                       oracle.schneider_tail_laws(expansion))
+    else:
         print(f"input: {_input_str(args)} (p={args.prime})")
         print("head: " + ", ".join(f"({d},{e})" for d, e in expansion.steps))
         print("y trace: " + ", ".join(map(str, ys)))
@@ -322,16 +286,10 @@ def _digit_terms(p: int, start: int, digits) -> str:
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
-    a, b = args.rational
-    window = padic_digits(a, b, args.prime, args.count)
-    check = oracle.digit_truncation_identity(a, b, window)
-    oracle.require(args.prime, a, b, check)
+    split = args.json  # the period is printed in --json only
+    window, preperiod, period = oracle.certified_digits(*args.rational, args.prime, args.count, split)
     if args.json:
-        start, preperiod, period = digit_period(a, b, args.prime)
         found = period is not None  # else the search stopped at DIGIT_PERIOD_LIMIT
-        if found:
-            check = oracle.digit_period_identity(a, b, args.prime, start, preperiod, period)
-            oracle.require(args.prime, a, b, check)
         print(json.dumps(
             {
                 "p": args.prime,
@@ -436,7 +394,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for a in range(-args.max_num, args.max_num + 1):
                 if a == 0 or gcd(abs(a), b) != 1:
                     continue
-                expansion, _, report = _certified_browkin(a, b, p, mirrors.pop(a, None))
+                expansion, _, report = oracle.certified_browkin(a, b, p, mirrors.pop(a, None))
                 if -SWEEP_MIRROR_CAP <= a < 0:
                     mirrors[-a] = expansion, report
                 _, beta0, beta1, n_bound = report
@@ -444,9 +402,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 slack = n_bound + 1 - browkin_len
                 stationary = ""
                 if a % p != 0 and b % p != 0:
-                    sexp = schneider_expand(a, b, p)
-                    oracle.require(p, a, b, oracle.schneider_reconstruction(a, b, sexp),
-                                   oracle.schneider_tail_laws(sexp))
+                    sexp = oracle.certified_schneider(a, b, p)
                     if sexp.stationary_from is not None:
                         stationary = sexp.stationary_from
                         if max_stationary is None or stationary > max_stationary:

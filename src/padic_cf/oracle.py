@@ -1,9 +1,53 @@
 """The exact oracle: which checks certify which output.
 
-Each check re-derives one law of an expansion by exact arithmetic.  Commands
-pass their checks to `require` before printing anything.  Library functions
-are reached through this module's globals only, so rebinding one here (to
-plant a defect, or to trace it) reaches every check.
+Each check re-derives one law of an expansion by exact arithmetic.  The
+certificate functions certified_browkin, certified_schneider and
+certified_digits make one kind of record each, run its checks and `require`
+them before they hand it back; with battery they are all the CLI calls here,
+so this module alone picks each command's checks.  The kernels that make a
+certified record (browkin_expand, browkin_mirror, schneider_expand,
+padic_digits, digit_period) are reached through this module's globals only,
+as is the browkin_bound that certifies a length: rebinding one here (to plant
+a defect, or to trace it) reaches every command that prints its record, that
+is expand-browkin, sweep and verify for the Browkin ones (sweep alone for
+browkin_mirror), expand-schneider, sweep and verify for schneider_expand,
+digits and verify for padic_digits, and digits --json for digit_period.
+`bound` and `head` call browkin_betas, browkin_bound and head_analysis from
+the CLI's own globals and run no check here.
+
+What certifies each printed field ("none": printed unchecked; fields that echo
+the input or an option are left out):
+
+  command            field                            check
+  expand-browkin     quotients, k, their value        browkin reconstruction
+  (text and --json)  their word sizes, as |x_n| <     none (determinant identity
+                     p**(1+k_n)/2 and k_n >= 1         holds them, in verify only)
+                     beta                             browkin reconstruction (its pass)
+                     the length <= N + 1              browkin length bound
+                     N itself                         none
+  sweep              browkin_len                      browkin reconstruction and
+                                                      browkin length bound
+                     the record's word sizes          none
+                     beta0_abs, beta1_abs             browkin reconstruction (its pass)
+                     bound_N, slack >= 0              browkin length bound; N itself none
+                     schneider_steps_to_stationary    schneider tail laws
+  expand-schneider   head, its value                  schneider reconstruction
+  (text)             head, digit range and exponents  schneider matrix laws
+                     y trace                          schneider matrix laws (its chain)
+                     where it stops, the tail value   schneider tail laws and
+                                                      reconstruction
+  expand-schneider   head, its value                  schneider reconstruction
+  (--json)           head, digit range and exponents  none
+                     stationary_from, finite_end      schneider tail laws
+  digits             the digits, start_exponent       digit truncation identity
+  (text and --json)  preperiod_len, period            digit period identity (--json)
+                     "period": null at the limit      none
+  verify             each verdict line                the check it names (battery)
+  bound              beta magnitudes, N, lambdas      none
+                     exact certificate                none
+  head               head pair, T1, T2, theta         none
+                     head_len, exact identity         none (lemma (vi) runs inside
+                                                        schneider.head_analysis)
 
 The input a/b is a pair of coprime integers with b > 0, and every check
 runs on plain integers: a reconstruction is an unreduced pair (num, den)
@@ -49,8 +93,8 @@ the determinant identity implies the majorant (see majorant's step law).
 from itertools import chain
 from typing import NamedTuple
 
-from .browkin import browkin_bound, browkin_expand, cf_pair
-from .digits import _digit_sum, padic_digits
+from .browkin import browkin_bound, browkin_expand, browkin_mirror, cf_pair
+from .digits import _digit_sum, digit_period, padic_digits
 from .schneider import schneider_expand, schneider_pair
 
 
@@ -274,6 +318,52 @@ def battery(a: int, b: int, p: int) -> list[Check]:
         if sexp.steps:
             checks.append(schneider_matrix_laws(a, b, sexp))
     return checks
+
+
+def certified_browkin(a: int, b: int, p: int, mirror=None):
+    """The Browkin expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all
+    certified: the betas, beta_0 and |beta_1| among them, come off the reconstruction check's
+    own pass, and the bound reads them only once that check has passed.  Given mirror, the
+    certified (expansion, report) of -a/b, the record is browkin_mirror's instead of the
+    kernel's, and its report is reused when it holds the reconstruction's beta_0 and |beta_1|.
+    """
+    expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
+    betas: list[int] = []
+    recon = browkin_reconstruction(a, b, expansion, betas)
+    if not recon.ok:
+        require(p, a, b, recon)
+    beta0, beta1 = betas[0], abs(betas[1]) if len(betas) > 1 else 0
+    if mirror is not None and mirror[1][:3] == (p, beta0, beta1):
+        report = mirror[1]  # the bound depends on p, beta_0 and |beta_1| alone
+    else:
+        report = browkin_bound(beta0, beta1, p)
+    require(p, a, b, browkin_length_bound(expansion, report))
+    return expansion, betas, report
+
+
+def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None):
+    """The Schneider expansion of a/b, certified by its reconstruction and its tail laws;
+    given a list, also by the matrix laws, whose chain fills ys with y_1, ..., y_N."""
+    expansion = schneider_expand(a, b, p)
+    if ys is None:  # the sweep's row path: no list of checks built and splatted
+        require(p, a, b, schneider_reconstruction(a, b, expansion), schneider_tail_laws(expansion))
+    else:
+        require(p, a, b, schneider_reconstruction(a, b, expansion),
+                schneider_matrix_laws(a, b, expansion, ys), schneider_tail_laws(expansion))
+    return expansion
+
+
+def certified_digits(a: int, b: int, p: int, count: int, split: bool):
+    """(window, preperiod, period): the first count digits of a/b, certified by the digit
+    truncation identity; with split, digit_period's split, certified by the digit period
+    identity once a period is found.  Both are None without split, or where the search
+    stopped at DIGIT_PERIOD_LIMIT."""
+    window = padic_digits(a, b, p, count)
+    require(p, a, b, digit_truncation_identity(a, b, window))
+    start, preperiod, period = digit_period(a, b, p) if split else (None, None, None)
+    if period is not None:
+        require(p, a, b, digit_period_identity(a, b, p, start, preperiod, period))
+    return window, preperiod, period
 
 
 def require(p: int, a: int, b: int, *checks: Check) -> None:

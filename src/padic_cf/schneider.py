@@ -104,7 +104,7 @@ x*(x - d*y) - p**alpha*y**2, the norm form of the step.
       (a, b) would.
 _run_power gives M**r in O(log r) products, off the Lucas sequence u_0 = 0,
 u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
-[u_r, p**alpha*u_{r-1}]].  It is the one power of the module, used in three
+[u_r, p**alpha*u_{r-1}]].  It is the one power of the module, used in four
 places:
   - the kernel, once, at the input pair: where min(|a|, b) has more than 2W
     bits, at any p, it reads the first step (d, alpha) off (a, b), its digit
@@ -129,6 +129,7 @@ places:
     Otherwise, and for every head that is not one run (a run that ends inside
     the head included), it steps level by level, as the kernel does.
   - head_analysis, by lemma (vi).
+  - generate_constant_head, which builds M**(k+1) (1, -1) by (vi)'s closed form.
 
 A constant head of k+1 identical steps (d, alpha) satisfies (T2/T1)**k = theta.
 Here T1, T2 = (d -+ sqrt(D))/2 with D = 4p**alpha + d*d are the roots of
@@ -519,17 +520,18 @@ def generate_constant_head(digit: int, alpha: int, k: int, p: int) -> tuple[int,
     """Rational a/b whose expansion is (digit, alpha) repeated k+1 times,
     then the stationary tail.
 
-    Built as the product of k+1 copies of [[digit, p**alpha], [1, 0]]
-    applied to the stationary tail vector (1, -1), sign-normalized to b > 0.
+    Built as M**(k+1) (1, -1), the product of k+1 copies of M = [[digit, p**alpha],
+    [1, 0]] applied to the stationary tail vector, sign-normalized to b > 0: by the
+    Lucas form of M**r that is (u_{k+2} - p**alpha*u_{k+1}, (1 + digit)*u_{k+1} -
+    u_{k+2}), one _run_power, as in lemma (vi).
     """
     require_odd_prime(p)
     _check_head_pair(digit, alpha, p)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    pa, u, v, w, z = p**alpha, 1, 0, 0, 1
-    for _ in range(k + 1):
-        u, v, w, z = u * digit + v, u * pa, w * digit + z, w * pa
-    a, b = u - v, w - z
+    pa = p**alpha
+    hi, lo = _run_power(digit, pa, k + 1)
+    a, b = hi - pa * lo, (1 + digit) * lo - hi
     if b < 0:
         a, b = -a, -b
     return a, b

@@ -1,8 +1,9 @@
 """Forward replays of the traces an expansion record does not store: the tests'
 references for the betas, the y values and the quotient pairs; the head
 identity itself, the reference for head_analysis; the plain valuation
-ladder, the reference for vp_split's probe; and square folding by every trial
-divisor, the reference for square_part's primes.
+ladder, the reference for vp_split's probe; square folding by every trial
+divisor, the reference for square_part's primes; and the product of a constant
+head's step matrices, the reference for generate_constant_head.
 
 Both replays walk y_{m+1} = (y_{m-1} - d_m*y_m) // p**e_m, with floor division, so
 a planted record replays to some trace rather than raising.
@@ -109,3 +110,13 @@ def square_part_every_f(n, limit=4096):
             s *= f
         f += 1
     return s, m
+
+
+def constant_head_product(digit, alpha, k, p):
+    """(a, b) of M**(k+1) (1, -1), M = [[digit, p**alpha], [1, 0]], sign-normalized to b > 0:
+    the k+1 matrix products one at a time (generate_constant_head by the product)."""
+    pa, u, v, w, z = p**alpha, 1, 0, 0, 1
+    for _ in range(k + 1):
+        u, v, w, z = u * digit + v, u * pa, w * digit + z, w * pa
+    a, b = u - v, w - z
+    return (-a, -b) if b < 0 else (a, b)

@@ -429,7 +429,7 @@ class TestBoundCommand:
             expected.append([run_cli(["bound", "-p", str(p), *flags, *betas], capsys)
                              for flags in ([], ["--json"])])
         assert one_step > 0
-        monkeypatch.setattr(cli, "browkin_expand", unreachable("browkin_expand"))
+        monkeypatch.setattr(oracle, "browkin_expand", unreachable("browkin_expand"))
         monkeypatch.setattr(browkin, "browkin_expand", unreachable("browkin_expand"))
         for (p, text), want in zip(cases, expected):
             got = [run_cli(["bound", "-p", str(p), *flags, "--", text], capsys)
@@ -687,7 +687,7 @@ class TestHeadCommand:
         assert "head length: 4" in out.splitlines()
 
     def test_pair_comes_from_first_step_without_expanding(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "schneider_expand", unreachable("schneider_expand"))
+        monkeypatch.setattr(oracle, "schneider_expand", unreachable("schneider_expand"))
         monkeypatch.setattr(schneider, "schneider_expand", unreachable("schneider_expand"))
         assert run_json(["head", "-p", "3", "--json", "2/5"], capsys)["head_len"] == 4
         a, b = generate_constant_head(1, 2, 300, 3)
@@ -942,8 +942,8 @@ class TestSweepCommand:
     def test_one_bound_call_per_row(self, capsys, monkeypatch):
         # one kernel and one bound call per row that ran the kernel: a < 0 here, where every
         # |a| is under the mirror cap; a row for a > 0 takes the record and report of -a/b
-        bound, calls = cli.browkin_bound, []
-        expand, expanded = cli.browkin_expand, []
+        bound, calls = oracle.browkin_bound, []
+        expand, expanded = oracle.browkin_expand, []
 
         def counted(*args):
             calls.append(args)
@@ -952,8 +952,8 @@ class TestSweepCommand:
         def unreachable(*args):
             raise AssertionError("browkin_expand called browkin_bound")
 
-        monkeypatch.setattr(cli, "browkin_bound", counted)
-        monkeypatch.setattr(cli, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
+        monkeypatch.setattr(oracle, "browkin_bound", counted)
+        monkeypatch.setattr(oracle, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
         monkeypatch.setattr(browkin, "browkin_bound", unreachable)
         code, out, _ = run_cli(["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"], capsys)
         assert code == 0
@@ -968,11 +968,11 @@ class TestSweepCommand:
         # a = 1, 2 are mirrored, each from the record of -a/b in its own (p, b) line
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "30", "--max-den", "30"]
         default = run_cli(argv, capsys)
-        expand, expanded = cli.browkin_expand, []
-        mirror, mirrored = cli.browkin_mirror, []
+        expand, expanded = oracle.browkin_expand, []
+        mirror, mirrored = oracle.browkin_mirror, []
         monkeypatch.setattr(cli, "SWEEP_MIRROR_CAP", 2)
-        monkeypatch.setattr(cli, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
-        monkeypatch.setattr(cli, "browkin_mirror", lambda record: mirrored.append(record) or mirror(record))
+        monkeypatch.setattr(oracle, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
+        monkeypatch.setattr(oracle, "browkin_mirror", lambda record: mirrored.append(record) or mirror(record))
         assert run_cli(argv, capsys) == default
         rows = [[int(field) for field in row.split(",")[:3]] for row in default[1].splitlines()[1:]]
         assert expanded == [(a, b, p) for p, a, b in rows if not 0 < a <= 2]
@@ -984,7 +984,7 @@ class TestSweepCommand:
     def test_a_mirror_with_one_sign_kept_fails(self, capsys, monkeypatch):
         # the mirrored record is reconstructed like a kernel's: keep one x_n's sign in the
         # record for 43/2 and the sweep stops at that row with no row written for it
-        mirror = cli.browkin_mirror
+        mirror = oracle.browkin_mirror
 
         def planted(record):
             out = mirror(record)
@@ -993,7 +993,7 @@ class TestSweepCommand:
                 out = out._replace(steps=(*out.steps[:n], record.steps[n], *out.steps[n + 1:]))
             return out
 
-        monkeypatch.setattr(cli, "browkin_mirror", planted)
+        monkeypatch.setattr(oracle, "browkin_mirror", planted)
         code, out, err = run_cli(["sweep", "--primes", "3", "--max-num", "50", "--max-den", "3"], capsys)
         assert code == 1
         assert err == "FAIL: browkin reconstruction failed at p=3, 43/2\n"
@@ -1006,7 +1006,7 @@ class TestSweepCommand:
         # reuses one, each runs the bound on its reconstruction's betas and prints that
         argv = ["sweep", "--primes", "3,5", "--max-num", "20", "--max-den", "6"]
         default = run_cli(argv, capsys)[1].splitlines()
-        certified, bound, calls = cli._certified_browkin, cli.browkin_bound, []
+        certified, bound, calls = oracle.certified_browkin, oracle.browkin_bound, []
 
         def planted(a, b, p, mirror=None):
             expansion, betas, report = certified(a, b, p, mirror)
@@ -1018,8 +1018,8 @@ class TestSweepCommand:
             calls.append(args)
             return bound(*args)
 
-        monkeypatch.setattr(cli, "_certified_browkin", planted)
-        monkeypatch.setattr(cli, "browkin_bound", counted)
+        monkeypatch.setattr(oracle, "certified_browkin", planted)
+        monkeypatch.setattr(oracle, "browkin_bound", counted)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         rows = out.splitlines()

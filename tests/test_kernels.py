@@ -25,7 +25,7 @@ from padic_cf.browkin import browkin_expand
 from padic_cf.exactarith import vp_split
 from padic_cf.schneider import generate_constant_head, schneider_expand, schneider_pair
 
-from replay import beta_trace, k_trace, y_trace
+from replay import beta_trace, constant_head_product, k_trace, y_trace
 
 PRIMES = (3, 5, 101, 65537, 10**9 + 7)
 
@@ -289,7 +289,9 @@ class TestRuns:
     """Lemma (v) of the schneider module: a run of one step (d, alpha), read off one
     valuation of Q and taken as one power of the step matrix, in the kernel (at the input
     pair) and in schneider_pair.  The tests of either loop count _run_power calls, so
-    each fails if no run was taken."""
+    each fails if no run was taken.  generate_constant_head is one power itself, so a test
+    that counts or plants _run_power before it builds its input builds the head by
+    replay.constant_head_product."""
 
     @pytest.fixture
     def powers(self, monkeypatch):
@@ -352,7 +354,7 @@ class TestRuns:
             triples += [(3, 2, 7), (2, 1, 101), (99, 3, 101)]
         for digit, alpha, p in triples:
             powers.clear()
-            a, b = generate_constant_head(digit, alpha, k, p)
+            a, b = constant_head_product(digit, alpha, k, p)
             assert min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
             exp = assert_schneider_matches(a, b, p)
             assert exp.steps == ((digit, alpha),) * (k + 1)
@@ -378,7 +380,7 @@ class TestRuns:
         # a wrong power (a defect) leaves a remainder, raised with the input as a batch's is
         run_power = schneider._run_power
         monkeypatch.setattr(schneider, "_run_power", lambda digit, pa, r: (run_power(digit, pa, r)[0] + 1, 0))
-        a, b = generate_constant_head(1, 2, k, p)
+        a, b = constant_head_product(1, 2, k, p)
         with pytest.raises(ArithmeticError) as caught:
             schneider_expand(a, b, p)
         assert str(caught.value) == f"inexact run division by (-{p}**2)**{k} in the expansion of {a}/{b}"
@@ -399,7 +401,7 @@ class TestRuns:
         # whole head at the input pair, so the records are the run's one object and the last
         # step's; the reconstruction compares records by value, so its one power covers all
         # 2,001 records, the last one included
-        a, b = generate_constant_head(1, 1, 2000, p)
+        a, b = constant_head_product(1, 1, 2000, p)
         exp = assert_schneider_matches(a, b, p)
         assert exp.steps == ((1, 1),) * 2001
         assert len({id(step) for step in exp.steps}) == 2

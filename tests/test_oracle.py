@@ -1,9 +1,11 @@
 """Oracle failure paths: a broken law must fail its own check, and every
 command that prints a certified output must refuse it with exit code 1."""
 
+import ast
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -156,7 +158,7 @@ def _zero_tail(a, b, p):
 )
 def test_zero_tail_is_a_failed_reconstruction(argv, expected_out, message, capsys, monkeypatch):
     # schneider_pair's ZeroDivisionError is the reconstruction check failing, named with the input
-    monkeypatch.setattr(cli, "schneider_expand", _zero_tail)
+    monkeypatch.setattr(oracle, "schneider_expand", _zero_tail)
     assert run_cli(argv, capsys) == (1, expected_out, message)
 
 
@@ -187,14 +189,14 @@ def test_bound_reads_the_certified_beta0(argv, capsys, monkeypatch):
         expansion = browkin.browkin_expand(a, b, p)
         return expansion._replace(beta0=1000 * expansion.beta0)
 
-    monkeypatch.setattr(cli, "browkin_expand", inflated)
+    monkeypatch.setattr(oracle, "browkin_expand", inflated)
     assert run_cli(argv, capsys) == want
 
 
 def test_a_deeper_last_step_fails_expand_schneider_in_text(capsys, monkeypatch):
     # the record's value is right, so the reconstruction passes it; the y trace that text
     # mode prints is the matrix laws' own chain, and that chain is inexact at the last step
-    monkeypatch.setattr("padic_cf.cli.schneider_expand", _deeper_last_step)
+    monkeypatch.setattr(oracle, "schneider_expand", _deeper_last_step)
     code, out, err = run_cli(["expand-schneider", "-p", "3", "1259/701"], capsys)
     assert (code, out, err) == (1, "", "FAIL: schneider matrix laws failed at p=3, 1259/701\n")
 
@@ -232,7 +234,7 @@ def test_tail_defects_fail_expand_schneider(plant, text, json_flag, capsys, monk
     planted = plant(a, b, 3)
     assert oracle.schneider_reconstruction(a, b, planted).ok
     assert not oracle.schneider_tail_laws(planted).ok
-    monkeypatch.setattr(cli, "schneider_expand", plant)
+    monkeypatch.setattr(oracle, "schneider_expand", plant)
     argv = ["expand-schneider", "-p", "3", *(["--json"] if json_flag else []), text]
     name = "schneider matrix laws" if plant is _deeper_last_step and not json_flag else "schneider tail laws"
     assert run_cli(argv, capsys) == (1, "", f"FAIL: {name} failed at p=3, {text}\n")
@@ -664,7 +666,7 @@ def test_a_later_stationary_index_fails_sweep(tmp_path, capsys, monkeypatch):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     first = next(i for i, row in enumerate(rows[1:], 1) if row.split(",")[-1])
     p, a, b = rows[first].split(",")[:3]
-    monkeypatch.setattr(cli, "schneider_expand", _later_stationary_index)
+    monkeypatch.setattr(oracle, "schneider_expand", _later_stationary_index)
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (1, "", f"FAIL: schneider tail laws failed at p={p}, {a}/{b}\n")
     assert (tmp_path / "sweep.csv").read_text().splitlines() == rows[:first]
@@ -687,7 +689,7 @@ def _longer_preperiod(start, preperiod, period):
 def test_a_wrong_period_fails_digits_json(plant, capsys, monkeypatch):
     # a rotated period changes the value; a doubled period and a preperiod one digit longer keep
     # it, and fail the minimality tests.  Each exits 1 before anything is printed
-    monkeypatch.setattr(cli, "digit_period", lambda a, b, p: plant(*digits.digit_period(a, b, p)))
+    monkeypatch.setattr(oracle, "digit_period", lambda a, b, p: plant(*digits.digit_period(a, b, p)))
     for p, text in ((3, "1/7"), (5, "-1793/700"), (7, "2/15"), (3, "-45/4")):
         code, out, err = run_cli(["digits", "-p", str(p), "-n", "8", "--json", "--", text], capsys)
         assert (code, out, err) == (1, "", f"FAIL: digit period identity failed at p={p}, {text}\n")
@@ -710,3 +712,71 @@ def test_digit_period_identity_holds_on_natural_splits():
     assert (start, preperiod, period) == (0, (), (-1,))
     assert not oracle.digit_period_identity(1, 2, 3, 0, (2,), (1,)).ok  # 1/2 = 2 + 3/(1 - 3), 2 out of range
     assert not oracle.digit_period_identity(1, 2, 3, 0, (), ()).ok
+
+
+def _flipped_last_quotient(a, b, p):
+    # the last x_n negated: another value, so the reconstruction fails
+    expansion = browkin.browkin_expand(a, b, p)
+    *head, (k, x) = expansion.steps
+    return expansion._replace(steps=(*head, browkin.BrowkinStep(k, -x)))
+
+
+_PLANTED_ARGV = {
+    "expand-browkin": ["expand-browkin", "-p", "3", "1259/701"],
+    "expand-browkin --json": ["expand-browkin", "-p", "3", "--json", "1259/701"],
+    "expand-schneider": ["expand-schneider", "-p", "3", "1259/701"],
+    "expand-schneider --json": ["expand-schneider", "-p", "3", "--json", "1259/701"],
+    "digits": ["digits", "-p", "3", "-n", "8", "1259/701"],
+    "digits --json": ["digits", "-p", "3", "-n", "8", "--json", "1259/701"],
+    "sweep": ["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1"],
+}
+
+# each kernel that makes a certified record, a plant that breaks one law of that record, and
+# for each command that prints the record, the check it fails and the input it fails at; the
+# mirror returns -a/b's own record, and the Schneider and period plants keep the value
+ONE_NAMESPACE_PLANTS = [
+    ("browkin_expand", _flipped_last_quotient,
+     {"expand-browkin": ("browkin reconstruction", "1259/701"),
+      "expand-browkin --json": ("browkin reconstruction", "1259/701"),
+      "sweep": ("browkin reconstruction", "-2/1"),
+      "verify": ("browkin reconstruction", "1259/701")}),
+    ("browkin_mirror", lambda record: record, {"sweep": ("browkin reconstruction", "1/1")}),
+    ("schneider_expand", _deeper_last_step,
+     {"expand-schneider": ("schneider matrix laws", "1259/701"),
+      "expand-schneider --json": ("schneider tail laws", "1259/701"),
+      "sweep": ("schneider tail laws", "-2/1"),
+      "verify": ("schneider matrix laws", "1259/701")}),
+    ("padic_digits", _wrong_first_digit,
+     {"digits": ("digit truncation identity", "1259/701"),
+      "digits --json": ("digit truncation identity", "1259/701"),
+      "verify": ("digit truncation identity", "1259/701")}),
+    ("digit_period", lambda a, b, p: _doubled_period(*digits.digit_period(a, b, p)),
+     {"digits --json": ("digit period identity", "1259/701")}),
+]
+
+
+@pytest.mark.parametrize("kernel, plant, failures", ONE_NAMESPACE_PLANTS,
+                         ids=[kernel for kernel, _, _ in ONE_NAMESPACE_PLANTS])
+def test_a_kernel_planted_in_oracle_reaches_every_command(kernel, plant, failures, tmp_path, capsys,
+                                                          monkeypatch):
+    # the oracle alone calls the kernels whose records a command prints: a plant in its
+    # globals reaches every such command, which exits 1 before printing, named with its check
+    monkeypatch.setattr(oracle, kernel, plant)
+    for command, (check, text) in failures.items():
+        if command == "verify":  # the battery prints every verdict, the failed one among them
+            code, out, _ = run_cli(["verify", "-p", "3", text], capsys)
+            assert code == 1 and f"FAIL: {check}" in out.splitlines(), kernel
+            continue
+        argv = _PLANTED_ARGV[command] + (["--out", str(tmp_path / "sweep.csv")] if command == "sweep" else [])
+        assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, {text}\n"), command
+
+
+def test_cli_reads_only_the_certificates_off_the_oracle():
+    # cli imports no kernel that makes a certified record and names no check: every check on
+    # a command's path runs inside oracle, picked by one certificate function per record kind
+    for kernel, _, _ in ONE_NAMESPACE_PLANTS:
+        assert kernel not in vars(cli), kernel
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "oracle"}
+    assert read == {"certified_browkin", "certified_schneider", "certified_digits", "battery"}

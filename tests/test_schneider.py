@@ -18,7 +18,7 @@ from padic_cf.schneider import (
     schneider_expand,
 )
 
-from replay import head_identity, y_trace
+from replay import constant_head_product, head_identity, y_trace
 
 # (digit, alpha, p) of the constant heads the benchmark runs
 BENCHMARK_HEAD_TRIPLES = [
@@ -657,6 +657,20 @@ class TestGenerator:
         assert generate_constant_head(1, 1, 0, 3) == (-2, 1)
         assert generate_constant_head(1, 2, 5, 3) == (1259, 701)
         assert generate_constant_head(3, 2, 3, 5) == (3044, 673)
+
+    def test_one_power_is_the_product_of_the_steps(self):
+        # M**(k+1) (1, -1) by one _run_power against the k+1 products one at a time, on every
+        # k below 70, powers of 2 and their neighbours, and the CI heads
+        cases = []
+        for p in (3, 5, 7, 11, 101, 65537, 10**9 + 7):
+            pairs = {(1, 1), (1, 2), (2, 1), (p - 1, 2), (p // 2, 3)} - {(p - 1, 1)}
+            ks = [*range(70), 127, 128, 500, 1950]
+            cases += [(digit, alpha, k, p) for digit, alpha in pairs for k in ks]
+        cases += [(1, 2, 40, 100000000000000000039), (1, 2, 2000, 3), (1, 2, 20000, 3),
+                  (1, 1, 10000, 10**9 + 7), (3, 3, 1950, 7)]
+        for digit, alpha, k, p in cases:
+            assert generate_constant_head(digit, alpha, k, p) == constant_head_product(digit, alpha, k, p)
+        assert len(cases) > 2000
 
     def test_zero_head_value(self):
         a, b = generate_constant_head(1, 1, 0, 3)
