@@ -31,14 +31,16 @@ QuadraticElement.
 Every record a command prints comes from one of padic_cf.oracle's certificate
 functions, which pick and run its checks; the oracle module docstring tables
 which check certifies each printed field, and cli names no check.
-`--json` prints one json.dumps-style line; its per-step arrays (expand-schneider's
-"head", expand-browkin's "quotients") are formatted as text straight from the
-step records, with no dict per step: 64 or more rows all equal, as a constant
-Schneider head has, are one text repeated (schneider._leading_run, which
-compares rows by value); any other rows take one "%" over them when more than
-a third are distinct, else one "%d" template per distinct row.  A Browkin
-record (k, x) is written {"num": x, "den": p**k}, with p**k taken once per
-distinct exponent on the "%" path.
+`--json` prints one json.dumps-style line; its per-step arrays are formatted as
+text straight from the step records, with no dict per step, by one writer per
+record kind.  expand-browkin's quotients (k, x), in text and in --json, take
+one pass keyed by exponent: one template per distinct k, with p**k written in
+({"num": %d, "den": p**k} in --json, %d/p**k or %d alone at k = 0 in text),
+then one "%" over the xs; "k" prints the same ks.  expand-schneider's "head"
+takes _json_pairs: 64 or more rows all equal, as a constant head has, are one
+text repeated (schneider._leading_run, which compares rows by value); any
+other rows take one "%" over them when more than a third are distinct, else
+one "%d" template per distinct row.
 The argparse parsers are built once per process, on the first main() call.
 When argv[0] names a subcommand, main hands the rest of argv straight to that
 subcommand's parser; the top-level parser runs only for -h, an empty argv or
@@ -126,10 +128,6 @@ def _parse_integer(text: str) -> int:
     return int(text)
 
 
-def _rat_str(a: int, b: int) -> str:
-    return str(a) if b == 1 else f"{a}/{b}"
-
-
 def _input_digits(args: argparse.Namespace) -> tuple[str, str]:
     # (str(a), str(b)) of the input pair: argv's own digits where they are canonical
     a, b = args.rational
@@ -137,7 +135,7 @@ def _input_digits(args: argparse.Namespace) -> tuple[str, str]:
 
 
 def _input_str(args: argparse.Namespace) -> str:
-    # _rat_str of the input pair
+    # _fraction_str of the input pair
     num, den = _input_digits(args)
     return num if den == "1" else f"{num}/{den}"
 
@@ -145,7 +143,8 @@ def _input_str(args: argparse.Namespace) -> str:
 def _fraction_str(num: int, den: int) -> str:
     # str(Fraction(num, den)) for den > 0: in lowest terms
     g = gcd(num, den)
-    return _rat_str(num // g, den // g)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _exact_str(x: int, y: int, den: int, root: tuple[int, int]) -> str:
@@ -182,58 +181,60 @@ def _f6(x: int, y: int, den: int, root: tuple[int, int]) -> float | None:
     return float(f"{approx:.6g}") if isfinite(approx) else None
 
 
-def _json_pairs(rows, key0: str, key1: str, p: int | None = None) -> str:
+def _json_pairs(rows, key0: str, key1: str) -> str:
     # the text json.dumps writes for [{key0: row[0], key1: row[1]} for row in rows], each row
-    # a hashable pair of integers; given p, each row is a Browkin step record (k, x), written
-    # as the pair (x, p**k).  schneider._RUN_MIN or more rows all equal, as a constant
-    # Schneider head has, are written as one text repeated (schneider._leading_run); any
-    # other rows by _json_rows
+    # a hashable pair of integers, as Schneider step records are.  schneider._RUN_MIN or more
+    # rows all equal, as a constant head has, are written as one text repeated
+    # (schneider._leading_run); any other rows by _json_rows
     run = _leading_run(rows)  # kept: without it, 1.35x on a long head (BENCH_special_paths.json, row 3)
     if run:
-        text = _json_rows(rows[:1], key0, key1, p)
+        text = _json_rows(rows[:1], key0, key1)
         return f"[{text}{(', ' + text) * (run - 1)}]"
-    return f"[{_json_rows(rows, key0, key1, p)}]"
+    return f"[{_json_rows(rows, key0, key1)}]"
 
 
-def _json_rows(rows, key0: str, key1: str, p: int | None) -> str:
+def _json_rows(rows, key0: str, key1: str) -> str:
     # _json_pairs' text for rows, without the brackets
     template = f'{{"{key0}": %d, "{key1}": %d}}'
     distinct = set(rows)
     # the two paths take the same time at about a third of the rows distinct
     # (BENCH_step_tables.json, "json_pairs_paths")
-    if 3 * len(distinct) > len(rows):  # as Browkin quotients at a large p
-        if p is None:
-            templates, values = [template] * len(rows), tuple(chain.from_iterable(rows))
-        else:  # one template per exponent, p**k written in: a "%d" for x alone
-            ks, values = zip(*rows)
-            per_k = {k: f'{{"{key0}": %d, "{key1}": {p**k}}}' for k in set(ks)}
-            templates = map(per_k.__getitem__, ks)
-        return ", ".join(templates) % values
+    if 3 * len(distinct) > len(rows):
+        return ", ".join([template] * len(rows)) % tuple(chain.from_iterable(rows))
     # mostly repeated, as Schneider steps at a small p: format each distinct row once
-    if p is None:
-        text = {row: template % row for row in distinct}
-    else:
-        text = {(k, x): template % (x, p**k) for k, x in distinct}
+    text = {row: template % row for row in distinct}
     return ", ".join(map(text.__getitem__, rows))
+
+
+def _quotients(steps, p: int, as_json: bool) -> tuple[str, tuple[int, ...]]:
+    # (text, ks) of the partial quotients x/p**k of nonempty Browkin step records (k, x), in one
+    # pass keyed by exponent: one template per distinct k, with p**k written in and a "%d" for
+    # x, then one "%" over the xs.  With as_json the text is json.dumps' of
+    # [{"num": x, "den": p**k}, ...]; else ", "-joined x/p**k, or x alone where k = 0
+    ks, xs = zip(*steps)
+    if as_json:
+        per_k = {k: f'{{"num": %d, "den": {p**k}}}' for k in set(ks)}
+        return f"[{', '.join(map(per_k.__getitem__, ks)) % xs}]", ks
+    per_k = {k: f"%d/{p**k}" if k else "%d" for k in set(ks)}
+    return ", ".join(map(per_k.__getitem__, ks)) % xs, ks
 
 
 def _cmd_expand_browkin(args: argparse.Namespace) -> int:
     p = args.prime
     expansion, betas, report = oracle.certified_browkin(*args.rational, p)
-    steps = expansion.steps
+    quotients, ks = _quotients(expansion.steps, p, args.json)
     if args.json:
         print(
             f'{{"p": {p}, "input": {json.dumps(_input_str(args))}, '
-            f'"quotients": {_json_pairs(steps, "num", "den", p)}, '
-            f'"k": {json.dumps([k for k, _ in steps])}, "beta": {json.dumps(betas)}, '
+            f'"quotients": {quotients}, "k": {json.dumps(ks)}, "beta": {json.dumps(betas)}, '
             f'"bound_N": {report.n_bound}, "reconstructed": true}}'
         )
     else:
         print(f"input: {_input_str(args)} (p={p})")
-        print("quotients: " + ", ".join(_rat_str(x, p**k) for k, x in steps))
-        print("k: " + ", ".join(str(k) for k, _ in steps))
+        print("quotients: " + quotients)
+        print("k: " + ", ".join(map(str, ks)))
         print("beta: " + ", ".join(map(str, betas)))
-        print(f"bound N: {report.n_bound} (length {len(steps)} <= N+1)")
+        print(f"bound N: {report.n_bound} (length {len(ks)} <= N+1)")
         print("reconstructed: true")
     return 0
 

@@ -3,6 +3,19 @@
 Digits live in {-(p-1)/2, ..., (p-1)/2}.  The terms with exponent <= 0 sum
 to the first Browkin partial quotient: both are x/p**k, where p**k is the
 p-part of b and x the symmetric residue of a * (b/p**k)**-1 mod p**(1+k).
+
+The period lemma.  Write a/b = p**v * n/d with d prime to p.  Each digit
+maps the remainder n to n' = (n - digit*d)/p, with the same d, so
+|n'| <= (|n| + (p-1)*d/2)/p.  If 2|n| > d, then |n'| < |n|: the remainder
+shrinks.  Once 2|n| <= d, so is 2|n'|, and the step is one-to-one there:
+two preimages of n' differ by a multiple of d, so two with 2|n| <= d are
+equal or are d/2 and -d/2.  Every remainder stays prime to d, as n'*p =
+n - digit*d, so the latter happens only at d = 2, where 1 and -1 are each
+their own image.  A one-to-one map of a finite set into itself is a
+permutation, so the first remainder with 2|n| <= d starts the period, which
+ends where that remainder comes back: no remainder before it repeats, as
+each is smaller than the one before.  digit_period keeps that one
+remainder, not a table of them.
 """
 
 from __future__ import annotations
@@ -15,10 +28,9 @@ from .exactarith import (
     mod_inverse, require_lowest_terms, require_odd_prime, symmetric_residue, vp_split,
 )
 
-# The most digits digit_period extracts while it looks for a repeated remainder
-# state.  The period is the order of p modulo the p-free denominator, which can
-# be about as large as that denominator, and every state is kept in a dict, so
-# the search is bounded: about 0.1 s and 15 MB at the limit.
+# The most digits digit_period extracts while it looks for the period.  The period
+# is the order of p modulo the p-free denominator, which can be about as large as
+# that denominator, so the search is bounded; it keeps the digits and one remainder.
 DIGIT_PERIOD_LIMIT = 100_000
 
 
@@ -95,20 +107,21 @@ def digit_period(
     """Split the digit stream of a/b (a and b coprime, b > 0) into
     (start_exponent, preperiod, period).
 
-    The repeating tail is located by exact remainder-state repetition: the
-    remainder after each extracted digit keeps a fixed p-free denominator,
-    so there are finitely many states and the first revisit pins the cycle.
+    By the period lemma (module docstring), the period starts at the first
+    remainder n with 2|n| <= d and ends where that remainder comes back.
     A split is found exactly when len(preperiod) + len(period) is at most
     DIGIT_PERIOD_LIMIT; past it the result is (start_exponent, None, None).
     """
     start, n, d = _unit_form(a, b, p)
-    seen = {n: 0}
+    # the period's first remainder and its index: until a remainder has 2|n| <= d, the latest
+    # one, which the next cannot equal, as it is smaller
+    cut, first = 0, n
     digits: list[int] = []
     for digit, n in _digit_stream(n, d, p):
         digits.append(digit)
-        if n in seen:
-            cut = seen[n]
+        if n == first:
             return start, tuple(digits[:cut]), tuple(digits[cut:])
+        if 2 * abs(first) > d:
+            cut, first = len(digits), n
         if len(digits) == DIGIT_PERIOD_LIMIT:
             return start, None, None
-        seen[n] = len(digits)

@@ -13,7 +13,6 @@ Its float (``__float__``) is an approximation for display only.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from itertools import compress
@@ -30,22 +29,34 @@ _PSEUDOPRIME_BOUNDS = (
     3_317_044_064_679_887_385_961_981,
 )
 PRIME_LIMIT = _PSEUDOPRIME_BOUNDS[-1]
-# the odd primes below 43**2, where every composite has a prime factor <= 41
-_SMALL_ODD_PRIMES = frozenset(_BASES[1:]).union(
-    n for n in range(43, 43 * 43, 2) if math.gcd(n, math.prod(_BASES)) == 1
-)
+FOLD_LIMIT = 4096  # the largest trial divisor when folding a radicand, and the prime table's top
+
+
+def _sieve(limit: int) -> bytearray:
+    # sieve[n] is 1 exactly for the primes n <= limit (Eratosthenes)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, limit + 1, f)))
+    return sieve
+
+
+# the one prime table, built at import: is_odd_prime reads it, square_part folds its squares
+_IS_PRIME = _sieve(FOLD_LIMIT)
+_FOLD_SQUARES = tuple((f, f * f) for f in compress(range(FOLD_LIMIT + 1), _IS_PRIME))
 
 
 def is_odd_prime(p: int) -> bool:
     """True for primes >= 3 (2 is deliberately rejected).
 
-    A table below 43**2, deterministic Miller-Rabin above it, certified below
+    A table up to FOLD_LIMIT, deterministic Miller-Rabin above it, certified below
     PRIME_LIMIT (about 3.3e24); an odd p at or above the limit raises ValueError.
     Only the first k bases are tried, k the least with p below psi_k: 4 at
     p = 10**9 + 7, all 13 near the limit.
     """
-    if p < 43 * 43:
-        return p in _SMALL_ODD_PRIMES
+    if p <= FOLD_LIMIT:
+        return p > 2 and _IS_PRIME[p] == 1
     if not p & 1:
         return False
     if p >= PRIME_LIMIT:
@@ -175,21 +186,6 @@ def _sign_of(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
 
-FOLD_LIMIT = 4096  # the largest trial divisor when folding a radicand
-
-
-@functools.cache
-def _fold_squares() -> tuple[tuple[int, int], ...]:
-    # (f, f*f) for the primes f up to FOLD_LIMIT, sieved on the first square_part call
-    # rather than at import
-    sieve = bytearray([1]) * (FOLD_LIMIT + 1)
-    sieve[:2] = b"\0\0"
-    for f in range(2, math.isqrt(FOLD_LIMIT) + 1):
-        if sieve[f]:
-            sieve[f * f :: f] = bytes(len(range(f * f, FOLD_LIMIT + 1, f)))
-    return tuple((f, f * f) for f in compress(range(FOLD_LIMIT + 1), sieve))
-
-
 def square_part(n: int) -> tuple[int, int]:
     """(s, m) with n = s*s*m, folding square factors f*f with f <= FOLD_LIMIT,
     then the cofactor if it is a perfect square: m = 1 exactly when n is a square.
@@ -202,7 +198,7 @@ def square_part(n: int) -> tuple[int, int]:
     (returned before) or at least 4099**2.
     """
     s, m = 1, n
-    for f, ff in _fold_squares():
+    for f, ff in _FOLD_SQUARES:
         if ff > m:
             return s, m
         while not m % ff:

@@ -128,8 +128,9 @@ def browkin_reconstruction(a: int, b: int, expansion, betas: list[int] | None = 
     reverse and times s, the sign of s*beta_0.  Nothing else computes them on
     a command's path, so every beta a command prints is a value this check used.
     """
-    try:
-        pair = cf_pair(expansion.steps, expansion.p, betas)
+    steps = expansion.steps
+    try:  # an empty record has no value: (0, 0) is no input's pair
+        pair = cf_pair(steps, expansion.p, betas) if steps else (0, 0)
     except ZeroDivisionError:  # a complete quotient of 0 on the way: not a/b
         pair = (0, 0)
     if betas:
@@ -140,7 +141,9 @@ def browkin_reconstruction(a: int, b: int, expansion, betas: list[int] | None = 
 
 
 def browkin_length_bound(expansion, report) -> Check:
-    return _record(Check, ("browkin length bound", len(expansion.steps) <= report.n_bound + 1))
+    """len(steps) <= N + 1 for the report's N; None, no report, certifies no length."""
+    ok = report is not None and len(expansion.steps) <= report.n_bound + 1
+    return _record(Check, ("browkin length bound", ok))
 
 
 def _walk(p: int, y_prev: int, y_cur: int, links):
@@ -304,7 +307,8 @@ def battery(a: int, b: int, p: int) -> list[Check]:
     expansion = browkin_expand(a, b, p)
     first_link = _beta_links(expansion.steps[:2])  # none for a one-step expansion: |beta_1| = 0
     beta1, _ = next(_walk(p, expansion.alpha, expansion.beta0, first_link), (0, 0))
-    report = browkin_bound(expansion.beta0, abs(beta1), p)
+    # a record's beta0 below 1 forms no report, so its length bound fails
+    report = browkin_bound(expansion.beta0, abs(beta1), p) if expansion.beta0 >= 1 else None
     checks = [
         browkin_reconstruction(a, b, expansion),
         browkin_length_bound(expansion, report),

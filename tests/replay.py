@@ -2,8 +2,9 @@
 references for the betas, the y values and the quotient pairs; the head
 identity itself, the reference for head_analysis; the plain valuation
 ladder, the reference for vp_split's probe; square folding by every trial
-divisor, the reference for square_part's primes; and the product of a constant
-head's step matrices, the reference for generate_constant_head.
+divisor, the reference for square_part's primes; the product of a constant
+head's step matrices, the reference for generate_constant_head; and the
+period search by a table of remainders, the reference for digit_period.
 
 Both replays walk y_{m+1} = (y_{m-1} - d_m*y_m) // p**e_m, with floor division, so
 a planted record replays to some trace rather than raising.
@@ -120,3 +121,25 @@ def constant_head_product(digit, alpha, k, p):
         u, v, w, z = u * digit + v, u * pa, w * digit + z, w * pa
     a, b = u - v, w - z
     return (-a, -b) if b < 0 else (a, b)
+
+
+def digit_period_by_states(a, b, p, limit):
+    """(start_exponent, preperiod, period) of a/b (coprime, b > 0) by a table of every
+    remainder state, the first state seen twice pinning the cycle; (start, None, None) once
+    limit digits are out with no state seen twice (digit_period without its lemma)."""
+    v, n, d = 0, a, b
+    while n and n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    inverse, seen, digits = pow(d, -1, p), {n: 0}, []
+    while True:
+        digit = n * inverse % p
+        digit -= p if digit > p // 2 else 0
+        n = (n - digit * d) // p
+        digits.append(digit)
+        if n in seen:
+            return v, tuple(digits[: seen[n]]), tuple(digits[seen[n] :])
+        if len(digits) == limit:
+            return v, None, None
+        seen[n] = len(digits)

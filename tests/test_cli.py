@@ -1428,14 +1428,22 @@ class TestJsonPairs:
         assert cli._json_pairs(quotient_pairs(exp), "num", "den") == want
 
     def test_browkin_records_with_p(self):
-        # given p, the rows are (k, x) records written as (x, p**k), on both paths: k0 > 0
-        # and repeated rows at p = 3, distinct rows at the larger primes
+        # Browkin step records (k, x) are written as (x, p**k) by the writer keyed by
+        # exponent: k0 > 0 and repeated rows at p = 3, distinct rows at the larger primes
         for a, b, p in ((-(10**300 + 7), 3**5 * (10**299 + 3), 3), (365, 54, 3),
                         (-(10**300 + 7), 10**299 + 3, 101), (10**300 + 7, 7 * 10**9 + 49, 10**9 + 7),
                         (1, 1, 3), (-2, 9, 3)):
             exp = browkin.browkin_expand(a, b, p)
             want = json.dumps([{"num": x, "den": y} for x, y in quotient_pairs(exp)])
-            assert cli._json_pairs(exp.steps, "num", "den", p) == want, (a, b, p)
+            assert cli._quotients(exp.steps, p, True)[0] == want, (a, b, p)
+
+    def test_browkin_text_quotients(self):
+        # the same pass in text: x/p**k, or x alone at k = 0, beside the ks
+        for a, b, p in ((365, 54, 3), (-(10**300 + 7), 10**299 + 3, 101), (1, 1, 3), (-2, 9, 3),
+                        (10**300 + 7, 7 * 10**9 + 49, 10**9 + 7)):
+            exp = browkin.browkin_expand(a, b, p)
+            want = ", ".join(str(x) if y == 1 else f"{x}/{y}" for x, y in quotient_pairs(exp))
+            assert cli._quotients(exp.steps, p, False) == (want, tuple(k_trace(exp))), (a, b, p)
 
 
 class TestJsonPairRuns:
@@ -1448,7 +1456,7 @@ class TestJsonPairRuns:
     def want(rows, p=None):
         if p is None:
             return json.dumps([{"b": x, "alpha": y} for x, y in rows])
-        return json.dumps([{"b": x, "alpha": p**k} for k, x in rows])
+        return json.dumps([{"num": x, "den": p**k} for k, x in rows])
 
     def cases(self):
         R, step = self.R, schneider.SchneiderStep
@@ -1477,7 +1485,7 @@ class TestJsonPairRuns:
             records = [browkin.BrowkinStep(*row) for row in rows]  # (k, x) = (digit, alpha)
             shared = {id(row): record for row, record in zip(rows, records)}
             records = [shared[id(row)] for row in rows]  # one object where rows had one
-            assert cli._json_pairs(records, "b", "alpha", 5) == self.want(records, 5), name
+            assert cli._quotients(records, 5, True)[0] == self.want(records, 5), name
 
     def test_a_run_is_formatted_once(self, monkeypatch):
         # a constant head's record goes through _json_rows once, alone, whatever the head's
@@ -1525,7 +1533,7 @@ class TestInputDigits:
                     want = run_cli(command + json_flag + ["--", canonical], capsys)
                     assert want[0] == 0, want
                     if json_flag and command[0] != "expand-schneider":
-                        assert json.loads(want[1])["input"] == cli._rat_str(a, b)
+                        assert json.loads(want[1])["input"] == cli._fraction_str(a, b)
                     elif json_flag:
                         assert json.loads(want[1])["a"] == a and json.loads(want[1])["b"] == b
                     for text in spellings:

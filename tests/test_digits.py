@@ -11,7 +11,7 @@ from padic_cf.browkin import browkin_expand
 from padic_cf.digits import digit_period, padic_digits
 from padic_cf.exactarith import int_vp, vp
 
-from replay import quotient_pairs
+from replay import digit_period_by_states, quotient_pairs
 
 
 def test_digit_fixtures():
@@ -150,6 +150,36 @@ def test_period_limit_at_its_documented_value():
     start, preperiod, period = digit_period(1, 99989, 3)
     assert (start, preperiod, len(period)) == (0, (), 99988)
     assert digit_period(1, 100003, 3) == (0, None, None)
+
+
+def test_digit_period_equals_the_search_by_states():
+    # the period lemma keeps one remainder; a table of every remainder finds the same split, on
+    # every coprime a/b with |a| <= 60 and b <= 60, and on random numerators of up to 30 digits
+    limit = digits.DIGIT_PERIOD_LIMIT
+    for p in (3, 5, 7, 11, 101):
+        for b in range(1, 61):
+            for a in range(-60, 61):
+                if math.gcd(a, b) == 1:
+                    assert digit_period(a, b, p) == digit_period_by_states(a, b, p, limit), (a, b, p)
+    rng = random.Random(82)
+    for _ in range(300):
+        p, b = rng.choice([3, 5, 7, 11, 101]), rng.randint(1, 5000)
+        a = rng.randint(-(10**30), 10**30) or 1
+        a, b = a // math.gcd(a, b), b // math.gcd(a, b)
+        assert digit_period(a, b, p) == digit_period_by_states(a, b, p, limit), (a, b, p)
+
+
+def test_digit_period_stops_where_the_search_by_states_stops(monkeypatch):
+    # at every small limit, a split is found exactly when the table of remainders finds it
+    rng = random.Random(83)
+    cases = [(-1793, 100, 5), (3, 1, 3), (0, 1, 5), (1, 2, 3), (-1, 2, 7), (1, 99989, 3)]
+    for _ in range(40):
+        a, b = rng.randint(-(10**30), 10**30) or 1, rng.randint(1, 10**6)
+        cases.append((a // math.gcd(a, b), b // math.gcd(a, b), rng.choice([3, 5, 7, 101])))
+    for limit in range(1, 25):
+        monkeypatch.setattr(digits, "DIGIT_PERIOD_LIMIT", limit)
+        for a, b, p in cases:
+            assert digit_period(a, b, p) == digit_period_by_states(a, b, p, limit), (a, b, p, limit)
 
 
 def test_eventual_periodicity_by_state_repetition():

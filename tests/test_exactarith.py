@@ -337,11 +337,23 @@ def test_is_odd_prime():
 
 
 def test_is_odd_prime_matches_trial_division():
-    # the table below 43**2 and Miller-Rabin above it
+    # the table up to FOLD_LIMIT and Miller-Rabin above it
     def trial(n):
         return n > 2 and n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
 
     assert [n for n in range(-3, 200_000) if is_odd_prime(n) != trial(n)] == []
+
+
+def test_one_prime_table_serves_the_test_and_the_fold():
+    # one sieve up to FOLD_LIMIT: is_odd_prime reads it there (2 and negatives are False) and
+    # runs Miller-Rabin above it, and square_part folds the squares of the same primes
+    def trial(n):
+        return n > 2 and n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+    assert [n for n in range(-10, 20_001) if is_odd_prime(n) != trial(n)] == []
+    limit = exactarith.FOLD_LIMIT
+    assert [f for f, _ in exactarith._FOLD_SQUARES] == [2] + [n for n in range(limit + 1) if is_odd_prime(n)]
+    assert [n for n in range(-10, 20_001) if square_part(n) != square_part_every_f(n)] == []
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,33 @@ def test_bound_reads_the_certified_beta0(argv, capsys, monkeypatch):
     assert run_cli(argv, capsys) == want
 
 
+def test_a_malformed_browkin_record_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    # a record with no steps fails the reconstruction in every command that prints it, and one
+    # whose beta0 is 0 or -2 forms no bound report, so verify fails the length bound: each
+    # exits 1 naming the check, not 2 with a usage error.  expand-browkin and sweep read
+    # beta_0 off the reconstruction, so the beta0 plants leave their output as it was
+    sweep = ["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1", "--out", str(tmp_path / "s.csv")]
+    unaffected = [["expand-browkin", "-p", "3", "365/54"], ["expand-browkin", "-p", "3", "--json", "365/54"],
+                  sweep]
+    natural = [run_cli(argv, capsys) for argv in unaffected]
+    assert all(code == 0 for code, _, _ in natural)
+
+    def plant(**fields):
+        monkeypatch.setattr(oracle, "browkin_expand",
+                            lambda a, b, p: browkin.browkin_expand(a, b, p)._replace(**fields))
+
+    plant(steps=())
+    for argv, text in zip(unaffected, ["365/54", "365/54", "-2/1"]):
+        assert run_cli(argv, capsys) == (1, "", f"FAIL: browkin reconstruction failed at p=3, {text}\n"), argv
+    code, out, err = run_cli(["verify", "-p", "3", "365/54"], capsys)
+    assert code == 1 and "FAIL: browkin reconstruction" in out.splitlines() and err == ""
+    for beta0 in (0, -2):
+        plant(beta0=beta0)
+        code, out, err = run_cli(["verify", "-p", "3", "365/54"], capsys)
+        assert code == 1 and "FAIL: browkin length bound" in out.splitlines() and err == "", beta0
+        assert [run_cli(argv, capsys) for argv in unaffected] == natural, beta0
+
+
 def test_a_deeper_last_step_fails_expand_schneider_in_text(capsys, monkeypatch):
     # the record's value is right, so the reconstruction passes it; the y trace that text
     # mode prints is the matrix laws' own chain, and that chain is inexact at the last step
