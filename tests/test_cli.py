@@ -1286,6 +1286,25 @@ class TestDispatch:
         ["expand-browkin", "-p", "3", ""],
         ["expand-browkin", "-p", "3", "--", "--"],
         ["bound", "--beta1", "5", "--beta0", "2", "-p", "3"],
+        # each subcommand's non-canonical spellings: '=' values, abbreviations, attached values
+        # and repeats, which argparse parses
+        ["expand-schneider", "--prime=3", "--json", "2/5"],
+        ["digits", "-p", "5", "--count=7", "--", "-1793/100"],
+        ["bound", "-p", "3", "--beta0=2", "--beta1=5"],
+        ["head", "-p", "3", "--digit=1", "--exponent=1", "2/5"],
+        ["verify", "--prime=3", "2/5"],
+        ["sweep", "--primes=3,5", "--max-num", "3", "--max-den", "2"],
+        ["expand-schneider", "--pr", "3", "--js", "2/5"],
+        ["bound", "--pri", "3", "--beta0", "2", "--beta1", "5", "--json", "--json"],
+        ["head", "--prime", "3", "--dig", "1", "2/5"],
+        ["sweep", "--pri", "3", "--max-n", "3", "--max-d", "2"],
+        ["expand-browkin", "-p", "3", "--jso", "365/54"],
+        ["digits", "-p5", "-n7", "2/5"],
+        ["verify", "2/5", "-p3"],
+        ["digits", "-p", "5", "-n", "7", "-n", "8", "2/5"],
+        ["verify", "-p", "5", "-p", "3", "2/5"],
+        ["sweep", "--primes", "3", "--max-num", "3", "--max-den", "2", "--max-den", "3"],
+        ["expand-browkin", "--json", "-p", "3", "--json", "365/54"],
     ]
 
     @staticmethod
