@@ -1,33 +1,24 @@
 """Exact Browkin and Schneider p-adic continued fractions of rationals,
-with certified length bounds and head-length analysis."""
+with certified length bounds and head-length analysis.
 
-from .browkin import (
-    BoundReport,
-    BrowkinExpansion,
-    BrowkinStep,
-    Convergent,
-    browkin_bound,
-    browkin_convergents,
-    browkin_expand,
-    cf_evaluate,
-    theta_sequence,
-)
+The package exports the kernels, the records they return and the integer
+helpers the commands use.  Eight names no command reaches are module-level
+and not exported: the Fraction evaluators browkin.cf_evaluate,
+browkin.browkin_convergents (with its record browkin.Convergent),
+browkin.theta_sequence, schneider.schneider_evaluate and
+schneider.schneider_convergents, and exactarith.vp and
+exactarith.QuadraticElement.  They stay in their modules as the tests' exact
+references, and the benchmark's tracer wraps the functions among them by name."""
+
+from .browkin import BoundReport, BrowkinExpansion, BrowkinStep, browkin_bound, browkin_expand
 from .digits import PAdicDigits, digit_period, padic_digits
-from .exactarith import (
-    QuadraticElement,
-    is_odd_prime,
-    mod_inverse,
-    symmetric_residue,
-    vp,
-)
+from .exactarith import is_odd_prime, mod_inverse, symmetric_residue
 from .schneider import (
     HeadReport,
     SchneiderExpansion,
     SchneiderStep,
     generate_constant_head,
     head_analysis,
-    schneider_convergents,
-    schneider_evaluate,
     schneider_expand,
 )
 
@@ -37,26 +28,18 @@ __all__ = [
     "BoundReport",
     "BrowkinExpansion",
     "BrowkinStep",
-    "Convergent",
     "HeadReport",
     "PAdicDigits",
-    "QuadraticElement",
     "SchneiderExpansion",
     "SchneiderStep",
     "browkin_bound",
-    "browkin_convergents",
     "browkin_expand",
-    "cf_evaluate",
     "digit_period",
     "generate_constant_head",
     "head_analysis",
     "is_odd_prime",
     "mod_inverse",
     "padic_digits",
-    "schneider_convergents",
-    "schneider_evaluate",
     "schneider_expand",
     "symmetric_residue",
-    "theta_sequence",
-    "vp",
 ]

@@ -42,17 +42,16 @@ text repeated (schneider._leading_run, which compares rows by value); any
 other rows take one "%" over them when more than a third are distinct, else
 one "%d" template per distinct row.
 The argparse parsers are built once per process, on the first main() call.
-When argv[0] names a subcommand, main hands the rest of argv straight to that
-subcommand's parser; the top-level parser runs only for -h, an empty argv or
-an unknown subcommand, and the two routes print the same usage and help.
-A canonical rest of argv skips argparse: its Namespace is read straight
-off the subcommand parser's own actions (option strings, dest, type, const,
-default, required) when every token is an exact option string given once,
-whose value (if it takes one) does not start with '-', or the one positional,
-optionally after a single '--'.  Every other argv (-h, an abbreviation, an
-'=' or attached value, a repeat, a value starting with '-', anything missing
-or extra) goes to parse_known_args, so argparse alone writes help, usage and
-error text, and both routes give the same Namespace.
+When argv[0] names a subcommand and the rest of argv is canonical, its
+Namespace is read straight off that subcommand parser's own actions (option
+strings, dest, type, const, default, required): every token is an exact
+option string given once, whose value (if it takes one) does not start with
+'-', or the one positional, optionally after a single '--'.  Every other argv
+(-h, an empty argv, an unknown subcommand, an abbreviation, an '=' or attached
+value, a repeat, a value starting with '-', anything missing or extra) goes to
+the top-level parser's parse_known_args, which hands the rest of argv to the
+subcommand's parser, so argparse alone writes help, usage and error text, each
+error with the subcommand's usage, and both routes give the same Namespace.
 """
 
 from __future__ import annotations
@@ -600,18 +599,14 @@ def _canonical_args(command_parser: argparse.ArgumentParser, argv) -> argparse.N
 def _parse(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
     # (args, the subcommand's parser); a usage error exits 2
     parser, subparsers = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     command_parser = subparsers.get(argv[0]) if argv else None
-    if command_parser is not None:  # the top-level parser would pass it the rest of argv
-        args = _canonical_args(command_parser, argv)
-        if args is not None:
-            return args, command_parser
-        args, unknown = command_parser.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-    else:  # -h, no argv or an unknown subcommand: the top-level parser reports it
-        args, unknown = parser.parse_known_args(argv)
-        command_parser = subparsers[args.command]
+    args = None if command_parser is None else _canonical_args(command_parser, argv)
+    if args is not None:
+        return args, command_parser
+    # every other argv: the top-level parser hands the rest of argv to the subcommand's parser
+    args, unknown = parser.parse_known_args(argv)
+    command_parser = subparsers[args.command]
     if unknown:  # reported with the subcommand's usage, as every usage error is
         command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args, command_parser

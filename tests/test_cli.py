@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import padic_cf
 import padic_cf.browkin as browkin
 import padic_cf.cli as cli
 import padic_cf.exactarith as exactarith
@@ -1246,10 +1247,9 @@ def _top_level_parse(argv):
 
 
 class TestDispatch:
-    """main hands argv to the subcommand's parser when argv[0] names one; the
-    top-level parser runs only for -h, an empty argv or an unknown subcommand.
-    A canonical argv is read straight off the subcommand's actions, and every
-    other one is parsed by argparse, with the same result."""
+    """A canonical subcommand argv is read straight off the subcommand's
+    actions; every other argv goes to the top-level parser, which hands the
+    rest of argv to the subcommand's parser.  Both routes give the same result."""
 
     ARGVS = [
         [],
@@ -1325,7 +1325,7 @@ class TestDispatch:
         assert got == self.run(argv)
 
     def test_subcommand_skips_the_top_level_parser(self, capsys, monkeypatch):
-        parser, _ = cli._build_parser()
+        parser, subparsers = cli._build_parser()
         calls = []
         parse = parser.parse_known_args
         monkeypatch.setattr(parser, "parse_known_args", lambda *a: calls.append(a) or parse(*a))
@@ -1334,6 +1334,19 @@ class TestDispatch:
         with pytest.raises(SystemExit):
             main(["bogus"])
         assert len(calls) == 1
+        # a canonical subcommand argv never reaches the top-level parser, and every other one
+        # reaches it exactly once: no second argparse route parses it
+        off_route = 0
+        for argv in self.ARGVS:
+            if not argv or argv[0] not in subparsers:
+                continue
+            canonical = cli._canonical_args(subparsers[argv[0]], argv) is not None
+            off_route += not canonical
+            calls.clear()
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert len(calls) == (0 if canonical else 1), argv
+        assert off_route >= 17
 
     def test_canonical_argv_skip_the_subcommand_parser(self, capsys, monkeypatch, tmp_path):
         # the benchmark's query shapes and the sweep's, text and --json, never reach argparse
@@ -1709,6 +1722,26 @@ def test_cli_import_loads_no_dataclasses():
     # every record is a NamedTuple; -S keeps site's own imports out of the count
     code = "import sys, padic_cf.cli; print('dataclasses' in sys.modules)"
     assert run_process(["-S", "-c", code]).stdout == b"False\n"
+
+
+# the names no command reaches, by the module that defines them: the tests' exact references,
+# which the benchmark's tracer also wraps by name
+UNEXPORTED = {
+    browkin: ["Convergent", "browkin_convergents", "cf_evaluate", "theta_sequence"],
+    schneider: ["schneider_convergents", "schneider_evaluate"],
+    exactarith: ["QuadraticElement", "vp"],
+}
+
+
+def test_package_exports_only_what_commands_reach():
+    for module, names in UNEXPORTED.items():
+        for name in names:
+            assert not hasattr(padic_cf, name), name
+            assert getattr(module, name).__module__ == module.__name__, name
+    public = {name for name, value in vars(padic_cf).items()
+              if not name.startswith("_") and not isinstance(value, type(sys))}
+    assert len(padic_cf.__all__) == len(set(padic_cf.__all__)) == 17
+    assert set(padic_cf.__all__) == public
 
 
 def test_benchmark_tracer_finds_every_traced_name():

@@ -19,8 +19,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from padic_cf import browkin_bound, browkin_convergents, browkin_expand, cf_evaluate, oracle, theta_sequence
-from padic_cf.browkin import Convergent, cf_pair, convergent_triples
+from padic_cf import browkin_bound, browkin_expand, oracle
+from padic_cf.browkin import Convergent, browkin_convergents, cf_evaluate, cf_pair, convergent_triples, theta_sequence
 from padic_cf.cli import main
 from padic_cf.schneider import schneider_evaluate, schneider_expand, schneider_pair
 
