@@ -5,6 +5,7 @@ import contextlib
 import csv
 import decimal
 import fractions
+import functools
 import hashlib
 import io
 import json
@@ -1236,9 +1237,76 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+@functools.cache
+def _reference_parser():
+    # the CLI's grammar written out add_argument by add_argument, as cli built it before its
+    # table: the top-level parser and each subcommand's, by name.  argparse alone parses with
+    # it, so it writes the help, usage and error text each Python's argparse writes
+    parser = argparse.ArgumentParser(
+        prog="padic-cf",
+        description="Exact Browkin and Schneider p-adic continued fractions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    integer = cli._parse_integer
+
+    def add_prime(command_parser):
+        command_parser.add_argument("-p", "--prime", type=integer, required=True, help="odd prime base")
+
+    def add_rational(command_parser):
+        command_parser.add_argument(
+            "rational", help="rational input, 'num' or 'num/den' (negatives after --)"
+        )
+
+    eb = sub.add_parser("expand-browkin", help="Browkin expansion with length bound")
+    add_prime(eb)
+    eb.add_argument("--json", action="store_true")
+    add_rational(eb)
+
+    es = sub.add_parser("expand-schneider", help="Schneider expansion to stationarity")
+    add_prime(es)
+    es.add_argument("--json", action="store_true")
+    add_rational(es)
+
+    dg = sub.add_parser("digits", help="symmetric base-p digits")
+    add_prime(dg)
+    dg.add_argument("-n", "--count", type=integer, required=True, help="number of digits")
+    dg.add_argument("--json", action="store_true")
+    add_rational(dg)
+
+    bd = sub.add_parser("bound", help="certified expansion-length bound")
+    add_prime(bd)
+    bd.add_argument("--beta0", type=integer, default=None, help="|beta_0| (with --beta1)")
+    bd.add_argument("--beta1", type=integer, default=None, help="|beta_1| (with --beta0)")
+    bd.add_argument("--json", action="store_true")
+    bd.add_argument("rational", nargs="?", default=None)
+
+    hd = sub.add_parser("head", help="constant-head length certificate")
+    add_prime(hd)
+    hd.add_argument(
+        "--digit", type=integer, default=None, help="head digit (default: from expansion)"
+    )
+    hd.add_argument(
+        "--exponent", type=integer, default=None, help="head exponent (default: from expansion)"
+    )
+    hd.add_argument("--json", action="store_true")
+    add_rational(hd)
+
+    vf = sub.add_parser("verify", help="run the full oracle battery on one input")
+    add_prime(vf)
+    add_rational(vf)
+
+    sw = sub.add_parser("sweep", help="CSV bound-tightness sweep over coprime pairs")
+    sw.add_argument("--primes", required=True, help="comma-separated odd primes")
+    sw.add_argument("--max-num", type=integer, required=True)
+    sw.add_argument("--max-den", type=integer, required=True)
+    sw.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    return parser, sub.choices
+
+
 def _top_level_parse(argv):
-    # argv through the top-level parser, then the subcommand's, as main always parsed before
-    parser, subparsers = cli._build_parser()
+    # argv through the reference top-level parser, then its subcommand's, as cli parses every
+    # argv off the canonical route
+    parser, subparsers = _reference_parser()
     args, unknown = parser.parse_known_args(argv)
     command_parser = subparsers[args.command]
     if unknown:
@@ -1249,7 +1317,8 @@ def _top_level_parse(argv):
 class TestDispatch:
     """A canonical subcommand argv is read straight off the subcommand's
     actions; every other argv goes to the top-level parser, which hands the
-    rest of argv to the subcommand's parser.  Both routes give the same result."""
+    rest of argv to the subcommand's parser.  Both routes give what the reference
+    parser, the grammar written out add_argument by add_argument, gives."""
 
     ARGVS = [
         [],
@@ -1271,6 +1340,9 @@ class TestDispatch:
         ["verify", "-p", "3", "2/5"],
         ["sweep", "--primes", "3,5", "--max-num", "3", "--max-den", "3"],
         ["sweep", "-h"],
+        # each other subcommand's help, and each subcommand's usage error with nothing given
+        ["expand-schneider", "-h"], ["digits", "-h"], ["bound", "-h"], ["head", "-h"], ["verify", "-h"],
+        ["expand-schneider"], ["digits"], ["bound"], ["head"], ["verify"], ["sweep"],
         # the edges of the canonical route: each of these but the last four goes to argparse
         ["expand-browkin", "-p", "3", "-p", "5", "365/54"],
         ["expand-schneider", "-p", "3", "--json", "--json", "1/2"],
@@ -1307,6 +1379,83 @@ class TestDispatch:
         ["expand-browkin", "--json", "-p", "3", "--json", "365/54"],
     ]
 
+    # the Namespace of each ARGVS entry that parses; every other entry exits, with help or a
+    # usage error, before any command runs
+    NAMESPACES = {
+        ("expand-browkin", "--prime=3", "1/2"):
+            dict(command="expand-browkin", prime=3, json=False, rational="1/2"),
+        ("expand-browkin", "--pr", "3", "1/2"):
+            dict(command="expand-browkin", prime=3, json=False, rational="1/2"),
+        ("expand-schneider", "-p3", "--json", "--", "-365/53"):
+            dict(command="expand-schneider", prime=3, json=True, rational="-365/53"),
+        ("digits", "-p", "5", "-n", "7", "--", "-1793/100"):
+            dict(command="digits", prime=5, count=7, json=False, rational="-1793/100"),
+        ("bound", "-p", "3", "--beta0", "2", "--beta1", "5", "--json"):
+            dict(command="bound", prime=3, beta0=2, beta1=5, json=True, rational=None),
+        ("head", "-p", "3", "--json", "1259/701"):
+            dict(command="head", prime=3, digit=None, exponent=None, json=True, rational="1259/701"),
+        ("verify", "-p", "3", "2/5"):
+            dict(command="verify", prime=3, rational="2/5"),
+        ("sweep", "--primes", "3,5", "--max-num", "3", "--max-den", "3"):
+            dict(command="sweep", primes="3,5", max_num=3, max_den=3, out=None),
+        ("expand-browkin", "-p", "3", "-p", "5", "365/54"):
+            dict(command="expand-browkin", prime=5, json=False, rational="365/54"),
+        ("expand-schneider", "-p", "3", "--json", "--json", "1/2"):
+            dict(command="expand-schneider", prime=3, json=True, rational="1/2"),
+        ("expand-browkin", "-p", "-3", "1/2"):
+            dict(command="expand-browkin", prime=-3, json=False, rational="1/2"),
+        ("head", "-p", "3", "--digit", "-1", "1259/701"):
+            dict(command="head", prime=3, digit=-1, exponent=None, json=False, rational="1259/701"),
+        ("head", "-p", "3", "-8"):
+            dict(command="head", prime=3, digit=None, exponent=None, json=False, rational="-8"),
+        ("bound", "-p", "3", "--"):
+            dict(command="bound", prime=3, beta0=None, beta1=None, json=False, rational=None),
+        ("sweep", "--primes", "3", "--max-num=3", "--max-den", "3"):
+            dict(command="sweep", primes="3", max_num=3, max_den=3, out=None),
+        ("expand-browkin", "365/54", "-p", "3"):
+            dict(command="expand-browkin", prime=3, json=False, rational="365/54"),
+        ("expand-browkin", "-p", "3", ""):
+            dict(command="expand-browkin", prime=3, json=False, rational=""),
+        ("expand-browkin", "-p", "3", "--", "--"):
+            dict(command="expand-browkin", prime=3, json=False, rational="--"),
+        ("bound", "--beta1", "5", "--beta0", "2", "-p", "3"):
+            dict(command="bound", prime=3, beta0=2, beta1=5, json=False, rational=None),
+        ("expand-schneider", "--prime=3", "--json", "2/5"):
+            dict(command="expand-schneider", prime=3, json=True, rational="2/5"),
+        ("digits", "-p", "5", "--count=7", "--", "-1793/100"):
+            dict(command="digits", prime=5, count=7, json=False, rational="-1793/100"),
+        ("bound", "-p", "3", "--beta0=2", "--beta1=5"):
+            dict(command="bound", prime=3, beta0=2, beta1=5, json=False, rational=None),
+        ("head", "-p", "3", "--digit=1", "--exponent=1", "2/5"):
+            dict(command="head", prime=3, digit=1, exponent=1, json=False, rational="2/5"),
+        ("verify", "--prime=3", "2/5"):
+            dict(command="verify", prime=3, rational="2/5"),
+        ("sweep", "--primes=3,5", "--max-num", "3", "--max-den", "2"):
+            dict(command="sweep", primes="3,5", max_num=3, max_den=2, out=None),
+        ("expand-schneider", "--pr", "3", "--js", "2/5"):
+            dict(command="expand-schneider", prime=3, json=True, rational="2/5"),
+        ("bound", "--pri", "3", "--beta0", "2", "--beta1", "5", "--json", "--json"):
+            dict(command="bound", prime=3, beta0=2, beta1=5, json=True, rational=None),
+        ("head", "--prime", "3", "--dig", "1", "2/5"):
+            dict(command="head", prime=3, digit=1, exponent=None, json=False, rational="2/5"),
+        ("sweep", "--pri", "3", "--max-n", "3", "--max-d", "2"):
+            dict(command="sweep", primes="3", max_num=3, max_den=2, out=None),
+        ("expand-browkin", "-p", "3", "--jso", "365/54"):
+            dict(command="expand-browkin", prime=3, json=True, rational="365/54"),
+        ("digits", "-p5", "-n7", "2/5"):
+            dict(command="digits", prime=5, count=7, json=False, rational="2/5"),
+        ("verify", "2/5", "-p3"):
+            dict(command="verify", prime=3, rational="2/5"),
+        ("digits", "-p", "5", "-n", "7", "-n", "8", "2/5"):
+            dict(command="digits", prime=5, count=8, json=False, rational="2/5"),
+        ("verify", "-p", "5", "-p", "3", "2/5"):
+            dict(command="verify", prime=3, rational="2/5"),
+        ("sweep", "--primes", "3", "--max-num", "3", "--max-den", "2", "--max-den", "3"):
+            dict(command="sweep", primes="3", max_num=3, max_den=3, out=None),
+        ("expand-browkin", "--json", "-p", "3", "--json", "365/54"):
+            dict(command="expand-browkin", prime=3, json=True, rational="365/54"),
+    }
+
     @staticmethod
     def run(argv):
         out, err = io.StringIO(newline=""), io.StringIO(newline="")
@@ -1323,6 +1472,20 @@ class TestDispatch:
         got = self.run(argv)
         monkeypatch.setattr(cli, "_parse", _top_level_parse)
         assert got == self.run(argv)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_pinned_namespace(self, argv, capsys):
+        # cli and the reference parser each give the pinned Namespace, or each exit; the test
+        # above compares the (stdout, stderr, exit code) of each exit
+        want = self.NAMESPACES.get(tuple(argv))
+        if want is None:
+            with pytest.raises(SystemExit):
+                cli._parse(argv)
+            with pytest.raises(SystemExit):
+                _top_level_parse(argv)
+            return
+        assert vars(cli._parse(argv)[0]) == want
+        assert vars(_top_level_parse(argv)[0]) == want
 
     def test_subcommand_skips_the_top_level_parser(self, capsys, monkeypatch):
         parser, subparsers = cli._build_parser()
@@ -1379,7 +1542,7 @@ class TestDispatch:
         # accepts gives argparse's Namespace
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
         monkeypatch.chdir(tmp_path)  # where a sweep --out writes
-        _, subparsers = cli._build_parser()
+        _, subparsers = _reference_parser()
         rng = random.Random(29)
         values = ["3", "5", "7", "2", "1", "-3", "\u0663", "0", "x"]
         rationals = ["1/2", "-7/2", "365/54", "2/5", "", "0", "-8", "1/0", "1259/701"]
@@ -1416,7 +1579,7 @@ class TestDispatch:
 
         got, accepted = [], 0
         for argv in argvs:
-            args = cli._canonical_args(subparsers[argv[0]], argv)
+            args = cli._canonical_args(cli._build_parser()[1][argv[0]], argv)
             if args is not None:
                 accepted += 1
                 want, unknown = subparsers[argv[0]].parse_known_args(
