@@ -41,12 +41,16 @@ takes _json_pairs: 64 or more rows all equal, as a constant head has, are one
 text repeated (schneider._leading_run, which compares rows by value); any
 other rows take one "%" over them when more than a third are distinct, else
 one "%d" template per distinct row.
-The argparse parsers are built once per process, on the first main() call.
-When argv[0] names a subcommand and the rest of argv is canonical, its
-Namespace is read straight off that subcommand parser's own actions (option
-strings, dest, type, const, default, required): every token is an exact
-option string given once, whose value (if it takes one) does not start with
-'-', or the one positional, optionally after a single '--'.  Every other argv
+One table, _SUBCOMMANDS, declares each subcommand: its help, its handler and
+its arguments in argparse's add order.  The argparse parsers are built from it
+once per process, on the first main() call, and beside each subcommand parser
+the table of its canonical route, read off the Action objects add_argument
+returns (option strings, dest, nargs, const, type, default, required): each
+exact option string's action, the positional, every default and the required
+dests.  When argv[0] names a subcommand and the rest of argv is canonical, its
+Namespace is built from that table, with no argparse pass: every token is an
+exact option string given once, whose value (if it takes one) does not start
+with '-', or the one positional, optionally after a single '--'.  Every other argv
 (-h, an empty argv, an unknown subcommand, an abbreviation, an '=' or attached
 value, a repeat, a value starting with '-', anything missing or extra) goes to
 the top-level parser's parse_known_args, which hands the rest of argv to the
@@ -423,80 +427,59 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_prime_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-p", "--prime", type=_parse_integer, required=True, help="odd prime base")
+_PRIME = "-p", "--prime", dict(type=_parse_integer, required=True, help="odd prime base")
+_JSON = "--json", dict(action="store_true")
+_RATIONAL = "rational", dict(help="rational input, 'num' or 'num/den' (negatives after --)")
 
-
-def _add_rational_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "rational", help="rational input, 'num' or 'num/den' (negatives after --)"
-    )
+# each subcommand's help, handler and arguments, in argparse's add order: each argument its
+# option strings (or its name) and then its add_argument keywords
+_SUBCOMMANDS = {
+    "expand-browkin": (
+        "Browkin expansion with length bound", _cmd_expand_browkin, (_PRIME, _JSON, _RATIONAL)),
+    "expand-schneider": (
+        "Schneider expansion to stationarity", _cmd_expand_schneider, (_PRIME, _JSON, _RATIONAL)),
+    "digits": ("symmetric base-p digits", _cmd_digits, (
+        _PRIME,
+        ("-n", "--count", dict(type=_parse_integer, required=True, help="number of digits")),
+        _JSON, _RATIONAL)),
+    "bound": ("certified expansion-length bound", _cmd_bound, (
+        _PRIME,
+        ("--beta0", dict(type=_parse_integer, help="|beta_0| (with --beta1)")),
+        ("--beta1", dict(type=_parse_integer, help="|beta_1| (with --beta0)")),
+        _JSON,
+        ("rational", dict(nargs="?")))),
+    "head": ("constant-head length certificate", _cmd_head, (
+        _PRIME,
+        ("--digit", dict(type=_parse_integer, help="head digit (default: from expansion)")),
+        ("--exponent", dict(type=_parse_integer, help="head exponent (default: from expansion)")),
+        _JSON, _RATIONAL)),
+    "verify": ("run the full oracle battery on one input", _cmd_verify, (_PRIME, _RATIONAL)),
+    "sweep": ("CSV bound-tightness sweep over coprime pairs", _cmd_sweep, (
+        ("--primes", dict(required=True, help="comma-separated odd primes")),
+        ("--max-num", dict(type=_parse_integer, required=True)),
+        ("--max-den", dict(type=_parse_integer, required=True)),
+        ("--out", dict(help="CSV output path (default stdout)")))),
+}
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # the top-level parser and each subcommand's, by name; errors go to the latter
+def _build_parser():
+    # the top-level parser, and for each subcommand its parser and the canonical route's table,
+    # read off the actions add_argument returns: each option string's action, the positional,
+    # every default and the required dests
     parser = argparse.ArgumentParser(
-        prog="padic-cf",
-        description="Exact Browkin and Schneider p-adic continued fractions.",
-    )
+        prog="padic-cf", description="Exact Browkin and Schneider p-adic continued fractions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    eb = sub.add_parser("expand-browkin", help="Browkin expansion with length bound")
-    _add_prime_option(eb)
-    eb.add_argument("--json", action="store_true")
-    _add_rational_argument(eb)
-
-    es = sub.add_parser("expand-schneider", help="Schneider expansion to stationarity")
-    _add_prime_option(es)
-    es.add_argument("--json", action="store_true")
-    _add_rational_argument(es)
-
-    dg = sub.add_parser("digits", help="symmetric base-p digits")
-    _add_prime_option(dg)
-    dg.add_argument("-n", "--count", type=_parse_integer, required=True, help="number of digits")
-    dg.add_argument("--json", action="store_true")
-    _add_rational_argument(dg)
-
-    bd = sub.add_parser("bound", help="certified expansion-length bound")
-    _add_prime_option(bd)
-    bd.add_argument("--beta0", type=_parse_integer, default=None, help="|beta_0| (with --beta1)")
-    bd.add_argument("--beta1", type=_parse_integer, default=None, help="|beta_1| (with --beta0)")
-    bd.add_argument("--json", action="store_true")
-    bd.add_argument("rational", nargs="?", default=None)
-
-    hd = sub.add_parser("head", help="constant-head length certificate")
-    _add_prime_option(hd)
-    hd.add_argument(
-        "--digit", type=_parse_integer, default=None, help="head digit (default: from expansion)"
-    )
-    hd.add_argument(
-        "--exponent", type=_parse_integer, default=None, help="head exponent (default: from expansion)"
-    )
-    hd.add_argument("--json", action="store_true")
-    _add_rational_argument(hd)
-
-    vf = sub.add_parser("verify", help="run the full oracle battery on one input")
-    _add_prime_option(vf)
-    _add_rational_argument(vf)
-
-    sw = sub.add_parser("sweep", help="CSV bound-tightness sweep over coprime pairs")
-    sw.add_argument("--primes", required=True, help="comma-separated odd primes")
-    sw.add_argument("--max-num", type=_parse_integer, required=True)
-    sw.add_argument("--max-den", type=_parse_integer, required=True)
-    sw.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    return parser, sub.choices
-
-
-_COMMANDS = {
-    "expand-browkin": _cmd_expand_browkin,
-    "expand-schneider": _cmd_expand_schneider,
-    "digits": _cmd_digits,
-    "bound": _cmd_bound,
-    "head": _cmd_head,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
+    commands = {}
+    for name, (help_text, _, arguments) in _SUBCOMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_text)
+        actions = [command_parser.add_argument(*names, **kwargs) for *names, kwargs in arguments]
+        options = {option: action for action in actions for option in action.option_strings}
+        positional = next((action for action in actions if not action.option_strings), None)
+        defaults = {action.dest: action.default for action in actions}
+        required = {action.dest for action in actions if action.required}
+        commands[name] = command_parser, (options, positional, defaults, required)
+    return parser, commands
 
 
 def _validate(args: argparse.Namespace) -> None:
@@ -535,30 +518,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
-@functools.cache
-def _action_table(command_parser: argparse.ArgumentParser):
-    # what parse_known_args reads off the subcommand's own actions: each exact option string's
-    # store or store_const action, the positional, every default and the required dests
-    options, positional, defaults, required = {}, None, {}, set()
-    for action in command_parser._actions:
-        if action.dest != argparse.SUPPRESS and action.default != argparse.SUPPRESS:
-            defaults[action.dest] = action.default
-        if not action.option_strings:
-            positional = action
-        elif isinstance(action, (argparse._StoreAction, argparse._StoreConstAction)):
-            options.update(dict.fromkeys(action.option_strings, action))
-        if action.required:
-            required.add(action.dest)
-    return options, positional, defaults, required
-
-
-def _canonical_args(command_parser: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
-    # the Namespace command_parser.parse_known_args(argv[1:], Namespace(command=argv[0])) builds,
-    # when every token is an exact option string given once, whose value (if it takes one) does
-    # not start with '-', or the one positional, optionally after a '--' that only it follows;
-    # None for every other argv, which argparse parses (and reports, as -h or an error).  Kept:
+def _canonical_args(route, argv) -> argparse.Namespace | None:
+    # the Namespace the subcommand parser's parse_known_args(argv[1:], Namespace(command=argv[0]))
+    # builds, read off route (the subcommand's table in _build_parser), when every token is an
+    # exact option string given once, whose value (if it takes one) does not start with '-', or
+    # the one positional, optionally after a '--' that only it follows; None for every other
+    # argv, which argparse parses (and reports, as -h or an error).  Kept:
     # without it, large_height latency_p50_ms reads 1.20x (BENCH_special_paths.json, row 7)
-    options, positional, defaults, required = _action_table(command_parser)
+    options, positional, defaults, required = route
     values = {}
     i, end = 1, len(argv)
     while i < end:
@@ -598,15 +565,15 @@ def _canonical_args(command_parser: argparse.ArgumentParser, argv) -> argparse.N
 
 def _parse(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
     # (args, the subcommand's parser); a usage error exits 2
-    parser, subparsers = _build_parser()
+    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    command_parser = subparsers.get(argv[0]) if argv else None
-    args = None if command_parser is None else _canonical_args(command_parser, argv)
+    command = commands.get(argv[0]) if argv else None
+    args = None if command is None else _canonical_args(command[1], argv)
     if args is not None:
-        return args, command_parser
+        return args, command[0]
     # every other argv: the top-level parser hands the rest of argv to the subcommand's parser
     args, unknown = parser.parse_known_args(argv)
-    command_parser = subparsers[args.command]
+    command_parser = commands[args.command][0]
     if unknown:  # reported with the subcommand's usage, as every usage error is
         command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args, command_parser
@@ -616,7 +583,7 @@ def _main(argv) -> int:
     args, command_parser = _parse(argv)
     try:
         _validate(args)
-        code = _COMMANDS[args.command](args)
+        code = _SUBCOMMANDS[args.command][1](args)
         sys.stdout.flush()  # a buffered write that fails is reported here, not at exit
         return code
     except OSError as exc:  # the output could not be written

@@ -20,10 +20,9 @@ entry run below may look up the first one twice), and one more at a finite
 end, for y_m = +-1 (lemma (iv)), whose inverse the dict starts with.  So an
 expansion makes at most min(p-3, steps) pow calls and none at p = 3.  A
 second dict maps the int b_m + p*alpha_m to the one SchneiderStep of that
-step, made on its first use: always in the entry run and the batches, and
-in the single-step loop where 2p < bits (bits as below) only, as an
-expansion has about p distinct steps and in shorter ones lookups cost more
-than they save.  Both dicts go when the expansion returns.
+step, made on its first use, in the entry run, the batches and the
+single-step loop alike, so equal steps share one record.  Both dicts go when
+the expansion returns.
 
 A record stores no y but its tail: oracle.schneider_matrix_laws walks the y
 chain forward from (a, b) and hands back the values it divided.
@@ -324,7 +323,6 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     append = steps.append
     inverses = {1: 1, p - 1: p - 1}  # r -> r**-1 mod p; 1 and p-1 are their own inverses
     records: dict[int, SchneiderStep] = {}  # digit + p*alpha -> the one record of that step
-    share = 2 * p < bits  # where steps repeat enough for the lookups to pay (module docstring)
     depth = _BATCH_WIDTH // p.bit_length()
     if min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
         try:
@@ -378,12 +376,9 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
             y_next //= p
             alpha += 1
             r_next = y_next % p
-        if share:
-            record = records.get(key := digit + p * alpha)
-            if record is None:
-                record = records[key] = _record(SchneiderStep, (digit, alpha))
-        else:
-            record = _record(SchneiderStep, (digit, alpha))
+        record = records.get(key := digit + p * alpha)
+        if record is None:
+            record = records[key] = _record(SchneiderStep, (digit, alpha))
         append(record)
         y_prev, y_cur, r_prev, r_cur = y_cur, y_next, r_cur, r_next
     return _record(SchneiderExpansion, (p, a, b, tuple(steps), len(steps), False, (-1, 1)))

@@ -1315,10 +1315,11 @@ def _top_level_parse(argv):
 
 
 class TestDispatch:
-    """A canonical subcommand argv is read straight off the subcommand's
-    actions; every other argv goes to the top-level parser, which hands the
-    rest of argv to the subcommand's parser.  Both routes give what the reference
-    parser, the grammar written out add_argument by add_argument, gives."""
+    """A canonical subcommand argv is read off the actions add_argument returned
+    for the subcommand's table; every other argv goes to the top-level parser,
+    which hands the rest of argv to the subcommand's parser.  Both routes give
+    what the reference parser, the grammar written out add_argument by
+    add_argument, gives."""
 
     ARGVS = [
         [],
@@ -1488,7 +1489,7 @@ class TestDispatch:
         assert vars(_top_level_parse(argv)[0]) == want
 
     def test_subcommand_skips_the_top_level_parser(self, capsys, monkeypatch):
-        parser, subparsers = cli._build_parser()
+        parser, commands = cli._build_parser()
         calls = []
         parse = parser.parse_known_args
         monkeypatch.setattr(parser, "parse_known_args", lambda *a: calls.append(a) or parse(*a))
@@ -1501,9 +1502,9 @@ class TestDispatch:
         # reaches it exactly once: no second argparse route parses it
         off_route = 0
         for argv in self.ARGVS:
-            if not argv or argv[0] not in subparsers:
+            if not argv or argv[0] not in commands:
                 continue
-            canonical = cli._canonical_args(subparsers[argv[0]], argv) is not None
+            canonical = cli._canonical_args(commands[argv[0]][1], argv) is not None
             off_route += not canonical
             calls.clear()
             with contextlib.suppress(SystemExit):
@@ -1513,9 +1514,9 @@ class TestDispatch:
 
     def test_canonical_argv_skip_the_subcommand_parser(self, capsys, monkeypatch, tmp_path):
         # the benchmark's query shapes and the sweep's, text and --json, never reach argparse
-        _, subparsers = cli._build_parser()
+        _, commands = cli._build_parser()
         calls = []
-        for command_parser in subparsers.values():
+        for command_parser, _ in commands.values():
             parse = command_parser.parse_known_args
             monkeypatch.setattr(command_parser, "parse_known_args",
                                 lambda *a, parse=parse: calls.append(a) or parse(*a))
@@ -1579,7 +1580,7 @@ class TestDispatch:
 
         got, accepted = [], 0
         for argv in argvs:
-            args = cli._canonical_args(cli._build_parser()[1][argv[0]], argv)
+            args = cli._canonical_args(cli._build_parser()[1][argv[0]][1], argv)
             if args is not None:
                 accepted += 1
                 want, unknown = subparsers[argv[0]].parse_known_args(
@@ -1587,7 +1588,7 @@ class TestDispatch:
                 assert (list(vars(args).items()), []) == (list(vars(want).items()), unknown), argv
             got.append(self.run(argv))
         assert 0.3 < accepted / len(argvs) < 0.7
-        monkeypatch.setattr(cli, "_canonical_args", lambda command_parser, argv: None)
+        monkeypatch.setattr(cli, "_canonical_args", lambda route, argv: None)
         for argv, output in zip(argvs, got):
             assert output == self.run(argv), argv
 

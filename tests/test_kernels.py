@@ -235,13 +235,14 @@ class TestSchneider:
         assert reached
 
     def test_equal_steps_share_one_record(self):
-        # one SchneiderStep object per distinct (digit, alpha) of an expansion with 2p < bits,
-        # in the single-step loop and the batches alike
+        # one SchneiderStep object per distinct (digit, alpha) of every expansion, small ones
+        # with 2p >= bits included, in the single-step loop and the batches alike
         rng = random.Random(67)
         inputs = [(*random_pair(rng, 300, p), p) for p in (3, 7, 101)]
         a, b = random_pair(rng, 3000, 3)
         assert min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
         inputs += [(a, b, 3), (*generate_constant_head(1, 2, 300, 5), 5), (-1, 1, 3)]
+        inputs += [(43, 28, 3), (-365, 53, 7), (1259, 701, 101)]
         for a, b, p in inputs:
             exp = schneider_expand(a, b, p)
             assert all(type(s) is schneider.SchneiderStep for s in exp.steps), (a, b, p)
@@ -398,13 +399,13 @@ class TestRuns:
     @pytest.mark.parametrize("p", (65537, 10**9 + 7))
     def test_entry_run_at_large_p(self, p, powers):
         # at 10**9+7 no batch runs, and at 65537 none before the entry run: the kernel takes the
-        # whole head at the input pair, so the records are the run's one object and the last
-        # step's; the reconstruction compares records by value, so its one power covers all
-        # 2,001 records, the last one included
+        # whole head at the input pair, so the records are the run's one object, which the
+        # single-step loop's last step takes too; the reconstruction compares records by value,
+        # so its one power covers all 2,001 records, the last one included
         a, b = constant_head_product(1, 1, 2000, p)
         exp = assert_schneider_matches(a, b, p)
         assert exp.steps == ((1, 1),) * 2001
-        assert len({id(step) for step in exp.steps}) == 2
+        assert len({id(step) for step in exp.steps}) == 1
         assert powers == [2000]
         powers.clear()
         assert oracle.schneider_reconstruction(a, b, exp).ok and powers == [2001]
