@@ -1239,9 +1239,9 @@ class TestUsageErrors:
 
 @functools.cache
 def _reference_parser():
-    # the CLI's grammar written out add_argument by add_argument, as cli built it before its
-    # table: the top-level parser and each subcommand's, by name.  argparse alone parses with
-    # it, so it writes the help, usage and error text each Python's argparse writes
+    # the CLI's grammar written out add_argument by add_argument, apart from cli's table: the
+    # top-level parser and each subcommand's, by name.  argparse alone parses with it, so it
+    # writes the help, usage and error text each Python's argparse writes
     parser = argparse.ArgumentParser(
         prog="padic-cf",
         description="Exact Browkin and Schneider p-adic continued fractions.",
