@@ -18,7 +18,8 @@ first use.  Lookups are made only for the digits b_m of the pairs
 (y_{m-1}, y_m) the expansion reaches: one for each step it records (the
 entry run below may look up the first one twice), and one more at a finite
 end, for y_m = +-1 (lemma (iv)), whose inverse the dict starts with.  So an
-expansion makes at most min(p-3, steps) pow calls and none at p = 3.  A
+expansion makes at most min(p-3, steps) pow calls mod p and none at p = 3
+(the entry run's one pow is mod a power of 2).  A
 second dict maps the int b_m + p*alpha_m to the one SchneiderStep of that
 step, made on its first use, in the entry run, the batches and the
 single-step loop alike, so equal steps share one record.  Both dicts go when
@@ -90,7 +91,16 @@ x*(x - d*y) - p**alpha*y**2, the norm form of the step.
       where Q = (x - p*y)(x + y) and x + y is the s of (iii); for any other
       step vp(Q) = vp(1 + d - p**alpha) <= alpha).  As (y_{m-1}, y_m) =
       M**r (y_{m+r-1}, y_{m+r}) and det M = -p**alpha, the pair reached is
-      adj(M**r) (y_{m-1}, y_m) / (-p**alpha)**r, an exact division.
+      adj(M**r) (y_{m-1}, y_m) / (-p**alpha)**r, an exact division.  The
+      kernel does it from the low end (Jebelean, "An algorithm for exact
+      division", J. Symbolic Computation 15, 1993): (-p**alpha)**r is odd, so
+      the quotient is adj(M**r) (y_{m-1}, y_m) (-p**alpha)**-r mod 2**width,
+      read as a symmetric residue, which is the quotient itself once width
+      exceeds its bits.  The pair reached is small when the run is long, and a
+      residue is kept only when (y_{m-1}, y_m) = M**r (x, y) holds, so width
+      starts at a guess from bit lengths and doubles up to bits + 1, where
+      every pair the steps reach is a residue (lemma (i)): a residue that
+      still fails there is a remainder, which only a defect leaves.
 (vii) That division keeps the gcd: for x, y prime to p and (x', y') the pair
       r steps (d, alpha) reach, gcd(x, y) = gcd(x', y').  For (x, y) = M**r
       (x', y') makes gcd(x', y') divide gcd(x, y), and (-p**alpha)**r (x', y') =
@@ -105,19 +115,22 @@ _run_power gives M**r in O(log r) products, off the Lucas sequence u_0 = 0,
 u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
 [u_r, p**alpha*u_{r-1}]].  It is the one power of the module, used in four
 places:
-  - the kernel, once, at the input pair: where min(|a|, b) has more than 2W
-    bits, at any p, it reads the first step (d, alpha) off (a, b), its digit
-    through the expansion's inverses, and tries (v) at (a, b) before any batch
-    (one form, one valuation, one power and one exact division; the run capped
-    as the batches are and recorded as r references to one record, and a
-    remainder raised as an ArithmeticError named with the input).  It checks
+  - the kernel, once, at the input pair: where min(|a|, b) has more than
+    _RUN_GATE bits, at any p, it reads the first step (d, alpha) off (a, b),
+    its digit through the expansion's inverses, and tries (v) at (a, b) before
+    any batch (one residue test of p**(2 alpha + 1) | Q, then one form, one
+    valuation, one power and one exact division from the low end; the run
+    capped as the batches are and recorded as r references to one record, and
+    a remainder raised as an ArithmeticError named with the input).  It checks
     lowest terms on the pair reached, by (vii), before any batch; below the
-    bound, at (a, b).  _batches builds its table of p**e, e <= K, only once a
-    batch runs, so an input the run leaves below the bound builds none.  A wrong
-    digit (a defect) leaves alpha = 0, and then no run is taken.  So a constant
-    head of more than about 2W bits is one run even where no batch runs
-    (p >= 2**17).  A run that starts further in is stepped by the batches and
-    the single-step loop, which have no such test.
+    gate, at (a, b).  _batches builds its table of p**e, e <= K, only once a
+    batch runs, so an input the run leaves below the bound builds none.  A
+    wrong digit (a defect) leaves alpha = 0, and a/b = d*b/b, a finite end
+    that only an input not in lowest terms has at the gate, leaves a - d*b = 0:
+    then no run is taken, and the steps or the gcd check meet it.  So a
+    constant head of more than about _RUN_GATE bits is one run, at every p and
+    on both sides of the batch bound.  A run that starts further in is stepped
+    by the batches and the single-step loop, which have no such test.
   - schneider_pair takes one run only, a whole head of _RUN_MIN or more
     records of one step, found by value (_leading_run: records compared equal,
     so no caller depends on the kernel sharing them), and applies it as M**r
@@ -148,8 +161,17 @@ D = s*s would force (s - d)(s + d) = 4p**alpha, i.e. the stationary pair
       a Moebius map of a/b, one to one as T1 != T2.  By the Lucas form of M**r,
       (U, W) = (u_{e+2} - p**alpha*u_{e+1}, u_{e+1} - p**alpha*u_e), and
       p**alpha*u_e = u_{e+2} - d*u_{e+1} by the recurrence, so
-      W = (1 + d)*u_{e+1} - u_{e+2}: one _run_power(d, p**alpha, e + 1) and one
-      cross-multiplication decide the identity, on numbers the size of v.
+      W = (1 + d)*u_{e+1} - u_{e+2}.
+      And v is primitive: adj(M**(e+1)) v = det(M**(e+1)) (1, -1) makes
+      gcd(U, W) divide det M**(e+1) = (-p**alpha)**(e+1), while M = [[d, 0],
+      [1, 0]] mod p gives (U, W) = (d**(e+1), d**e) mod p, so p divides
+      neither U nor W, and gcd(U, W) = 1.  So a*W == b*U, with b != 0, holds
+      exactly when (a, b) = q v for an integer q (U divides a*W, so U divides
+      a, and q = a/U), whether or not a/b is in lowest terms; U != 0 as p does
+      not divide it.  One _run_power(d, p**alpha, e + 1) and one division,
+      q, r = divmod(a, U), then b == q*W when r = 0, decide the identity: the
+      quotient has about the bits a has beyond v's, and both products are
+      that small quotient times numbers the size of v.
 head_analysis reads the one e the identity allows off two p-adic valuations
 (its comments give the argument) and checks (vi) for that e; no float takes
 part, and a/b given as ga/gb answers as a/b does, being parallel to the same v.
@@ -219,6 +241,13 @@ _BATCH_DEPTH_MIN = 28
 # shortest constant head schneider_pair takes as one power and cli._json_pairs writes as one
 # text repeated (BENCH_schneider_runs.json, "run_stride")
 _RUN_MIN = 64
+# bits of min(|a|, b) above which the kernel tries the entry run at the input pair: a constant
+# head gains from about 40 bits at p = 3 to about 90 at p = 101, and an input with no run pays
+# x1.03-1.08 at 64-128 bits (BENCH_entry_run.json, "gate"); the sweep's inputs, of at most 12
+# bits, stay below it, where trying the run costs x1.1-1.3
+_RUN_GATE = 64
+# bits _run_pair's first modulus adds to its guess of the pair's size
+_RUN_MARGIN = 64
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
@@ -232,6 +261,31 @@ def _run_power(digit: int, pa: int, r: int) -> tuple[int, int]:
         if bit == "1":
             hi, lo = digit * hi + pa * lo, hi
     return hi, lo
+
+
+def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: int) -> tuple[int, int]:
+    # the pair run steps (digit, alpha) reach from (a, b), bits = max(|a|, b).bit_length():
+    # adj(M**run) (a, b) / (-p**alpha)**run, found mod 2**width from the low end (Jebelean's
+    # exact division; (-p**alpha)**run is odd) and kept once (a, b) = M**run (x, y), four
+    # products of input size by width bits.  width starts at bits less lo's bits plus
+    # _RUN_MARGIN (at least 1, so that doubling ends) and doubles up to bits + 1, where every
+    # pair the steps reach, below 2**bits by lemma (i), is its own symmetric residue
+    pa = p**alpha
+    hi, lo = _run_power(digit, pa, run)  # M**run = [[hi, pa*lo], [lo, hi - digit*lo]]
+    top, plo, full = hi - digit * lo, pa * lo, bits + 1
+    width = min(max(bits - lo.bit_length() + _RUN_MARGIN, 1), full)
+    while True:
+        modulus = 1 << width
+        mask, half, scale = modulus - 1, modulus >> 1, pow(-pa, -run, modulus)
+        a_low, b_low = a & mask, b & mask
+        x = ((top & mask) * a_low - (plo & mask) * b_low) * scale & mask
+        y = ((hi & mask) * b_low - (lo & mask) * a_low) * scale & mask
+        x, y = x - modulus if x >= half else x, y - modulus if y >= half else y
+        if a == hi * x + plo * y and b == lo * x + top * y:
+            return x, y
+        if width == full:  # a remainder, which only a defect leaves
+            raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
+        width = min(2 * width, full)
 
 
 def _batches(
@@ -324,7 +378,7 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     inverses = {1: 1, p - 1: p - 1}  # r -> r**-1 mod p; 1 and p-1 are their own inverses
     records: dict[int, SchneiderStep] = {}  # digit + p*alpha -> the one record of that step
     depth = _BATCH_WIDTH // p.bit_length()
-    if min(abs(a), b).bit_length() > 2 * _BATCH_WIDTH:
+    if min(abs(a), b).bit_length() > _RUN_GATE:
         try:
             # the entry run, at any p: the first step (digit, alpha), then lemma (v) at (a, b)
             r_cur = b % p
@@ -332,18 +386,18 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
             if inverse is None:
                 inverse = inverses[r_cur] = pow(r_cur, -1, p)
             digit = a % p * inverse % p
-            alpha = vp_split(a - digit * b, p)[0]
-            pa = p**alpha
-            form = a * (a - digit * b) - pa * b * b
-            # alpha = 0 only for a wrong digit (a defect), which the steps below meet
-            run = min((vp_split(form, p)[0] - 1) // alpha, cap) if alpha and form else 0
+            delta = a - digit * b
+            # delta = 0 (a finite end, so a/b is not in lowest terms) and alpha = 0 (a wrong
+            # digit, a defect) take no run: the checks and steps below meet them
+            alpha = vp_split(delta, p)[0] if delta else 0
+            pa, run = p**alpha, 0
+            # a run of 2 or more needs vp(Q) > 2 alpha, tested on residues before Q is formed
+            modulus = pa * pa * p
+            if alpha and not (a % modulus * (delta % modulus) - pa * (b % modulus) ** 2) % modulus:
+                form = a * delta - pa * b * b
+                run = min((vp_split(form, p)[0] - 1) // alpha, cap) if form else 0
             if run >= 2:  # a run of r steps (d, alpha): one power, one exact division
-                hi, lo = _run_power(digit, pa, run)
-                scale = (-pa) ** run  # det M**run
-                (y_prev, rem_prev), (y_cur, rem_cur) = (
-                    divmod((hi - digit * lo) * a - pa * lo * b, scale), divmod(hi * b - lo * a, scale))
-                if rem_prev or rem_cur:
-                    raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
+                y_prev, y_cur = _run_pair(a, b, digit, p, alpha, run, bits)
                 record = records[digit + p * alpha] = _record(SchneiderStep, (digit, alpha))
                 steps.extend([record] * run)
             # lemma (vii): the pair reached has the gcd of (a, b).  Kept: checked at (a, b)
@@ -456,7 +510,8 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     Returns head_len = e + 1 for the one exponent e that p-adic valuations allow,
     once (t2/t1)**e = theta is checked for it exactly by lemma (vi) of the
     module docstring: a/b is the value of v = M**(e+1) (1, -1), the constant
-    head of e+1 steps, exactly when a*W == b*U for (U, W) = v.  Else head_len
+    head of e+1 steps, exactly when a*W == b*U for (U, W) = v, decided by one
+    division as v is primitive: a = q*U and b = q*W.  Else head_len
     is None.  a/b is taken as schneider_expand takes it, but need not be in
     lowest terms: only its value decides the answer (the report's sx, sy and n
     scale by g**2 for a/b given as ga/gb).
@@ -505,9 +560,11 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     e, rem = divmod(vp_split(n, p)[0] - vp_split(sx, p)[0], alpha)
     exact = False
     if e >= 0 and not rem:
-        # lemma (vi): (U, W) = M**(e+1) (1, -1) off (u_{e+2}, u_{e+1}), as p**alpha*u_e = hi - digit*lo
+        # lemma (vi): (U, W) = M**(e+1) (1, -1) off (u_{e+2}, u_{e+1}), as p**alpha*u_e = hi - digit*lo;
+        # v is primitive, so a*W == b*U exactly when a = q*U and b = q*W for an integer q
         hi, lo = _run_power(digit, pa, e + 1)
-        exact = a * ((1 + digit) * lo - hi) == b * (hi - pa * lo)
+        q, r = divmod(a, hi - pa * lo)
+        exact = not r and b == q * ((1 + digit) * lo - hi)
     return _record(HeadReport, (digit, alpha, disc, sx, sy, n, e + 1 if exact else None, exact))
 
 

@@ -169,7 +169,8 @@ def _bound_calls(flags):
 
 
 # constant heads (digit, alpha) repeated k+1 times: each whole expansion one run of one
-# step, from 64 records to 2,001, the longer ones above the kernel's 960-bit entry bound
+# step, from 64 records to 2,001, every one above the kernel's run gate (_RUN_GATE, 64 bits)
+# and the longer ones above its 960-bit batch bound
 CONSTANT_HEADS = [
     (digit, alpha, k, p)
     for p, pairs, ks in (
@@ -181,6 +182,31 @@ CONSTANT_HEADS = [
     for digit, alpha in pairs
     for k in ks
 ]
+
+
+# shorter constant heads on both sides of the run gate, at 21 records and fewer than 64 (so
+# schneider_pair steps them level by level)
+GATE_HEADS = [
+    (digit, alpha, k, p)
+    for p, pairs, ks in (
+        (3, ((1, 1),), (20, 50, 60)),
+        (7, ((1, 1), (3, 3)), (20, 45)),
+        (101, ((1, 1), (100, 2)), (4, 8, 11)),
+        (65537, ((1, 1),), (2, 3, 6)),
+    )
+    for digit, alpha in pairs
+    for k in ks
+]
+
+
+def _gate_head_calls(command, flags):
+    calls = []
+    for digit, alpha, k, p in GATE_HEADS:
+        a, b = schneider.generate_constant_head(digit, alpha, k, p)
+        calls.append(["-p", str(p), *flags, "--", f"{a}/{b}"])
+        if command == "head":
+            calls.append(["-p", str(p), "--digit", str(digit), "--exponent", str(alpha), *flags, "--", f"{a}/{b}"])
+    return calls
 
 
 def _head_calls(flags):
@@ -212,6 +238,8 @@ MORE_MODES = {
     "head json": ("head", lambda: _head_calls(["--json"])),
     "constant heads expand-schneider text": ("expand-schneider", lambda: _head_expand_calls([])),
     "constant heads expand-schneider json": ("expand-schneider", lambda: _head_expand_calls(["--json"])),
+    "gate heads head json": ("head", lambda: _gate_head_calls("head", ["--json"])),
+    "gate heads expand-schneider json": ("expand-schneider", lambda: _gate_head_calls("expand-schneider", ["--json"])),
 }
 
 MORE_DIGESTS = {
@@ -223,18 +251,24 @@ MORE_DIGESTS = {
     "head json": "dde8cedac1a5a549ec6ab25811935fcda6e17d36ef492270d38a1c770f1bc4fb",
     "constant heads expand-schneider text": "4498518a204a959e72e90a8ecce0a03a537d2348d52fe2ba5b1480a26c6bcf35",
     "constant heads expand-schneider json": "178acccb5c429dc06f2351b0d3aa05f01e865f26a1a9465d59cec85c67aa83c0",
+    "gate heads head json": "cdcb01c99098da7c9cd7a2383676dd4462535c0a2bcac4c9f9b84c492486d7ed",
+    "gate heads expand-schneider json": "f1d04be473d17653977bd640058eb0cb39db231ed9264612e9c5d6bdec536d8b",
 }
 
 
 def test_constant_heads_span_the_entry_bound():
-    lengths, above = [], 0
-    for digit, alpha, k, p in CONSTANT_HEADS:
+    # the corpus's constant heads span the run gate (the gate heads with them) and the batch bound
+    lengths, above_gate, above_batch = [], 0, 0
+    for digit, alpha, k, p in CONSTANT_HEADS + GATE_HEADS:
         a, b = schneider.generate_constant_head(digit, alpha, k, p)
         steps = schneider.schneider_expand(a, b, p).steps
         assert steps.count(steps[0]) == len(steps) == k + 1
         lengths.append(len(steps))
-        above += min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
-    assert min(lengths) == 64 and max(lengths) == 2001 and 0 < above < len(lengths)
+        above_gate += min(abs(a), b).bit_length() > schneider._RUN_GATE
+        above_batch += min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
+    head_lengths = lengths[:len(CONSTANT_HEADS)]
+    assert min(head_lengths) == 64 and max(head_lengths) == 2001 and 0 < above_batch < len(head_lengths)
+    assert 0 < above_gate - len(CONSTANT_HEADS) < len(GATE_HEADS)
 
 
 @pytest.mark.parametrize("mode", MORE_MODES)

@@ -219,10 +219,11 @@ class TestSchneider:
     @pytest.mark.parametrize("p", (5, 101))
     def test_pow_calls_within_steps_plus_one(self, p, monkeypatch):
         # finite and stationary expansions: steps+1 lookups at most, but the one past the
-        # last step, at a finite end, is for y = +-1, so at most min(p-3, steps) pow calls,
-        # as the module docstring states; (p+2)/2, a finite end after one step, reaches it
+        # last step, at a finite end, is for y = +-1, so at most min(p-3, steps) pow calls
+        # mod p, as the module docstring states; (p+2)/2, a finite end after one step, reaches
+        # it.  The entry run's one pow mod a power of 2 (_run_pair) is not an inverse mod p
         calls = []
-        monkeypatch.setattr(schneider, "pow", lambda *args: calls.append(args) or pow(*args),
+        monkeypatch.setattr(schneider, "pow", lambda *args: (args[2] == p and calls.append(args)) or pow(*args),
                             raising=False)
         rng = random.Random(61)
         inputs = [random_pair(rng, 40, p) for _ in range(40)] + [(1, p + 1), (p - 1, 1), (-1, 1)]
@@ -276,6 +277,11 @@ def head_over_tail(head, tail, p):
     for digit, alpha in reversed(head):
         y_cur, y_next = digit * y_cur + p**alpha * y_next, y_cur
     return (y_cur, y_next) if y_next > 0 else (-y_cur, -y_next)
+
+
+def min_bits(pair):
+    # the bits of min(|a|, b), which the kernel's run gate reads
+    return min(abs(pair[0]), pair[1]).bit_length()
 
 
 def norm_form(x, y, digit, alpha, p):
@@ -348,7 +354,7 @@ class TestRuns:
                 hi, lo = schneider._run_power(digit, pa, r)
                 assert (m00, m01, m10, m11) == (hi, pa * lo, lo, hi - digit * lo), (digit, pa, r)
 
-    @pytest.mark.parametrize("k", (600, 1500, 5000))
+    @pytest.mark.parametrize("k", (40, 300, 600, 1500, 5000))
     def test_constant_heads_jump(self, k, powers):
         triples = [(1, 2, 3), (1, 3, 3), (2, 3, 5), (1, 1, 101)]
         if k < 5000:
@@ -356,7 +362,7 @@ class TestRuns:
         for digit, alpha, p in triples:
             powers.clear()
             a, b = constant_head_product(digit, alpha, k, p)
-            assert min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH
+            assert min(abs(a), b).bit_length() > schneider._RUN_GATE
             exp = assert_schneider_matches(a, b, p)
             assert exp.steps == ((digit, alpha),) * (k + 1)
             assert len({id(step) for step in exp.steps}) == 1
@@ -411,17 +417,57 @@ class TestRuns:
         assert oracle.schneider_reconstruction(a, b, exp).ok and powers == [2001]
 
     def test_entry_run_only_on_a_head_above_the_bound(self, powers):
-        # one power at the input pair of a constant head above the batch bound, whatever p is;
-        # none on a random input above it (no batch is one repeated step either) and none below it
+        # one power at the input pair of a constant head above the run gate, whatever p is, on
+        # either side of the batch bound; none on a random input above the gate (no batch is one
+        # repeated step either) and none on a head below it, the longest head that fits there
         rng = random.Random(83)
         for p in (3, 101, 65537, 10**9 + 7):
-            cases = [(generate_constant_head(1, 2, 1000, p), True, 1), (random_pair(rng, 400, p), True, 0),
-                     (generate_constant_head(1, 1, 100 if p < 1000 else 10, p), False, 0)]
+            below = max(k for k in range(1, 80) if min_bits(generate_constant_head(1, 1, k, p)) <= schneider._RUN_GATE)
+            cases = [(generate_constant_head(1, 2, 1000, p), True, 1), (generate_constant_head(1, 2, 40, p), True, 1),
+                     (random_pair(rng, 400, p), True, 0), (random_pair(rng, 25, p), True, 0),
+                     (generate_constant_head(1, 1, below, p), False, 0)]
             for (a, b), above, taken in cases:
                 powers.clear()
-                assert (min(abs(a), b).bit_length() > 2 * schneider._BATCH_WIDTH) == above
+                assert (min_bits((a, b)) > schneider._RUN_GATE) == above
                 assert_schneider_matches(a, b, p)
                 assert len(powers) == taken, (p, a, b)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_entry_run_between_the_gate_and_the_batch_bound(self, p, powers):
+        # a constant head, and a head over a random tail, of more than _RUN_GATE bits and at most
+        # 2W: one _run_power, at the input pair, whose run covers the head but for its last step
+        # at most, and the single-step replay's steps, tail markers and tail
+        rng = random.Random(p + 7)
+        top = 3 if p > 3 else 2
+        for digit, alpha in ((1, 1), (1, 2), (max(1, p - 2), top)):
+            k = 2
+            while min_bits(constant_head_product(digit, alpha, k + 1, p)) <= schneider._BATCH_WIDTH:
+                k += 1  # the longest head below half the batch bound, so a tail fits too
+            head = constant_head_product(digit, alpha, k, p)
+            over_tail = head_over_tail([(digit, alpha)] * (k + 1), random_pair(rng, 20, p), p)
+            for a, b in (head, over_tail):
+                assert schneider._RUN_GATE < min_bits((a, b)) and max(abs(a), b).bit_length() <= 2 * schneider._BATCH_WIDTH
+                powers.clear()
+                exp = assert_schneider_matches(a, b, p)
+                assert exp.steps[:k + 1] == ((digit, alpha),) * (k + 1)
+                assert len(powers) == 1 and k <= powers[0] <= k + 1, (p, digit, alpha, powers)
+
+    @pytest.mark.parametrize("p", (3, 101, 10**9 + 7))
+    def test_a_short_first_width_doubles_to_the_pair(self, p, monkeypatch, powers):
+        # _run_pair's first modulus planted far too small (a margin of minus the input's bits):
+        # the forward identity fails, the width doubles, and the pair it keeps is the exact one
+        rng = random.Random(p + 11)
+        widths = []
+        monkeypatch.setattr(schneider, "pow", lambda *args: (args[2] != p and widths.append(args[2].bit_length() - 1))
+                            or pow(*args), raising=False)
+        for digit, alpha, digits in ((1, 2, 1), (1, 1, 40), (2, 1, 200)):
+            a, b = head_over_tail([(digit, alpha)] * 200, random_pair(rng, digits, p), p)
+            monkeypatch.setattr(schneider, "_RUN_MARGIN", -max(abs(a), b).bit_length())
+            widths.clear()
+            powers.clear()
+            assert_schneider_matches(a, b, p)
+            assert len(powers) == 1 and widths[0] == 1 and len(widths) > 2, (p, digits, widths)
+            assert widths == [min(2**n, max(abs(a), b).bit_length() + 1) for n in range(len(widths))]
 
     def test_a_wrong_first_digit_takes_no_entry_run(self, monkeypatch, powers):
         # every inverse planted as 1: (2y + 1)/y at p = 5 takes the digit 2 for its true 4, which
@@ -569,6 +615,23 @@ class TestLowestTermsAtTheEntryRun:
             assert str(caught.value) == COPRIME_MESSAGE.format(g)
             # a head is checked on the small pair its run reached, a random input at (a, b)
             assert [(abs(x), abs(y)) for x, y in checked] == [tuple(map(abs, reached or (a, b)))]
+
+    @pytest.mark.parametrize("p", (3, 5, 101, 65537))
+    def test_a_finite_end_at_the_input_names_its_gcd(self, p):
+        # a/b = d*b/b, d in 1..p-1, leaves a - d*b = 0 at the input pair: no run is taken and the
+        # error names gcd = b, below the run gate, between it and the batch bound, and above both
+        gate, bound = schneider._RUN_GATE, 2 * schneider._BATCH_WIDTH
+        dens = [7**20 + 2, 7**400 + 2] if p == 5 else []  # 57 and 1,123 bits
+        for bits in (gate // 2, gate + 1, (gate + bound) // 2, bound + 1, 2 * bound):
+            b = (1 << bits) + 1
+            while b % p == 0:
+                b += 2
+            dens.append(b)
+        for b in dens:
+            for digit in {1, 2, (p + 1) // 2, p - 1}:
+                with pytest.raises(ValueError) as caught:
+                    schneider_expand(digit * b, b, p)
+                assert str(caught.value) == COPRIME_MESSAGE.format(b), (p, digit, b.bit_length())
 
     def test_the_check_comes_before_any_batch(self, monkeypatch):
         def planted(*args):

@@ -561,6 +561,37 @@ class TestHeadAnalysis:
                     exact += report.exact_identity
         assert calls > 10000 and exact > 1000 and scaled > 1000, (calls, exact, scaled)
 
+    def test_quotient_test_matches_the_cross_multiplication(self, monkeypatch):
+        # lemma (vi) decided by one division, q, r = divmod(a, U) then b == q*W, against
+        # a*W == b*U: on the corpus's constant heads, scaled by g prime to p, with v built for
+        # e - 1, e and e + 1 (_run_power planted to shift the power head_analysis asks for)
+        from test_corpus import CONSTANT_HEADS
+
+        run_power, shift, vectors = schneider._run_power, [0], []
+
+        def shifted(digit, pa, r):
+            hi, lo = run_power(digit, pa, r + shift[0])
+            vectors.append((hi - pa * lo, (1 + digit) * lo - hi))  # (U, W) = M**(r+shift) (1, -1)
+            return hi, lo
+
+        monkeypatch.setattr(schneider, "_run_power", shifted)
+        checked = 0
+        for digit, alpha, k, p in CONSTANT_HEADS:
+            a, b = constant_head_product(digit, alpha, k, p)
+            big = (1 << 70) + 3
+            while big % p == 0:
+                big += 2
+            for g in (1, 2, big):
+                for shift[0] in (-1, 0, 1):
+                    vectors.clear()
+                    report = head_analysis(g * a, g * b, None, None, p)
+                    (big_u, big_w), = vectors
+                    cross = g * a * big_w == g * b * big_u
+                    assert report.exact_identity == cross == (shift[0] == 0), (digit, alpha, k, p, g, shift)
+                    assert report.head_len == (k + 1 if cross else None)
+                    checked += 1
+        assert checked == 9 * len(CONSTANT_HEADS)
+
     def test_non_constant_head_input(self):
         # no exact identity, so no length: 7/2 has head (2,1) once, then a finite
         # end; the (1,40) input starts (1,40), (1,2), (1,1), ... with |t2/t1| - 1
