@@ -3,9 +3,17 @@ symmetric residues, modular inverses, and real quadratic field elements.
 
 Everything here is exact integer/rational arithmetic.  The library's own
 paths run on plain integers: vp_split gives a valuation with its p-free
-cofactor, the Browkin bound and the head certificate test their identities
-on integer pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off
-its integers and square_part(d).  No library path builds a QuadraticElement:
+cofactor, and vp_read reads a candidate valuation off the low bits of a
+large n = p**v * c with c of at most about 64 bits, where vp_split would
+divide by powers of p the size of n: the quotient n / p**m for the largest m
+that surely divides such an n is n * p**-m mod 2**K (Jebelean's exact
+division from the low end; p**-m by a masked square-and-multiply, cheaper
+than pow's even modulus), kept when it is small.  Nothing divides n, so the
+read is not a proof; its callers (schneider's entry run and head_analysis)
+each certify it by an exact identity and fall back to vp_split.  The
+Browkin bound and the head certificate test their identities on integer
+pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off its
+integers and square_part(d).  No library path builds a QuadraticElement:
 it stays as the tests' exact reference for those values, and because the
 benchmark tracer (perfbench/tracer.py) wraps four of its methods by name.
 Its float (``__float__``) is an approximation for display only.
@@ -101,6 +109,41 @@ def require_lowest_terms(a: int, b: int) -> None:
 # fewest bits left after p**127 for vp_split's probe: below it the ladder's few divisions cost
 # less than the probe's residue test and power (BENCH_head_work.json, "probe_threshold")
 _PROBE_BITS = 3072  # the probe stays: without it head --json takes 1.75x (BENCH_special_paths.json, row 2)
+# fewest bits of n for which vp_read reads: on constant heads' forms the read costs x1.09 of
+# vp_split at 640 bits, x0.98-0.99 at 768 and x0.86-0.88 at 896 (BENCH_low_end.json, "floor")
+_READ_BITS = 768
+
+
+def _inverse_power(p: int, m: int, width: int) -> int:
+    # p**-m mod 2**width for odd p and m >= 1: p's inverse, then square-and-multiply with a mask
+    # after each product, x0.6-0.75 of pow(p, -m, 2**width), which reduces each product by a long
+    # division (BENCH_low_end.json, "inverses")
+    mask = (1 << width) - 1
+    base = out = pow(p, -1, mask + 1)
+    for bit in bin(m)[3:]:
+        out = out * out & mask
+        if bit == "1":
+            out = out * base & mask
+    return out
+
+
+def _low_quotient(n: int, p: int) -> tuple[int, int] | None:
+    # (m, q): m the largest exponent that p**64's bit length certifies with p**m < 2**(bits - 64),
+    # bits that of n, and q = n * p**-m mod 2**(q_bits + 64) as a symmetric residue, kept only when
+    # |q| <= 2**q_bits.  As 2**(width-1) <= p**64 < 2**width, the quotient n // p**m has fewer than
+    # q_bits bits, so q is that quotient whenever p**m divides n; else None, but for a false read
+    # with odds about 2**-63 (exact division from the low end: Jebelean, J. Symbolic Computation 15,
+    # 1993).  n needs more than 64 + width/64 bits, so that m >= 1
+    bits, width = n.bit_length(), (p**64).bit_length()
+    m = (bits - 64) * 64 // width
+    q_bits = bits - m * (width - 1) // 64
+    mask = (1 << (q_bits + 64)) - 1
+    t = (n & mask) * _inverse_power(p, m, q_bits + 64) & mask
+    if t >> q_bits == 0:
+        return m, t
+    if (mask - t) >> q_bits == 0:
+        return m, t - mask - 1
+    return None
 
 
 def vp_split(n: int, p: int) -> tuple[int, int]:
@@ -117,8 +160,10 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
     schoolbook division costs divisor times quotient (Knuth, TAOCP vol. 2,
     4.3.1), that division is cheap, where the ladder divides by powers of half
     the size of n with quotients as large.  Building p**m is not cheap, so a
-    residue test mod 2**(q_bits + 64) first rules out every n that p**m cannot
-    divide with so small a quotient; on a miss the ladder goes on as before.
+    residue test mod 2**(q_bits + 64) first reads the quotient off the low end
+    (vp_read's read) and rules out every n that p**m cannot divide with so
+    small a quotient; the product of that quotient and p**m then confirms it,
+    and on a miss the ladder goes on as before.
     """
     if n == 0:
         raise ValueError("valuation of zero undefined")
@@ -129,19 +174,11 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
     while not r:
         n, v = q, 2 * v + 1
         powers.append(power)
-        if v == 127 and n.bit_length() > _PROBE_BITS:
-            # power = p**64 has just divided n.  2**(width-1) <= p**64 < 2**width, so a quotient
-            # q = n // p**m has |q| < 2**q_bits, and q = n * p**-m mod 2**(q_bits+64)
-            bits, width = n.bit_length(), power.bit_length()
-            m = (bits - 64) * 64 // width
-            q_bits = bits - m * (width - 1) // 64
-            mask = (1 << (q_bits + 64)) - 1
-            t = (n & mask) * pow(p, -m, mask + 1) & mask
-            if t >> q_bits == 0 or (mask - t) >> q_bits == 0:
-                q, r = divmod(n, p**m)
-                if not r:
-                    w, n = vp_split(q, p)
-                    return v + m + w, n
+        if v == 127 and n.bit_length() > _PROBE_BITS:  # power = p**64 has just divided n
+            read = _low_quotient(n, p)
+            if read is not None and read[1] * p ** read[0] == n:
+                w, n = vp_split(read[1], p)
+                return v + read[0] + w, n
         power *= power
         q, r = divmod(n, power)
     for i in range(len(powers) - 1, -1, -1):
@@ -149,6 +186,26 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
         if not r:
             n, v = q, v + (1 << i)
     return v, n
+
+
+def vp_read(n: int, p: int) -> int | None:
+    """A candidate for vp(n), read off the low bits of n, or None: m + vp(q) for
+    the quotient q = n / p**m that vp_split's probe reads from the low end
+    (n * p**-m mod 2**(q_bits + 64), kept when it fits q_bits), m the largest
+    exponent with p**m < 2**(bits - 64).  It reads n = p**v * c whenever
+    |c| < 2**63, as a constant head's norm forms are, for then p**m divides n;
+    for n of _READ_BITS bits or fewer, and when the residue does not fit, it
+    gives None.  It builds no p**m and makes no division of n, so it never
+    claims exactness: a residue that fits by chance (odds about 2**-63) reads a
+    wrong v, and each caller certifies the read by an exact identity of its own
+    and falls back to vp_split when it cannot.
+    """
+    if n.bit_length() <= _READ_BITS:
+        return None
+    read = _low_quotient(n, p)
+    if read is None or not read[1]:
+        return None
+    return read[0] + vp_split(read[1], p)[0]
 
 
 def int_vp(n: int, p: int) -> int:

@@ -19,7 +19,7 @@ first use.  Lookups are made only for the digits b_m of the pairs
 entry run below may look up the first one twice), and one more at a finite
 end, for y_m = +-1 (lemma (iv)), whose inverse the dict starts with.  So an
 expansion makes at most min(p-3, steps) pow calls mod p and none at p = 3
-(the entry run's one pow is mod a power of 2).  A
+(the entry run inverts mod a power of 2 by Newton's iteration, no pow).  A
 second dict maps the int b_m + p*alpha_m to the one SchneiderStep of that
 step, made on its first use, in the entry run, the batches and the
 single-step loop alike, so equal steps share one record.  Both dicts go when
@@ -96,11 +96,32 @@ x*(x - d*y) - p**alpha*y**2, the norm form of the step.
       division", J. Symbolic Computation 15, 1993): (-p**alpha)**r is odd, so
       the quotient is adj(M**r) (y_{m-1}, y_m) (-p**alpha)**-r mod 2**width,
       read as a symmetric residue, which is the quotient itself once width
-      exceeds its bits.  The pair reached is small when the run is long, and a
-      residue is kept only when (y_{m-1}, y_m) = M**r (x, y) holds, so width
-      starts at a guess from bit lengths and doubles up to bits + 1, where
-      every pair the steps reach is a residue (lemma (i)): a residue that
-      still fails there is a remainder, which only a defect leaves.
+      exceeds its bits; the inverse of det M**r = (-p**alpha)**r mod 2**width
+      comes off M**r's own entries by Newton's iteration.  The pair reached is
+      small when the run is long, and a residue is kept only when (y_{m-1},
+      y_m) = M**r (x, y) holds, so width starts at a guess from bit lengths
+      and doubles up to bits + 1, where every pair the steps reach is a
+      residue (lemma (i)): a residue that still fails there is a remainder.
+ (v') Conversely, if (a, b) = M**r (x, y) for integers x, y prime to p, then
+      the first r steps from (a, b) are (d, alpha), they reach (x, y), and
+      no pair before (x, y) is a finite end or stationary, unless Q(a, b) = 0.
+      For the pairs between, (u_i, u_{i+1}) = M**(r-i) (x, y) for i = 0..r,
+      have u_i = d*u_{i+1} + p**alpha*u_{i+2}: going down from u_{r+1} = y and
+      u_r = x, each u_i = d*u_{i+1} mod p is prime to p, as d is.  So from
+      (u_i, u_{i+1}) the digit is u_i * u_{i+1}**-1 = d mod p, and u_i -
+      d*u_{i+1} = p**alpha*u_{i+2} with p not dividing u_{i+2} has valuation
+      alpha exactly and is not 0: the step is (d, alpha), to (u_{i+1},
+      u_{i+2}), and the pair is no finite end.  A stationary pair's step is
+      (p-1, 1), so only a run of (p-1, 1) could pass one, and there
+      Q(a, b) = (-p)**i Q(u_i, u_{i+1}) = 0 (the form at a stationary pair).
+      So an exact pair prime to p proves the run, however r was found: the
+      kernel reads r off a candidate valuation of Q (exactarith.vp_read, off
+      the low end, with no division of Q) and keeps it only on such a pair.
+      A read one step too long finds no exact pair, or one with p | x*y (a
+      pair one step past a step (d, alpha') with alpha' > alpha is (x, p**(alpha'
+      - alpha) z)), and then vp_split's exact valuation decides, after which
+      a remainder is a defect, raised.  A read too short is a shorter run,
+      also true, whose last steps the steps after it take.
 (vii) That division keeps the gcd: for x, y prime to p and (x', y') the pair
       r steps (d, alpha) reach, gcd(x, y) = gcd(x', y').  For (x, y) = M**r
       (x', y') makes gcd(x', y') divide gcd(x, y), and (-p**alpha)**r (x', y') =
@@ -117,11 +138,15 @@ u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
 places:
   - the kernel, once, at the input pair: where min(|a|, b) has more than
     _RUN_GATE bits, at any p, it reads the first step (d, alpha) off (a, b),
-    its digit through the expansion's inverses, and tries (v) at (a, b) before
-    any batch (one residue test of p**(2 alpha + 1) | Q, then one form, one
-    valuation, one power and one exact division from the low end; the run
-    capped as the batches are and recorded as r references to one record, and
-    a remainder raised as an ArithmeticError named with the input).  It checks
+    its digit through the expansion's inverses and alpha off a - d*b mod a
+    power of p of one digit (vp_split only where that power divides it), and
+    tries (v) at (a, b) before any batch: one residue test of
+    p**(R alpha + 1) | Q for R = _ENTRY_RUN_MIN, as a shorter run costs more
+    than its single steps, then one form, one read of its valuation certified
+    by (v'), else one exact valuation, and one power and one exact division
+    from the low end; the run capped as the batches are and recorded as r
+    references to one record, and a remainder raised as an ArithmeticError
+    named with the input.  It checks
     lowest terms on the pair reached, by (vii), before any batch; below the
     gate, at (a, b).  _batches builds its table of p**e, e <= K, only once a
     batch runs, so an input the run leaves below the bound builds none.  A
@@ -175,6 +200,12 @@ D = s*s would force (s - d)(s + d) = 4p**alpha, i.e. the stationary pair
 head_analysis reads the one e the identity allows off two p-adic valuations
 (its comments give the argument) and checks (vi) for that e; no float takes
 part, and a/b given as ga/gb answers as a/b does, being parallel to the same v.
+vp(sx) is small and is read off sx mod a power of p of one digit; vp(n) is
+first read off the low end of n (exactarith.vp_read), and that read needs no
+proof where the identity holds at the e it gives, since an identity at any e
+forces that e to be the one the valuations allow.  Where there is no read,
+or the identity fails at its e, vp_split's exact vp(n) decides, so a
+head_len of None is always decided by exact valuations.
 """
 
 from __future__ import annotations
@@ -183,7 +214,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import require_coprime, require_odd_prime, vp_split
+from .exactarith import require_coprime, require_odd_prime, vp_read, vp_split
 
 
 class SchneiderStep(NamedTuple):
@@ -248,6 +279,11 @@ _RUN_MIN = 64
 _RUN_GATE = 64
 # bits _run_pair's first modulus adds to its guess of the pair's size
 _RUN_MARGIN = 64
+# shortest run the kernel takes at the input pair, R: p**(R*alpha + 1) | Q is tested on residues
+# before the form is built.  A constant head just above the gate gains from about 24 steps at
+# p = 7 to 10**9+7, and a shorter run costs x1.1-2.4 of its single steps; over a random tail
+# of 20-300 digits a run pays only from 32-128 steps (BENCH_low_end.json, "entry_run_min")
+_ENTRY_RUN_MIN = 24
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
@@ -263,29 +299,80 @@ def _run_power(digit: int, pa: int, r: int) -> tuple[int, int]:
     return hi, lo
 
 
-def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: int) -> tuple[int, int]:
-    # the pair run steps (digit, alpha) reach from (a, b), bits = max(|a|, b).bit_length():
-    # adj(M**run) (a, b) / (-p**alpha)**run, found mod 2**width from the low end (Jebelean's
-    # exact division; (-p**alpha)**run is odd) and kept once (a, b) = M**run (x, y), four
-    # products of input size by width bits.  width starts at bits less lo's bits plus
-    # _RUN_MARGIN (at least 1, so that doubling ends) and doubles up to bits + 1, where every
-    # pair the steps reach, below 2**bits by lemma (i), is its own symmetric residue
+def _odd_inverse(c: int, width: int) -> int:
+    # c**-1 mod 2**width for odd c: Newton's x*(2 - c*x) doubles the bits where c*x = 1, from
+    # x = 3c xor 2, right mod 2**5 (Montgomery); at _run_pair's widths x0.4-0.8 of
+    # pow(-p**alpha, -run, 2**width) (BENCH_low_end.json, "inverses")
+    x, bits = (3 * c) ^ 2, 5
+    while bits < width:
+        bits = min(2 * bits, width)
+        mask = (1 << bits) - 1
+        x = x * (2 - (c & mask) * x) & mask
+    return x & ((1 << width) - 1)
+
+
+def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: int) -> tuple[int, int] | None:
+    # (x, y) with (a, b) = M**run (x, y) for the step matrix M of (digit, alpha), bits =
+    # max(|a|, b).bit_length(), or None if there is none: adj(M**run) (a, b) / det M**run, found mod
+    # 2**width from the low end (Jebelean's exact division; det M**run = (-p**alpha)**run is odd, and
+    # its inverse comes off hi and lo mod 2**width) and kept once (a, b) = M**run (x, y), four
+    # products of input size by width bits.  width starts at bits less lo's bits plus _RUN_MARGIN
+    # (at least 1, so that doubling ends) and doubles up to bits + 1, where every pair the steps
+    # reach, below 2**bits by lemma (i), is its own symmetric residue
     pa = p**alpha
     hi, lo = _run_power(digit, pa, run)  # M**run = [[hi, pa*lo], [lo, hi - digit*lo]]
     top, plo, full = hi - digit * lo, pa * lo, bits + 1
     width = min(max(bits - lo.bit_length() + _RUN_MARGIN, 1), full)
     while True:
         modulus = 1 << width
-        mask, half, scale = modulus - 1, modulus >> 1, pow(-pa, -run, modulus)
-        a_low, b_low = a & mask, b & mask
-        x = ((top & mask) * a_low - (plo & mask) * b_low) * scale & mask
-        y = ((hi & mask) * b_low - (lo & mask) * a_low) * scale & mask
+        mask, half = modulus - 1, modulus >> 1
+        a_low, b_low, hi_low, lo_low = a & mask, b & mask, hi & mask, lo & mask
+        top_low, plo_low = top & mask, plo & mask
+        scale = _odd_inverse(hi_low * top_low - plo_low * lo_low & mask, width)
+        x = (top_low * a_low - plo_low * b_low) * scale & mask
+        y = (hi_low * b_low - lo_low * a_low) * scale & mask
         x, y = x - modulus if x >= half else x, y - modulus if y >= half else y
         if a == hi * x + plo * y and b == lo * x + top * y:
             return x, y
-        if width == full:  # a remainder, which only a defect leaves
-            raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
+        if width == full:  # a remainder: no such pair
+            return None
         width = min(2 * width, full)
+
+
+def _small_vp(n: int, p: int) -> int:
+    # vp(n) of a nonzero n whose valuation is most likely small, read off n mod p**j with
+    # j = max(2, 30 // p.bit_length()), so that p**j < 2**30 is one CPython digit for p < 2**15:
+    # exact while p**j does not divide n, x0.25-0.4 of vp_split's ladder (BENCH_low_end.json,
+    # "small_vp"); vp_split's at or above j
+    rest = n % p ** max(2, 30 // p.bit_length())
+    if not rest:
+        return vp_split(n, p)[0]
+    v = 0
+    while not rest % p:
+        rest //= p
+        v += 1
+    return v
+
+
+def _entry_run(
+    a: int, b: int, digit: int, p: int, alpha: int, form: int, bits: int, cap: int,
+) -> tuple[int, int, int]:
+    # (run, x, y): lemma (v) at (a, b), whose step is (digit, alpha) and whose form Q(a, b) = form
+    # has p**(R*alpha + 1) | form != 0, and the pair run steps reach.  The run is first read off
+    # vp_read's candidate valuation of Q (one of fewer than R steps contradicts the residue test)
+    # and kept only when _run_pair finds an exact pair prime to p, which proves it by the converse
+    # of lemma (v), whatever the read; else it comes off vp_split, after which a remainder is a
+    # defect, raised
+    v = vp_read(form, p)
+    if v is not None and (run := min((v - 1) // alpha, cap)) >= _ENTRY_RUN_MIN:
+        pair = _run_pair(a, b, digit, p, alpha, run, bits)
+        if pair is not None and pair[0] % p and pair[1] % p:
+            return run, *pair
+    run = min((vp_split(form, p)[0] - 1) // alpha, cap)
+    pair = _run_pair(a, b, digit, p, alpha, run, bits)
+    if pair is None:
+        raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
+    return run, *pair
 
 
 def _batches(
@@ -389,15 +476,15 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
             delta = a - digit * b
             # delta = 0 (a finite end, so a/b is not in lowest terms) and alpha = 0 (a wrong
             # digit, a defect) take no run: the checks and steps below meet them
-            alpha = vp_split(delta, p)[0] if delta else 0
+            alpha = _small_vp(delta, p) if delta else 0
             pa, run = p**alpha, 0
-            # a run of 2 or more needs vp(Q) > 2 alpha, tested on residues before Q is formed
-            modulus = pa * pa * p
+            # a run of R or more needs vp(Q) > R alpha, tested on residues before Q is formed
+            modulus = pa**_ENTRY_RUN_MIN * p
             if alpha and not (a % modulus * (delta % modulus) - pa * (b % modulus) ** 2) % modulus:
                 form = a * delta - pa * b * b
-                run = min((vp_split(form, p)[0] - 1) // alpha, cap) if form else 0
-            if run >= 2:  # a run of r steps (d, alpha): one power, one exact division
-                y_prev, y_cur = _run_pair(a, b, digit, p, alpha, run, bits)
+                if form:
+                    run, y_prev, y_cur = _entry_run(a, b, digit, p, alpha, form, bits, cap)
+            if run:  # a run of r steps (d, alpha): one power, one exact division
                 record = records[digit + p * alpha] = _record(SchneiderStep, (digit, alpha))
                 steps.extend([record] * run)
             # lemma (vii): the pair reached has the gcd of (a, b).  Kept: checked at (a, b)
@@ -529,7 +616,7 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
         if not delta or a + b == 0:
             raise ValueError("input has no head step to analyze")
         digit = first if digit is None else digit
-        alpha = vp_split(delta, p)[0] if alpha is None else alpha
+        alpha = _small_vp(delta, p) if alpha is None else alpha
     _check_head_pair(digit, alpha, p)
     # before any power is built: p**alpha >= 2**(alpha*(p.bit_length()-1)), so when that
     # exponent reaches the bit length of |a| + (p-1)*b, p**alpha > |a| + (p-1)*b >=
@@ -556,16 +643,26 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     # the identity holds iff w**e * n == (sx + sy*sqrt(D)) * (4p**alpha)**e.  In Z_p take
     # sqrt(D) = s = digit mod p: digit + s is a unit, digit - s has valuation alpha, so the rational
     # part u = (w(s)**e + w(-s)**e) / 2 of w**e is a unit, and u*n == sx*(4p**alpha)**e forces
-    # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized
-    e, rem = divmod(vp_split(n, p)[0] - vp_split(sx, p)[0], alpha)
-    exact = False
-    if e >= 0 and not rem:
-        # lemma (vi): (U, W) = M**(e+1) (1, -1) off (u_{e+2}, u_{e+1}), as p**alpha*u_e = hi - digit*lo;
-        # v is primitive, so a*W == b*U exactly when a = q*U and b = q*W for an integer q
-        hi, lo = _run_power(digit, pa, e + 1)
-        q, r = divmod(a, hi - pa * lo)
-        exact = not r and b == q * ((1 + digit) * lo - hi)
-    return _record(HeadReport, (digit, alpha, disc, sx, sy, n, e + 1 if exact else None, exact))
+    # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized.
+    # vp(n) is first read off n's low end (vp_read): an identity at the e it gives is the one e
+    # allowed, so it certifies the read; no read, or no identity, and vp_split decides
+    vsx, read = _small_vp(sx, p), vp_read(n, p)
+    head_len = None if read is None else _head_length(a, b, digit, alpha, pa, read - vsx)
+    if head_len is None and (exact_v := vp_split(n, p)[0]) != read:
+        head_len = _head_length(a, b, digit, alpha, pa, exact_v - vsx)
+    return _record(HeadReport, (digit, alpha, disc, sx, sy, n, head_len, head_len is not None))
+
+
+def _head_length(a: int, b: int, digit: int, alpha: int, pa: int, gap: int) -> int | None:
+    # e + 1 where gap = vp(n) - vp(sx) = alpha*e with e >= 0 and lemma (vi)'s identity holds at e,
+    # else None.  (U, W) = M**(e+1) (1, -1) off (u_{e+2}, u_{e+1}), as p**alpha*u_e = hi - digit*lo;
+    # v is primitive, so a*W == b*U exactly when a = q*U and b = q*W for an integer q
+    e, rem = divmod(gap, alpha)
+    if e < 0 or rem:
+        return None
+    hi, lo = _run_power(digit, pa, e + 1)
+    q, r = divmod(a, hi - pa * lo)
+    return e + 1 if not r and b == q * ((1 + digit) * lo - hi) else None
 
 
 def generate_constant_head(digit: int, alpha: int, k: int, p: int) -> tuple[int, int]:

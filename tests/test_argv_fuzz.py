@@ -9,12 +9,17 @@ repeats, the positional first, help by -h and --help); primes valid and not
 primality test's limit, and malformed tokens); rationals from the corpus's
 families (small, p | a and p | b, integers, not in lowest terms, zero,
 malformed), constant Schneider heads on both sides of the kernel's run gate,
-and heights up to 2,000 digits.  Each query is written twice, canonically and
-in a spelling drawn at random, and the checks are:
+constant heads over random tails of 8 to 25 digits (where the entry run's form
+has a cofactor on either side of exactarith.vp_read's window), and heights up
+to 2,000 digits.  Each query is written twice, canonically and in a spelling
+drawn at random, and the checks are:
   - the exit code is 0 or 2, the same for both spellings, and nothing raises
     past cli.main (a traceback);
+  - each call ends within time_limit(argv), TIME_BASE plus TIME_PER_BIT for
+    each bit of the digits in argv, or a timer stops it, so a hang fails;
   - exit 2 prints a usage line to stderr;
-  - exit 0 prints the same stdout for both spellings, JSON where --json asks.
+  - exit 0 prints the same stdout for both spellings: JSON where --json asks,
+    else text whose lines follow the command's line grammar (TEXT_GRAMMAR).
 The tier-1 slice is FUZZ_QUERIES queries (2,000 argvs); check() returns what it
 finds, so each plant below shows that a defect of its kind is caught.
 """
@@ -23,11 +28,14 @@ import contextlib
 import io
 import json
 import random
+import re
+import signal
 from math import gcd
 
 import pytest
 
-from padic_cf import cli, schneider
+from padic_cf import cli, exactarith, schneider
+from padic_cf.exactarith import vp_read, vp_split
 from padic_cf.schneider import generate_constant_head, schneider_expand
 
 FUZZ_SEED = 22
@@ -38,6 +46,36 @@ BAD_PRIMES = ("1", "2", "9", "-3", "0", "4096", str(2**127 - 1), "٣", "1_1", "3
 BAD_RATIONALS = ("", "1/0", "abc", "1_000/7", "+3/5", "2/-5", "1/2/3", "٣٦٥/٥٤",
                  " 2/5", "2 /5", "0x10/3", "--")
 BAD_INTEGERS = ("1_0", "٣", "+3", "1e3", "")
+
+# a call may take TIME_BASE seconds and TIME_PER_BIT more for each bit of the digits in its argv:
+# the slice's slowest call took about 0.05 s (2 CPUs, Python 3.11), a tenth of the least limit
+TIME_BASE, TIME_PER_BIT = 0.5, 0.00025
+
+
+def _listed(item):
+    return rf"{item}(?:, {item})*"
+
+
+# each command's text output, line by line (help text aside): what cli writes, read as a grammar
+_NAT, _INT, _FRAC, _UFRAC, _PAIR = r"\d+", r"-?\d+", r"-?\d+(?:/\d+)?", r"\d+(?:/\d+)?", r"\(\d+,\d+\)"
+_FLOAT = r"-?\d+(?:\.\d+)?(?:e[+-]\d+)?"  # str() of a float pinned to 6 digits
+_EXACT = rf"(?:{_FRAC}|-?{_UFRAC}\*sqrt\(\d+\)|{_FRAC} [+-] {_UFRAC}\*sqrt\(\d+\))"  # cli._exact_str
+_P, _TERM = r"\(p=\d+\)", r"\d+(?:\*\d+(?:\^-?\d+)?)?"
+TEXT_GRAMMAR = {command: re.compile(grammar, re.ASCII) for command, grammar in {
+    "expand-browkin": rf"input: {_FRAC} {_P}\nquotients: {_listed(_FRAC)}\nk: {_listed(_NAT)}\n"
+                      rf"beta: {_listed(_INT)}\nbound N: \d+ \(length \d+ <= N\+1\)\nreconstructed: true\n",
+    "expand-schneider": rf"input: {_FRAC} {_P}\nhead: (?:{_listed(_PAIR)})?\ny trace: (?:{_listed(_INT)})?\n"
+                        rf"(?:stationary from index \d+ \(tail digit \d+, exponent 1, tail value -1\)"
+                        rf"|finite end with tail value {_INT})\nreconstructed: true\n",
+    "digits": rf"(?:0|-?{_TERM}(?: [+-]{_TERM})*)\n",
+    "bound": rf"beta magnitudes: \d+, \d+ {_P}\nlambda1 = {_EXACT} \(~{_FLOAT}\)\n"
+             rf"lambda2 = {_EXACT} \(~{_FLOAT}\)\nN = \d+\nexact certificate: (?:true|false)\n",
+    "head": rf"head pair: \(\d+,\d+\) {_P}\n(?:T1 ~ {_FLOAT}, T2 ~ {_FLOAT}\n)?theta = {_EXACT}(?: \(~{_FLOAT}\))?\n"
+            rf"(?:exact exponent: \d+\n)?head length: (?:\d+|unknown)\nexact identity: (?:true|false)\n",
+    "verify": r"(?:ok: [a-z ]+\n)+",
+    "sweep": r"p,a,b,browkin_len,bound_N,beta0_abs,beta1_abs,slack,schneider_steps_to_stationary\r\n"
+             r"(?:\d+,-?\d+,\d+,\d+,\d+,\d+,\d+,\d+,\d*\r\n)*",
+}.items()}
 
 
 def run(argv):
@@ -51,9 +89,33 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+class Hang(BaseException):
+    """A call past its time limit: a BaseException, so that no handler in cli.main takes it."""
+
+
+def time_limit(argv):
+    return TIME_BASE + TIME_PER_BIT * (sum(char.isdigit() for token in argv for char in token) * 10 // 3)
+
+
+def limited_run(argv):
+    """run(argv), stopped by a timer at time_limit(argv), which raises Hang in the call."""
+    limit = time_limit(argv)
+
+    def expire(signum, frame):
+        raise Hang(f"no end within {limit:.2f} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        return run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _rational(rng, p, tall):
     # a rational's text from one of the families; only where tall is set, up to 2,000 digits
-    families = ["small", "small", "p|a", "p|b", "integer", "unreduced", "zero", "bad", "head"]
+    families = ["small", "small", "p|a", "p|b", "integer", "unreduced", "zero", "bad", "head", "tailed"]
     family = rng.choice(families + ["tall"] * tall)
     if family == "bad":
         return rng.choice(BAD_RATIONALS)
@@ -65,6 +127,16 @@ def _rational(rng, p, tall):
             alpha = 2
         a, b = generate_constant_head(digit, alpha, rng.randint(1, max(2, 150 // (alpha * p.bit_length()))), p)
         return f"{a}/{b}"
+    if family == "tailed":  # a constant head of 64 to 2,000 bits (300 where not tall) over a tail
+        digit, alpha = rng.randrange(1, min(p, 50)), rng.randint(1, 2)
+        steps = max(2, rng.randint(64, 2000 if tall else 300) // (alpha * p.bit_length()))
+        y, y_next = 0, 0
+        while not (y % p and y_next % p and gcd(y, y_next) == 1):  # a tail of 8 to 25 digits
+            y = rng.randrange(10**7, 10 ** rng.randint(8, 25)) * rng.choice((-1, 1))
+            y_next = rng.randrange(10**7, 10 ** rng.randint(8, 25))
+        for _ in range(steps):
+            y, y_next = digit * y + p**alpha * y_next, y
+        return f"{y}/{y_next}" if y_next > 0 else f"{-y}/{-y_next}"
     digits = int(20 * 100 ** rng.random()) if family == "tall" else rng.randint(1, 6)
     a = rng.randrange(1, 10**digits) * rng.choice((-1, 1))
     b = rng.randrange(1, 10**digits)
@@ -177,7 +249,10 @@ def check(queries):
         results = []
         for argv in argvs:
             try:
-                results.append(run(argv))
+                results.append(limited_run(argv))
+            except Hang as exc:
+                failures.append((argv, f"hang: {exc}"))
+                break
             except Exception as exc:  # a traceback: nothing but SystemExit may leave main
                 failures.append((argv, f"raised {type(exc).__name__}: {exc}"))
                 break
@@ -191,11 +266,14 @@ def check(queries):
                 failures.append((argvs[0], f"exit 2 without a usage line: {err[-200:]}"))
             elif code == 0 and out2 != out:
                 failures.append((argvs, "two spellings print different output"))
-            elif code == 0 and "--json" in argvs[0] and "--help" not in argvs[0]:
-                try:
-                    json.loads(out)
-                except ValueError:
-                    failures.append((argvs[0], "--json printed no JSON"))
+            elif code == 0 and "--help" not in argvs[0] and argvs[0][0] in TEXT_GRAMMAR:
+                if "--json" in argvs[0]:
+                    try:
+                        json.loads(out)
+                    except ValueError:
+                        failures.append((argvs[0], "--json printed no JSON"))
+                elif not TEXT_GRAMMAR[argvs[0][0]].fullmatch(out):
+                    failures.append((argvs[0], "text output off its line grammar"))
     return failures
 
 
@@ -218,8 +296,9 @@ def test_the_slice_keeps_the_contract(slice_queries):
 
 
 def test_the_slice_covers_the_grammar(slice_queries):
-    # every subcommand and every spelling family, exit 0 and exit 2, heads on both sides of
-    # the run gate, p | a and p | b, and inputs of more than 1,000 digits
+    # every subcommand and every spelling family, exit 0 and exit 2, text output of every
+    # command, heads on both sides of the run gate, heads over tails with the form's cofactor on
+    # both sides of vp_read's window, p | a and p | b, and inputs of more than 1,000 digits
     tokens = {token.split("=")[0] for argvs in slice_queries for argv in argvs for token in argv}
     for expected in ("expand-browkin", "expand-schneider", "digits", "bound", "head", "verify", "sweep",
                      "--prime", "--pr", "--pri", "-p", "--count", "--cou", "--digit", "--dig", "--exponent",
@@ -228,9 +307,14 @@ def test_the_slice_covers_the_grammar(slice_queries):
         assert expected in tokens, expected
     assert any(token.startswith("-p") and token[2:].isdigit() for token in tokens)
     assert any(token.startswith("-n") and token[2:].isdigit() for token in tokens)
-    codes = {run(argvs[0])[0] for argvs in slice_queries[:300]}
-    assert codes == {0, 2}
-    sizes, sides = [], set()
+    codes, texts = set(), set()
+    for argvs in slice_queries[:300]:
+        code = run(argvs[0])[0]
+        codes.add(code)
+        if code == 0 and "--json" not in argvs[0] and "--help" not in argvs[0]:
+            texts.add(argvs[0][0])
+    assert codes == {0, 2} and set(TEXT_GRAMMAR) <= texts
+    sizes, sides, windows = [], set(), set()
     for argvs in slice_queries:
         argv = argvs[0]
         if "--" not in argv[:-1] or argv[-1].count("/") != 1 or not argv[-1].replace("/", "").lstrip("-").isdigit():
@@ -243,7 +327,13 @@ def test_the_slice_covers_the_grammar(slice_queries):
             steps = schneider_expand(a, b, p).steps
             if len(steps) > 2 and steps.count(steps[0]) == len(steps):  # a constant head
                 sides.add(min(abs(a), b).bit_length() > schneider._RUN_GATE)
-    assert max(sizes) > 1000 and sides == {False, True}
+        if p and a % p and b % p and 8 < sizes[-1] < 700 and gcd(a, b) == 1 and abs(a) > 1:
+            digit, alpha = schneider_expand(a, b, p).steps[0]
+            form = a * (a - digit * b) - p**alpha * b * b
+            length = (vp_split(form, p)[0] - 1) // alpha if form else 0
+            if length >= schneider._ENTRY_RUN_MIN and form.bit_length() > exactarith._READ_BITS:  # a head over a tail
+                windows.add(vp_read(form, p) is not None)
+    assert max(sizes) > 1000 and sides == {False, True} and windows == {False, True}
 
 
 # each plant is a defect of one kind the contract rules out; the first 400 queries catch it
@@ -292,3 +382,24 @@ def test_catches_a_spelling_whose_output_differs(monkeypatch, slice_queries):
     monkeypatch.setattr(cli, "_canonical_args", planted)
     failures = check(slice_queries[:PLANT_QUERIES])
     assert any(reason == "two spellings print different output" for _, reason in failures)
+
+
+def test_catches_a_text_line_off_its_grammar(monkeypatch, slice_queries):
+    monkeypatch.setattr(cli, "_exact_str", lambda *args: "theta")  # bound's lambdas, head's theta
+    failures = check(slice_queries[:PLANT_QUERIES])
+    assert any(reason == "text output off its line grammar" for _, reason in failures)
+
+
+def test_catches_a_hang(monkeypatch, slice_queries):
+    terms, hung = cli._digit_terms, []
+
+    def planted(*args):
+        if not hung:  # the first text digits call never ends, but for the timer
+            hung.append(args)
+            while True:
+                pass
+        return terms(*args)
+
+    monkeypatch.setattr(cli, "_digit_terms", planted)
+    failures = check(slice_queries[:PLANT_QUERIES])
+    assert hung and [reason for _, reason in failures if reason.startswith("hang: no end within")]

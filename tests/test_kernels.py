@@ -15,15 +15,18 @@ A Browkin step records (k, x) alone, so the reference's beta_n are checked
 against the betas replayed from the record (tests/replay.py).
 """
 
+import contextlib
+import io
+import json
 import random
 from math import gcd
 
 import pytest
 
-from padic_cf import cli, oracle, schneider
+from padic_cf import cli, exactarith, oracle, schneider
 from padic_cf.browkin import browkin_expand
 from padic_cf.exactarith import vp_split
-from padic_cf.schneider import generate_constant_head, schneider_expand, schneider_pair
+from padic_cf.schneider import generate_constant_head, head_analysis, schneider_expand, schneider_pair
 
 from replay import beta_trace, constant_head_product, k_trace, y_trace
 
@@ -221,7 +224,7 @@ class TestSchneider:
         # finite and stationary expansions: steps+1 lookups at most, but the one past the
         # last step, at a finite end, is for y = +-1, so at most min(p-3, steps) pow calls
         # mod p, as the module docstring states; (p+2)/2, a finite end after one step, reaches
-        # it.  The entry run's one pow mod a power of 2 (_run_pair) is not an inverse mod p
+        # it.  The entry run inverts mod a power of 2 by Newton's iteration (_odd_inverse), no pow
         calls = []
         monkeypatch.setattr(schneider, "pow", lambda *args: (args[2] == p and calls.append(args)) or pow(*args),
                             raising=False)
@@ -436,9 +439,11 @@ class TestRuns:
     def test_entry_run_between_the_gate_and_the_batch_bound(self, p, powers):
         # a constant head, and a head over a random tail, of more than _RUN_GATE bits and at most
         # 2W: one _run_power, at the input pair, whose run covers the head but for its last step
-        # at most, and the single-step replay's steps, tail markers and tail
+        # at most, where that run has _ENTRY_RUN_MIN steps or more (none below it, as at
+        # 10**9+7, where no head of 24 steps fits under 2W), and the single-step replay's steps,
+        # tail markers and tail
         rng = random.Random(p + 7)
-        top = 3 if p > 3 else 2
+        top, taken = 3 if p > 3 else 2, 0
         for digit, alpha in ((1, 1), (1, 2), (max(1, p - 2), top)):
             k = 2
             while min_bits(constant_head_product(digit, alpha, k + 1, p)) <= schneider._BATCH_WIDTH:
@@ -450,16 +455,21 @@ class TestRuns:
                 powers.clear()
                 exp = assert_schneider_matches(a, b, p)
                 assert exp.steps[:k + 1] == ((digit, alpha),) * (k + 1)
-                assert len(powers) == 1 and k <= powers[0] <= k + 1, (p, digit, alpha, powers)
+                run = (vp_split(norm_form(a, b, digit, alpha, p), p)[0] - 1) // alpha
+                assert k <= run <= k + 1 and len(powers) == (run >= schneider._ENTRY_RUN_MIN), (p, digit, alpha, powers)
+                assert powers in ([], [run]), (p, digit, alpha, powers)
+                taken += len(powers)
+        assert taken or p == 10**9 + 7
 
     @pytest.mark.parametrize("p", (3, 101, 10**9 + 7))
     def test_a_short_first_width_doubles_to_the_pair(self, p, monkeypatch, powers):
         # _run_pair's first modulus planted far too small (a margin of minus the input's bits):
-        # the forward identity fails, the width doubles, and the pair it keeps is the exact one
+        # the forward identity fails, the width doubles, and the pair it keeps is the exact one.
+        # Each width inverts det M**run mod 2**width once, so the inverse records the widths
         rng = random.Random(p + 11)
         widths = []
-        monkeypatch.setattr(schneider, "pow", lambda *args: (args[2] != p and widths.append(args[2].bit_length() - 1))
-                            or pow(*args), raising=False)
+        odd_inverse = schneider._odd_inverse
+        monkeypatch.setattr(schneider, "_odd_inverse", lambda c, width: widths.append(width) or odd_inverse(c, width))
         for digit, alpha, digits in ((1, 2, 1), (1, 1, 40), (2, 1, 200)):
             a, b = head_over_tail([(digit, alpha)] * 200, random_pair(rng, digits, p), p)
             monkeypatch.setattr(schneider, "_RUN_MARGIN", -max(abs(a), b).bit_length())
@@ -478,6 +488,29 @@ class TestRuns:
             schneider_expand(2 * y + 1, y, 5)
         assert str(caught.value) == f"inexact step: a batch reached y = 0 in the expansion of {2 * y + 1}/{y}"
         assert powers == []
+
+    @pytest.mark.parametrize("p", (3, 7, 101))
+    def test_a_run_shorter_than_the_least_takes_no_power(self, p, powers):
+        # p**(R*alpha + 1) | Q is tested on residues, R = _ENTRY_RUN_MIN: a head of fewer than R
+        # steps over a random tail, above the gate, has a run shorter than R (lemma (v) reads at
+        # most R - 1 steps off vp(Q) <= R*alpha), so it forms no Q and takes no power; a head of
+        # R + 1 steps takes one, of R steps or more
+        rng = random.Random(p + 13)
+        least = schneider._ENTRY_RUN_MIN
+        for digit, alpha in ((1, 1), (2, 1), (1, 2)):
+            for length in (2, 3, 5, least - 1, least + 1):
+                tail = random_pair(rng, 60, p)
+                while schneider_expand(*tail, p).steps[0] == (digit, alpha):
+                    tail = random_pair(rng, 60, p)
+                a, b = head_over_tail([(digit, alpha)] * length, tail, p)
+                assert min_bits((a, b)) > schneider._RUN_GATE
+                powers.clear()
+                exp = assert_schneider_matches(a, b, p)
+                assert exp.steps[:length] == ((digit, alpha),) * length
+                if length < least:
+                    assert powers == [], (p, digit, alpha, length, powers)
+                else:
+                    assert len(powers) == 1 and least <= powers[0] <= length, (p, digit, alpha, length, powers)
 
     @staticmethod
     def pair_inputs():
@@ -580,6 +613,146 @@ class TestRuns:
 # the text of the coprimality error, at every kernel entry
 COPRIME_MESSAGE = "numerator and denominator must be coprime, got gcd = {}"
 
+
+
+class TestReadsAreCertified:
+    """The kernel's entry run and head_analysis read vp(Q) and vp(n) off the low end
+    (exactarith.vp_read) and keep a read only where an exact identity certifies it: an exact
+    pair prime to p from _run_pair (the converse of lemma (v)), or lemma (vi)'s identity.  Each
+    read planted below is wrong; each call must still give the single-step replay's record, or
+    the report that exact valuations alone give."""
+
+    @pytest.fixture
+    def powers(self, monkeypatch):
+        calls = []
+        run_power = schneider._run_power
+        monkeypatch.setattr(schneider, "_run_power", lambda digit, pa, r: calls.append(r) or run_power(digit, pa, r))
+        return calls
+
+    @staticmethod
+    def plant_run(monkeypatch, alpha, run):
+        # vp_read planted to read alpha*run + 1, from which the kernel takes a run of run steps
+        monkeypatch.setattr(schneider, "vp_read", lambda n, p: alpha * run + 1)
+
+    @staticmethod
+    def plant_shift(monkeypatch, shift):
+        # vp_read planted to read the exact valuation plus shift
+        monkeypatch.setattr(schneider, "vp_read", lambda n, p: vp_split(n, p)[0] + shift)
+
+    @staticmethod
+    def lemma_run(a, b, digit, alpha, p):
+        # the run lemma (v) reads off the exact vp(Q): the whole run, or all of it but its last step
+        return (vp_split(norm_form(a, b, digit, alpha, p), p)[0] - 1) // alpha
+
+    @staticmethod
+    def whole_run(a, b, digit, alpha, p):
+        # the steps (digit, alpha) the single-step replay takes from (a, b) before any other
+        steps = reference_schneider(a, b, p)[0]
+        return next((i for i, step in enumerate(steps) if step != (digit, alpha)), len(steps))
+
+    @staticmethod
+    def heads(p):
+        # (digit, alpha, a, b): constant heads of 301 steps, and the same heads over random tails
+        rng = random.Random(p + 17)
+        out = []
+        for digit, alpha in ((1, 1), (1, 2), (2, 1) if p > 3 else (1, 3)):
+            out.append((digit, alpha, *constant_head_product(digit, alpha, 300, p)))
+            out.append((digit, alpha, *head_over_tail([(digit, alpha)] * 301, random_pair(rng, 30, p), p)))
+        return out
+
+    @pytest.mark.parametrize("p", (3, 7, 101, 10**9 + 7))
+    def test_a_read_one_step_long_takes_the_exact_run(self, p, monkeypatch, powers):
+        # a read one step past the whole run (v + alpha where lemma (v) reads it whole): the
+        # division by (-p**alpha)**(r+1) is inexact, so no pair is found and the exact
+        # valuation's run is taken.  (v + alpha where lemma (v) reads all but the last step is
+        # the whole run, exact and prime to p, and kept: the heads ending in (1, -1) below)
+        kept = 0
+        for digit, alpha, a, b in self.heads(p):
+            whole, run = self.whole_run(a, b, digit, alpha, p), self.lemma_run(a, b, digit, alpha, p)
+            self.plant_run(monkeypatch, alpha, whole + 1)
+            powers.clear()
+            exp = assert_schneider_matches(a, b, p)
+            assert powers == [whole + 1, run], (p, digit, alpha, powers)
+            assert exp.steps[:301] == ((digit, alpha),) * 301
+            if run < whole:
+                self.plant_shift(monkeypatch, alpha)
+                powers.clear()
+                assert_schneider_matches(a, b, p)
+                assert powers == [whole], (p, digit, alpha, powers)
+                kept += 1
+        assert kept
+
+    @pytest.mark.parametrize("p", (3, 7, 101, 10**9 + 7))
+    def test_a_read_one_step_short_leaves_the_last_to_the_loop(self, p, monkeypatch, powers):
+        # a read one step short of the whole run, and v - alpha: that run is certified (every
+        # step of it is (d, alpha)) and kept, and the steps it leaves are taken by the batches or
+        # the single-step loop
+        for digit, alpha, a, b in self.heads(p):
+            whole, run = self.whole_run(a, b, digit, alpha, p), self.lemma_run(a, b, digit, alpha, p)
+            self.plant_run(monkeypatch, alpha, whole - 1)
+            powers.clear()
+            assert_schneider_matches(a, b, p)
+            assert powers == [whole - 1], (p, digit, alpha, powers)
+            self.plant_shift(monkeypatch, -alpha)
+            powers.clear()
+            assert_schneider_matches(a, b, p)
+            assert powers == [run - 1], (p, digit, alpha, powers)
+
+    @pytest.mark.parametrize("p", (3, 7, 101))
+    def test_a_read_past_a_deeper_step_is_not_prime_to_p(self, p, monkeypatch, powers):
+        # a head of 300 steps (d, alpha), then (d, alpha + 1): the true run is 300, and a read one
+        # step past it divides exactly, but to a pair (x, y) with p | y, so the run is refused and
+        # the exact run taken
+        rng = random.Random(p + 19)
+        pairs = []
+        run_pair = schneider._run_pair
+        monkeypatch.setattr(schneider, "_run_pair", lambda *args: pairs.append(run_pair(*args)) or pairs[-1])
+        for digit, alpha in ((1, 1), (2, 1), (1, 2)):
+            head = [(digit, alpha)] * 300 + [(digit, alpha + 1)]
+            a, b = head_over_tail(head, random_pair(rng, 30, p), p)
+            assert self.lemma_run(a, b, digit, alpha, p) == self.whole_run(a, b, digit, alpha, p) == 300
+            self.plant_run(monkeypatch, alpha, 301)
+            powers.clear()
+            pairs.clear()
+            exp = assert_schneider_matches(a, b, p)
+            assert exp.steps[:301] == tuple(head)
+            assert powers == [301, 300], (p, digit, alpha, powers)
+            (x, y), reached = pairs
+            assert x % p and y % p == 0 and reached[1] % p, (p, digit, alpha)
+
+    @pytest.mark.parametrize("p", (3, 7, 101, 10**9 + 7))
+    def test_a_wrong_read_gives_the_exact_head_report(self, p, monkeypatch):
+        # head_analysis on constant heads and on heads over tails, with vp(n) read right, off by
+        # one either way, off by alpha either way, and not read: the report of vp_split alone
+        for digit, alpha, a, b in self.heads(p):
+            monkeypatch.setattr(schneider, "vp_read", lambda n, p: None)
+            exact = head_analysis(a, b, None, None, p)
+            assert exact.exact_identity == (b == constant_head_product(digit, alpha, 300, p)[1])
+            for shift in (0, 1, -1, alpha, -alpha):
+                self.plant_shift(monkeypatch, shift)
+                assert head_analysis(a, b, None, None, p) == exact, (p, digit, alpha, shift)
+                assert head_analysis(a, b, digit, alpha, p) == exact, (p, digit, alpha, shift)
+
+    def test_long_heads_take_no_full_size_valuation(self, monkeypatch):
+        # at the benchmark's 12 head triples, heads of k >= 796: neither expand-schneider --json nor
+        # head --json calls vp_split on the kernel's form Q or on head_analysis' n, whose reads
+        # the run's pair and the identity certify
+        from test_schneider import BENCHMARK_HEAD_TRIPLES
+
+        seen = []
+        for module in (schneider, exactarith):
+            split = module.vp_split
+            monkeypatch.setattr(module, "vp_split", lambda n, p, split=split: seen.append(n) or split(n, p))
+        for digit, alpha, p in BENCHMARK_HEAD_TRIPLES:
+            for k in (796, 1300, 2000):
+                a, b = generate_constant_head(digit, alpha, k, p)
+                report = head_analysis(a, b, None, None, p)
+                for command in ("expand-schneider", "head"):
+                    seen.clear()
+                    with contextlib.redirect_stdout(io.StringIO()) as out:
+                        assert cli.main([command, "-p", str(p), "--json", "--", f"{a}/{b}"]) == 0
+                    assert seen and json.loads(out.getvalue())
+                    assert norm_form(a, b, digit, alpha, p) not in seen and report.n not in seen, (digit, alpha, p, k)
 
 class TestLowestTermsAtTheEntryRun:
     """Lemma (vii) of the schneider module: above the batch bound the kernel checks lowest
