@@ -141,12 +141,12 @@ places:
     its digit through the expansion's inverses and alpha off a - d*b mod a
     power of p of one digit (vp_split only where that power divides it), and
     tries (v) at (a, b) before any batch: one residue test of
-    p**(R alpha + 1) | Q for R = _ENTRY_RUN_MIN, as a shorter run costs more
-    than its single steps, then one form, one read of its valuation certified
-    by (v'), else one exact valuation, and one power and one exact division
-    from the low end; the run capped as the batches are and recorded as r
-    references to one record, and a remainder raised as an ArithmeticError
-    named with the input.  It checks
+    p**(2 alpha + 1) | Q, then one form, one read of its valuation certified
+    by (v'), else one exact valuation, and, for a run of _ENTRY_RUN_MIN steps
+    or more (a shorter one costs more than its single steps), one power and
+    one exact division from the low end; the run capped as the batches are
+    and recorded as r references to one record, and a remainder raised as an
+    ArithmeticError named with the input.  It checks
     lowest terms on the pair reached, by (vii), before any batch; below the
     gate, at (a, b).  _batches builds its table of p**e, e <= K, only once a
     batch runs, so an input the run leaves below the bound builds none.  A
@@ -279,11 +279,13 @@ _RUN_MIN = 64
 _RUN_GATE = 64
 # bits _run_pair's first modulus adds to its guess of the pair's size
 _RUN_MARGIN = 64
-# shortest run the kernel takes at the input pair, R: p**(R*alpha + 1) | Q is tested on residues
-# before the form is built.  A constant head just above the gate gains from about 24 steps at
-# p = 7 to 10**9+7, and a shorter run costs x1.1-2.4 of its single steps; over a random tail
-# of 20-300 digits a run pays only from 32-128 steps (BENCH_low_end.json, "entry_run_min")
-_ENTRY_RUN_MIN = 24
+# shortest run the kernel takes at the input pair, checked once Q's valuation is known: a constant
+# head of 4 steps at p = 65537 and 10**9+7 takes x1.2-1.4 with its run and one of 8 x1.1, and a
+# run of 5 over a random tail costs more than its steps, while every longer constant head gains.
+# A test of p**(R*alpha + 1) | Q on residues before the form would skip these runs sooner, but
+# for R > 2 its modulus passes one digit, and the input's remainders by it cost constant heads
+# x1.05-1.15 of the kernel (BENCH_low_end.json, "entry_run_min")
+_ENTRY_RUN_MIN = 8
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
@@ -357,18 +359,19 @@ def _small_vp(n: int, p: int) -> int:
 def _entry_run(
     a: int, b: int, digit: int, p: int, alpha: int, form: int, bits: int, cap: int,
 ) -> tuple[int, int, int]:
-    # (run, x, y): lemma (v) at (a, b), whose step is (digit, alpha) and whose form Q(a, b) = form
-    # has p**(R*alpha + 1) | form != 0, and the pair run steps reach.  The run is first read off
-    # vp_read's candidate valuation of Q (one of fewer than R steps contradicts the residue test)
-    # and kept only when _run_pair finds an exact pair prime to p, which proves it by the converse
-    # of lemma (v), whatever the read; else it comes off vp_split, after which a remainder is a
-    # defect, raised
+    # (run, x, y): lemma (v) at (a, b), whose step is (digit, alpha) and whose form is Q(a, b) =
+    # form != 0, and the pair run steps reach; (0, a, b) for a run of fewer than R = _ENTRY_RUN_MIN
+    # steps.  The run is first read off vp_read's candidate valuation of Q and kept only when
+    # _run_pair finds an exact pair prime to p, which proves it by the converse of lemma (v),
+    # whatever the read; else it comes off vp_split, after which a remainder is a defect, raised
     v = vp_read(form, p)
     if v is not None and (run := min((v - 1) // alpha, cap)) >= _ENTRY_RUN_MIN:
         pair = _run_pair(a, b, digit, p, alpha, run, bits)
         if pair is not None and pair[0] % p and pair[1] % p:
             return run, *pair
     run = min((vp_split(form, p)[0] - 1) // alpha, cap)
+    if run < _ENTRY_RUN_MIN:
+        return 0, a, b
     pair = _run_pair(a, b, digit, p, alpha, run, bits)
     if pair is None:
         raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
@@ -478,8 +481,8 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
             # digit, a defect) take no run: the checks and steps below meet them
             alpha = _small_vp(delta, p) if delta else 0
             pa, run = p**alpha, 0
-            # a run of R or more needs vp(Q) > R alpha, tested on residues before Q is formed
-            modulus = pa**_ENTRY_RUN_MIN * p
+            # a run of 2 or more needs vp(Q) > 2 alpha, tested on residues before Q is formed
+            modulus = pa * pa * p
             if alpha and not (a % modulus * (delta % modulus) - pa * (b % modulus) ** 2) % modulus:
                 form = a * delta - pa * b * b
                 if form:

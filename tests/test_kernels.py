@@ -439,9 +439,9 @@ class TestRuns:
     def test_entry_run_between_the_gate_and_the_batch_bound(self, p, powers):
         # a constant head, and a head over a random tail, of more than _RUN_GATE bits and at most
         # 2W: one _run_power, at the input pair, whose run covers the head but for its last step
-        # at most, where that run has _ENTRY_RUN_MIN steps or more (none below it, as at
-        # 10**9+7, where no head of 24 steps fits under 2W), and the single-step replay's steps,
-        # tail markers and tail
+        # at most, where that run has _ENTRY_RUN_MIN steps or more (none below it, as for the
+        # (p-2, 3) heads at 10**9+7, of 5 steps), and the single-step replay's steps, tail markers
+        # and tail
         rng = random.Random(p + 7)
         top, taken = 3 if p > 3 else 2, 0
         for digit, alpha in ((1, 1), (1, 2), (max(1, p - 2), top)):
@@ -459,7 +459,7 @@ class TestRuns:
                 assert k <= run <= k + 1 and len(powers) == (run >= schneider._ENTRY_RUN_MIN), (p, digit, alpha, powers)
                 assert powers in ([], [run]), (p, digit, alpha, powers)
                 taken += len(powers)
-        assert taken or p == 10**9 + 7
+        assert taken
 
     @pytest.mark.parametrize("p", (3, 101, 10**9 + 7))
     def test_a_short_first_width_doubles_to_the_pair(self, p, monkeypatch, powers):
@@ -491,10 +491,10 @@ class TestRuns:
 
     @pytest.mark.parametrize("p", (3, 7, 101))
     def test_a_run_shorter_than_the_least_takes_no_power(self, p, powers):
-        # p**(R*alpha + 1) | Q is tested on residues, R = _ENTRY_RUN_MIN: a head of fewer than R
-        # steps over a random tail, above the gate, has a run shorter than R (lemma (v) reads at
-        # most R - 1 steps off vp(Q) <= R*alpha), so it forms no Q and takes no power; a head of
-        # R + 1 steps takes one, of R steps or more
+        # a head of fewer than R = _ENTRY_RUN_MIN steps over a random tail, above the gate, has a
+        # run shorter than R (lemma (v) reads at most R - 1 steps off vp(Q) <= R*alpha), which
+        # costs more than its single steps, so it takes no power; a head of R + 1 steps takes one,
+        # of R steps or more
         rng = random.Random(p + 13)
         least = schneider._ENTRY_RUN_MIN
         for digit, alpha in ((1, 1), (2, 1), (1, 2)):
