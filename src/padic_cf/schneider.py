@@ -344,8 +344,8 @@ def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: in
 def _small_vp(n: int, p: int) -> int:
     # vp(n) of a nonzero n whose valuation is most likely small, read off n mod p**j with
     # j = max(2, 30 // p.bit_length()), so that p**j < 2**30 is one CPython digit for p < 2**15:
-    # exact while p**j does not divide n, x0.25-0.4 of vp_split's ladder (BENCH_low_end.json,
-    # "small_vp"); vp_split's at or above j
+    # exact while p**j does not divide n, x0.2-0.6 of vp_split's ladder (BENCH_low_end.json,
+    # "small_vp"); vp_split's at or above j, x1.2-1.3 where p**2 is two digits and divides n
     rest = n % p ** max(2, 30 // p.bit_length())
     if not rest:
         return vp_split(n, p)[0]

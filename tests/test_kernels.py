@@ -295,6 +295,20 @@ def norm_form(x, y, digit, alpha, p):
 RUN_PRIMES = (3, 5, 7, 11, 101, 10**9 + 7)
 
 
+@pytest.fixture
+def powers(monkeypatch):
+    # the r of every _run_power call, the kernel's runs and schneider_pair's
+    calls = []
+    run_power = schneider._run_power
+
+    def counted(digit, pa, r):
+        calls.append(r)
+        return run_power(digit, pa, r)
+
+    monkeypatch.setattr(schneider, "_run_power", counted)
+    return calls
+
+
 class TestRuns:
     """Lemma (v) of the schneider module: a run of one step (d, alpha), read off one
     valuation of Q and taken as one power of the step matrix, in the kernel (at the input
@@ -302,18 +316,6 @@ class TestRuns:
     each fails if no run was taken.  generate_constant_head is one power itself, so a test
     that counts or plants _run_power before it builds its input builds the head by
     replay.constant_head_product."""
-
-    @pytest.fixture
-    def powers(self, monkeypatch):
-        calls = []
-        run_power = schneider._run_power
-
-        def counted(digit, pa, r):
-            calls.append(r)
-            return run_power(digit, pa, r)
-
-        monkeypatch.setattr(schneider, "_run_power", counted)
-        return calls
 
     @staticmethod
     def seeded_expansions(p):
@@ -439,11 +441,9 @@ class TestRuns:
     def test_entry_run_between_the_gate_and_the_batch_bound(self, p, powers):
         # a constant head, and a head over a random tail, of more than _RUN_GATE bits and at most
         # 2W: one _run_power, at the input pair, whose run covers the head but for its last step
-        # at most, where that run has _ENTRY_RUN_MIN steps or more (none below it, as for the
-        # (p-2, 3) heads at 10**9+7, of 5 steps), and the single-step replay's steps, tail markers
-        # and tail
+        # at most, and the single-step replay's steps, tail markers and tail
         rng = random.Random(p + 7)
-        top, taken = 3 if p > 3 else 2, 0
+        top = 3 if p > 3 else 2
         for digit, alpha in ((1, 1), (1, 2), (max(1, p - 2), top)):
             k = 2
             while min_bits(constant_head_product(digit, alpha, k + 1, p)) <= schneider._BATCH_WIDTH:
@@ -455,11 +455,7 @@ class TestRuns:
                 powers.clear()
                 exp = assert_schneider_matches(a, b, p)
                 assert exp.steps[:k + 1] == ((digit, alpha),) * (k + 1)
-                run = (vp_split(norm_form(a, b, digit, alpha, p), p)[0] - 1) // alpha
-                assert k <= run <= k + 1 and len(powers) == (run >= schneider._ENTRY_RUN_MIN), (p, digit, alpha, powers)
-                assert powers in ([], [run]), (p, digit, alpha, powers)
-                taken += len(powers)
-        assert taken
+                assert len(powers) == 1 and k <= powers[0] <= k + 1, (p, digit, alpha, powers)
 
     @pytest.mark.parametrize("p", (3, 101, 10**9 + 7))
     def test_a_short_first_width_doubles_to_the_pair(self, p, monkeypatch, powers):
@@ -622,13 +618,6 @@ class TestReadsAreCertified:
     read planted below is wrong; each call must still give the single-step replay's record, or
     the report that exact valuations alone give."""
 
-    @pytest.fixture
-    def powers(self, monkeypatch):
-        calls = []
-        run_power = schneider._run_power
-        monkeypatch.setattr(schneider, "_run_power", lambda digit, pa, r: calls.append(r) or run_power(digit, pa, r))
-        return calls
-
     @staticmethod
     def plant_run(monkeypatch, alpha, run):
         # vp_read planted to read alpha*run + 1, from which the kernel takes a run of run steps
@@ -753,6 +742,7 @@ class TestReadsAreCertified:
                         assert cli.main([command, "-p", str(p), "--json", "--", f"{a}/{b}"]) == 0
                     assert seen and json.loads(out.getvalue())
                     assert norm_form(a, b, digit, alpha, p) not in seen and report.n not in seen, (digit, alpha, p, k)
+
 
 class TestLowestTermsAtTheEntryRun:
     """Lemma (vii) of the schneider module: above the batch bound the kernel checks lowest
