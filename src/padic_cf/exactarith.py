@@ -116,7 +116,7 @@ _READ_BITS = 768
 
 def _inverse_power(p: int, m: int, width: int) -> int:
     # p**-m mod 2**width for odd p and m >= 1: p's inverse, then square-and-multiply with a mask
-    # after each product, x0.6-0.75 of pow(p, -m, 2**width), which reduces each product by a long
+    # after each product, x0.5-0.75 of pow(p, -m, 2**width), which reduces each product by a long
     # division (BENCH_low_end.json, "inverses")
     mask = (1 << width) - 1
     base = out = pow(p, -1, mask + 1)
