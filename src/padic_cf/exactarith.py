@@ -1,21 +1,28 @@
 """Exact arithmetic foundation: the primality test, p-adic valuations,
 symmetric residues, modular inverses, and real quadratic field elements.
 
-Everything here is exact integer/rational arithmetic.  The library's own
-paths run on plain integers: vp_split gives a valuation with its p-free
-cofactor, and vp_read reads a candidate valuation off the low bits of a
-large n = p**v * c with c of at most about 64 bits, where vp_split would
-divide by powers of p the size of n: the quotient n / p**m for the largest m
-that surely divides such an n is n * p**-m mod 2**K (Jebelean's exact
-division from the low end; p**-m by a masked square-and-multiply, cheaper
-than pow's even modulus), kept when it is small.  Nothing divides n, so the
-read is not a proof; its callers (schneider's entry run and head_analysis)
-each certify it by an exact identity and fall back to vp_split.  The
-Browkin bound and the head certificate test their identities on integer
-pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off its
-integers and square_part(d).  No library path builds a QuadraticElement:
-it stays as the tests' exact reference for those values, and because the
-benchmark tracer (perfbench/tracer.py) wraps four of its methods by name.
+Everything here is exact integer/rational arithmetic.  Every valuation
+routine and every inverse mod a power of 2 of the package is here; only the
+step loops of both expansions, Schneider's batches among them, divide p out
+of each new y inline.  The library's own paths run on plain integers:
+int_vp gives a valuation that is most likely small off one residue mod a
+one-digit power of p, vp_split gives a valuation with its p-free cofactor,
+and vp_read reads a candidate valuation off the low bits of a large
+n = p**v * c with c of at most about 64 bits, where a ladder of divisions
+would divide by powers of p the size of n: the quotient n / p**m for the
+largest m that surely divides such an n is n * p**-m mod 2**K (Jebelean's
+exact division from the low end; p**-m by _inverse_power's masked
+square-and-multiply, cheaper than pow's even modulus, which also gives
+schneider's runs the inverse they divide by), kept when it is small.
+Nothing divides n, so the read is not a proof: vp_split keeps it only once
+one product confirms it, and vp_read's callers (schneider's entry run and
+head_analysis) each certify it by an exact identity and fall back to
+vp_split.  The Browkin bound and the head certificate test their identities
+on integer pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off
+its integers and square_part(d).  No library path builds a
+QuadraticElement: it stays as the tests' exact reference for those values,
+and because the benchmark tracer (perfbench/tracer.py) wraps four of its
+methods by name.
 Its float (``__float__``) is an approximation for display only.
 """
 
@@ -106,18 +113,17 @@ def require_lowest_terms(a: int, b: int) -> None:
     require_coprime(a, b)
 
 
-# fewest bits left after p**127 for vp_split's probe: below it the ladder's few divisions cost
-# less than the probe's residue test and power (BENCH_head_work.json, "probe_threshold")
-_PROBE_BITS = 3072  # the probe stays: without it head --json takes 1.75x (BENCH_special_paths.json, row 2)
-# fewest bits of n for which vp_read reads: on constant heads' forms the read costs x1.09 of
-# vp_split at 640 bits, x0.98-0.99 at 768 and x0.86-0.88 at 896 (BENCH_low_end.json, "floor")
+# fewest bits of n for which vp_read and vp_split read off the low end: on constant heads' forms
+# the read costs x1.09 of the ladder at 640 bits, x0.98-0.99 at 768 and x0.86-0.88 at 896
+# (BENCH_low_end.json, "floor")
 _READ_BITS = 768
 
 
 def _inverse_power(p: int, m: int, width: int) -> int:
     # p**-m mod 2**width for odd p and m >= 1: p's inverse, then square-and-multiply with a mask
     # after each product, x0.5-0.75 of pow(p, -m, 2**width), which reduces each product by a long
-    # division (BENCH_low_end.json, "inverses")
+    # division (BENCH_low_end.json, "inverses").  The low-end reads and schneider._run_pair's
+    # inverse of det M**r = (-p**alpha)**r share it
     mask = (1 << width) - 1
     base = out = pow(p, -1, mask + 1)
     for bit in bin(m)[3:]:
@@ -151,34 +157,30 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
     p**4, ... are divided out while each divides, then the same powers are tried
     in reverse, so the p-free cofactor comes with v at no further cost.
 
-    Once p**64 divides what is left, and that has more than _PROBE_BITS bits,
-    one division by p**m is tried first, m the largest exponent that p**64's
-    bit length certifies with p**m < 2**(bits - 64), bits that of what is left.
-    It divides when what is left is a power of p times a cofactor of about 64
-    bits, as the norm forms of a constant head are (the Schneider entry run's
-    and head_analysis' n), and the ladder then runs on that small quotient.  As
-    schoolbook division costs divisor times quotient (Knuth, TAOCP vol. 2,
-    4.3.1), that division is cheap, where the ladder divides by powers of half
-    the size of n with quotients as large.  Building p**m is not cheap, so a
-    residue test mod 2**(q_bits + 64) first reads the quotient off the low end
-    (vp_read's read) and rules out every n that p**m cannot divide with so
-    small a quotient; the product of that quotient and p**m then confirms it,
-    and on a miss the ladder goes on as before.
+    An n of more than _READ_BITS bits that p**j divides, j as in int_vp, is
+    first read off the low end: the quotient n / p**m that vp_read reads (m the
+    largest exponent with p**m < 2**(bits - 64)) is kept when the product of
+    that quotient and p**m is n, and the ladder then runs on the quotient.  It
+    is kept when n is a power of p times a cofactor of about 64 bits, as the
+    norm forms of a constant head are (the Schneider entry run's and
+    head_analysis' n), where the ladder divides by powers of half the size of n
+    with quotients as large (schoolbook division costs divisor times quotient:
+    Knuth, TAOCP vol. 2, 4.3.1); on a miss the ladder runs on n.
     """
     if n == 0:
         raise ValueError("valuation of zero undefined")
     if n % p:
         return 0, n
+    if n.bit_length() > _READ_BITS and not n % p ** max(2, 30 // p.bit_length()):
+        read = _low_quotient(n, p)
+        if read is not None and read[1] * p ** read[0] == n:
+            w, n = vp_split(read[1], p)
+            return read[0] + w, n
     n, v, powers, power = n // p, 1, [p], p * p
     q, r = divmod(n, power)
     while not r:
         n, v = q, 2 * v + 1
         powers.append(power)
-        if v == 127 and n.bit_length() > _PROBE_BITS:  # power = p**64 has just divided n
-            read = _low_quotient(n, p)
-            if read is not None and read[1] * p ** read[0] == n:
-                w, n = vp_split(read[1], p)
-                return v + read[0] + w, n
         power *= power
         q, r = divmod(n, power)
     for i in range(len(powers) - 1, -1, -1):
@@ -190,12 +192,12 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
 
 def vp_read(n: int, p: int) -> int | None:
     """A candidate for vp(n), read off the low bits of n, or None: m + vp(q) for
-    the quotient q = n / p**m that vp_split's probe reads from the low end
-    (n * p**-m mod 2**(q_bits + 64), kept when it fits q_bits), m the largest
-    exponent with p**m < 2**(bits - 64).  It reads n = p**v * c whenever
-    |c| < 2**63, as a constant head's norm forms are, for then p**m divides n;
-    for n of _READ_BITS bits or fewer, and when the residue does not fit, it
-    gives None.  It builds no p**m and makes no division of n, so it never
+    the quotient q = n / p**m read from the low end (n * p**-m mod
+    2**(q_bits + 64), kept when it fits q_bits), m the largest exponent with
+    p**m < 2**(bits - 64).  It reads n = p**v * c whenever |c| < 2**63, as a
+    constant head's norm forms are, for then p**m divides n; for n of
+    _READ_BITS bits or fewer, and when the residue does not fit, it gives
+    None.  It builds no p**m and makes no division of n, so it never
     claims exactness: a residue that fits by chance (odds about 2**-63) reads a
     wrong v, and each caller certifies the read by an exact identity of its own
     and falls back to vp_split when it cannot.
@@ -209,8 +211,20 @@ def vp_read(n: int, p: int) -> int | None:
 
 
 def int_vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer, vp_split's v."""
-    return vp_split(n, p)[0]
+    """p-adic valuation of a nonzero integer whose valuation is most likely
+    small, read off n mod p**j with j = max(2, 30 // p.bit_length()), so that
+    p**j < 2**30 is one CPython digit for p < 2**15: exact while p**j does not
+    divide n, with no division of n by p (x0.2-0.6 of vp_split's ladder,
+    BENCH_low_end.json, "small_vp"); vp_split's v where p**j divides n.
+    """
+    rest = n % p ** max(2, 30 // p.bit_length())
+    if not rest:
+        return vp_split(n, p)[0]
+    v = 0
+    while not rest % p:
+        rest //= p
+        v += 1
+    return v
 
 
 def vp(r: Fraction | int, p: int) -> int:

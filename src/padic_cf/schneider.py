@@ -19,7 +19,7 @@ first use.  Lookups are made only for the digits b_m of the pairs
 entry run below may look up the first one twice), and one more at a finite
 end, for y_m = +-1 (lemma (iv)), whose inverse the dict starts with.  So an
 expansion makes at most min(p-3, steps) pow calls mod p and none at p = 3
-(the entry run inverts mod a power of 2 by Newton's iteration, no pow).  A
+(the entry run's inverse mod a power of 2 is exactarith's, no pow here).  A
 second dict maps the int b_m + p*alpha_m to the one SchneiderStep of that
 step, made on its first use, in the entry run, the batches and the
 single-step loop alike, so equal steps share one record.  Both dicts go when
@@ -97,7 +97,8 @@ x*(x - d*y) - p**alpha*y**2, the norm form of the step.
       the quotient is adj(M**r) (y_{m-1}, y_m) (-p**alpha)**-r mod 2**width,
       read as a symmetric residue, which is the quotient itself once width
       exceeds its bits; the inverse of det M**r = (-p**alpha)**r mod 2**width
-      comes off M**r's own entries by Newton's iteration.  The pair reached is
+      is (-1)**r times exactarith's p**(-alpha*r) mod 2**width, the power the
+      low-end reads of valuations take.  The pair reached is
       small when the run is long, and a residue is kept only when (y_{m-1},
       y_m) = M**r (x, y) holds, so width starts at a guess from bit lengths
       and doubles up to bits + 1, where every pair the steps reach is a
@@ -138,8 +139,8 @@ u_1 = 1, u_{n+1} = d*u_n + p**alpha*u_{n-1}: M**r = [[u_{r+1}, p**alpha*u_r],
 places:
   - the kernel, once, at the input pair: where min(|a|, b) has more than
     _RUN_GATE bits, at any p, it reads the first step (d, alpha) off (a, b),
-    its digit through the expansion's inverses and alpha off a - d*b mod a
-    power of p of one digit (vp_split only where that power divides it), and
+    its digit through the expansion's inverses and alpha off a - d*b by
+    exactarith.int_vp (one residue mod a power of p of one digit), and
     tries (v) at (a, b) before any batch: one residue test of
     p**(2 alpha + 1) | Q, then one form, one read of its valuation certified
     by (v'), else one exact valuation, and, for a run of _ENTRY_RUN_MIN steps
@@ -200,12 +201,13 @@ D = s*s would force (s - d)(s + d) = 4p**alpha, i.e. the stationary pair
 head_analysis reads the one e the identity allows off two p-adic valuations
 (its comments give the argument) and checks (vi) for that e; no float takes
 part, and a/b given as ga/gb answers as a/b does, being parallel to the same v.
-vp(sx) is small and is read off sx mod a power of p of one digit; vp(n) is
-first read off the low end of n (exactarith.vp_read), and that read needs no
-proof where the identity holds at the e it gives, since an identity at any e
-forces that e to be the one the valuations allow.  Where there is no read,
-or the identity fails at its e, vp_split's exact vp(n) decides, so a
-head_len of None is always decided by exact valuations.
+vp(sx) is small and is read off sx mod a power of p of one digit
+(exactarith.int_vp); vp(n) is first read off the low end of n
+(exactarith.vp_read), and that read needs no proof where the identity holds
+at the e it gives, since an identity at any e forces that e to be the one
+the valuations allow.  Where there is no read, or the identity fails at its
+e, vp_split's exact vp(n) decides, so a head_len of None is always decided
+by exact valuations.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import require_coprime, require_odd_prime, vp_read, vp_split
+from .exactarith import _inverse_power, int_vp, require_coprime, require_odd_prime, vp_read, vp_split
 
 
 class SchneiderStep(NamedTuple):
@@ -301,23 +303,11 @@ def _run_power(digit: int, pa: int, r: int) -> tuple[int, int]:
     return hi, lo
 
 
-def _odd_inverse(c: int, width: int) -> int:
-    # c**-1 mod 2**width for odd c: Newton's x*(2 - c*x) doubles the bits where c*x = 1, from
-    # x = 3c xor 2, right mod 2**5 (Montgomery); at _run_pair's widths x0.4-0.8 of
-    # pow(-p**alpha, -run, 2**width) (BENCH_low_end.json, "inverses")
-    x, bits = (3 * c) ^ 2, 5
-    while bits < width:
-        bits = min(2 * bits, width)
-        mask = (1 << bits) - 1
-        x = x * (2 - (c & mask) * x) & mask
-    return x & ((1 << width) - 1)
-
-
 def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: int) -> tuple[int, int] | None:
     # (x, y) with (a, b) = M**run (x, y) for the step matrix M of (digit, alpha), bits =
     # max(|a|, b).bit_length(), or None if there is none: adj(M**run) (a, b) / det M**run, found mod
     # 2**width from the low end (Jebelean's exact division; det M**run = (-p**alpha)**run is odd, and
-    # its inverse comes off hi and lo mod 2**width) and kept once (a, b) = M**run (x, y), four
+    # its inverse is (-1)**run * p**(-alpha*run) mod 2**width) and kept once (a, b) = M**run (x, y), four
     # products of input size by width bits.  width starts at bits less lo's bits plus _RUN_MARGIN
     # (at least 1, so that doubling ends) and doubles up to bits + 1, where every pair the steps
     # reach, below 2**bits by lemma (i), is its own symmetric residue
@@ -330,7 +320,7 @@ def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: in
         mask, half = modulus - 1, modulus >> 1
         a_low, b_low, hi_low, lo_low = a & mask, b & mask, hi & mask, lo & mask
         top_low, plo_low = top & mask, plo & mask
-        scale = _odd_inverse(hi_low * top_low - plo_low * lo_low & mask, width)
+        scale = _inverse_power(p, alpha * run, width) * (-1) ** run
         x = (top_low * a_low - plo_low * b_low) * scale & mask
         y = (hi_low * b_low - lo_low * a_low) * scale & mask
         x, y = x - modulus if x >= half else x, y - modulus if y >= half else y
@@ -339,21 +329,6 @@ def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: in
         if width == full:  # a remainder: no such pair
             return None
         width = min(2 * width, full)
-
-
-def _small_vp(n: int, p: int) -> int:
-    # vp(n) of a nonzero n whose valuation is most likely small, read off n mod p**j with
-    # j = max(2, 30 // p.bit_length()), so that p**j < 2**30 is one CPython digit for p < 2**15:
-    # exact while p**j does not divide n, x0.2-0.6 of vp_split's ladder (BENCH_low_end.json,
-    # "small_vp"); vp_split's at or above j, x1.2-1.3 where p**2 is two digits and divides n
-    rest = n % p ** max(2, 30 // p.bit_length())
-    if not rest:
-        return vp_split(n, p)[0]
-    v = 0
-    while not rest % p:
-        rest //= p
-        v += 1
-    return v
 
 
 def _entry_run(
@@ -479,7 +454,7 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
             delta = a - digit * b
             # delta = 0 (a finite end, so a/b is not in lowest terms) and alpha = 0 (a wrong
             # digit, a defect) take no run: the checks and steps below meet them
-            alpha = _small_vp(delta, p) if delta else 0
+            alpha = int_vp(delta, p) if delta else 0
             pa, run = p**alpha, 0
             # a run of 2 or more needs vp(Q) > 2 alpha, tested on residues before Q is formed
             modulus = pa * pa * p
@@ -619,7 +594,7 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
         if not delta or a + b == 0:
             raise ValueError("input has no head step to analyze")
         digit = first if digit is None else digit
-        alpha = _small_vp(delta, p) if alpha is None else alpha
+        alpha = int_vp(delta, p) if alpha is None else alpha
     _check_head_pair(digit, alpha, p)
     # before any power is built: p**alpha >= 2**(alpha*(p.bit_length()-1)), so when that
     # exponent reaches the bit length of |a| + (p-1)*b, p**alpha > |a| + (p-1)*b >=
@@ -649,7 +624,7 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized.
     # vp(n) is first read off n's low end (vp_read): an identity at the e it gives is the one e
     # allowed, so it certifies the read; no read, or no identity, and vp_split decides
-    vsx, read = _small_vp(sx, p), vp_read(n, p)
+    vsx, read = int_vp(sx, p), vp_read(n, p)
     head_len = None if read is None else _head_length(a, b, digit, alpha, pa, read - vsx)
     if head_len is None and (exact_v := vp_split(n, p)[0]) != read:
         head_len = _head_length(a, b, digit, alpha, pa, exact_v - vsx)

@@ -21,7 +21,9 @@ drawn at random, and the checks are:
   - exit 0 prints the same stdout for both spellings: JSON where --json asks,
     else text whose lines follow the command's line grammar (TEXT_GRAMMAR).
 The tier-1 slice is FUZZ_QUERIES queries (2,000 argvs); check() returns what it
-finds, so each plant below shows that a defect of its kind is caught.
+finds, so each plant below shows that a defect of its kind is caught.  Beside
+the slice, a few queries take one argument just under ARGV_CAP bytes, the
+largest a single argv string may be, through the same checks.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ import json
 import random
 import re
 import signal
+import sys
 from math import gcd
 
 import pytest
@@ -46,6 +49,10 @@ BAD_PRIMES = ("1", "2", "9", "-3", "0", "4096", str(2**127 - 1), "٣", "1_1", "3
 BAD_RATIONALS = ("", "1/0", "abc", "1_000/7", "+3/5", "2/-5", "1/2/3", "٣٦٥/٥٤",
                  " 2/5", "2 /5", "0x10/3", "--")
 BAD_INTEGERS = ("1_0", "٣", "+3", "1e3", "")
+
+# the bytes of one argv string, terminating NUL included, that Linux's execve accepts
+# (MAX_ARG_STRLEN, 32 pages of 4 KiB)
+ARGV_CAP = 131_072
 
 # a call may take TIME_BASE seconds and TIME_PER_BIT more for each bit of the digits in its argv:
 # the slice's slowest call took about 0.05 s (2 CPUs, Python 3.11), a tenth of the least limit
@@ -334,6 +341,47 @@ def test_the_slice_covers_the_grammar(slice_queries):
             if length >= schneider._ENTRY_RUN_MIN and form.bit_length() > exactarith._READ_BITS:  # a head over a tail
                 windows.add(vp_read(form, p) is not None)
     assert max(sizes) > 1000 and sides == {False, True} and windows == {False, True}
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """str() of integers past the interpreter's int-to-str digit limit (Python 3.10.7 on), lifted
+    as cli.main lifts it for its own call."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_heights_at_the_argv_cap():
+    # constant heads whose a/b is 130,998 bytes (about 0.15 s a call on 2 CPUs), and a random
+    # 65,001/64,001-digit rational through text digits and bound --json (0.3 s and 0.6 s); digits
+    # --json is left out at that size, as its period search walks DIGIT_PERIOD_LIMIT digits of a
+    # remainder of about 216,000 bits (15 s at p = 101)
+    rng = random.Random(FUZZ_SEED)
+    heads = {(1, 2, 119266, 3), (1, 1, 63977, 101)}
+    queries = []
+    with no_digit_limit():
+        for digit, alpha, k, p in heads:
+            positional = "%d/%d" % generate_constant_head(digit, alpha, k, p)
+            for command in ("head", "expand-schneider"):
+                queries.append((command, [("--prime", str(p)), ("--json", None)], positional))
+        positional = f"{rng.randrange(10**65000, 10**65001)}/{rng.randrange(10**64000, 10**64001)}"
+        queries.append(("digits", [("--prime", "101"), ("--count", "8")], positional))
+        queries.append(("bound", [("--prime", "101"), ("--json", None)], positional))
+    for _, _, positional in queries:
+        assert len(positional.encode()) + 1 <= ARGV_CAP
+    argvs = [(canonical(*parts), spelled(rng, *parts)) for parts in queries]
+    with no_digit_limit():  # json.loads reads the printed integers by the same conversion
+        assert check(argvs) == []
+        lengths = {(int(argv[argv.index("--prime") + 1]), json.loads(run(argv)[1])["head_len"])
+                   for argv, _ in argvs if argv[0] == "head"}
+    assert lengths == {(p, k + 1) for _, _, k, p in heads}
 
 
 # each plant is a defect of one kind the contract rules out; the first 400 queries catch it

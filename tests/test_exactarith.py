@@ -73,6 +73,24 @@ class TestValuation:
                 n = rng.choice((1, -1)) * u * p**v
                 assert int_vp(n, p) == v == by_division(n, p)
 
+    def test_int_vp_around_its_residue(self, monkeypatch):
+        # int_vp reads v off n mod p**j and takes vp_split only where p**j divides n: v just below,
+        # at and above j, cofactors small, past 64 bits and negative; for p >= 2**15, j = 2 and
+        # p**2 is two CPython digits (30 bits each)
+        splits = []
+        split = exactarith.vp_split
+        monkeypatch.setattr(exactarith, "vp_split", lambda n, p: splits.append(n) or split(n, p))
+        rng = random.Random(20261021)
+        for p in PROBE_PRIMES:
+            j = residue_power(p)
+            assert j == 2 and p * p >= 2**30 if p >= 2**15 else p**j < 2**30
+            for v in (0, 1, j - 1, j, j + 1, 2 * j + 3):
+                for c in (1, -1, p + 1, -(p - 1), rng.getrandbits(100) * p + 1, -(rng.getrandbits(3000) * p + 2)):
+                    n = c * p**v
+                    splits.clear()
+                    assert int_vp(n, p) == vp_split_ladder(n, p)[0] == v, (p, v, c)
+                    assert splits == [n] * (v >= j), (p, v, c)
+
     def test_multiplicative_and_ultrametric(self):
         rng = random.Random(20260810)
         for p in (3, 5, 7):
@@ -88,53 +106,76 @@ class TestValuation:
 
 
 def probe_exponent(n, p):
-    """The m of vp_split's probe on n, p**127 dividing n: one division by p**m is tried on
-    n // p**127, m the largest exponent p**64's bit length certifies below 2**(bits - 64)."""
-    rest = n // p**127
-    return (rest.bit_length() - 64) * 64 // (p**64).bit_length()
+    """The m of vp_split's read on n: one product checks n // p**m, m the largest exponent
+    p**64's bit length certifies below 2**(bits - 64), bits that of n."""
+    return (n.bit_length() - 64) * 64 // (p**64).bit_length()
+
+
+def residue_power(p):
+    """j of int_vp's residue mod p**j: vp_split reads only where p**j divides n."""
+    return max(2, 30 // p.bit_length())
 
 
 def probed(p):
-    """A valuation above 127 whose n // p**127 has more than _PROBE_BITS bits for any
-    cofactor, so that vp_split probes it: p**(v - 127) has over 1.5 * _PROBE_BITS bits."""
-    return 127 + 2 * exactarith._PROBE_BITS // p.bit_length() + 1
+    """A valuation whose p**v alone has more than _READ_BITS bits, so that vp_split reads n for
+    any cofactor."""
+    return exactarith._READ_BITS // (p.bit_length() - 1) + 1
 
 
 def decoy(p, m):
-    """(n, v): p**v exactly divides n, the probe tries p**m > p**(v - 127), and n // p**127 is
-    p**m plus a multiple of 2**k, k the bits of the probe's residue test, so that test passes
-    and only the remainder of the division tells the probe missed."""
+    """(n, v): p**v exactly divides n, j <= v, the read tries p**m > p**v, and n is p**m plus a
+    multiple of 2**k, k the bits of the read's residue, so that the residue fits (it reads the
+    quotient 1) and only the product tells the read missed."""
     width = (p**64).bit_length()
-    bits = 64 + -(-m * width // 64)  # the least bit length that probes p**m
+    bits = 64 + -(-m * width // 64)  # the least bit length that reads p**m
     k = bits - m * (width - 1) // 64 + 64
     v = (bits - k - 2) * 64 // width  # p**v < 2**(bits - k - 2)
     w = (1 << (bits - 1 - k)) // p**v + 1
     while w % p == 0:
         w += 1
-    rest = p**m + (p**v * w << k)
-    assert rest.bit_length() == bits > exactarith._PROBE_BITS and v < m
-    return p**127 * rest, 127 + v
+    n = p**m + (p**v * w << k)
+    assert n.bit_length() == bits > exactarith._READ_BITS and residue_power(p) <= v < m
+    return n, v
 
 
 class TestVpSplitProbe:
-    """vp_split divides once by the largest power of p that may fit once p**64 has divided
-    what is left: it must answer as the plain ladder does, on hits and misses alike."""
+    """vp_split first reads an n of more than _READ_BITS bits that p**j divides off its low end,
+    the quotient by the largest power of p that may fit, and keeps the read once one product
+    confirms it: it must answer as the plain ladder does, on hits and misses alike."""
 
     def cofactors(self, p, rng):
-        return (1, -1, 2, -(p + 1), rng.getrandbits(2000) * p + 1)
+        # prime to p, inside the read's 63-bit window and past it, negative ones among them
+        return (1, -1, 2, -(p + 1), (1 << 62) // p * p + 1, -((1 << 62) // p * p + 2), (1 << 70) // p * p - 1,
+                rng.getrandbits(2000) * p + 1)
 
-    def test_powers_and_cofactors(self):
+    def test_powers_and_cofactors(self, monkeypatch):
+        # v below, at and above j, and large; n of _READ_BITS and _READ_BITS + 1 bits, the second
+        # read and the first not; the read runs exactly past _READ_BITS bits where p**j divides n
+        reads = []
+        low_quotient = exactarith._low_quotient
+        monkeypatch.setattr(exactarith, "_low_quotient", lambda n, p: reads.append(n) or low_quotient(n, p))
         rng = random.Random(20261019)
         for p in PROBE_PRIMES:
-            for v in (0, 1, 62, 63, 64, 65, 126, 127, 128, 1000, probed(p)):
-                for c in self.cofactors(p, rng):
-                    n = c * p**v
-                    assert vp_split(n, p) == vp_split_ladder(n, p) == (v, c), (p, v, c)
+            j = residue_power(p)
+            cases = [(v, c) for v in (0, 1, j - 1, j, j + 1, 62, 63, 64, 65, 126, 127, 128, 1000, probed(p))
+                     for c in self.cofactors(p, rng)]
+            for v in (j - 1, j, (exactarith._READ_BITS - 40) // p.bit_length()):
+                for bits in (exactarith._READ_BITS, exactarith._READ_BITS + 1):
+                    c = (1 << (bits - 1)) // p**v + 1
+                    while c % p == 0:
+                        c += 1
+                    assert (c * p**v).bit_length() == bits, (p, v, bits)
+                    cases += [(v, c), (v, -c)]
+            for v, c in cases:
+                n = c * p**v
+                reads.clear()
+                assert vp_split(n, p) == vp_split_ladder(n, p) == (v, c), (p, v, c)
+                assert reads == [n] * (n.bit_length() > exactarith._READ_BITS and v >= j), (p, v, c)
 
     def test_around_the_estimate(self, monkeypatch):
-        # cofactors of 1 to 300 bits put the probe's m below, at and above v - 127: a probe at
-        # or under the valuation divides, one above it must fall back to the ladder.  The
-        # residue test's modular power is counted, so the test fails if no probe ran
+        # cofactors of 1 to 300 bits put the read's m below, at and above v: a read at or under
+        # the valuation is kept, one above it must fall back to the ladder.  The read's modular
+        # inverse is counted, so the test fails if no read ran
         calls = []
         monkeypatch.setattr(exactarith, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
         for p in PROBE_PRIMES:
@@ -147,22 +188,22 @@ class TestVpSplitProbe:
                     while c % p == 0:
                         c += 2
                     n = c * p**v
-                    gap = probe_exponent(n, p) - (v - 127)
+                    gap = probe_exponent(n, p) - v
                     if gap in (-1, 0, 1):
                         seen.add(gap)
                         checked += 2
                         assert vp_split(n, p) == vp_split_ladder(n, p) == (v, c), (p, v, c)
                         assert vp_split(-n, p) == (v, -c)
                 assert seen == {-1, 0, 1}, (p, v, seen)
-            assert len(calls) == checked, p  # every vp_split call above probed
+            assert len(calls) == checked, p  # every vp_split call above read
 
     @pytest.mark.parametrize("p", PROBE_PRIMES)
     def test_a_passing_residue_is_not_a_hit(self, p):
         width = (p**64).bit_length()
-        m0 = (exactarith._PROBE_BITS - 64) * 64 // width + 1  # the least m decoy() can give
+        m0 = (exactarith._READ_BITS - 64) * 64 // width + 1  # the least m decoy() can give
         for m in (m0, m0 + 1, 2 * m0, 5000):
             n, v = decoy(p, m)
-            assert probe_exponent(n, p) == m
+            assert probe_exponent(n, p) == m and exactarith._low_quotient(n, p) == (m, 1)
             assert vp_split(n, p) == vp_split_ladder(n, p), (p, m)
             assert vp_split(n, p)[0] == v
 

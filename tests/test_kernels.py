@@ -224,7 +224,7 @@ class TestSchneider:
         # finite and stationary expansions: steps+1 lookups at most, but the one past the
         # last step, at a finite end, is for y = +-1, so at most min(p-3, steps) pow calls
         # mod p, as the module docstring states; (p+2)/2, a finite end after one step, reaches
-        # it.  The entry run inverts mod a power of 2 by Newton's iteration (_odd_inverse), no pow
+        # it.  The entry run's inverse mod a power of 2 is exactarith's _inverse_power, no pow here
         calls = []
         monkeypatch.setattr(schneider, "pow", lambda *args: (args[2] == p and calls.append(args)) or pow(*args),
                             raising=False)
@@ -464,8 +464,9 @@ class TestRuns:
         # Each width inverts det M**run mod 2**width once, so the inverse records the widths
         rng = random.Random(p + 11)
         widths = []
-        odd_inverse = schneider._odd_inverse
-        monkeypatch.setattr(schneider, "_odd_inverse", lambda c, width: widths.append(width) or odd_inverse(c, width))
+        inverse_power = schneider._inverse_power
+        monkeypatch.setattr(schneider, "_inverse_power",
+                            lambda p, m, width: widths.append(width) or inverse_power(p, m, width))
         for digit, alpha, digits in ((1, 2, 1), (1, 1, 40), (2, 1, 200)):
             a, b = head_over_tail([(digit, alpha)] * 200, random_pair(rng, digits, p), p)
             monkeypatch.setattr(schneider, "_RUN_MARGIN", -max(abs(a), b).bit_length())
