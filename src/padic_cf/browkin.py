@@ -37,6 +37,22 @@ x'_n*beta'_n = (-1)**(n-1) * delta_n, so k'_{n+1} = k_{n+1}, beta'_{n+1} =
 (-1)**(n+1) beta_{n+1}, and delta'_n = 0 exactly where delta_n = 0.  So -a/b
 has the length, beta_0, |beta_1| and bound N of a/b; browkin_mirror builds
 its record without a step.
+
+The translation lemma.  Let b = beta_0 * p**k0 and let (k0, x_0) be the first
+step of a/b, with delta_0 = a - x_0*beta_0.  If |x_0 + p**k0| < p**(1+k0)/2
+and a + b != 0, the expansion of (a + b)/b has the steps of a/b with x_0
+replaced by x_0 + p**k0, and the betas beta'_{-1} = a + b and beta'_n =
+beta_n for n >= 0.  Proof: gcd(a + b, b) = gcd(a, b) = 1, and k0 and beta_0
+depend on b alone, so beta'_0 = beta_0.  (a + b) * beta_0**-1 = a * beta_0**-1
++ p**k0 mod p**(1+k0), so x_0 + p**k0 is congruent to x'_0, and it lies in the
+symmetric range, where the residue is unique: x'_0 = x_0 + p**k0.  Then
+delta'_0 = a + b - (x_0 + p**k0)*beta_0 = delta_0, as b = p**k0 * beta_0, so
+k'_1 = k_1 and beta'_1 = beta_1, or delta'_0 = 0 exactly where delta_0 = 0;
+from the pair (beta_0, beta_1) every later step is a/b's.  So (a + b)/b has
+the length, beta_0, |beta_1| and bound N of a/b; browkin_translation builds
+its record by one new first step.  Where x_0 + p**k0 leaves the range, as
+x_0 lies in its top p**k0 values, x'_0 = x_0 + p**k0 - p**(1+k0) and delta_0
+moves by p**(1+k0)*beta_0: every later step may change.
 """
 
 from __future__ import annotations
@@ -146,6 +162,20 @@ def browkin_mirror(expansion: BrowkinExpansion) -> BrowkinExpansion:
     p, alpha, beta0, steps = expansion
     steps = tuple([_record(BrowkinStep, (k, -x)) for k, x in steps])
     return _record(BrowkinExpansion, (p, -alpha, beta0, steps))
+
+
+def browkin_translation(expansion: BrowkinExpansion) -> BrowkinExpansion | None:
+    """The expansion of (a + b)/b from the expansion of a/b, by the translation lemma (module
+    docstring): x_0 moved by p**k0, every later step and beta0 kept; None where the lemma does
+    not apply, as x_0 + p**k0 leaves the symmetric range or a + b = 0."""
+    p, alpha, beta0, steps = expansion
+    k, x = steps[0]
+    shift = p**k
+    x += shift
+    alpha += beta0 * shift
+    if 2 * x >= p * shift or not alpha:  # x > -p**(1+k)/2 holds, as x - p**k did
+        return None
+    return _record(BrowkinExpansion, (p, alpha, beta0, (_record(BrowkinStep, (k, x)),) + steps[1:]))
 
 
 def browkin_betas(a: int, b: int, p: int) -> tuple[int, int]:

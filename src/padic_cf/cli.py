@@ -94,9 +94,11 @@ SWEEP_COLUMNS = [
     "schneider_steps_to_stationary",
 ]
 
-# the sweep's rows for 0 < a <= SWEEP_MIRROR_CAP take the certified record of -a/b, written
-# earlier in the same (p, b) line, by the mirror lemma (browkin module docstring); rows past
-# it run the kernel.  Each (p, b) line holds at most this many records, well under 1 MB
+# a sweep row first takes its records from row a - b of its (p, b) line, by the translation
+# lemmas (browkin and schneider module docstrings); a Browkin record the translation misses, for
+# 0 < a <= SWEEP_MIRROR_CAP, takes the certified record of -a/b, written earlier in the same line,
+# by the mirror lemma (browkin module docstring); rows past it run the kernel.  Each line holds
+# at most this many mirror records, well under 1 MB, and at most b translation records of each kind
 SWEEP_MIRROR_CAP = 1024
 
 
@@ -395,18 +397,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_stationary = None
         for p, b in product(args.primes, range(1, args.max_den + 1)):
             mirrors = {}  # a -> the certified (expansion, report) of -a/b, a <= SWEEP_MIRROR_CAP
+            # a -> the certified records of (a - b)/b, stored only for a row a that pops them:
+            # a != 0 and a <= max-num, and for Schneider p not dividing a
+            browkin_shifts, schneider_shifts = {}, {}
             for a in range(-args.max_num, args.max_num + 1):
                 if a == 0 or gcd(abs(a), b) != 1:
                     continue
-                expansion, _, report = oracle.certified_browkin(a, b, p, mirrors.pop(a, None))
+                expansion, _, report = oracle.certified_browkin(
+                    a, b, p, mirrors.pop(a, None), browkin_shifts.pop(a, None))
                 if -SWEEP_MIRROR_CAP <= a < 0:
                     mirrors[-a] = expansion, report
+                target = a + b
+                if target and target <= args.max_num:
+                    browkin_shifts[target] = expansion, report
                 _, beta0, beta1, n_bound = report
                 browkin_len = len(expansion.steps)
                 slack = n_bound + 1 - browkin_len
                 stationary = ""
                 if a % p != 0 and b % p != 0:
-                    sexp = oracle.certified_schneider(a, b, p)
+                    sexp = oracle.certified_schneider(a, b, p, shift=schneider_shifts.pop(a, None))
+                    if target % p and target <= args.max_num:  # target != 0, as p | 0
+                        schneider_shifts[target] = sexp
                     if sexp.stationary_from is not None:
                         stationary = sexp.stationary_from
                         if max_stationary is None or stationary > max_stationary:

@@ -6,14 +6,15 @@ routine and every inverse mod a power of 2 of the package is here; only the
 step loops of both expansions, Schneider's batches among them, divide p out
 of each new y inline.  The library's own paths run on plain integers:
 int_vp gives a valuation that is most likely small off one residue mod a
-one-digit power of p, vp_split gives a valuation with its p-free cofactor,
-and vp_read reads a candidate valuation off the low bits of a large
-n = p**v * c with c of at most about 64 bits, where a ladder of divisions
-would divide by powers of p the size of n: the quotient n / p**m for the
-largest m that surely divides such an n is n * p**-m mod 2**K (Jebelean's
-exact division from the low end; p**-m by _inverse_power's masked
-square-and-multiply, cheaper than pow's even modulus, which also gives
-schneider's runs the inverse they divide by), kept when it is small.
+one-digit power of p (and the ladder of divisions past it), vp_split gives a
+valuation with its p-free cofactor, and vp_read reads a candidate valuation
+off the low bits of a large n = p**v * c with c of at most about 64 bits,
+where a ladder of divisions would divide by powers of p the size of n: the
+quotient n / p**m for the largest m that surely divides such an n is
+n * p**-m mod 2**K (Jebelean's exact division from the low end; p**-m by
+_inverse_power's masked square-and-multiply, cheaper than pow's even
+modulus, which also gives schneider's runs the inverse they divide by),
+kept when it is small.
 Nothing divides n, so the read is not a proof: vp_split keeps it only once
 one product confirms it, and vp_read's callers (schneider's entry run and
 head_analysis) each certify it by an exact identity and fall back to
@@ -176,6 +177,11 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
         if read is not None and read[1] * p ** read[0] == n:
             w, n = vp_split(read[1], p)
             return read[0] + w, n
+    return _ladder(n, p)
+
+
+def _ladder(n: int, p: int) -> tuple[int, int]:
+    # vp_split's (v, n // p**v) for an n that p divides, by the ladder alone
     n, v, powers, power = n // p, 1, [p], p * p
     q, r = divmod(n, power)
     while not r:
@@ -215,11 +221,16 @@ def int_vp(n: int, p: int) -> int:
     small, read off n mod p**j with j = max(2, 30 // p.bit_length()), so that
     p**j < 2**30 is one CPython digit for p < 2**15: exact while p**j does not
     divide n, with no division of n by p (x0.2-0.6 of vp_split's ladder,
-    BENCH_low_end.json, "small_vp"); vp_split's v where p**j divides n.
+    BENCH_low_end.json, "small_vp"); the ladder's v where p**j divides n.  It
+    takes no low-end read: a read keeps a cofactor of at most about 64 bits,
+    while a small valuation leaves one about as large as n, so on an n of
+    more than _READ_BITS bits the read would miss and the ladder run anyway.
     """
     rest = n % p ** max(2, 30 // p.bit_length())
     if not rest:
-        return vp_split(n, p)[0]
+        if not n:
+            raise ValueError("valuation of zero undefined")
+        return _ladder(n, p)[0]
     v = 0
     while not rest % p:
         rest //= p

@@ -5,13 +5,15 @@ certificate functions certified_browkin, certified_schneider and
 certified_digits make one kind of record each, run its checks and `require`
 them before they hand it back; with battery they are all the CLI calls here,
 so this module alone picks each command's checks.  The kernels that make a
-certified record (browkin_expand, browkin_mirror, schneider_expand,
-padic_digits, digit_period) are reached through this module's globals only,
-as is the browkin_bound that certifies a length: rebinding one here (to plant
-a defect, or to trace it) reaches every command that prints its record, that
-is expand-browkin, sweep and verify for the Browkin ones (sweep alone for
-browkin_mirror), expand-schneider, sweep and verify for schneider_expand,
-digits and verify for padic_digits, and digits --json for digit_period.
+certified record (browkin_expand, browkin_mirror, browkin_translation,
+schneider_expand, schneider_translation, padic_digits, digit_period) are
+reached through this module's globals only, as is the browkin_bound that
+certifies a length: rebinding one here (to plant a defect, or to trace it)
+reaches every command that prints its record, that is expand-browkin, sweep
+and verify for the Browkin ones (sweep alone for browkin_mirror and
+browkin_translation), expand-schneider, sweep and verify for schneider_expand
+(sweep alone for schneider_translation), digits and verify for padic_digits,
+and digits --json for digit_period.
 `bound` and `head` call browkin_betas, browkin_bound and head_analysis from
 the CLI's own globals and run no check here.
 
@@ -93,9 +95,9 @@ the determinant identity implies the majorant (see majorant's step law).
 from itertools import chain
 from typing import NamedTuple
 
-from .browkin import browkin_bound, browkin_expand, browkin_mirror, cf_pair
+from .browkin import browkin_bound, browkin_expand, browkin_mirror, browkin_translation, cf_pair
 from .digits import _digit_sum, digit_period, padic_digits
-from .schneider import schneider_expand, schneider_pair
+from .schneider import schneider_expand, schneider_pair, schneider_translation
 
 
 class Check(NamedTuple):
@@ -324,31 +326,41 @@ def battery(a: int, b: int, p: int) -> list[Check]:
     return checks
 
 
-def certified_browkin(a: int, b: int, p: int, mirror=None):
+def certified_browkin(a: int, b: int, p: int, mirror=None, shift=None):
     """The Browkin expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all
     certified: the betas, beta_0 and |beta_1| among them, come off the reconstruction check's
-    own pass, and the bound reads them only once that check has passed.  Given mirror, the
-    certified (expansion, report) of -a/b, the record is browkin_mirror's instead of the
-    kernel's, and its report is reused when it holds the reconstruction's beta_0 and |beta_1|.
+    own pass, and the bound reads them only once that check has passed.  Given shift, the
+    certified (expansion, report) of (a - b)/b, the record is browkin_translation's where the
+    translation lemma applies; else, given mirror, the certified (expansion, report) of -a/b,
+    it is browkin_mirror's; else the kernel's.  A derived record's report is reused when it
+    holds the reconstruction's beta_0 and |beta_1|.
     """
-    expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
+    source = shift
+    expansion = None if shift is None else browkin_translation(shift[0])
+    if expansion is None:
+        source = mirror
+        expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
     betas: list[int] = []
     recon = browkin_reconstruction(a, b, expansion, betas)
     if not recon.ok:
         require(p, a, b, recon)
     beta0, beta1 = betas[0], abs(betas[1]) if len(betas) > 1 else 0
-    if mirror is not None and mirror[1][:3] == (p, beta0, beta1):
-        report = mirror[1]  # the bound depends on p, beta_0 and |beta_1| alone
+    if source is not None and source[1][:3] == (p, beta0, beta1):
+        report = source[1]  # the bound depends on p, beta_0 and |beta_1| alone
     else:
         report = browkin_bound(beta0, beta1, p)
     require(p, a, b, browkin_length_bound(expansion, report))
     return expansion, betas, report
 
 
-def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None):
+def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, shift=None):
     """The Schneider expansion of a/b, certified by its reconstruction and its tail laws;
-    given a list, also by the matrix laws, whose chain fills ys with y_1, ..., y_N."""
-    expansion = schneider_expand(a, b, p)
+    given a list, also by the matrix laws, whose chain fills ys with y_1, ..., y_N.  Given
+    shift, the certified expansion of (a - b)/b, the record is schneider_translation's where
+    the translation lemma applies, else the kernel's."""
+    expansion = None if shift is None else schneider_translation(shift)
+    if expansion is None:
+        expansion = schneider_expand(a, b, p)
     if ys is None:  # the sweep's row path: no list of checks built and splatted
         require(p, a, b, schneider_reconstruction(a, b, expansion), schneider_tail_laws(expansion))
     else:

@@ -225,6 +225,63 @@ class TestMirrorLemma:
                 self.assert_mirrored(p, a, b)
 
 
+class TestTranslationLemma:
+    """browkin_translation of browkin_expand(a, b, p) is browkin_expand(a + b, b, p) wherever
+    |x_0 + p**k0| < p**(1+k0)/2 and a + b != 0, with every beta from beta_0 on kept, and None
+    elsewhere (the translation lemma, browkin docstring)."""
+
+    @staticmethod
+    def assert_translated(p, a, b):
+        exp = browkin_expand(a, b, p)
+        translated = browkin.browkin_translation(exp)
+        k, x = exp.steps[0]
+        if 2 * abs(x + p**k) >= p ** (1 + k) or a + b == 0:
+            assert translated is None, (p, a, b)
+            if a + b:  # x_0 at the top of its range: x'_0 wraps round by p**(1+k0)
+                assert browkin_expand(a + b, b, p).steps[0] == (k, x + p**k - p ** (1 + k)), (p, a, b)
+            return None
+        assert translated == browkin_expand(a + b, b, p), (p, a, b)
+        assert translated.steps[1:] == exp.steps[1:] and translated.steps[0] == (k, x + p**k)
+        betas, translated_betas = [], []
+        assert oracle.browkin_reconstruction(a, b, exp, betas).ok
+        assert oracle.browkin_reconstruction(a + b, b, translated, translated_betas).ok
+        assert translated_betas == betas, (p, a, b)
+        return translated
+
+    def test_edges(self):
+        # x_0 at the top of its range: 1 mod 3 (1/1), 4 mod 9 (4/3), 2 mod 5 (2/1), 12 mod 25
+        # (12/5); and -1/1, whose target 0/1 has no expansion
+        for p, a, b in ((3, 1, 1), (3, 4, 3), (3, -1, 1), (5, 2, 1), (5, 12, 5)):
+            assert self.assert_translated(p, a, b) is None
+        # one-step sources, delta_0 = 0: x_0 / p**k0 itself, and its target one step too
+        for p, a, b in ((3, 1, 3), (5, 1, 1), (5, -2, 25), (3, -13, 27)):
+            assert len(browkin_expand(a, b, p).steps) == 1
+            assert len(self.assert_translated(p, a, b).steps) == 1
+        # a target whose x_0 is the top itself: 1/3 -> 4/3, and -1/1 -> 0/1 is no target
+        assert self.assert_translated(3, 1, 3).steps[0] == (1, 4)
+
+    def test_random_inputs_up_to_3000_digits(self):
+        rng = random.Random(45)
+        translated = 0
+        for p in (3, 5, 7, 101, 65537, 10**9 + 7):
+            for digits_ in (1, 2, 5, 30, 300, 3000):
+                for k0 in (0, 1, 3):  # p**k0 exactly divides b
+                    while True:
+                        a = rng.randrange(1, 10**digits_) * rng.choice((-1, 1))
+                        b = rng.randrange(1, 10 ** rng.randint(1, digits_)) * p**k0
+                        if math.gcd(a, b) == 1 and (b // p**k0) % p:
+                            break
+                    translated += self.assert_translated(p, a, b) is not None
+        assert translated > 90
+
+    def test_whole_grid_at_small_primes(self):
+        for p in (3, 5, 7):
+            for b in range(1, 61):
+                for a in range(-60, 61):
+                    if a and math.gcd(a, b) == 1:
+                        self.assert_translated(p, a, b)
+
+
 class TestQuotientPairs:
     def test_lowest_terms_at_large_heights(self):
         # x is prime to p once k > 0, so (x, p**k) is the Fraction's own pair

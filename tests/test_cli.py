@@ -66,6 +66,31 @@ def unreachable(name):
     return fail
 
 
+# the kernel functions that derive a sweep row's record from another row's
+DERIVATIONS = ("browkin_translation", "browkin_mirror", "schneider_translation")
+
+
+def record_input(record):
+    # (p, a, b) of the input a Browkin or Schneider record expands
+    if isinstance(record, schneider.SchneiderExpansion):
+        return record.p, record.a, record.b
+    return record.p, record.alpha, record.beta0 * record.p ** record.steps[0].k
+
+
+def derived_records(monkeypatch, names=DERIVATIONS):
+    # name -> every record that derivation, planted in oracle to keep what it returns, derives
+    derived = {name: [] for name in names}
+    for name in names:
+        def kept(record, derive=getattr(oracle, name), out=derived[name]):
+            made = derive(record)
+            if made is not None:
+                out.append(made)
+            return made
+
+        monkeypatch.setattr(oracle, name, kept)
+    return derived
+
+
 def negated(pair):
     a, b = pair
     return -a, b
@@ -942,10 +967,12 @@ class TestSweepCommand:
         assert seen == []
 
     def test_one_bound_call_per_row(self, capsys, monkeypatch):
-        # one kernel and one bound call per row that ran the kernel: a < 0 here, where every
-        # |a| is under the mirror cap; a row for a > 0 takes the record and report of -a/b
+        # one kernel and one bound call per row that ran the kernel, the rows neither the
+        # translation from row a - b nor the mirror of -a/b derives (every |a| is under the
+        # mirror cap); a derived row takes the record and report of its source
         bound, calls = oracle.browkin_bound, []
         expand, expanded = oracle.browkin_expand, []
+        derived = derived_records(monkeypatch, ("browkin_translation", "browkin_mirror"))
 
         def counted(*args):
             calls.append(args)
@@ -960,14 +987,16 @@ class TestSweepCommand:
         code, out, _ = run_cli(["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"], capsys)
         assert code == 0
         rows = [[int(field) for field in row.split(",")[:3]] for row in out.splitlines()[1:]]
-        negative = [(a, b, p) for p, a, b in rows if a < 0]
-        assert 0 < len(negative) < len(rows)
-        assert expanded == negative
-        assert len(calls) == len(negative)
+        derived = {record_input(record) for made in derived.values() for record in made}
+        kernel = [(a, b, p) for p, a, b in rows if (p, a, b) not in derived]
+        assert 0 < len(kernel) < len(rows)
+        assert expanded == kernel
+        assert len(calls) == len(kernel)
 
     def test_rows_past_the_mirror_cap_run_the_kernel(self, capsys, monkeypatch):
         # with the cap at 2 the 30x30 grid is byte for byte the default one; only the rows for
-        # a = 1, 2 are mirrored, each from the record of -a/b in its own (p, b) line
+        # a = 1, 2 that no translation derives are mirrored, each from the record of -a/b in its
+        # own (p, b) line, and the kernel runs every row neither rule derives
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "30", "--max-den", "30"]
         default = run_cli(argv, capsys)
         expand, expanded = oracle.browkin_expand, []
@@ -975,10 +1004,12 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "SWEEP_MIRROR_CAP", 2)
         monkeypatch.setattr(oracle, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
         monkeypatch.setattr(oracle, "browkin_mirror", lambda record: mirrored.append(record) or mirror(record))
+        translated = derived_records(monkeypatch, ("browkin_translation",))["browkin_translation"]
         assert run_cli(argv, capsys) == default
+        translated = {record_input(record) for record in translated}
         rows = [[int(field) for field in row.split(",")[:3]] for row in default[1].splitlines()[1:]]
-        assert expanded == [(a, b, p) for p, a, b in rows if not 0 < a <= 2]
-        kept = [(p, a, b) for p, a, b in rows if 0 < a <= 2]
+        kept = [(p, a, b) for p, a, b in rows if 0 < a <= 2 and (p, a, b) not in translated]
+        assert expanded == [(a, b, p) for p, a, b in rows if (p, a, b) not in translated and not 0 < a <= 2]
         assert len(kept) == len(mirrored) > 0
         for (p, a, b), record in zip(kept, mirrored):
             assert (record.p, record.alpha, record.beta0 * p ** record.steps[0].k) == (p, -a, b)
@@ -1004,17 +1035,16 @@ class TestSweepCommand:
         assert not any(row.startswith("3,43,2,") for row in rows)
 
     def test_a_mirror_report_with_another_beta1_is_not_printed(self, capsys, monkeypatch):
-        # every report stored for a row a < 0 is planted with |beta_1| + 1: no row for a > 0
-        # reuses one, each runs the bound on its reconstruction's betas and prints that
+        # every report a row stores is planted with |beta_1| + 1: no row reuses one, by the
+        # translation or by the mirror, each runs the bound on its reconstruction's betas and
+        # prints that bound beside the planted |beta_1|
         argv = ["sweep", "--primes", "3,5", "--max-num", "20", "--max-den", "6"]
         default = run_cli(argv, capsys)[1].splitlines()
         certified, bound, calls = oracle.certified_browkin, oracle.browkin_bound, []
 
-        def planted(a, b, p, mirror=None):
-            expansion, betas, report = certified(a, b, p, mirror)
-            if a < 0:
-                report = report._replace(beta1_abs=report.beta1_abs + 1)
-            return expansion, betas, report
+        def planted(a, b, p, *sources):
+            expansion, betas, report = certified(a, b, p, *sources)
+            return expansion, betas, report._replace(beta1_abs=report.beta1_abs + 1)
 
         def counted(*args):
             calls.append(args)
@@ -1026,8 +1056,71 @@ class TestSweepCommand:
         assert code == 0
         rows = out.splitlines()
         assert len(calls) == len(rows) - 1
-        positive = [i for i, row in enumerate(rows[1:], 1) if int(row.split(",")[1]) > 0]
-        assert positive and [rows[i] for i in positive] == [default[i] for i in positive]
+        unplanted = [row.split(",") for row in rows[1:]]
+        for fields in unplanted:
+            fields[6] = str(int(fields[6]) - 1)
+        assert unplanted and [",".join(fields) for fields in unplanted] == default[1:]
+
+    @pytest.mark.parametrize("argv", [
+        ["--primes", "3,5,7", "--max-num", "100", "--max-den", "100"],
+        ["--primes", "3,11,101", "--max-num", "3000", "--max-den", "2"],
+        ["--primes", "3,5", "--max-num", "120", "--max-den", "54"],
+    ], ids=["grid", "wide", "p-powers"])
+    def test_derived_records_are_the_kernels(self, argv, capsys, monkeypatch, tmp_path):
+        # every record a sweep row takes from another row, by a translation or the mirror, is
+        # the kernel's record of that row, compared with ==; the last grid has lines with
+        # p**k | b up to 27 = 3**3, 54 = 2*3**3 and 25 = 5**2
+        derived = derived_records(monkeypatch)
+        code, _, err = run_cli(["sweep", *argv, "--out", str(tmp_path / "rows.csv")], capsys)
+        assert code == 0 and err.startswith("sweep ok")
+        for name, made in derived.items():
+            expand = schneider.schneider_expand if name.startswith("schneider") else browkin.browkin_expand
+            assert made, name
+            for record in made:
+                p, a, b = record_input(record)
+                assert record == expand(a, b, p), (name, p, a, b)
+        if argv[1] == "3,5":
+            lines = {(record.p, record_input(record)[2]) for record in derived["browkin_translation"]}
+            assert lines >= {(3, 9), (3, 27), (3, 54), (5, 25)}
+
+    def test_a_line_holds_at_most_b_translation_records(self, capsys, monkeypatch, tmp_path):
+        # row a stores its records for row a + b only where that row pops them, so a (p, b) line
+        # holds at most b of each kind: without the rule, every row with p | (a + b) would leave a
+        # Schneider record that no row pops, and their number would grow with max-num
+        most = {}
+
+        def watched(certify):
+            def certified(a, b, p, *sources, **shift):
+                line = sys._getframe(1).f_locals  # cli._cmd_sweep's own
+                for name in ("browkin_shifts", "schneider_shifts"):
+                    assert len(line[name]) <= b, (name, p, a, b)
+                    most[name, b] = max(most.get((name, b), 0), len(line[name]))
+                return certify(a, b, p, *sources, **shift)
+            return certified
+
+        monkeypatch.setattr(oracle, "certified_browkin", watched(oracle.certified_browkin))
+        monkeypatch.setattr(oracle, "certified_schneider", watched(oracle.certified_schneider))
+        argv = ["sweep", "--primes", "3", "--max-num", "20000", "--max-den", "3"]
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "rows.csv")], capsys)
+        assert code == 0 and err.startswith("sweep ok")
+        # at b = 3 rows with 3 | a are skipped, and no row runs Schneider
+        assert most == {("browkin_shifts", 1): 1, ("schneider_shifts", 1): 1, ("browkin_shifts", 2): 1,
+                        ("schneider_shifts", 2): 1, ("browkin_shifts", 3): 1, ("schneider_shifts", 3): 0}
+
+    def test_a_translation_past_the_stationary_exclusion_fails(self, capsys, monkeypatch, tmp_path):
+        # a Schneider translation that ignores a + 2b != 0 moves -2/1's step (1, 1) to the tail's
+        # (2, 1) at p = 3: the value is -1's, and the tail laws refuse the record for -1/1
+        def planted(record):
+            p, a, b, steps = record[:4]
+            if not steps or steps[0].b + 1 >= p:
+                return None
+            first = schneider.SchneiderStep(steps[0].b + 1, steps[0].alpha)
+            return record._replace(a=a + b, steps=(first, *steps[1:]))
+
+        monkeypatch.setattr(oracle, "schneider_translation", planted)
+        argv = ["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1",
+                "--out", str(tmp_path / "rows.csv")]
+        assert run_cli(argv, capsys) == (1, "", "FAIL: schneider tail laws failed at p=3, -1/1\n")
 
     def test_closed_pipe_exits_141_quietly(self):
         # `sweep ... | head -1`: the reader takes one line and closes the pipe

@@ -74,22 +74,27 @@ class TestValuation:
                 assert int_vp(n, p) == v == by_division(n, p)
 
     def test_int_vp_around_its_residue(self, monkeypatch):
-        # int_vp reads v off n mod p**j and takes vp_split only where p**j divides n: v just below,
+        # int_vp reads v off n mod p**j and takes the ladder only where p**j divides n: v just below,
         # at and above j, cofactors small, past 64 bits and negative; for p >= 2**15, j = 2 and
-        # p**2 is two CPython digits (30 bits each)
-        splits = []
-        split = exactarith.vp_split
-        monkeypatch.setattr(exactarith, "vp_split", lambda n, p: splits.append(n) or split(n, p))
+        # p**2 is two CPython digits (30 bits each).  It takes no low-end read, which would miss on
+        # the 3,000-bit cofactors past _READ_BITS
+        ladders, reads = [], []
+        ladder, low_quotient = exactarith._ladder, exactarith._low_quotient
+        monkeypatch.setattr(exactarith, "_ladder", lambda n, p: ladders.append(n) or ladder(n, p))
+        monkeypatch.setattr(exactarith, "_low_quotient", lambda n, p: reads.append(n) or low_quotient(n, p))
         rng = random.Random(20261021)
+        large = 0
         for p in PROBE_PRIMES:
             j = residue_power(p)
             assert j == 2 and p * p >= 2**30 if p >= 2**15 else p**j < 2**30
             for v in (0, 1, j - 1, j, j + 1, 2 * j + 3):
                 for c in (1, -1, p + 1, -(p - 1), rng.getrandbits(100) * p + 1, -(rng.getrandbits(3000) * p + 2)):
                     n = c * p**v
-                    splits.clear()
+                    ladders.clear()
                     assert int_vp(n, p) == vp_split_ladder(n, p)[0] == v, (p, v, c)
-                    assert splits == [n] * (v >= j), (p, v, c)
+                    assert ladders == [n] * (v >= j), (p, v, c)
+                    large += v >= j and n.bit_length() > exactarith._READ_BITS
+        assert reads == [] and large == 3 * len(PROBE_PRIMES)
 
     def test_multiplicative_and_ultrametric(self):
         rng = random.Random(20260810)

@@ -760,7 +760,8 @@ _PLANTED_ARGV = {
 
 # each kernel that makes a certified record, a plant that breaks one law of that record, and
 # for each command that prints the record, the check it fails and the input it fails at; the
-# mirror returns -a/b's own record, and the Schneider and period plants keep the value
+# mirror and the translations return their source's own record, -a/b's or (a - b)/b's, at the
+# first row they are offered one, and the Schneider and period plants keep the value
 ONE_NAMESPACE_PLANTS = [
     ("browkin_expand", _flipped_last_quotient,
      {"expand-browkin": ("browkin reconstruction", "1259/701"),
@@ -768,11 +769,13 @@ ONE_NAMESPACE_PLANTS = [
       "sweep": ("browkin reconstruction", "-2/1"),
       "verify": ("browkin reconstruction", "1259/701")}),
     ("browkin_mirror", lambda record: record, {"sweep": ("browkin reconstruction", "1/1")}),
+    ("browkin_translation", lambda record: record, {"sweep": ("browkin reconstruction", "-1/1")}),
     ("schneider_expand", _deeper_last_step,
      {"expand-schneider": ("schneider matrix laws", "1259/701"),
       "expand-schneider --json": ("schneider tail laws", "1259/701"),
       "sweep": ("schneider tail laws", "-2/1"),
       "verify": ("schneider matrix laws", "1259/701")}),
+    ("schneider_translation", lambda record: record, {"sweep": ("schneider reconstruction", "-1/1")}),
     ("padic_digits", _wrong_first_digit,
      {"digits": ("digit truncation identity", "1259/701"),
       "digits --json": ("digit truncation identity", "1259/701"),

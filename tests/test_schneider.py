@@ -242,6 +242,61 @@ class TestConvergents:
                     assert vp(r - Fraction(u, w), p) == total
 
 
+class TestTranslationLemma:
+    """schneider_translation of schneider_expand(a, b, p) is schneider_expand(a + b, b, p) wherever
+    b_0 + 1 <= p - 1, a/b has a step and a + 2b != 0, and None elsewhere (the translation lemma,
+    schneider docstring)."""
+
+    @staticmethod
+    def assert_translated(p, a, b):
+        exp = schneider_expand(a, b, p)
+        translated = schneider.schneider_translation(exp)
+        if not exp.steps or exp.steps[0].b == p - 1 or a + 2 * b == 0:
+            assert translated is None, (p, a, b)
+            return None
+        assert translated == schneider_expand(a + b, b, p), (p, a, b)
+        assert translated.steps[0] == (exp.steps[0].b + 1, exp.steps[0].alpha)
+        assert translated[4:] == exp[4:] and translated.steps[1:] == exp.steps[1:]
+        return translated
+
+    def test_edges(self):
+        for p in (3, 5, 7):
+            # -2/1 has the step (p-2, 1) to the stationary pair, and its target -1/1 none
+            assert schneider_expand(-2, 1, p).steps == ((p - 2, 1),)
+            assert schneider_expand(-1, 1, p).stationary_from == 0
+            assert self.assert_translated(p, -2, 1) is None
+            # a finite end at the input, d/1, has no step to move
+            for d in range(1, p):
+                assert schneider_expand(d, 1, p).finite_end and not schneider_expand(d, 1, p).steps
+                assert self.assert_translated(p, d, 1) is None
+            # -1/1 is stationary at once; b_0 = p - 1 leaves no digit to move to
+            assert self.assert_translated(p, -1, 1) is None
+            assert self.assert_translated(p, 2 * p - 1, 1) is None
+        # a finite end after one step moves to another: 6 = 1 + 5*1 at p = 5 -> 7 = 2 + 5*1
+        assert self.assert_translated(5, 6, 1).finite_end
+
+    def test_random_inputs_and_constant_heads(self):
+        # past the kernel's entry run gate and its batch bound, and constant heads whose first
+        # step the translation moves off the run: the target's kernel steps them one at a time
+        rng = random.Random(45)
+        translated = 0
+        for p in (3, 5, 7, 101, 65537, 10**9 + 7):
+            for digits in (1, 2, 5, 30, 300, 3000):
+                translated += self.assert_translated(p, *random_input(rng, digits, p)) is not None
+        for digit, alpha, p in BENCHMARK_HEAD_TRIPLES:
+            for k in (1, 300, 2000):
+                a, b = generate_constant_head(digit, alpha, k, p)
+                assert self.assert_translated(p, a, b).steps[1:] == ((digit, alpha),) * k
+        assert translated > 20
+
+    def test_whole_grid_at_small_primes(self):
+        for p in (3, 5, 7):
+            for b in range(1, 61):
+                for a in range(-60, 61):
+                    if a % p and b % p and math.gcd(a, b) == 1:
+                        self.assert_translated(p, a, b)
+
+
 class TestReconstructionAndAbsorption:
     def test_reconstruction(self):
         for p in (3, 5, 7):
