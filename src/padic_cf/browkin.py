@@ -141,6 +141,8 @@ def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
             return _record(BrowkinExpansion, (p, a, beta, tuple(steps)))
         b_prev, b_cur = b_cur, delta // modulus  # exact, and k_{n+1} >= 1
         r_prev, r_cur = r_cur, b_cur % p2
+        # kept: reducing both betas every step reads x1.10 on the 100x100 sweep
+        # (BENCH_special_paths_2.json, row 13)
         if r_cur % p:  # k_{n+1} = 1: both residues carried, one full-size reduction
             k = 1
             modulus = p2
@@ -291,7 +293,8 @@ def _length_seed(a: int, b: int, p: int, disc: int) -> int:
     # 0 if a + b*(p + 2) < D * 2**8, which puts the capacity below 2**8 as
     # sqrt(D) <= p + 2 (N <= 13 at p = 3, N <= 9 at p >= 5): there walking up
     # from 0 costs less than this estimate.  A large a or b fails on its size
-    # alone, before any product.
+    # alone, before any product.  Kept: the seed always reads x1.18 on CI's wide
+    # sweep (BENCH_special_paths_2.json, row 12)
     cut = disc << 8
     if a < cut and b < cut and a + b * (p + 2) < cut:
         return 0

@@ -98,7 +98,8 @@ SWEEP_COLUMNS = [
 # lemmas (browkin and schneider module docstrings); a Browkin record the translation misses, for
 # 0 < a <= SWEEP_MIRROR_CAP, takes the certified record of -a/b, written earlier in the same line,
 # by the mirror lemma (browkin module docstring); rows past it run the kernel.  Each line holds
-# at most this many mirror records, well under 1 MB, and at most b translation records of each kind
+# at most this many mirror records, well under 1 MB, and at most b translation records of each kind.
+# Without the mirror, sweep_grid reads rows_per_s x0.95 (BENCH_special_paths_2.json, row 5)
 SWEEP_MIRROR_CAP = 1024
 
 
@@ -203,7 +204,8 @@ def _json_rows(rows, key0: str, key1: str) -> str:
     template = f'{{"{key0}": %d, "{key1}": %d}}'
     distinct = set(rows)
     # the two paths take the same time at about a third of the rows distinct
-    # (BENCH_step_tables.json, "json_pairs_paths")
+    # (BENCH_step_tables.json, "json_pairs_paths"); kept: one "%" always reads x1.26 on
+    # expand-schneider --json at 5,000 digits and p = 3 (BENCH_special_paths_2.json, row 11)
     if 3 * len(distinct) > len(rows):
         return ", ".join([template] * len(rows)) % tuple(chain.from_iterable(rows))
     # mostly repeated, as Schneider steps at a small p: format each distinct row once

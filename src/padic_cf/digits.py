@@ -62,7 +62,8 @@ _record = tuple.__new__  # a PAdicDigits without the NamedTuple's Python-level _
 
 def _digit_sum(digits: tuple[int, ...], p: int) -> int:
     # sum(digits[i] * p**i): Horner's loop, quadratic in the count, up to 64 digits; above,
-    # the two halves' sums joined by one p**mid
+    # the two halves' sums joined by one p**mid (Horner alone: x7.9 on digits -n 100000 --json,
+    # BENCH_special_paths_2.json, row 14)
     if len(digits) <= 64:
         total = 0
         for digit in reversed(digits):

@@ -15,11 +15,11 @@ n * p**-m mod 2**K (Jebelean's exact division from the low end; p**-m by
 _inverse_power's masked square-and-multiply, cheaper than pow's even
 modulus, which also gives schneider's runs the inverse they divide by),
 kept when it is small.
-Nothing divides n, so the read is not a proof: vp_split keeps it only once
-one product confirms it, and vp_read's callers (schneider's entry run and
-head_analysis) each certify it by an exact identity and fall back to
-vp_split.  The Browkin bound and the head certificate test their identities
-on integer pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off
+Nothing divides n, so the read is not a proof: vp_read's callers
+(schneider's entry run and head_analysis) each certify it by an exact
+identity and fall back to vp_split, which runs the ladder alone.  The
+Browkin bound and the head certificate test their identities on integer
+pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off
 its integers and square_part(d).  No library path builds a
 QuadraticElement: it stays as the tests' exact reference for those values,
 and because the benchmark tracer (perfbench/tracer.py) wraps four of its
@@ -34,17 +34,10 @@ from fractions import Fraction
 from itertools import compress
 
 
-# Deterministic Miller-Rabin: the first k prime bases decide every n below psi_k,
-# the least strong pseudoprime to all of them (OEIS A014233); the last, psi_13 for
-# the bases 2..41, is PRIME_LIMIT (Sorenson and Webster 2017).
+# Deterministic Miller-Rabin: the 13 prime bases 2..41 decide every n below PRIME_LIMIT, the
+# least strong pseudoprime to all of them (psi_13 of OEIS A014233; Sorenson and Webster 2017)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSEUDOPRIME_BOUNDS = (
-    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
-    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
-    3_317_044_064_679_887_385_961_981,
-)
-PRIME_LIMIT = _PSEUDOPRIME_BOUNDS[-1]
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 FOLD_LIMIT = 4096  # the largest trial divisor when folding a radicand, and the prime table's top
 
 
@@ -68,8 +61,8 @@ def is_odd_prime(p: int) -> bool:
 
     A table up to FOLD_LIMIT, deterministic Miller-Rabin above it, certified below
     PRIME_LIMIT (about 3.3e24); an odd p at or above the limit raises ValueError.
-    Only the first k bases are tried, k the least with p below psi_k: 4 at
-    p = 10**9 + 7, all 13 near the limit.
+    Every p above the table runs all 13 bases (BENCH_special_paths_2.json,
+    row 3).
     """
     if p <= FOLD_LIMIT:
         return p > 2 and _IS_PRIME[p] == 1
@@ -81,7 +74,7 @@ def is_odd_prime(p: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for a, bound in zip(_BASES, _PSEUDOPRIME_BOUNDS):
+    for a in _BASES:
         x = pow(a, d, p)
         if x != 1 and x != p - 1:
             for _ in range(s - 1):
@@ -90,8 +83,6 @@ def is_odd_prime(p: int) -> bool:
                     break
             else:
                 return False
-        if p < bound:  # the bases up to a decide every n below bound
-            break
     return True
 
 
@@ -114,7 +105,7 @@ def require_lowest_terms(a: int, b: int) -> None:
     require_coprime(a, b)
 
 
-# fewest bits of n for which vp_read and vp_split read off the low end: on constant heads' forms
+# fewest bits of n for which vp_read reads off the low end: on constant heads' forms
 # the read costs x1.09 of the ladder at 640 bits, x0.98-0.99 at 768 and x0.86-0.88 at 896
 # (BENCH_low_end.json, "floor")
 _READ_BITS = 768
@@ -124,7 +115,8 @@ def _inverse_power(p: int, m: int, width: int) -> int:
     # p**-m mod 2**width for odd p and m >= 1: p's inverse, then square-and-multiply with a mask
     # after each product, x0.5-0.75 of pow(p, -m, 2**width), which reduces each product by a long
     # division (BENCH_low_end.json, "inverses").  The low-end reads and schneider._run_pair's
-    # inverse of det M**r = (-p**alpha)**r share it
+    # inverse of det M**r = (-p**alpha)**r share it.  Kept: with pow, CI's run_head reads x1.05
+    # (BENCH_special_paths_2.json, row 4)
     mask = (1 << width) - 1
     base = out = pow(p, -1, mask + 1)
     for bit in bin(m)[3:]:
@@ -157,31 +149,11 @@ def vp_split(n: int, p: int) -> tuple[int, int]:
     """(v, n // p**v) for a nonzero integer n, v its p-adic valuation: p, p**2,
     p**4, ... are divided out while each divides, then the same powers are tried
     in reverse, so the p-free cofactor comes with v at no further cost.
-
-    An n of more than _READ_BITS bits that p**j divides, j as in int_vp, is
-    first read off the low end: the quotient n / p**m that vp_read reads (m the
-    largest exponent with p**m < 2**(bits - 64)) is kept when the product of
-    that quotient and p**m is n, and the ladder then runs on the quotient.  It
-    is kept when n is a power of p times a cofactor of about 64 bits, as the
-    norm forms of a constant head are (the Schneider entry run's and
-    head_analysis' n), where the ladder divides by powers of half the size of n
-    with quotients as large (schoolbook division costs divisor times quotient:
-    Knuth, TAOCP vol. 2, 4.3.1); on a miss the ladder runs on n.
     """
     if n == 0:
         raise ValueError("valuation of zero undefined")
     if n % p:
         return 0, n
-    if n.bit_length() > _READ_BITS and not n % p ** max(2, 30 // p.bit_length()):
-        read = _low_quotient(n, p)
-        if read is not None and read[1] * p ** read[0] == n:
-            w, n = vp_split(read[1], p)
-            return read[0] + w, n
-    return _ladder(n, p)
-
-
-def _ladder(n: int, p: int) -> tuple[int, int]:
-    # vp_split's (v, n // p**v) for an n that p divides, by the ladder alone
     n, v, powers, power = n // p, 1, [p], p * p
     q, r = divmod(n, power)
     while not r:
@@ -221,16 +193,13 @@ def int_vp(n: int, p: int) -> int:
     small, read off n mod p**j with j = max(2, 30 // p.bit_length()), so that
     p**j < 2**30 is one CPython digit for p < 2**15: exact while p**j does not
     divide n, with no division of n by p (x0.2-0.6 of vp_split's ladder,
-    BENCH_low_end.json, "small_vp"); the ladder's v where p**j divides n.  It
-    takes no low-end read: a read keeps a cofactor of at most about 64 bits,
-    while a small valuation leaves one about as large as n, so on an n of
-    more than _READ_BITS bits the read would miss and the ladder run anyway.
+    BENCH_low_end.json, "small_vp"); vp_split's v where p**j divides n, and
+    vp_split's ValueError for n = 0.  vp_split alone reads x1.13 on `head` of
+    CI's head_7 (BENCH_special_paths_2.json, row 8).
     """
     rest = n % p ** max(2, 30 // p.bit_length())
     if not rest:
-        if not n:
-            raise ValueError("valuation of zero undefined")
-        return _ladder(n, p)[0]
+        return vp_split(n, p)[0]
     v = 0
     while not rest % p:
         rest //= p

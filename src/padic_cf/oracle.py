@@ -29,6 +29,7 @@ the input or an option are left out):
                      N itself                         none
   sweep              browkin_len                      browkin reconstruction and
                                                       browkin length bound
+                     a translated row's first step    browkin translated step range
                      the record's word sizes          none
                      beta0_abs, beta1_abs             browkin reconstruction (its pass)
                      bound_N, slack >= 0              browkin length bound; N itself none
@@ -340,6 +341,10 @@ def certified_browkin(a: int, b: int, p: int, mirror=None, shift=None):
     if expansion is None:
         source = mirror
         expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
+    else:  # the one step a translation makes must be a Browkin step; its Check built on failure
+        k, x = expansion.steps[0]
+        if not (2 * abs(x) < p ** (1 + k) and (not k or x % p)):
+            require(p, a, b, _record(Check, ("browkin translated step range", False)))
     betas: list[int] = []
     recon = browkin_reconstruction(a, b, expansion, betas)
     if not recon.ok:

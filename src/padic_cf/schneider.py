@@ -160,12 +160,11 @@ places:
     its digit through the expansion's inverses and alpha off a - d*b by
     exactarith.int_vp (one residue mod a power of p of one digit), and
     tries (v) at (a, b) before any batch: one residue test of
-    p**(2 alpha + 1) | Q, then one form, one read of its valuation certified
-    by (v'), else one exact valuation, and, for a run of _ENTRY_RUN_MIN steps
-    or more (a shorter one costs more than its single steps), one power and
-    one exact division from the low end; the run capped as the batches are
-    and recorded as r references to one record, and a remainder raised as an
-    ArithmeticError named with the input.  It checks
+    p**(2 alpha + 1) | Q, which admits only runs of 2 steps or more, then one
+    form, one read of its valuation certified by (v'), else one exact
+    valuation, and one power and one exact division from the low end; the run
+    capped as the batches are and recorded as r references to one record, and
+    a remainder raised as an ArithmeticError named with the input.  It checks
     lowest terms on the pair reached, by (vii), before any batch; below the
     gate, at (a, b).  _batches builds its table of p**e, e <= K, only once a
     batch runs, so an input the run leaves below the bound builds none.  A
@@ -295,17 +294,12 @@ _RUN_MIN = 64
 # bits of min(|a|, b) above which the kernel tries the entry run at the input pair: a constant
 # head gains from about 40 bits at p = 3 to about 90 at p = 101, and an input with no run pays
 # x1.03-1.08 at 64-128 bits (BENCH_entry_run.json, "gate"); the sweep's inputs, of at most 12
-# bits, stay below it, where trying the run costs x1.1-1.3
+# bits, stay below it, where trying the run costs x1.1-1.3 (a gate at 0: x1.10 on the 100x100
+# sweep, BENCH_special_paths_2.json, row 6)
 _RUN_GATE = 64
-# bits _run_pair's first modulus adds to its guess of the pair's size
+# bits _run_pair's first modulus adds to its guess of the pair's size; the full width at once
+# reads x2.8 on CI's head_7 (BENCH_special_paths_2.json, row 9)
 _RUN_MARGIN = 64
-# shortest run the kernel takes at the input pair, checked once Q's valuation is known: a constant
-# head of 4 steps at p = 65537 and 10**9+7 takes x1.2-1.4 with its run and one of 8 x1.1, and a
-# run of 5 over a random tail costs more than its steps, while every longer constant head gains.
-# A test of p**(R*alpha + 1) | Q on residues before the form would skip these runs sooner, but
-# for R > 2 its modulus passes one digit, and the input's remainders by it cost constant heads
-# x1.05-1.15 of the kernel (BENCH_low_end.json, "entry_run_min")
-_ENTRY_RUN_MIN = 8
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
@@ -353,18 +347,19 @@ def _entry_run(
     a: int, b: int, digit: int, p: int, alpha: int, form: int, bits: int, cap: int,
 ) -> tuple[int, int, int]:
     # (run, x, y): lemma (v) at (a, b), whose step is (digit, alpha) and whose form is Q(a, b) =
-    # form != 0, and the pair run steps reach; (0, a, b) for a run of fewer than R = _ENTRY_RUN_MIN
-    # steps.  The run is first read off vp_read's candidate valuation of Q and kept only when
+    # form != 0 with p**(2 alpha + 1) | Q, so a run of 2 steps or more, and the pair run steps
+    # reach.  The run is first read off vp_read's candidate valuation of Q and kept only when
     # _run_pair finds an exact pair prime to p, which proves it by the converse of lemma (v),
-    # whatever the read; else it comes off vp_split, after which a remainder is a defect, raised
+    # whatever the read; else it comes off vp_split, after which a remainder is a defect, raised.
+    # Every such run is taken: leaving runs under 8 steps to the single steps measured no faster
+    # (BENCH_special_paths_2.json, row 1)
     v = vp_read(form, p)
-    if v is not None and (run := min((v - 1) // alpha, cap)) >= _ENTRY_RUN_MIN:
+    if v is not None:
+        run = min((v - 1) // alpha, cap)
         pair = _run_pair(a, b, digit, p, alpha, run, bits)
         if pair is not None and pair[0] % p and pair[1] % p:
             return run, *pair
     run = min((vp_split(form, p)[0] - 1) // alpha, cap)
-    if run < _ENTRY_RUN_MIN:
-        return 0, a, b
     pair = _run_pair(a, b, digit, p, alpha, run, bits)
     if pair is None:
         raise ArithmeticError(f"inexact run division by (-{p}**{alpha})**{run}")
@@ -459,7 +454,9 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     steps: list[SchneiderStep] = []
     append = steps.append
     inverses = {1: 1, p - 1: p - 1}  # r -> r**-1 mod p; 1 and p-1 are their own inverses
-    records: dict[int, SchneiderStep] = {}  # digit + p*alpha -> the one record of that step
+    # digit + p*alpha -> the one record of that step; a new record per step reads x1.21 at 5,000
+    # digits and p = 3 (BENCH_special_paths_2.json, row 10)
+    records: dict[int, SchneiderStep] = {}
     depth = _BATCH_WIDTH // p.bit_length()
     if min(abs(a), b).bit_length() > _RUN_GATE:
         try:
@@ -655,7 +652,8 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     # part u = (w(s)**e + w(-s)**e) / 2 of w**e is a unit, and u*n == sx*(4p**alpha)**e forces
     # vp(n) = vp(sx) + alpha*e: one e, with p**(alpha*e) <= |n|, so powers stay input-sized.
     # vp(n) is first read off n's low end (vp_read): an identity at the e it gives is the one e
-    # allowed, so it certifies the read; no read, or no identity, and vp_split decides
+    # allowed, so it certifies the read; no read, or no identity, and vp_split decides.  Kept:
+    # vp_split alone here and in _entry_run reads x1.17 on head_7 (BENCH_special_paths_2.json, row 7)
     vsx, read = int_vp(sx, p), vp_read(n, p)
     head_len = None if read is None else _head_length(a, b, digit, alpha, pa, read - vsx)
     if head_len is None and (exact_v := vp_split(n, p)[0]) != read:

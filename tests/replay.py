@@ -1,7 +1,7 @@
 """Forward replays of the traces an expansion record does not store: the tests'
 references for the betas, the y values and the quotient pairs; the head
 identity itself, the reference for head_analysis; the plain valuation
-ladder, the reference for vp_split's probe; square folding by every trial
+ladder, the reference for vp_split; square folding by every trial
 divisor, the reference for square_part's primes; the product of a constant
 head's step matrices, the reference for generate_constant_head; and the
 period search by a table of remainders, the reference for digit_period.
@@ -60,7 +60,7 @@ def _valuation(n, p):
 
 def vp_split_ladder(n, p):
     """(v, n // p**v) for a nonzero n by the ladder alone: p, p**2, p**4, ... divided out while
-    each divides, then the same powers tried in reverse (vp_split without its probe)."""
+    each divides, then the same powers tried in reverse, written out apart from vp_split."""
     if n % p:
         return 0, n
     n, v, powers, power = n // p, 1, [p], p * p

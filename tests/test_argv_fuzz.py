@@ -338,7 +338,7 @@ def test_the_slice_covers_the_grammar(slice_queries):
             digit, alpha = schneider_expand(a, b, p).steps[0]
             form = a * (a - digit * b) - p**alpha * b * b
             length = (vp_split(form, p)[0] - 1) // alpha if form else 0
-            if length >= schneider._ENTRY_RUN_MIN and form.bit_length() > exactarith._READ_BITS:  # a head over a tail
+            if length >= 2 and form.bit_length() > exactarith._READ_BITS:  # a head over a tail
                 windows.add(vp_read(form, p) is not None)
     assert max(sizes) > 1000 and sides == {False, True} and windows == {False, True}
 

@@ -1122,6 +1122,26 @@ class TestSweepCommand:
                 "--out", str(tmp_path / "rows.csv")]
         assert run_cli(argv, capsys) == (1, "", "FAIL: schneider tail laws failed at p=3, -1/1\n")
 
+    def test_a_translated_step_out_of_range_fails(self, capsys, monkeypatch, tmp_path):
+        # browkin_translation with its range test removed moves x_0 past p**(1+k0)/2: the record
+        # still has a/b's value and length bound, so only the translated step's range check
+        # refuses it, at the first row the plant derives, and that row is not written
+        def planted(expansion):
+            p, alpha, beta0, steps = expansion
+            k, x = steps[0]
+            alpha += beta0 * p**k
+            if not alpha:
+                return None
+            first = browkin.BrowkinStep(k, x + p**k)
+            return browkin.BrowkinExpansion(p, alpha, beta0, (first, *steps[1:]))
+
+        monkeypatch.setattr(oracle, "browkin_translation", planted)
+        path = tmp_path / "rows.csv"
+        argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
+        assert run_cli(argv, capsys) == (1, "", "FAIL: browkin translated step range failed at p=3, -97/1\n")
+        rows = path.read_text().splitlines()
+        assert rows[-1].startswith("3,-98,1,") and not any(row.startswith("3,-97,1,") for row in rows)
+
     def test_closed_pipe_exits_141_quietly(self):
         # `sweep ... | head -1`: the reader takes one line and closes the pipe
         env = dict(os.environ, PYTHONPATH=str(SRC))

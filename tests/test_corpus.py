@@ -26,6 +26,7 @@ import pytest
 
 from padic_cf import browkin, oracle, schneider
 from padic_cf.cli import main
+from test_argv_fuzz import limited_run
 
 PRIMES = (3, 5, 7, 11, 101, 10**9 + 7)
 MODES = {
@@ -366,3 +367,106 @@ def test_chain_check_verdicts_are_pinned():
                 failed += name != "natural" and not ok
     assert failed > 1000
     assert digest.hexdigest() == "6a7c996450c2ebc740d3b3ba1a80361ccac0640afe92b492bf58364a1febd4fe"
+
+
+def _head_over(tail, steps, p):
+    # the pair whose Schneider expansion starts with steps and then expands tail, by reverse steps
+    for digit, alpha in reversed(steps):
+        tail = (digit * tail[0] + p**alpha * tail[1], tail[0])
+    return tail
+
+
+def _tail(seed, digits, p):
+    # tier1.yml's seeded random tail: the first pair of digits-digit integers coprime and prime to p
+    rng = random.Random(seed)
+    draw = lambda: rng.randrange(10 ** (digits - 1), 10**digits)  # noqa: E731
+    return next(x for x in iter(lambda: (draw(), draw()), None) if gcd(*x) == 1 and x[0] % p and x[1] % p)
+
+
+def _ci_pin_calls():
+    # name -> argv of tier1.yml's sha256 pins on the paths the low-end read, the entry run and the
+    # primality test take, with the inputs its shell lines build
+    rng = random.Random(40)
+    c = next(c for c in iter(lambda: rng.randrange(10**39, 10**40), None) if c % 3 and c % 7)
+    read, ladder = "%d/7" % (3**6000 * 5), "%d/7" % (3**6000 * c)
+    rng = random.Random(400)
+    tail400 = (rng.randrange(10**399, 10**400), rng.randrange(10**399, 10**400))
+    large_p = 100000000000000000039
+    calls = {
+        "digits_read.json": ["digits", "-p", "3", "-n", "8", "--json", read],
+        "bound_read.json": ["bound", "-p", "3", "--json", read],
+        "digits_ladder.json": ["digits", "-p", "3", "-n", "8", "--json", ladder],
+        "bound_ladder.json": ["bound", "-p", "3", "--json", ladder],
+        "head_large_p.json": ["head", "-p", str(large_p), "--json",
+                              "%d/%d" % schneider.generate_constant_head(1, 2, 40, large_p)],
+        "bound.json": ["bound", "-p", "100000007", "--json", "7/2"],
+        "bound_1e9.json": ["bound", "-p", "1000000007", "--json", "7/2"],
+        "bound_1e9.txt": ["bound", "-p", "1000000007", "7/2"],
+    }
+    for name, steps in (("lead_run", [(1, 2)] * 1500), ("inner_run", [(2, 1)] + [(1, 2)] * 1500)):
+        calls[f"schneider_{name}.json"] = ["expand-schneider", "-p", "3", "--json", "%d/%d" % _head_over(tail400, steps, 3)]
+    gate_run = "%d/%d" % _head_over(tail400, [(1, 2)] * 301, 3)
+    calls["schneider_gate_run.json"] = ["expand-schneider", "-p", "3", "--json", gate_run]
+    calls["head_gate_run.json"] = ["head", "-p", "3", "--json", gate_run]
+    for digits in (8, 20):
+        tail_head = "%d/%d" % _head_over(_tail(digits, digits, 101), [(1, 1)] * 2001, 101)
+        calls[f"schneider_tail_{digits}.json"] = ["expand-schneider", "-p", "101", "--json", tail_head]
+        calls[f"head_tail_{digits}.json"] = ["head", "-p", "101", "--json", tail_head]
+    for length in (4, 8):
+        short_run = "%d/%d" % _head_over(_tail(60, 60, 10**9 + 7), [(1, 1)] * length, 10**9 + 7)
+        calls[f"schneider_run_{length}_1e9.json"] = ["expand-schneider", "-p", "1000000007", "--json", short_run]
+    return calls
+
+
+# tier1.yml's own sha256 of each file its shell writes from the call's stdout
+CI_PINS = {
+    "digits_read.json": "a3f225865a283c58d1af565c6d92fb08065dabc0654f000e00fc9ff3f177a829",
+    "bound_read.json": "01174eb3a2f0c9c6528c44ec2fcb74a12a8c24a3e11e45d52fb87501c1f5825f",
+    "digits_ladder.json": "acce6a25f4d08f195e332dfc82f27e368ed48d7399215422a32855421bff9978",
+    "bound_ladder.json": "e9931596df22ece3e4293b289d8f4f4467a2ee3ffeb9aff101ab0067e20699a2",
+    "head_large_p.json": "237e22e19525605c1db5ac7fb5040018053cd271f3ea27c703666c9ddcf1dc67",
+    "bound.json": "0f3ccdb7b198b078e59aee378b518564b299a375989fceb49cca8149881e95ad",
+    "bound_1e9.json": "ce23804d500ec3e2f195331e2ffafd9d556cf53bdc62ebd2716bf98cf6288af6",
+    "bound_1e9.txt": "eca29f4f7b2fb3b88979d606c9a5fbb7ea5b35590613dded0ddae371d547b6e4",
+    "schneider_lead_run.json": "2ff2f3b8d50f59a23e170a8be8204708312b42a1d34ebb329e23ca57e8d485d0",
+    "schneider_inner_run.json": "a460cd206a1ec88063fa665d1ac5e9169ed7fdf1b6741070eee5796c4ab1459a",
+    "schneider_gate_run.json": "fe2fadff4e2fadce0165270b45ba723d7d7f2a1503f850331763feb1f2e767e2",
+    "head_gate_run.json": "68630a39ded9084f3d9f43dbe9bd5cc7ca1baa03bb7474263c37018ddc5f0353",
+    "schneider_tail_8.json": "0e9889e1636bfeec04b7a004cb6b17cdb08e497f0e7a0d4eb2f4195c0b2f9f65",
+    "head_tail_8.json": "266f5401713e7314450d2f8c684218d9be96f8ee06ecda6bb736124cec43dd92",
+    "schneider_tail_20.json": "0d395d9139167852f4bfaa34acc2e8bce1a88428c1b1b818a58c0269d53345ba",
+    "head_tail_20.json": "3def0c0de4be1a652174a559bcb9bf1d427a7ad046df67004226becb3a97c9b6",
+    "schneider_run_4_1e9.json": "f9ba87e3e5ef9af84adda898c0fcc647daf326ec18f8252ebf4f3cfc81370de7",
+    "schneider_run_8_1e9.json": "ec5ecef55f55d930f08d284f409cf73e6e64aa28ba953e9bb471e9169904f2a9",
+}
+
+
+@pytest.mark.parametrize("name", CI_PINS)
+def test_ci_pins_hold_in_process(name):
+    # each call exits 0 within the fuzz slice's per-call time limit and prints the bytes CI pins
+    code, out, err = limited_run(_ci_pin_calls()[name])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CI_PINS[name]
+
+
+# constant heads of 2 to 7 steps over 60-digit tails, above the run gate, at the two primes where
+# the entry run's least run length was once tuned: every run the residue test admits is taken
+SHORT_RUN_HEADS = [
+    (digit, alpha, length, p)
+    for p in (65537, 10**9 + 7)
+    for digit, alpha in ((1, 1), (2, 1), (p - 2, 1), (1, 2))
+    for length in range(2, 8)
+]
+
+
+def test_short_runs_over_tails_are_pinned():
+    digest = hashlib.sha256()
+    rng = random.Random(2026)
+    for digit, alpha, length, p in SHORT_RUN_HEADS:
+        tail = _tail(rng.random(), 60, p)
+        a, b = _head_over(tail, [(digit, alpha)] * length, p)
+        for argv in (["expand-schneider", "-p", str(p), "--json", "--", f"{a}/{b}"],
+                     ["head", "-p", str(p), "--json", "--", f"{a}/{b}"]):
+            assert min(abs(a), b).bit_length() > schneider._RUN_GATE
+            digest.update(f"{argv}\n".encode() + repr(limited_run(argv)).encode())
+    assert digest.hexdigest() == "e35b35e35c9a1b769c9572751fe5d8371e7c978b0093bd2ef60a708c81b14b25"

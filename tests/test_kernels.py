@@ -487,27 +487,25 @@ class TestRuns:
         assert powers == []
 
     @pytest.mark.parametrize("p", (3, 7, 101))
-    def test_a_run_shorter_than_the_least_takes_no_power(self, p, powers):
-        # a head of fewer than R = _ENTRY_RUN_MIN steps over a random tail, above the gate, has a
-        # run shorter than R (lemma (v) reads at most R - 1 steps off vp(Q) <= R*alpha), which
-        # costs more than its single steps, so it takes no power; a head of R + 1 steps takes one,
-        # of R steps or more
+    def test_every_admitted_run_is_taken_as_one_power(self, p, powers):
+        # a head of L steps over a random tail, above the gate, has vp(Q) >= L*alpha at the input
+        # pair, so lemma (v) reads a run r = (vp(Q) - 1)//alpha with L - 1 <= r <= L.  The residue
+        # test p**(2 alpha + 1) | Q admits exactly the runs of 2 steps or more, and each one it
+        # admits is taken as one power; r = 1 takes none
         rng = random.Random(p + 13)
-        least = schneider._ENTRY_RUN_MIN
         for digit, alpha in ((1, 1), (2, 1), (1, 2)):
-            for length in (2, 3, 5, least - 1, least + 1):
+            for length in (2, 3, 5, 7, 9):
                 tail = random_pair(rng, 60, p)
                 while schneider_expand(*tail, p).steps[0] == (digit, alpha):
                     tail = random_pair(rng, 60, p)
                 a, b = head_over_tail([(digit, alpha)] * length, tail, p)
                 assert min_bits((a, b)) > schneider._RUN_GATE
+                run = (vp_split(norm_form(a, b, digit, alpha, p), p)[0] - 1) // alpha
+                assert length - 1 <= run <= length, (p, digit, alpha, length, run)
                 powers.clear()
                 exp = assert_schneider_matches(a, b, p)
                 assert exp.steps[:length] == ((digit, alpha),) * length
-                if length < least:
-                    assert powers == [], (p, digit, alpha, length, powers)
-                else:
-                    assert len(powers) == 1 and least <= powers[0] <= length, (p, digit, alpha, length, powers)
+                assert powers == ([run] if run >= 2 else []), (p, digit, alpha, length, powers)
 
     @staticmethod
     def pair_inputs():
