@@ -378,9 +378,11 @@ def _head_over(tail, steps, p):
 
 def _tail(seed, digits, p):
     # tier1.yml's seeded random tail: the first pair of digits-digit integers coprime and prime to p
-    rng = random.Random(seed)
-    draw = lambda: rng.randrange(10 ** (digits - 1), 10**digits)  # noqa: E731
-    return next(x for x in iter(lambda: (draw(), draw()), None) if gcd(*x) == 1 and x[0] % p and x[1] % p)
+    rng, low = random.Random(seed), 10 ** (digits - 1)
+    while True:
+        x = (rng.randrange(low, 10 * low), rng.randrange(low, 10 * low))
+        if gcd(*x) == 1 and x[0] % p and x[1] % p:
+            return x
 
 
 def _ci_pin_calls():
@@ -449,8 +451,8 @@ def test_ci_pins_hold_in_process(name):
     assert hashlib.sha256(out.encode()).hexdigest() == CI_PINS[name]
 
 
-# constant heads of 2 to 7 steps over 60-digit tails, above the run gate, at the two primes where
-# the entry run's least run length was once tuned: every run the residue test admits is taken
+# constant heads of 2 to 7 steps over 60-digit tails, above the run gate, at p = 65537 and
+# 10**9+7: the entry run takes every run the residue test admits
 SHORT_RUN_HEADS = [
     (digit, alpha, length, p)
     for p in (65537, 10**9 + 7)
