@@ -5,13 +5,41 @@ sweep.  Rationals cross the boundary as strings "num" or "num/den" (put
 negative values after --) and may have any number of digits: main lifts
 Python's limit on int/str conversion while it runs.  parse_rational turns
 each into the integer pair (a, b) of a/b in lowest terms with b > 0, the one
-input form of the library.  When the text is canonical (no leading zero in
-either part, and a/b already in lowest terms, as its one gcd tells) its digits
-are str(a) and str(b): they ride beside the pair on the command's Namespace,
-and expand-browkin, expand-schneider and digits print the input off them
-rather than converting the pair back; any other spelling prints str() of the
-reduced pair, so every spelling prints the same.  Integer options and --primes
-tokens are an optional '-' and ASCII digits, as a rational's parts are.
+input form of the library.  A command is first given the pair as argv spells
+it, with no gcd taken: the proof that a/b is in lowest terms comes from the
+certificate the command runs anyway.  expand-browkin, bound a/b, digits and
+verify check it by require_lowest_terms (in browkin_expand, browkin_betas and
+digits._unit_form); expand-schneider by require_coprime, at (a, b) below
+schneider._RUN_GATE and above it at the pair the entry run reaches, which has
+the gcd of (a, b) (schneider lemma (vii)); head by lemma (vi), as below.  Where
+argv's text has no leading zero (nor "-0") in either part, its digits are
+str(a) and str(b) once that proof holds: they ride beside the pair on the
+command's Namespace, and expand-browkin, expand-schneider and digits print the
+input off them rather than converting the pair back.
+The rerun rule: where a command raises ValueError, or head's report has
+head_len None, the CLI takes one gcd(a, b).  Where it is not 1, the CLI reduces
+the pair, drops argv's digits and runs the command again, on the pair it
+would have had had the CLI reduced every input first; no command prints before
+either test.  So every spelling of a rational prints the same bytes to stdout
+and stderr and exits with the same code, usage errors included.  head needs two
+facts for (a, b) = (g*a', g*b'), a'/b' in lowest terms and g > 1 (p | g fails
+schneider's unit-pair check, a ValueError, so p does not divide g), where its
+report on (a, b) has head_len certified:
+  - Every field head prints is that of (a', b').  The first step's digit
+    a*b**-1 mod p and alpha = vp(a - digit*b) are unchanged by g, as are the
+    signs of x and y, which scale by g, and vp(sx) and vp(n), as (sx, sy, n)
+    scale by g**2: so the one e the valuations allow is unchanged, and lemma
+    (vi)'s identity holds at e for (a, b) exactly when it does for (a', b'),
+    both being parallel to the same v.  Each *_float is a correctly rounded
+    quotient of integers scaled alike, and _exact_str reduces its fractions.
+  - alpha <= alpha_max of (a', b'), so head_analysis would not reject (a', b').
+    The identity gives (a', b') = +-M**(e+1) (1, -1), as v is primitive and
+    a'/b' in lowest terms; by lemma (v'), 1 and -1 being prime to p, its first
+    step is (digit, alpha), so a' - digit*b' = p**alpha * y with y != 0, and
+    p**alpha <= |a'| + (p-1)*b', the bound alpha_max is read off.
+So a certified head_len needs no gcd, and head_len None reruns on the reduced
+pair, whose alpha_max usage error, if due, it then gives.  Integer options and
+--primes tokens are an optional '-' and ASCII digits, as a rational's parts are.
 Every ValueError the library raises on a command's input (p, a zero rational,
 the digit count, the betas, a head with no first step) is that command's usage
 error, printed with the subcommand's usage; _validate checks only what the
@@ -105,12 +133,15 @@ SWEEP_MIRROR_CAP = 1024
 
 def parse_rational(text: str) -> tuple[int, int]:
     """Parse 'num' or 'num/den' into the pair (a, b) of a/b in lowest terms, b > 0."""
-    return _parse_input(text)[0]
+    (a, b), _ = _parse_input(text)
+    g = gcd(a, b)
+    return a // g, b // g
 
 
 def _parse_input(text: str) -> tuple[tuple[int, int], tuple[str, str] | None]:
-    # parse_rational's pair, and (str(a), str(b)) read off text's own digits when text is
-    # canonical: no leading zero (nor "-0") in either part, and a/b already in lowest terms, so
+    # the pair (a, b), b > 0, as text spells it, not reduced: the command's own certificate
+    # proves lowest terms, else the rerun rule reduces it (module docstring); and (str(a),
+    # str(b)) read off text's own digits when neither part has a leading zero (nor "-0"), so
     # a command prints the input without converting it back; else None.  Kept: without it,
     # 1.68x on a 90,015-character head (BENCH_special_paths.json, row 4)
     match = _RATIONAL_RE.fullmatch(text)
@@ -120,11 +151,19 @@ def _parse_input(text: str) -> tuple[tuple[int, int], tuple[str, str] | None]:
     a, b = int(num), int(den)
     if b == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    g = gcd(a, b)
-    if g != 1:
-        return (a // g, b // g), None
     canonical = den[0] != "0" and (num[0] != "0" or num == "0") and num[:2] != "-0"
     return (a, b), ((num, den) if canonical else None)
+
+
+def _reduced(args: argparse.Namespace) -> bool:
+    # the rerun rule's one gcd (module docstring): True, with args.rational reduced and argv's
+    # digits dropped, where the pair was not in lowest terms; else False, args unchanged
+    a, b = args.rational
+    g = gcd(a, b)
+    if g == 1:
+        return False
+    args.rational, args.input_digits = (a // g, b // g), None
+    return True
 
 
 def _parse_integer(text: str) -> int:
@@ -348,6 +387,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_head(args: argparse.Namespace) -> int:
     report = head_analysis(*args.rational, args.digit, args.exponent, args.prime)
+    if report.head_len is None and _reduced(args):  # no proof of lowest terms: rerun reduced
+        report = head_analysis(*args.rational, args.digit, args.exponent, args.prime)
     # t1, t2 = (digit -+ sqrt(D)) / 2 and theta = (sx + sy*sqrt(D)) / n
     root = square_part(report.disc)
     t1, t2 = _f6(report.digit, -1, 2, root), _f6(report.digit, 1, 2, root)
@@ -596,7 +637,13 @@ def _main(argv) -> int:
     args, command_parser = _parse(argv)
     try:
         _validate(args)
-        code = _SUBCOMMANDS[args.command][1](args)
+        handler = _SUBCOMMANDS[args.command][1]
+        try:
+            code = handler(args)
+        except ValueError:  # the rerun rule: a pair not in lowest terms runs again, reduced
+            if getattr(args, "rational", None) is None or not _reduced(args):
+                raise
+            code = handler(args)
         sys.stdout.flush()  # a buffered write that fails is reported here, not at exit
         return code
     except OSError as exc:  # the output could not be written

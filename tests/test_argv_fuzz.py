@@ -12,21 +12,31 @@ malformed), constant Schneider heads on both sides of the kernel's run gate,
 constant heads over random tails of 8 to 25 digits (where the entry run's form
 has a cofactor on either side of exactarith.vp_read's window), and heights up
 to 2,000 digits.  Each query is written twice, canonically and in a spelling
-drawn at random, and the checks are:
+drawn at random; a query whose rational is canonical (no leading zero, in
+lowest terms) is also written with it scaled to (g*a)/(g*b), for a g prime to
+p, for g = p and for a g that shares a factor with a (scaled()), which the CLI
+takes without a gcd and reduces only by its rerun rule.  The checks are:
   - the exit code is 0 or 2, the same for both spellings, and nothing raises
     past cli.main (a traceback);
   - each call ends within time_limit(argv), TIME_BASE plus TIME_PER_BIT for
     each bit of the digits in argv, or a timer stops it, so a hang fails;
   - exit 2 prints a usage line to stderr;
   - exit 0 prints the same stdout for both spellings: JSON where --json asks,
-    else text whose lines follow the command's line grammar (TEXT_GRAMMAR).
-The tier-1 slice is FUZZ_QUERIES queries (2,000 argvs); check() returns what it
-finds, so each plant below shows that a defect of its kind is caught.  Beside
-the slice, a few queries take one argument just under ARGV_CAP bytes, the
-largest a single argv string may be, through the same checks.
+    else text whose lines follow the command's line grammar (TEXT_GRAMMAR);
+  - each scaled query prints the canonical query's stdout and stderr and exits
+    with its code, byte for byte.
+The tier-1 slice is FUZZ_QUERIES queries (2,000 argvs and the scaled ones);
+check() returns what it finds, so each plant below shows that a defect of its
+kind is caught.  Beside the slice, a few queries take one argument just under
+ARGV_CAP bytes, the largest a single argv string may be, through the same
+checks.  Run as a script (PYTHONPATH=src python tests/test_argv_fuzz.py), the
+module checks a longer seeded run outside tier-1: 100 seeds of FUZZ_QUERIES
+queries by default (main()).
 """
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import random
@@ -249,8 +259,27 @@ def spelled(rng, command, options, positional):
     return argv
 
 
+def scaled(rng, argv):
+    """argv with its rational, where it is canonical, scaled to (g*a)/(g*b) for each kind of g:
+    one prime to p, p itself and one sharing a factor with a; [] for any other argv."""
+    text = argv[-1] if argv[-2:-1] == ["--"] else ""
+    match = re.fullmatch(r"(-?[1-9][0-9]*|0)(?:/([1-9][0-9]*))?", text)
+    if not match:
+        return []
+    a, b = int(match.group(1)), int(match.group(2) or "1")
+    if gcd(a, b) != 1:
+        return []
+    p = argv[argv.index("--prime") + 1] if "--prime" in argv[:-1] else "3"
+    p = int(p) if p.isdigit() and int(p) > 2 else 3
+    unit = p
+    while unit % p == 0:
+        unit = rng.randrange(10**19, 10**40)  # to 133 bits: past alpha_max of a small pair at a large p
+    shared = next((f for f in range(2, 1000) if a % f == 0), abs(a) if abs(a) > 1 else 2)
+    return [argv[:-1] + [f"{g * a}/{g * b}"] for g in (unit, p, shared * rng.randint(1, 9))]
+
+
 def check(queries):
-    """The contract's failures on a list of (canonical argv, spelled argv) pairs."""
+    """The contract's failures on a list of (canonical argv, spelled argv, *scaled argvs)."""
     failures = []
     for argvs in queries:
         results = []
@@ -264,7 +293,10 @@ def check(queries):
                 failures.append((argv, f"raised {type(exc).__name__}: {exc}"))
                 break
         else:
-            (code, out, err), (code2, out2, _) = results
+            (code, out, err), (code2, out2, _), *rescaled = results
+            for argv, result in zip(argvs[2:], rescaled):
+                if result != (code, out, err):
+                    failures.append((argv, "a scaled rational prints or exits otherwise"))
             if code not in (0, 2):
                 failures.append((argvs[0], f"exit {code}: {err[-200:]}"))
             elif code2 != code:
@@ -285,11 +317,16 @@ def check(queries):
 
 
 def fuzz_queries(seed, count):
-    rng = random.Random(seed)
-    queries = [(["-h"], ["--help"]), ([], ["--"]), (["bogus"], ["bogus", "-p", "3"])]
+    rng, scale_rng = random.Random(seed), random.Random(f"scaled:{seed}")  # scaling draws apart
+    # 4101/2 at p = 4099 starts with (1, 1): --exponent 2 passes alpha_max of its scaled pairs,
+    # not its own, so only the rerun rule gives its usage error
+    edge = ["head", "--prime", "4099", "--exponent", "2", "--", "4101/2"]
+    queries = [(["-h"], ["--help"]), ([], ["--"]), (["bogus"], ["bogus", "-p", "3"]),
+               (edge, ["head", "-p4099", "--exponent=2", "4101/2"], *scaled(scale_rng, edge))]
     while len(queries) < count:
         parts = query(rng)
-        queries.append((canonical(*parts), spelled(rng, *parts)))
+        argv = canonical(*parts)
+        queries.append((argv, spelled(rng, *parts), *scaled(scale_rng, argv)))
     return queries
 
 
@@ -341,6 +378,14 @@ def test_the_slice_covers_the_grammar(slice_queries):
             if length >= 2 and form.bit_length() > exactarith._READ_BITS:  # a head over a tail
                 windows.add(vp_read(form, p) is not None)
     assert max(sizes) > 1000 and sides == {False, True} and windows == {False, True}
+    # scaled rationals in every command that takes one, and scaled heads that head certifies with
+    # no rerun, p not dividing g
+    scaled_queries = [argvs for argvs in slice_queries if len(argvs) == 5]
+    assert len(scaled_queries) > 300
+    assert {argvs[0][0] for argvs in scaled_queries} == set(TEXT_GRAMMAR) - {"sweep"}
+    certified = [argvs for argvs in scaled_queries if argvs[0][0] == "head"
+                 and re.search(r'head length: \d|"head_len": \d', run(argvs[2])[1])]
+    assert len(certified) >= 5
 
 
 @contextlib.contextmanager
@@ -451,3 +496,46 @@ def test_catches_a_hang(monkeypatch, slice_queries):
     monkeypatch.setattr(cli, "_digit_terms", planted)
     failures = check(slice_queries[:PLANT_QUERIES])
     assert hung and [reason for _, reason in failures if reason.startswith("hang: no end within")]
+
+
+def test_catches_a_head_that_skips_its_rerun(monkeypatch, slice_queries):
+    # _cmd_head without its head_len None reduction: a scaled pair whose --exponent passes its own
+    # alpha_max but not the reduced pair's prints a report where the reduced pair is a usage error
+    tree = ast.parse(inspect.getsource(cli._cmd_head))
+    body = tree.body[0].body
+    reduction = [node for node in body if isinstance(node, ast.If) and "_reduced" in ast.unparse(node.test)]
+    assert len(reduction) == 1
+    body.remove(reduction[0])
+    namespace = dict(vars(cli))
+    exec(compile(tree, cli.__file__, "exec"), namespace)
+    help_text, _, arguments = cli._SUBCOMMANDS["head"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "head", (help_text, namespace["_cmd_head"], arguments))
+    failures = check([argvs for argvs in slice_queries if argvs[0][:1] == ["head"]])
+    assert any(reason == "a scaled rational prints or exits otherwise" for _, reason in failures)
+
+
+def main(argv=None):
+    """The opt-in long run, outside tier-1: seeds FIRST to FIRST + SEEDS - 1, FUZZ_QUERIES queries
+    each (scaled spellings included), through check(); prints each failure and a summary line,
+    and returns 1 if any query broke the contract."""
+    import argparse
+    import time
+
+    parser = argparse.ArgumentParser(description=main.__doc__.split(";")[0])
+    parser.add_argument("--first", type=int, default=1000, help="first seed (the slice's is %d)" % FUZZ_SEED)
+    parser.add_argument("--seeds", type=int, default=100)
+    args = parser.parse_args(argv)
+    start, queries, calls, failed = time.perf_counter(), 0, 0, 0
+    for seed in range(args.first, args.first + args.seeds):
+        batch = fuzz_queries(seed, FUZZ_QUERIES)
+        failures = check(batch)
+        queries, calls, failed = queries + len(batch), calls + sum(map(len, batch)), failed + len(failures)
+        for failure in failures:
+            print(f"seed {seed}: {failure}", flush=True)
+    print(f"seeds {args.first}-{args.first + args.seeds - 1}: {queries} queries, {calls} calls, "
+          f"{failed} failures, {time.perf_counter() - start:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_argv_fuzz.py --first 1000 --seeds 100
+    sys.exit(main())

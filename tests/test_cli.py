@@ -1813,7 +1813,8 @@ class TestJsonPairRuns:
 
 class TestInputDigits:
     """Each command that prints its input prints str() of the reduced pair: argv's own digits
-    when they are canonical (no leading zero, in lowest terms), else the converted pair."""
+    when they are canonical (no leading zero, and in lowest terms, as the command's own
+    certificate proves), else the converted pair, which the rerun rule reduces."""
 
     # (canonical, spellings of the same value) for inputs prime to 3
     SPELLINGS = [
@@ -1830,9 +1831,15 @@ class TestInputDigits:
         assert cli._parse_input("5") == ((5, 1), ("5", "1"))
         assert cli._parse_input("5/1") == ((5, 1), ("5", "1"))
         assert cli._parse_input("0") == ((0, 1), ("0", "1"))
-        for text, pair in (("-007/5", (-7, 5)), ("-0", (0, 1)), ("-0/7", (0, 1)), ("0/5", (0, 1)),
-                           ("4/6", (2, 3)), ("5/01", (5, 1)), ("00", (0, 1)), ("-10/15", (-2, 3))):
-            assert cli._parse_input(text) == (pair, None), text
+        # the pair as spelled, not reduced; argv's digits wherever neither part has a leading zero
+        for text, pair, digits, reduced in (
+            ("-007/5", (-7, 5), None, (-7, 5)), ("-0", (0, 1), None, (0, 1)), ("-0/7", (0, 7), None, (0, 1)),
+            ("0/5", (0, 5), ("0", "5"), (0, 1)), ("4/6", (4, 6), ("4", "6"), (2, 3)),
+            ("5/01", (5, 1), None, (5, 1)), ("00", (0, 1), None, (0, 1)),
+            ("-10/15", (-10, 15), ("-10", "15"), (-2, 3)),
+        ):
+            assert cli._parse_input(text) == (pair, digits), text
+            assert parse_rational(text) == reduced, text
 
     def test_spellings_print_what_str_prints(self, capsys):
         for canonical, spellings in self.SPELLINGS:
@@ -1858,6 +1865,64 @@ class TestInputDigits:
         sign = "-" if a < 0 else ""
         for text in (f"{sign}00{abs(a)}/000{b}", f"{2 * a}/{2 * b}", f"{3 * a}/0{3 * b}"):
             assert run_cli(["expand-schneider", "-p", "7", "--json", "--", text], capsys) == want
+
+
+class TestOneReduction:
+    """The CLI reduces no canonical input by a gcd: head --json and expand-schneider --json prove
+    lowest terms by their own certificates (cli module docstring), so on a constant head no gcd
+    call sees an operand of more than 64 bits.  A scaled head runs again, reduced, at most once,
+    and prints the canonical head's bytes."""
+
+    HEADS = [(1, 2, 2000, 3), (3, 3, 1950, 7), (1, 1, 1500, 101), (1, 1, 150, 10**9 + 7)]
+
+    @staticmethod
+    def counters(monkeypatch):
+        # (gcd calls on an operand over 64 bits, kernel calls per command), counted through cli's
+        # and exactarith's globals
+        wide, calls, gcd = [], {"head": 0, "expand-schneider": 0}, math.gcd
+
+        def counted_gcd(*args):
+            if max(map(abs, args)).bit_length() > 64:
+                wide.append(args)
+            return gcd(*args)
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "gcd", counted_gcd)
+        monkeypatch.setattr(exactarith.math, "gcd", counted_gcd)
+        monkeypatch.setattr(cli, "head_analysis", counted("head", cli.head_analysis))
+        certified = counted("expand-schneider", oracle.certified_schneider)
+        monkeypatch.setattr(oracle, "certified_schneider", certified)
+        return wide, calls
+
+    def test_a_canonical_head_takes_no_wide_gcd(self, monkeypatch, capsys):
+        wide, calls = self.counters(monkeypatch)
+        for digit, alpha, k, p in self.HEADS:
+            a, b = generate_constant_head(digit, alpha, k, p)
+            assert max(abs(a), b).bit_length() >= 2000
+            for command in ("head", "expand-schneider"):
+                code, out, _ = run_cli([command, "-p", str(p), "--json", "--", f"{a}/{b}"], capsys)
+                assert code == 0 and out
+            assert json.loads(out)["a"] == a  # argv's own digits
+        assert wide == [] and calls == {"head": 4, "expand-schneider": 4}
+
+    def test_a_scaled_head_reruns_once(self, monkeypatch, capsys):
+        # scaled by p, both commands fail the unit-pair check and rerun; scaled by 11, head's
+        # certificate holds as given and expand-schneider fails lemma (vii)'s check and reruns
+        digit, alpha, k, p = self.HEADS[1]
+        a, b = generate_constant_head(digit, alpha, k, p)
+        for command, g, runs in (("head", 7, 2), ("head", 11, 1), ("expand-schneider", 7, 2),
+                                 ("expand-schneider", 11, 2)):
+            argv = [command, "-p", str(p), "--json", "--"]
+            want = run_cli(argv + [f"{a}/{b}"], capsys)
+            wide, calls = self.counters(monkeypatch)
+            assert run_cli(argv + [f"{g * a}/{g * b}"], capsys) == want, (command, g)
+            assert calls[command] == runs and len(wide) == runs - 1, (command, g)
+            monkeypatch.undo()
 
 
 class TestHeadDegenerateTheta:

@@ -612,20 +612,69 @@ COPRIME_MESSAGE = "numerator and denominator must be coprime, got gcd = {}"
 
 class TestReadsAreCertified:
     """The kernel's entry run and head_analysis read vp(Q) and vp(n) off the low end
-    (exactarith.vp_read) and keep a read only where an exact identity certifies it: an exact
-    pair prime to p from _run_pair (the converse of lemma (v)), or lemma (vi)'s identity.  Each
-    read planted below is wrong; each call must still give the single-step replay's record, or
-    the report that exact valuations alone give."""
+    (schneider._guess_read, on Q's residue at a guessed exponent, and exactarith.vp_read) and
+    keep a read only where an exact identity certifies it: an exact pair prime to p from
+    _run_pair (the converse of lemma (v)), or lemma (vi)'s identity.  Each read planted below is
+    wrong; each call must still give the single-step replay's record, or the report that exact
+    valuations alone give."""
 
     @staticmethod
     def plant_run(monkeypatch, alpha, run):
-        # vp_read planted to read alpha*run + 1, from which the kernel takes a run of run steps
+        # vp_read planted to read alpha*run + 1, from which the kernel takes a run of run steps;
+        # the guessed read planted to read nothing, so that the formed Q's read is the one taken
         monkeypatch.setattr(schneider, "vp_read", lambda n, p: alpha * run + 1)
+        monkeypatch.setattr(schneider, "_guess_read", lambda *args: None)
 
     @staticmethod
     def plant_shift(monkeypatch, shift):
-        # vp_read planted to read the exact valuation plus shift
+        # vp_read planted to read the exact valuation plus shift, and no guessed read
         monkeypatch.setattr(schneider, "vp_read", lambda n, p: vp_split(n, p)[0] + shift)
+        monkeypatch.setattr(schneider, "_guess_read", lambda *args: None)
+
+    @staticmethod
+    def long_heads(p):
+        # (digit, alpha, a, b): constant heads long enough for the guessed read's gate, and the
+        # same heads over random tails of 8, 20 and 60 digits, within the pair it allows for
+        rng = random.Random(p + 23)
+        out = []
+        for digit, alpha in ((1, 1), (1, 2)):
+            gate = 4 * (2 * schneider._GUESS_TAIL + 6 * alpha * p.bit_length() + 96)  # 4 windows
+            k = 2 * gate // (alpha * (p.bit_length() - 1)) + 2  # each step adds alpha*log2(p)/2 bits or more
+            out.append((digit, alpha, *constant_head_product(digit, alpha, k, p)))
+            for digits in (8, 20, 60):
+                tail = random_pair(rng, digits, p)
+                out.append((digit, alpha, *head_over_tail([(digit, alpha)] * (k + 1), tail, p)))
+        for digit, alpha, a, b in out:
+            window = 2 * schneider._GUESS_TAIL + 6 * alpha * p.bit_length() + 96
+            assert max(abs(a), b).bit_length() > 4 * window
+        return out
+
+    @pytest.mark.parametrize("p", (3, 7, 101, 65537, 10**9 + 7))
+    def test_a_guessed_read_forms_no_q(self, p, monkeypatch, powers):
+        # on long heads over tails of up to 60 digits the guessed read is the lemma's valuation,
+        # and the kernel takes the run it gives with neither a formed Q nor vp_read
+        reads = []
+        monkeypatch.setattr(schneider, "vp_read", lambda n, p: reads.append(n))
+        for digit, alpha, a, b in self.long_heads(p):
+            powers.clear()
+            exp = assert_schneider_matches(a, b, p)
+            run = self.lemma_run(a, b, digit, alpha, p)
+            assert powers == [run] and exp.steps[:run] == ((digit, alpha),) * run, (p, digit, alpha, powers)
+        assert reads == []
+
+    @pytest.mark.parametrize("p", (3, 101, 10**9 + 7))
+    def test_a_wrong_guessed_read_falls_to_the_formed_q(self, p, monkeypatch, powers):
+        # the guessed read planted one step past the whole run (no exact pair: the formed Q's
+        # read decides) and one step short of it (a true run, kept, whose last step the loop takes)
+        guess = schneider._guess_read
+        for digit, alpha, a, b in self.long_heads(p)[:2]:
+            whole, run = self.whole_run(a, b, digit, alpha, p), self.lemma_run(a, b, digit, alpha, p)
+            for planted, want in ((whole + 1, [whole + 1, run]), (whole - 1, [whole - 1])):
+                monkeypatch.setattr(schneider, "_guess_read", lambda *args, v=alpha * planted + 1: v)
+                powers.clear()
+                assert_schneider_matches(a, b, p)
+                assert powers == want, (p, digit, alpha, planted, powers)
+            monkeypatch.setattr(schneider, "_guess_read", guess)
 
     @staticmethod
     def lemma_run(a, b, digit, alpha, p):
@@ -809,11 +858,19 @@ class TestLowestTermsAtTheEntryRun:
                 schneider_expand(a // g, b // g, p)
 
     def test_expand_schneider_exits_2(self, monkeypatch, capsys):
-        # the CLI reduces what it parses, so the scaled pair is planted past the parser
+        # the kernel's error is the command's usage error where the CLI's rerun rule is planted
+        # off; with the rule, the scaled pair runs again, reduced, and prints the reduced record
+        reduced = cli._reduced
         for a, b, g, _ in self.scaled_inputs(7):
-            monkeypatch.setattr(cli, "_parse_input", lambda text: ((a, b), None))
+            argv = ["expand-schneider", "-p", "7", "--json", "--"]
+            monkeypatch.setattr(cli, "_reduced", lambda args: False)
             with pytest.raises(SystemExit) as caught:
-                cli.main(["expand-schneider", "-p", "7", "--json", "1/2"])
+                cli.main(argv + [f"{a}/{b}"])
             assert caught.value.code == 2
             out, err = capsys.readouterr()
             assert out == "" and err.endswith(f"error: {COPRIME_MESSAGE.format(g)}\n")
+            monkeypatch.setattr(cli, "_reduced", reduced)
+            assert cli.main(argv + [f"{a}/{b}"]) == 0
+            scaled = capsys.readouterr()
+            assert cli.main(argv + [f"{a // g}/{b // g}"]) == 0
+            assert scaled == capsys.readouterr() and scaled.err == ""
