@@ -14,14 +14,10 @@ quotient n / p**m for the largest m that surely divides such an n is
 n * p**-m mod 2**K (Jebelean's exact division from the low end; p**-m by
 _inverse_power's masked square-and-multiply, cheaper than pow's even
 modulus, which also gives schneider's runs the inverse they divide by),
-kept when it is small.  low_quotient is that read at a given m and width, off
-any integer congruent to n modulo 2**width, so that n itself need not be
-formed: schneider's entry run reads its norm form Q / p**m at a guessed m off
-Q mod 2**width, which the low ends of Q's factors give.
-Nothing divides n, so the read is not a proof: its callers (schneider's entry
-run, by vp_read and by low_quotient, and head_analysis, by vp_read) each
-certify it by an exact identity and fall back to vp_split, which runs the
-ladder alone.  The
+kept when it is small.
+Nothing divides n, so the read is not a proof: vp_read's callers
+(schneider's entry run and head_analysis) each certify it by an exact
+identity and fall back to vp_split, which runs the ladder alone.  The
 Browkin bound and the head certificate test their identities on integer
 pairs in Z[sqrt(D)], and the CLI prints (x + y*sqrt(d))/den off
 its integers and square_part(d).  No library path builds a
@@ -132,28 +128,20 @@ def _inverse_power(p: int, m: int, width: int) -> int:
 
 def _low_quotient(n: int, p: int) -> tuple[int, int] | None:
     # (m, q): m the largest exponent that p**64's bit length certifies with p**m < 2**(bits - 64),
-    # bits that of n, and q = low_quotient(n, p, m, q_bits).  As 2**(width-1) <= p**64 < 2**width,
-    # the quotient n // p**m has fewer than q_bits bits, so q is that quotient whenever p**m divides
-    # n.  n needs more than 64 + width/64 bits, so that m >= 1
+    # bits that of n, and q = n * p**-m mod 2**(q_bits + 64) as a symmetric residue, kept only when
+    # |q| <= 2**q_bits.  As 2**(width-1) <= p**64 < 2**width, the quotient n // p**m has fewer than
+    # q_bits bits, so q is that quotient whenever p**m divides n; else None, but for a false read
+    # with odds about 2**-63 (exact division from the low end: Jebelean, J. Symbolic Computation 15,
+    # 1993).  n needs more than 64 + width/64 bits, so that m >= 1
     bits, width = n.bit_length(), (p**64).bit_length()
     m = (bits - 64) * 64 // width
-    q = low_quotient(n, p, m, bits - m * (width - 1) // 64)
-    return None if q is None else (m, q)
-
-
-def low_quotient(low: int, p: int, m: int, q_bits: int) -> int | None:
-    """n / p**m read off low, any integer congruent to n mod 2**(q_bits + 64): n * p**-m mod
-    2**(q_bits + 64) as a symmetric residue, kept when it is at most 2**q_bits in size (exact
-    division from the low end: Jebelean, J. Symbolic Computation 15, 1993), for m >= 1.  That is
-    the quotient whenever p**m divides n and |n / p**m| <= 2**q_bits; else None, but for a false
-    read with odds about 2**-63.
-    """
+    q_bits = bits - m * (width - 1) // 64
     mask = (1 << (q_bits + 64)) - 1
-    t = (low & mask) * _inverse_power(p, m, q_bits + 64) & mask
+    t = (n & mask) * _inverse_power(p, m, q_bits + 64) & mask
     if t >> q_bits == 0:
-        return t
+        return m, t
     if (mask - t) >> q_bits == 0:
-        return t - mask - 1
+        return m, t - mask - 1
     return None
 
 

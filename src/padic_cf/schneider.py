@@ -134,9 +134,8 @@ x*(x - d*y) - p**alpha*y**2, the norm form of the step.
       (p-1, 1), so only a run of (p-1, 1) could pass one, and there
       Q(a, b) = (-p)**i Q(u_i, u_{i+1}) = 0 (the form at a stationary pair).
       So an exact pair prime to p proves the run, however r was found: the
-      kernel reads r off a candidate valuation of Q (off the low end, with no
-      division of Q: at a guessed exponent, with no Q formed, below, or by
-      exactarith.vp_read) and keeps it only on such a pair.
+      kernel reads r off a candidate valuation of Q (exactarith.vp_read, off
+      the low end, with no division of Q) and keeps it only on such a pair.
       A read one step too long finds no exact pair, or one with p | x*y (a
       pair one step past a step (d, alpha') with alpha' > alpha is (x, p**(alpha'
       - alpha) z)), and then vp_split's exact valuation decides, after which
@@ -161,12 +160,9 @@ places:
     its digit through the expansion's inverses and alpha off a - d*b by
     exactarith.int_vp (one residue mod a power of p of one digit), and
     tries (v) at (a, b) before any batch: one residue test of
-    p**(2 alpha + 1) | Q, which admits only runs of 2 steps or more; then, on
-    an input of more than four read windows, one read of vp(Q) at a guessed
-    exponent off Q mod 2**w, which the low ends of a, a - d*b and b give with
-    no Q formed (below); else, or where (v') does not certify that read, one
+    p**(2 alpha + 1) | Q, which admits only runs of 2 steps or more, then one
     form, one read of its valuation certified by (v'), else one exact
-    valuation; and one power and one exact division from the low end; the run
+    valuation, and one power and one exact division from the low end; the run
     capped as the batches are and recorded as r references to one record, and
     a remainder raised as an ArithmeticError named with the input.  It checks
     lowest terms on the pair reached, by (vii), before any batch; below the
@@ -178,22 +174,6 @@ places:
     constant head of more than about _RUN_GATE bits is one run, at every p and
     on both sides of the batch bound.  A run that starts further in is stepped
     by the batches and the single-step loop, which have no such test.
-    The guessed read.  Let the run's r steps reach (x, y), and let P be the
-    bits of the larger of |x| and |y|*p**alpha/t, t = (d + sqrt(D))/2 the
-    larger root of T**2 - d*T - p**alpha (D as in (vi)), so t*t > p**alpha.
-    As (a, b) = M**r (x, y) and M**r grows as t**r, b has about r*log2(t) + P
-    bits.  The kernel takes r' = floor((bits(b) - S)/log2(t)) - 1, S =
-    _GUESS_TAIL, and m = alpha*r'.  Where P <= S, about a tail of up to 60
-    digits, r' <= r, so m <= vp(Q); and Q/p**m = p**(vp(Q) - m) * c, with
-    vp(Q) - m at most alpha*((S - P)/log2(t) + 3) and c = Q(x, y) up to a power
-    of p, has at most about 2(S - P) + 3 alpha log2(p) + 2P + alpha log2(p)
-    bits (alpha*log2(p) < 2 log2(t)), within q_bits = 2S + 6 alpha
-    p.bit_length() + 32.  So exactarith.low_quotient reads Q/p**m off Q mod
-    2**(q_bits + 64), and m plus its valuation is vp(Q).  None of these sizes
-    is a proof, and none needs to be: the read gives a run that is kept only
-    on an exact pair prime to p, by (v'), as vp_read's is; a longer tail reads
-    nothing, or a run no pair certifies, and Q is formed.  The read's window
-    is q_bits + 64 bits, and it is tried where the input has more than four.
   - schneider_pair takes one run only, a whole head of _RUN_MIN or more
     records of one step, found by value (_leading_run: records compared equal,
     so no caller depends on the kernel sharing them), and applies it as M**r
@@ -249,14 +229,11 @@ by exact valuations.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactarith import (
-    _inverse_power, int_vp, low_quotient, require_coprime, require_odd_prime, vp_read, vp_split,
-)
+from .exactarith import _inverse_power, int_vp, require_coprime, require_odd_prime, vp_read, vp_split
 
 
 class SchneiderStep(NamedTuple):
@@ -320,9 +297,6 @@ _RUN_MIN = 64
 # bits, stay below it, where trying the run costs x1.1-1.3 (a gate at 0: x1.10 on the 100x100
 # sweep, BENCH_special_paths_2.json, row 6)
 _RUN_GATE = 64
-# bits of the pair a run reaches that _guess_read allows for: a head over a tail of up to 60
-# digits, whose run it reads with no Q formed (BENCH_one_reduction.json, "tail_table")
-_GUESS_TAIL = 256
 # bits _run_pair's first modulus adds to its guess of the pair's size; the full width at once
 # reads x2.8 on CI's head_7 (BENCH_special_paths_2.json, row 9)
 _RUN_MARGIN = 64
@@ -369,56 +343,22 @@ def _run_pair(a: int, b: int, digit: int, p: int, alpha: int, run: int, bits: in
         width = min(2 * width, full)
 
 
-def _guess_read(
-    a: int, b: int, delta: int, digit: int, p: int, alpha: int, pa: int, q_bits: int,
-) -> int | None:
-    # a candidate vp(Q) for Q = a*delta - pa*b*b, read off Q mod 2**(q_bits + 64), which the low
-    # ends of a, delta and b give, so no Q is formed: m + vp(q) for q = Q / p**m read from the low
-    # end (exactarith.low_quotient) at m = alpha*r, r the run a guess from bit lengths gives
-    # (module docstring, lemma (v) and the entry run); None where q does not fit.  The float
-    # rate only guesses m: a read is kept only on _run_pair's exact pair prime to p (lemma (v'))
-    rate = math.log2(digit * 2**32 + math.isqrt((digit * digit + 4 * pa) << 64)) - 33  # log2 t
-    m = alpha * (int((b.bit_length() - _GUESS_TAIL) / rate) - 1)
-    if m < 1:
-        return None
-    mask = (1 << (q_bits + 64)) - 1
-    q = low_quotient((a & mask) * (delta & mask) - pa * (b & mask) ** 2, p, m, q_bits)
-    return m + vp_split(q, p)[0] if q else None
-
-
-def _certified_run(a: int, b: int, digit: int, p: int, alpha: int, v: int, bits: int, cap: int):
-    # (run, x, y) for the run (v - 1)//alpha a read v gives, kept when _run_pair finds an exact pair
-    # prime to p, which proves it by the converse of lemma (v), whatever the read; else None
-    run = min((v - 1) // alpha, cap)
-    pair = _run_pair(a, b, digit, p, alpha, run, bits)
-    return (run, *pair) if pair is not None and pair[0] % p and pair[1] % p else None
-
-
 def _entry_run(
-    a: int, b: int, digit: int, p: int, alpha: int, pa: int, delta: int, bits: int, cap: int,
+    a: int, b: int, digit: int, p: int, alpha: int, form: int, bits: int, cap: int,
 ) -> tuple[int, int, int]:
-    # (run, x, y): lemma (v) at (a, b), whose step is (digit, alpha) and whose form Q(a, b) =
-    # a*delta - pa*b*b has p**(2 alpha + 1) | Q, so a run of 2 steps or more, and the pair run steps
-    # reach; (0, a, b) where Q = 0.  Where the read's window, q_bits + 64 bits, is at most a quarter
-    # of the input, the run is first read off Q's low end at a guessed exponent, with no Q formed
-    # (_guess_read: the formed Q and its vp_read cost x1.1-2.5 of it at that gate and x6-13.5 at
-    # four times it, BENCH_one_reduction.json, "read_costs"); else, or where that read is not
-    # certified, off vp_read's candidate valuation of the formed Q; and else off vp_split, after
-    # which a remainder is a defect, raised.  Every such run is taken: leaving runs under 8 steps
-    # to the single steps measured no faster (BENCH_special_paths_2.json, row 1)
-    if bits > 8 * _GUESS_TAIL:  # below, no window is a quarter of the input
-        q_bits = 2 * _GUESS_TAIL + 6 * alpha * p.bit_length() + 32
-        if bits > 4 * (q_bits + 64) and (v := _guess_read(a, b, delta, digit, p, alpha, pa, q_bits)):
-            found = _certified_run(a, b, digit, p, alpha, v, bits, cap)
-            if found:
-                return found
-    form = a * delta - pa * b * b
-    if not form:
-        return 0, a, b
+    # (run, x, y): lemma (v) at (a, b), whose step is (digit, alpha) and whose form is Q(a, b) =
+    # form != 0 with p**(2 alpha + 1) | Q, so a run of 2 steps or more, and the pair run steps
+    # reach.  The run is first read off vp_read's candidate valuation of Q and kept only when
+    # _run_pair finds an exact pair prime to p, which proves it by the converse of lemma (v),
+    # whatever the read; else it comes off vp_split, after which a remainder is a defect, raised.
+    # Every such run is taken: leaving runs under 8 steps to the single steps measured no faster
+    # (BENCH_special_paths_2.json, row 1)
     v = vp_read(form, p)
-    found = None if v is None else _certified_run(a, b, digit, p, alpha, v, bits, cap)
-    if found:
-        return found
+    if v is not None:
+        run = min((v - 1) // alpha, cap)
+        pair = _run_pair(a, b, digit, p, alpha, run, bits)
+        if pair is not None and pair[0] % p and pair[1] % p:
+            return run, *pair
     run = min((vp_split(form, p)[0] - 1) // alpha, cap)
     pair = _run_pair(a, b, digit, p, alpha, run, bits)
     if pair is None:
@@ -534,7 +474,9 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
             # a run of 2 or more needs vp(Q) > 2 alpha, tested on residues before Q is formed
             modulus = pa * pa * p
             if alpha and not (a % modulus * (delta % modulus) - pa * (b % modulus) ** 2) % modulus:
-                run, y_prev, y_cur = _entry_run(a, b, digit, p, alpha, pa, delta, bits, cap)
+                form = a * delta - pa * b * b
+                if form:
+                    run, y_prev, y_cur = _entry_run(a, b, digit, p, alpha, form, bits, cap)
             if run:  # a run of r steps (d, alpha): one power, one exact division
                 record = records[digit + p * alpha] = _record(SchneiderStep, (digit, alpha))
                 steps.extend([record] * run)

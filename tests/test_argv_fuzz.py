@@ -514,6 +514,42 @@ def test_catches_a_head_that_skips_its_rerun(monkeypatch, slice_queries):
     assert any(reason == "a scaled rational prints or exits otherwise" for _, reason in failures)
 
 
+def test_no_command_prints_before_its_rerun(monkeypatch, slice_queries):
+    # the rerun rule runs a command again after its ValueError or head's head_len None, so a
+    # command that printed before either test would print twice: at each gcd the rule takes,
+    # across the slice's scaled queries, stdout is still empty
+    reduced, written = cli._reduced, []
+
+    def planted(args):
+        written.append(sys.stdout.getvalue())
+        return reduced(args)
+
+    monkeypatch.setattr(cli, "_reduced", planted)
+    commands = set()
+    for argvs in slice_queries:
+        for argv in argvs[2:]:
+            before = len(written)
+            run(argv)
+            if len(written) > before:
+                commands.add(argv[0])
+    assert written and set(written) == {""}
+    assert commands == set(TEXT_GRAMMAR) - {"sweep"}
+
+
+def test_catches_a_command_that_prints_before_its_rerun(monkeypatch, slice_queries):
+    # digits planted to print a line before its input check: a scaled query it reruns prints the
+    # line twice, the canonical query once
+    help_text, handler, arguments = cli._SUBCOMMANDS["digits"]
+
+    def planted(args):
+        print("digits:")
+        return handler(args)
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "digits", (help_text, planted, arguments))
+    failures = check([argvs for argvs in slice_queries if argvs[0][:1] == ["digits"]])
+    assert any(reason == "a scaled rational prints or exits otherwise" for _, reason in failures)
+
+
 def main(argv=None):
     """The opt-in long run, outside tier-1: seeds FIRST to FIRST + SEEDS - 1, FUZZ_QUERIES queries
     each (scaled spellings included), through check(); prints each failure and a summary line,

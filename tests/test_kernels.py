@@ -612,69 +612,20 @@ COPRIME_MESSAGE = "numerator and denominator must be coprime, got gcd = {}"
 
 class TestReadsAreCertified:
     """The kernel's entry run and head_analysis read vp(Q) and vp(n) off the low end
-    (schneider._guess_read, on Q's residue at a guessed exponent, and exactarith.vp_read) and
-    keep a read only where an exact identity certifies it: an exact pair prime to p from
-    _run_pair (the converse of lemma (v)), or lemma (vi)'s identity.  Each read planted below is
-    wrong; each call must still give the single-step replay's record, or the report that exact
-    valuations alone give."""
+    (exactarith.vp_read) and keep a read only where an exact identity certifies it: an exact
+    pair prime to p from _run_pair (the converse of lemma (v)), or lemma (vi)'s identity.  Each
+    read planted below is wrong; each call must still give the single-step replay's record, or
+    the report that exact valuations alone give."""
 
     @staticmethod
     def plant_run(monkeypatch, alpha, run):
-        # vp_read planted to read alpha*run + 1, from which the kernel takes a run of run steps;
-        # the guessed read planted to read nothing, so that the formed Q's read is the one taken
+        # vp_read planted to read alpha*run + 1, from which the kernel takes a run of run steps
         monkeypatch.setattr(schneider, "vp_read", lambda n, p: alpha * run + 1)
-        monkeypatch.setattr(schneider, "_guess_read", lambda *args: None)
 
     @staticmethod
     def plant_shift(monkeypatch, shift):
-        # vp_read planted to read the exact valuation plus shift, and no guessed read
+        # vp_read planted to read the exact valuation plus shift
         monkeypatch.setattr(schneider, "vp_read", lambda n, p: vp_split(n, p)[0] + shift)
-        monkeypatch.setattr(schneider, "_guess_read", lambda *args: None)
-
-    @staticmethod
-    def long_heads(p):
-        # (digit, alpha, a, b): constant heads long enough for the guessed read's gate, and the
-        # same heads over random tails of 8, 20 and 60 digits, within the pair it allows for
-        rng = random.Random(p + 23)
-        out = []
-        for digit, alpha in ((1, 1), (1, 2)):
-            gate = 4 * (2 * schneider._GUESS_TAIL + 6 * alpha * p.bit_length() + 96)  # 4 windows
-            k = 2 * gate // (alpha * (p.bit_length() - 1)) + 2  # each step adds alpha*log2(p)/2 bits or more
-            out.append((digit, alpha, *constant_head_product(digit, alpha, k, p)))
-            for digits in (8, 20, 60):
-                tail = random_pair(rng, digits, p)
-                out.append((digit, alpha, *head_over_tail([(digit, alpha)] * (k + 1), tail, p)))
-        for digit, alpha, a, b in out:
-            window = 2 * schneider._GUESS_TAIL + 6 * alpha * p.bit_length() + 96
-            assert max(abs(a), b).bit_length() > 4 * window
-        return out
-
-    @pytest.mark.parametrize("p", (3, 7, 101, 65537, 10**9 + 7))
-    def test_a_guessed_read_forms_no_q(self, p, monkeypatch, powers):
-        # on long heads over tails of up to 60 digits the guessed read is the lemma's valuation,
-        # and the kernel takes the run it gives with neither a formed Q nor vp_read
-        reads = []
-        monkeypatch.setattr(schneider, "vp_read", lambda n, p: reads.append(n))
-        for digit, alpha, a, b in self.long_heads(p):
-            powers.clear()
-            exp = assert_schneider_matches(a, b, p)
-            run = self.lemma_run(a, b, digit, alpha, p)
-            assert powers == [run] and exp.steps[:run] == ((digit, alpha),) * run, (p, digit, alpha, powers)
-        assert reads == []
-
-    @pytest.mark.parametrize("p", (3, 101, 10**9 + 7))
-    def test_a_wrong_guessed_read_falls_to_the_formed_q(self, p, monkeypatch, powers):
-        # the guessed read planted one step past the whole run (no exact pair: the formed Q's
-        # read decides) and one step short of it (a true run, kept, whose last step the loop takes)
-        guess = schneider._guess_read
-        for digit, alpha, a, b in self.long_heads(p)[:2]:
-            whole, run = self.whole_run(a, b, digit, alpha, p), self.lemma_run(a, b, digit, alpha, p)
-            for planted, want in ((whole + 1, [whole + 1, run]), (whole - 1, [whole - 1])):
-                monkeypatch.setattr(schneider, "_guess_read", lambda *args, v=alpha * planted + 1: v)
-                powers.clear()
-                assert_schneider_matches(a, b, p)
-                assert powers == want, (p, digit, alpha, planted, powers)
-            monkeypatch.setattr(schneider, "_guess_read", guess)
 
     @staticmethod
     def lemma_run(a, b, digit, alpha, p):
