@@ -217,7 +217,9 @@ D = s*s would force (s - d)(s + d) = 4p**alpha, i.e. the stationary pair
       that small quotient times numbers the size of v.
 head_analysis reads the one e the identity allows off two p-adic valuations
 (its comments give the argument) and checks (vi) for that e; no float takes
-part, and a/b given as ga/gb answers as a/b does, being parallel to the same v.
+part.  For a/b given as ga/gb with p not dividing g, the identity holds at e
+exactly when it does for a/b, both being parallel to the same v; the cli
+module docstring gives what else holds for such a pair.
 vp(sx) is small and is read off sx mod a power of p of one digit
 (exactarith.int_vp); vp(n) is first read off the low end of n
 (exactarith.vp_read), and that read needs no proof where the identity holds
@@ -607,12 +609,17 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     head of e+1 steps, exactly when a*W == b*U for (U, W) = v, decided by one
     division as v is primitive: a = q*U and b = q*W.  Else head_len
     is None.  a/b is taken as schneider_expand takes it, but need not be in
-    lowest terms: only its value decides the answer (the report's sx, sy and n
-    scale by g**2 for a/b given as ga/gb).
+    lowest terms, and no gcd is taken.  The input rules read the pair as given:
+    a/b given as ga/gb with p | g fails the unit-pair check, and alpha_max is
+    that of (ga, gb), so head_analysis(2000, 5000, 1, 4, 3) reports where
+    (2, 5) raises.  Where a report on (ga, gb), p not dividing g, has head_len
+    certified, the report is that of (a, b) with sx, sy and n scaled by g**2,
+    and alpha is within the alpha_max of (a, b), as the cli module docstring
+    proves.
 
     digit, alpha or both may be None: each is then that of a/b's first step,
     b0 = a*b**-1 mod p and alpha0 = vp(a - b0*b), read off the definition and
-    not off an expansion, so that it too depends only on the value a/b.  An
+    not off an expansion, so that ga/gb with p not dividing g has a/b's.  An
     a/b with no first step, a finite end (a = b0*b) or stationary (a + b = 0)
     at once, raises ValueError.
     """

@@ -114,9 +114,10 @@ def time_limit(argv):
     return TIME_BASE + TIME_PER_BIT * (sum(char.isdigit() for token in argv for char in token) * 10 // 3)
 
 
-def limited_run(argv):
-    """run(argv), stopped by a timer at time_limit(argv), which raises Hang in the call."""
-    limit = time_limit(argv)
+def limited_run(argv, limit=None):
+    """run(argv), stopped by a timer at limit seconds (time_limit(argv) when None), which raises
+    Hang in the call."""
+    limit = time_limit(argv) if limit is None else limit
 
     def expire(signum, frame):
         raise Hang(f"no end within {limit:.2f} s")

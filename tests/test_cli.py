@@ -31,6 +31,7 @@ from padic_cf.cli import main, parse_rational
 from padic_cf.schneider import generate_constant_head
 
 from replay import beta1_abs, beta_trace, head_identity, k_trace, quotient_pairs
+from test_argv_fuzz import limited_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
@@ -243,6 +244,9 @@ class TestExpandBrowkinCommand:
         code, out, err = run_cli(["expand-browkin", "-p", "100000000000000000039", "7/2"], capsys)
         assert code == 0, err
         assert "bound N: 2 (length 2 <= N+1)" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ee0d56f09ceab9c6db52b3eadaa6b92c7d7ca173dea2394c975efbfba61a2e01"
+        )
 
     def test_max_steps_is_usage_error(self, capsys):
         # the step cap is read off the input's bit length; no option sets it
@@ -546,6 +550,9 @@ class TestLargeRadicands:
         assert code == 0
         assert "lambda1 = 1/4 + 1/400000028*sqrt(10000001400000065) (~0.5)" in out
         assert "N = 2" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b6722ad8efc58b700acb3d74529204207d014904abe7e4e31eec765fb6e00369"
+        )
 
 
 def field_f6(value):
@@ -667,11 +674,15 @@ class TestHeadCommand:
 
     def test_one_step_head(self, capsys):
         # -8 = 1 - 9: the (1,2) step once, then the stationary tail, where theta = 1
-        payload = run_json(["head", "-p", "3", "--json", "--", "-8"], capsys)
-        assert payload == {
+        code, out, err = run_cli(["head", "-p", "3", "--json", "--", "-8"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
             "T1_float": -2.54138, "T2_float": 3.54138, "theta_float": 1.0,
             "exact_exponent": 0, "head_len": 1, "exact_identity": True,
         }
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "09fd8fa1dc2a488878e1aafe5db91d027230c98f574a0bdeea092efc9013fb6f"
+        )
 
     def test_explicit_pair(self, capsys):
         payload = run_json(
@@ -1061,18 +1072,28 @@ class TestSweepCommand:
             fields[6] = str(int(fields[6]) - 1)
         assert unplanted and [",".join(fields) for fields in unplanted] == default[1:]
 
-    @pytest.mark.parametrize("argv", [
-        ["--primes", "3,5,7", "--max-num", "100", "--max-den", "100"],
-        ["--primes", "3,11,101", "--max-num", "3000", "--max-den", "2"],
-        ["--primes", "3,5", "--max-num", "120", "--max-den", "54"],
-    ], ids=["grid", "wide", "p-powers"])
-    def test_derived_records_are_the_kernels(self, argv, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("argv, digest", [
+        (["--primes", "3,5,7", "--max-num", "100", "--max-den", "100"],
+         "356a4f1995605f0282d9dab5b2b123b320f7f794bd413af923dd4fa9fde993d9"),
+        (["--primes", "3,11,101", "--max-num", "3000", "--max-den", "2"],
+         "3c1522394971899b460b94a554e71372020342dde39381374a59982a496ef36c"),
+        (["--primes", "3,5", "--max-num", "120", "--max-den", "54"],
+         "b4bd7fa1bd4573dddbea3e34986102fad928e841a38dc25c6c955fec456633a3"),
+        (["--primes", "3,5,101", "--max-num", "400", "--max-den", "30"],
+         "eb6d164e562910107a44fa97acbad44cfdb97d849dd96b82409010195f4a349d"),
+    ], ids=["grid", "wide", "p-powers", "chains"])
+    def test_derived_records_are_the_kernels(self, argv, digest, monkeypatch, tmp_path):
         # every record a sweep row takes from another row, by a translation or the mirror, is
-        # the kernel's record of that row, compared with ==; the last grid has lines with
-        # p**k | b up to 27 = 3**3, 54 = 2*3**3 and 25 = 5**2
+        # the kernel's record of that row, compared with ==, and the CSV is pinned by its sha256.
+        # The grids: the 100x100 one; |a| up to 3,000, where rows past the mirror buffer's cap run
+        # the kernel and rows with p | a take no Schneider column; lines with p**k | b up to
+        # 27 = 3**3, 54 = 2*3**3 and 25 = 5**2; and b up to 30, long chains of rows that each take
+        # their records from row a - b, with lines with p | b up to 27.  Each ends within 10 s
         derived = derived_records(monkeypatch)
-        code, _, err = run_cli(["sweep", *argv, "--out", str(tmp_path / "rows.csv")], capsys)
+        path = tmp_path / "rows.csv"
+        code, _, err = limited_run(["sweep", *argv, "--out", str(path)], 10)
         assert code == 0 and err.startswith("sweep ok")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         for name, made in derived.items():
             expand = schneider.schneider_expand if name.startswith("schneider") else browkin.browkin_expand
             assert made, name
@@ -1858,10 +1879,16 @@ class TestInputDigits:
                             assert run_cli(command + json_flag + [text], capsys) == want, (command, text)
 
     def test_a_long_head_in_its_spellings(self, capsys):
+        # a (3,3) head of 1,951 steps at p = 7 (5,086 characters): the entry run's form and head's
+        # n have their valuations by one division by the largest power of 7 that fits, lowest
+        # terms is checked on the pair the run reaches, and the JSON prints argv's digits
         a, b = generate_constant_head(3, 3, 1950, 7)
         want = run_cli(["expand-schneider", "-p", "7", "--json", f"{a}/{b}"], capsys)
         got = json.loads(want[1])
         assert want[0] == 0 and (got["a"], got["b"]) == (a, b)
+        assert hashlib.sha256(want[1].encode()).hexdigest() == (
+            "04166eedec8e9dd230989291883636101c0caa7b161b714c3eeaf358f6498170"
+        )
         sign = "-" if a < 0 else ""
         for text in (f"{sign}00{abs(a)}/000{b}", f"{2 * a}/{2 * b}", f"{3 * a}/0{3 * b}"):
             assert run_cli(["expand-schneider", "-p", "7", "--json", "--", text], capsys) == want

@@ -12,21 +12,31 @@ and `sweep` grids (SWEEP_CALLS) on stdout and through `--out`.  A second digest 
 verdicts of the three chain checks (majorant, determinant identity, Schneider
 matrix laws) on the natural records of the same inputs and on planted ones.
 
+The pin table is one statement of each pinned output of the large calls: inputs
+of up to 10,000 digits, constant heads of up to 20,001 steps, heads over random
+tails and the paths of the low-end read.  Each call runs in process within its
+time limit (limited_run) and prints the stdout whose sha256 is in CI_PINS, or
+that of the call SAME_AS names, with nothing on stderr; a usage error in
+USAGE_PINS exits 2 with its pinned message.  SPELLINGS pairs argv spellings
+that print the same bytes, and each of PLANTS (a reverted lambda2 float, a
+reworded usage message, swapped head --json keys) fails a pinned call.
+
 A change that is meant to alter an output updates the digest here and names
 the calls in CHANGES.md.
 """
 
 import contextlib
 import hashlib
+import inspect
 import io
 import random
 from math import gcd
 
 import pytest
 
-from padic_cf import browkin, oracle, schneider
+from padic_cf import browkin, cli, oracle, schneider
 from padic_cf.cli import main
-from test_argv_fuzz import limited_run
+from test_argv_fuzz import limited_run, no_digit_limit
 
 PRIMES = (3, 5, 7, 11, 101, 10**9 + 7)
 MODES = {
@@ -377,7 +387,7 @@ def _head_over(tail, steps, p):
 
 
 def _tail(seed, digits, p):
-    # tier1.yml's seeded random tail: the first pair of digits-digit integers coprime and prime to p
+    # a seeded random tail: the first pair of digits-digit integers coprime and prime to p
     rng, low = random.Random(seed), 10 ** (digits - 1)
     while True:
         x = (rng.randrange(low, 10 * low), rng.randrange(low, 10 * low))
@@ -386,42 +396,126 @@ def _tail(seed, digits, p):
 
 
 def _ci_pin_calls():
-    # name -> argv of tier1.yml's sha256 pins on the paths the low-end read, the entry run and the
-    # primality test take, with the inputs its shell lines build
+    # name -> argv of each pinned call; a name is the file its stdout was first pinned as
+    head = schneider.generate_constant_head
+    large_p = 100000000000000000039
+    big = "7" * 5000 + "/" + "2" * 4999 + "3"
+    large = "7" * 3000 + "/" + "2" * 2999 + "5"
+    # 3**6000 times a cofactor over 7, whose p-free part digits and bound take by vp_split's
+    # ladder: 5, inside the 63-bit window of vp_read's low-end read, and a 40-digit c, past it
     rng = random.Random(40)
     c = next(c for c in iter(lambda: rng.randrange(10**39, 10**40), None) if c % 3 and c % 7)
     read, ladder = "%d/7" % (3**6000 * 5), "%d/7" % (3**6000 * c)
     rng = random.Random(400)
     tail400 = (rng.randrange(10**399, 10**400), rng.randrange(10**399, 10**400))
-    large_p = 100000000000000000039
+    with no_digit_limit():
+        # constant heads: (1,2) of 41 steps at a 67-bit p, where |T2/T1| - 1 is about 1e-20; of
+        # 2,001 steps at p = 3, above the batch bound; of 20,001 steps (21,969 characters), which the
+        # kernel and the reconstruction each take as one power of its step matrix (lemma (v)); and
+        # (1,1) of 10,001 steps at p = 10^9+7 (90,015 characters), where no batch runs: the entry
+        # run takes it as one power at the input pair, and head checks lemma (vi) by one power
+        head_large_p = "%d/%d" % head(1, 2, 40, large_p)
+        long_head = "%d/%d" % head(1, 2, 2000, 3)
+        run_head = "%d/%d" % head(1, 2, 20000, 3)
+        run_head_1e9 = "%d/%d" % head(1, 1, 10000, 10**9 + 7)
+    # a (1,2) head of 301 steps at p = 3 (about 540 bits): between the kernel's run gate and its
+    # batch bound, the entry run takes it at the input pair and finds the pair it reaches by exact
+    # division from the low end; head decides lemma (vi) by one quotient.  Over a random 400-digit
+    # tail the run reaches a 400-digit pair, found at the low-end division's first width
+    gate_head = "%d/%d" % head(1, 2, 300, 3)
+    gate_run = "%d/%d" % _head_over(tail400, [(1, 2)] * 301, 3)
     calls = {
+        # the largest count accepted: its truncation check sums the digits in halves, not by Horner,
+        # and its period (1, 1, 0, -1, -1, 0) is certified by the digit period identity
+        "digits_1_7.json": ["digits", "-p", "3", "-n", "100000", "--json", "1/7"],
         "digits_read.json": ["digits", "-p", "3", "-n", "8", "--json", read],
         "bound_read.json": ["bound", "-p", "3", "--json", read],
         "digits_ladder.json": ["digits", "-p", "3", "-n", "8", "--json", ladder],
         "bound_ladder.json": ["bound", "-p", "3", "--json", ladder],
-        "head_large_p.json": ["head", "-p", str(large_p), "--json",
-                              "%d/%d" % schneider.generate_constant_head(1, 2, 40, large_p)],
+        # the display floats are read off integers, lambda2's off -4/(p*(p + sqrt(D))): taken as
+        # (p - sqrt(D))/(4p) it cancels to -2.22045e-16 at p = 100000007 and to 0.0 at 10^9+7
         "bound.json": ["bound", "-p", "100000007", "--json", "7/2"],
         "bound_1e9.json": ["bound", "-p", "1000000007", "--json", "7/2"],
+        # the exact lambdas in text, printed off p's integers by cli._exact_str: an irrational pair
+        # folded from D = 41, and an unfolded 19-digit radicand
+        "bound_5.txt": ["bound", "-p", "5", "7/2"],
         "bound_1e9.txt": ["bound", "-p", "1000000007", "7/2"],
+        # a 5,000-digit input, about 28,000 Schneider steps, most of them taken in batches: its y
+        # trace is the one the matrix laws' chain divided, and the Browkin kernel carries its
+        # residues step to step, its betas read off the reconstruction's back-substitution
+        "schneider.txt": ["expand-schneider", "-p", "3", big],
+        "browkin.json": ["expand-browkin", "-p", "3", "--json", big],
+        "browkin.txt": ["expand-browkin", "-p", "3", big],
+        # the full battery: on 1,000 digits at p = 3 the Schneider matrix laws on the eps chain; on
+        # 3,000 and 10,000 digits at p = 10^9+7 the determinant identity walks the beta chain, with
+        # no convergent, at a small multiple of the expansions
+        "verify_1000.txt": ["verify", "-p", "3", "7" * 1000 + "/" + "2" * 999 + "5"],
+        "verify_3000.txt": ["verify", "-p", "1000000007", large],
+        "verify_10000.txt": ["verify", "-p", "1000000007", "7" * 10000 + "/" + "2" * 9999 + "5"],
+        # 3,000 digits at p = 10^9+7 through text expand-schneider, with no batches at this p: 7,062
+        # steps, each y of the trace divided by the matrix laws before it is printed; through
+        # expand-browkin, almost every quotient record distinct, in --json by one "%" over the
+        # records, scaled by 3 (browkin_expand's lowest-terms check fails, and the CLI reruns on
+        # the reduced pair), in text (6.3 MB) and in --json at p = 101 by one "%" pass keyed by
+        # exponent; through both branches of oracle.certified_digits, the text window alone and
+        # --json at p = 101, where the period search stops at DIGIT_PERIOD_LIMIT
+        "schneider_1e9.txt": ["expand-schneider", "-p", "1000000007", large],
+        "browkin_1e9.json": ["expand-browkin", "-p", "1000000007", "--json", large],
+        "browkin_1e9_x3.json": ["expand-browkin", "-p", "1000000007", "--json",
+                                "/".join(str(3 * int(part)) for part in large.split("/"))],
+        "browkin_1e9.txt": ["expand-browkin", "-p", "1000000007", large],
+        "browkin_101.json": ["expand-browkin", "-p", "101", "--json", large],
+        "digits_large.txt": ["digits", "-p", "3", "-n", "64", large],
+        "digits_large_101.json": ["digits", "-p", "101", "-n", "64", "--json", large],
+        # head_long.txt: the exact theta, thousands of digits, printed off the report's integers
+        "head_large_p.json": ["head", "-p", str(large_p), "--json", head_large_p],
+        "head_long.json": ["head", "-p", "3", "--json", long_head],
+        "head_long.txt": ["head", "-p", "3", long_head],
+        "schneider_run.json": ["expand-schneider", "-p", "3", "--json", run_head],
+        "schneider_run_1e9.json": ["expand-schneider", "-p", "1000000007", "--json", run_head_1e9],
+        "head_run_1e9.json": ["head", "-p", "1000000007", "--json", run_head_1e9],
+        # the (3,3) head of 1,951 steps at p = 7 that expand-schneider takes in
+        # test_cli.py::TestInputDigits::test_a_long_head_in_its_spellings
+        "head_7.json": ["head", "-p", "7", "--json", "%d/%d" % head(3, 3, 1950, 7)],
+        "schneider_gate.json": ["expand-schneider", "-p", "3", "--json", gate_head],
+        "head_gate.json": ["head", "-p", "3", "--json", gate_head],
+        "schneider_gate_run.json": ["expand-schneider", "-p", "3", "--json", gate_run],
+        "head_gate_run.json": ["head", "-p", "3", "--json", gate_run],
+        "head_exponent_1000000.txt": ["head", "-p", "3", "--digit", "1", "--exponent", "1000000", "2/5"],
     }
+    # a (1,2) head of 1,500 steps over the 400-digit tail, and behind one (2,1) step: the run ends
+    # inside the head, and only a whole head of one step is taken as one power, so every level is
+    # stepped
     for name, steps in (("lead_run", [(1, 2)] * 1500), ("inner_run", [(2, 1)] + [(1, 2)] * 1500)):
         calls[f"schneider_{name}.json"] = ["expand-schneider", "-p", "3", "--json", "%d/%d" % _head_over(tail400, steps, 3)]
-    gate_run = "%d/%d" % _head_over(tail400, [(1, 2)] * 301, 3)
-    calls["schneider_gate_run.json"] = ["expand-schneider", "-p", "3", "--json", gate_run]
-    calls["head_gate_run.json"] = ["head", "-p", "3", "--json", gate_run]
+    # a (1,1) head of 2,001 steps at p = 101 over a random tail of 8 digits, and of 20: the entry
+    # run's form is 101**2001 times a cofactor of 59 bits, which vp_read reads off the low end and
+    # the run's exact pair certifies, and of 139 bits, past the read's window, where vp_split's
+    # ladder gives the valuation; head finds no identity on either, so its exact valuation decides
+    # head_len null
     for digits in (8, 20):
         tail_head = "%d/%d" % _head_over(_tail(digits, digits, 101), [(1, 1)] * 2001, 101)
         calls[f"schneider_tail_{digits}.json"] = ["expand-schneider", "-p", "101", "--json", tail_head]
         calls[f"head_tail_{digits}.json"] = ["head", "-p", "101", "--json", tail_head]
+    # a (1,1) head of 4 steps and one of 8 over a random 60-digit tail at p = 10^9+7, above the run
+    # gate: the residue test p**(2 alpha + 1) | Q admits each run, and the entry run takes it
     for length in (4, 8):
         short_run = "%d/%d" % _head_over(_tail(60, 60, 10**9 + 7), [(1, 1)] * length, 10**9 + 7)
         calls[f"schneider_run_{length}_1e9.json"] = ["expand-schneider", "-p", "1000000007", "--json", short_run]
     return calls
 
 
-# tier1.yml's own sha256 of each file its shell writes from the call's stdout
+@pytest.fixture(scope="module")
+def ci_pin_calls():
+    return _ci_pin_calls()
+
+
+# the seven "ok:" lines of verify's full battery on an input prime to p
+VERIFY_OK = "0756dfd8cd752b91fd3f98fbadb0066c1b72207fe7ccb6767c9dbf922d906021"
+
+# the sha256 of each pinned call's stdout; each call exits 0 and writes nothing to stderr
 CI_PINS = {
+    "digits_1_7.json": "1a9acfc9cf4ab491b41734634eb727a2916008cca55c56fbab7dedeab8880e11",
     "digits_read.json": "a3f225865a283c58d1af565c6d92fb08065dabc0654f000e00fc9ff3f177a829",
     "bound_read.json": "01174eb3a2f0c9c6528c44ec2fcb74a12a8c24a3e11e45d52fb87501c1f5825f",
     "digits_ladder.json": "acce6a25f4d08f195e332dfc82f27e368ed48d7399215422a32855421bff9978",
@@ -429,11 +523,32 @@ CI_PINS = {
     "head_large_p.json": "237e22e19525605c1db5ac7fb5040018053cd271f3ea27c703666c9ddcf1dc67",
     "bound.json": "0f3ccdb7b198b078e59aee378b518564b299a375989fceb49cca8149881e95ad",
     "bound_1e9.json": "ce23804d500ec3e2f195331e2ffafd9d556cf53bdc62ebd2716bf98cf6288af6",
+    "bound_5.txt": "6464f9ce4bbd5be7292a67b395b77c548f72de648d319dff8fa5ab4746025770",
     "bound_1e9.txt": "eca29f4f7b2fb3b88979d606c9a5fbb7ea5b35590613dded0ddae371d547b6e4",
-    "schneider_lead_run.json": "2ff2f3b8d50f59a23e170a8be8204708312b42a1d34ebb329e23ca57e8d485d0",
-    "schneider_inner_run.json": "a460cd206a1ec88063fa665d1ac5e9169ed7fdf1b6741070eee5796c4ab1459a",
+    "schneider.txt": "912f8ca4620499437eaf858c2dfeba7c1bdccaef57b71c6e9e2058a581583000",
+    "browkin.json": "fa5c761ed61e159e27d704abbeea3650c5b4197b8bf0519c53212815e6344e92",
+    "browkin.txt": "408037ffb758c319399a41aa95cba987129eb3b713397deb873ca8c470831e79",
+    "verify_1000.txt": VERIFY_OK,
+    "verify_3000.txt": VERIFY_OK,
+    "verify_10000.txt": VERIFY_OK,
+    "schneider_1e9.txt": "5d4bfe4649df6453724a09121a11e36e0fe9bb7431693028b1dd83b7b8bac889",
+    "browkin_1e9.json": "64607e5e286f27137ac08b242426d6b1d199a13ecf54fe23906471081d17330a",
+    "browkin_1e9.txt": "8ae8cad7627779a46b9083e76c257b8ab895c111f304a1afe3bbf3e145f73a45",
+    "browkin_101.json": "e7b4afe141d3d4201eb824bf6626372521262847ba7723b28ff1f37ceabe0192",
+    "digits_large.txt": "975f800378e68921478b43d5ccb331f0b3480b4932afbcec8ccb649584737c78",
+    "digits_large_101.json": "697236caf1e9b9fe1c4a95d54ba7f8f6726f886bdcb95c448d89c6feba13d45e",
+    "head_long.json": "5f4ec54c513d876c797757b41bd56b4357cecd9814e5f6a4cdbfe0033c9d0b36",
+    "head_long.txt": "e0008b64131190451505c072f609234c29d4b23cec493a5eba49309129c64d55",
+    "schneider_run.json": "5e742329b395b57203fb96f66e2aa0ae697ef40b1e4361aaae34876d1ad71c57",
+    "schneider_run_1e9.json": "ffa5bc4a05162a6abbdbfd59689e20c6d5e8eaa3b05794d5a8beeb49f370ce1e",
+    "head_run_1e9.json": "7df747ec35b8a65ecb7394297bcd23bc8fb00e74416c45679fe6e5b622d88ded",
+    "head_7.json": "53cdbf2400683d14979247c906553d9e59150963b395c9c593cbe58066ed6097",
+    "schneider_gate.json": "eabddf11f36ad989f818381eef63ff8ce1d635d3dfd4a8ddd557bac2c438290b",
+    "head_gate.json": "9a894ac34944d4658b7777832dfed6673935022184dc825d43ae92f0ea8da562",
     "schneider_gate_run.json": "fe2fadff4e2fadce0165270b45ba723d7d7f2a1503f850331763feb1f2e767e2",
     "head_gate_run.json": "68630a39ded9084f3d9f43dbe9bd5cc7ca1baa03bb7474263c37018ddc5f0353",
+    "schneider_lead_run.json": "2ff2f3b8d50f59a23e170a8be8204708312b42a1d34ebb329e23ca57e8d485d0",
+    "schneider_inner_run.json": "a460cd206a1ec88063fa665d1ac5e9169ed7fdf1b6741070eee5796c4ab1459a",
     "schneider_tail_8.json": "0e9889e1636bfeec04b7a004cb6b17cdb08e497f0e7a0d4eb2f4195c0b2f9f65",
     "head_tail_8.json": "266f5401713e7314450d2f8c684218d9be96f8ee06ecda6bb736124cec43dd92",
     "schneider_tail_20.json": "0d395d9139167852f4bfaa34acc2e8bce1a88428c1b1b818a58c0269d53345ba",
@@ -442,13 +557,109 @@ CI_PINS = {
     "schneider_run_8_1e9.json": "ec5ecef55f55d930f08d284f409cf73e6e64aa28ba953e9bb471e9169904f2a9",
 }
 
+# calls that print the pinned bytes of the same query scaled by g, which the CLI takes with no gcd
+# and reduces only by its rerun rule
+SAME_AS = {
+    "browkin_1e9_x3.json": "browkin_1e9.json",
+}
 
-@pytest.mark.parametrize("name", CI_PINS)
-def test_ci_pins_hold_in_process(name):
-    # each call exits 0 within the fuzz slice's per-call time limit and prints the bytes CI pins
-    code, out, err = limited_run(_ci_pin_calls()[name])
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == CI_PINS[name]
+# usage errors: exit 2, nothing on stdout, and this last line of stderr, below the usage argparse
+# writes; an exponent past the input's alpha_max is refused before p**alpha is built
+USAGE_PINS = {
+    "head_exponent_1000000.txt": "padic-cf head: error: exponent must be at most 3 for 2/5 at p=3, got 1000000",
+}
+
+# a line each of these outputs shows, beside its digest
+SHOWS = {
+    "digits_large_101.json": '"period": null',  # the period search stops at DIGIT_PERIOD_LIMIT
+    "head_large_p.json": '"head_len": 41',
+    "head_long.json": '"head_len": 2001',
+    "head_run_1e9.json": '"head_len": 10001',
+    "head_7.json": '"head_len": 1951',
+    "head_gate.json": '"head_len": 301',
+    "head_gate_run.json": '"exact_identity": false',
+    "head_tail_8.json": '"exact_identity": false',
+    "head_tail_20.json": '"exact_identity": false',
+}
+
+
+def _failures(names, calls):
+    # the names whose call, run within its time limit, does not print what is pinned for it
+    failed = []
+    for name in names:
+        code, out, err = limited_run(calls[name])
+        if name in USAGE_PINS:
+            held = (code, out) == (2, "") and err.startswith("usage: ") and err.endswith(f"\n{USAGE_PINS[name]}\n")
+        else:
+            digest = CI_PINS[SAME_AS.get(name, name)]
+            held = (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest
+            held = held and SHOWS.get(name, "") in out
+        if not held:
+            failed.append(name)
+    return failed
+
+
+@pytest.mark.parametrize("name", [*CI_PINS, *SAME_AS, *USAGE_PINS])
+def test_ci_pins_hold_in_process(name, ci_pin_calls):
+    assert _failures([name], ci_pin_calls) == []
+
+
+def _planted(function, old, new):
+    # function with the one occurrence of old in its source replaced by new, compiled in a copy
+    # of its module's namespace
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, old
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+# (function, its text, the planted text, a pinned call the plant fails): lambda2's float taken back
+# to (p - sqrt(D))/(4p), one usage message reworded, and two keys of head --json swapped
+PLANTS = {
+    "lambda2 cancels": (cli._cmd_bound, "-4 / (p * (p + s * sqrt(m)))", "(p - s * sqrt(m)) / (4 * p)",
+                        "bound_1e9.json"),
+    "usage reworded": (schneider.head_analysis, "exponent must be at most", "exponent may be at most",
+                       "head_exponent_1000000.txt"),
+    "head keys swapped": (cli._cmd_head, '"head_len": report.head_len,\n                "exact_identity": report.exact_identity,',
+                          '"exact_identity": report.exact_identity,\n                "head_len": report.head_len,',
+                          "head_7.json"),
+}
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+def test_each_plant_fails_a_pinned_call(plant, ci_pin_calls, monkeypatch):
+    # cli looks each planted name up at call time: its handlers in _SUBCOMMANDS, head_analysis
+    # in its own namespace
+    function, old, new, name = PLANTS[plant]
+    planted = _planted(function, old, new)
+    monkeypatch.setattr(cli, function.__name__, planted)
+    for command, (help_text, handler, arguments) in cli._SUBCOMMANDS.items():
+        if handler is function:
+            monkeypatch.setitem(cli._SUBCOMMANDS, command, (help_text, planted, arguments))
+    command = ci_pin_calls[name][0]
+    assert name in _failures([other for other, argv in ci_pin_calls.items() if argv[0] == command], ci_pin_calls)
+
+
+# one query spelled canonically and as argparse takes it ('=' values, abbreviations, attached
+# values, the positional first): both print the same bytes and exit 0
+SPELLINGS = [
+    ("expand-browkin -p 3 -- 365/54", "expand-browkin --prime=3 365/54"),
+    ("expand-browkin -p 3 -- 365/54", "expand-browkin --pr 3 -- 365/54"),
+    ("expand-browkin -p 3 -- 365/54", "expand-browkin 365/54 -p3"),
+    ("expand-schneider -p 3 --json 43/28", "expand-schneider --prime=3 --js 43/28"),
+    ("digits -p 5 -n 7 -- -1793/100", "digits -p5 --count=7 -- -1793/100"),
+    ("bound -p 3 --json 365/54", "bound --pr 3 --json 365/54"),
+    ("head -p 3 --json 1259/701", "head --prime=3 --js 1259/701"),
+    ("verify -p 3 2/5", "verify 2/5 -p3"),
+    ("sweep --primes 3,5 --max-num 5 --max-den 5", "sweep --primes=3,5 --max-n 5 --max-d 5"),
+]
+
+
+@pytest.mark.parametrize("canonical, spelled", SPELLINGS, ids=[spelled for _, spelled in SPELLINGS])
+def test_spellings_print_the_canonical_bytes(canonical, spelled):
+    want = limited_run(canonical.split())
+    assert want[0] == 0 and limited_run(spelled.split()) == want
 
 
 # constant heads of 2 to 7 steps over 60-digit tails, above the run gate, at p = 65537 and

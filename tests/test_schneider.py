@@ -535,13 +535,21 @@ class TestHeadAnalysis:
         ):
             with pytest.raises(ValueError, match=message):
                 head_analysis(a, b, 1, 1, 3)
-        # only the value a/b decides the answer: 4/10 is 2/5 (the record's integers scale by 2**2)
+        # no gcd is taken: 4/10 answers as 2/5 does (the record's integers scale by 2**2)
         scaled, reduced = head_analysis(4, 10, 1, 1, 3), head_analysis(2, 5, 1, 1, 3)
         assert (scaled.head_len, scaled.exact_identity, head_values(scaled)[2]) == (
             reduced.head_len, reduced.exact_identity, head_values(reduced)[2])
+        # but the input rules read the pair as given: p | g fails the unit-pair check, and
+        # alpha_max is that of the scaled pair, so 2000/5000 takes an exponent 2/5 refuses
+        assert head_analysis(1259, 701, None, None, 3).head_len == 6
+        with pytest.raises(ValueError, match="numerator must be coprime to p"):
+            head_analysis(3 * 1259, 3 * 701, None, None, 3)
+        assert head_analysis(2000, 5000, 1, 4, 3).head_len is None
+        with pytest.raises(ValueError, match="exponent must be at most 3 for 2/5 at p=3, got 4"):
+            head_analysis(2, 5, 1, 4, 3)
 
     def test_pair_read_off_the_first_step(self):
-        # with no pair given, the first step's: only the value a/b decides it, as the rest
+        # with no pair given, the first step's, which 4/10 shares with 2/5, as the rest
         scaled, reduced = head_analysis(4, 10, None, None, 3), head_analysis(2, 5, None, None, 3)
         assert (reduced.digit, reduced.alpha, reduced.head_len) == (1, 1, 4)
         assert (scaled.head_len, scaled.exact_identity, head_values(scaled)[2]) == (
@@ -746,7 +754,7 @@ class TestGenerator:
 
     def test_one_power_is_the_product_of_the_steps(self):
         # M**(k+1) (1, -1) by one _run_power against the k+1 products one at a time, on every
-        # k below 70, powers of 2 and their neighbours, and the CI heads
+        # k below 70, powers of 2 and their neighbours, and the heads of the pinned CLI calls
         cases = []
         for p in (3, 5, 7, 11, 101, 65537, 10**9 + 7):
             pairs = {(1, 1), (1, 2), (2, 1), (p - 1, 2), (p // 2, 3)} - {(p - 1, 1)}
