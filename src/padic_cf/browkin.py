@@ -293,8 +293,8 @@ def _length_seed(a: int, b: int, p: int, disc: int) -> int:
     # 0 if a + b*(p + 2) < D * 2**8, which puts the capacity below 2**8 as
     # sqrt(D) <= p + 2 (N <= 13 at p = 3, N <= 9 at p >= 5): there walking up
     # from 0 costs less than this estimate.  A large a or b fails on its size
-    # alone, before any product.  Kept: the seed always reads x1.18 on CI's wide
-    # sweep (BENCH_special_paths_2.json, row 12)
+    # alone, before any product.  Kept: the seed always reads x1.18 on the [wide]
+    # sweep of test_derived_records_are_the_kernels (BENCH_special_paths_2.json, row 12)
     cut = disc << 8
     if a < cut and b < cut and a + b * (p + 2) < cut:
         return 0

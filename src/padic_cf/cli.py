@@ -121,6 +121,10 @@ SWEEP_COLUMNS = [
     "slack",
     "schneider_steps_to_stationary",
 ]
+# one sweep row as csv.writer writes it: ints bare, "" where no stationary index, "\r\n" ends it.
+# Kept: csv.writer's writerow per row reads rows_per_s x0.98 on sweep_grid
+# (BENCH_translated_certificates.json, "row_writer")
+_SWEEP_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%s\r\n"
 
 # a sweep row first takes its records from row a - b of its (p, b) line, by the translation
 # lemmas (browkin and schneider module docstrings); a Browkin record the translation misses, for
@@ -287,7 +291,7 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     ys = None if args.json else []  # text prints the y trace the matrix laws divide
-    expansion = oracle.certified_schneider(*args.rational, args.prime, ys)
+    expansion, _ = oracle.certified_schneider(*args.rational, args.prime, ys)
     if args.json:
         num, den = _input_digits(args)
         print(
@@ -433,41 +437,48 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except OSError as exc:  # a usage error, not a failed check
             raise ValueError(f"cannot open {args.out}: {exc}") from exc
     try:
-        writer = csv.writer(out)
-        writer.writerow(SWEEP_COLUMNS)
+        csv.writer(out).writerow(SWEEP_COLUMNS)
         max_len = 0
         min_slack = None
         max_stationary = None
         for p, b in product(args.primes, range(1, args.max_den + 1)):
             mirrors = {}  # a -> the certified (expansion, report) of -a/b, a <= SWEEP_MIRROR_CAP
-            # a -> the certified records of (a - b)/b, stored only for a row a that pops them:
-            # a != 0 and a <= max-num, and for Schneider p not dividing a
+            # a -> the certified records of (a - b)/b with the state of their pass, the betas or
+            # the pair a translated row resumes, stored only for a row a that pops them: a != 0
+            # and a <= max-num, and for Schneider p not dividing a.  A mirror needs no betas:
+            # kept there, they read peak_rss_mb x1.004 on sweep_grid
+            # (BENCH_translated_certificates.json, "mirror_state")
             browkin_shifts, schneider_shifts = {}, {}
             for a in range(-args.max_num, args.max_num + 1):
                 if a == 0 or gcd(abs(a), b) != 1:
                     continue
-                expansion, _, report = oracle.certified_browkin(
+                browkin_certified = oracle.certified_browkin(
                     a, b, p, mirrors.pop(a, None), browkin_shifts.pop(a, None))
+                expansion, _, report = browkin_certified
                 if -SWEEP_MIRROR_CAP <= a < 0:
                     mirrors[-a] = expansion, report
                 target = a + b
                 if target and target <= args.max_num:
-                    browkin_shifts[target] = expansion, report
+                    browkin_shifts[target] = browkin_certified
                 _, beta0, beta1, n_bound = report
                 browkin_len = len(expansion.steps)
                 slack = n_bound + 1 - browkin_len
                 stationary = ""
                 if a % p != 0 and b % p != 0:
-                    sexp = oracle.certified_schneider(a, b, p, shift=schneider_shifts.pop(a, None))
+                    schneider_certified = oracle.certified_schneider(
+                        a, b, p, shift=schneider_shifts.pop(a, None))
                     if target % p and target <= args.max_num:  # target != 0, as p | 0
-                        schneider_shifts[target] = sexp
+                        schneider_shifts[target] = schneider_certified
+                    sexp = schneider_certified[0]
                     if sexp.stationary_from is not None:
                         stationary = sexp.stationary_from
                         if max_stationary is None or stationary > max_stationary:
                             max_stationary = stationary
-                writer.writerow([p, a, b, browkin_len, n_bound, beta0, beta1, slack, stationary])
-                max_len = max(max_len, browkin_len)
-                min_slack = slack if min_slack is None else min(min_slack, slack)
+                out.write(_SWEEP_ROW % (p, a, b, browkin_len, n_bound, beta0, beta1, slack, stationary))
+                if browkin_len > max_len:
+                    max_len = browkin_len
+                if min_slack is None or slack < min_slack:
+                    min_slack = slack
     finally:  # a write that fails on either target raises here, before the summary
         if out is sys.stdout:
             out.flush()

@@ -115,8 +115,8 @@ def _inverse_power(p: int, m: int, width: int) -> int:
     # p**-m mod 2**width for odd p and m >= 1: p's inverse, then square-and-multiply with a mask
     # after each product, x0.5-0.75 of pow(p, -m, 2**width), which reduces each product by a long
     # division (BENCH_low_end.json, "inverses").  The low-end reads and schneider._run_pair's
-    # inverse of det M**r = (-p**alpha)**r share it.  Kept: with pow, CI's run_head reads x1.05
-    # (BENCH_special_paths_2.json, row 4)
+    # inverse of det M**r = (-p**alpha)**r share it.  Kept: with pow, the schneider_run.json pin
+    # reads x1.05 (BENCH_special_paths_2.json, row 4)
     mask = (1 << width) - 1
     base = out = pow(p, -1, mask + 1)
     for bit in bin(m)[3:]:
@@ -194,8 +194,8 @@ def int_vp(n: int, p: int) -> int:
     p**j < 2**30 is one CPython digit for p < 2**15: exact while p**j does not
     divide n, with no division of n by p (x0.2-0.6 of vp_split's ladder,
     BENCH_low_end.json, "small_vp"); vp_split's v where p**j divides n, and
-    vp_split's ValueError for n = 0.  vp_split alone reads x1.13 on `head` of
-    CI's head_7 (BENCH_special_paths_2.json, row 8).
+    vp_split's ValueError for n = 0.  vp_split alone reads x1.13 on the
+    head_7.json pin's `head` (BENCH_special_paths_2.json, row 8).
     """
     rest = n % p ** max(2, 30 // p.bit_length())
     if not rest:

@@ -27,13 +27,18 @@ the input or an option are left out):
                      beta                             browkin reconstruction (its pass)
                      the length <= N + 1              browkin length bound
                      N itself                         none
-  sweep              browkin_len                      browkin reconstruction and
-                                                      browkin length bound
+  sweep              browkin_len                      browkin reconstruction (a translated
+                                                      row's resumed) and browkin length bound
                      a translated row's first step    browkin translated step range
+                     a translated row's later steps   browkin translated tail
                      the record's word sizes          none
-                     beta0_abs, beta1_abs             browkin reconstruction (its pass)
+                     beta0_abs, beta1_abs             browkin reconstruction (its pass, or
+                                                      its source's)
                      bound_N, slack >= 0              browkin length bound; N itself none
-                     schneider_steps_to_stationary    schneider tail laws
+                     schneider_steps_to_stationary    schneider tail laws; a translated row's
+                                                      also schneider translated tail
+                     (a translated row's Schneider    schneider translated step range and
+                     first step, not printed)         schneider reconstruction (resumed)
   expand-schneider   head, its value                  schneider reconstruction
   (text)             head, digit range and exponents  schneider matrix laws
                      y trace                          schneider matrix laws (its chain)
@@ -72,6 +77,25 @@ level n+1 holds (s*beta_n, s*p**k_{n+1}*beta_{n+1}), level n holds
 below each level, which cf_pair can keep, are s*beta_N, ..., s*beta_0, and s
 is the sign of the last of them, as beta_0 > 0: browkin_reconstruction hands
 back the whole beta trace from the pass that checks the quotients.
+
+The resumption lemma.  cf_pair and schneider_pair back-substitute from the
+last level down, and levels N, ..., 1 read p and the steps past the first
+(and, for Schneider, the tail) alone.  So a record whose p and later steps
+(and tail and markers) are those of a source whose pass was certified holds,
+after level 1, exactly the integers that pass held there: for Browkin the
+level-1 pair (s*beta_0, s*p**k_1*beta_1), by the numerator lemma the betas
+the source's reconstruction handed back; for Schneider (num_1, den_1) =
+(den, (num - d_0*den) / p**alpha_0), read back from the source's pair (num,
+den) and first step (d_0, alpha_0), an exact division as num = d_0*num_1 +
+p**alpha_0*den_1.  Level 0 then applies the record's own first step:
+(x'_0*beta_0 + p**(k'_0+k_1)*beta_1, p**k'_0*beta_0), or (x'_0, p**k'_0) for
+a one-step record, and (d'_0*num_1 + p**alpha'_0*den_1, num_1).  That is the
+pair a full pass over the record computes (for Browkin up to the sign s,
+which leaves _equals' verdict as it is), with the shared levels not computed
+again, and num_1 != 0 as the source's pair has den != 0.  So a translated
+sweep row keeps its reconstruction, under the same check name, at the cost
+of one tuple comparison (browkin or schneider translated tail) and its new
+first step; a row translated from a translated row resumes the same integers.
 
 The error identity.  Let P_n, Q_n be the convergents of the same expansion
 scaled by D_n = p**(k_0+...+k_n), as browkin.convergent_triples yields them.
@@ -248,13 +272,17 @@ def digit_period_identity(a: int, b: int, p: int, start: int, preperiod, period)
     return _record(Check, ("digit period identity", ok))
 
 
+def _schneider_pass(expansion) -> tuple[int, int]:
+    # schneider_pair's back-substitution of the steps onto the record's tail
+    try:
+        return schneider_pair(expansion.steps, expansion.tail, expansion.p)
+    except ZeroDivisionError:  # a zero tail, or a partial denominator of 0 on the way: not a/b
+        return 0, 0
+
+
 def schneider_reconstruction(a: int, b: int, expansion) -> Check:
     """schneider_pair's back-substitution of the steps onto the record's tail, against a/b."""
-    try:
-        pair = schneider_pair(expansion.steps, expansion.tail, expansion.p)
-    except ZeroDivisionError:  # a zero tail, or a partial denominator of 0 on the way: not a/b
-        pair = (0, 0)
-    return _record(Check, ("schneider reconstruction", _equals(pair, a, b)))
+    return _record(Check, ("schneider reconstruction", _equals(_schneider_pass(expansion), a, b)))
 
 
 def schneider_tail_laws(expansion) -> Check:
@@ -324,34 +352,66 @@ def battery(a: int, b: int, p: int) -> list[Check]:
         checks.append(schneider_reconstruction(a, b, sexp))
         if sexp.steps:
             checks.append(schneider_matrix_laws(a, b, sexp))
+        checks.append(schneider_tail_laws(sexp))
     return checks
+
+
+def _resumed_browkin_pair(expansion, betas: list[int]) -> tuple[int, int]:
+    # s times cf_pair's pair for a record whose p and later steps are those of the source
+    # whose betas these are: level 1 of that source's pass, and the record's first step (the
+    # resumption lemma)
+    p, steps = expansion.p, expansion.steps
+    k, x = steps[0]
+    if len(steps) == 1:
+        return x, p**k
+    return x * betas[0] + p ** (k + steps[1][0]) * betas[1], p**k * betas[0]
+
+
+def _resumed_schneider_pair(expansion, source, pair: tuple[int, int]) -> tuple[int, int]:
+    # schneider_pair's pair for a record whose p, later steps, tail and markers are those of
+    # source, whose pass gave pair: its level-1 pair read back, and the record's first step
+    p, (num, den) = expansion.p, pair
+    if source.steps:  # else the source's pair is its tail, the level-1 pair of a one-step record
+        digit, alpha = source.steps[0]
+        num, den = den, (num - digit * den) // p**alpha
+    digit, alpha = expansion.steps[0]
+    return digit * num + p**alpha * den, num
 
 
 def certified_browkin(a: int, b: int, p: int, mirror=None, shift=None):
     """The Browkin expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all
     certified: the betas, beta_0 and |beta_1| among them, come off the reconstruction check's
     own pass, and the bound reads them only once that check has passed.  Given shift, the
-    certified (expansion, report) of (a - b)/b, the record is browkin_translation's where the
-    translation lemma applies; else, given mirror, the certified (expansion, report) of -a/b,
-    it is browkin_mirror's; else the kernel's.  A derived record's report is reused when it
-    holds the reconstruction's beta_0 and |beta_1|.
+    certified (expansion, betas, report) of (a - b)/b, the record is browkin_translation's
+    where the translation lemma applies; else, given mirror, the certified (expansion, report)
+    of -a/b, it is browkin_mirror's; else the kernel's.  A translated record's betas are its source's, and
+    its reconstruction resumes the source's pass at level 1 (the resumption lemma), once its
+    new first step is a Browkin step and its later steps are the source's.  A derived
+    record's report is reused when it holds the reconstruction's beta_0 and |beta_1|.
     """
     source = shift
     expansion = None if shift is None else browkin_translation(shift[0])
     if expansion is None:
         source = mirror
         expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
-    else:  # the one step a translation makes must be a Browkin step; its Check built on failure
-        k, x = expansion.steps[0]
+        betas: list[int] = []
+        recon = browkin_reconstruction(a, b, expansion, betas)
+        if not recon.ok:
+            require(p, a, b, recon)
+    else:  # each Check built on failure
+        origin, betas = shift[0], shift[1]
+        steps = expansion.steps
+        k, x = steps[0]
         if not (2 * abs(x) < p ** (1 + k) and (not k or x % p)):
             require(p, a, b, _record(Check, ("browkin translated step range", False)))
-    betas: list[int] = []
-    recon = browkin_reconstruction(a, b, expansion, betas)
-    if not recon.ok:
-        require(p, a, b, recon)
+        if expansion.p != origin.p or steps[1:] != origin.steps[1:]:
+            require(p, a, b, _record(Check, ("browkin translated tail", False)))
+        if not _equals(_resumed_browkin_pair(expansion, betas), a, b):
+            require(p, a, b, _record(Check, ("browkin reconstruction", False)))
     beta0, beta1 = betas[0], abs(betas[1]) if len(betas) > 1 else 0
-    if source is not None and source[1][:3] == (p, beta0, beta1):
-        report = source[1]  # the bound depends on p, beta_0 and |beta_1| alone
+    # a source's report is its last item: (expansion, report) or (expansion, betas, report)
+    if source is not None and source[-1][:3] == (p, beta0, beta1):
+        report = source[-1]  # the bound depends on p, beta_0 and |beta_1| alone
     else:
         report = browkin_bound(beta0, beta1, p)
     require(p, a, b, browkin_length_bound(expansion, report))
@@ -359,19 +419,33 @@ def certified_browkin(a: int, b: int, p: int, mirror=None, shift=None):
 
 
 def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, shift=None):
-    """The Schneider expansion of a/b, certified by its reconstruction and its tail laws;
-    given a list, also by the matrix laws, whose chain fills ys with y_1, ..., y_N.  Given
-    shift, the certified expansion of (a - b)/b, the record is schneider_translation's where
-    the translation lemma applies, else the kernel's."""
-    expansion = None if shift is None else schneider_translation(shift)
+    """(expansion, pair): the Schneider expansion of a/b, certified by its reconstruction and
+    its tail laws, and the pair that reconstruction compared with (a, b); given a list, also
+    by the matrix laws, whose chain fills ys with y_1, ..., y_N.  Given shift, the certified
+    (expansion, pair) of (a - b)/b, the record is schneider_translation's where the
+    translation lemma applies, else the kernel's.  A translated record's reconstruction
+    resumes its source's pass at level 1 (the resumption lemma), once its later steps, tail
+    and markers are the source's and its new first step is in range."""
+    expansion = None if shift is None else schneider_translation(shift[0])
     if expansion is None:
         expansion = schneider_expand(a, b, p)
-    if ys is None:  # the sweep's row path: no list of checks built and splatted
-        require(p, a, b, schneider_reconstruction(a, b, expansion), schneider_tail_laws(expansion))
+        pair = _schneider_pass(expansion)
+    else:  # each Check built on failure
+        origin, steps = shift[0], expansion.steps
+        # fields 4 on: stationary_from, finite_end and tail
+        if expansion.p != origin.p or steps[1:] != origin.steps[1:] or expansion[4:] != origin[4:]:
+            require(p, a, b, _record(Check, ("schneider translated tail", False)))
+        digit, alpha = steps[0] if steps else (0, 0)
+        if not (0 < digit < p and alpha >= 1):
+            require(p, a, b, _record(Check, ("schneider translated step range", False)))
+        pair = _resumed_schneider_pair(expansion, origin, shift[1])
+    if not _equals(pair, a, b):  # its Check built on failure
+        require(p, a, b, _record(Check, ("schneider reconstruction", False)))
+    if ys is None:  # the sweep's and --json's path: no chain walked
+        require(p, a, b, schneider_tail_laws(expansion))
     else:
-        require(p, a, b, schneider_reconstruction(a, b, expansion),
-                schneider_matrix_laws(a, b, expansion, ys), schneider_tail_laws(expansion))
-    return expansion
+        require(p, a, b, schneider_matrix_laws(a, b, expansion, ys), schneider_tail_laws(expansion))
+    return expansion, pair
 
 
 def certified_digits(a: int, b: int, p: int, count: int, split: bool):

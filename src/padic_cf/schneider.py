@@ -300,7 +300,7 @@ _RUN_MIN = 64
 # sweep, BENCH_special_paths_2.json, row 6)
 _RUN_GATE = 64
 # bits _run_pair's first modulus adds to its guess of the pair's size; the full width at once
-# reads x2.8 on CI's head_7 (BENCH_special_paths_2.json, row 9)
+# reads x2.8 on the head_7.json pin (BENCH_special_paths_2.json, row 9)
 _RUN_MARGIN = 64
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 

@@ -92,6 +92,20 @@ def derived_records(monkeypatch, names=DERIVATIONS):
     return derived
 
 
+# the sweep grids whose derived records are checked, each with the sha256 of its CSV
+SWEEP_GRIDS = [
+    (["--primes", "3,5,7", "--max-num", "100", "--max-den", "100"],
+     "356a4f1995605f0282d9dab5b2b123b320f7f794bd413af923dd4fa9fde993d9"),
+    (["--primes", "3,11,101", "--max-num", "3000", "--max-den", "2"],
+     "3c1522394971899b460b94a554e71372020342dde39381374a59982a496ef36c"),
+    (["--primes", "3,5", "--max-num", "120", "--max-den", "54"],
+     "b4bd7fa1bd4573dddbea3e34986102fad928e841a38dc25c6c955fec456633a3"),
+    (["--primes", "3,5,101", "--max-num", "400", "--max-den", "30"],
+     "eb6d164e562910107a44fa97acbad44cfdb97d849dd96b82409010195f4a349d"),
+]
+SWEEP_GRID_IDS = ["grid", "wide", "p-powers", "chains"]
+
+
 def negated(pair):
     a, b = pair
     return -a, b
@@ -842,7 +856,7 @@ class TestVerifyCommand:
             for p, text in inputs:
                 assert main(["verify", "-p", str(p), "--", text]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-            "1dbf3e680119fafe48256135121bf4b5b360ea2e3f090cbcef6ee18ade4090da"
+            "3b184fa67131d7d5d13095dcfda63a82d0131023b10808003070668ed89ed7f8"
         )
 
 
@@ -1072,16 +1086,7 @@ class TestSweepCommand:
             fields[6] = str(int(fields[6]) - 1)
         assert unplanted and [",".join(fields) for fields in unplanted] == default[1:]
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["--primes", "3,5,7", "--max-num", "100", "--max-den", "100"],
-         "356a4f1995605f0282d9dab5b2b123b320f7f794bd413af923dd4fa9fde993d9"),
-        (["--primes", "3,11,101", "--max-num", "3000", "--max-den", "2"],
-         "3c1522394971899b460b94a554e71372020342dde39381374a59982a496ef36c"),
-        (["--primes", "3,5", "--max-num", "120", "--max-den", "54"],
-         "b4bd7fa1bd4573dddbea3e34986102fad928e841a38dc25c6c955fec456633a3"),
-        (["--primes", "3,5,101", "--max-num", "400", "--max-den", "30"],
-         "eb6d164e562910107a44fa97acbad44cfdb97d849dd96b82409010195f4a349d"),
-    ], ids=["grid", "wide", "p-powers", "chains"])
+    @pytest.mark.parametrize("argv, digest", SWEEP_GRIDS, ids=SWEEP_GRID_IDS)
     def test_derived_records_are_the_kernels(self, argv, digest, monkeypatch, tmp_path):
         # every record a sweep row takes from another row, by a translation or the mirror, is
         # the kernel's record of that row, compared with ==, and the CSV is pinned by its sha256.
@@ -1160,6 +1165,85 @@ class TestSweepCommand:
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
         assert run_cli(argv, capsys) == (1, "", "FAIL: browkin translated step range failed at p=3, -97/1\n")
+        rows = path.read_text().splitlines()
+        assert rows[-1].startswith("3,-98,1,") and not any(row.startswith("3,-97,1,") for row in rows)
+
+    @pytest.mark.parametrize("argv, digest", SWEEP_GRIDS, ids=SWEEP_GRID_IDS)
+    def test_resumed_pairs_are_the_full_passes(self, argv, digest, monkeypatch, tmp_path):
+        # every pair a translated row resumes from its source's pass is the pair the full
+        # back-substitution of its record computes: cf_pair's times s = beta_N, the last of the
+        # source's betas, and schneider_pair's exactly (the resumption lemma, oracle docstring)
+        resumed = {"browkin": [], "schneider": []}
+
+        def kept(kind, resume):
+            def call(expansion, *state):
+                pair = resume(expansion, *state)
+                resumed[kind].append((expansion, state, pair))
+                return pair
+            return call
+
+        monkeypatch.setattr(oracle, "_resumed_browkin_pair", kept("browkin", oracle._resumed_browkin_pair))
+        monkeypatch.setattr(oracle, "_resumed_schneider_pair", kept("schneider", oracle._resumed_schneider_pair))
+        path = tmp_path / "rows.csv"
+        code, _, err = limited_run(["sweep", *argv, "--out", str(path)], 10)
+        assert code == 0 and err.startswith("sweep ok")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert resumed["browkin"] and resumed["schneider"]
+        for expansion, (betas,), (num, den) in resumed["browkin"]:
+            s = betas[-1]
+            assert (s * num, s * den) == browkin.cf_pair(expansion.steps, expansion.p), expansion
+        for expansion, _, pair in resumed["schneider"]:
+            assert pair == schneider.schneider_pair(expansion.steps, expansion.tail, expansion.p), expansion
+
+    @pytest.mark.parametrize("kernel, last, a", [
+        ("browkin_translation", lambda k, x: browkin.BrowkinStep(k, -x), -99),
+        ("schneider_translation", lambda digit, alpha: schneider.SchneiderStep(digit, alpha + 1), -97),
+    ], ids=["browkin", "schneider"])
+    def test_a_translated_later_step_changed_fails(self, kernel, last, a, capsys, monkeypatch, tmp_path):
+        # a translation with the last step of each record of two or more steps changed, the
+        # Browkin x_n negated or the Schneider exponent raised by one: the resumed reconstruction
+        # reads its source's pass and not those steps, and the tail laws hold, so the translated
+        # tail check alone refuses the record, at the first row the plant changes, and that row
+        # is not written
+        translate = getattr(oracle, kernel)
+
+        def planted(record):
+            out = translate(record)
+            if out is not None and len(out.steps) > 1:
+                out = out._replace(steps=(*out.steps[:-1], last(*out.steps[-1])))
+            return out
+
+        monkeypatch.setattr(oracle, kernel, planted)
+        path = tmp_path / "rows.csv"
+        argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
+        check = kernel.replace("_translation", " translated tail")
+        assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, {a}/1\n")
+        rows = path.read_text().splitlines()
+        assert rows[-1].startswith(f"3,{a - 1},1,") and not any(row.startswith(f"3,{a},1,") for row in rows)
+
+    @pytest.mark.parametrize("first, check", [
+        (lambda p, digit, alpha: (digit, alpha + 1), "schneider reconstruction"),
+        (lambda p, digit, alpha: (p, alpha), "schneider translated step range"),
+    ], ids=["exponent", "digit"])
+    def test_a_translated_schneider_first_step_changed_fails(self, first, check, capsys, monkeypatch,
+                                                             tmp_path):
+        # schneider_translation with its new first step's exponent raised by one, which the
+        # lemma's shortcut (num + den, den) would pass, fails the resumed reconstruction; with
+        # its new digit p, the translated step range.  Each fails at the first translated row,
+        # which is not written
+        translate = oracle.schneider_translation
+
+        def planted(record):
+            out = translate(record)
+            if out is not None:
+                step = schneider.SchneiderStep(*first(record.p, *out.steps[0]))
+                out = out._replace(steps=(step, *out.steps[1:]))
+            return out
+
+        monkeypatch.setattr(oracle, "schneider_translation", planted)
+        path = tmp_path / "rows.csv"
+        argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
+        assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, -97/1\n")
         rows = path.read_text().splitlines()
         assert rows[-1].startswith("3,-98,1,") and not any(row.startswith("3,-97,1,") for row in rows)
 

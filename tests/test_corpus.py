@@ -128,7 +128,7 @@ def test_corpus_inputs_cover_every_class():
 
 
 CORPUS_DIGESTS = {
-    "verify": "9c89850648322564f1c263054daf4ef816515ec90d279d48e0fcf6b9f8eccfe4",
+    "verify": "bc8fbc54f17baae7ae3bdeabb5a6bffabe36c74eea3e4afeaa4b6cb0b26edd57",
     "expand-browkin text": "0ce4a72243b7a26f54eceea0c767933e4ce4f026a69a1cf41209b27587a38558",
     "expand-browkin json": "7948eb7d08458bc804cf634541d36c20ff73c054bb24d340eca6a89732339f8a",
     "expand-schneider text": "269b29274931e3d4b3ce03f4037ba733db6953e08a8988df9954cae9e858a196",
@@ -510,8 +510,8 @@ def ci_pin_calls():
     return _ci_pin_calls()
 
 
-# the seven "ok:" lines of verify's full battery on an input prime to p
-VERIFY_OK = "0756dfd8cd752b91fd3f98fbadb0066c1b72207fe7ccb6767c9dbf922d906021"
+# the eight "ok:" lines of verify's full battery on an input prime to p
+VERIFY_OK = "db186806380573329d0b87892a940e7463f0410b0021c32e8846ab7bd4ddc49d"
 
 # the sha256 of each pinned call's stdout; each call exits 0 and writes nothing to stderr
 CI_PINS = {
