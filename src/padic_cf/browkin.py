@@ -27,32 +27,27 @@ certifies that at most n_bound + 1 quotients can appear.  A record stores no
 beta past beta_0: cf_pair's back-substitution hands them back to the
 reconstruction check, and the oracle's chain walk replays them for the others.
 
-The mirror lemma.  The expansion of -a/b has the steps (k_n, -x_n) of a/b's
-and the betas beta'_n = (-1)**n * beta_n, from beta'_{-1} = -a.  Proof: k0 and
-beta_0 depend on b alone, so beta'_0 = beta_0.  If beta'_{n-1} and beta'_n are
+The tail lemma.  An expansion is its first step followed by the expansion of
+its first complete quotient r_1 = beta_0 / (beta_1 * p**k1), so len(a/b) =
+1 + len(r_1).  Let (k0, x_0) be the first step of a/b, with delta_0 = a -
+x_0*beta_0 = beta_1 * p**(k0+k1).  Every step from n = 1 on, and every beta
+from beta_0 on, is read off the pair (beta_0, beta_1) alone by the step rule,
+and that pair is fixed by b, whose k0 and beta_0 depend on b alone, and
+delta_0.  So two inputs over one b with one delta_0 share every step past the
+first, beta_0, |beta_1| and so the bound N; delta_0 = 0 is a one-step
+expansion, with no step past the first.  And from (beta_0, -beta_1), for the
+delta_0 of opposite sign, the steps from n = 1 on are (k_n, -x_n), with the
+betas beta'_n = (-1)**n * beta_n: if beta'_{n-1} and beta'_n are
 (-1)**(n-1) beta_{n-1} and (-1)**n beta_n, then beta'_{n-1} * beta'_n**-1 is
 -(beta_{n-1} * beta_n**-1), and the symmetric residue mod the odd modulus
 p**(1+kn) is an odd function, so x'_n = -x_n; then delta'_n = beta'_{n-1} -
 x'_n*beta'_n = (-1)**(n-1) * delta_n, so k'_{n+1} = k_{n+1}, beta'_{n+1} =
-(-1)**(n+1) beta_{n+1}, and delta'_n = 0 exactly where delta_n = 0.  So -a/b
-has the length, beta_0, |beta_1| and bound N of a/b; browkin_mirror builds
-its record without a step.
-
-The translation lemma.  Let b = beta_0 * p**k0 and let (k0, x_0) be the first
-step of a/b, with delta_0 = a - x_0*beta_0.  If |x_0 + p**k0| < p**(1+k0)/2
-and a + b != 0, the expansion of (a + b)/b has the steps of a/b with x_0
-replaced by x_0 + p**k0, and the betas beta'_{-1} = a + b and beta'_n =
-beta_n for n >= 0.  Proof: gcd(a + b, b) = gcd(a, b) = 1, and k0 and beta_0
-depend on b alone, so beta'_0 = beta_0.  (a + b) * beta_0**-1 = a * beta_0**-1
-+ p**k0 mod p**(1+k0), so x_0 + p**k0 is congruent to x'_0, and it lies in the
-symmetric range, where the residue is unique: x'_0 = x_0 + p**k0.  Then
-delta'_0 = a + b - (x_0 + p**k0)*beta_0 = delta_0, as b = p**k0 * beta_0, so
-k'_1 = k_1 and beta'_1 = beta_1, or delta'_0 = 0 exactly where delta_0 = 0;
-from the pair (beta_0, beta_1) every later step is a/b's.  So (a + b)/b has
-the length, beta_0, |beta_1| and bound N of a/b; browkin_translation builds
-its record by one new first step.  Where x_0 + p**k0 leaves the range, as
-x_0 lies in its top p**k0 values, x'_0 = x_0 + p**k0 - p**(1+k0) and delta_0
-moves by p**(1+k0)*beta_0: every later step may change.
+(-1)**(n+1) beta_{n+1}, and delta'_n = 0 exactly where delta_n = 0 (the mirror
+lemma's reason: -a/b is the case x'_0 = -x_0).  That tail has the length, and
+the bound N, of the one it negates.  browkin_betas reads (k0, x_0), beta_0 and
+delta_0 off the first step's definition, and the sweep takes a row's later
+steps from the certified record of an earlier row of its line with delta_0 or
+-delta_0 (oracle.certified_browkin).
 """
 
 from __future__ import annotations
@@ -158,36 +153,14 @@ def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
     raise ArithmeticError(f"bound violated: expansion of {a}/{b} exceeded {cap} steps")
 
 
-def browkin_mirror(expansion: BrowkinExpansion) -> BrowkinExpansion:
-    """The expansion of -a/b from the expansion of a/b, by the mirror lemma (module
-    docstring): every x_n negated, every k_n and beta0 kept."""
-    p, alpha, beta0, steps = expansion
-    steps = tuple([_record(BrowkinStep, (k, -x)) for k, x in steps])
-    return _record(BrowkinExpansion, (p, -alpha, beta0, steps))
-
-
-def browkin_translation(expansion: BrowkinExpansion) -> BrowkinExpansion | None:
-    """The expansion of (a + b)/b from the expansion of a/b, by the translation lemma (module
-    docstring): x_0 moved by p**k0, every later step and beta0 kept; None where the lemma does
-    not apply, as x_0 + p**k0 leaves the symmetric range or a + b = 0."""
-    p, alpha, beta0, steps = expansion
-    k, x = steps[0]
-    shift = p**k
-    x += shift
-    alpha += beta0 * shift
-    if 2 * x >= p * shift or not alpha:  # x > -p**(1+k)/2 holds, as x - p**k did
-        return None
-    return _record(BrowkinExpansion, (p, alpha, beta0, (_record(BrowkinStep, (k, x)),) + steps[1:]))
-
-
-def browkin_betas(a: int, b: int, p: int) -> tuple[int, int]:
-    """(beta0, beta1_abs) of browkin_expand(a, b, p), read off the first step's
+def browkin_betas(a: int, b: int, p: int) -> tuple[BrowkinStep, int, int]:
+    """(first step, beta0, delta0) of browkin_expand(a, b, p), read off the first step's
     definition alone, with browkin_expand's input rules and messages.
 
-    k0 = vp(b), beta0 = b / p**k0 and x0 is the symmetric residue of
-    a * beta0**-1 mod p**(1+k0); then delta = a - x0*beta0 = beta_1 * p**(k0+k1)
-    with beta_1 prime to p, so |beta_1| is the p-free part of |delta|, and 0
-    for a one-step expansion, where delta = 0.
+    k0 = vp(b), beta0 = b / p**k0 and x0 is the symmetric residue of a * beta0**-1 mod
+    p**(1+k0); then delta0 = a - x0*beta0 = beta_1 * p**(k0+k1) with beta_1 prime to p, so
+    |beta_1| is the p-free part of |delta0|, and 0 for a one-step expansion, where delta0 = 0.
+    Over one b, delta0 fixes every later step (the tail lemma in the module docstring).
     """
     require_odd_prime(p)
     if a == 0:
@@ -198,8 +171,7 @@ def browkin_betas(a: int, b: int, p: int) -> tuple[int, int]:
     x0 = a * pow(beta0, -1, modulus) % modulus
     if x0 > modulus >> 1:
         x0 -= modulus
-    delta = a - x0 * beta0
-    return beta0, abs(vp_split(delta, p)[1]) if delta else 0
+    return _record(BrowkinStep, (k0, x0)), beta0, a - x0 * beta0
 
 
 def cf_pair(steps, p: int, numerators: list[int] | None = None) -> tuple[int, int]:

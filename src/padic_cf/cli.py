@@ -103,7 +103,7 @@ from math import gcd, isfinite, sqrt
 from . import oracle
 from .browkin import browkin_betas, browkin_bound
 from .digits import DIGIT_PERIOD_LIMIT
-from .exactarith import require_odd_prime, square_part
+from .exactarith import require_odd_prime, square_part, vp_split
 from .schneider import _leading_run, head_analysis
 
 # ASCII digits only: int() also reads any Unicode digit, surrounding spaces and underscores
@@ -125,15 +125,6 @@ SWEEP_COLUMNS = [
 # Kept: csv.writer's writerow per row reads rows_per_s x0.98 on sweep_grid
 # (BENCH_translated_certificates.json, "row_writer")
 _SWEEP_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,%s\r\n"
-
-# a sweep row first takes its records from row a - b of its (p, b) line, by the translation
-# lemmas (browkin and schneider module docstrings); a Browkin record the translation misses, for
-# 0 < a <= SWEEP_MIRROR_CAP, takes the certified record of -a/b, written earlier in the same line,
-# by the mirror lemma (browkin module docstring); rows past it run the kernel.  Each line holds
-# at most this many mirror records, well under 1 MB, and at most b translation records of each kind.
-# Without the mirror, sweep_grid reads rows_per_s x0.95 (BENCH_special_paths_2.json, row 5)
-SWEEP_MIRROR_CAP = 1024
-
 
 def parse_rational(text: str) -> tuple[int, int]:
     """Parse 'num' or 'num/den' into the pair (a, b) of a/b in lowest terms, b > 0."""
@@ -291,7 +282,7 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     ys = None if args.json else []  # text prints the y trace the matrix laws divide
-    expansion, _ = oracle.certified_schneider(*args.rational, args.prime, ys)
+    expansion = oracle.certified_schneider(*args.rational, args.prime, ys)
     if args.json:
         num, den = _input_digits(args)
         print(
@@ -359,7 +350,8 @@ def _cmd_digits(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     if args.rational is not None:
-        beta0, beta1 = browkin_betas(*args.rational, args.prime)
+        _, beta0, delta = browkin_betas(*args.rational, args.prime)
+        beta1 = abs(vp_split(delta, args.prime)[1]) if delta else 0  # |beta_1|, the p-free |delta0|
     else:
         beta0, beta1 = args.beta0, args.beta1
     p = args.prime
@@ -442,34 +434,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         min_slack = None
         max_stationary = None
         for p, b in product(args.primes, range(1, args.max_den + 1)):
-            mirrors = {}  # a -> the certified (expansion, report) of -a/b, a <= SWEEP_MIRROR_CAP
-            # a -> the certified records of (a - b)/b with the state of their pass, the betas or
-            # the pair a translated row resumes, stored only for a row a that pops them: a != 0
-            # and a <= max-num, and for Schneider p not dividing a.  A mirror needs no betas:
-            # kept there, they read peak_rss_mb x1.004 on sweep_grid
-            # (BENCH_translated_certificates.json, "mirror_state")
-            browkin_shifts, schneider_shifts = {}, {}
+            # each kind's store for the line, which the certificates read and fill: a row takes
+            # the tail of an earlier row with its first complete quotient (the tail lemmas in the
+            # browkin and schneider module docstrings), else runs the kernel
+            browkin_tails, schneider_tails = {}, {}
             for a in range(-args.max_num, args.max_num + 1):
                 if a == 0 or gcd(abs(a), b) != 1:
                     continue
-                browkin_certified = oracle.certified_browkin(
-                    a, b, p, mirrors.pop(a, None), browkin_shifts.pop(a, None))
-                expansion, _, report = browkin_certified
-                if -SWEEP_MIRROR_CAP <= a < 0:
-                    mirrors[-a] = expansion, report
-                target = a + b
-                if target and target <= args.max_num:
-                    browkin_shifts[target] = browkin_certified
+                expansion, _, report = oracle.certified_browkin(a, b, p, browkin_tails)
                 _, beta0, beta1, n_bound = report
                 browkin_len = len(expansion.steps)
                 slack = n_bound + 1 - browkin_len
                 stationary = ""
                 if a % p != 0 and b % p != 0:
-                    schneider_certified = oracle.certified_schneider(
-                        a, b, p, shift=schneider_shifts.pop(a, None))
-                    if target % p and target <= args.max_num:  # target != 0, as p | 0
-                        schneider_shifts[target] = schneider_certified
-                    sexp = schneider_certified[0]
+                    sexp = oracle.certified_schneider(a, b, p, tails=schneider_tails)
                     if sexp.stationary_from is not None:
                         stationary = sexp.stationary_from
                         if max_stationary is None or stationary > max_stationary:

@@ -5,15 +5,15 @@ certificate functions certified_browkin, certified_schneider and
 certified_digits make one kind of record each, run its checks and `require`
 them before they hand it back; with battery they are all the CLI calls here,
 so this module alone picks each command's checks.  The kernels that make a
-certified record (browkin_expand, browkin_mirror, browkin_translation,
-schneider_expand, schneider_translation, padic_digits, digit_period) are
-reached through this module's globals only, as is the browkin_bound that
-certifies a length: rebinding one here (to plant a defect, or to trace it)
-reaches every command that prints its record, that is expand-browkin, sweep
-and verify for the Browkin ones (sweep alone for browkin_mirror and
-browkin_translation), expand-schneider, sweep and verify for schneider_expand
-(sweep alone for schneider_translation), digits and verify for padic_digits,
-and digits --json for digit_period.
+certified record (browkin_expand, schneider_expand, padic_digits,
+digit_period) and the step functions that give a sweep row its first step
+(browkin_betas, schneider_first_step) are reached through this module's
+globals only, as is the browkin_bound that certifies a length: rebinding one
+here (to plant a defect, or to trace it) reaches every command that prints its
+record, that is expand-browkin, sweep and verify for browkin_expand,
+expand-schneider, sweep and verify for schneider_expand, sweep alone for the
+step functions, digits and verify for padic_digits, and digits --json for
+digit_period.
 `bound` and `head` call browkin_betas, browkin_bound and head_analysis from
 the CLI's own globals and run no check here.
 
@@ -27,17 +27,16 @@ the input or an option are left out):
                      beta                             browkin reconstruction (its pass)
                      the length <= N + 1              browkin length bound
                      N itself                         none
-  sweep              browkin_len                      browkin reconstruction (a translated
+  sweep              browkin_len                      browkin reconstruction (a derived
                                                       row's resumed) and browkin length bound
-                     a translated row's first step    browkin translated step range
-                     a translated row's later steps   browkin translated tail
+                     a derived row's first step       browkin derived step range
+                     a derived row's later steps      none: the stored ones, by construction
                      the record's word sizes          none
                      beta0_abs, beta1_abs             browkin reconstruction (its pass, or
-                                                      its source's)
+                                                      its store entry's source's)
                      bound_N, slack >= 0              browkin length bound; N itself none
-                     schneider_steps_to_stationary    schneider tail laws; a translated row's
-                                                      also schneider translated tail
-                     (a translated row's Schneider    schneider translated step range and
+                     schneider_steps_to_stationary    schneider tail laws
+                     (a derived row's Schneider       schneider derived step range and
                      first step, not printed)         schneider reconstruction (resumed)
   expand-schneider   head, its value                  schneider reconstruction
   (text)             head, digit range and exponents  schneider matrix laws
@@ -81,21 +80,26 @@ back the whole beta trace from the pass that checks the quotients.
 The resumption lemma.  cf_pair and schneider_pair back-substitute from the
 last level down, and levels N, ..., 1 read p and the steps past the first
 (and, for Schneider, the tail) alone.  So a record whose p and later steps
-(and tail and markers) are those of a source whose pass was certified holds,
-after level 1, exactly the integers that pass held there: for Browkin the
-level-1 pair (s*beta_0, s*p**k_1*beta_1), by the numerator lemma the betas
-the source's reconstruction handed back; for Schneider (num_1, den_1) =
-(den, (num - d_0*den) / p**alpha_0), read back from the source's pair (num,
-den) and first step (d_0, alpha_0), an exact division as num = d_0*num_1 +
-p**alpha_0*den_1.  Level 0 then applies the record's own first step:
-(x'_0*beta_0 + p**(k'_0+k_1)*beta_1, p**k'_0*beta_0), or (x'_0, p**k'_0) for
-a one-step record, and (d'_0*num_1 + p**alpha'_0*den_1, num_1).  That is the
-pair a full pass over the record computes (for Browkin up to the sign s,
-which leaves _equals' verdict as it is), with the shared levels not computed
-again, and num_1 != 0 as the source's pair has den != 0.  So a translated
-sweep row keeps its reconstruction, under the same check name, at the cost
-of one tuple comparison (browkin or schneider translated tail) and its new
-first step; a row translated from a translated row resumes the same integers.
+(and tail and markers) are a stored tail, taken from a kernel record whose
+pass was certified, holds after level 1 exactly the integers that pass held
+there: for Browkin the level-1 pair (s*beta_0, s*p**k_1*beta_1), by the
+numerator lemma from the betas the source's reconstruction handed back, which
+the store keeps; for Schneider (num_1, den_1) = (den, (num - d_0*den) /
+p**alpha_0), read back from the source's pair (num, den) and first step (d_0,
+alpha_0), an exact division as num = d_0*num_1 + p**alpha_0*den_1, which the
+store keeps.  A stored Browkin tail taken negated, for the opposite delta_0,
+holds (s*beta_0, -s*p**k_1*beta_1) there: negating every x_n from n = 1 on
+negates the first complete quotient (the tail lemma, browkin docstring).
+Level 0 then applies the record's own first step: (x_0*beta_0 +
+p**(k_0+k_1)*beta_1, p**k_0*beta_0), or (x_0, p**k_0) for a one-step record,
+which the store gives as beta_0 = 1 and beta_1 = 0, and (d_0*num_1 +
+p**alpha_0*den_1, num_1).  That is the pair a full pass over the record
+computes (for Browkin up to the sign s, which leaves _equals' verdict as it
+is), with the shared levels not computed again, and num_1 != 0 as the
+source's pair has den != 0.  The stored integers, not the row's own key, enter
+that pair: a key that names another tail gives another value, which
+reconstruction refuses.  So a derived sweep row keeps its reconstruction,
+under the same check name, at the cost of its first step and a few products.
 
 The error identity.  Let P_n, Q_n be the convergents of the same expansion
 scaled by D_n = p**(k_0+...+k_n), as browkin.convergent_triples yields them.
@@ -120,9 +124,9 @@ the determinant identity implies the majorant (see majorant's step law).
 from itertools import chain
 from typing import NamedTuple
 
-from .browkin import browkin_bound, browkin_expand, browkin_mirror, browkin_translation, cf_pair
+from .browkin import BrowkinExpansion, BrowkinStep, browkin_betas, browkin_bound, browkin_expand, cf_pair
 from .digits import _digit_sum, digit_period, padic_digits
-from .schneider import schneider_expand, schneider_pair, schneider_translation
+from .schneider import SchneiderExpansion, schneider_expand, schneider_first_step, schneider_pair
 
 
 class Check(NamedTuple):
@@ -356,96 +360,103 @@ def battery(a: int, b: int, p: int) -> list[Check]:
     return checks
 
 
-def _resumed_browkin_pair(expansion, betas: list[int]) -> tuple[int, int]:
-    # s times cf_pair's pair for a record whose p and later steps are those of the source
-    # whose betas these are: level 1 of that source's pass, and the record's first step (the
-    # resumption lemma)
-    p, steps = expansion.p, expansion.steps
-    k, x = steps[0]
-    if len(steps) == 1:
-        return x, p**k
-    return x * betas[0] + p ** (k + steps[1][0]) * betas[1], p**k * betas[0]
+# entries a (p, b) line's store of each kind holds: full, it drops its oldest entry.  A line
+# stores one tail per kernel row, so without a cap a long line's store grows with max-num: 8,889
+# Schneider tails on --primes 3 --max-num 20000 --max-den 3 (BENCH_tail_lemma.json, "memory")
+TAIL_STORE_CAP = 1024
 
 
-def _resumed_schneider_pair(expansion, source, pair: tuple[int, int]) -> tuple[int, int]:
-    # schneider_pair's pair for a record whose p, later steps, tail and markers are those of
-    # source, whose pass gave pair: its level-1 pair read back, and the record's first step
-    p, (num, den) = expansion.p, pair
-    if source.steps:  # else the source's pair is its tail, the level-1 pair of a one-step record
-        digit, alpha = source.steps[0]
-        num, den = den, (num - digit * den) // p**alpha
-    digit, alpha = expansion.steps[0]
-    return digit * num + p**alpha * den, num
+def _store(tails: dict, key: int, entry) -> None:
+    # tails[key] = entry, the oldest entry dropped first where tails is full
+    if len(tails) >= TAIL_STORE_CAP:
+        del tails[next(iter(tails))]
+    tails[key] = entry
 
 
-def certified_browkin(a: int, b: int, p: int, mirror=None, shift=None):
-    """The Browkin expansion of a/b, its betas beta_0, ..., beta_N and its bound report, all
-    certified: the betas, beta_0 and |beta_1| among them, come off the reconstruction check's
-    own pass, and the bound reads them only once that check has passed.  Given shift, the
-    certified (expansion, betas, report) of (a - b)/b, the record is browkin_translation's
-    where the translation lemma applies; else, given mirror, the certified (expansion, report)
-    of -a/b, it is browkin_mirror's; else the kernel's.  A translated record's betas are its source's, and
-    its reconstruction resumes the source's pass at level 1 (the resumption lemma), once its
-    new first step is a Browkin step and its later steps are the source's.  A derived
-    record's report is reused when it holds the reconstruction's beta_0 and |beta_1|.
+def certified_browkin(a: int, b: int, p: int, tails: dict | None = None):
+    """(expansion, betas, report): the Browkin expansion of a/b, its betas beta_0, ..., beta_N
+    and its bound report, all certified: the betas, beta_0 and |beta_1| among them, come off the
+    reconstruction check's own pass, and the bound reads them only once that check has passed.
+
+    Given tails, the store of a/b's (p, b) line, a row first takes its step from browkin_betas
+    and looks up its delta_0, then -delta_0: a hit is the stored tail, negated for -delta_0,
+    after that first step (the tail lemma, browkin docstring).  Its reconstruction resumes the
+    stored level-1 betas (the resumption lemma), once its first step is a Browkin step, and
+    its betas are None: the store keeps beta_0 and beta_1 alone.  A miss runs the kernel and
+    stores the certified record's tail, beta_0, beta_1 and report under the delta_0 read off
+    it.  A stored report is reused where it holds the row's beta_0 and |beta_1|.
     """
-    source = shift
-    expansion = None if shift is None else browkin_translation(shift[0])
-    if expansion is None:
-        source = mirror
-        expansion = browkin_expand(a, b, p) if mirror is None else browkin_mirror(mirror[0])
-        betas: list[int] = []
-        recon = browkin_reconstruction(a, b, expansion, betas)
-        if not recon.ok:
-            require(p, a, b, recon)
-    else:  # each Check built on failure
-        origin, betas = shift[0], shift[1]
-        steps = expansion.steps
-        k, x = steps[0]
-        if not (2 * abs(x) < p ** (1 + k) and (not k or x % p)):
-            require(p, a, b, _record(Check, ("browkin translated step range", False)))
-        if expansion.p != origin.p or steps[1:] != origin.steps[1:]:
-            require(p, a, b, _record(Check, ("browkin translated tail", False)))
-        if not _equals(_resumed_browkin_pair(expansion, betas), a, b):
-            require(p, a, b, _record(Check, ("browkin reconstruction", False)))
-    beta0, beta1 = betas[0], abs(betas[1]) if len(betas) > 1 else 0
-    # a source's report is its last item: (expansion, report) or (expansion, betas, report)
-    if source is not None and source[-1][:3] == (p, beta0, beta1):
-        report = source[-1]  # the bound depends on p, beta_0 and |beta_1| alone
-    else:
-        report = browkin_bound(beta0, beta1, p)
+    if tails is not None:
+        first, _, delta = browkin_betas(a, b, p)
+        stored, sign = tails.get(delta), 1
+        # kept: without the -delta_0 lookup the 100x100 sweep runs 13,233 Browkin kernel rows,
+        # not 6,622 (BENCH_tail_lemma.json, "negated_lookup")
+        if stored is None:
+            stored, sign = tails.get(-delta), -1
+        if stored is not None:  # each Check built on failure
+            tail, beta0, beta1, report = stored
+            if sign < 0:  # the negated tail of the tail lemma (browkin docstring)
+                tail, beta1 = tuple([_record(BrowkinStep, (k, -x)) for k, x in tail]), -beta1
+            k, x = first
+            if not (2 * abs(x) < p ** (1 + k) and (not k or x % p)):
+                require(p, a, b, _record(Check, ("browkin derived step range", False)))
+            k1 = tail[0][0] if tail else 0  # beta1 = 0 for a one-step record
+            if not _equals((x * beta0 + p ** (k + k1) * beta1, p**k * beta0), a, b):
+                require(p, a, b, _record(Check, ("browkin reconstruction", False)))
+            expansion = _record(BrowkinExpansion, (p, a, beta0, (first,) + tail))
+            if report[:3] != (p, beta0, abs(beta1)):  # the bound depends on these alone
+                report = browkin_bound(beta0, abs(beta1), p)
+            require(p, a, b, browkin_length_bound(expansion, report))
+            return expansion, None, report
+    expansion = browkin_expand(a, b, p)
+    betas: list[int] = []
+    require(p, a, b, browkin_reconstruction(a, b, expansion, betas))
+    beta0, beta1 = betas[0], betas[1] if len(betas) > 1 else 0
+    report = browkin_bound(beta0, abs(beta1), p)
     require(p, a, b, browkin_length_bound(expansion, report))
+    if tails is not None:
+        steps = expansion.steps
+        _store(tails, a - steps[0].x * beta0, (steps[1:], beta0, beta1, report))
     return expansion, betas, report
 
 
-def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, shift=None):
-    """(expansion, pair): the Schneider expansion of a/b, certified by its reconstruction and
-    its tail laws, and the pair that reconstruction compared with (a, b); given a list, also
-    by the matrix laws, whose chain fills ys with y_1, ..., y_N.  Given shift, the certified
-    (expansion, pair) of (a - b)/b, the record is schneider_translation's where the
-    translation lemma applies, else the kernel's.  A translated record's reconstruction
-    resumes its source's pass at level 1 (the resumption lemma), once its later steps, tail
-    and markers are the source's and its new first step is in range."""
-    expansion = None if shift is None else schneider_translation(shift[0])
-    if expansion is None:
-        expansion = schneider_expand(a, b, p)
-        pair = _schneider_pass(expansion)
-    else:  # each Check built on failure
-        origin, steps = shift[0], expansion.steps
-        # fields 4 on: stationary_from, finite_end and tail
-        if expansion.p != origin.p or steps[1:] != origin.steps[1:] or expansion[4:] != origin[4:]:
-            require(p, a, b, _record(Check, ("schneider translated tail", False)))
-        digit, alpha = steps[0] if steps else (0, 0)
-        if not (0 < digit < p and alpha >= 1):
-            require(p, a, b, _record(Check, ("schneider translated step range", False)))
-        pair = _resumed_schneider_pair(expansion, origin, shift[1])
+def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, tails: dict | None = None):
+    """The Schneider expansion of a/b, certified by its reconstruction and its tail laws; given
+    a list, also by the matrix laws, whose chain fills ys with y_1, ..., y_N.
+
+    Given tails, the store of a/b's (p, b) line, a row first takes its step from
+    schneider_first_step and looks up its y_1: a hit is the stored tail, with its markers,
+    after that first step (the tail lemma, schneider docstring).  Its reconstruction resumes
+    the stored level-1 pair (the resumption lemma), once its first step is a Schneider step.
+    A miss runs the kernel and stores the certified record's tail, markers and level-1 pair
+    under the y_1 read off it."""
+    if tails is not None:
+        first = schneider_first_step(a, b, p)
+        stored = None if first is None else tails.get(first[1])
+        if stored is not None:  # each Check built on failure
+            tail, markers, (num, den) = stored
+            digit, alpha = first[0]
+            if not (0 < digit < p and alpha >= 1):
+                require(p, a, b, _record(Check, ("schneider derived step range", False)))
+            if not _equals((digit * num + p**alpha * den, num), a, b):
+                require(p, a, b, _record(Check, ("schneider reconstruction", False)))
+            expansion = _record(SchneiderExpansion, (p, a, b, (first[0],) + tail, *markers))
+            require(p, a, b, schneider_tail_laws(expansion))
+            return expansion
+    expansion = schneider_expand(a, b, p)
+    pair = _schneider_pass(expansion)
     if not _equals(pair, a, b):  # its Check built on failure
         require(p, a, b, _record(Check, ("schneider reconstruction", False)))
     if ys is None:  # the sweep's and --json's path: no chain walked
         require(p, a, b, schneider_tail_laws(expansion))
     else:
         require(p, a, b, schneider_matrix_laws(a, b, expansion, ys), schneider_tail_laws(expansion))
-    return expansion, pair
+    if tails is not None and expansion.steps:
+        (digit, alpha), (num, den) = expansion.steps[0], pair
+        pa = p**alpha  # exact divisions: y_1's, and num = digit*num_1 + p**alpha*den_1, num_1 = den
+        level1 = den, (num - digit * den) // pa
+        _store(tails, (a - digit * b) // pa, (expansion.steps[1:], expansion[4:], level1))
+    return expansion
 
 
 def certified_digits(a: int, b: int, p: int, count: int, split: bool):

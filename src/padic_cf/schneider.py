@@ -32,23 +32,20 @@ Every rational either terminates (some y_{m-1} - b_m y_m hits 0) or is
 absorbed by the stationary loop: once (y_m, y_{m+1}) = (t, -t) with |t| = 1,
 every later step is (p-1, 1) and the remaining tail has exact value -1.
 
-The translation lemma.  Let (b_0, alpha_0) be the first step of a/b, with
-delta = a - b_0*b.  If b_0 + 1 <= p - 1, a/b has at least one step and
-a + 2b != 0, the expansion of (a + b)/b has the steps of a/b with b_0
-replaced by b_0 + 1, and the same tail, stationary index and finite-end flag.
-Proof: gcd(a + b, b) = gcd(a, b), and (a + b) * b**-1 = b_0 + 1 mod p, a digit
-in 1..p-1, so p does not divide a + b and b'_0 = b_0 + 1.  Then delta' = a + b
-- (b_0 + 1)*b = delta, so alpha'_0 = alpha_0 and y'_1 = y_1, and from the pair
-(y_0, y_1) = (b, y_1) the y chain is a/b's: every later step, the last pair
-and both markers are read off pairs (y_{m-1}, y_m) with m >= 1.  Only the
-input pair's two tests differ.  Its finite end is delta = 0, the same for
-both, and a/b with a step has delta != 0.  Its stationarity test is a + b = 0
-for a/b, which a step rules out, and a + 2b = 0 for (a + b)/b: then b = 1 and
-the target -1/1 is stationary from index 0, while -2/1 has the step (p-2, 1).
-A source with no step is stationary at once (-1/1) or a finite end d/1, whose
-tail (d, 1) the lemma would have to change; schneider_translation returns None
-for these, for b_0 = p - 1 and for a + 2b = 0, and else builds the record by
-one new first step.
+The tail lemma.  An expansion is its first step followed by the expansion of
+its first complete quotient r_1 = y_0 / y_1, so len(a/b) = 1 + len(r_1).  Let
+(b_0, alpha_0) be the first step of a/b, with y_1 = (a - b_0*b) / p**alpha_0.
+Every later step, the last pair and both markers are read off the pairs
+(y_{m-1}, y_m) with m >= 1, so off (y_0, y_1) = (b, y_1) alone: two inputs
+over one b with one y_1 share every step past the first, the tail and the
+finite-end flag, and the stationary index, which is 1 plus r_1's.  The key
+is y_1, not delta = a - b_0*b: the tail is that of (b, y_1) whatever alpha_0
+is, so inputs whose deltas differ by a power of p share it.  Only the input
+pair's two tests are a/b's own: a finite end at index 0 (delta = 0) and a
+stationary input (a + b = 0, so a/b = -1/1 in lowest terms), where there is
+no first step and schneider_first_step returns None.  The sweep takes a row's
+later steps from the certified record of an earlier row of its line with the
+same y_1 (oracle.certified_schneider).
 
 The step loop's cap comes from the input.  Let H_m = max(|y_{m-1}|, |y_m|),
 so H_0 = max(|a|, b) < 2**bits with bits = max(|a|, b).bit_length(), and
@@ -520,18 +517,23 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     return _record(SchneiderExpansion, (p, a, b, tuple(steps), len(steps), False, (-1, 1)))
 
 
-def schneider_translation(expansion: SchneiderExpansion) -> SchneiderExpansion | None:
-    """The expansion of (a + b)/b from the expansion of a/b, by the translation lemma (module
-    docstring): b_0 moved to b_0 + 1, every later step, the tail and its markers kept; None
-    where the lemma does not apply, as b_0 = p - 1, a/b has no step or a + 2b = 0."""
-    p, a, b, steps, stationary_from, finite_end, tail = expansion
-    if not steps or a + 2 * b == 0:
+def schneider_first_step(a: int, b: int, p: int) -> tuple[SchneiderStep, int] | None:
+    """(first step, y_1) of schneider_expand(a, b, p), read off the step's definition alone,
+    with schneider_expand's input rules and messages; None where the expansion has no first
+    step: a stationary -1/1 (a + b = 0) and a finite end at index 0 (a = b_0*b).  Over one b,
+    y_1 fixes every later step, the tail and both markers (the tail lemma, module docstring).
+    """
+    _require_unit_pair(a, b, p)
+    require_coprime(a, b)
+    digit = a * pow(b, -1, p) % p
+    delta = a - digit * b
+    if not delta or a + b == 0:
         return None
-    digit, alpha = steps[0]
-    if digit + 1 >= p:
-        return None
-    first = _record(SchneiderStep, (digit + 1, alpha))
-    return _record(SchneiderExpansion, (p, a + b, b, (first,) + steps[1:], stationary_from, finite_end, tail))
+    y1, alpha = delta // p, 1  # the step loop's strip of p
+    while not y1 % p:
+        y1 //= p
+        alpha += 1
+    return _record(SchneiderStep, (digit, alpha)), y1
 
 
 def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:

@@ -172,7 +172,10 @@ class TestBrowkinBetas:
         one_step = k0_positive = 0
         for p, a, b in cases:
             exp = browkin_expand(a, b, p)
-            assert browkin.browkin_betas(a, b, p) == (exp.beta0, beta1_abs(exp)), (p, a, b)
+            first, beta0, delta = browkin.browkin_betas(a, b, p)
+            assert (first, beta0) == (exp.steps[0], exp.beta0), (p, a, b)
+            # delta_0 = beta_1 * p**(k0+k1): |beta_1| is its p-free part, 0 for one step
+            assert (abs(delta) // p ** int_vp(delta, p) if delta else 0) == beta1_abs(exp), (p, a, b)
             one_step += len(exp.steps) == 1
             k0_positive += exp.steps[0].k > 0
         assert one_step >= 5 and k0_positive >= 20
@@ -186,16 +189,63 @@ class TestBrowkinBetas:
             assert str(got.value) == str(expected.value), args
 
 
+def assert_tail_lemma(p, a, b):
+    """The kernel's record of a/b is its first step, as browkin_betas reads it, followed by
+    the kernel's record of its first complete quotient r_1 = beta_0 / (beta_1 * p**k1), and
+    the record of -r_1 is that tail with every x_n negated (the tail lemma, browkin
+    docstring); returns the record of a/b."""
+    exp = browkin_expand(a, b, p)
+    first, beta0, delta = browkin.browkin_betas(a, b, p)
+    assert (first, beta0) == (exp.steps[0], exp.beta0), (p, a, b)
+    if not delta:  # a one-step expansion: no complete quotient past the first
+        assert len(exp.steps) == 1, (p, a, b)
+        return exp
+    k = int_vp(delta, p)  # k0 + k1
+    beta1 = delta // p**k
+    sign = 1 if beta1 > 0 else -1  # r_1 in lowest terms with a positive denominator
+    tail = browkin_expand(sign * beta0, abs(beta1) * p ** (k - first.k), p)
+    assert exp.steps == (first, *tail.steps), (p, a, b)
+    negated = browkin_expand(-sign * beta0, abs(beta1) * p ** (k - first.k), p)
+    assert negated.steps == tuple((k_n, -x) for k_n, x in tail.steps), (p, a, b)
+    return exp
+
+
+class TestTailLemma:
+    def test_sweep_rows(self):
+        # every row of the 100x100 sweep grid
+        for p in (3, 5, 7):
+            for b in range(1, 101):
+                for a in range(-100, 101):
+                    if a and math.gcd(a, b) == 1:
+                        assert_tail_lemma(p, a, b)
+
+    def test_random_inputs_up_to_3000_digits(self):
+        rng = random.Random(51)
+        lengths = []
+        for p in (3, 5, 101, 65537):
+            for digits_ in (1, 2, 5, 30, 300, 3000):
+                for k0 in (0, 1, 3):  # p**k0 exactly divides b
+                    while True:
+                        a = rng.randrange(1, 10**digits_) * rng.choice((-1, 1))
+                        b = rng.randrange(1, 10 ** rng.randint(1, digits_)) * p**k0
+                        if math.gcd(a, b) == 1 and (b // p**k0) % p:
+                            break
+                    lengths.append(len(assert_tail_lemma(p, a, b).steps))
+        assert min(lengths) == 1 and max(lengths) > 4000
+
+
 class TestMirrorLemma:
-    """browkin_expand(-a, b, p) is browkin_mirror of browkin_expand(a, b, p), and its
-    reconstruction's betas are (-1)**n * beta_n (the mirror lemma, browkin docstring)."""
+    """browkin_expand(-a, b, p) is browkin_expand(a, b, p) with every x_n negated, and its
+    reconstruction's betas are (-1)**n * beta_n: the tail lemma's negated tail, with x_0
+    negated too, as -a/b has the opposite delta_0 (browkin docstring)."""
 
     @staticmethod
     def assert_mirrored(p, a, b):
-        exp = browkin_expand(a, b, p)
-        mirrored = browkin_expand(-a, b, p)
-        assert mirrored == browkin.browkin_mirror(exp), (p, a, b)
+        exp = assert_tail_lemma(p, a, b)
+        mirrored = assert_tail_lemma(p, -a, b)
+        assert (mirrored.alpha, mirrored.beta0) == (-a, exp.beta0), (p, a, b)
         assert [(k, -x) for k, x in mirrored.steps] == list(exp.steps)
+        assert browkin.browkin_betas(-a, b, p)[2] == -browkin.browkin_betas(a, b, p)[2]
         betas, mirrored_betas = [], []
         assert oracle.browkin_reconstruction(a, b, exp, betas).ok
         assert oracle.browkin_reconstruction(-a, b, mirrored, mirrored_betas).ok
@@ -226,21 +276,21 @@ class TestMirrorLemma:
 
 
 class TestTranslationLemma:
-    """browkin_translation of browkin_expand(a, b, p) is browkin_expand(a + b, b, p) wherever
-    |x_0 + p**k0| < p**(1+k0)/2 and a + b != 0, with every beta from beta_0 on kept, and None
-    elsewhere (the translation lemma, browkin docstring)."""
+    """Rows a and a + b of one line share delta_0 wherever |x_0 + p**k0| < p**(1+k0)/2 and
+    a + b != 0, so by the tail lemma browkin_expand(a + b, b, p) is a/b's record with x_0 moved
+    by p**k0 and every beta from beta_0 on kept; where x_0 + p**k0 leaves the range, x'_0
+    wraps round by p**(1+k0) (browkin docstring)."""
 
     @staticmethod
     def assert_translated(p, a, b):
-        exp = browkin_expand(a, b, p)
-        translated = browkin.browkin_translation(exp)
+        exp = assert_tail_lemma(p, a, b)
         k, x = exp.steps[0]
         if 2 * abs(x + p**k) >= p ** (1 + k) or a + b == 0:
-            assert translated is None, (p, a, b)
             if a + b:  # x_0 at the top of its range: x'_0 wraps round by p**(1+k0)
-                assert browkin_expand(a + b, b, p).steps[0] == (k, x + p**k - p ** (1 + k)), (p, a, b)
+                assert assert_tail_lemma(p, a + b, b).steps[0] == (k, x + p**k - p ** (1 + k)), (p, a, b)
             return None
-        assert translated == browkin_expand(a + b, b, p), (p, a, b)
+        translated = assert_tail_lemma(p, a + b, b)
+        assert browkin.browkin_betas(a + b, b, p)[2] == browkin.browkin_betas(a, b, p)[2], (p, a, b)
         assert translated.steps[1:] == exp.steps[1:] and translated.steps[0] == (k, x + p**k)
         betas, translated_betas = [], []
         assert oracle.browkin_reconstruction(a, b, exp, betas).ok

@@ -67,8 +67,10 @@ def unreachable(name):
     return fail
 
 
-# the kernel functions that derive a sweep row's record from another row's
-DERIVATIONS = ("browkin_translation", "browkin_mirror", "schneider_translation")
+# each step function that gives a sweep row its first step, with the kernel a row runs when its
+# line's store holds no tail for it, and the certificate that returns the row's record
+DERIVATIONS = {"browkin_betas": ("browkin_expand", "certified_browkin"),
+               "schneider_first_step": ("schneider_expand", "certified_schneider")}
 
 
 def record_input(record):
@@ -78,17 +80,29 @@ def record_input(record):
     return record.p, record.alpha, record.beta0 * record.p ** record.steps[0].k
 
 
-def derived_records(monkeypatch, names=DERIVATIONS):
-    # name -> every record that derivation, planted in oracle to keep what it returns, derives
-    derived = {name: [] for name in names}
-    for name in names:
-        def kept(record, derive=getattr(oracle, name), out=derived[name]):
-            made = derive(record)
-            if made is not None:
-                out.append(made)
-            return made
+def derived_records(monkeypatch):
+    # step function -> (record, pair) for every sweep row that took its tail from its line's
+    # store: its step function ran and its kernel did not.  The record is the one its
+    # certificate returned, the pair the last one _equals compared with (a, b), its
+    # reconstruction's; all are planted in oracle to keep what they see
+    derived, calls, pairs = {}, [], []
+    equals = oracle._equals
+    monkeypatch.setattr(oracle, "_equals", lambda pair, a, b: pairs.append(pair) or equals(pair, a, b))
+    for step, (kernel, certificate) in DERIVATIONS.items():
+        made = derived[step] = []
+        for name in (step, kernel):
+            function = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda *args, f=function, n=name: calls.append(n) or f(*args))
 
-        monkeypatch.setattr(oracle, name, kept)
+        def certified(*args, certify=getattr(oracle, certificate), made=made, step=step, kernel=kernel,
+                      **kwargs):
+            calls.clear()
+            out = certify(*args, **kwargs)
+            if step in calls and kernel not in calls:
+                made.append((out[0] if step == "browkin_betas" else out, pairs[-1]))
+            return out
+
+        monkeypatch.setattr(oracle, certificate, certified)
     return derived
 
 
@@ -992,12 +1006,11 @@ class TestSweepCommand:
         assert seen == []
 
     def test_one_bound_call_per_row(self, capsys, monkeypatch):
-        # one kernel and one bound call per row that ran the kernel, the rows neither the
-        # translation from row a - b nor the mirror of -a/b derives (every |a| is under the
-        # mirror cap); a derived row takes the record and report of its source
+        # one kernel and one bound call per row that misses its line's store; a row that takes
+        # a stored tail takes the report stored with it
         bound, calls = oracle.browkin_bound, []
+        derived = derived_records(monkeypatch)["browkin_betas"]
         expand, expanded = oracle.browkin_expand, []
-        derived = derived_records(monkeypatch, ("browkin_translation", "browkin_mirror"))
 
         def counted(*args):
             calls.append(args)
@@ -1012,46 +1025,69 @@ class TestSweepCommand:
         code, out, _ = run_cli(["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"], capsys)
         assert code == 0
         rows = [[int(field) for field in row.split(",")[:3]] for row in out.splitlines()[1:]]
-        derived = {record_input(record) for made in derived.values() for record in made}
+        derived = {record_input(record) for record, _ in derived}
         kernel = [(a, b, p) for p, a, b in rows if (p, a, b) not in derived]
         assert 0 < len(kernel) < len(rows)
         assert expanded == kernel
         assert len(calls) == len(kernel)
 
-    def test_rows_past_the_mirror_cap_run_the_kernel(self, capsys, monkeypatch):
-        # with the cap at 2 the 30x30 grid is byte for byte the default one; only the rows for
-        # a = 1, 2 that no translation derives are mirrored, each from the record of -a/b in its
-        # own (p, b) line, and the kernel runs every row neither rule derives
+    @staticmethod
+    def watch_stores(monkeypatch):
+        # (kind, p, b) -> the most entries the line's store held when a row of it was certified
+        most = {}
+
+        def watched(kind, certify):
+            def certified(a, b, p, *args, **kwargs):
+                tails = kwargs.get("tails", args[-1] if args else None)
+                most[kind, p, b] = max(most.get((kind, p, b), 0), len(tails))
+                return certify(a, b, p, *args, **kwargs)
+            return certified
+
+        monkeypatch.setattr(oracle, "certified_browkin", watched("browkin", oracle.certified_browkin))
+        monkeypatch.setattr(oracle, "certified_schneider", watched("schneider", oracle.certified_schneider))
+        return most
+
+    def test_rows_past_the_store_cap_run_the_kernel(self, capsys, monkeypatch):
+        # with the cap at 1 the 30x30 grid is byte for byte the default one: each line's store
+        # holds one tail, the last kernel row's, and a row whose tail was dropped runs the kernel
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "30", "--max-den", "30"]
-        default = run_cli(argv, capsys)
-        expand, expanded = oracle.browkin_expand, []
-        mirror, mirrored = oracle.browkin_mirror, []
-        monkeypatch.setattr(cli, "SWEEP_MIRROR_CAP", 2)
-        monkeypatch.setattr(oracle, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
-        monkeypatch.setattr(oracle, "browkin_mirror", lambda record: mirrored.append(record) or mirror(record))
-        translated = derived_records(monkeypatch, ("browkin_translation",))["browkin_translation"]
-        assert run_cli(argv, capsys) == default
-        translated = {record_input(record) for record in translated}
-        rows = [[int(field) for field in row.split(",")[:3]] for row in default[1].splitlines()[1:]]
-        kept = [(p, a, b) for p, a, b in rows if 0 < a <= 2 and (p, a, b) not in translated]
-        assert expanded == [(a, b, p) for p, a, b in rows if (p, a, b) not in translated and not 0 < a <= 2]
-        assert len(kept) == len(mirrored) > 0
-        for (p, a, b), record in zip(kept, mirrored):
-            assert (record.p, record.alpha, record.beta0 * p ** record.steps[0].k) == (p, -a, b)
+        counts = []
+        for cap in (oracle.TAIL_STORE_CAP, 1):
+            monkeypatch.setattr(oracle, "TAIL_STORE_CAP", cap)
+            expand, expanded = oracle.browkin_expand, []
+            monkeypatch.setattr(oracle, "browkin_expand", lambda *args: expanded.append(args) or expand(*args))
+            most = self.watch_stores(monkeypatch)
+            counts.append((run_cli(argv, capsys), len(expanded), max(most.values())))
+            monkeypatch.undo()
+        (default, kernel_rows, largest), (capped, capped_rows, capped_largest) = counts
+        assert capped == default and default[0] == 0
+        assert capped_largest == 1 < largest <= oracle.TAIL_STORE_CAP
+        assert kernel_rows < capped_rows
+
+    def test_a_line_store_holds_at_most_its_cap(self, capsys, monkeypatch, tmp_path):
+        # a store holds one tail per kernel row of its line, so a long line reaches the cap, and
+        # a full store drops its oldest entry: no line store grows past it
+        most = self.watch_stores(monkeypatch)
+        argv = ["sweep", "--primes", "3", "--max-num", "20000", "--max-den", "3"]
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "rows.csv")], capsys)
+        assert code == 0 and err.startswith("sweep ok")
+        # at b = 3 rows with 3 | a are skipped, and no row runs Schneider
+        assert most == {("browkin", 3, 1): oracle.TAIL_STORE_CAP, ("schneider", 3, 1): oracle.TAIL_STORE_CAP,
+                        ("browkin", 3, 2): oracle.TAIL_STORE_CAP, ("schneider", 3, 2): oracle.TAIL_STORE_CAP,
+                        ("browkin", 3, 3): oracle.TAIL_STORE_CAP}
 
     def test_a_mirror_with_one_sign_kept_fails(self, capsys, monkeypatch):
-        # the mirrored record is reconstructed like a kernel's: keep one x_n's sign in the
-        # record for 43/2 and the sweep stops at that row with no row written for it
-        mirror = oracle.browkin_mirror
+        # browkin_betas planted to hand row 43/2 the key -delta_0: the row takes the tail of the
+        # opposite delta_0, the one its own negates, and the stored betas its resumed
+        # reconstruction reads give another value, so the sweep stops at that row with no row
+        # written for it
+        betas = oracle.browkin_betas
 
-        def planted(record):
-            out = mirror(record)
-            if (record.p, record.alpha, record.beta0) == (3, -43, 2):
-                n = len(out.steps) // 2
-                out = out._replace(steps=(*out.steps[:n], record.steps[n], *out.steps[n + 1:]))
-            return out
+        def planted(a, b, p):
+            first, beta0, delta = betas(a, b, p)
+            return first, beta0, -delta if (p, a, b) == (3, 43, 2) else delta
 
-        monkeypatch.setattr(oracle, "browkin_mirror", planted)
+        monkeypatch.setattr(oracle, "browkin_betas", planted)
         code, out, err = run_cli(["sweep", "--primes", "3", "--max-num", "50", "--max-den", "3"], capsys)
         assert code == 1
         assert err == "FAIL: browkin reconstruction failed at p=3, 43/2\n"
@@ -1060,23 +1096,19 @@ class TestSweepCommand:
         assert not any(row.startswith("3,43,2,") for row in rows)
 
     def test_a_mirror_report_with_another_beta1_is_not_printed(self, capsys, monkeypatch):
-        # every report a row stores is planted with |beta_1| + 1: no row reuses one, by the
-        # translation or by the mirror, each runs the bound on its reconstruction's betas and
-        # prints that bound beside the planted |beta_1|
+        # every report is planted with |beta_1| + 1, the ones a line stores among them: no row
+        # reuses one, whether it takes its tail by delta_0 or negated by -delta_0, each runs the
+        # bound on its own betas and prints that bound beside the planted |beta_1|
         argv = ["sweep", "--primes", "3,5", "--max-num", "20", "--max-den", "6"]
         default = run_cli(argv, capsys)[1].splitlines()
-        certified, bound, calls = oracle.certified_browkin, oracle.browkin_bound, []
+        bound, calls = oracle.browkin_bound, []
 
-        def planted(a, b, p, *sources):
-            expansion, betas, report = certified(a, b, p, *sources)
-            return expansion, betas, report._replace(beta1_abs=report.beta1_abs + 1)
-
-        def counted(*args):
+        def planted(*args):
             calls.append(args)
-            return bound(*args)
+            report = bound(*args)
+            return report._replace(beta1_abs=report.beta1_abs + 1)
 
-        monkeypatch.setattr(oracle, "certified_browkin", planted)
-        monkeypatch.setattr(oracle, "browkin_bound", counted)
+        monkeypatch.setattr(oracle, "browkin_bound", planted)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         rows = out.splitlines()
@@ -1088,12 +1120,11 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("argv, digest", SWEEP_GRIDS, ids=SWEEP_GRID_IDS)
     def test_derived_records_are_the_kernels(self, argv, digest, monkeypatch, tmp_path):
-        # every record a sweep row takes from another row, by a translation or the mirror, is
+        # every record a sweep row takes from its line's store, by delta_0, -delta_0 or y_1, is
         # the kernel's record of that row, compared with ==, and the CSV is pinned by its sha256.
-        # The grids: the 100x100 one; |a| up to 3,000, where rows past the mirror buffer's cap run
-        # the kernel and rows with p | a take no Schneider column; lines with p**k | b up to
-        # 27 = 3**3, 54 = 2*3**3 and 25 = 5**2; and b up to 30, long chains of rows that each take
-        # their records from row a - b, with lines with p | b up to 27.  Each ends within 10 s
+        # The grids: the 100x100 one; |a| up to 3,000, where rows with p | a take no Schneider
+        # column; lines with p**k | b up to 27 = 3**3, 54 = 2*3**3 and 25 = 5**2; and b up to 30,
+        # with lines with p | b up to 27.  Each ends within 10 s
         derived = derived_records(monkeypatch)
         path = tmp_path / "rows.csv"
         code, _, err = limited_run(["sweep", *argv, "--out", str(path)], 10)
@@ -1102,145 +1133,101 @@ class TestSweepCommand:
         for name, made in derived.items():
             expand = schneider.schneider_expand if name.startswith("schneider") else browkin.browkin_expand
             assert made, name
-            for record in made:
+            for record, _ in made:
                 p, a, b = record_input(record)
                 assert record == expand(a, b, p), (name, p, a, b)
         if argv[1] == "3,5":
-            lines = {(record.p, record_input(record)[2]) for record in derived["browkin_translation"]}
+            lines = {(record.p, record_input(record)[2]) for record, _ in derived["browkin_betas"]}
             assert lines >= {(3, 9), (3, 27), (3, 54), (5, 25)}
 
-    def test_a_line_holds_at_most_b_translation_records(self, capsys, monkeypatch, tmp_path):
-        # row a stores its records for row a + b only where that row pops them, so a (p, b) line
-        # holds at most b of each kind: without the rule, every row with p | (a + b) would leave a
-        # Schneider record that no row pops, and their number would grow with max-num
-        most = {}
-
-        def watched(certify):
-            def certified(a, b, p, *sources, **shift):
-                line = sys._getframe(1).f_locals  # cli._cmd_sweep's own
-                for name in ("browkin_shifts", "schneider_shifts"):
-                    assert len(line[name]) <= b, (name, p, a, b)
-                    most[name, b] = max(most.get((name, b), 0), len(line[name]))
-                return certify(a, b, p, *sources, **shift)
-            return certified
-
-        monkeypatch.setattr(oracle, "certified_browkin", watched(oracle.certified_browkin))
-        monkeypatch.setattr(oracle, "certified_schneider", watched(oracle.certified_schneider))
-        argv = ["sweep", "--primes", "3", "--max-num", "20000", "--max-den", "3"]
-        code, _, err = run_cli(argv + ["--out", str(tmp_path / "rows.csv")], capsys)
-        assert code == 0 and err.startswith("sweep ok")
-        # at b = 3 rows with 3 | a are skipped, and no row runs Schneider
-        assert most == {("browkin_shifts", 1): 1, ("schneider_shifts", 1): 1, ("browkin_shifts", 2): 1,
-                        ("schneider_shifts", 2): 1, ("browkin_shifts", 3): 1, ("schneider_shifts", 3): 0}
-
     def test_a_translation_past_the_stationary_exclusion_fails(self, capsys, monkeypatch, tmp_path):
-        # a Schneider translation that ignores a + 2b != 0 moves -2/1's step (1, 1) to the tail's
-        # (2, 1) at p = 3: the value is -1's, and the tail laws refuse the record for -1/1
-        def planted(record):
-            p, a, b, steps = record[:4]
-            if not steps or steps[0].b + 1 >= p:
+        # schneider_first_step planted without its a + b != 0 exclusion gives -1/1 the step
+        # (p-1, 1) to y_1 = -1, the key -2/1 stored: the record has -1's value, and the tail
+        # laws refuse it for -1/1, as a last step (p-1, 1) is the stationary tail's own
+        def planted(a, b, p):
+            digit = a * pow(b, -1, p) % p
+            if a == digit * b:
                 return None
-            first = schneider.SchneiderStep(steps[0].b + 1, steps[0].alpha)
-            return record._replace(a=a + b, steps=(first, *steps[1:]))
+            alpha, y1 = exactarith.vp_split(a - digit * b, p)
+            return schneider.SchneiderStep(digit, alpha), y1
 
-        monkeypatch.setattr(oracle, "schneider_translation", planted)
+        monkeypatch.setattr(oracle, "schneider_first_step", planted)
         argv = ["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1",
                 "--out", str(tmp_path / "rows.csv")]
         assert run_cli(argv, capsys) == (1, "", "FAIL: schneider tail laws failed at p=3, -1/1\n")
 
     def test_a_translated_step_out_of_range_fails(self, capsys, monkeypatch, tmp_path):
-        # browkin_translation with its range test removed moves x_0 past p**(1+k0)/2: the record
-        # still has a/b's value and length bound, so only the translated step's range check
-        # refuses it, at the first row the plant derives, and that row is not written
-        def planted(expansion):
-            p, alpha, beta0, steps = expansion
-            k, x = steps[0]
-            alpha += beta0 * p**k
-            if not alpha:
-                return None
-            first = browkin.BrowkinStep(k, x + p**k)
-            return browkin.BrowkinExpansion(p, alpha, beta0, (first, *steps[1:]))
+        # browkin_betas planted to move x_0 up by p**(1+k0), past p**(1+k0)/2 but with its
+        # key kept: a row that takes a stored tail fails the derived step range check, at the
+        # first such row, and that row is not written
+        betas = oracle.browkin_betas
 
-        monkeypatch.setattr(oracle, "browkin_translation", planted)
+        def planted(a, b, p):
+            (k, x), beta0, delta = betas(a, b, p)
+            return browkin.BrowkinStep(k, x + p ** (1 + k)), beta0, delta
+
+        monkeypatch.setattr(oracle, "browkin_betas", planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
-        assert run_cli(argv, capsys) == (1, "", "FAIL: browkin translated step range failed at p=3, -97/1\n")
+        assert run_cli(argv, capsys) == (1, "", "FAIL: browkin derived step range failed at p=3, -99/1\n")
         rows = path.read_text().splitlines()
-        assert rows[-1].startswith("3,-98,1,") and not any(row.startswith("3,-97,1,") for row in rows)
+        assert rows[-1].startswith("3,-100,1,") and not any(row.startswith("3,-99,1,") for row in rows)
 
     @pytest.mark.parametrize("argv, digest", SWEEP_GRIDS, ids=SWEEP_GRID_IDS)
     def test_resumed_pairs_are_the_full_passes(self, argv, digest, monkeypatch, tmp_path):
-        # every pair a translated row resumes from its source's pass is the pair the full
-        # back-substitution of its record computes: cf_pair's times s = beta_N, the last of the
-        # source's betas, and schneider_pair's exactly (the resumption lemma, oracle docstring)
-        resumed = {"browkin": [], "schneider": []}
-
-        def kept(kind, resume):
-            def call(expansion, *state):
-                pair = resume(expansion, *state)
-                resumed[kind].append((expansion, state, pair))
-                return pair
-            return call
-
-        monkeypatch.setattr(oracle, "_resumed_browkin_pair", kept("browkin", oracle._resumed_browkin_pair))
-        monkeypatch.setattr(oracle, "_resumed_schneider_pair", kept("schneider", oracle._resumed_schneider_pair))
+        # every pair a derived row's reconstruction resumes from its line's store is the pair
+        # the full back-substitution of its record computes: cf_pair's up to the sign s =
+        # beta_N, and schneider_pair's exactly (the resumption lemma, oracle docstring)
+        derived = derived_records(monkeypatch)
         path = tmp_path / "rows.csv"
         code, _, err = limited_run(["sweep", *argv, "--out", str(path)], 10)
         assert code == 0 and err.startswith("sweep ok")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        assert resumed["browkin"] and resumed["schneider"]
-        for expansion, (betas,), (num, den) in resumed["browkin"]:
-            s = betas[-1]
-            assert (s * num, s * den) == browkin.cf_pair(expansion.steps, expansion.p), expansion
-        for expansion, _, pair in resumed["schneider"]:
+        assert derived["browkin_betas"] and derived["schneider_first_step"]
+        for expansion, (num, den) in derived["browkin_betas"]:
+            assert browkin.cf_pair(expansion.steps, expansion.p) in ((num, den), (-num, -den)), expansion
+        for expansion, pair in derived["schneider_first_step"]:
             assert pair == schneider.schneider_pair(expansion.steps, expansion.tail, expansion.p), expansion
 
-    @pytest.mark.parametrize("kernel, last, a", [
-        ("browkin_translation", lambda k, x: browkin.BrowkinStep(k, -x), -99),
-        ("schneider_translation", lambda digit, alpha: schneider.SchneiderStep(digit, alpha + 1), -97),
+    @pytest.mark.parametrize("step, wrong, a", [
+        ("browkin_betas", lambda p, b, key: key - p * b, -97),
+        ("schneider_first_step", lambda p, b, key: key - b, -92),
     ], ids=["browkin", "schneider"])
-    def test_a_translated_later_step_changed_fails(self, kernel, last, a, capsys, monkeypatch, tmp_path):
-        # a translation with the last step of each record of two or more steps changed, the
-        # Browkin x_n negated or the Schneider exponent raised by one: the resumed reconstruction
-        # reads its source's pass and not those steps, and the tail laws hold, so the translated
-        # tail check alone refuses the record, at the first row the plant changes, and that row
-        # is not written
-        translate = getattr(oracle, kernel)
+    def test_a_translated_later_step_changed_fails(self, step, wrong, a, capsys, monkeypatch, tmp_path):
+        # a step function planted to hand every row a wrong key, the delta_0 of row a - p*b or
+        # the y_1 of row a - p**alpha_0*b: the row takes another row's later steps, and its resumed
+        # reconstruction reads the stored integers that go with them, not the row's own, so it
+        # fails at the first row whose wrong key is stored, and that row is not written
+        read = getattr(oracle, step)
 
-        def planted(record):
-            out = translate(record)
-            if out is not None and len(out.steps) > 1:
-                out = out._replace(steps=(*out.steps[:-1], last(*out.steps[-1])))
-            return out
+        def planted(a, b, p):
+            out = read(a, b, p)
+            return None if out is None else (*out[:-1], wrong(p, b, out[-1]))
 
-        monkeypatch.setattr(oracle, kernel, planted)
+        monkeypatch.setattr(oracle, step, planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
-        check = kernel.replace("_translation", " translated tail")
+        check = step.split("_")[0] + " reconstruction"
         assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, {a}/1\n")
         rows = path.read_text().splitlines()
         assert rows[-1].startswith(f"3,{a - 1},1,") and not any(row.startswith(f"3,{a},1,") for row in rows)
 
     @pytest.mark.parametrize("first, check", [
         (lambda p, digit, alpha: (digit, alpha + 1), "schneider reconstruction"),
-        (lambda p, digit, alpha: (p, alpha), "schneider translated step range"),
+        (lambda p, digit, alpha: (p, alpha), "schneider derived step range"),
     ], ids=["exponent", "digit"])
     def test_a_translated_schneider_first_step_changed_fails(self, first, check, capsys, monkeypatch,
                                                              tmp_path):
-        # schneider_translation with its new first step's exponent raised by one, which the
-        # lemma's shortcut (num + den, den) would pass, fails the resumed reconstruction; with
-        # its new digit p, the translated step range.  Each fails at the first translated row,
-        # which is not written
-        translate = oracle.schneider_translation
+        # schneider_first_step planted with its exponent raised by one, which the key y_1 does
+        # not see, fails the resumed reconstruction; with its digit p, the derived step range.
+        # Each fails at the first row that takes a stored tail, which is not written
+        read = oracle.schneider_first_step
 
-        def planted(record):
-            out = translate(record)
-            if out is not None:
-                step = schneider.SchneiderStep(*first(record.p, *out.steps[0]))
-                out = out._replace(steps=(step, *out.steps[1:]))
-            return out
+        def planted(a, b, p):
+            out = read(a, b, p)
+            return None if out is None else (schneider.SchneiderStep(*first(p, *out[0])), out[1])
 
-        monkeypatch.setattr(oracle, "schneider_translation", planted)
+        monkeypatch.setattr(oracle, "schneider_first_step", planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
         assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, -97/1\n")

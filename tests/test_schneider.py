@@ -242,19 +242,65 @@ class TestConvergents:
                     assert vp(r - Fraction(u, w), p) == total
 
 
+def assert_tail_lemma(p, a, b):
+    """The kernel's record of a/b is its first step, as schneider_first_step reads it, followed
+    by the kernel's record of its first complete quotient r_1 = b / y_1, with the same tail up
+    to the sign of y_1, the same finite-end flag and the stationary index shifted by one (the
+    tail lemma, schneider docstring); returns the record of a/b."""
+    exp = schneider_expand(a, b, p)
+    first = schneider.schneider_first_step(a, b, p)
+    if first is None:  # a finite end at index 0, or -1/1 stationary at once
+        assert not exp.steps and exp.stationary_from == (0 if a + b == 0 else None), (p, a, b)
+        return exp
+    step, y1 = first
+    assert step == exp.steps[0] and a - step.b * b == p**step.alpha * y1 and y1 % p, (p, a, b)
+    sign = 1 if y1 > 0 else -1  # r_1 with a positive denominator: the y chain times sign
+    tail = schneider_expand(sign * b, sign * y1, p)
+    assert exp.steps == (step, *tail.steps), (p, a, b)
+    assert exp.finite_end == tail.finite_end, (p, a, b)
+    if tail.finite_end:
+        assert exp.stationary_from is None and exp.tail == (sign * tail.tail[0], sign * tail.tail[1])
+    else:
+        assert exp.stationary_from == tail.stationary_from + 1 and exp.tail == tail.tail == (-1, 1)
+    return exp
+
+
+class TestTailLemma:
+    def test_sweep_rows(self):
+        # every row of the 100x100 sweep grid with a Schneider column
+        for p in (3, 5, 7):
+            for b in range(1, 101):
+                for a in range(-100, 101):
+                    if a % p and b % p and math.gcd(a, b) == 1:
+                        assert_tail_lemma(p, a, b)
+
+    def test_random_inputs_and_constant_heads(self):
+        # past the kernel's entry run gate and its batch bound, and constant heads, whose tail
+        # the kernel takes from r_1 as one run
+        rng = random.Random(51)
+        lengths = []
+        for p in (3, 5, 101, 65537):
+            for digits in (1, 2, 5, 30, 300, 3000):
+                lengths.append(len(assert_tail_lemma(p, *random_input(rng, digits, p)).steps))
+        for digit, alpha, p in BENCHMARK_HEAD_TRIPLES:
+            a, b = generate_constant_head(digit, alpha, 300, p)
+            assert assert_tail_lemma(p, a, b).steps == ((digit, alpha),) * 301
+        assert max(lengths) > 1000
+
+
 class TestTranslationLemma:
-    """schneider_translation of schneider_expand(a, b, p) is schneider_expand(a + b, b, p) wherever
-    b_0 + 1 <= p - 1, a/b has a step and a + 2b != 0, and None elsewhere (the translation lemma,
-    schneider docstring)."""
+    """Rows a and a + b of one line share y_1 wherever b_0 + 1 <= p - 1, a/b has a step and
+    a + 2b != 0, so by the tail lemma schneider_expand(a + b, b, p) is a/b's record with b_0
+    moved to b_0 + 1 and the same tail and markers; where a + 2b = 0, the target -1/1 is
+    stationary at once (schneider docstring)."""
 
     @staticmethod
     def assert_translated(p, a, b):
-        exp = schneider_expand(a, b, p)
-        translated = schneider.schneider_translation(exp)
+        exp = assert_tail_lemma(p, a, b)
         if not exp.steps or exp.steps[0].b == p - 1 or a + 2 * b == 0:
-            assert translated is None, (p, a, b)
             return None
-        assert translated == schneider_expand(a + b, b, p), (p, a, b)
+        translated = assert_tail_lemma(p, a + b, b)
+        assert schneider.schneider_first_step(a + b, b, p)[1] == schneider.schneider_first_step(a, b, p)[1]
         assert translated.steps[0] == (exp.steps[0].b + 1, exp.steps[0].alpha)
         assert translated[4:] == exp[4:] and translated.steps[1:] == exp.steps[1:]
         return translated
