@@ -45,9 +45,12 @@ x'_n*beta'_n = (-1)**(n-1) * delta_n, so k'_{n+1} = k_{n+1}, beta'_{n+1} =
 (-1)**(n+1) beta_{n+1}, and delta'_n = 0 exactly where delta_n = 0 (the mirror
 lemma's reason: -a/b is the case x'_0 = -x_0).  That tail has the length, and
 the bound N, of the one it negates.  browkin_betas reads (k0, x_0), beta_0 and
-delta_0 off the first step's definition, and the sweep takes a row's later
-steps from the certified record of an earlier row of its line with delta_0 or
--delta_0 (oracle.certified_browkin).
+delta_0 off the first step's definition, with the input rules, and it is the
+one first step: browkin_expand goes on from it, its step loop starting at
+n = 1 from (beta_0, delta_0).  The sweep takes a row's later steps from the
+certified record of an earlier row of its line with delta_0 or -delta_0, and
+a row with no such record hands its kernel the step it looked delta_0 up with
+(oracle.certified_browkin), so each row takes its first step once.
 """
 
 from __future__ import annotations
@@ -101,39 +104,25 @@ class BoundReport(NamedTuple):
 _record = tuple.__new__  # a record without the NamedTuple's Python-level __new__
 
 
-def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
+def browkin_expand(a: int, b: int, p: int, first: tuple | None = None) -> BrowkinExpansion:
     """Full Browkin expansion of a/b, a nonzero, a and b coprime, b > 0.
 
-    The step loop is capped by a count read off the bit length of the input,
-    above n_bound + 1; reaching the cap raises ArithmeticError, and so does a
-    beta of 0 before the p-strip, which only an inexact division can leave.
+    The expansion goes on from its first step: first is browkin_betas(a, b, p), taken here
+    when not given, with its input rules and messages.  The step loop is capped by a count
+    read off the bit length of the input, above n_bound + 1; reaching the cap raises
+    ArithmeticError, and so does a beta of 0 before the p-strip, which only an inexact
+    division can leave.
     """
-    require_odd_prime(p)
-    if a == 0:
-        raise ValueError("cannot expand zero")
-    require_lowest_terms(a, b)
-
-    beta, k0 = b, 0
-    while beta % p == 0:  # beta ends positive and p-free; sign lives in a
-        beta //= p
-        k0 += 1
-
-    steps: list[BrowkinStep] = []
-    b_prev, b_cur, k = a, beta, k0
+    step, beta, delta = browkin_betas(a, b, p) if first is None else first
+    steps: list[BrowkinStep] = [step]
+    b_cur = beta  # beta_0 is positive and p-free; the sign lives in a
     # lambda1 <= 2/3 for p >= 3 and capacity < 4|a| + 3*beta, so N + 1 < 2*bits + 1 < cap
     cap = 4 * ((4 * abs(a) + 3 * beta).bit_length() + 1)
     # r_prev, r_cur are congruent to beta_{n-1}, beta_n modulo p**(1+kn), and r_cur also
     # modulo p**2: a k_{n+1} = 1 step reads beta_n mod p**2 off r_cur, and kn = 0 only at n = 0
-    p2, modulus = p * p, p ** (1 + k0)
-    r_prev, r_cur = a % modulus, beta % (modulus * p)
-    while len(steps) < cap:
-        x = r_prev * pow(r_cur, -1, modulus) % modulus
-        if x > modulus >> 1:  # the symmetric residue
-            x -= modulus
-        steps.append(_record(BrowkinStep, (k, x)))
-        delta = b_prev - x * b_cur
-        if delta == 0:
-            return _record(BrowkinExpansion, (p, a, beta, tuple(steps)))
+    p2, modulus = p * p, p ** (1 + step[0])
+    r_cur = beta % (modulus * p)
+    while delta:
         b_prev, b_cur = b_cur, delta // modulus  # exact, and k_{n+1} >= 1
         r_prev, r_cur = r_cur, b_cur % p2
         # kept: reducing both betas every step reads x1.10 on the 100x100 sweep
@@ -150,17 +139,26 @@ def browkin_expand(a: int, b: int, p: int) -> BrowkinExpansion:
                 k += 1
             modulus = p ** (1 + k)
             r_prev, r_cur = b_prev % modulus, b_cur % modulus
-    raise ArithmeticError(f"bound violated: expansion of {a}/{b} exceeded {cap} steps")
+        if len(steps) == cap:
+            raise ArithmeticError(f"bound violated: expansion of {a}/{b} exceeded {cap} steps")
+        x = r_prev * pow(r_cur, -1, modulus) % modulus
+        if x > modulus >> 1:  # the symmetric residue
+            x -= modulus
+        steps.append(_record(BrowkinStep, (k, x)))
+        delta = b_prev - x * b_cur
+    return _record(BrowkinExpansion, (p, a, beta, tuple(steps)))
 
 
 def browkin_betas(a: int, b: int, p: int) -> tuple[BrowkinStep, int, int]:
-    """(first step, beta0, delta0) of browkin_expand(a, b, p), read off the first step's
-    definition alone, with browkin_expand's input rules and messages.
+    """(first step, beta0, delta0) of a/b's Browkin expansion, read off the first step's
+    definition alone, with the input rules and messages of browkin_expand, which goes on
+    from it.
 
     k0 = vp(b), beta0 = b / p**k0 and x0 is the symmetric residue of a * beta0**-1 mod
-    p**(1+k0); then delta0 = a - x0*beta0 = beta_1 * p**(k0+k1) with beta_1 prime to p, so
-    |beta_1| is the p-free part of |delta0|, and 0 for a one-step expansion, where delta0 = 0.
-    Over one b, delta0 fixes every later step (the tail lemma in the module docstring).
+    p**(1+k0), a reduced first; then delta0 = a - x0*beta0 = beta_1 * p**(k0+k1) with beta_1
+    prime to p, so |beta_1| is the p-free part of |delta0|, and 0 for a one-step expansion,
+    where delta0 = 0.  Over one b, delta0 fixes every later step (the tail lemma in the module
+    docstring).
     """
     require_odd_prime(p)
     if a == 0:
@@ -168,7 +166,7 @@ def browkin_betas(a: int, b: int, p: int) -> tuple[BrowkinStep, int, int]:
     require_lowest_terms(a, b)
     k0, beta0 = vp_split(b, p)
     modulus = p ** (1 + k0)
-    x0 = a * pow(beta0, -1, modulus) % modulus
+    x0 = a % modulus * pow(beta0, -1, modulus) % modulus
     if x0 > modulus >> 1:
         x0 -= modulus
     return _record(BrowkinStep, (k0, x0)), beta0, a - x0 * beta0

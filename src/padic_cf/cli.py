@@ -8,14 +8,16 @@ each into the integer pair (a, b) of a/b in lowest terms with b > 0, the one
 input form of the library.  A command is first given the pair as argv spells
 it, with no gcd taken: the proof that a/b is in lowest terms comes from the
 certificate the command runs anyway.  expand-browkin, bound a/b, digits and
-verify check it by require_lowest_terms (in browkin_expand, browkin_betas and
-digits._unit_form); expand-schneider by require_coprime, at (a, b) below
-schneider._RUN_GATE and above it at the pair the entry run reaches, which has
-the gcd of (a, b) (schneider lemma (vii)); head by lemma (vi), as below.  Where
-argv's text has no leading zero (nor "-0") in either part, its digits are
-str(a) and str(b) once that proof holds: they ride beside the pair on the
-command's Namespace, and expand-browkin, expand-schneider and digits print the
-input off them rather than converting the pair back.
+verify check it by require_lowest_terms (in browkin_betas, which
+browkin_expand goes on from, and in digits._unit_form); expand-schneider by
+require_coprime, at (a, b) below schneider._RUN_GATE in schneider_first_step,
+which schneider_expand goes on from there, and above it at the pair the entry
+run reaches, which has the gcd of (a, b) (schneider lemma (vii)); head by
+lemma (vi), as below.  Where argv's text has no leading zero (nor "-0") in
+either part, its digits are str(a) and str(b) once that proof holds: they
+ride beside the pair on the command's Namespace, and expand-browkin,
+expand-schneider and digits print the input off them rather than converting
+the pair back.
 The rerun rule: where a command raises ValueError, or head's report has
 head_len None, the CLI takes one gcd(a, b).  Where it is not 1, the CLI reduces
 the pair, drops argv's digits and runs the command again, on the pair it

@@ -13,7 +13,12 @@ here (to plant a defect, or to trace it) reaches every command that prints its
 record, that is expand-browkin, sweep and verify for browkin_expand,
 expand-schneider, sweep and verify for schneider_expand, sweep alone for the
 step functions, digits and verify for padic_digits, and digits --json for
-digit_period.
+digit_period.  A sweep row takes its first step here, once, and a row that
+misses its line's store hands that step to its kernel, so a step function
+rebound here reaches the kernel rows of the sweep too.  Called from here
+without a step (expand-browkin, expand-schneider below schneider._RUN_GATE
+and verify), a kernel takes its own from its module's globals:
+browkin.browkin_betas, schneider.schneider_first_step.
 `bound` and `head` call browkin_betas, browkin_bound and head_analysis from
 the CLI's own globals and run no check here.
 
@@ -382,12 +387,14 @@ def certified_browkin(a: int, b: int, p: int, tails: dict | None = None):
     and looks up its delta_0, then -delta_0: a hit is the stored tail, negated for -delta_0,
     after that first step (the tail lemma, browkin docstring).  Its reconstruction resumes the
     stored level-1 betas (the resumption lemma), once its first step is a Browkin step, and
-    its betas are None: the store keeps beta_0 and beta_1 alone.  A miss runs the kernel and
-    stores the certified record's tail, beta_0, beta_1 and report under the delta_0 read off
-    it.  A stored report is reused where it holds the row's beta_0 and |beta_1|.
+    its betas are None: the store keeps beta_0 and beta_1 alone.  A miss hands that first step
+    to the kernel, which goes on from it, and stores the certified record's tail, beta_0,
+    beta_1 and report under the delta_0 read off it.  A stored report is reused where it holds
+    the row's beta_0 and |beta_1|.
     """
+    first = None  # browkin_expand takes its own
     if tails is not None:
-        first, _, delta = browkin_betas(a, b, p)
+        first = (k, x), _, delta = browkin_betas(a, b, p)
         stored, sign = tails.get(delta), 1
         # kept: without the -delta_0 lookup the 100x100 sweep runs 13,233 Browkin kernel rows,
         # not 6,622 (BENCH_tail_lemma.json, "negated_lookup")
@@ -397,18 +404,17 @@ def certified_browkin(a: int, b: int, p: int, tails: dict | None = None):
             tail, beta0, beta1, report = stored
             if sign < 0:  # the negated tail of the tail lemma (browkin docstring)
                 tail, beta1 = tuple([_record(BrowkinStep, (k, -x)) for k, x in tail]), -beta1
-            k, x = first
             if not (2 * abs(x) < p ** (1 + k) and (not k or x % p)):
                 require(p, a, b, _record(Check, ("browkin derived step range", False)))
             k1 = tail[0][0] if tail else 0  # beta1 = 0 for a one-step record
             if not _equals((x * beta0 + p ** (k + k1) * beta1, p**k * beta0), a, b):
                 require(p, a, b, _record(Check, ("browkin reconstruction", False)))
-            expansion = _record(BrowkinExpansion, (p, a, beta0, (first,) + tail))
+            expansion = _record(BrowkinExpansion, (p, a, beta0, (first[0],) + tail))
             if report[:3] != (p, beta0, abs(beta1)):  # the bound depends on these alone
                 report = browkin_bound(beta0, abs(beta1), p)
             require(p, a, b, browkin_length_bound(expansion, report))
             return expansion, None, report
-    expansion = browkin_expand(a, b, p)
+    expansion = browkin_expand(a, b, p, first)
     betas: list[int] = []
     require(p, a, b, browkin_reconstruction(a, b, expansion, betas))
     beta0, beta1 = betas[0], betas[1] if len(betas) > 1 else 0
@@ -428,8 +434,10 @@ def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, tai
     schneider_first_step and looks up its y_1: a hit is the stored tail, with its markers,
     after that first step (the tail lemma, schneider docstring).  Its reconstruction resumes
     the stored level-1 pair (the resumption lemma), once its first step is a Schneider step.
-    A miss runs the kernel and stores the certified record's tail, markers and level-1 pair
-    under the y_1 read off it."""
+    A miss hands the step function's result, None included, to the kernel, which goes on from
+    it, and stores the certified record's tail, markers and level-1 pair under the y_1 read
+    off it."""
+    first = ...  # schneider_expand takes its own
     if tails is not None:
         first = schneider_first_step(a, b, p)
         stored = None if first is None else tails.get(first[1])
@@ -443,7 +451,7 @@ def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, tai
             expansion = _record(SchneiderExpansion, (p, a, b, (first[0],) + tail, *markers))
             require(p, a, b, schneider_tail_laws(expansion))
             return expansion
-    expansion = schneider_expand(a, b, p)
+    expansion = schneider_expand(a, b, p, first)
     pair = _schneider_pass(expansion)
     if not _equals(pair, a, b):  # its Check built on failure
         require(p, a, b, _record(Check, ("schneider reconstruction", False)))

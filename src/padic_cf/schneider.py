@@ -14,16 +14,20 @@ operation, and one exact division of y_{m-1} - b_m y_m by p, then one more
 per further factor of p, yields alpha_m, y_{m+1} and r_{m+1} together.  The
 inverses r**-1 mod p come from a dict made for each expansion.  It starts
 with 1 and p-1, their own inverses, and inverts any other residue on its
-first use.  Lookups are made only for the digits b_m of the pairs
-(y_{m-1}, y_m) the expansion reaches: one for each step it records (the
-entry run below may look up the first one twice), and one more at a finite
-end, for y_m = +-1 (lemma (iv)), whose inverse the dict starts with.  So an
-expansion makes at most min(p-3, steps) pow calls mod p and none at p = 3
-(the entry run's inverse mod a power of 2 is exactarith's, no pow here).  A
-second dict maps the int b_m + p*alpha_m to the one SchneiderStep of that
-step, made on its first use, in the entry run, the batches and the
-single-step loop alike, so equal steps share one record.  Both dicts go when
-the expansion returns.
+first use.  Below _RUN_GATE the expansion goes on from schneider_first_step,
+which takes the first step's inverse by one pow of its own, so the dict
+serves the steps after the first; above it the dict serves every step.
+Lookups are made only for the digits b_m of the pairs (y_{m-1}, y_m) the
+dict serves: one for each such step the expansion records (the entry run
+below may look up the first one twice), and one more at a finite end, for
+y_m = +-1 (lemma (iv)), whose inverse the dict starts with.  So the dict
+makes at most min(p-3, n) pow calls mod p, n the steps it serves, and none
+at p = 3; below the gate the step function makes one more (the entry run's
+inverse mod a power of 2 is exactarith's, no pow here).  A second dict maps
+the int b_m + p*alpha_m to the one SchneiderStep of that step, made on its
+first use, in the entry run, the batches and the single-step loop alike
+(below the gate it starts with the first step's record), so equal steps
+share one record.  Both dicts go when the expansion returns.
 
 A record stores no y but its tail: oracle.schneider_matrix_laws walks the y
 chain forward from (a, b) and hands back the values it divided.
@@ -43,9 +47,15 @@ is y_1, not delta = a - b_0*b: the tail is that of (b, y_1) whatever alpha_0
 is, so inputs whose deltas differ by a power of p share it.  Only the input
 pair's two tests are a/b's own: a finite end at index 0 (delta = 0) and a
 stationary input (a + b = 0, so a/b = -1/1 in lowest terms), where there is
-no first step and schneider_first_step returns None.  The sweep takes a row's
+no first step and schneider_first_step returns None.  It is the one first
+step below _RUN_GATE, input rules and gcd included: schneider_expand goes on
+from its step and y_1 at (y_0, y_1) = (b, y_1), and from None ends at once
+(at -1/1 the sum of (iii) is 0; a finite end at index 0 has b = 1, whose
+inverse the dict starts with).  Above the gate the entry run reads the first
+step itself, with no gcd at (a, b) (lemma (vii)).  The sweep takes a row's
 later steps from the certified record of an earlier row of its line with the
-same y_1 (oracle.certified_schneider).
+same y_1, and a row with no such record hands its kernel the step it looked
+y_1 up with (oracle.certified_schneider).
 
 The step loop's cap comes from the input.  Let H_m = max(|y_{m-1}|, |y_m|),
 so H_0 = max(|a|, b) < 2**bits with bits = max(|a|, b).bit_length(), and
@@ -163,11 +173,12 @@ places:
     capped as the batches are and recorded as r references to one record, and
     a remainder raised as an ArithmeticError named with the input.  It checks
     lowest terms on the pair reached, by (vii), before any batch; below the
-    gate, at (a, b).  _batches builds its table of p**e, e <= K, only once a
-    batch runs, so an input the run leaves below the bound builds none.  A
-    wrong digit (a defect) leaves alpha = 0, and a/b = d*b/b, a finite end
-    that only an input not in lowest terms has at the gate, leaves a - d*b = 0:
-    then no run is taken, and the steps or the gcd check meet it.  So a
+    gate schneider_first_step checks it at (a, b).  _batches builds its table
+    of p**e, e <= K, only once a batch runs, so an input the run leaves below
+    the bound builds none.  A wrong digit (a defect) leaves alpha = 0, and
+    a/b = d*b/b, a finite end that only an input not in lowest terms has at
+    the gate, leaves a - d*b = 0: then no run is taken, and the steps or the
+    gcd check meet it.  So a
     constant head of more than about _RUN_GATE bits is one run, at every p and
     on both sides of the batch bound.  A run that starts further in is stepped
     by the batches and the single-step loop, which have no such test.
@@ -435,17 +446,22 @@ def _require_unit_pair(a: int, b: int, p: int) -> None:
         raise ValueError("denominator must be coprime to p")
 
 
-def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
+def schneider_expand(a: int, b: int, p: int, first=...) -> SchneiderExpansion:
     """Expand a/b until stationarity or finite termination.
 
-    Requires a nonzero, b positive, and a, b, p pairwise coprime.  The step
-    loop is capped by a count read off the bit length of the input, above
-    every possible step count (module docstring); exceeding the cap raises
-    ArithmeticError, and so does a y of 0 in a p-strip (single step or a
-    batch's full-pair step), which only a wrong digit can leave.
+    Requires a nonzero, b positive, and a, b, p pairwise coprime.  Below _RUN_GATE the
+    expansion goes on from first, schneider_first_step(a, b, p) with its input rules and
+    messages, taken here when first is left out (...): None, no first step, included.  Above
+    it the entry run comes first and first is not read (module docstring).  The step loop
+    is capped by a count read off the bit length of the input, above every possible step
+    count (module docstring); exceeding the cap raises ArithmeticError, and so does a y of 0
+    in a p-strip (single step or a batch's full-pair step), which only a wrong digit can
+    leave.
     """
-    _require_unit_pair(a, b, p)
-
+    if gated := min(abs(a), b).bit_length() > _RUN_GATE:
+        _require_unit_pair(a, b, p)
+    elif first is ...:
+        first = schneider_first_step(a, b, p)
     # above every step count the module docstring allows, so only a defect reaches it
     bits = max(abs(a), b).bit_length()
     cap = (2 * bits * (p + 2) + 4) * (bits + 1)
@@ -457,7 +473,7 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
     # digits and p = 3 (BENCH_special_paths_2.json, row 10)
     records: dict[int, SchneiderStep] = {}
     depth = _BATCH_WIDTH // p.bit_length()
-    if min(abs(a), b).bit_length() > _RUN_GATE:
+    if gated:
         try:
             # the entry run, at any p: the first step (digit, alpha), then lemma (v) at (a, b)
             r_cur = b % p
@@ -486,8 +502,9 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
                 y_prev, y_cur = _batches(y_prev, y_cur, p, depth, steps, cap, inverses, records)
         except ArithmeticError as exc:  # a defect: named with the input, as the cap is
             raise ArithmeticError(f"{exc} in the expansion of {a}/{b}") from None
-    else:
-        require_coprime(a, b)
+    elif first is not None:  # go on from the first step, to (y_0, y_1) = (b, y_1)
+        (record, y_cur), y_prev = first, b
+        append(records.setdefault(record[0] + p * record[1], record))
     # below the batch bound: one step at a time, r_prev, r_cur carrying y_{m-1} mod p
     # and y_m mod p, never 0, until the sum is 0 at a stationary pair (lemma (iii))
     r_prev, r_cur = y_prev % p, y_cur % p
@@ -519,9 +536,10 @@ def schneider_expand(a: int, b: int, p: int) -> SchneiderExpansion:
 
 def schneider_first_step(a: int, b: int, p: int) -> tuple[SchneiderStep, int] | None:
     """(first step, y_1) of schneider_expand(a, b, p), read off the step's definition alone,
-    with schneider_expand's input rules and messages; None where the expansion has no first
-    step: a stationary -1/1 (a + b = 0) and a finite end at index 0 (a = b_0*b).  Over one b,
-    y_1 fixes every later step, the tail and both markers (the tail lemma, module docstring).
+    with the input rules and messages of schneider_expand, which goes on from it below
+    _RUN_GATE; None where the expansion has no first step: a stationary -1/1 (a + b = 0) and a
+    finite end at index 0 (a = b_0*b).  Over one b, y_1 fixes every later step, the tail and
+    both markers (the tail lemma, module docstring).
     """
     _require_unit_pair(a, b, p)
     require_coprime(a, b)
@@ -531,6 +549,8 @@ def schneider_first_step(a: int, b: int, p: int) -> tuple[SchneiderStep, int] | 
         return None
     y1, alpha = delta // p, 1  # the step loop's strip of p
     while not y1 % p:
+        if not y1:  # only a wrong digit (a defect) leaves 0, which p divides forever
+            raise ArithmeticError(f"inexact step: expansion of {a}/{b} reached y = 0")
         y1 //= p
         alpha += 1
     return _record(SchneiderStep, (digit, alpha)), y1

@@ -106,6 +106,14 @@ def derived_records(monkeypatch):
     return derived
 
 
+def kernels_take_their_own_first_step(monkeypatch):
+    # a row that misses its line's store hands its kernel the first step it took, so a planted
+    # step function reaches kernel rows too; with each kernel planted in oracle to take its own
+    # first step instead, such a plant reaches the rows that take a stored tail alone
+    monkeypatch.setattr(oracle, "browkin_expand", lambda a, b, p, first: browkin.browkin_expand(a, b, p))
+    monkeypatch.setattr(oracle, "schneider_expand", lambda a, b, p, first: schneider.schneider_expand(a, b, p))
+
+
 # the sweep grids whose derived records are checked, each with the sha256 of its CSV
 SWEEP_GRIDS = [
     (["--primes", "3,5,7", "--max-num", "100", "--max-den", "100"],
@@ -1006,8 +1014,8 @@ class TestSweepCommand:
         assert seen == []
 
     def test_one_bound_call_per_row(self, capsys, monkeypatch):
-        # one kernel and one bound call per row that misses its line's store; a row that takes
-        # a stored tail takes the report stored with it
+        # one kernel and one bound call per row that misses its line's store, the kernel handed
+        # the row's first step; a row that takes a stored tail takes the report stored with it
         bound, calls = oracle.browkin_bound, []
         derived = derived_records(monkeypatch)["browkin_betas"]
         expand, expanded = oracle.browkin_expand, []
@@ -1028,8 +1036,59 @@ class TestSweepCommand:
         derived = {record_input(record) for record, _ in derived}
         kernel = [(a, b, p) for p, a, b in rows if (p, a, b) not in derived]
         assert 0 < len(kernel) < len(rows)
-        assert expanded == kernel
+        assert [args[:3] for args in expanded] == kernel
+        assert all(len(args) == 4 and args[3] for args in expanded)
         assert len(calls) == len(kernel)
+
+    def test_each_row_takes_its_first_step_once(self, capsys, monkeypatch):
+        # each step function that applies to a row runs once for it, counted through oracle's
+        # globals and the kernel modules' own, and a row that misses its line's store hands its
+        # kernel that very step: no kernel row computes its first step again
+        taken, handed = {}, []
+        for module in (oracle, browkin, schneider):
+            for name in {"browkin_betas", "schneider_first_step"} & set(vars(module)):
+                def counted(a, b, p, step=getattr(module, name), name=name):
+                    out = step(a, b, p)
+                    taken.setdefault((name, p, a, b), []).append(out)
+                    return out
+
+                monkeypatch.setattr(module, name, counted)
+        for step, (kernel, _) in DERIVATIONS.items():
+            def handing(a, b, p, *first, expand=getattr(oracle, kernel), step=step):
+                handed.append(((step, p, a, b), first))
+                return expand(a, b, p, *first)
+
+            monkeypatch.setattr(oracle, kernel, handing)
+        code, out, _ = run_cli(["sweep", "--primes", "3,5,7", "--max-num", "30", "--max-den", "30"], capsys)
+        assert code == 0
+        rows = [tuple(int(field) for field in row.split(",")[:3]) for row in out.splitlines()[1:]]
+        want = {("browkin_betas", p, a, b) for p, a, b in rows}
+        want |= {("schneider_first_step", p, a, b) for p, a, b in rows if a % p and b % p}
+        assert taken.keys() == want and all(len(outs) == 1 for outs in taken.values())
+        assert 0 < len(handed) < len(want)
+        for row, first in handed:
+            assert len(first) == 1 and first[0] is taken[row][0], row
+
+    def test_one_primality_test_per_step_and_bound_call(self, capsys, monkeypatch):
+        # above exactarith's prime table each is_odd_prime call runs 13 Miller-Rabin bases: a
+        # sweep runs one for its --primes, one per step function call and one per bound call,
+        # and none in a kernel, which goes on from the step its row took
+        calls = {}
+
+        def counted(name, function):
+            def count(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args)
+            return count
+
+        monkeypatch.setattr(exactarith, "is_odd_prime", counted("is_odd_prime", exactarith.is_odd_prime))
+        for name in ("browkin_betas", "schneider_first_step", "browkin_bound", "browkin_expand", "schneider_expand"):
+            monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+        argv = ["sweep", "--primes", "65537", "--max-num", "40", "--max-den", "20"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert calls["browkin_expand"] and calls["schneider_expand"]
+        checked = calls["browkin_betas"] + calls["schneider_first_step"] + calls["browkin_bound"]
+        assert calls["is_odd_prime"] == 1 + checked
 
     @staticmethod
     def watch_stores(monkeypatch):
@@ -1158,8 +1217,9 @@ class TestSweepCommand:
 
     def test_a_translated_step_out_of_range_fails(self, capsys, monkeypatch, tmp_path):
         # browkin_betas planted to move x_0 up by p**(1+k0), past p**(1+k0)/2 but with its
-        # key kept: a row that takes a stored tail fails the derived step range check, at the
-        # first such row, and that row is not written
+        # key kept: the sweep's first row, -100/1, hands the step to its kernel, whose record
+        # has another value.  With the kernels taking their own, a row that takes a stored
+        # tail fails the derived step range check, at the first such row, not written
         betas = oracle.browkin_betas
 
         def planted(a, b, p):
@@ -1169,6 +1229,8 @@ class TestSweepCommand:
         monkeypatch.setattr(oracle, "browkin_betas", planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
+        assert run_cli(argv, capsys) == (1, "", "FAIL: browkin reconstruction failed at p=3, -100/1\n")
+        kernels_take_their_own_first_step(monkeypatch)
         assert run_cli(argv, capsys) == (1, "", "FAIL: browkin derived step range failed at p=3, -99/1\n")
         rows = path.read_text().splitlines()
         assert rows[-1].startswith("3,-100,1,") and not any(row.startswith("3,-99,1,") for row in rows)
@@ -1195,9 +1257,11 @@ class TestSweepCommand:
     ], ids=["browkin", "schneider"])
     def test_a_translated_later_step_changed_fails(self, step, wrong, a, capsys, monkeypatch, tmp_path):
         # a step function planted to hand every row a wrong key, the delta_0 of row a - p*b or
-        # the y_1 of row a - p**alpha_0*b: the row takes another row's later steps, and its resumed
-        # reconstruction reads the stored integers that go with them, not the row's own, so it
-        # fails at the first row whose wrong key is stored, and that row is not written
+        # the y_1 of row a - p**alpha_0*b.  The sweep's first row, -100/1, hands it to its
+        # kernel, which goes on from it to another value.  With the kernels taking their own, a
+        # row takes another row's later steps, and its resumed reconstruction reads the stored
+        # integers that go with them, not the row's own, so it fails at the first row whose
+        # wrong key is stored, and that row is not written
         read = getattr(oracle, step)
 
         def planted(a, b, p):
@@ -1208,6 +1272,8 @@ class TestSweepCommand:
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
         check = step.split("_")[0] + " reconstruction"
+        assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, -100/1\n")
+        kernels_take_their_own_first_step(monkeypatch)
         assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, {a}/1\n")
         rows = path.read_text().splitlines()
         assert rows[-1].startswith(f"3,{a - 1},1,") and not any(row.startswith(f"3,{a},1,") for row in rows)
@@ -1220,7 +1286,9 @@ class TestSweepCommand:
                                                              tmp_path):
         # schneider_first_step planted with its exponent raised by one, which the key y_1 does
         # not see, fails the resumed reconstruction; with its digit p, the derived step range.
-        # Each fails at the first row that takes a stored tail, which is not written
+        # Each fails at the first row that takes a stored tail, which is not written, once the
+        # kernels take their own first step: handed to the kernel of the sweep's first row,
+        # -100/1, either gives a record of another value
         read = oracle.schneider_first_step
 
         def planted(a, b, p):
@@ -1230,6 +1298,8 @@ class TestSweepCommand:
         monkeypatch.setattr(oracle, "schneider_first_step", planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
+        assert run_cli(argv, capsys) == (1, "", "FAIL: schneider reconstruction failed at p=3, -100/1\n")
+        kernels_take_their_own_first_step(monkeypatch)
         assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, -97/1\n")
         rows = path.read_text().splitlines()
         assert rows[-1].startswith("3,-98,1,") and not any(row.startswith("3,-97,1,") for row in rows)

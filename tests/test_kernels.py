@@ -221,21 +221,26 @@ class TestSchneider:
 
     @pytest.mark.parametrize("p", (5, 101))
     def test_pow_calls_within_steps_plus_one(self, p, monkeypatch):
-        # finite and stationary expansions: steps+1 lookups at most, but the one past the
-        # last step, at a finite end, is for y = +-1, so at most min(p-3, steps) pow calls
-        # mod p, as the module docstring states; (p+2)/2, a finite end after one step, reaches
-        # it.  The entry run's inverse mod a power of 2 is exactarith's _inverse_power, no pow here
+        # finite and stationary expansions: the dict's lookups are one per step, but the one past
+        # the last step, at a finite end, is for y = +-1, so it makes at most min(p-3, steps) pow
+        # calls mod p, as the module docstring states.  Below _RUN_GATE the first step is
+        # schneider_first_step's, whose one pow comes first, and the dict serves the steps after
+        # it; (3p + 2)/(p + 2), a finite end after two steps, reaches the bound there.  The entry
+        # run's inverse mod a power of 2 is exactarith's _inverse_power, no pow here
         calls = []
         monkeypatch.setattr(schneider, "pow", lambda *args: (args[2] == p and calls.append(args)) or pow(*args),
                             raising=False)
         rng = random.Random(61)
         inputs = [random_pair(rng, 40, p) for _ in range(40)] + [(1, p + 1), (p - 1, 1), (-1, 1)]
         reached = False
-        for a, b in inputs + [(p + 2, 2)]:
+        for a, b in inputs + [(3 * p + 2, p + 2)]:
             calls.clear()
             exp = schneider_expand(a, b, p)
-            assert len(calls) == len(set(calls)) <= min(p - 3, len(exp.steps))
-            reached |= exp.finite_end and len(calls) == len(exp.steps) > 0
+            first = int(min(abs(a), b).bit_length() <= schneider._RUN_GATE)
+            assert calls[:first] == [(b, -1, p)] * first
+            looked_up, later = calls[first:], max(len(exp.steps) - first, 0)
+            assert len(looked_up) == len(set(looked_up)) <= min(p - 3, later)
+            reached |= first and exp.finite_end and len(looked_up) == later > 0
         assert reached
 
     def test_equal_steps_share_one_record(self):

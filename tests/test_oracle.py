@@ -69,9 +69,9 @@ def _doubled_past_the_first(p, y_prev, y_cur, links):
         yield (2 * y if i else y), rem
 
 
-def _next_alpha(a, b, p):
+def _next_alpha(a, b, p, *first):
     # alpha + 1 in place of the record's alpha; the steps, and so their value, stay
-    expansion = browkin.browkin_expand(a, b, p)
+    expansion = browkin.browkin_expand(a, b, p, *first)
     return expansion._replace(alpha=expansion.alpha + 1)
 
 
@@ -80,27 +80,28 @@ def _wrong_first_digit(a, b, p, count):
     return window._replace(digits=(window.digits[0] + 1,) + window.digits[1:])
 
 
-def _deeper_last_step(a, b, p):
-    # the last step's alpha + 1 and the tail (p*num, den): the same value
-    expansion = schneider.schneider_expand(a, b, p)
+def _deeper_last_step(a, b, p, *first):
+    # the last step's alpha + 1 and the tail (p*num, den): the same value.  Each kernel plant
+    # takes the first step a sweep row hands its kernel, and hands it on
+    expansion = schneider.schneider_expand(a, b, p, *first)
     *head, (digit, alpha) = expansion.steps
     num, den = expansion.tail
     return expansion._replace(steps=(*head, schneider.SchneiderStep(digit, alpha + 1)), tail=(p * num, den))
 
 
-def _wide_last_digit(a, b, p):
+def _wide_last_digit(a, b, p, *first):
     # a stationary record's last step (d, alpha) as (d + (p - 1)*p**alpha, alpha + 1): over the
     # tail -1 both are worth d - p**alpha, so the value, the tail and its marker stay, and the
     # digit past p - 1 fails the matrix laws alone (2/5 at p = 3 is stationary from index 4)
-    expansion = schneider.schneider_expand(a, b, p)
+    expansion = schneider.schneider_expand(a, b, p, *first)
     *head, (digit, alpha) = expansion.steps
     last = schneider.SchneiderStep(digit + (p - 1) * p**alpha, alpha + 1)
     return expansion._replace(steps=(*head, last))
 
 
-def _unmarked_end(a, b, p):
+def _unmarked_end(a, b, p, *first):
     # the stationary marker cleared: neither the reconstruction nor the matrix laws read it
-    return schneider.schneider_expand(a, b, p)._replace(stationary_from=None)
+    return schneider.schneider_expand(a, b, p, *first)._replace(stationary_from=None)
 
 
 BROKEN_LAWS = [
@@ -155,9 +156,9 @@ def test_planted_schneider_defect_exits_1(argv, expected_out, message, capsys, m
     assert err == message
 
 
-def _zero_tail(a, b, p):
+def _zero_tail(a, b, p, *first):
     # the expansion with its tail value set to 0: schneider_pair raises ZeroDivisionError on it
-    return schneider.schneider_expand(a, b, p)._replace(tail=(0, 1))
+    return schneider.schneider_expand(a, b, p, *first)._replace(tail=(0, 1))
 
 
 @pytest.mark.parametrize(
@@ -201,8 +202,8 @@ def test_bound_reads_the_certified_beta0(argv, capsys, monkeypatch):
     want = run_cli(argv, capsys)
     assert want[0] == 0
 
-    def inflated(a, b, p):
-        expansion = browkin.browkin_expand(a, b, p)
+    def inflated(a, b, p, *first):
+        expansion = browkin.browkin_expand(a, b, p, *first)
         return expansion._replace(beta0=1000 * expansion.beta0)
 
     monkeypatch.setattr(oracle, "browkin_expand", inflated)
@@ -222,7 +223,7 @@ def test_a_malformed_browkin_record_is_a_failed_check(tmp_path, capsys, monkeypa
 
     def plant(**fields):
         monkeypatch.setattr(oracle, "browkin_expand",
-                            lambda a, b, p: browkin.browkin_expand(a, b, p)._replace(**fields))
+                            lambda a, b, p, *first: browkin.browkin_expand(a, b, p, *first)._replace(**fields))
 
     plant(steps=())
     for argv, text in zip(unaffected, ["365/54", "365/54", "-2/1"]):
@@ -244,19 +245,19 @@ def test_a_deeper_last_step_fails_expand_schneider_in_text(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "FAIL: schneider matrix laws failed at p=3, 1259/701\n")
 
 
-def _flipped_marker(a, b, p):
+def _flipped_marker(a, b, p, *first):
     # the tail marker flipped, the steps and the tail kept: a stationary record called a finite
     # end, or a finite end called stationary from its end.  The value is unchanged, and neither
     # the reconstruction nor the matrix laws read the markers
-    expansion = schneider.schneider_expand(a, b, p)
+    expansion = schneider.schneider_expand(a, b, p, *first)
     if expansion.finite_end:
         return expansion._replace(stationary_from=len(expansion.steps), finite_end=False)
     return expansion._replace(stationary_from=None, finite_end=True)
 
 
-def _extra_stationary_step(a, b, p):
+def _extra_stationary_step(a, b, p, *first):
     # one (p-1, 1) step more before the stationary tail: the same value, as -1 = (p-1) + p/(-1)
-    expansion = schneider.schneider_expand(a, b, p)
+    expansion = schneider.schneider_expand(a, b, p, *first)
     assert expansion.stationary_from is not None
     steps = (*expansion.steps, schneider.SchneiderStep(p - 1, 1))
     return expansion._replace(steps=steps, stationary_from=len(steps))
@@ -692,10 +693,10 @@ def test_battery_memory_stays_near_the_input_size():
     assert peak < 8 * 2**20, peak
 
 
-def _later_stationary_index(a, b, p):
+def _later_stationary_index(a, b, p, *first):
     # stationary_from one index later on a stationary record: the steps and the tail, and so
     # the value, are kept, and the reconstruction does not read the marker
-    expansion = schneider.schneider_expand(a, b, p)
+    expansion = schneider.schneider_expand(a, b, p, *first)
     if expansion.stationary_from is None:
         return expansion
     return expansion._replace(stationary_from=expansion.stationary_from + 1)
@@ -757,9 +758,9 @@ def test_digit_period_identity_holds_on_natural_splits():
     assert not oracle.digit_period_identity(1, 2, 3, 0, (), ()).ok
 
 
-def _flipped_last_quotient(a, b, p):
+def _flipped_last_quotient(a, b, p, *first):
     # the last x_n negated: another value, so the reconstruction fails
-    expansion = browkin.browkin_expand(a, b, p)
+    expansion = browkin.browkin_expand(a, b, p, *first)
     *head, (k, x) = expansion.steps
     return expansion._replace(steps=(*head, browkin.BrowkinStep(k, -x)))
 
@@ -775,8 +776,9 @@ _PLANTED_ARGV = {
 }
 
 def _negated_key(a, b, p):
-    # browkin_betas with delta_0 negated: a row takes the tail of the opposite delta_0, and
-    # its resumed reconstruction the betas stored with it
+    # browkin_betas with delta_0 negated: a row that misses its line's store hands the kernel
+    # that delta_0, which it goes on from, and a row that hits takes the tail of the opposite
+    # delta_0, and its resumed reconstruction the betas stored with it
     first, beta0, delta = browkin.browkin_betas(a, b, p)
     return first, beta0, -delta
 
@@ -791,15 +793,16 @@ def _step_at_minus_one(a, b, p):
 
 # each kernel that makes a certified record, and each step function that gives a sweep row its
 # first step, a plant that breaks one law of that record, and for each command that prints the
-# record, the check it fails and the input it fails at; the step function plants fail at the
-# first row that takes a stored tail, and the Schneider and period plants keep the value
+# record, the check it fails and the input it fails at.  A row hands its kernel the first step
+# it took, so _negated_key fails at the sweep's first row, a kernel row, and _step_at_minus_one
+# at -1/1, the one row it changes; the Schneider and period plants keep the value
 ONE_NAMESPACE_PLANTS = [
     ("browkin_expand", _flipped_last_quotient,
      {"expand-browkin": ("browkin reconstruction", "1259/701"),
       "expand-browkin --json": ("browkin reconstruction", "1259/701"),
       "sweep": ("browkin reconstruction", "-2/1"),
       "verify": ("browkin reconstruction", "1259/701")}),
-    ("browkin_betas", _negated_key, {"sweep": ("browkin reconstruction", "2/1")}),
+    ("browkin_betas", _negated_key, {"sweep": ("browkin reconstruction", "-2/1")}),
     ("schneider_expand", _deeper_last_step,
      {"expand-schneider": ("schneider matrix laws", "1259/701"),
       "expand-schneider --json": ("schneider tail laws", "1259/701"),
