@@ -44,13 +44,20 @@ p**(1+kn) is an odd function, so x'_n = -x_n; then delta'_n = beta'_{n-1} -
 x'_n*beta'_n = (-1)**(n-1) * delta_n, so k'_{n+1} = k_{n+1}, beta'_{n+1} =
 (-1)**(n+1) beta_{n+1}, and delta'_n = 0 exactly where delta_n = 0 (the mirror
 lemma's reason: -a/b is the case x'_0 = -x_0).  That tail has the length, and
-the bound N, of the one it negates.  browkin_betas reads (k0, x_0), beta_0 and
-delta_0 off the first step's definition, with the input rules, and it is the
-one first step: browkin_expand goes on from it, its step loop starting at
-n = 1 from (beta_0, delta_0).  The sweep takes a row's later steps from the
-certified record of an earlier row of its line with delta_0 or -delta_0, and
-a row with no such record hands its kernel the step it looked delta_0 up with
-(oracle.certified_browkin), so each row takes its first step once.
+the bound N, of the one it negates.  So all a row prints or checks of its
+tail is its length, k_1 and beta_1, with beta_1 negated for -delta_0, and
+beta_0, which is the line's.
+
+The first step's rule is stated once, in browkin_first: k0, beta_0, the
+modulus p**(1+k0) and beta_0**-1 mod that modulus depend on b alone
+(browkin_line), and then x_0 and delta_0 are a few small-integer operations.
+browkin_betas is the input rules followed by that rule, and browkin_expand
+goes on from it, its step loop starting at n = 1 from (beta_0, delta_0).  The
+sweep takes a line's constants once and the rule once per row
+(oracle.certified_line): a row whose delta_0 or -delta_0 an earlier kernel row
+of its line stored takes that row's length, k_1, beta_1 and bound report,
+and builds no record; any other row hands its kernel the step it
+took, so each row takes its first step once.
 """
 
 from __future__ import annotations
@@ -149,27 +156,41 @@ def browkin_expand(a: int, b: int, p: int, first: tuple | None = None) -> Browki
     return _record(BrowkinExpansion, (p, a, beta, tuple(steps)))
 
 
-def browkin_betas(a: int, b: int, p: int) -> tuple[BrowkinStep, int, int]:
-    """(first step, beta0, delta0) of a/b's Browkin expansion, read off the first step's
-    definition alone, with the input rules and messages of browkin_expand, which goes on
-    from it.
+def browkin_line(b: int, p: int) -> tuple[int, int, int, int]:
+    """(k0, beta0, modulus, inverse): the constants of the first step over b, k0 = vp(b),
+    beta0 = b / p**k0, modulus = p**(1 + k0) and inverse = beta0**-1 mod modulus.  They depend
+    on b and p alone, so a sweep takes them once per (p, b) line."""
+    k0, beta0 = vp_split(b, p)
+    modulus = p ** (1 + k0)
+    return k0, beta0, modulus, pow(beta0, -1, modulus)
 
-    k0 = vp(b), beta0 = b / p**k0 and x0 is the symmetric residue of a * beta0**-1 mod
-    p**(1+k0), a reduced first; then delta0 = a - x0*beta0 = beta_1 * p**(k0+k1) with beta_1
-    prime to p, so |beta_1| is the p-free part of |delta0|, and 0 for a one-step expansion,
-    where delta0 = 0.  Over one b, delta0 fixes every later step (the tail lemma in the module
-    docstring).
+
+def browkin_first(a: int, beta0: int, modulus: int, inverse: int) -> tuple[int, int]:
+    """(x0, delta0), the first step's rule over a line's constants (browkin_line): x0 is the
+    symmetric residue of a * beta0**-1 mod p**(1+k0), a reduced first, and delta0 = a -
+    x0*beta0.  It asks nothing of a: the input rules are browkin_betas', and a sweep's line
+    holds only inputs that meet them."""
+    x0 = a % modulus * inverse % modulus
+    if x0 > modulus >> 1:
+        x0 -= modulus
+    return x0, a - x0 * beta0
+
+
+def browkin_betas(a: int, b: int, p: int) -> tuple[BrowkinStep, int, int]:
+    """(first step, beta0, delta0) of a/b's Browkin expansion: the input rules and messages of
+    browkin_expand, which goes on from it, then browkin_first over browkin_line(b, p).
+
+    delta0 = a - x0*beta0 = beta_1 * p**(k0+k1) with beta_1 prime to p, so |beta_1| is the
+    p-free part of |delta0|, and 0 for a one-step expansion, where delta0 = 0.  Over one b,
+    delta0 fixes every later step (the tail lemma in the module docstring).
     """
     require_odd_prime(p)
     if a == 0:
         raise ValueError("cannot expand zero")
     require_lowest_terms(a, b)
-    k0, beta0 = vp_split(b, p)
-    modulus = p ** (1 + k0)
-    x0 = a % modulus * pow(beta0, -1, modulus) % modulus
-    if x0 > modulus >> 1:
-        x0 -= modulus
-    return _record(BrowkinStep, (k0, x0)), beta0, a - x0 * beta0
+    k0, beta0, modulus, inverse = browkin_line(b, p)
+    x0, delta0 = browkin_first(a, beta0, modulus, inverse)
+    return _record(BrowkinStep, (k0, x0)), beta0, delta0
 
 
 def cf_pair(steps, p: int, numerators: list[int] | None = None) -> tuple[int, int]:

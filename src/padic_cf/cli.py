@@ -284,7 +284,7 @@ def _cmd_expand_browkin(args: argparse.Namespace) -> int:
 
 def _cmd_expand_schneider(args: argparse.Namespace) -> int:
     ys = None if args.json else []  # text prints the y trace the matrix laws divide
-    expansion = oracle.certified_schneider(*args.rational, args.prime, ys)
+    expansion, _ = oracle.certified_schneider(*args.rational, args.prime, ys)
     if args.json:
         num, den = _input_digits(args)
         print(
@@ -436,24 +436,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         min_slack = None
         max_stationary = None
         for p, b in product(args.primes, range(1, args.max_den + 1)):
-            # each kind's store for the line, which the certificates read and fill: a row takes
-            # the tail of an earlier row with its first complete quotient (the tail lemmas in the
-            # browkin and schneider module docstrings), else runs the kernel
-            browkin_tails, schneider_tails = {}, {}
-            for a in range(-args.max_num, args.max_num + 1):
-                if a == 0 or gcd(abs(a), b) != 1:
-                    continue
-                expansion, _, report = oracle.certified_browkin(a, b, p, browkin_tails)
+            # the line's rows, each certified before it comes: most take their tail from an
+            # earlier row of the line (the tail lemmas in the browkin and schneider docstrings)
+            for a, browkin_len, report, stationary in oracle.certified_line(p, b, args.max_num):
                 _, beta0, beta1, n_bound = report
-                browkin_len = len(expansion.steps)
                 slack = n_bound + 1 - browkin_len
-                stationary = ""
-                if a % p != 0 and b % p != 0:
-                    sexp = oracle.certified_schneider(a, b, p, tails=schneider_tails)
-                    if sexp.stationary_from is not None:
-                        stationary = sexp.stationary_from
-                        if max_stationary is None or stationary > max_stationary:
-                            max_stationary = stationary
+                if stationary is None:
+                    stationary = ""
+                elif max_stationary is None or stationary > max_stationary:
+                    max_stationary = stationary
                 out.write(_SWEEP_ROW % (p, a, b, browkin_len, n_bound, beta0, beta1, slack, stationary))
                 if browkin_len > max_len:
                     max_len = browkin_len

@@ -3,22 +3,23 @@
 Each check re-derives one law of an expansion by exact arithmetic.  The
 certificate functions certified_browkin, certified_schneider and
 certified_digits make one kind of record each, run its checks and `require`
-them before they hand it back; with battery they are all the CLI calls here,
-so this module alone picks each command's checks.  The kernels that make a
-certified record (browkin_expand, schneider_expand, padic_digits,
-digit_period) and the step functions that give a sweep row its first step
-(browkin_betas, schneider_first_step) are reached through this module's
-globals only, as is the browkin_bound that certifies a length: rebinding one
-here (to plant a defect, or to trace it) reaches every command that prints its
-record, that is expand-browkin, sweep and verify for browkin_expand,
-expand-schneider, sweep and verify for schneider_expand, sweep alone for the
-step functions, digits and verify for padic_digits, and digits --json for
-digit_period.  A sweep row takes its first step here, once, and a row that
-misses its line's store hands that step to its kernel, so a step function
-rebound here reaches the kernel rows of the sweep too.  Called from here
-without a step (expand-browkin, expand-schneider below schneider._RUN_GATE
-and verify), a kernel takes its own from its module's globals:
-browkin.browkin_betas, schneider.schneider_first_step.
+them before they hand it back, and certified_line certifies the sweep's rows
+over one (p, b) line; with battery they are all the CLI calls here, so this
+module alone picks each command's checks.  The kernels that make a certified
+record (browkin_expand, schneider_expand, padic_digits, digit_period) and the
+rules that give a sweep row its first step (browkin_first, schneider_first)
+are reached through this module's globals only, as is the browkin_bound that
+certifies a length: rebinding one here (to plant a defect, or to trace it)
+reaches every command that prints its record, that is expand-browkin, sweep
+and verify for browkin_expand, expand-schneider, sweep and verify for
+schneider_expand, sweep alone for the rules, digits and verify for
+padic_digits, and digits --json for digit_period.  A sweep row takes its
+first step here, once, and a row that misses its line's store hands that
+step to its kernel, so a rule rebound here reaches the kernel rows of the
+sweep too.  Called from here without a step (expand-browkin,
+expand-schneider below schneider._RUN_GATE and verify), a kernel takes its
+own from its module's step function, browkin.browkin_betas or
+schneider.schneider_first_step, the input rules followed by the rule.
 `bound` and `head` call browkin_betas, browkin_bound and head_analysis from
 the CLI's own globals and run no check here.
 
@@ -34,13 +35,17 @@ the input or an option are left out):
                      N itself                         none
   sweep              browkin_len                      browkin reconstruction (a derived
                                                       row's resumed) and browkin length bound
+                                                      (a derived row's on its stored length)
                      a derived row's first step       browkin derived step range
-                     a derived row's later steps      none: the stored ones, by construction
-                     the record's word sizes          none
+                     a derived row's later steps      none: no record is built; its resumed
+                                                      reconstruction reads their level-1 pair
+                     a kernel row's word sizes        none
                      beta0_abs, beta1_abs             browkin reconstruction (its pass, or
                                                       its store entry's source's)
                      bound_N, slack >= 0              browkin length bound; N itself none
-                     schneider_steps_to_stationary    schneider tail laws
+                     schneider_steps_to_stationary    schneider tail laws (a derived row's on
+                                                      its stored length, markers, tail and
+                                                      last step)
                      (a derived row's Schneider       schneider derived step range and
                      first step, not printed)         schneider reconstruction (resumed)
   expand-schneider   head, its value                  schneider reconstruction
@@ -88,23 +93,30 @@ last level down, and levels N, ..., 1 read p and the steps past the first
 (and tail and markers) are a stored tail, taken from a kernel record whose
 pass was certified, holds after level 1 exactly the integers that pass held
 there: for Browkin the level-1 pair (s*beta_0, s*p**k_1*beta_1), by the
-numerator lemma from the betas the source's reconstruction handed back, which
-the store keeps; for Schneider (num_1, den_1) = (den, (num - d_0*den) /
-p**alpha_0), read back from the source's pair (num, den) and first step (d_0,
-alpha_0), an exact division as num = d_0*num_1 + p**alpha_0*den_1, which the
-store keeps.  A stored Browkin tail taken negated, for the opposite delta_0,
-holds (s*beta_0, -s*p**k_1*beta_1) there: negating every x_n from n = 1 on
-negates the first complete quotient (the tail lemma, browkin docstring).
-Level 0 then applies the record's own first step: (x_0*beta_0 +
-p**(k_0+k_1)*beta_1, p**k_0*beta_0), or (x_0, p**k_0) for a one-step record,
-which the store gives as beta_0 = 1 and beta_1 = 0, and (d_0*num_1 +
-p**alpha_0*den_1, num_1).  That is the pair a full pass over the record
-computes (for Browkin up to the sign s, which leaves _equals' verdict as it
-is), with the shared levels not computed again, and num_1 != 0 as the
-source's pair has den != 0.  The stored integers, not the row's own key, enter
-that pair: a key that names another tail gives another value, which
-reconstruction refuses.  So a derived sweep row keeps its reconstruction,
-under the same check name, at the cost of its first step and a few products.
+numerator lemma from the betas the source's reconstruction handed back; for
+Schneider (num_1, den_1) = (den, (num - d_0*den) / p**alpha_0), read back from
+the source's pair (num, den) and first step (d_0, alpha_0), an exact division
+as num = d_0*num_1 + p**alpha_0*den_1.  A sweep row builds no such record: its
+line's store keeps, per key, the integers that pair is made of.  For Browkin
+that is k_1 and beta_1, with beta_0 the line's, kept only where the source's
+pass has the line's beta_0, as it has for the expansion (the numerator lemma:
+p**k_0 * beta_0 = b); for Schneider the pair itself.  A stored Browkin tail
+taken negated, for the opposite delta_0, holds (s*beta_0, -s*p**k_1*beta_1)
+there: negating every x_n from n = 1 on negates the first complete quotient
+(the tail lemma, browkin docstring).  Level 0 then applies the row's own
+first step: (x_0*beta_0 + p**(k_0+k_1)*beta_1, p**k_0*beta_0) = (x_0*beta_0 +
+p**(k_0+k_1)*beta_1, b), with k_1 = 0 and beta_1 = 0 for a one-step tail,
+whose beta_0 is 1, and (d_0*num_1 + p**alpha_0*den_1, num_1).  That is the
+pair a full pass over the record the row stands for computes (for Browkin up
+to the sign s, which leaves _equals' verdict as it is), with the shared levels
+not computed again, and num_1 != 0 as the source's pair has den != 0.  The
+stored integers, not the row's own key, enter that pair: a key that names
+another tail gives another value, which reconstruction refuses.  So a derived
+sweep row keeps its reconstruction, under the same check name, at the cost of
+its first step and a few products.  Its other checks read the store the same
+way: the length bound takes 1 plus the tail's length, the length the source
+stored, and the tail laws take that length, the source's markers and tail,
+and its last step, or the row's own first step where the tail is empty.
 
 The error identity.  Let P_n, Q_n be the convergents of the same expansion
 scaled by D_n = p**(k_0+...+k_n), as browkin.convergent_triples yields them.
@@ -127,11 +139,12 @@ the determinant identity implies the majorant (see majorant's step law).
 """
 
 from itertools import chain
+from math import gcd
 from typing import NamedTuple
 
-from .browkin import BrowkinExpansion, BrowkinStep, browkin_betas, browkin_bound, browkin_expand, cf_pair
+from .browkin import BrowkinStep, browkin_bound, browkin_expand, browkin_first, browkin_line, cf_pair
 from .digits import _digit_sum, digit_period, padic_digits
-from .schneider import SchneiderExpansion, schneider_expand, schneider_first_step, schneider_pair
+from .schneider import SchneiderStep, schneider_expand, schneider_first, schneider_pair
 
 
 class Check(NamedTuple):
@@ -301,13 +314,17 @@ def schneider_tail_laws(expansion) -> Check:
     tail (-1, 1) and a last step other than (p-1, 1), or that step would be the
     tail's first.  Neither the reconstruction nor the matrix laws read the markers.
     """
-    p, steps, (num, den) = expansion.p, expansion.steps, expansion.tail
-    if expansion.finite_end:
-        ok = expansion.stationary_from is None and abs(den) == 1 and 0 < num * den < p
-    else:
-        ok = (expansion.stationary_from == len(steps) and (num, den) == (-1, 1)
-              and not (steps and steps[-1] == (p - 1, 1)))
+    steps = expansion.steps
+    ok = _stops(expansion.p, len(steps), steps[-1] if steps else None, *expansion[4:])
     return _record(Check, ("schneider tail laws", ok))
+
+
+def _stops(p: int, length: int, last, stationary_from, finite_end: bool, tail: tuple[int, int]) -> bool:
+    # the tail laws on a record's length, last step (None for no step), markers and tail
+    num, den = tail
+    if finite_end:
+        return stationary_from is None and abs(den) == 1 and 0 < num * den < p
+    return stationary_from == length and (num, den) == (-1, 1) and last != (p - 1, 1)
 
 
 def schneider_matrix_laws(a: int, b: int, expansion, ys: list[int] | None = None) -> Check:
@@ -365,92 +382,25 @@ def battery(a: int, b: int, p: int) -> list[Check]:
     return checks
 
 
-# entries a (p, b) line's store of each kind holds: full, it drops its oldest entry.  A line
-# stores one tail per kernel row, so without a cap a long line's store grows with max-num: 8,889
-# Schneider tails on --primes 3 --max-num 20000 --max-den 3 (BENCH_tail_lemma.json, "memory")
-TAIL_STORE_CAP = 1024
-
-
-def _store(tails: dict, key: int, entry) -> None:
-    # tails[key] = entry, the oldest entry dropped first where tails is full
-    if len(tails) >= TAIL_STORE_CAP:
-        del tails[next(iter(tails))]
-    tails[key] = entry
-
-
-def certified_browkin(a: int, b: int, p: int, tails: dict | None = None):
+def certified_browkin(a: int, b: int, p: int, first: tuple | None = None):
     """(expansion, betas, report): the Browkin expansion of a/b, its betas beta_0, ..., beta_N
     and its bound report, all certified: the betas, beta_0 and |beta_1| among them, come off the
     reconstruction check's own pass, and the bound reads them only once that check has passed.
-
-    Given tails, the store of a/b's (p, b) line, a row first takes its step from browkin_betas
-    and looks up its delta_0, then -delta_0: a hit is the stored tail, negated for -delta_0,
-    after that first step (the tail lemma, browkin docstring).  Its reconstruction resumes the
-    stored level-1 betas (the resumption lemma), once its first step is a Browkin step, and
-    its betas are None: the store keeps beta_0 and beta_1 alone.  A miss hands that first step
-    to the kernel, which goes on from it, and stores the certified record's tail, beta_0,
-    beta_1 and report under the delta_0 read off it.  A stored report is reused where it holds
-    the row's beta_0 and |beta_1|.
-    """
-    first = None  # browkin_expand takes its own
-    if tails is not None:
-        first = (k, x), _, delta = browkin_betas(a, b, p)
-        stored, sign = tails.get(delta), 1
-        # kept: without the -delta_0 lookup the 100x100 sweep runs 13,233 Browkin kernel rows,
-        # not 6,622 (BENCH_tail_lemma.json, "negated_lookup")
-        if stored is None:
-            stored, sign = tails.get(-delta), -1
-        if stored is not None:  # each Check built on failure
-            tail, beta0, beta1, report = stored
-            if sign < 0:  # the negated tail of the tail lemma (browkin docstring)
-                tail, beta1 = tuple([_record(BrowkinStep, (k, -x)) for k, x in tail]), -beta1
-            if not (2 * abs(x) < p ** (1 + k) and (not k or x % p)):
-                require(p, a, b, _record(Check, ("browkin derived step range", False)))
-            k1 = tail[0][0] if tail else 0  # beta1 = 0 for a one-step record
-            if not _equals((x * beta0 + p ** (k + k1) * beta1, p**k * beta0), a, b):
-                require(p, a, b, _record(Check, ("browkin reconstruction", False)))
-            expansion = _record(BrowkinExpansion, (p, a, beta0, (first[0],) + tail))
-            if report[:3] != (p, beta0, abs(beta1)):  # the bound depends on these alone
-                report = browkin_bound(beta0, abs(beta1), p)
-            require(p, a, b, browkin_length_bound(expansion, report))
-            return expansion, None, report
+    first is handed to browkin_expand, which goes on from it: a sweep row's first step, or None
+    to take its own."""
     expansion = browkin_expand(a, b, p, first)
     betas: list[int] = []
     require(p, a, b, browkin_reconstruction(a, b, expansion, betas))
-    beta0, beta1 = betas[0], betas[1] if len(betas) > 1 else 0
-    report = browkin_bound(beta0, abs(beta1), p)
+    report = browkin_bound(betas[0], abs(betas[1]) if len(betas) > 1 else 0, p)
     require(p, a, b, browkin_length_bound(expansion, report))
-    if tails is not None:
-        steps = expansion.steps
-        _store(tails, a - steps[0].x * beta0, (steps[1:], beta0, beta1, report))
     return expansion, betas, report
 
 
-def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, tails: dict | None = None):
-    """The Schneider expansion of a/b, certified by its reconstruction and its tail laws; given
-    a list, also by the matrix laws, whose chain fills ys with y_1, ..., y_N.
-
-    Given tails, the store of a/b's (p, b) line, a row first takes its step from
-    schneider_first_step and looks up its y_1: a hit is the stored tail, with its markers,
-    after that first step (the tail lemma, schneider docstring).  Its reconstruction resumes
-    the stored level-1 pair (the resumption lemma), once its first step is a Schneider step.
-    A miss hands the step function's result, None included, to the kernel, which goes on from
-    it, and stores the certified record's tail, markers and level-1 pair under the y_1 read
-    off it."""
-    first = ...  # schneider_expand takes its own
-    if tails is not None:
-        first = schneider_first_step(a, b, p)
-        stored = None if first is None else tails.get(first[1])
-        if stored is not None:  # each Check built on failure
-            tail, markers, (num, den) = stored
-            digit, alpha = first[0]
-            if not (0 < digit < p and alpha >= 1):
-                require(p, a, b, _record(Check, ("schneider derived step range", False)))
-            if not _equals((digit * num + p**alpha * den, num), a, b):
-                require(p, a, b, _record(Check, ("schneider reconstruction", False)))
-            expansion = _record(SchneiderExpansion, (p, a, b, (first[0],) + tail, *markers))
-            require(p, a, b, schneider_tail_laws(expansion))
-            return expansion
+def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, first=...):
+    """(expansion, pair): the Schneider expansion of a/b, certified by its reconstruction, whose
+    pass gives pair, and its tail laws; given a list, also by the matrix laws, whose chain fills
+    ys with y_1, ..., y_N.  first is handed to schneider_expand, which goes on from it below
+    schneider._RUN_GATE: a sweep row's first step, None included, or ... to take its own."""
     expansion = schneider_expand(a, b, p, first)
     pair = _schneider_pass(expansion)
     if not _equals(pair, a, b):  # its Check built on failure
@@ -459,12 +409,102 @@ def certified_schneider(a: int, b: int, p: int, ys: list[int] | None = None, tai
         require(p, a, b, schneider_tail_laws(expansion))
     else:
         require(p, a, b, schneider_matrix_laws(a, b, expansion, ys), schneider_tail_laws(expansion))
-    if tails is not None and expansion.steps:
-        (digit, alpha), (num, den) = expansion.steps[0], pair
-        pa = p**alpha  # exact divisions: y_1's, and num = digit*num_1 + p**alpha*den_1, num_1 = den
-        level1 = den, (num - digit * den) // pa
-        _store(tails, (a - digit * b) // pa, (expansion.steps[1:], expansion[4:], level1))
-    return expansion
+    return expansion, pair
+
+
+# entries a (p, b) line's store of each kind holds: full, it drops its oldest entry.  A line
+# stores one tail per kernel row, so without a cap a long line's store grows with max-num: 8,889
+# Schneider tails on --primes 3 --max-num 20000 --max-den 3 (BENCH_tail_lemma.json, "memory")
+TAIL_STORE_CAP = 1024
+
+
+def _store(tails: dict, key: int, entry: tuple) -> None:
+    # tails[key] = entry, the oldest entry dropped first where tails is full
+    if len(tails) >= TAIL_STORE_CAP:
+        del tails[next(iter(tails))]
+    tails[key] = entry
+
+
+def certified_line(p: int, b: int, max_num: int):
+    """Yield (a, browkin_len, report, stationary_from) for each a/b in lowest terms with 0 < |a|
+    <= max_num, a ascending: the sweep's rows over one (p, b) line, each certified before it is
+    yielded.  stationary_from is None where the Schneider column is empty: p | a*b, or a finite
+    end.  p is an odd prime: sweep checks each --primes entry once, and a line's first row runs
+    its kernel and so browkin_bound, which checks it.
+
+    The line's constants are taken once: browkin_line(b, p), and b**-1 mod p where p does not
+    divide b.  Every row is in lowest terms by the line's filter, so no row checks its input
+    again.  Each row takes its first step from the rules, browkin_first and schneider_first,
+    and looks its first complete quotient up in its line's store of that kind (the tail lemmas,
+    browkin and schneider docstrings): Browkin's by delta_0, then -delta_0, Schneider's by y_1.
+    A miss is a kernel row: certified_browkin or certified_schneider goes on from the step it
+    took, and it stores, under the key read off its certified record, what a row with that key
+    prints and checks.  For Browkin that is the record's length, k_1, beta_1 and the bound
+    report (None where the report does not hold beta_0 and |beta_1|, so that each such row runs
+    the bound); for Schneider the record's length, its last step (None for one step), its
+    markers and tail, and the level-1 pair of its pass.  A hit builds no record and meets, on
+    those integers, the checks a record would: the derived step range, the reconstruction
+    resumed at level 1 and the length bound or tail laws (the resumption lemma).
+    """
+    k0, beta0, modulus, inverse = browkin_line(b, p)
+    b_inverse = pow(b, -1, p) if b % p else None  # no Schneider column where p | b
+    browkin_tails, schneider_tails = {}, {}
+    for a in range(-max_num, max_num + 1):
+        if a == 0 or gcd(a, b) != 1:
+            continue
+        x, delta = browkin_first(a, beta0, modulus, inverse)
+        stored, sign = browkin_tails.get(delta), 1
+        # kept: without the -delta_0 lookup the 100x100 sweep runs 13,233 Browkin kernel rows,
+        # not 6,622 (BENCH_tail_lemma.json, "negated_lookup")
+        if stored is None:
+            stored, sign = browkin_tails.get(-delta), -1
+        if stored is None:  # a kernel row
+            first = _record(BrowkinStep, (k0, x)), beta0, delta
+            expansion, betas, report = certified_browkin(a, b, p, first)
+            steps = expansion.steps
+            length = len(steps)
+            if betas[0] == beta0:  # a derived row resumes with the line's beta_0 (resumption lemma)
+                k1, beta1 = (steps[1].k, betas[1]) if length > 1 else (0, 0)  # none past one step
+                # a report that does not hold its own betas is not reused: the rows run the bound
+                reused = report if report[:3] == (p, beta0, abs(beta1)) else None
+                _store(browkin_tails, a - steps[0].x * beta0, (length, k1, beta1, reused))
+        else:  # each Check built on failure
+            length, k1, beta1, report = stored
+            if not (2 * abs(x) < modulus and (not k0 or x % p)):
+                require(p, a, b, _record(Check, ("browkin derived step range", False)))
+            if not _equals((x * beta0 + p ** (k0 + k1) * sign * beta1, b), a, b):  # b = p**k0 * beta_0
+                require(p, a, b, _record(Check, ("browkin reconstruction", False)))
+            if report is None:
+                report = browkin_bound(beta0, abs(beta1), p)
+            if length > report.n_bound + 1:
+                require(p, a, b, _record(Check, ("browkin length bound", False)))
+        stationary = None
+        if b_inverse is not None and a % p:
+            first = schneider_first(a, b, p, b_inverse)
+            stored = None if first is None else schneider_tails.get(first[2])
+            if stored is None:  # a kernel row
+                step = None if first is None else (_record(SchneiderStep, first[:2]), first[2])
+                expansion, (num, den) = certified_schneider(a, b, p, None, step)
+                steps = expansion.steps
+                if steps:
+                    digit, alpha = steps[0]
+                    pa = p**alpha  # exact: y_1's, and num = digit*num_1 + pa*den_1 with num_1 = den
+                    last = steps[-1] if len(steps) > 1 else None
+                    entry = len(steps), last, *expansion[4:], den, (num - digit * den) // pa
+                    _store(schneider_tails, (a - digit * b) // pa, entry)
+                stationary = expansion.stationary_from
+            else:  # each Check built on failure
+                digit, alpha, _ = first
+                count, last, stationary, finite_end, tail, num, den = stored
+                if not (0 < digit < p and alpha >= 1):
+                    require(p, a, b, _record(Check, ("schneider derived step range", False)))
+                if not _equals((digit * num + p**alpha * den, num), a, b):
+                    require(p, a, b, _record(Check, ("schneider reconstruction", False)))
+                if last is None:  # an empty tail: the row's own step is its last
+                    last = digit, alpha
+                if not _stops(p, count, last, stationary, finite_end, tail):
+                    require(p, a, b, _record(Check, ("schneider tail laws", False)))
+        yield a, length, report, stationary
 
 
 def certified_digits(a: int, b: int, p: int, count: int, split: bool):

@@ -47,15 +47,22 @@ is y_1, not delta = a - b_0*b: the tail is that of (b, y_1) whatever alpha_0
 is, so inputs whose deltas differ by a power of p share it.  Only the input
 pair's two tests are a/b's own: a finite end at index 0 (delta = 0) and a
 stationary input (a + b = 0, so a/b = -1/1 in lowest terms), where there is
-no first step and schneider_first_step returns None.  It is the one first
-step below _RUN_GATE, input rules and gcd included: schneider_expand goes on
-from its step and y_1 at (y_0, y_1) = (b, y_1), and from None ends at once
-(at -1/1 the sum of (iii) is 0; a finite end at index 0 has b = 1, whose
-inverse the dict starts with).  Above the gate the entry run reads the first
-step itself, with no gcd at (a, b) (lemma (vii)).  The sweep takes a row's
-later steps from the certified record of an earlier row of its line with the
-same y_1, and a row with no such record hands its kernel the step it looked
-y_1 up with (oracle.certified_schneider).
+no first step.  So all a row prints or checks of its tail is its length, its
+markers and tail value, its last step and its level-1 pair.
+
+The first step's rule is stated once, in schneider_first: given b**-1 mod
+p, which depends on b alone, the digit, alpha_0 and y_1 are a few
+small-integer operations, and None stands for no first step.
+schneider_first_step is the input rules and the gcd followed by that rule,
+and the one first step below _RUN_GATE: schneider_expand goes on from its
+step and y_1 at (y_0, y_1) = (b, y_1), and from None ends at once (at -1/1
+the sum of (iii) is 0; a finite end at index 0 has b = 1, whose inverse the
+dict starts with).  Above the gate the entry run reads the first step
+itself, with no gcd at (a, b) (lemma (vii)).  head_analysis takes the rule
+with no gcd (lemma (vi)).  The sweep takes b**-1 mod p once per (p, b) line
+and the rule once per row (oracle.certified_line): a row whose y_1 an
+earlier kernel row of its line stored takes what that row stored and builds
+no record; any other row hands its kernel the step it took.
 
 The step loop's cap comes from the input.  Let H_m = max(|y_{m-1}|, |y_m|),
 so H_0 = max(|a|, b) < 2**bits with bits = max(|a|, b).bit_length(), and
@@ -534,26 +541,37 @@ def schneider_expand(a: int, b: int, p: int, first=...) -> SchneiderExpansion:
     return _record(SchneiderExpansion, (p, a, b, tuple(steps), len(steps), False, (-1, 1)))
 
 
-def schneider_first_step(a: int, b: int, p: int) -> tuple[SchneiderStep, int] | None:
-    """(first step, y_1) of schneider_expand(a, b, p), read off the step's definition alone,
-    with the input rules and messages of schneider_expand, which goes on from it below
-    _RUN_GATE; None where the expansion has no first step: a stationary -1/1 (a + b = 0) and a
-    finite end at index 0 (a = b_0*b).  Over one b, y_1 fixes every later step, the tail and
-    both markers (the tail lemma, module docstring).
+def schneider_first(a: int, b: int, p: int, inverse: int) -> tuple[int, int, int] | None:
+    """(digit, alpha, y_1), the first step's rule, given inverse = b**-1 mod p: digit =
+    a*inverse mod p, alpha = vp(a - digit*b) and y_1 = (a - digit*b) / p**alpha; None where
+    a/b has no first step, a finite end at index 0 (a = digit*b) or a stationary -1/1
+    (a + b = 0).  It asks nothing of a/b: the input rules are its callers'.
     """
-    _require_unit_pair(a, b, p)
-    require_coprime(a, b)
-    digit = a * pow(b, -1, p) % p
+    digit = a * inverse % p
     delta = a - digit * b
     if not delta or a + b == 0:
         return None
-    y1, alpha = delta // p, 1  # the step loop's strip of p
-    while not y1 % p:
-        if not y1:  # only a wrong digit (a defect) leaves 0, which p divides forever
-            raise ArithmeticError(f"inexact step: expansion of {a}/{b} reached y = 0")
-        y1 //= p
-        alpha += 1
-    return _record(SchneiderStep, (digit, alpha)), y1
+    y1 = delta // p  # exact: the digit makes delta divisible by p
+    if y1 % p:
+        return digit, 1, y1
+    if not y1:  # only a wrong digit (a defect) leaves 0, which p divides forever
+        raise ArithmeticError(f"inexact step: expansion of {a}/{b} reached y = 0")
+    # the rest by vp_split's ladder: a division per factor of p reads x4.7 on head at alpha =
+    # 20,000 (BENCH_sweep_lines.json, "deep_first_step")
+    alpha, y1 = vp_split(y1, p)
+    return digit, alpha + 1, y1
+
+
+def schneider_first_step(a: int, b: int, p: int) -> tuple[SchneiderStep, int] | None:
+    """(first step, y_1) of schneider_expand(a, b, p): the input rules and messages of
+    schneider_expand, which goes on from it below _RUN_GATE, gcd included, then
+    schneider_first; None where the expansion has no first step.  Over one b, y_1 fixes every
+    later step, the tail and both markers (the tail lemma, module docstring).
+    """
+    _require_unit_pair(a, b, p)
+    require_coprime(a, b)
+    first = schneider_first(a, b, p, pow(b, -1, p))
+    return None if first is None else (_record(SchneiderStep, first[:2]), first[2])
 
 
 def schneider_pair(head, tail: tuple[int, int], p: int) -> tuple[int, int]:
@@ -640,19 +658,19 @@ def head_analysis(a: int, b: int, digit: int | None, alpha: int | None, p: int) 
     proves.
 
     digit, alpha or both may be None: each is then that of a/b's first step,
-    b0 = a*b**-1 mod p and alpha0 = vp(a - b0*b), read off the definition and
-    not off an expansion, so that ga/gb with p not dividing g has a/b's.  An
+    b0 = a*b**-1 mod p and alpha0 = vp(a - b0*b), read off the rule,
+    schneider_first, and not off an expansion, so that ga/gb with p not
+    dividing g has a/b's.  An
     a/b with no first step, a finite end (a = b0*b) or stationary (a + b = 0)
     at once, raises ValueError.
     """
     _require_unit_pair(a, b, p)
-    if digit is None or alpha is None:
-        first = a * pow(b, -1, p) % p
-        delta = a - first * b
-        if not delta or a + b == 0:
+    if digit is None or alpha is None:  # the first step's rule, with no gcd (lemma (vi))
+        first = schneider_first(a, b, p, pow(b, -1, p))
+        if first is None:
             raise ValueError("input has no head step to analyze")
-        digit = first if digit is None else digit
-        alpha = int_vp(delta, p) if alpha is None else alpha
+        digit = first[0] if digit is None else digit
+        alpha = first[1] if alpha is None else alpha
     _check_head_pair(digit, alpha, p)
     # before any power is built: p**alpha >= 2**(alpha*(p.bit_length()-1)), so when that
     # exponent reaches the bit length of |a| + (p-1)*b, p**alpha > |a| + (p-1)*b >=

@@ -67,49 +67,43 @@ def unreachable(name):
     return fail
 
 
-# each step function that gives a sweep row its first step, with the kernel a row runs when its
-# line's store holds no tail for it, and the certificate that returns the row's record
-DERIVATIONS = {"browkin_betas": ("browkin_expand", "certified_browkin"),
-               "schneider_first_step": ("schneider_expand", "certified_schneider")}
+# each rule that gives a sweep row its first step, with the kernel a row runs when its line's
+# store holds no tail for it and the certificate that runs that kernel
+RULES = {"browkin_first": ("browkin_expand", "certified_browkin"),
+         "schneider_first": ("schneider_expand", "certified_schneider")}
 
 
-def record_input(record):
-    # (p, a, b) of the input a Browkin or Schneider record expands
-    if isinstance(record, schneider.SchneiderExpansion):
-        return record.p, record.a, record.b
-    return record.p, record.alpha, record.beta0 * record.p ** record.steps[0].k
+def browkin_rule_args(p, a, b):
+    # the arguments browkin_first takes for row a/b: a and its line's constants, which name
+    # the row, as modulus = p**(1+k0) and beta0 fix p and b
+    _, beta0, modulus, inverse = browkin.browkin_line(b, p)
+    return a, beta0, modulus, inverse
 
 
-def derived_records(monkeypatch):
-    # step function -> (record, pair) for every sweep row that took its tail from its line's
-    # store: its step function ran and its kernel did not.  The record is the one its
-    # certificate returned, the pair the last one _equals compared with (a, b), its
-    # reconstruction's; all are planted in oracle to keep what they see
-    derived, calls, pairs = {}, [], []
-    equals = oracle._equals
-    monkeypatch.setattr(oracle, "_equals", lambda pair, a, b: pairs.append(pair) or equals(pair, a, b))
-    for step, (kernel, certificate) in DERIVATIONS.items():
-        made = derived[step] = []
-        for name in (step, kernel):
-            function = getattr(oracle, name)
-            monkeypatch.setattr(oracle, name, lambda *args, f=function, n=name: calls.append(n) or f(*args))
+def kernel_rows(monkeypatch):
+    # certificate -> the (p, a, b) of every sweep row that ran it, its kernel row, planted in
+    # oracle; every other row took its tail from its line's store
+    rows = {}
+    for _, certificate in RULES.values():
+        made = rows[certificate] = set()
 
-        def certified(*args, certify=getattr(oracle, certificate), made=made, step=step, kernel=kernel,
-                      **kwargs):
-            calls.clear()
-            out = certify(*args, **kwargs)
-            if step in calls and kernel not in calls:
-                made.append((out[0] if step == "browkin_betas" else out, pairs[-1]))
-            return out
+        def certified(a, b, p, *args, certify=getattr(oracle, certificate), made=made):
+            made.add((p, a, b))
+            return certify(a, b, p, *args)
 
         monkeypatch.setattr(oracle, certificate, certified)
-    return derived
+    return rows
+
+
+def sweep_rows(text):
+    # (p, a, b) of each row of a sweep CSV
+    return [tuple(int(field) for field in row.split(",")[:3]) for row in text.splitlines()[1:]]
 
 
 def kernels_take_their_own_first_step(monkeypatch):
     # a row that misses its line's store hands its kernel the first step it took, so a planted
-    # step function reaches kernel rows too; with each kernel planted in oracle to take its own
-    # first step instead, such a plant reaches the rows that take a stored tail alone
+    # rule reaches kernel rows too; with each kernel planted in oracle to take its own first
+    # step instead, such a plant reaches the rows that take a stored tail alone
     monkeypatch.setattr(oracle, "browkin_expand", lambda a, b, p, first: browkin.browkin_expand(a, b, p))
     monkeypatch.setattr(oracle, "schneider_expand", lambda a, b, p, first: schneider.schneider_expand(a, b, p))
 
@@ -1017,7 +1011,7 @@ class TestSweepCommand:
         # one kernel and one bound call per row that misses its line's store, the kernel handed
         # the row's first step; a row that takes a stored tail takes the report stored with it
         bound, calls = oracle.browkin_bound, []
-        derived = derived_records(monkeypatch)["browkin_betas"]
+        kernel = kernel_rows(monkeypatch)["certified_browkin"]
         expand, expanded = oracle.browkin_expand, []
 
         def counted(*args):
@@ -1032,47 +1026,55 @@ class TestSweepCommand:
         monkeypatch.setattr(browkin, "browkin_bound", unreachable)
         code, out, _ = run_cli(["sweep", "--primes", "3", "--max-num", "5", "--max-den", "5"], capsys)
         assert code == 0
-        rows = [[int(field) for field in row.split(",")[:3]] for row in out.splitlines()[1:]]
-        derived = {record_input(record) for record, _ in derived}
-        kernel = [(a, b, p) for p, a, b in rows if (p, a, b) not in derived]
+        rows = sweep_rows(out)
         assert 0 < len(kernel) < len(rows)
-        assert [args[:3] for args in expanded] == kernel
+        assert [args[:3] for args in expanded] == [(a, b, p) for p, a, b in rows if (p, a, b) in kernel]
         assert all(len(args) == 4 and args[3] for args in expanded)
         assert len(calls) == len(kernel)
 
     def test_each_row_takes_its_first_step_once(self, capsys, monkeypatch):
-        # each step function that applies to a row runs once for it, counted through oracle's
-        # globals and the kernel modules' own, and a row that misses its line's store hands its
-        # kernel that very step: no kernel row computes its first step again
-        taken, handed = {}, []
+        # each rule that applies to a row runs once for it, counted through oracle's globals and
+        # the kernel modules' own, and a row that misses its line's store hands its kernel the
+        # step that rule gave: no kernel row computes its first step again.  No step function
+        # runs, so no row checks its input again: the line's filter admits only inputs in
+        # lowest terms, and sweep checks each prime once
+        taken, handed, checked = {}, [], []
         for module in (oracle, browkin, schneider):
-            for name in {"browkin_betas", "schneider_first_step"} & set(vars(module)):
-                def counted(a, b, p, step=getattr(module, name), name=name):
-                    out = step(a, b, p)
-                    taken.setdefault((name, p, a, b), []).append(out)
+            for name in set(RULES) & set(vars(module)):
+                def counted(*args, rule=getattr(module, name), name=name):
+                    out = rule(*args)
+                    taken.setdefault((name, *args), []).append(out)
                     return out
 
                 monkeypatch.setattr(module, name, counted)
-        for step, (kernel, _) in DERIVATIONS.items():
-            def handing(a, b, p, *first, expand=getattr(oracle, kernel), step=step):
-                handed.append(((step, p, a, b), first))
+            for name in {"browkin_betas", "schneider_first_step"} & set(vars(module)):
+                monkeypatch.setattr(module, name, lambda *args, name=name: checked.append(name))
+        for rule, (kernel, _) in RULES.items():
+            def handing(a, b, p, *first, expand=getattr(oracle, kernel), rule=rule):
+                handed.append((rule, p, a, b, first))
                 return expand(a, b, p, *first)
 
             monkeypatch.setattr(oracle, kernel, handing)
         code, out, _ = run_cli(["sweep", "--primes", "3,5,7", "--max-num", "30", "--max-den", "30"], capsys)
-        assert code == 0
-        rows = [tuple(int(field) for field in row.split(",")[:3]) for row in out.splitlines()[1:]]
-        want = {("browkin_betas", p, a, b) for p, a, b in rows}
-        want |= {("schneider_first_step", p, a, b) for p, a, b in rows if a % p and b % p}
-        assert taken.keys() == want and all(len(outs) == 1 for outs in taken.values())
+        assert code == 0 and checked == []
+        rows = sweep_rows(out)
+        want = {("browkin_first", *browkin_rule_args(p, a, b)): (p, a, b) for p, a, b in rows}
+        want |= {("schneider_first", a, b, p, pow(b, -1, p)): (p, a, b) for p, a, b in rows if a % p and b % p}
+        assert taken.keys() == want.keys() and all(len(outs) == 1 for outs in taken.values())
         assert 0 < len(handed) < len(want)
-        for row, first in handed:
-            assert len(first) == 1 and first[0] is taken[row][0], row
+        rules = {(key[0], *row): outs[0] for key, outs in taken.items() for row in [want[key]]}
+        for rule, p, a, b, first in handed:
+            out = rules[rule, p, a, b]
+            if rule == "browkin_first":
+                k0, beta0, _, _ = browkin.browkin_line(b, p)
+                assert first == ((browkin.BrowkinStep(k0, out[0]), beta0, out[1]),), (p, a, b)
+            else:
+                assert first == (None if out is None else (schneider.SchneiderStep(*out[:2]), out[2]),), (p, a, b)
 
     def test_one_primality_test_per_step_and_bound_call(self, capsys, monkeypatch):
         # above exactarith's prime table each is_odd_prime call runs 13 Miller-Rabin bases: a
-        # sweep runs one for its --primes, one per step function call and one per bound call,
-        # and none in a kernel, which goes on from the step its row took
+        # sweep runs one per --primes entry and one per bound call, and none for a row's first
+        # step or in a kernel, which goes on from the step its row took
         calls = {}
 
         def counted(name, function):
@@ -1082,28 +1084,30 @@ class TestSweepCommand:
             return count
 
         monkeypatch.setattr(exactarith, "is_odd_prime", counted("is_odd_prime", exactarith.is_odd_prime))
-        for name in ("browkin_betas", "schneider_first_step", "browkin_bound", "browkin_expand", "schneider_expand"):
+        for name in ("browkin_bound", "browkin_expand", "schneider_expand"):
             monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
-        argv = ["sweep", "--primes", "65537", "--max-num", "40", "--max-den", "20"]
+        argv = ["sweep", "--primes", "65537,5", "--max-num", "40", "--max-den", "20"]
         assert run_cli(argv, capsys)[0] == 0
         assert calls["browkin_expand"] and calls["schneider_expand"]
-        checked = calls["browkin_betas"] + calls["schneider_first_step"] + calls["browkin_bound"]
-        assert calls["is_odd_prime"] == 1 + checked
+        assert calls["is_odd_prime"] == 2 + calls["browkin_bound"]
 
     @staticmethod
     def watch_stores(monkeypatch):
-        # (kind, p, b) -> the most entries the line's store held when a row of it was certified
-        most = {}
+        # (kind, p, b) -> the most entries the line's store held once a row of it stored its tail
+        most, line = {}, []
+        certify, store = oracle.certified_line, oracle._store
 
-        def watched(kind, certify):
-            def certified(a, b, p, *args, **kwargs):
-                tails = kwargs.get("tails", args[-1] if args else None)
-                most[kind, p, b] = max(most.get((kind, p, b), 0), len(tails))
-                return certify(a, b, p, *args, **kwargs)
-            return certified
+        def watched_line(p, b, max_num):
+            line[:] = p, b
+            yield from certify(p, b, max_num)
 
-        monkeypatch.setattr(oracle, "certified_browkin", watched("browkin", oracle.certified_browkin))
-        monkeypatch.setattr(oracle, "certified_schneider", watched("schneider", oracle.certified_schneider))
+        def watched_store(tails, key, entry):
+            store(tails, key, entry)
+            kind = "browkin" if len(entry) == 4 else "schneider"  # a Schneider entry has 7 fields
+            most[kind, *line] = max(most.get((kind, *line), 0), len(tails))
+
+        monkeypatch.setattr(oracle, "certified_line", watched_line)
+        monkeypatch.setattr(oracle, "_store", watched_store)
         return most
 
     def test_rows_past_the_store_cap_run_the_kernel(self, capsys, monkeypatch):
@@ -1136,17 +1140,17 @@ class TestSweepCommand:
                         ("browkin", 3, 3): oracle.TAIL_STORE_CAP}
 
     def test_a_mirror_with_one_sign_kept_fails(self, capsys, monkeypatch):
-        # browkin_betas planted to hand row 43/2 the key -delta_0: the row takes the tail of the
-        # opposite delta_0, the one its own negates, and the stored betas its resumed
-        # reconstruction reads give another value, so the sweep stops at that row with no row
+        # browkin_first planted to hand row 43/2 the key -delta_0: the row takes the tail of the
+        # opposite delta_0, the one its own negates, and the stored beta_1 its resumed
+        # reconstruction reads gives another value, so the sweep stops at that row with no row
         # written for it
-        betas = oracle.browkin_betas
+        rule = oracle.browkin_first
 
-        def planted(a, b, p):
-            first, beta0, delta = betas(a, b, p)
-            return first, beta0, -delta if (p, a, b) == (3, 43, 2) else delta
+        def planted(*args):
+            x, delta = rule(*args)
+            return x, -delta if args == browkin_rule_args(3, 43, 2) else delta
 
-        monkeypatch.setattr(oracle, "browkin_betas", planted)
+        monkeypatch.setattr(oracle, "browkin_first", planted)
         code, out, err = run_cli(["sweep", "--primes", "3", "--max-num", "50", "--max-den", "3"], capsys)
         assert code == 1
         assert err == "FAIL: browkin reconstruction failed at p=3, 43/2\n"
@@ -1179,54 +1183,90 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("argv, digest", SWEEP_GRIDS, ids=SWEEP_GRID_IDS)
     def test_derived_records_are_the_kernels(self, argv, digest, monkeypatch, tmp_path):
-        # every record a sweep row takes from its line's store, by delta_0, -delta_0 or y_1, is
-        # the kernel's record of that row, compared with ==, and the CSV is pinned by its sha256.
-        # The grids: the 100x100 one; |a| up to 3,000, where rows with p | a take no Schneider
-        # column; lines with p**k | b up to 27 = 3**3, 54 = 2*3**3 and 25 = 5**2; and b up to 30,
-        # with lines with p | b up to 27.  Each ends within 10 s
-        derived = derived_records(monkeypatch)
+        # a row that takes its tail from its line's store, by delta_0, -delta_0 or y_1, builds no
+        # record: it stands for its first step followed by the tail of the kernel row that stored
+        # the key, negated for -delta_0, with that row's markers and tail value for Schneider.
+        # That record is the kernel's record of the row, compared with == (the tail lemmas,
+        # browkin and schneider docstrings), on every such row, and the CSV is pinned by its
+        # sha256.  The grids: the 100x100 one; |a| up to 3,000, where rows with p | a take no
+        # Schneider column; lines with p**k | b up to 27 = 3**3, 54 = 2*3**3 and 25 = 5**2; and
+        # b up to 30, with lines with p | b up to 27.  Each sweep ends within 10 s
+        kernel = kernel_rows(monkeypatch)
         path = tmp_path / "rows.csv"
         code, _, err = limited_run(["sweep", *argv, "--out", str(path)], 10)
         assert code == 0 and err.startswith("sweep ok")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        for name, made in derived.items():
-            expand = schneider.schneider_expand if name.startswith("schneider") else browkin.browkin_expand
-            assert made, name
-            for record, _ in made:
-                p, a, b = record_input(record)
-                assert record == expand(a, b, p), (name, p, a, b)
+        stores, derived = {}, {"browkin": set(), "schneider": set()}
+        for p, a, b in sweep_rows(path.read_text()):
+            browkin_tails, schneider_tails = stores.setdefault((p, b), ({}, {}))
+            record = browkin.browkin_expand(a, b, p)
+            first, _, delta = browkin.browkin_betas(a, b, p)
+            if (p, a, b) in kernel["certified_browkin"]:
+                browkin_tails[delta] = record.steps[1:]
+            else:
+                tail = browkin_tails.get(delta)
+                if tail is None:  # the stored tail of -delta_0, negated
+                    tail = tuple((k, -x) for k, x in browkin_tails[-delta])
+                assert (first, *tail) == record.steps, (p, a, b)
+                derived["browkin"].add((p, b))
+            if a % p == 0 or b % p == 0:
+                continue
+            record = schneider.schneider_expand(a, b, p)
+            first = schneider.schneider_first_step(a, b, p)
+            if (p, a, b) in kernel["certified_schneider"]:
+                if first is not None:
+                    schneider_tails[first[1]] = record
+            else:
+                source = schneider_tails[first[1]]
+                assert source._replace(a=a, b=b, steps=(first[0], *source.steps[1:])) == record, (p, a, b)
+                derived["schneider"].add((p, b))
+        assert derived["browkin"] and derived["schneider"]
         if argv[1] == "3,5":
-            lines = {(record.p, record_input(record)[2]) for record, _ in derived["browkin_betas"]}
-            assert lines >= {(3, 9), (3, 27), (3, 54), (5, 25)}
+            assert derived["browkin"] >= {(3, 9), (3, 27), (3, 54), (5, 25)}
+
+    @pytest.mark.parametrize("argv, digest", SWEEP_GRIDS, ids=SWEEP_GRID_IDS)
+    def test_every_row_through_its_kernel_gives_the_pinned_csv(self, argv, digest, monkeypatch, tmp_path):
+        # with nothing ever stored, every row runs its kernels, and the CSV is byte for byte the
+        # one the stores give: each derived row prints what its kernels print
+        monkeypatch.setattr(oracle, "_store", lambda tails, key, entry: None)
+        kernel = kernel_rows(monkeypatch)
+        path = tmp_path / "rows.csv"
+        code, _, err = limited_run(["sweep", *argv, "--out", str(path)], 20)
+        assert code == 0 and err.startswith("sweep ok")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        rows = sweep_rows(path.read_text())
+        assert kernel["certified_browkin"] == set(rows)
+        assert kernel["certified_schneider"] == {(p, a, b) for p, a, b in rows if a % p and b % p}
 
     def test_a_translation_past_the_stationary_exclusion_fails(self, capsys, monkeypatch, tmp_path):
-        # schneider_first_step planted without its a + b != 0 exclusion gives -1/1 the step
-        # (p-1, 1) to y_1 = -1, the key -2/1 stored: the record has -1's value, and the tail
-        # laws refuse it for -1/1, as a last step (p-1, 1) is the stationary tail's own
-        def planted(a, b, p):
-            digit = a * pow(b, -1, p) % p
+        # schneider_first planted without its a + b != 0 exclusion gives -1/1 the step (p-1, 1)
+        # to y_1 = -1, the key -2/1 stored: the row stands for -2/1's one-step tail after that
+        # step, which has -1's value, and the tail laws refuse it for -1/1, as its last step,
+        # its own first where the tail is empty, is (p-1, 1), the stationary tail's own
+        def planted(a, b, p, inverse):
+            digit = a * inverse % p
             if a == digit * b:
                 return None
             alpha, y1 = exactarith.vp_split(a - digit * b, p)
-            return schneider.SchneiderStep(digit, alpha), y1
+            return digit, alpha, y1
 
-        monkeypatch.setattr(oracle, "schneider_first_step", planted)
+        monkeypatch.setattr(oracle, "schneider_first", planted)
         argv = ["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1",
                 "--out", str(tmp_path / "rows.csv")]
         assert run_cli(argv, capsys) == (1, "", "FAIL: schneider tail laws failed at p=3, -1/1\n")
 
     def test_a_translated_step_out_of_range_fails(self, capsys, monkeypatch, tmp_path):
-        # browkin_betas planted to move x_0 up by p**(1+k0), past p**(1+k0)/2 but with its
-        # key kept: the sweep's first row, -100/1, hands the step to its kernel, whose record
-        # has another value.  With the kernels taking their own, a row that takes a stored
-        # tail fails the derived step range check, at the first such row, not written
-        betas = oracle.browkin_betas
+        # browkin_first planted to move x_0 up by p**(1+k0), past p**(1+k0)/2 but with its key
+        # kept: the sweep's first row, -100/1, hands the step to its kernel, whose record has
+        # another value.  With the kernels taking their own, a row that takes a stored tail
+        # fails the derived step range check, at the first such row, not written
+        rule = oracle.browkin_first
 
-        def planted(a, b, p):
-            (k, x), beta0, delta = betas(a, b, p)
-            return browkin.BrowkinStep(k, x + p ** (1 + k)), beta0, delta
+        def planted(a, beta0, modulus, inverse):
+            x, delta = rule(a, beta0, modulus, inverse)
+            return x + modulus, delta
 
-        monkeypatch.setattr(oracle, "browkin_betas", planted)
+        monkeypatch.setattr(oracle, "browkin_first", planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
         assert run_cli(argv, capsys) == (1, "", "FAIL: browkin reconstruction failed at p=3, -100/1\n")
@@ -1237,41 +1277,61 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("argv, digest", SWEEP_GRIDS, ids=SWEEP_GRID_IDS)
     def test_resumed_pairs_are_the_full_passes(self, argv, digest, monkeypatch, tmp_path):
-        # every pair a derived row's reconstruction resumes from its line's store is the pair
-        # the full back-substitution of its record computes: cf_pair's up to the sign s =
-        # beta_N, and schneider_pair's exactly (the resumption lemma, oracle docstring)
-        derived = derived_records(monkeypatch)
+        # every pair a row's reconstruction compares with a/b is the pair the full
+        # back-substitution of the kernel's record of the row computes: cf_pair's up to the
+        # sign s = beta_N, and schneider_pair's exactly.  A kernel row's is that pass; a derived
+        # row resumes it from its line's store at level 1 (the resumption lemma, oracle
+        # docstring).  The pairs are taken through oracle's _equals, each kind's after its rule
+        pairs, kind, line = [], [], []
+        equals, certify = oracle._equals, oracle.certified_line
+        monkeypatch.setattr(oracle, "_equals", lambda pair, a, b: pairs.append((*kind, *line, pair, a, b))
+                            or equals(pair, a, b))
+        for name in RULES:
+            monkeypatch.setattr(oracle, name, lambda *args, rule=getattr(oracle, name), name=name:
+                                kind.__setitem__(slice(None), [name]) or rule(*args))
+
+        def watched_line(p, b, max_num):
+            line[:] = [p]
+            yield from certify(p, b, max_num)
+
+        monkeypatch.setattr(oracle, "certified_line", watched_line)
         path = tmp_path / "rows.csv"
         code, _, err = limited_run(["sweep", *argv, "--out", str(path)], 10)
         assert code == 0 and err.startswith("sweep ok")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        assert derived["browkin_betas"] and derived["schneider_first_step"]
-        for expansion, (num, den) in derived["browkin_betas"]:
-            assert browkin.cf_pair(expansion.steps, expansion.p) in ((num, den), (-num, -den)), expansion
-        for expansion, pair in derived["schneider_first_step"]:
-            assert pair == schneider.schneider_pair(expansion.steps, expansion.tail, expansion.p), expansion
+        rows = sweep_rows(path.read_text())
+        want = [("browkin_first", p, a, b) for p, a, b in rows]
+        want += [("schneider_first", p, a, b) for p, a, b in rows if a % p and b % p]
+        assert sorted(call[:2] + call[3:] for call in pairs) == sorted(want)
+        for name, p, (num, den), a, b in pairs:
+            if name == "browkin_first":
+                record = browkin.browkin_expand(a, b, p)
+                assert browkin.cf_pair(record.steps, p) in ((num, den), (-num, -den)), (p, a, b)
+            else:
+                record = schneider.schneider_expand(a, b, p)
+                assert (num, den) == schneider.schneider_pair(record.steps, record.tail, p), (p, a, b)
 
-    @pytest.mark.parametrize("step, wrong, a", [
-        ("browkin_betas", lambda p, b, key: key - p * b, -97),
-        ("schneider_first_step", lambda p, b, key: key - b, -92),
+    @pytest.mark.parametrize("rule, wrong, a", [
+        ("browkin_first", lambda a, beta0, modulus, inverse, key: key - beta0 * modulus, -97),
+        ("schneider_first", lambda a, b, p, inverse, key: key - b, -92),
     ], ids=["browkin", "schneider"])
-    def test_a_translated_later_step_changed_fails(self, step, wrong, a, capsys, monkeypatch, tmp_path):
-        # a step function planted to hand every row a wrong key, the delta_0 of row a - p*b or
-        # the y_1 of row a - p**alpha_0*b.  The sweep's first row, -100/1, hands it to its
-        # kernel, which goes on from it to another value.  With the kernels taking their own, a
-        # row takes another row's later steps, and its resumed reconstruction reads the stored
-        # integers that go with them, not the row's own, so it fails at the first row whose
-        # wrong key is stored, and that row is not written
-        read = getattr(oracle, step)
+    def test_a_translated_later_step_changed_fails(self, rule, wrong, a, capsys, monkeypatch, tmp_path):
+        # a rule planted to hand every row a wrong key, the delta_0 of row a - p*b (p*b =
+        # beta0 * p**(1+k0)) or the y_1 of row a - p**alpha_0*b.  The sweep's first row, -100/1,
+        # hands it to its kernel, which goes on from it to another value.  With the kernels
+        # taking their own, a row takes another row's tail, and its resumed reconstruction reads
+        # the stored integers that go with it, not the row's own, so it fails at the first row
+        # whose wrong key is stored, and that row is not written
+        read = getattr(oracle, rule)
 
-        def planted(a, b, p):
-            out = read(a, b, p)
-            return None if out is None else (*out[:-1], wrong(p, b, out[-1]))
+        def planted(*args):
+            out = read(*args)
+            return None if out is None else (*out[:-1], wrong(*args, out[-1]))
 
-        monkeypatch.setattr(oracle, step, planted)
+        monkeypatch.setattr(oracle, rule, planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
-        check = step.split("_")[0] + " reconstruction"
+        check = rule.split("_")[0] + " reconstruction"
         assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, -100/1\n")
         kernels_take_their_own_first_step(monkeypatch)
         assert run_cli(argv, capsys) == (1, "", f"FAIL: {check} failed at p=3, {a}/1\n")
@@ -1284,18 +1344,18 @@ class TestSweepCommand:
     ], ids=["exponent", "digit"])
     def test_a_translated_schneider_first_step_changed_fails(self, first, check, capsys, monkeypatch,
                                                              tmp_path):
-        # schneider_first_step planted with its exponent raised by one, which the key y_1 does
-        # not see, fails the resumed reconstruction; with its digit p, the derived step range.
-        # Each fails at the first row that takes a stored tail, which is not written, once the
+        # schneider_first planted with its exponent raised by one, which the key y_1 does not
+        # see, fails the resumed reconstruction; with its digit p, the derived step range.  Each
+        # fails at the first row that takes a stored tail, which is not written, once the
         # kernels take their own first step: handed to the kernel of the sweep's first row,
         # -100/1, either gives a record of another value
-        read = oracle.schneider_first_step
+        read = oracle.schneider_first
 
-        def planted(a, b, p):
-            out = read(a, b, p)
-            return None if out is None else (schneider.SchneiderStep(*first(p, *out[0])), out[1])
+        def planted(a, b, p, inverse):
+            out = read(a, b, p, inverse)
+            return None if out is None else (*first(p, *out[:2]), out[2])
 
-        monkeypatch.setattr(oracle, "schneider_first_step", planted)
+        monkeypatch.setattr(oracle, "schneider_first", planted)
         path = tmp_path / "rows.csv"
         argv = ["sweep", "--primes", "3,5,7", "--max-num", "100", "--max-den", "100", "--out", str(path)]
         assert run_cli(argv, capsys) == (1, "", "FAIL: schneider reconstruction failed at p=3, -100/1\n")

@@ -775,40 +775,40 @@ _PLANTED_ARGV = {
     "sweep": ["sweep", "--primes", "3", "--max-num", "2", "--max-den", "1"],
 }
 
-def _negated_key(a, b, p):
-    # browkin_betas with delta_0 negated: a row that misses its line's store hands the kernel
+def _negated_key(*args):
+    # browkin_first with delta_0 negated: a row that misses its line's store hands the kernel
     # that delta_0, which it goes on from, and a row that hits takes the tail of the opposite
-    # delta_0, and its resumed reconstruction the betas stored with it
-    first, beta0, delta = browkin.browkin_betas(a, b, p)
-    return first, beta0, -delta
+    # delta_0, and its resumed reconstruction the beta_1 stored with it
+    x, delta = browkin.browkin_first(*args)
+    return x, -delta
 
 
-def _step_at_minus_one(a, b, p):
-    # schneider_first_step without its a + b != 0 exclusion: -1/1 gets the step (p-1, 1) to
+def _step_at_minus_one(a, b, p, inverse):
+    # schneider_first without its a + b != 0 exclusion: -1/1 gets the step (p-1, 1) to
     # y_1 = -1, the key -2/1 stores
     if a + b == 0:
-        return schneider.SchneiderStep(p - 1, 1), -1
-    return schneider.schneider_first_step(a, b, p)
+        return p - 1, 1, -1
+    return schneider.schneider_first(a, b, p, inverse)
 
 
-# each kernel that makes a certified record, and each step function that gives a sweep row its
-# first step, a plant that breaks one law of that record, and for each command that prints the
-# record, the check it fails and the input it fails at.  A row hands its kernel the first step
-# it took, so _negated_key fails at the sweep's first row, a kernel row, and _step_at_minus_one
-# at -1/1, the one row it changes; the Schneider and period plants keep the value
+# each kernel that makes a certified record, and each rule that gives a sweep row its first
+# step, a plant that breaks one law of that record, and for each command that prints the record,
+# the check it fails and the input it fails at.  A row hands its kernel the first step it took,
+# so _negated_key fails at the sweep's first row, a kernel row, and _step_at_minus_one at -1/1,
+# the one row it changes; the Schneider and period plants keep the value
 ONE_NAMESPACE_PLANTS = [
     ("browkin_expand", _flipped_last_quotient,
      {"expand-browkin": ("browkin reconstruction", "1259/701"),
       "expand-browkin --json": ("browkin reconstruction", "1259/701"),
       "sweep": ("browkin reconstruction", "-2/1"),
       "verify": ("browkin reconstruction", "1259/701")}),
-    ("browkin_betas", _negated_key, {"sweep": ("browkin reconstruction", "-2/1")}),
+    ("browkin_first", _negated_key, {"sweep": ("browkin reconstruction", "-2/1")}),
     ("schneider_expand", _deeper_last_step,
      {"expand-schneider": ("schneider matrix laws", "1259/701"),
       "expand-schneider --json": ("schneider tail laws", "1259/701"),
       "sweep": ("schneider tail laws", "-2/1"),
       "verify": ("schneider matrix laws", "1259/701")}),
-    ("schneider_first_step", _step_at_minus_one, {"sweep": ("schneider tail laws", "-1/1")}),
+    ("schneider_first", _step_at_minus_one, {"sweep": ("schneider tail laws", "-1/1")}),
     ("padic_digits", _wrong_first_digit,
      {"digits": ("digit truncation identity", "1259/701"),
       "digits --json": ("digit truncation identity", "1259/701"),
@@ -836,11 +836,12 @@ def test_a_kernel_planted_in_oracle_reaches_every_command(kernel, plant, failure
 
 def test_cli_reads_only_the_certificates_off_the_oracle():
     # cli imports no kernel that makes a certified record and names no check: every check on
-    # a command's path runs inside oracle, picked by one certificate function per record kind.
-    # `bound` reads browkin_betas off cli's own globals and prints its values unchecked
+    # a command's path runs inside oracle, picked by one certificate function per record kind
+    # and, for sweep, one per line.  `bound` reads browkin_betas off cli's own globals and
+    # prints its values unchecked
     for kernel, _, _ in ONE_NAMESPACE_PLANTS:
-        assert kernel not in vars(cli) or kernel == "browkin_betas", kernel
+        assert kernel not in vars(cli), kernel
     tree = ast.parse(Path(cli.__file__).read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "oracle"}
-    assert read == {"certified_browkin", "certified_schneider", "certified_digits", "battery"}
+    assert read == {"certified_browkin", "certified_schneider", "certified_digits", "certified_line", "battery"}
